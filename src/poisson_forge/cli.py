@@ -204,18 +204,19 @@ def _cmd_orbits(args):
         raise ValueError(
             "matrix is outside the three structured families "
             "(eigenvalue report: %s)" % (family.eigen_report,))
+    orbits = enumerate_orbit_pairs(family)
     report = {
         "family": family.tag,
         "lambdas": [scalar_to_json(v) for v in family.lambdas],
         "orbit_count": orbit_count(family),
-        "orbits": [of.to_json() for of in enumerate_orbit_pairs(family)],
+        "orbits": [of.to_json() for of in orbits],
     }
     lines = [
         "family: %s" % family.tag,
         "lambdas: (%s)" % ", ".join(str(v) for v in family.lambdas),
         "orbit_count: %d" % orbit_count(family),
     ]
-    for of in enumerate_orbit_pairs(family):
+    for of in orbits:
         rep = ", ".join(str(v) for v in of.rep.unit)
         lines.append("orbit %d: rep (%s)" % (of.rep.orbit_index, rep))
         lines.append("  K = %s" % _rows_str(of.twist))

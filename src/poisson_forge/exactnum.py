@@ -3,8 +3,10 @@
 Every computation in this package is exact.  Scalars are either
 ``fractions.Fraction`` (arbitrary-precision rationals) or :class:`ExtScalar`,
 an element of the degree-4 extension field Q(sqrt2, sqrt3) stored on the
-basis (1, sqrt2, sqrt3, sqrt6).  The two kinds mix freely: arithmetic
-promotes rationals into the extension field when needed.
+basis (1, sqrt2, sqrt3, sqrt6) as four integer numerators over one
+positive common denominator, reduced by their gcd, so that its arithmetic
+runs on Python ints alone.  The two kinds mix freely: arithmetic promotes
+rationals into the extension field when needed.
 
 On top of the scalars the module provides:
 
@@ -41,24 +43,29 @@ class ExactSqrtError(ValueError):
 _EXT_LABELS = ("", "sqrt2", "sqrt3", "sqrt6")
 
 
-@dataclass(frozen=True)
 class ExtScalar:
     """Element c0 + c1*sqrt2 + c2*sqrt3 + c3*sqrt6 of Q(sqrt2, sqrt3).
 
-    The coordinates are Fractions on the fixed basis (1, sqrt2, sqrt3,
-    sqrt6).  The class implements field arithmetic; division uses the
-    product of the three nontrivial Galois conjugates, whose product with
-    self is the (rational) field norm.
+    Stored in integral-basis form: four ``int`` numerators over one
+    positive ``int`` denominator on the fixed basis (1, sqrt2, sqrt3,
+    sqrt6), reduced so that the five integers share no common factor.
+    The representation is therefore canonical, and field arithmetic is
+    integer arithmetic followed by one gcd.  ``coords`` presents the
+    coordinates as a tuple of Fractions.  Division uses the product of
+    the three nontrivial Galois conjugates, whose product with self is
+    the (rational) field norm.
     """
 
-    coords: tuple
+    __slots__ = ("_num", "_den")
 
-    def __post_init__(self):
-        if len(self.coords) != 4:
+    def __init__(self, coords):
+        if len(coords) != 4:
             raise ValueError("ExtScalar needs 4 coordinates")
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
+        fracs = [Fraction(c) for c in coords]
+        # the lcm of reduced denominators leaves no common factor behind
+        den = math.lcm(*(f.denominator for f in fracs))
+        self._num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -66,30 +73,40 @@ class ExtScalar:
     def of(cls, value) -> "ExtScalar":
         if isinstance(value, ExtScalar):
             return value
-        return cls((Fraction(value), Fraction(0), Fraction(0), Fraction(0)))
+        if isinstance(value, int):
+            return _ext((int(value), 0, 0, 0), 1)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return _ext((value.numerator, 0, 0, 0), value.denominator)
 
     @classmethod
     def parts(cls, c0=0, c1=0, c2=0, c3=0) -> "ExtScalar":
-        return cls((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+        return cls((c0, c1, c2, c3))
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coords(self) -> tuple:
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
+
+    @property
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        _, n1, n2, n3 = self._num
+        return not (n1 or n2 or n3)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("%s is irrational" % (self,))
-        return self.coords[0]
+        return Fraction(self._num[0], self._den)
 
     def conjugate(self, flip2: bool, flip3: bool) -> "ExtScalar":
-        c0, c1, c2, c3 = self.coords
+        n0, n1, n2, n3 = self._num
         if flip2:
-            c1, c3 = -c1, -c3
+            n1, n3 = -n1, -n3
         if flip3:
-            c2, c3 = -c2, -c3
-        return ExtScalar((c0, c1, c2, c3))
+            n2, n3 = -n2, -n3
+        return _ext((n0, n1, n2, n3), self._den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -97,58 +114,53 @@ class ExtScalar:
         other = _coerce_ext(other)
         if other is None:
             return NotImplemented
-        return ExtScalar(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _ext_sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(tuple(-a for a in self.coords))
+        n0, n1, n2, n3 = self._num
+        return _ext((-n0, -n1, -n2, -n3), self._den)
 
     def __sub__(self, other):
         other = _coerce_ext(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _ext_sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce_ext(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _ext_sum(other, self, -1)
 
     def __mul__(self, other):
         other = _coerce_ext(other)
         if other is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.coords
-        b0, b1, b2, b3 = other.coords
-        # basis products: sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3,
-        # sqrt3*sqrt6 = 3*sqrt2
-        return ExtScalar((
-            a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3,
-            a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-        ))
+        return _reduced(_int_mul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtScalar":
-        if not any(self.coords):
+        num = self._num
+        if not any(num):
             raise ZeroDivisionError("ExtScalar division by zero")
-        cofactor = (
-            self.conjugate(True, False)
-            * self.conjugate(False, True)
-            * self.conjugate(True, True)
-        )
-        norm = self * cofactor
+        n0, n1, n2, n3 = num
+        cofactor = _int_mul(_int_mul((n0, -n1, n2, -n3), (n0, n1, -n2, -n3)),
+                            (n0, -n1, -n2, n3))
+        norm = _int_mul(num, cofactor)
         # the field norm is rational by Galois invariance
-        if not norm.is_rational:
+        if norm[1] or norm[2] or norm[3]:
             raise ArithmeticError("field norm came out irrational")
-        n = norm.coords[0]
+        n = norm[0]
         if n == 0:
             raise ZeroDivisionError("ExtScalar division by zero")
-        return ExtScalar(tuple(c / n for c in cofactor.coords))
+        # self = num/den, so 1/self = den * cofactor / N(num)
+        den = self._den
+        if n < 0:
+            den, n = -den, -n
+        return _reduced(tuple(c * den for c in cofactor), n)
 
     def __truediv__(self, other):
         other = _coerce_ext(other)
@@ -164,17 +176,22 @@ class ExtScalar:
 
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
-            return self.coords == other.coords
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coords[0] == other
-        return NotImplemented
+            return self._num == other._num and self._den == other._den
+        if isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        n0, n1, n2, n3 = self._num
+        return not (n1 or n2 or n3) and n0 == num and self._den == den
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self._num)
 
     def __hash__(self):
         if self.is_rational:
-            return hash(self.coords[0])
+            return hash(Fraction(self._num[0], self._den))
         return hash(self.coords)
 
     def __float__(self):
@@ -207,6 +224,52 @@ class ExtScalar:
         for sign, body in pieces[1:]:
             out += " %s %s" % (sign, body)
         return out
+
+
+def _ext(num: tuple, den: int) -> ExtScalar:
+    """ExtScalar from integer numerators over a positive denominator that
+    already share no common factor."""
+    out = object.__new__(ExtScalar)
+    out._num = num
+    out._den = den
+    return out
+
+
+def _reduced(num: tuple, den: int) -> ExtScalar:
+    """ExtScalar from integer numerators over a positive denominator."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(n // g for n in num)
+        den //= g
+    return _ext(num, den)
+
+
+def _int_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two integer coordinate vectors on (1, sqrt2, sqrt3, sqrt6)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # basis products: sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3,
+    # sqrt3*sqrt6 = 3*sqrt2
+    return (
+        a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3,
+        a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2),
+        a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def _ext_sum(a: ExtScalar, b: ExtScalar, sign: int) -> ExtScalar:
+    """a + sign * b."""
+    a0, a1, a2, a3 = a._num
+    b0, b1, b2, b3 = b._num
+    da, db = a._den, b._den
+    if sign < 0:
+        b0, b1, b2, b3 = -b0, -b1, -b2, -b3
+    if da != db:
+        a0, a1, a2, a3 = a0 * db, a1 * db, a2 * db, a3 * db
+        b0, b1, b2, b3 = b0 * da, b1 * da, b2 * da, b3 * da
+        da *= db
+    return _reduced((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
 
 
 SQRT2 = ExtScalar.parts(0, 1, 0, 0)

@@ -18,6 +18,7 @@ matrix, and the special-orthogonal maps that carry each stratum
 representative to the vertical axis.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,8 +207,9 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
         members = [space.particular]
         members.extend(vec_add(space.particular, b) for b in space.basis)
         for coords in members:
-            ok = deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords)))
-            assert ok, "solver produced a cubic the bracket route rejects"
+            if not deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords))):
+                raise AssertionError(
+                    "solver produced a cubic the bracket route rejects")
     return space
 
 
@@ -477,9 +479,10 @@ def t_of_v(v, tolerance: float = 1e-12):
 
     Exact inputs (a :class:`P2Point` or a unit vector over the rationals
     or the supported extension field) produce an exact :class:`Matrix`
-    with T^T T = I and det T = 1, asserted.  Anything else -- float
-    coordinates, or an exact point whose normalization needs a square
-    root outside the field -- takes the floating route, which returns a
+    with T^T T = I and det T = 1, both checked (a failure raises even
+    under ``python -O``).  Anything else -- float coordinates, or an
+    exact point whose normalization needs a square root outside the
+    field -- takes the floating route, which returns a
     ``numpy.ndarray`` after checking the orthogonality residual against
     ``tolerance``.
     """
@@ -512,8 +515,10 @@ def t_of_v(v, tolerance: float = 1e-12):
         for i in range(3)
     )
     t = Matrix([w, cross3(coords, w), coords])
-    assert t.transpose() * t == Matrix.identity(3)
-    assert t.det() == 1
+    if t.transpose() * t != Matrix.identity(3):
+        raise AssertionError("rotation is not orthogonal: %r" % (t,))
+    if t.det() != 1:
+        raise AssertionError("rotation does not have determinant 1: %r" % (t,))
     return t
 
 
@@ -594,9 +599,19 @@ def p2_orbit_rep(family: JordanFamily, v) -> OrbitRep:
         rep = _REP_POINTS[NILPOTENT_FULL][index]
     else:
         raise ValueError("no orbit machinery for family %r" % family.tag)
-    rep_point = P2Point(rep)
-    unit = rep_point.unit_vector()
-    return OrbitRep(index, rep_point, unit, t_of_v(unit))
+    return OrbitRep(index, *_rep_rotation(rep))
+
+
+@functools.lru_cache(maxsize=None)
+def _rep_rotation(rep: tuple) -> tuple:
+    """(P2Point, unit, rotation) of a stratum representative point.
+
+    The rotation depends on the point only, not on the family's
+    eigenvalues, and the keys are the few points of ``_REP_POINTS``.
+    """
+    point = P2Point(rep)
+    unit = point.unit_vector()
+    return point, unit, t_of_v(unit)
 
 
 class OrbitFamily(NamedTuple):

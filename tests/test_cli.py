@@ -1,6 +1,8 @@
 """Command-line interface: verbs, formats, inputs, exit codes."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -9,12 +11,13 @@ import pytest
 from poisson_forge.exactnum import Matrix, Polynomial
 from poisson_forge.goldens import default_goldens
 from poisson_forge.linclass import Witness
+from poisson_forge.verify import _check_criterion_two_routes
 
 
-def run_cli(*argv, stdin=None):
+def run_cli(*argv, stdin=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "poisson_forge.cli", *argv],
-        capture_output=True, text=True, input=stdin,
+        capture_output=True, text=True, input=stdin, env=env,
     )
 
 
@@ -286,6 +289,22 @@ def test_verify_paper_all_pass():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "35/35 items passed"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_verify_paper_is_reproducible_across_hash_seeds():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = run_cli("verify-paper", "--format", "json",
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_criterion_item_passes_when_the_sample_holds_one_verdict():
+    # this item seed draws 60 random tuples that all fail to deform
+    details = _check_criterion_two_routes(None, random.Random(1390410980))
+    assert "(1 deform, 61 do not)" in details
 
 
 def test_verify_paper_corrupted_goldens(tmp_path):

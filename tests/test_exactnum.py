@@ -1,5 +1,6 @@
 """Exact scalar, polynomial and linear algebra tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -73,6 +74,105 @@ def test_ext_scalar_mixed_arithmetic_with_fractions():
     assert isinstance(a, ExtScalar)
     assert a - SQRT2 == F(2, 3)
     assert (F(1, 2) * SQRT6) / SQRT2 == F(1, 2) * SQRT3
+
+
+# Fraction-coordinate reference arithmetic: the formulas ExtScalar used
+# before it stored integer numerators over one denominator.
+
+
+def _ref_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + 2 * a1 * b1 + 3 * a2 * b2 + 6 * a3 * b3,
+        a0 * b1 + a1 * b0 + 3 * (a2 * b3 + a3 * b2),
+        a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def _ref_conjugate(a, flip2, flip3):
+    c0, c1, c2, c3 = a
+    if flip2:
+        c1, c3 = -c1, -c3
+    if flip3:
+        c2, c3 = -c2, -c3
+    return (c0, c1, c2, c3)
+
+
+def _ref_inverse(a):
+    cofactor = _ref_mul(
+        _ref_mul(_ref_conjugate(a, True, False), _ref_conjugate(a, False, True)),
+        _ref_conjugate(a, True, True),
+    )
+    norm = _ref_mul(a, cofactor)
+    assert norm[1:] == (0, 0, 0) and norm[0] != 0
+    return tuple(c / norm[0] for c in cofactor)
+
+
+def _random_coords(rng):
+    # zero slots often, so rational and partly-rational elements occur
+    return tuple(
+        F(0) if rng.random() < 0.3 else F(rng.randint(-30, 30), rng.randint(1, 24))
+        for _ in range(4)
+    )
+
+
+def _assert_canonical(x, coords):
+    assert x.coords == coords
+    assert all(type(c) is F for c in x.coords)
+    assert x._den > 0
+    assert math.gcd(x._den, *x._num) == 1
+    assert x.coords == tuple(F(n, x._den) for n in x._num)
+
+
+def test_ext_scalar_matches_fraction_reference():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        a, b = _random_coords(rng), _random_coords(rng)
+        x, y = ExtScalar(a), ExtScalar(b)
+        _assert_canonical(x * y, _ref_mul(a, b))
+        _assert_canonical(x + y, tuple(p + q for p, q in zip(a, b)))
+        _assert_canonical(x - y, tuple(p - q for p, q in zip(a, b)))
+        _assert_canonical(-x, tuple(-p for p in a))
+        for flip2 in (False, True):
+            for flip3 in (False, True):
+                _assert_canonical(x.conjugate(flip2, flip3),
+                                  _ref_conjugate(a, flip2, flip3))
+        if any(b):
+            _assert_canonical(y.inverse(), _ref_inverse(b))
+            _assert_canonical(x / y, _ref_mul(a, _ref_inverse(b)))
+        assert (x == y) == (a == b)
+        # mixed operands on both sides
+        q = rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))])
+        r = (F(q), F(0), F(0), F(0))
+        _assert_canonical(x * q, _ref_mul(a, r))
+        _assert_canonical(q * x, _ref_mul(r, a))
+        _assert_canonical(x + q, tuple(p + s for p, s in zip(a, r)))
+        _assert_canonical(q + x, tuple(s + p for p, s in zip(a, r)))
+        _assert_canonical(x - q, tuple(p - s for p, s in zip(a, r)))
+        _assert_canonical(q - x, tuple(s - p for p, s in zip(a, r)))
+        if q:
+            _assert_canonical(x / q, _ref_mul(a, _ref_inverse(r)))
+        if any(a):
+            _assert_canonical(q / x, _ref_mul(r, _ref_inverse(a)))
+
+
+def test_ext_scalar_rationals_hash_and_compare_like_fractions():
+    rng = random.Random(7)
+    for _ in range(200):
+        q = rng.choice([rng.randint(-50, 50), F(rng.randint(-50, 50), rng.randint(1, 40))])
+        e = ExtScalar.of(q)
+        assert hash(e) == hash(q) == hash(F(q))
+        assert e == q and q == e
+        assert e.is_rational and e.rational_value() == q
+        _assert_canonical(e, (F(q), F(0), F(0), F(0)))
+    assert ExtScalar.parts(F(1, 2), 0, 0, 0) != F(1, 3)
+    assert SQRT2 != 0 and not (SQRT2 == 2)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        ExtScalar((1, 2, 3))
+    with pytest.raises(ZeroDivisionError):
+        ExtScalar.of(0).inverse()
 
 
 def test_ext_scalar_float_value():

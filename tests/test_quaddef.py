@@ -1,5 +1,7 @@
 """Quadratic deformations: twist/potential pairs, solver, orbit machinery."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -51,6 +53,7 @@ from poisson_forge.quaddef import (
     t_of_v,
     transform_pair,
 )
+from poisson_forge.quaddef import _rep_rotation
 
 
 def poly(terms):
@@ -545,6 +548,71 @@ def test_orbit_rep_reaches_every_orbit(rng):
             seen.add(rep.orbit_index)
             assert rep.rotation.transpose() * rep.rotation == Matrix.identity(3)
         assert seen == wanted
+
+
+def test_orbit_rep_rotations_are_memoised_per_point():
+    families = (
+        JordanFamily.diag_distinct(1, 2, -3),
+        JordanFamily.diag_distinct(F(1, 2), 5, F(-11, 2)),
+        JordanFamily.diag_repeated(1),
+        JordanFamily.diag_repeated(F(-7, 3)),
+        JordanFamily.nilpotent_full(),
+    )
+    points = [(a, b, c) for a in (-1, 0, 2) for b in (-1, 0, 2)
+              for c in (0, 1) if a or b or c]
+    first = {}
+    for fam in families:
+        for point in points:
+            rep = p2_orbit_rep(fam, P2Point(point))
+            key = rep.point.coords
+            # the rotation depends on the representative point alone
+            assert first.setdefault(key, rep.rotation) is rep.rotation
+            assert p2_orbit_rep(fam, P2Point(point)) == rep
+    assert _rep_rotation.cache_info().currsize <= 13
+
+
+def _run_optimized(body):
+    """Run a snippet under ``python -O``, where assert statements vanish."""
+    script = "import sys\nif __debug__:\n    sys.exit('not optimized')\n" + body
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+
+
+def test_solver_recheck_survives_optimized_mode():
+    proc = _run_optimized(
+        "from poisson_forge import quaddef\n"
+        "from poisson_forge.exactnum import Matrix\n"
+        "from poisson_forge.linclass import standard_pair\n"
+        "quaddef.deform_check = lambda lp, qp: False\n"
+        "try:\n"
+        "    quaddef.solve_F(standard_pair(7), Matrix.diagonal([1, 2, -3]))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('solve_F returned a cubic the bracket route rejects')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "bracket route rejects" in proc.stdout
+
+
+@pytest.mark.parametrize("fake_cross, message", [
+    ("lambda u, w: (0, 0, 0)", "not orthogonal"),
+    ("lambda u, w: tuple(-c for c in cross3(u, w))", "determinant 1"),
+])
+def test_rotation_checks_survive_optimized_mode(fake_cross, message):
+    proc = _run_optimized(
+        "from poisson_forge import quaddef\n"
+        "from poisson_forge.exactnum import cross3\n"
+        "quaddef.cross3 = %s\n"
+        "try:\n"
+        "    quaddef.t_of_v(quaddef.P2Point((1, 1, 1)).unit_vector())\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('t_of_v returned a matrix outside SO(3)')\n" % fake_cross
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
 
 
 # ---------------------------------------------------------------------------
