@@ -4,7 +4,9 @@ One verb per invocation; structures come in as JSON (inline, from a
 file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification), 2 on
-parse errors and bad usage.
+parse errors and bad usage, 3 on an internal error (a failed internal
+consistency check or any other unexpected exception), reported in one
+line on stderr without a traceback.
 """
 
 import argparse
@@ -13,7 +15,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactnum import ExactSqrtError, Matrix, Polynomial, scalar_to_json
+from .exactnum import (
+    ExactSqrtError,
+    Matrix,
+    ParseError,
+    Polynomial,
+    scalar_to_json,
+)
 from .linclass import (
     LinearPair,
     bivector_of,
@@ -37,10 +45,6 @@ from .quaddef import (
     t_of_v,
 )
 from .verify import DEFAULT_SEED, run_verification
-
-
-class ParseError(Exception):
-    """Structurally malformed input (not a domain violation)."""
 
 
 def _read_payload(raw: str) -> dict:
@@ -311,9 +315,13 @@ def main(argv=None) -> int:
     except (KeyError, TypeError) as exc:
         print("parse error: malformed input (%s)" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,10 +15,15 @@ On top of the scalars the module provides:
   a linear change of coordinates,
 - :class:`Matrix` -- dense square matrices with exact inverse/determinant,
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
-  returning the full affine solution set as a :class:`SolutionSpace`,
+  returning the full affine solution set as a :class:`SolutionSpace`;
+  it eliminates rational systems on integers (Bareiss), checking that
+  every division by the previous pivot leaves no remainder,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
+
+JSON decoding of scalars and polynomials raises :class:`ParseError` on
+malformed input.
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -303,12 +308,12 @@ def scalar_is_zero(value) -> bool:
 
 
 def scalar_div(a, b):
-    """Exact a / b for any mix of Fraction and ExtScalar."""
-    a = as_scalar(a)
-    b = as_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    return ExtScalar.of(a) / ExtScalar.of(b)
+    """Exact a / b for any mix of int, Fraction and ExtScalar.
+
+    Two rationals divide as Fractions; otherwise the ExtScalar operators
+    promote the rational operand, if there is one.
+    """
+    return as_scalar(a) / as_scalar(b)
 
 
 def scalar_to_float(value) -> float:
@@ -360,14 +365,30 @@ def scalar_to_json(value):
     return _fraction_str(value)
 
 
+class ParseError(ValueError):
+    """Structurally malformed input (not a domain violation)."""
+
+
+def _rational_from_json(data) -> Fraction:
+    try:
+        return Fraction(data)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError("bad rational literal %r" % (data,)) from exc
+
+
+def int_from_json(data) -> int:
+    try:
+        return int(data)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad integer %r" % (data,)) from exc
+
+
 def scalar_from_json(data) -> Scalar:
-    if isinstance(data, str):
-        return Fraction(data)
-    if isinstance(data, int):
-        return Fraction(data)
+    if isinstance(data, (str, int)):
+        return _rational_from_json(data)
     if isinstance(data, list) and len(data) == 4:
-        return ExtScalar(tuple(Fraction(c) for c in data))
-    raise ValueError("bad scalar encoding: %r" % (data,))
+        return ExtScalar(tuple(_rational_from_json(c) for c in data))
+    raise ParseError("bad scalar encoding: %r" % (data,))
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -627,7 +648,10 @@ class Polynomial:
         nvars = len(data["vars"])
         terms = {}
         for item in data["terms"]:
-            exps = tuple(int(e) for e in item["exp"])
+            exps = tuple(int_from_json(e) for e in item["exp"])
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ParseError("bad exponent tuple %r for %d variables"
+                                 % (exps, nvars))
             coef = scalar_from_json(item["coef"])
             terms[exps] = terms.get(exps, Fraction(0)) + coef
         return cls(nvars, terms)
@@ -973,10 +997,16 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
                  ncols: Optional[int] = None) -> SolutionSpace:
     """Solve M x = b exactly, returning the full affine solution set.
 
-    Forward elimination is fraction-free in the Bareiss style (two-term
-    update divided by the previous pivot, which is an exact division),
-    followed by back substitution.  Works over rationals and over the
-    extension field alike.
+    Forward elimination is fraction-free in the Bareiss style: each cell
+    update is a two-term cross product divided by the previous pivot, and
+    that division is exact.  A rational system is first scaled row by row
+    to integers (each row times the lcm of its denominators, which leaves
+    the solution set unchanged), so elimination runs on Python ints and
+    every division is an integer division whose zero remainder is checked
+    (a nonzero one raises ``ArithmeticError``, also under ``python -O``).
+    A system with an :class:`ExtScalar` entry runs the same loop on field
+    elements, dividing with :func:`scalar_div`.  Back substitution returns
+    Fractions for a rational system.
     """
     m = len(rows)
     if ncols is None:
@@ -991,19 +1021,26 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         row.append(as_scalar(rhs[i]))
         aug.append(row)
 
+    if any(isinstance(v, ExtScalar) for row in aug for v in row):
+        div, prev = scalar_div, Fraction(1)
+    else:
+        aug = [_integer_row(row) for row in aug]
+        div, prev = _exact_int_div, 1
+
     pivots = []  # (row, col)
-    prev = Fraction(1)
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, m) if not scalar_is_zero(aug[i][c])), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        pivot = aug[r][c]
+        pivot_row = aug[r]
+        pivot = pivot_row[c]
         for i in range(r + 1, m):
-            factor = aug[i][c]
-            for j in range(c, ncols + 1):
-                aug[i][j] = scalar_div(pivot * aug[i][j] - factor * aug[r][j], prev)
+            row = aug[i]
+            factor = row[c]
+            row[c:] = [div(pivot * a - factor * b, prev)
+                       for a, b in zip(row[c:], pivot_row[c:])]
         prev = pivot
         pivots.append((r, c))
         r += 1
@@ -1032,6 +1069,20 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         back_substitute({fc: 1}, homogeneous=True) for fc in free_cols
     )
     return SolutionSpace(ncols, particular, basis)
+
+
+def _integer_row(row: list) -> list:
+    """A row of Fractions times the lcm of their denominators, as ints."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def _exact_int_div(a: int, b: int) -> int:
+    """a / b for ints that Bareiss elimination guarantees to divide."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("inexact Bareiss division %d / %d" % (a, b))
+    return q
 
 
 def congruent_diagonalize(a: Matrix, rng=None):

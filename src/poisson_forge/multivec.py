@@ -38,6 +38,7 @@ from .exactnum import (
     Matrix,
     Polynomial,
     as_scalar,
+    int_from_json,
     scalar_is_zero,
     var_names,
 )
@@ -202,11 +203,12 @@ class MultiVectorField(_GradedObject):
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiVectorField":
-        nvars = int(data["n"])
-        grade = int(data["grade"])
+        nvars = int_from_json(data["n"])
+        grade = int_from_json(data["grade"])
         comps = {}
         for key, poly_data in data.get("components", {}).items():
-            exps = tuple(int(s) - 1 for s in str(key).split(",")) if str(key) else ()
+            exps = (tuple(int_from_json(s) - 1 for s in str(key).split(","))
+                    if str(key) else ())
             comps[exps] = Polynomial.from_json(poly_data)
         return cls(nvars, grade, comps)
 

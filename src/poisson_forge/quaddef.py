@@ -67,6 +67,8 @@ def _graded_monomials(degree: int) -> tuple:
 #: coefficient slots for cubics/quadratics, in the canonical term order
 CUBIC_MONOMIALS = _graded_monomials(3)
 QUAD_MONOMIALS = _graded_monomials(2)
+_CUBIC_INDEX = {e: s for s, e in enumerate(CUBIC_MONOMIALS)}
+_QUAD_INDEX = {e: s for s, e in enumerate(QUAD_MONOMIALS)}
 
 
 def cubic_coords(p: Polynomial) -> tuple:
@@ -163,16 +165,65 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     return route_bracket
 
 
+def _derivation_rows(k_matrix: Matrix) -> list:
+    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients.
+
+    Column s is the image of the monomial x^e, e = CUBIC_MONOMIALS[s]:
+    the sum over i, j of K[i][j] e_i x^(e - u_i + u_j).  Off the diagonal
+    each entry has the single term i -> j; the diagonal entry sums
+    K[i][i] e_i over i.  Entries equal apply_matrix_derivation's
+    coefficients in value and type, missing ones being Fraction(0).
+    """
+    k = k_matrix.rows
+    rows = [[Fraction(0)] * 10 for _ in range(10)]
+    for s, e in enumerate(CUBIC_MONOMIALS):
+        diagonal = None
+        for i in range(3):
+            if not e[i]:
+                continue
+            for j in range(3):
+                if not k[i][j]:
+                    continue
+                term = k[i][j] * e[i]
+                if i != j:
+                    target = list(e)
+                    target[i] -= 1
+                    target[j] += 1
+                    rows[_CUBIC_INDEX[tuple(target)]][s] = term
+                elif diagonal is None:
+                    diagonal = term
+                else:
+                    # a partial sum that cancels is dropped, as a
+                    # Polynomial drops a zero coefficient
+                    diagonal = (diagonal + term) or None
+        if diagonal is not None:
+            rows[s][s] = diagonal
+    return rows
+
+
+def _drift_rows(k: Sequence) -> list:
+    """The 6x10 matrix of F -> k.grad F from cubic to quadratic coefficients.
+
+    Column s is the image of x^e, e = CUBIC_MONOMIALS[s]: the sum over i
+    of k_i e_i x^(e - u_i), one term per quadratic monomial.  Entries
+    equal directional_diff's coefficients in value and type.
+    """
+    k = vec(k)
+    rows = [[Fraction(0)] * 10 for _ in QUAD_MONOMIALS]
+    for s, e in enumerate(CUBIC_MONOMIALS):
+        for i in range(3):
+            if e[i] and k[i]:
+                target = list(e)
+                target[i] -= 1
+                rows[_QUAD_INDEX[tuple(target)]][s] = k[i] * e[i]
+    return rows
+
+
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     """All cubics annihilated by the derivation of a traceless matrix."""
     if not scalar_is_zero(k_matrix.trace()):
         raise ValueError("twist matrix must be traceless")
-    images = [
-        cubic_coords(apply_matrix_derivation(k_matrix, Polynomial.monomial(3, m)))
-        for m in CUBIC_MONOMIALS
-    ]
-    rows = [[images[j][i] for j in range(10)] for i in range(10)]
-    return solve_linear(rows, [0] * 10, 10)
+    return solve_linear(_derivation_rows(k_matrix), [0] * 10, 10)
 
 
 def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
@@ -185,22 +236,8 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     """
     if not scalar_is_zero(k_matrix.trace()):
         raise ValueError("twist matrix must be traceless")
-    images = [
-        apply_matrix_derivation(k_matrix, Polynomial.monomial(3, m))
-        for m in CUBIC_MONOMIALS
-    ]
-    kernel_cols = [cubic_coords(p) for p in images]
-    rows = [[kernel_cols[j][i] for j in range(10)] for i in range(10)]
-    rhs = [Fraction(0)] * 10
-
-    source = _quad_coords(deform_rhs(lp, k_matrix))
-    drift_cols = [
-        _quad_coords(Polynomial.monomial(3, m).directional_diff(lp.k))
-        for m in CUBIC_MONOMIALS
-    ]
-    for i in range(len(QUAD_MONOMIALS)):
-        rows.append([drift_cols[j][i] for j in range(10)])
-        rhs.append(source[i])
+    rows = _derivation_rows(k_matrix) + _drift_rows(lp.k)
+    rhs = [Fraction(0)] * 10 + list(_quad_coords(deform_rhs(lp, k_matrix)))
 
     space = solve_linear(rows, rhs, 10)
     if not space.is_empty:
@@ -306,39 +343,22 @@ class JordanFamily:
 
 
 def _rational_roots_monic_cubic(c2: Fraction, c0: Fraction):
-    """Roots of t^3 + c2 t + c0 over Q, or None if it does not split."""
-    # one rational root by the rational-root theorem, then the quadratic
-    den = (c2.denominator * c0.denominator)
-    a3 = den
-    a1 = int(c2 * den)
-    a0 = int(c0 * den)
-    root = None
-    if a0 == 0:
-        root = Fraction(0)
-    else:
-        def divisors(n):
-            n = abs(n)
-            out = set()
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.add(d)
-                    out.add(n // d)
-                d += 1
-            return out
+    """Roots of t^3 + c2 t + c0 over Q, or None if it does not split.
 
-        for p in divisors(a0):
-            for q in divisors(a3):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand ** 3 + c2 * cand + c0 == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
-    if root is None:
+    With d the lcm of the two denominators, s = d t turns the cubic into
+    the monic integer cubic s^3 + p s + q, whose rational roots are
+    integers.  One of them is found by bisection (see
+    ``_integer_root_monic_cubic``) and the other two by deflation, so the
+    cost grows with the bit size of the coefficients, not with their
+    magnitude.
+    """
+    d = math.lcm(c2.denominator, c0.denominator)
+    p = c2.numerator * (d * d // c2.denominator)
+    q = c0.numerator * (d ** 3 // c0.denominator)
+    s = _integer_root_monic_cubic(p, q)
+    if s is None:
         return None
+    root = Fraction(s, d)
     # deflate: t^3 + c2 t + c0 = (t - r)(t^2 + r t + (r^2 + c2))
     b, c = root, root * root + c2
     disc = b * b - 4 * c
@@ -350,6 +370,36 @@ def _rational_roots_monic_cubic(c2: Fraction, c0: Fraction):
         return None
     sq = Fraction(rn, rd)
     return (root, (-b + sq) / 2, (-b - sq) / 2)
+
+
+def _integer_root_monic_cubic(p: int, q: int) -> Optional[int]:
+    """An integer root of f(s) = s^3 + p s + q, or None.
+
+    Only the largest root of a split cubic is looked for, which suffices:
+    None means that f does not split over Q.  That root lies on the run
+    of integers where f rises towards +inf, below the Cauchy bound
+    1 + max(|p|, |q|): the whole line when p >= 0, as f' = 3 s^2 + p,
+    and from the least m with 3 m^2 >= -p on otherwise.  On that run the
+    least s with f(s) >= 0 is found by bisection; it is a root exactly
+    when f(s) = 0.
+    """
+    def f(s):
+        return s * (s * s + p) + q
+
+    hi = 1 + max(abs(p), abs(q))
+    if p >= 0:
+        lo = -hi
+    else:
+        lo = math.isqrt(-p // 3)
+        while 3 * lo * lo < -p:
+            lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if f(lo) == 0 else None
 
 
 def jordan_family_of(k_matrix: Matrix) -> JordanFamily:

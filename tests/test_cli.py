@@ -93,6 +93,37 @@ def test_missing_fields_exit_2():
     assert proc.returncode == 2
 
 
+_ZERO_GRAM = [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("classify", {"k": ["a", "0", "1"], "A": _ZERO_GRAM}),
+    ("is-poisson", {"n": 3, "grade": 2, "components": {"1,2": {
+        "vars": ["x", "y", "z"], "terms": [{"exp": [1, 0], "coef": "1"}]}}}),
+    ("classify", {"k": ["1/0", "0", "1"], "A": _ZERO_GRAM}),
+    ("is-poisson", {"n": 3, "grade": 2, "components": {"1,b": {
+        "vars": ["x", "y", "z"], "terms": []}}}),
+], ids=["bad-literal", "short-exponent-tuple", "zero-denominator",
+        "bad-component-index"])
+def test_malformed_values_exit_2_without_traceback(verb, payload):
+    proc = run_cli(verb, json.dumps(payload))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
+    from poisson_forge import cli
+
+    def broken(args):
+        raise RuntimeError("invariant broke")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+    assert cli.main(["classify", "{}"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: invariant broke\n"
+
+
 def test_unknown_verb_exits_2():
     proc = run_cli("frobnicate", "{}")
     assert proc.returncode == 2

@@ -13,11 +13,14 @@ from poisson_forge.exactnum import (
     ExactSqrtError,
     ExtScalar,
     Matrix,
+    ParseError,
     Polynomial,
+    _exact_int_div,
     congruent_diagonalize,
     gram_of_quadratic,
     poly_pullback,
     quadratic_form_poly,
+    scalar_div,
     scalar_from_json,
     scalar_to_json,
     solve_linear,
@@ -195,6 +198,20 @@ def test_sqrt_exact_rejects_outside_field():
         sqrt_exact(F(-1))
     with pytest.raises(ExactSqrtError):
         sqrt_exact(SQRT2)
+
+
+@pytest.mark.parametrize("data", ["a", "1/0", ["1", "0", "x", "0"],
+                                  ["1", "0", "1/0", "0"], None, 1.5])
+def test_scalar_json_rejects_malformed_literals(data):
+    with pytest.raises(ParseError):
+        scalar_from_json(data)
+
+
+@pytest.mark.parametrize("exp", [[1, 0], [1, 0, 0, 0], [1, -1, 0], ["a", 0, 0]])
+def test_polynomial_json_rejects_malformed_exponents(exp):
+    data = {"vars": ["x", "y", "z"], "terms": [{"exp": exp, "coef": "1"}]}
+    with pytest.raises(ParseError):
+        Polynomial.from_json(data)
 
 
 def test_scalar_json_roundtrip():
@@ -407,6 +424,117 @@ def test_solve_random_systems_verify_residual():
         ):
             for row, want in zip(rows, rhs):
                 assert sum((r * v for r, v in zip(row, x)), F(0)) == want
+
+
+def _reference_solve(rows, rhs, ncols):
+    """Gauss-Jordan reference solver with plain field division.
+
+    Reduces to reduced row echelon form and reads off solve_linear's
+    canonical form: zeros in the free slots of the particular solution,
+    one unit free coordinate per basis vector.  Returns (None, ()) for an
+    inconsistent system.
+    """
+    aug = [[F(v) if isinstance(v, int) else v for v in list(row) + [b]]
+           for row, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pivot = aug[r][c]
+        aug[r] = [v / pivot for v in aug[r]]
+        for i in range(len(aug)):
+            factor = aug[i][c]
+            if i != r and factor != 0:
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None, ()
+    particular = [F(0)] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][ncols]
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [F(0)] * ncols
+        x[free] = F(1)
+        for i, c in enumerate(pivots):
+            x[c] = -aug[i][free]
+        basis.append(tuple(x))
+    return tuple(particular), tuple(basis)
+
+
+def _random_entry(rng, irrational):
+    if rng.random() < 0.3:
+        return F(0)
+    value = F(rng.randint(-9, 9), rng.randint(1, 4))
+    if irrational and rng.random() < 0.4:
+        return ExtScalar.parts(value, *(F(rng.randint(-2, 2), rng.randint(1, 3))
+                                        for _ in range(3)))
+    return value
+
+
+def _random_system(rng, irrational):
+    """Seeded m x n system: often of low rank, sometimes with zero rows,
+    with a consistent or a random right-hand side."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    rank = rng.randint(0, min(m, n))
+    left = [[_random_entry(rng, irrational) for _ in range(rank)] for _ in range(m)]
+    right = [[_random_entry(rng, irrational) for _ in range(n)] for _ in range(rank)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(rank)), F(0))
+             for j in range(n)] for i in range(m)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(m)] = [F(0)] * n
+    if rng.random() < 0.5:
+        x = [_random_entry(rng, irrational) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = [_random_entry(rng, irrational) for _ in range(m)]
+    return rows, rhs, n
+
+
+@pytest.mark.parametrize("irrational, count", [(False, 600), (True, 150)])
+def test_solve_matches_gauss_jordan_reference(irrational, count):
+    rng = random.Random(2026 + irrational)
+    shapes = set()
+    for _ in range(count):
+        rows, rhs, n = _random_system(rng, irrational)
+        particular, basis = _reference_solve(rows, rhs, n)
+        sol = solve_linear(rows, rhs, n)
+        assert sol.particular == particular
+        assert sol.basis == basis
+        if not any(isinstance(v, ExtScalar) for row in rows + [rhs] for v in row):
+            vectors = ((sol.particular,) if sol.particular else ()) + sol.basis
+            assert all(type(v) is Fraction for x in vectors for v in x)
+        shapes.add((len(rows) == n, sol.is_empty, bool(sol.basis)))
+    # square and rectangular, inconsistent, unique and underdetermined
+    assert {(True, True, False), (False, True, False),
+            (True, False, False), (False, False, True)} <= shapes
+
+
+def test_bareiss_integer_division_checks_exactness():
+    assert _exact_int_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _exact_int_div(7, 2)
+
+
+def test_scalar_div_promotes_only_the_rational_operand(monkeypatch):
+    quarter_sqrt2 = ExtScalar.parts(0, F(1, 4), 0, 0)
+    promoted = []
+    of = ExtScalar.__dict__["of"].__func__
+
+    def counting_of(cls, value):
+        promoted.append(value)
+        return of(cls, value)
+
+    monkeypatch.setattr(ExtScalar, "of", classmethod(counting_of))
+    assert scalar_div(SQRT6, SQRT2) == SQRT3
+    assert promoted == []
+    assert scalar_div(F(1, 2), SQRT2) == quarter_sqrt2
+    assert promoted == [F(1, 2)]
+    assert scalar_div(SQRT2, 2) * 2 == SQRT2
+    assert type(scalar_div(3, 4)) is Fraction
 
 
 def test_solution_space_same_space():

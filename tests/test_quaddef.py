@@ -1,5 +1,7 @@
 """Quadratic deformations: twist/potential pairs, solver, orbit machinery."""
 
+import math
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,6 +13,7 @@ from conftest import random_invertible
 
 from poisson_forge.exactnum import (
     ExactSqrtError,
+    ExtScalar,
     Matrix,
     Polynomial,
     SQRT2,
@@ -31,6 +34,7 @@ from poisson_forge.quaddef import (
     DIAG_REPEATED,
     NILPOTENT_FULL,
     OTHER,
+    QUAD_MONOMIALS,
     JordanFamily,
     P2Point,
     QuadraticPair,
@@ -53,7 +57,12 @@ from poisson_forge.quaddef import (
     t_of_v,
     transform_pair,
 )
-from poisson_forge.quaddef import _rep_rotation
+from poisson_forge.quaddef import (
+    _derivation_rows,
+    _drift_rows,
+    _rational_roots_monic_cubic,
+    _rep_rotation,
+)
 
 
 def poly(terms):
@@ -314,6 +323,41 @@ def test_cubic_kernel_members_are_invariant(rng):
         assert apply_matrix_derivation(twist, cubic).is_zero()
 
 
+def _random_twist_entry(rng):
+    """Zero, rational, rational ExtScalar or irrational ExtScalar, so that
+    entries cancel across the two scalar types."""
+    pick = rng.random()
+    if pick < 0.25:
+        return F(0)
+    if pick < 0.45:
+        return ExtScalar.of(rng.randint(-2, 2))
+    if pick < 0.65:
+        return ExtScalar.parts(rng.randint(-2, 2), rng.randint(-1, 1),
+                               0, rng.randint(-1, 1))
+    return F(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def test_assembled_rows_match_the_polynomial_route(rng):
+    for _ in range(300):
+        entries = [[_random_twist_entry(rng) for _ in range(3)] for _ in range(3)]
+        if rng.random() < 0.3:
+            entries[1][1] = -entries[0][0]   # diagonal sums that cancel
+        k_matrix = Matrix(entries)
+        k = [_random_twist_entry(rng) for _ in range(3)]
+        images = [apply_matrix_derivation(k_matrix, Polynomial.monomial(3, e))
+                  for e in CUBIC_MONOMIALS]
+        drifts = [Polynomial.monomial(3, e).directional_diff(k)
+                  for e in CUBIC_MONOMIALS]
+        kernel = [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
+        drift = [[p.coeff(t) for p in drifts] for t in QUAD_MONOMIALS]
+        assert _typed(_derivation_rows(k_matrix)) == _typed(kernel)
+        assert _typed(_drift_rows(k)) == _typed(drift)
+
+
 def test_cubic_kernel_requires_traceless():
     with pytest.raises(ValueError, match="traceless"):
         cubic_kernel(Matrix.identity(3))
@@ -465,6 +509,79 @@ def test_jordan_family_of_other_cases():
     assert len(rot.eigen_report) == 3  # complex spectrum, float report
     with pytest.raises(ValueError, match="traceless"):
         jordan_family_of(Matrix.identity(3))
+
+
+def _trial_division_roots(c2, c0):
+    """Reference: one rational root by the rational-root theorem, found by
+    trial division, then the deflated quadratic.  Exponential in the bit
+    size of the coefficients, so only for small ones."""
+    den = c2.denominator * c0.denominator
+    a0 = int(c0 * den)
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    candidates = [F(0)] if a0 == 0 else [
+        F(sign * p, q) for p in divisors(a0) for q in divisors(den)
+        for sign in (1, -1)]
+    root = next((t for t in candidates if t ** 3 + c2 * t + c0 == 0), None)
+    if root is None:
+        return None
+    b, c = root, root * root + c2
+    disc = b * b - 4 * c
+    if disc < 0:
+        return None
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        return None
+    sq = F(rn, rd)
+    return (root, (-b + sq) / 2, (-b - sq) / 2)
+
+
+def test_rational_roots_match_trial_division():
+    rng = random.Random(308)
+    splits = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            r1, r2 = (F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
+            r3 = -r1 - r2
+            c2, c0 = r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        else:
+            c2, c0 = (F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(2))
+        got = _rational_roots_monic_cubic(c2, c0)
+        want = _trial_division_roots(c2, c0)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert sorted(got) == sorted(want)
+            splits += 1
+    assert 100 < splits < 300
+
+
+def test_orbit_family_of_thirty_digit_eigenvalues_is_fast():
+    # trial division up to sqrt|det| would never finish on these
+    script = (
+        "from fractions import Fraction as F\n"
+        "from poisson_forge.exactnum import Matrix\n"
+        "from poisson_forge.quaddef import _rational_roots_monic_cubic, "
+        "jordan_family_of\n"
+        "a, b = 3 * 10**29 + 7, -(10**29 + 1234567)\n"
+        "t = Matrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])\n"
+        "k = t * Matrix.diagonal([a, b, -a - b]) * t.inverse()\n"
+        "print(jordan_family_of(k).lambdas == (a, b, -a - b))\n"
+        "print(jordan_family_of(Matrix.diagonal([F(a, 7), F(b, 7), F(-a - b, 7)]))"
+        ".lambdas == (F(a, 7), F(b, 7), F(-a - b, 7)))\n"
+        "print(_rational_roots_monic_cubic(F(0), F(10**90 + 1)))\n"
+        "print(_rational_roots_monic_cubic(F(-10**60), F(1)))\n"
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("30-digit eigenvalues took more than 10 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "None", "None"]
 
 
 def test_jordan_family_roundtrip():
