@@ -6,14 +6,15 @@ as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification), 2 on
 parse errors and bad usage, 3 on an internal error (a failed internal
 consistency check or any other unexpected exception), reported in one
-line on stderr without a traceback.
+line on stderr without a traceback.  A reader that closes stdout early
+(``poisson-forge ... | head``) is not an error: the CLI stops writing and
+exits 0 with nothing on stderr.
 """
 
 import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .exactnum import (
     ExactSqrtError,
@@ -308,7 +309,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.verb]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the
+        # interpreter's final flush stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

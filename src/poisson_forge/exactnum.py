@@ -220,15 +220,19 @@ class ExtScalar:
                 body = label if abs(c) == 1 else "%s*%s" % (abs(c), label)
             else:
                 body = str(abs(c))
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            pieces.append(("-" if c < 0 else "+", body))
+        return _join_signed(pieces)
+
+
+def _join_signed(pieces) -> str:
+    """Render (sign, body) pairs as "a + b - c"; "0" when there are none."""
+    if not pieces:
+        return "0"
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += " %s %s" % (sign, body)
+    return out
 
 
 def _ext(num: tuple, den: int) -> ExtScalar:
@@ -303,10 +307,6 @@ def as_scalar(value) -> Scalar:
     raise TypeError("not an exact scalar: %r" % (value,))
 
 
-def scalar_is_zero(value) -> bool:
-    return value == 0
-
-
 def scalar_div(a, b):
     """Exact a / b for any mix of int, Fraction and ExtScalar.
 
@@ -314,10 +314,6 @@ def scalar_div(a, b):
     promote the rational operand, if there is one.
     """
     return as_scalar(a) / as_scalar(b)
-
-
-def scalar_to_float(value) -> float:
-    return float(value)
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -359,10 +355,10 @@ def sqrt_exact(value) -> Scalar:
 def scalar_to_json(value):
     value = as_scalar(value)
     if isinstance(value, ExtScalar):
-        if value.is_rational:
-            return _fraction_str(value.coords[0])
-        return [_fraction_str(c) for c in value.coords]
-    return _fraction_str(value)
+        if not value.is_rational:
+            return [str(c) for c in value.coords]
+        value = value.rational_value()
+    return str(value)
 
 
 class ParseError(ValueError):
@@ -389,10 +385,6 @@ def scalar_from_json(data) -> Scalar:
     if isinstance(data, list) and len(data) == 4:
         return ExtScalar(tuple(_rational_from_json(c) for c in data))
     raise ParseError("bad scalar encoding: %r" % (data,))
-
-
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +427,7 @@ class Polynomial:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
             coef = as_scalar(coef)
-            if not scalar_is_zero(coef):
+            if coef:
                 clean[exps] = coef
         self.terms = clean
 
@@ -458,6 +450,13 @@ class Polynomial:
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "Polynomial":
         return cls(nvars, {tuple(exps): coef})
+
+    @classmethod
+    def linear(cls, coeffs: Sequence) -> "Polynomial":
+        """The linear form sum_j coeffs[j] x_j in len(coeffs) variables."""
+        n = len(coeffs)
+        return cls(n, {tuple(1 if k == j else 0 for k in range(n)): c
+                       for j, c in enumerate(coeffs)})
 
     # -- queries ------------------------------------------------------
 
@@ -552,7 +551,7 @@ class Polynomial:
         out = Polynomial.zero(self.nvars)
         for i, v in enumerate(vector):
             v = as_scalar(v)
-            if not scalar_is_zero(v):
+            if v:
                 out = out + self.diff(i) * v
         return out
 
@@ -570,13 +569,7 @@ class Polynomial:
         """Pullback p(M x): substitute x_i -> sum_j M[i][j] x_j."""
         if m.n != self.nvars:
             raise ValueError("matrix size %d does not match arity %d" % (m.n, self.nvars))
-        subs = [
-            Polynomial(self.nvars, {
-                tuple(1 if k == j else 0 for k in range(self.nvars)): m.rows[i][j]
-                for j in range(self.nvars)
-            })
-            for i in range(self.nvars)
-        ]
+        subs = [Polynomial.linear(row) for row in m.rows]
         # cache powers of the substituted linear forms
         powers = [{0: Polynomial.constant(self.nvars, 1)} for _ in range(self.nvars)]
 
@@ -599,8 +592,6 @@ class Polynomial:
     # -- presentation -------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = var_names(self.nvars)
         pieces = []
         for exps, coef in self.sorted_terms():
@@ -614,7 +605,6 @@ class Polynomial:
                 pieces.append(("+", body))
                 continue
             c = coef.rational_value() if isinstance(coef, ExtScalar) else coef
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -622,12 +612,8 @@ class Polynomial:
                 body = mono
             else:
                 body = "%s·%s" % (mag, mono)
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            pieces.append(("-" if c < 0 else "+", body))
+        return _join_signed(pieces)
 
     def __repr__(self):
         return "Polynomial(%d, %s)" % (self.nvars, dict(self.sorted_terms()))
@@ -657,11 +643,6 @@ class Polynomial:
         return cls(nvars, terms)
 
 
-def poly_pullback(p: Polynomial, m: "Matrix") -> Polynomial:
-    """Compose a polynomial with a linear map: returns p(M x)."""
-    return p.compose_linear(m)
-
-
 def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
     """Derivative of p along the linear vector field x -> M x."""
     if m.n != p.nvars:
@@ -671,11 +652,7 @@ def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
         pi = p.diff(i)
         if not pi.terms:
             continue
-        row = Polynomial(p.nvars, {
-            tuple(1 if t == j else 0 for t in range(p.nvars)): m.rows[i][j]
-            for j in range(p.nvars) if not scalar_is_zero(m.rows[i][j])
-        })
-        out = out + row * pi
+        out = out + Polynomial.linear(m.rows[i]) * pi
     return out
 
 
@@ -685,7 +662,7 @@ def quadratic_form_poly(m: "Matrix") -> Polynomial:
     out = Polynomial.zero(n)
     for i in range(n):
         for j in range(n):
-            if scalar_is_zero(m.rows[i][j]):
+            if not m.rows[i][j]:
                 continue
             exps = [0] * n
             exps[i] += 1
@@ -720,22 +697,6 @@ def gram_of_quadratic(p: Polynomial) -> "Matrix":
 
 def vec(values: Iterable) -> tuple:
     return tuple(as_scalar(v) for v in values)
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c, u: Sequence) -> tuple:
-    c = as_scalar(c)
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Sequence) -> bool:
-    return all(scalar_is_zero(a) for a in u)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -855,7 +816,7 @@ class Matrix:
         # Laplace expansion along the first row (matrices here are tiny)
         total = Fraction(0)
         for j in range(self.n):
-            if scalar_is_zero(self.rows[0][j]):
+            if not self.rows[0][j]:
                 continue
             minor = Matrix([
                 [row[k] for k in range(self.n) if k != j]
@@ -871,7 +832,7 @@ class Matrix:
                 for i, row in enumerate(self.rows)]
         for col in range(n):
             pivot = next(
-                (r for r in range(col, n) if not scalar_is_zero(work[r][col])), None
+                (r for r in range(col, n) if work[r][col]), None
             )
             if pivot is None:
                 raise ZeroDivisionError("singular matrix")
@@ -882,7 +843,7 @@ class Matrix:
                 if r == col:
                     continue
                 factor = work[r][col]
-                if scalar_is_zero(factor):
+                if not factor:
                     continue
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
         return Matrix([row[n:] for row in work])
@@ -900,11 +861,11 @@ class Matrix:
         )
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(v) for row in self.rows for v in row)
+        return not any(v for row in self.rows for v in row)
 
     def is_diagonal(self) -> bool:
         return all(
-            scalar_is_zero(self.rows[i][j])
+            not self.rows[i][j]
             for i in range(self.n) for j in range(self.n) if i != j
         )
 
@@ -917,14 +878,6 @@ class Matrix:
     @classmethod
     def from_json(cls, data) -> "Matrix":
         return cls([[scalar_from_json(v) for v in row] for row in data])
-
-
-def vector_to_json(v: Sequence):
-    return [scalar_to_json(x) for x in v]
-
-
-def vector_from_json(data) -> tuple:
-    return tuple(scalar_from_json(x) for x in data)
 
 
 # ---------------------------------------------------------------------------
@@ -958,20 +911,21 @@ class SolutionSpace:
         return len(self.basis)
 
     def is_zero_space(self) -> bool:
-        return (not self.is_empty) and not self.basis and vec_is_zero(self.particular)
+        return (not self.is_empty) and not self.basis and not any(self.particular)
 
     def direction_in_span(self, v: Sequence) -> bool:
         if self.is_empty:
             return False
         if not self.basis:
-            return vec_is_zero(v)
+            return not any(v)
         rows = [[b[i] for b in self.basis] for i in range(self.ambient_dim)]
         return not solve_linear(rows, list(v)).is_empty
 
     def contains(self, v: Sequence) -> bool:
         if self.is_empty:
             return False
-        return self.direction_in_span(vec_sub(tuple(v), self.particular))
+        return self.direction_in_span(
+            tuple(a - b for a, b in zip(v, self.particular)))
 
     def same_space(self, other: "SolutionSpace") -> bool:
         """Exact equality of the two affine sets."""
@@ -982,15 +936,6 @@ class SolutionSpace:
         if not self.contains(other.particular):
             return False
         return all(self.direction_in_span(b) for b in other.basis)
-
-    def to_json(self):
-        if self.is_empty:
-            return {"empty": True}
-        return {
-            "empty": False,
-            "particular": vector_to_json(self.particular),
-            "basis": [vector_to_json(b) for b in self.basis],
-        }
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
@@ -1030,7 +975,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     pivots = []  # (row, col)
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, m) if not scalar_is_zero(aug[i][c])), None)
+        pr = next((i for i in range(r, m) if aug[i][c]), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
@@ -1046,7 +991,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         r += 1
 
     for i in range(r, m):
-        if not scalar_is_zero(aug[i][ncols]):
+        if aug[i][ncols]:
             return SolutionSpace(ncols, None, ())
 
     pivot_cols = [c for (_, c) in pivots]
@@ -1059,7 +1004,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         for (pr_i, pc) in reversed(pivots):
             acc = Fraction(0) if homogeneous else aug[pr_i][ncols]
             for j in range(pc + 1, ncols):
-                if not scalar_is_zero(aug[pr_i][j]) and not scalar_is_zero(x[j]):
+                if aug[pr_i][j] and x[j]:
                     acc = acc - aug[pr_i][j] * x[j]
             x[pc] = scalar_div(acc, aug[pr_i][pc])
         return tuple(x)
@@ -1115,12 +1060,12 @@ def congruent_diagonalize(a: Matrix, rng=None):
             row[i], row[j] = row[j], row[i]
 
     for k in range(n):
-        candidates = [i for i in range(k, n) if not scalar_is_zero(b[i][i])]
+        candidates = [i for i in range(k, n) if b[i][i]]
         if not candidates:
             off = [
                 (i, j)
                 for i in range(k, n) for j in range(i + 1, n)
-                if not scalar_is_zero(b[i][j])
+                if b[i][j]
             ]
             if not off:
                 break  # the rest of the form is zero
@@ -1138,7 +1083,7 @@ def congruent_diagonalize(a: Matrix, rng=None):
             swap_cols(k, p)
         pivot = b[k][k]
         for j in range(k + 1, n):
-            if not scalar_is_zero(b[k][j]):
+            if b[k][j]:
                 add_col(j, k, scalar_div(-b[k][j], pivot))
 
     return Matrix(r), tuple(b[i][i] for i in range(n))

@@ -41,13 +41,10 @@ from .exactnum import (
     congruent_diagonalize,
     gram_of_quadratic,
     quadratic_form_poly,
-    scalar_is_zero,
+    scalar_from_json,
     scalar_to_json,
     solve_linear,
     vec,
-    vec_is_zero,
-    vector_from_json,
-    vector_to_json,
 )
 from .multivec import (
     MultiVectorField,
@@ -57,7 +54,6 @@ from .multivec import (
     curl,
     euler_vf,
     is_poisson,
-    jacobiator,
     modular_field,
     schouten,
     wedge,
@@ -97,7 +93,7 @@ class LinearPair:
             raise ValueError("pairs live on R^3")
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if not vec_is_zero(self.gram.apply(self.k)):
+        if any(self.gram.apply(self.k)):
             raise ValueError("incompatible pair: A k != 0")
 
     def potential(self) -> Polynomial:
@@ -112,7 +108,8 @@ class LinearPair:
 
     @classmethod
     def from_json(cls, data) -> "LinearPair":
-        return cls(vector_from_json(data["k"]), Matrix.from_json(data["A"]))
+        return cls(tuple(scalar_from_json(v) for v in data["k"]),
+                   Matrix.from_json(data["A"]))
 
 
 def standard_pair(case_id: int, scale=1) -> LinearPair:
@@ -180,7 +177,7 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     if pi.nvars != 3:
         raise ValueError("pairs are defined on R^3 only")
     if not is_poisson(pi):
-        jac = jacobiator(pi)
+        jac = schouten(pi, pi)
         exps, poly = next(iter(sorted(jac.components.items())))
         label = ",".join(str(i + 1) for i in exps)
         raise ValueError(
@@ -245,7 +242,7 @@ def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
     """Image of a pair under an invertible linear map."""
     t = _rational_matrix(t)
     det = t.det()
-    if scalar_is_zero(det):
+    if not det:
         raise ValueError("transformation must be invertible")
     tinv = t.inverse()
     gram = (tinv.transpose() * pair.gram * tinv).scaled(det)
@@ -259,7 +256,7 @@ def is_isomorphism(t: Matrix, p1: LinearPair, p2: LinearPair) -> bool:
     identities are checked without rounding.
     """
     det = t.det()
-    if scalar_is_zero(det):
+    if not det:
         raise ValueError("transformation must be invertible")
     if vec(t.apply(p1.k)) != vec(p2.k):
         return False
@@ -315,16 +312,8 @@ class Witness:
             raise ValueError("witness lives on R^3")
         if any(v < 0 for v in self.scales):
             raise ValueError("scales must be non-negative")
-        if scalar_is_zero(self.base.det()):
+        if not self.base.det():
             raise ValueError("witness base must be invertible")
-
-    def assembled(self) -> list:
-        """The real matrix T = base * diag(1/sqrt(d)) as floats (display only)."""
-        factors = [1.0 if d == 0 else 1.0 / float(d) ** 0.5 for d in self.scales]
-        return [
-            [float(v) * factors[j] for j, v in enumerate(row)]
-            for row in self.base.rows
-        ]
 
     def to_json(self):
         return {
@@ -334,7 +323,8 @@ class Witness:
 
     @classmethod
     def from_json(cls, data) -> "Witness":
-        return cls(Matrix.from_json(data["R"]), vector_from_json(data["d"]))
+        return cls(Matrix.from_json(data["R"]),
+                   tuple(scalar_from_json(v) for v in data["d"]))
 
 
 def classification_to_json(label: StdFormLabel, witness: Witness):
@@ -419,7 +409,7 @@ def classify(pair: LinearPair):
     verify_witness for the rational identities certifying that.
     """
     a_squared = None
-    if vec_is_zero(pair.k):
+    if not any(pair.k):
         base, diag = congruent_diagonalize(pair.gram)
         case, perm, sign = _arrange_definite_part(diag)
         base = _permute_columns(base, perm)
@@ -446,7 +436,7 @@ def classify(pair: LinearPair):
         base = _complete_basis(pair.k)
         # pull the form back to coordinates where k becomes e3
         block = (base.transpose() * pair.gram * base).scaled(1 / base.det())
-        if any(not scalar_is_zero(block.rows[i][2]) for i in range(3)):
+        if any(block.rows[i][2] for i in range(3)):
             raise AssertionError("compatible pair with nonzero k-block")
         two = Matrix([row[:2] for row in block.rows[:2]])
         if two.is_zero():
@@ -503,7 +493,7 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
     if label.case_id >= 7:
         if d[2] != 0 or r.column(2) != tuple(pair.k):
             return False
-    elif not vec_is_zero(pair.k):
+    elif any(pair.k):
         return False
     live = [i for i in range(3) if sigma[i] != 0]
     if any(diag[i] != 0 for i in range(3) if sigma[i] == 0):
@@ -593,7 +583,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
     A disagreement would mean a bug, so it raises.
     """
     t = _rational_matrix(t)
-    if scalar_is_zero(t.det()):
+    if not t.det():
         raise ValueError("transformation must be invertible")
     pair = STANDARD_PAIRS[case_id] if case_id in STANDARD_PAIRS else None
     if pair is None:
@@ -615,7 +605,7 @@ def is_derivation(d: Matrix, case_id: int) -> bool:
     """Infinitesimal symmetry test: D k = 0 and D^ f = tr(D) f exactly."""
     d = _rational_matrix(d)
     pair = STANDARD_PAIRS[case_id]
-    if not vec_is_zero(d.apply(pair.k)):
+    if any(d.apply(pair.k)):
         return False
     f = pair.potential()
     return apply_matrix_derivation(d, f) == f * d.trace()

@@ -39,7 +39,6 @@ from .exactnum import (
     Polynomial,
     as_scalar,
     int_from_json,
-    scalar_is_zero,
     var_names,
 )
 
@@ -96,6 +95,15 @@ class _GradedObject:
                 clean[exps] = poly
         self.components = clean
 
+    @classmethod
+    def zero(cls, nvars: int, grade: int):
+        return cls(nvars, grade, {})
+
+    @classmethod
+    def function(cls, poly: Polynomial):
+        """Wrap a polynomial as a grade-0 object."""
+        return cls(poly.nvars, 0, {(): poly})
+
     def is_zero(self) -> bool:
         return not self.components
 
@@ -140,6 +148,12 @@ class _GradedObject:
 
     __hash__ = None
 
+    def __repr__(self):
+        return "%s(n=%d, grade=%d, %s)" % (
+            type(self).__name__, self.nvars, self.grade,
+            {e: str(p) for e, p in sorted(self.components.items())},
+        )
+
     def _render(self, basis_symbol: str, joiner: str) -> str:
         if not self.components:
             return "0"
@@ -160,36 +174,13 @@ class _GradedObject:
 class MultiVectorField(_GradedObject):
     """Contravariant: polynomial coefficients on d/dx_{i_1}^...^d/dx_{i_p}."""
 
-    @classmethod
-    def zero(cls, nvars: int, grade: int) -> "MultiVectorField":
-        return cls(nvars, grade, {})
-
-    @classmethod
-    def function(cls, poly: Polynomial) -> "MultiVectorField":
-        """Wrap a polynomial as a grade-0 field."""
-        return cls(poly.nvars, 0, {(): poly})
-
     def as_polynomial(self) -> Polynomial:
         if self.grade != 0:
             raise ValueError("grade %d field is not a function" % self.grade)
         return self.component(())
 
-    def max_component_degree(self) -> int:
-        if not self.components:
-            return 0
-        return max(p.degree() for p in self.components.values())
-
-    def is_homogeneous_of_degree(self, d: int) -> bool:
-        return all(p.is_homogeneous(d) for p in self.components.values())
-
     def __str__(self):
         return self._render("∂%s", "∧")
-
-    def __repr__(self):
-        return "MultiVectorField(n=%d, grade=%d, %s)" % (
-            self.nvars, self.grade,
-            {e: str(p) for e, p in sorted(self.components.items())},
-        )
 
     def to_json(self) -> dict:
         return {
@@ -216,22 +207,8 @@ class MultiVectorField(_GradedObject):
 class DifferentialForm(_GradedObject):
     """Covariant: polynomial coefficients on dx_{i_1}^...^dx_{i_q}."""
 
-    @classmethod
-    def zero(cls, nvars: int, grade: int) -> "DifferentialForm":
-        return cls(nvars, grade, {})
-
-    @classmethod
-    def function(cls, poly: Polynomial) -> "DifferentialForm":
-        return cls(poly.nvars, 0, {(): poly})
-
     def __str__(self):
         return self._render("d%s", "∧")
-
-    def __repr__(self):
-        return "DifferentialForm(n=%d, grade=%d, %s)" % (
-            self.nvars, self.grade,
-            {e: str(p) for e, p in sorted(self.components.items())},
-        )
 
 
 def volume_form(nvars: int) -> DifferentialForm:
@@ -399,13 +376,6 @@ def is_poisson(pi: MultiVectorField) -> bool:
     return schouten(pi, pi).is_zero()
 
 
-def jacobiator(pi: MultiVectorField) -> MultiVectorField:
-    """The self-bracket [pi, pi]; zero exactly for Poisson bivectors."""
-    if pi.grade != 2:
-        raise ValueError("expected a bivector")
-    return schouten(pi, pi)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -413,15 +383,9 @@ def jacobiator(pi: MultiVectorField) -> MultiVectorField:
 
 def linear_vf(a: Matrix) -> MultiVectorField:
     """The linear vector field x -> Ax, i.e. sum_i (Ax)_i d/dx_i."""
-    n = a.n
-    comps = {}
-    for i in range(n):
-        poly = Polynomial(n, {
-            tuple(1 if t == j else 0 for t in range(n)): a.rows[i][j]
-            for j in range(n)
-        })
-        comps[(i,)] = poly
-    return MultiVectorField(n, 1, comps)
+    return MultiVectorField(a.n, 1, {
+        (i,): Polynomial.linear(row) for i, row in enumerate(a.rows)
+    })
 
 
 def const_vf(k: Sequence) -> MultiVectorField:
@@ -459,15 +423,10 @@ def lie_poisson_bivector(c) -> MultiVectorField:
                         "structure constants not antisymmetric at (%d,%d,%d)"
                         % (i, j, k)
                     )
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            poly = Polynomial(n, {
-                tuple(1 if t == k else 0 for t in range(n)): c[i][j][k]
-                for k in range(n)
-            })
-            comps[(i, j)] = poly
-    return MultiVectorField(n, 2, comps)
+    return MultiVectorField(n, 2, {
+        (i, j): Polynomial.linear(c[i][j])
+        for i in range(n) for j in range(i + 1, n)
+    })
 
 
 def jacobi_holds(c) -> bool:
@@ -484,6 +443,6 @@ def jacobi_holds(c) -> bool:
                             + as_scalar(c[j][k][m]) * as_scalar(c[m][i][l])
                             + as_scalar(c[k][i][m]) * as_scalar(c[m][j][l])
                         )
-                    if not scalar_is_zero(total):
+                    if total:
                         return False
     return True

@@ -34,18 +34,14 @@ from .exactnum import (
     apply_matrix_derivation,
     as_scalar,
     cross3,
-    poly_pullback,
     quadratic_form_poly,
     scalar_div,
-    scalar_is_zero,
-    scalar_to_float,
     scalar_to_json,
     scalar_from_json,
     solve_linear,
     sqrt_exact,
     term_sort_key,
     vec,
-    vec_add,
 )
 from .multivec import (
     MultiVectorField,
@@ -96,6 +92,14 @@ def ktilde(k: Sequence) -> Matrix:
     return Matrix([[0, -c, b], [c, 0, -a], [-b, a, 0]])
 
 
+def _check_twist(k_matrix: Matrix):
+    """Raise ValueError unless the twist matrix is 3x3 and traceless."""
+    if k_matrix.n != 3:
+        raise ValueError("twist matrix must be 3x3")
+    if k_matrix.trace():
+        raise ValueError("twist matrix must be traceless")
+
+
 # ---------------------------------------------------------------------------
 # compatible pairs and the deformation criterion
 # ---------------------------------------------------------------------------
@@ -109,10 +113,7 @@ class QuadraticPair:
     cubic: Polynomial
 
     def __post_init__(self):
-        if self.twist.n != 3:
-            raise ValueError("twist matrix must be 3x3")
-        if not scalar_is_zero(self.twist.trace()):
-            raise ValueError("twist matrix must be traceless")
+        _check_twist(self.twist)
         if self.cubic.nvars != 3 or not self.cubic.is_homogeneous(3):
             raise ValueError("potential must be a homogeneous cubic on R^3")
         residual = apply_matrix_derivation(self.twist, self.cubic)
@@ -221,8 +222,7 @@ def _drift_rows(k: Sequence) -> list:
 
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     """All cubics annihilated by the derivation of a traceless matrix."""
-    if not scalar_is_zero(k_matrix.trace()):
-        raise ValueError("twist matrix must be traceless")
+    _check_twist(k_matrix)
     return solve_linear(_derivation_rows(k_matrix), [0] * 10, 10)
 
 
@@ -234,15 +234,15 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     field.  Every member of the result is re-checked through the bracket
     route before being returned.
     """
-    if not scalar_is_zero(k_matrix.trace()):
-        raise ValueError("twist matrix must be traceless")
+    _check_twist(k_matrix)
     rows = _derivation_rows(k_matrix) + _drift_rows(lp.k)
     rhs = [Fraction(0)] * 10 + list(_quad_coords(deform_rhs(lp, k_matrix)))
 
     space = solve_linear(rows, rhs, 10)
     if not space.is_empty:
         members = [space.particular]
-        members.extend(vec_add(space.particular, b) for b in space.basis)
+        members.extend(tuple(p + c for p, c in zip(space.particular, b))
+                       for b in space.basis)
         for coords in members:
             if not deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords))):
                 raise AssertionError(
@@ -252,11 +252,11 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
 
 def transform_pair(t: Matrix, qp: QuadraticPair) -> QuadraticPair:
     """Push a pair along an invertible map: (TKT^-1, det(T) F o T^-1)."""
-    if scalar_is_zero(t.det()):
+    if not t.det():
         raise ValueError("transform must be invertible")
     tinv = t.inverse()
     twist = t * qp.twist * tinv
-    cubic = poly_pullback(qp.cubic, tinv) * t.det()
+    cubic = qp.cubic.compose_linear(tinv) * t.det()
     return QuadraticPair(twist, cubic)
 
 
@@ -409,8 +409,7 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     polynomial splits over Q; anything else lands in OTHER carrying a
     floating-point eigenvalue report.
     """
-    if not scalar_is_zero(k_matrix.trace()):
-        raise ValueError("matrix must be traceless")
+    _check_twist(k_matrix)
     entries = [v for row in k_matrix.rows for v in row]
     for v in entries:
         if isinstance(v, ExtScalar) and not v.is_rational:
@@ -455,7 +454,7 @@ def _float_eigen_report(k_matrix: Matrix) -> tuple:
     import numpy
 
     arr = numpy.array(
-        [[scalar_to_float(v) for v in row] for row in k_matrix.rows],
+        [[float(v) for v in row] for row in k_matrix.rows],
         dtype=float,
     )
     eigs = sorted(numpy.linalg.eigvals(arr),
@@ -478,7 +477,7 @@ class P2Point:
         coords = tuple(as_scalar(v) for v in self.coords)
         if len(coords) != 3:
             raise ValueError("projective points live on three coordinates")
-        last = next((i for i in (2, 1, 0) if not scalar_is_zero(coords[i])), None)
+        last = next((i for i in (2, 1, 0) if coords[i]), None)
         if last is None:
             raise ValueError("projective point needs a nonzero coordinate")
         pivot = coords[last]
@@ -488,7 +487,7 @@ class P2Point:
 
     @property
     def support(self) -> tuple:
-        return tuple(i for i, v in enumerate(self.coords) if not scalar_is_zero(v))
+        return tuple(i for i, v in enumerate(self.coords) if v)
 
     def unit_vector(self) -> tuple:
         """Exact unit realization with nonnegative vertical component.
@@ -540,7 +539,7 @@ def t_of_v(v, tolerance: float = 1e-12):
         try:
             coords = v.unit_vector()
         except ExactSqrtError:
-            return _t_of_v_float([scalar_to_float(c) for c in v.coords], tolerance)
+            return _t_of_v_float([float(c) for c in v.coords], tolerance)
     else:
         try:
             coords = vec(v)
@@ -552,14 +551,14 @@ def t_of_v(v, tolerance: float = 1e-12):
     if len(coords) != 3:
         raise ValueError("expected three coordinates")
     vert = coords[2]
-    if scalar_to_float(vert) < 0:
+    if float(vert) < 0:
         raise ValueError("unit vector must have nonnegative vertical component")
     if vert == 1:
         return Matrix.identity(3)
     try:
         sine = sqrt_exact(1 - vert * vert)
     except ExactSqrtError:
-        return _t_of_v_float([scalar_to_float(c) for c in coords], tolerance)
+        return _t_of_v_float([float(c) for c in coords], tolerance)
     w = tuple(
         scalar_div((1 if i == 2 else 0) - vert * coords[i], sine)
         for i in range(3)
@@ -631,7 +630,7 @@ def p2_orbit_rep(family: JordanFamily, v) -> OrbitRep:
         index, rep = _STRATA_REPS[DIAG_DISTINCT][point.support]
     elif family.tag == DIAG_REPEATED:
         a, b, _ = point.coords
-        if scalar_is_zero(a) and scalar_is_zero(b):
+        if not a and not b:
             index = 1
         elif 2 not in point.support:
             index = 2
@@ -640,9 +639,9 @@ def p2_orbit_rep(family: JordanFamily, v) -> OrbitRep:
         rep = _REP_POINTS[DIAG_REPEATED][index]
     elif family.tag == NILPOTENT_FULL:
         a, b, _ = point.coords
-        if not scalar_is_zero(a):
+        if a:
             index = 3
-        elif not scalar_is_zero(b):
+        elif b:
             index = 2
         else:
             index = 1
@@ -690,7 +689,7 @@ def enumerate_orbit_pairs(family: JordanFamily) -> tuple:
         tinv = t.inverse()
         det = t.det()
         twist = t * k_matrix * tinv
-        cubics = tuple(poly_pullback(b, tinv) * det for b in basis_polys)
+        cubics = tuple(b.compose_linear(tinv) * det for b in basis_polys)
         out.append(OrbitFamily(rep, twist, cubics))
     return tuple(out)
 
@@ -702,7 +701,7 @@ def coset_rep_g10(cos_sin, s) -> Matrix:
     if c * c + sn * sn != 1:
         raise ValueError("not a point on the rational circle")
     s = as_scalar(s)
-    if scalar_is_zero(s):
+    if not s:
         raise ValueError("scale must be nonzero")
     rotation = Matrix([[c, sn, 0], [-sn, c, 0], [0, 0, 1]])
     return rotation * Matrix.diagonal([1, s, 1])

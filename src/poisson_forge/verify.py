@@ -14,13 +14,7 @@ import zlib
 from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
-from .exactnum import (
-    Matrix,
-    Polynomial,
-    SolutionSpace,
-    poly_pullback,
-    scalar_to_json,
-)
+from .exactnum import Matrix, Polynomial, SolutionSpace
 from .goldens import default_goldens
 from .linclass import (
     LinearPair,
@@ -32,9 +26,9 @@ from .linclass import (
     is_derivation,
     pair_of,
     standard_pair,
+    transform_pair,
     verify_witness,
 )
-from .linclass import transform_pair as transform_linear_pair
 from .multivec import (
     MultiVectorField,
     const_vf,
@@ -62,7 +56,6 @@ from .quaddef import (
     solve_F,
     span_of_cubics,
     t_of_v,
-    transform_pair,
 )
 
 DEFAULT_SEED = 20260412
@@ -98,7 +91,8 @@ def _expect_true(what, flag):
 
 
 # ---------------------------------------------------------------------------
-# small random generators (kept local so the package has no test deps)
+# small random generators (kept local so the package has no test deps;
+# the test suite draws from the same ones)
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +114,7 @@ def _random_field(rng, nvars, grade):
     return MultiVectorField(nvars, grade, comps)
 
 
-def _random_invertible(rng, lo=-4, hi=4):
+def random_invertible(rng, lo=-4, hi=4):
     while True:
         m = Matrix([[Fraction(rng.randint(lo, hi)) for _ in range(3)]
                     for _ in range(3)])
@@ -128,14 +122,15 @@ def _random_invertible(rng, lo=-4, hi=4):
             return m
 
 
-def _random_traceless(rng, lo=-4, hi=4):
+def random_traceless(rng, lo=-4, hi=4):
     rows = [[Fraction(rng.randint(lo, hi)) for _ in range(3)]
             for _ in range(3)]
     rows[2][2] = -rows[0][0] - rows[1][1]
     return Matrix(rows)
 
 
-def _random_kernel_cubic(rng, twist):
+def random_kernel_cubic(rng, twist):
+    """Random rational combination of the invariant cubics of ``twist``."""
     ker = cubic_kernel(twist)
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in ker.basis]
     coords = tuple(
@@ -145,7 +140,8 @@ def _random_kernel_cubic(rng, twist):
     return cubic_from_coords(coords)
 
 
-def _poly3(terms):
+def poly3(terms):
+    """Polynomial on (x, y, z) from {exponents: int, str or (num, den)}."""
     return Polynomial(3, {k: Fraction(*v) if isinstance(v, tuple) else Fraction(v)
                           for k, v in terms.items()})
 
@@ -208,7 +204,7 @@ def _check_graded_antisymmetry(g, rng):
 
 def _check_divergence_trace(g, rng):
     for _ in range(10):
-        m = _random_invertible(rng)
+        m = random_invertible(rng)
         div = curl(linear_vf(m))
         _expect("divergence of a linear field",
                 div.as_polynomial(), Polynomial.constant(3, m.trace()))
@@ -217,7 +213,7 @@ def _check_divergence_trace(g, rng):
 
 def _check_linear_constant_bracket(g, rng):
     for _ in range(10):
-        m = _random_invertible(rng)
+        m = random_invertible(rng)
         k = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
         lhs = schouten(linear_vf(m), const_vf(k))
         _expect("bracket of a linear with a constant field",
@@ -259,8 +255,7 @@ def _check_conjugation_invariance(g, rng):
     for case in range(1, 11):
         want = g["ten_forms"][str(case)]
         for _ in range(20):
-            lp = transform_linear_pair(_random_invertible(rng),
-                                       standard_pair(case))
+            lp = transform_pair(random_invertible(rng), standard_pair(case))
             label, witness = classify(lp)
             _expect("conjugate of structure %d" % case,
                     label.case_id, want["case"])
@@ -281,7 +276,7 @@ def _check_modulus_detection(g, rng):
             label, _ = classify(lp)
             _expect("scaled modulus, case %d" % case,
                     label.a_squared, scale * scale)
-            conj = transform_linear_pair(_random_invertible(rng), lp)
+            conj = transform_pair(random_invertible(rng), lp)
             conj_label, _ = classify(conj)
             _expect("scaled modulus after conjugation, case %d" % case,
                     conj_label.a_squared, scale * scale)
@@ -292,8 +287,7 @@ def _check_modulus_detection(g, rng):
 def _check_decomposition(g, rng):
     for _ in range(25):
         case = rng.randrange(1, 11)
-        lp = transform_linear_pair(_random_invertible(rng),
-                                   standard_pair(case))
+        lp = transform_pair(random_invertible(rng), standard_pair(case))
         pi = bivector_of(lp)
         dec = decompose(pi)
         _expect("decomposition axis", dec.k, lp.k)
@@ -336,7 +330,7 @@ def _check_symmetry_dims(g, rng):
 
 
 def _check_witness_tampering(g, rng):
-    lp = transform_linear_pair(_random_invertible(rng), standard_pair(8))
+    lp = transform_pair(random_invertible(rng), standard_pair(8))
     label, witness = classify(lp)
     _expect_true("honest witness rejected", verify_witness(lp, label, witness))
     tampered = type(witness)(witness.base.scaled(2), witness.scales)
@@ -368,7 +362,7 @@ def _check_drift_expansion(g, rng):
     book = standard_pair(7)
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     for _ in range(10):
-        m = _random_traceless(rng)
+        m = random_traceless(rng)
         a = m.rows
         expected = (
             x * x * (-a[1][0]) + y * y * a[0][1]
@@ -384,10 +378,9 @@ def _check_criterion_two_routes(g, rng):
     verdicts = {True: 0, False: 0}
     for _ in range(60):
         case = rng.randrange(1, 11)
-        lp = transform_linear_pair(_random_invertible(rng),
-                                   standard_pair(case))
-        twist = _random_traceless(rng)
-        qp = QuadraticPair(twist, _random_kernel_cubic(rng, twist))
+        lp = transform_pair(random_invertible(rng), standard_pair(case))
+        twist = random_traceless(rng)
+        qp = QuadraticPair(twist, random_kernel_cubic(rng, twist))
         verdicts[deform_check(lp, qp)] += 1   # raises on route disagreement
     # a random sample may hold one verdict only; the axis pair with
     # K = diag(1, 2, -3) fixes one tuple of each: xyz/6 deforms, xyz/3 not
@@ -413,7 +406,7 @@ def _check_twist_only_deformations(g, rng):
                 "symmetry direction rejected as deformation in case %d" % case,
                 deform_check(lp, QuadraticPair(twist, zero_cubic)))
         for _ in range(10):
-            twist = _random_traceless(rng)
+            twist = random_traceless(rng)
             member = space.contains(
                 tuple(v for row in twist.rows for v in row))
             _expect("twist-only criterion in case %d" % case,
@@ -452,7 +445,7 @@ def _check_solver_soundness(g, rng):
     attempts = 0
     while rejected < 10 and attempts < 200:
         attempts += 1
-        cubic = _random_kernel_cubic(rng, twist)
+        cubic = random_kernel_cubic(rng, twist)
         if space.contains(cubic_coords(cubic)):
             continue
         _expect_true("unsolved invariant cubic accepted",
@@ -469,7 +462,7 @@ def _check_solver_equivariance(g, rng):
         t_inv = t.inverse()
         det = t.det()
         for _ in range(2):
-            twist = _random_traceless(rng)
+            twist = random_traceless(rng)
             left = solve_F(lp, t * twist * t_inv)
             right = solve_F(lp, twist)
             if right.is_empty:
@@ -478,7 +471,7 @@ def _check_solver_equivariance(g, rng):
                 continue
 
             def push(coords):
-                moved = poly_pullback(cubic_from_coords(coords), t_inv) * det
+                moved = cubic_from_coords(coords).compose_linear(t_inv) * det
                 return cubic_coords(moved)
 
             image = SolutionSpace(10, push(right.particular),
@@ -567,7 +560,7 @@ def _check_repeated_family(g, rng):
             spans, g["repeated_family"]["cubic_spans"])
     # second orbit: the span is exactly the x-multiples
     want = span_of_cubics([
-        _poly3({(1, 2, 0): 1}), _poly3({(1, 1, 1): 1}), _poly3({(1, 0, 2): 1})])
+        poly3({(1, 2, 0): 1}), poly3({(1, 1, 1): 1}), poly3({(1, 0, 2): 1})])
     _expect_true("second-orbit span mismatch",
                  span_of_cubics(pairs[1].cubics).same_space(want))
     return "repeated-eigenvalue twists and cubic spans match"
@@ -583,8 +576,8 @@ def _check_nilpotent_family(g, rng):
     _expect("transported cubic spans (nilpotent)",
             spans, g["nilpotent_family"]["cubic_spans"])
     x = Polynomial.variable(3, 0)
-    want2 = span_of_cubics([x * x * x, _poly3({(2, 1, 0): 2, (1, 0, 2): -1})])
-    want3 = span_of_cubics([x * x * x, _poly3({(2, 0, 1): 2, (1, 2, 0): -1})])
+    want2 = span_of_cubics([x * x * x, poly3({(2, 1, 0): 2, (1, 0, 2): -1})])
+    want3 = span_of_cubics([x * x * x, poly3({(2, 0, 1): 2, (1, 2, 0): -1})])
     _expect_true("second-orbit span mismatch",
                  span_of_cubics(pairs[1].cubics).same_space(want2))
     _expect_true("third-orbit span mismatch",
@@ -646,7 +639,7 @@ def _check_orthogonal_catalog(g, rng):
     _expect("rotation-twist catalog of the orthogonal-type pair",
             _space_json(entry.solution), g["orthogonal_pair_catalog"])
     want = span_of_cubics([
-        _poly3({(2, 0, 1): 1, (0, 2, 1): 1}), _poly3({(0, 0, 3): 1})])
+        poly3({(2, 0, 1): 1, (0, 2, 1): 1}), poly3({(0, 0, 3): 1})])
     _expect_true("span mismatch against the written family",
                  entry.solution.same_space(want))
     return "rotation twist pairs with the cylindrical cubics"
@@ -683,7 +676,7 @@ def _check_sheared_coordinates(g, rng):
     shear = Matrix([[1, 1, 0], [1, -1, 0], [0, 0, 1]])
     diff = x - y
     family = [diff * diff * diff, diff * (x * x + y * y - z * z)]
-    sheared = [poly_pullback(f, shear) for f in family]
+    sheared = [f.compose_linear(shear) for f in family]
     _expect("cubic generator of the sheared family",
             sheared[0], y * y * y * 8)
     _expect("mixed generator of the sheared family",
@@ -708,20 +701,20 @@ def _check_scaling_symmetries(g, rng):
                          scaling * of.twist == of.twist * scaling)
             (cubic,) = of.cubics
             _expect_true("cubic not rescaled to itself on orbit %d" % orbit,
-                         poly_pullback(cubic, inv) * s == cubic)
+                         cubic.compose_linear(inv) * s == cubic)
         for orbit in (4, 7):
             (cubic,) = pairs[orbit].cubics
             _expect_true("orbit %d unexpectedly scale-invariant" % orbit,
-                         poly_pullback(cubic, inv) * s != cubic)
+                         cubic.compose_linear(inv) * s != cubic)
     return "pure scalings preserve the five axis-aligned catalogs and "\
            "move the other two"
 
 
 def _check_json_roundtrips(g, rng):
-    lp = transform_linear_pair(_random_invertible(rng), standard_pair(8))
+    lp = transform_pair(random_invertible(rng), standard_pair(8))
     _expect("linear pair json", LinearPair.from_json(lp.to_json()), lp)
     qp = QuadraticPair(Matrix.diagonal([1, 2, -3]),
-                       _poly3({(1, 1, 1): (1, 6)}))
+                       poly3({(1, 1, 1): (1, 6)}))
     _expect("quadratic pair json", QuadraticPair.from_json(qp.to_json()), qp)
     point = P2Point((3, 0, 5))
     _expect("projective point json", P2Point.from_json(point.to_json()), point)
@@ -794,7 +787,3 @@ def run_verification(goldens: Optional[dict] = None,
         except Exception as exc:          # noqa: BLE001 - report, don't abort
             results.append(VerificationItem(name, "FAIL", str(exc)))
     return results
-
-
-def all_passed(items: List[VerificationItem]) -> bool:
-    return all(item.passed for item in items)

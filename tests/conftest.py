@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_forge.exactnum import Matrix, Polynomial
+from poisson_forge.exactnum import Polynomial
 from poisson_forge.multivec import MultiVectorField
 
 
@@ -43,11 +43,3 @@ def random_field(rng, nvars, grade, max_degree=2) -> MultiVectorField:
         if rng.random() < 0.8:
             comps[exps] = random_polynomial(rng, nvars, max_degree)
     return MultiVectorField(nvars, grade, comps)
-
-
-def random_invertible(rng, n=3, lo=-4, hi=4) -> Matrix:
-    while True:
-        m = Matrix([[Fraction(rng.randint(lo, hi)) for _ in range(n)]
-                    for _ in range(n)])
-        if m.det() != 0:
-            return m

@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_field, random_invertible
-from poisson_forge.exactnum import Matrix, Polynomial, SolutionSpace, poly_pullback
+from conftest import random_field
+from poisson_forge.exactnum import Matrix, Polynomial, SolutionSpace
 from poisson_forge.linclass import (
     LinearPair,
     aut_member,
@@ -35,8 +35,6 @@ from poisson_forge.quaddef import (
     P2Point,
     QuadraticPair,
     catalog,
-    cubic_from_coords,
-    cubic_kernel,
     deform_rhs,
     ktilde,
     p2_orbit_rep,
@@ -45,35 +43,20 @@ from poisson_forge.quaddef import (
     solve_F,
     span_of_cubics,
 )
+from poisson_forge.verify import (
+    poly3,
+    random_invertible,
+    random_kernel_cubic,
+    random_traceless,
+)
 
 
 X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
 
 
-def poly(terms):
-    return Polynomial(3, {k: F(*v) if isinstance(v, tuple) else F(v)
-                          for k, v in terms.items()})
-
-
 def random_valid_pair(rng) -> LinearPair:
     case = rng.randrange(1, 11)
     return transform_pair(random_invertible(rng), standard_pair(case))
-
-
-def random_traceless(rng, lo=-4, hi=4) -> Matrix:
-    rows = [[F(rng.randint(lo, hi)) for _ in range(3)] for _ in range(3)]
-    rows[2][2] = -rows[0][0] - rows[1][1]
-    return Matrix(rows)
-
-
-def random_kernel_cubic(rng, twist) -> Polynomial:
-    ker = cubic_kernel(twist)
-    coeffs = [F(rng.randint(-3, 3)) for _ in ker.basis]
-    coords = tuple(
-        sum((c * b[i] for c, b in zip(coeffs, ker.basis)), F(0))
-        for i in range(10)
-    )
-    return cubic_from_coords(coords)
 
 
 # --- 1: the ten standard forms are conjugation-invariant --------------------
@@ -155,7 +138,7 @@ def test_axis_pair_distinct_eigenvalue_catalog(lams):
     coefs = ((l2 - l1) / 6, (l1 - l3) / 6, (l2 - l3) / 6)
     for entry, coef in zip(entries[:3], coefs):
         particular, basis = solution_polys(entry.solution)
-        assert particular == poly({(1, 1, 1): coef})
+        assert particular == poly3({(1, 1, 1): coef})
         assert basis == ()
     for entry in entries[3:]:
         assert entry.solution.is_empty
@@ -169,7 +152,7 @@ def test_axis_pair_repeated_eigenvalue_catalog(lam):
     entries = catalog(7, JordanFamily.diag_repeated(lam))
     assert entries[0].solution.is_zero_space()
     particular, basis = solution_polys(entries[1].solution)
-    assert particular == poly({(1, 1, 1): F(lam, 2)})
+    assert particular == poly3({(1, 1, 1): F(lam, 2)})
     assert basis == (X * Y * Y,)
     assert entries[2].solution.is_empty
 
@@ -181,10 +164,10 @@ def test_axis_pair_nilpotent_catalog():
     entries = catalog(7, JordanFamily.nilpotent_full())
     assert entries[0].solution.is_empty
     particular, basis = solution_polys(entries[1].solution)
-    assert particular == poly({(2, 1, 0): F(-1, 6), (1, 0, 2): F(1, 12)})
+    assert particular == poly3({(2, 1, 0): F(-1, 6), (1, 0, 2): F(1, 12)})
     assert basis == (X * X * X,)
     particular, basis = solution_polys(entries[2].solution)
-    assert particular == poly({(2, 0, 1): F(-1, 6), (1, 2, 0): F(1, 12)})
+    assert particular == poly3({(2, 0, 1): F(-1, 6), (1, 2, 0): F(1, 12)})
     assert basis == (X * X * X,)
 
 
@@ -195,7 +178,7 @@ def test_axis_pair_nilpotent_catalog():
 def test_open_book_repeated_twist_unique_potential(lam):
     space = solve_F(standard_pair(10), Matrix.diagonal([lam, lam, -2 * lam]))
     particular, basis = solution_polys(space)
-    assert particular == poly({(2, 0, 1): -2 * lam})
+    assert particular == poly3({(2, 0, 1): -2 * lam})
     assert basis == ()
 
 
@@ -228,10 +211,10 @@ def test_null_twist_family_simplifies_in_sheared_coordinates():
     # substituting x -> x + y, y -> x - y turns the x - y line into a
     # coordinate axis and the null-twist cubics into single-variable data
     shear = Matrix([[1, 1, 0], [1, -1, 0], [0, 0, 1]])
-    first = poly_pullback((X - Y) * (X - Y) * (X - Y), shear)
-    assert first == poly({(0, 3, 0): 8})
-    second = poly_pullback((X - Y) * (X * X + Y * Y - Z * Z), shear)
-    assert second == poly({(2, 1, 0): 4, (0, 3, 0): 4, (0, 1, 2): -2})
+    first = ((X - Y) * (X - Y) * (X - Y)).compose_linear(shear)
+    assert first == poly3({(0, 3, 0): 8})
+    second = ((X - Y) * (X * X + Y * Y - Z * Z)).compose_linear(shear)
+    assert second == poly3({(2, 1, 0): 4, (0, 3, 0): 4, (0, 1, 2): -2})
 
 
 # --- 9: infinitesimal symmetries of the six unimodular forms ----------------

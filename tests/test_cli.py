@@ -124,6 +124,18 @@ def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: invariant broke\n"
 
 
+def test_closed_stdout_exits_0_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poisson_forge.cli", "classify",
+         json.dumps(CASE8_PAIR)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
 def test_unknown_verb_exits_2():
     proc = run_cli("frobnicate", "{}")
     assert proc.returncode == 2
@@ -248,6 +260,16 @@ def test_deform_solve_rejects_trace():
     proc = run_cli("deform-solve", json.dumps(payload))
     assert proc.returncode == 1
     assert "traceless" in proc.stderr
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("deform-solve", {"pair": BOOK_PAIR, "K": [["1", "0"], ["0", "-1"]]}),
+    ("orbits", {"K": [["1", "0"], ["0", "-1"]]}),
+])
+def test_two_by_two_twist_is_a_domain_error(verb, payload):
+    proc = run_cli(verb, json.dumps(payload))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: twist matrix must be 3x3\n"
 
 
 def test_deform_check_verdicts():

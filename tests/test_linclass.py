@@ -4,14 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_invertible
-
 from poisson_forge.exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
     gram_of_quadratic,
-    poly_pullback,
     scalar_div,
     SQRT2,
 )
@@ -43,10 +40,7 @@ from poisson_forge.multivec import (
     lie_poisson_bivector,
     wedge,
 )
-
-
-def poly(terms):
-    return Polynomial(3, {k: F(v) for k, v in terms.items()})
+from poisson_forge.verify import poly3, random_invertible
 
 
 X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
@@ -73,9 +67,9 @@ def test_standard_pairs():
         assert STANDARD_PAIRS[case].k == (0, 0, 0)
     for case in range(7, 11):
         assert STANDARD_PAIRS[case].k == (0, 0, 1)
-    assert STANDARD_PAIRS[3].potential() == poly({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
-    assert STANDARD_PAIRS[8].potential() == poly({(2, 0, 0): 1, (0, 2, 0): 1})
-    assert standard_pair(9, F(2)).potential() == poly({(2, 0, 0): 2, (0, 2, 0): -2})
+    assert STANDARD_PAIRS[3].potential() == poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+    assert STANDARD_PAIRS[8].potential() == poly3({(2, 0, 0): 1, (0, 2, 0): 1})
+    assert standard_pair(9, F(2)).potential() == poly3({(2, 0, 0): 2, (0, 2, 0): -2})
     with pytest.raises(ValueError):
         standard_pair(4, 2)  # no modulus outside 8/9
 
@@ -96,8 +90,8 @@ def test_pair_json_roundtrip():
 def test_bivector_of_case8_components():
     # f = x^2+y^2 contributes the partials, the twist adds (x/2, y/2)
     pi = bivector_of(STANDARD_PAIRS[8])
-    assert pi.component((1, 2)) == poly({(1, 0, 0): 2}) + poly({(0, 1, 0): F(1, 2)})
-    assert pi.component((0, 2)) == poly({(0, 1, 0): -2}) + poly({(1, 0, 0): F(1, 2)})
+    assert pi.component((1, 2)) == poly3({(1, 0, 0): 2}) + poly3({(0, 1, 0): F(1, 2)})
+    assert pi.component((0, 2)) == poly3({(0, 1, 0): -2}) + poly3({(1, 0, 0): F(1, 2)})
     assert pi.component((0, 1)) == Polynomial.zero(3)
 
 
@@ -123,7 +117,7 @@ def test_pair_of_zero_bivector():
 
 
 def test_pair_of_rejects_non_poisson():
-    bad = (bivector_from_potential(poly({(0, 0, 2): 1}))
+    bad = (bivector_from_potential(poly3({(0, 0, 2): 1}))
            + wedge(euler_vf(3), const_vf((0, 0, 1))).scale(F(1, 2)))
     with pytest.raises(ValueError, match=r"Jacobiator component \(1,2,3\)"):
         pair_of(bad)
@@ -132,9 +126,9 @@ def test_pair_of_rejects_non_poisson():
 def test_pair_of_recovers_gram_from_partials():
     # components (2z, -2y, 2x) on slots (0,1), (0,2), (1,2): potential x^2+y^2+z^2
     lam = MultiVectorField(3, 2, {
-        (0, 1): poly({(0, 0, 1): 2}),
-        (0, 2): poly({(0, 1, 0): -2}),
-        (1, 2): poly({(1, 0, 0): 2}),
+        (0, 1): poly3({(0, 0, 1): 2}),
+        (0, 2): poly3({(0, 1, 0): -2}),
+        (1, 2): poly3({(1, 0, 0): 2}),
     })
     pair = pair_of(lam)
     assert pair.k == (0, 0, 0)
@@ -160,7 +154,7 @@ def test_pair_of_so3():
 def test_decompose_case8():
     dec = decompose(bivector_of(STANDARD_PAIRS[8]))
     assert dec.k == (0, 0, 1)
-    assert dec.curl_free == bivector_from_potential(poly({(2, 0, 0): 1, (0, 2, 0): 1}))
+    assert dec.curl_free == bivector_from_potential(poly3({(2, 0, 0): 1, (0, 2, 0): 1}))
     assert dec.square_closed and dec.twist_commutes
 
 
@@ -198,8 +192,8 @@ def test_decompose_n4_twist():
 def test_decompose_twist_commutes_can_fail():
     # components mixing the k direction into the coefficients
     pi = MultiVectorField(3, 2, {
-        (0, 1): poly({(0, 0, 1): 1}),
-        (0, 2): poly({(1, 0, 0): 1}),
+        (0, 1): poly3({(0, 0, 1): 1}),
+        (0, 2): poly3({(1, 0, 0): 1}),
     })
     dec = decompose(pi)
     assert dec.k == (0, 0, 1)
@@ -208,9 +202,9 @@ def test_decompose_twist_commutes_can_fail():
 
 def test_decompose_rejects_nonlinear():
     with pytest.raises(ValueError, match="homogeneous linear"):
-        decompose(MultiVectorField(3, 2, {(0, 1): poly({(2, 0, 0): 1})}))
+        decompose(MultiVectorField(3, 2, {(0, 1): poly3({(2, 0, 0): 1})}))
     with pytest.raises(ValueError, match="homogeneous linear"):
-        decompose(MultiVectorField(3, 2, {(0, 1): poly({(0, 0, 0): 1})}))
+        decompose(MultiVectorField(3, 2, {(0, 1): poly3({(0, 0, 0): 1})}))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,7 @@ def test_classify_scaled_rotation_invariant_case():
 
 def test_classify_sheared_hyperbolic_case():
     # x^2 - 2xy has signature (+,-) on its rank-2 part
-    pair = LinearPair((0, 0, 0), gram_of_quadratic(poly({(2, 0, 0): 1, (1, 1, 0): -2})))
+    pair = LinearPair((0, 0, 0), gram_of_quadratic(poly3({(2, 0, 0): 1, (1, 1, 0): -2})))
     label, _ = classify(pair)
     assert label.case_id == 5
 
@@ -341,7 +335,7 @@ def test_is_isomorphism_sqrt2_rotation():
     pair = LinearPair((0, 0, 0), Matrix.identity(3).scaled(F(1, 2)))
     assert is_isomorphism(t, pair, pair)
     f = pair.potential()
-    assert poly_pullback(f, t) == f * t.det()
+    assert f.compose_linear(t) == f * t.det()
 
 
 def test_is_isomorphism_rejects_singular():

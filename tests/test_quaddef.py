@@ -9,8 +9,6 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_invertible
-
 from poisson_forge.exactnum import (
     ExactSqrtError,
     ExtScalar,
@@ -21,7 +19,6 @@ from poisson_forge.exactnum import (
     SQRT6,
     apply_matrix_derivation,
     cross3,
-    poly_pullback,
     scalar_div,
     sqrt_exact,
 )
@@ -63,34 +60,18 @@ from poisson_forge.quaddef import (
     _rational_roots_monic_cubic,
     _rep_rotation,
 )
-
-
-def poly(terms):
-    return Polynomial(3, {k: F(*v) if isinstance(v, tuple) else F(v)
-                          for k, v in terms.items()})
+from poisson_forge.verify import (
+    poly3,
+    random_invertible,
+    random_kernel_cubic,
+    random_traceless,
+)
 
 
 X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
-XYZ = poly({(1, 1, 1): 1})
+XYZ = poly3({(1, 1, 1): 1})
 BOOK = standard_pair(7)
 HALF = F(1, 2)
-
-
-def random_traceless(rng, lo=-4, hi=4):
-    rows = [[F(rng.randint(lo, hi)) for _ in range(3)] for _ in range(3)]
-    rows[2][2] = -rows[0][0] - rows[1][1]
-    return Matrix(rows)
-
-
-def random_kernel_cubic(rng, twist):
-    """Random rational combination of the invariant cubics of ``twist``."""
-    ker = cubic_kernel(twist)
-    coeffs = [F(rng.randint(-3, 3)) for _ in ker.basis]
-    coords = tuple(
-        sum((c * b[i] for c, b in zip(coeffs, ker.basis)), F(0))
-        for i in range(10)
-    )
-    return cubic_from_coords(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +105,7 @@ def test_drift_rhs_expansion_vertical_axis(rng):
     for _ in range(15):
         k_matrix = random_traceless(rng)
         a = k_matrix.rows
-        expected = poly({}) + (
+        expected = poly3({}) + (
             X * X * (-a[1][0]) + Y * Y * a[0][1]
             + X * Y * (a[0][0] - a[1][1]) + Y * Z * a[0][2]
             + X * Z * (-a[1][2])
@@ -166,7 +147,7 @@ def test_pair_json_roundtrip():
     # extension-field coefficients survive the trip
     fancy = QuadraticPair(
         Matrix.diagonal([1, 1, -2]),
-        poly({(2, 0, 1): 1}) * scalar_div(SQRT2, 2),
+        poly3({(2, 0, 1): 1}) * scalar_div(SQRT2, 2),
     )
     assert QuadraticPair.from_json(fancy.to_json()) == fancy
 
@@ -174,7 +155,7 @@ def test_pair_json_roundtrip():
 def test_transform_pair_action(rng):
     qp = QuadraticPair(
         Matrix.diagonal([1, 1, -2]),
-        poly({(1, 1, 1): 2, (2, 0, 1): -1}),
+        poly3({(1, 1, 1): 2, (2, 0, 1): -1}),
     )
     for _ in range(15):
         t1, t2 = random_invertible(rng), random_invertible(rng)
@@ -300,19 +281,19 @@ def test_cubic_kernel_distinct_eigenvalues_span():
 
 def test_cubic_kernel_repeated_eigenvalue_span():
     space = cubic_kernel(Matrix.diagonal([1, 1, -2]))
-    expected = [poly({(1, 1, 1): 1}), poly({(2, 0, 1): 1}), poly({(0, 2, 1): 1})]
+    expected = [poly3({(1, 1, 1): 1}), poly3({(2, 0, 1): 1}), poly3({(0, 2, 1): 1})]
     assert space.same_space(span_of_cubics(expected))
 
 
 def test_cubic_kernel_nilpotent_span():
     space = cubic_kernel(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-    expected = [poly({(0, 0, 3): 1}), poly({(0, 2, 1): 1, (1, 0, 2): -2})]
+    expected = [poly3({(0, 0, 3): 1}), poly3({(0, 2, 1): 1, (1, 0, 2): -2})]
     assert space.same_space(span_of_cubics(expected))
 
 
 def test_cubic_kernel_rotation_span():
     space = cubic_kernel(ktilde((0, 0, 1)))
-    expected = [poly({(2, 0, 1): 1, (0, 2, 1): 1}), poly({(0, 0, 3): 1})]
+    expected = [poly3({(2, 0, 1): 1, (0, 2, 1): 1}), poly3({(0, 0, 3): 1})]
     assert space.same_space(span_of_cubics(expected))
 
 
@@ -390,7 +371,7 @@ def test_solve_F_one_parameter_family():
     space = solve_F(BOOK, Matrix.diagonal([-2, 1, 1]))
     particular, basis = solution_polys(space)
     assert particular == XYZ * HALF
-    assert basis == (poly({(1, 2, 0): 1}),)
+    assert basis == (poly3({(1, 2, 0): 1}),)
 
 
 def test_solve_F_zero_space():
@@ -447,7 +428,7 @@ def test_solve_F_equivariance(rng):
                 continue
 
             def push(coords):
-                moved = poly_pullback(cubic_from_coords(coords), t_inv) * det
+                moved = cubic_from_coords(coords).compose_linear(t_inv) * det
                 return cubic_coords(moved)
 
             image = type(right)(10, push(right.particular),
@@ -821,9 +802,9 @@ def test_orbit_pairs_distinct_family_cubics():
     assert pairs[1].cubics == (XYZ,)
     assert pairs[2].cubics == (XYZ,)
     assert pairs[3].cubics == (XYZ * (-1),)
-    assert pairs[4].cubics == (poly({(1, 2, 0): (-1, 2), (1, 0, 2): (1, 2)}),)
-    assert pairs[5].cubics == (poly({(2, 1, 0): (-1, 2), (0, 1, 2): (1, 2)}),)
-    assert pairs[6].cubics == (poly({(2, 1, 0): (1, 2), (0, 1, 2): (-1, 2)}),)
+    assert pairs[4].cubics == (poly3({(1, 2, 0): (-1, 2), (1, 0, 2): (1, 2)}),)
+    assert pairs[5].cubics == (poly3({(2, 1, 0): (-1, 2), (0, 1, 2): (1, 2)}),)
+    assert pairs[6].cubics == (poly3({(2, 1, 0): (1, 2), (0, 1, 2): (-1, 2)}),)
     (seventh,) = pairs[7].cubics
     assert seventh.coeff((0, 0, 3)) == scalar_div(SQRT3, 9)
 
@@ -835,13 +816,13 @@ def test_orbit_pairs_repeated_family():
     assert pairs[3].twist == Matrix([
         [F(-1, 2), 0, F(-3, 2)], [0, 1, 0], [F(-3, 2), 0, F(-1, 2)]])
     assert span_of_cubics(pairs[2].cubics).same_space(span_of_cubics([
-        poly({(1, 1, 1): 1}), poly({(1, 2, 0): 1}), poly({(1, 0, 2): 1})]))
+        poly3({(1, 1, 1): 1}), poly3({(1, 2, 0): 1}), poly3({(1, 0, 2): 1})]))
     # third orbit: compare spans with the transported written family
     half_s2 = scalar_div(SQRT2, 2)
     written = [
-        poly({(2, 1, 0): (-1, 2), (0, 1, 2): (1, 2)}),
+        poly3({(2, 1, 0): (-1, 2), (0, 1, 2): (1, 2)}),
         (Y * Y * Z + X * Y * Y) * half_s2,
-        poly({(0, 0, 3): 1, (1, 0, 2): -1, (2, 0, 1): -1, (3, 0, 0): 1})
+        poly3({(0, 0, 3): 1, (1, 0, 2): -1, (2, 0, 1): -1, (3, 0, 0): 1})
         * scalar_div(SQRT2, 4),
     ]
     assert span_of_cubics(pairs[3].cubics).same_space(span_of_cubics(written))
@@ -859,9 +840,9 @@ def test_orbit_pairs_nilpotent_family():
     assert pairs[2].twist == Matrix([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     assert pairs[3].twist == Matrix([[0, 0, 0], [-1, 0, 0], [0, -1, 0]])
     assert span_of_cubics(pairs[2].cubics).same_space(span_of_cubics([
-        X * X * X, poly({(2, 1, 0): 2, (1, 0, 2): -1})]))
+        X * X * X, poly3({(2, 1, 0): 2, (1, 0, 2): -1})]))
     assert span_of_cubics(pairs[3].cubics).same_space(span_of_cubics([
-        X * X * X, poly({(2, 0, 1): 2, (1, 2, 0): -1})]))
+        X * X * X, poly3({(2, 0, 1): 2, (1, 2, 0): -1})]))
 
 
 def test_orbit_pairs_cubics_invariant_under_twist():
@@ -921,7 +902,7 @@ def test_catalog_repeated_family(lam):
     assert entries[1].solution.is_zero_space()
     particular, basis = solution_polys(entries[2].solution)
     assert particular == XYZ * F(lam, 2)
-    assert basis == (poly({(1, 2, 0): 1}),)
+    assert basis == (poly3({(1, 2, 0): 1}),)
     assert entries[3].solution.is_empty
 
 
@@ -929,10 +910,10 @@ def test_catalog_nilpotent_family():
     entries = _catalog_map(7, JordanFamily.nilpotent_full())
     assert entries[1].solution.is_empty
     particular, basis = solution_polys(entries[2].solution)
-    assert particular == poly({(2, 1, 0): (-1, 6), (1, 0, 2): (1, 12)})
+    assert particular == poly3({(2, 1, 0): (-1, 6), (1, 0, 2): (1, 12)})
     assert basis == (X * X * X,)
     particular, basis = solution_polys(entries[3].solution)
-    assert particular == poly({(2, 0, 1): (-1, 6), (1, 2, 0): (1, 12)})
+    assert particular == poly3({(2, 0, 1): (-1, 6), (1, 2, 0): (1, 12)})
     assert basis == (X * X * X,)
 
 
@@ -940,7 +921,7 @@ def test_catalog_nilpotent_family():
 def test_catalog_open_book_pair_repeated_family(lam):
     entries = _catalog_map(10, JordanFamily.diag_repeated(lam))
     particular, basis = solution_polys(entries[1].solution)
-    assert particular == poly({(2, 0, 1): -2 * lam})
+    assert particular == poly3({(2, 0, 1): -2 * lam})
     assert basis == ()
     assert entries[2].solution.is_empty
     assert entries[3].solution.is_empty
@@ -953,7 +934,7 @@ def test_catalog_open_book_pair_distinct_family_is_empty():
 
 def test_catalog_orthogonal_pair_rotation():
     (entry,) = catalog(2, ktilde((0, 0, 1)))
-    expected = [poly({(2, 0, 1): 1, (0, 2, 1): 1}), Z * Z * Z]
+    expected = [poly3({(2, 0, 1): 1, (0, 2, 1): 1}), Z * Z * Z]
     assert entry.solution.same_space(span_of_cubics(expected))
 
 
@@ -966,7 +947,7 @@ def test_catalog_zero_twist_allows_any_cubic():
 
 def test_catalog_indefinite_pair_rotation():
     (entry,) = catalog(3, ktilde((0, 0, 1)))
-    expected = [poly({(2, 0, 1): 1, (0, 2, 1): 1}), Z * Z * Z]
+    expected = [poly3({(2, 0, 1): 1, (0, 2, 1): 1}), Z * Z * Z]
     assert entry.solution.same_space(span_of_cubics(expected))
 
 
@@ -985,7 +966,7 @@ def test_catalog_indefinite_pair_null_twist_sheared_coordinates():
     shear_inv = Matrix([[1, 1, 0], [1, -1, 0], [0, 0, 1]])
     diff = X - Y
     family = [diff * diff * diff, diff * (X * X + Y * Y - Z * Z)]
-    sheared = [poly_pullback(f, shear_inv) for f in family]
+    sheared = [f.compose_linear(shear_inv) for f in family]
     assert sheared[0] == Y * Y * Y * 8
     assert sheared[1] == Y * (X * X * 2 + Y * Y * 2 - Z * Z) * 2
 
@@ -1044,13 +1025,13 @@ def test_scaling_reps_fix_axis_aligned_orbit_data():
             of = pairs[orbit]
             assert q * of.twist == of.twist * q
             (cubic,) = of.cubics
-            assert poly_pullback(cubic, q_inv) * s == cubic
+            assert cubic.compose_linear(q_inv) * s == cubic
         for orbit in (4, 7):
             of = pairs[orbit]
             if s != -1:
                 assert q * of.twist != of.twist * q
             (cubic,) = of.cubics
-            assert poly_pullback(cubic, q_inv) * s != cubic
+            assert cubic.compose_linear(q_inv) * s != cubic
 
 
 # ---------------------------------------------------------------------------
