@@ -13,6 +13,7 @@ exits 0 with nothing on stderr.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -269,6 +270,19 @@ _HANDLERS = {
 }
 
 
+def _positive_tolerance(text: str) -> float:
+    """argparse type: a finite float > 0, the only values for which the
+    float fallback's residual check means what it says."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "must be finite and positive, got %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poisson-forge",
@@ -285,8 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default_format = "table" if verb == "verify-paper" else "json"
         p.add_argument("--format", choices=("json", "table"),
                        default=default_format)
-        p.add_argument("--tolerance", type=float, default=1e-12,
-                       help="residual bound for floating fallbacks")
+        if verb == "orbits":
+            p.add_argument("--tolerance", type=_positive_tolerance,
+                           default=1e-12,
+                           help="orthogonality residual bound of the "
+                                "floating rotation (finite, positive)")
         if verb == "verify-paper":
             p.add_argument("--goldens", default=None,
                            help="replacement expected-value table (JSON file)")

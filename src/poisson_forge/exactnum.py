@@ -13,7 +13,9 @@ On top of the scalars the module provides:
 - :class:`Polynomial` -- sparse multivariate polynomials with exact
   coefficients, supporting differentiation, evaluation and pullback along
   a linear change of coordinates,
-- :class:`Matrix` -- dense square matrices with exact inverse/determinant,
+- :class:`Matrix` -- dense square matrices with exact inverse/determinant;
+  a product of two Fraction matrices runs on integers (rows and columns
+  scaled by the lcm of their denominators),
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
   returning the full affine solution set as a :class:`SolutionSpace`;
   it eliminates rational systems on integers (Bareiss), checking that
@@ -23,7 +25,9 @@ On top of the scalars the module provides:
   signature exactly.
 
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
-malformed input.
+malformed input.  The public constructors validate their arguments;
+arithmetic results built from already validated polynomials and matrices
+only drop zero entries (``_trusted``).
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -32,6 +36,7 @@ index order, and polynomial terms carry a fixed canonical ordering.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -431,6 +436,18 @@ class Polynomial:
                 clean[exps] = coef
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap terms built from validated polynomials, dropping zeros.
+
+        The keys must already be exponent tuples of length ``nvars`` and
+        the values package scalars; only zero coefficients are removed.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if c}
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -489,8 +506,9 @@ class Polynomial:
         self._require_same_arity(other)
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return Polynomial(self.nvars, terms)
+            cur = terms.get(exps)
+            terms[exps] = coef if cur is None else cur + coef
+        return Polynomial._trusted(self.nvars, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -498,7 +516,8 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars,
+                                   {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -507,13 +526,15 @@ class Polynomial:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return Polynomial(self.nvars, terms)
+                    cur = terms.get(key)
+                    terms[key] = c1 * c2 if cur is None else cur + c1 * c2
+            return Polynomial._trusted(self.nvars, terms)
         try:
             c = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars,
+                                   {e: v * c for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -543,8 +564,9 @@ class Polynomial:
             if e == 0:
                 continue
             key = exps[:index] + (e - 1,) + exps[index + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + coef * e
-        return Polynomial(self.nvars, terms)
+            cur = terms.get(key)
+            terms[key] = coef * e if cur is None else cur + coef * e
+        return Polynomial._trusted(self.nvars, terms)
 
     def directional_diff(self, vector: Sequence) -> "Polynomial":
         """Derivative along a constant vector: sum_i v_i d/dx_i."""
@@ -726,6 +748,14 @@ class Matrix:
             raise ValueError("matrix must be square")
 
     @classmethod
+    def _trusted(cls, rows) -> "Matrix":
+        """Wrap square rows of package scalars computed from matrices."""
+        self = object.__new__(cls)
+        self.rows = tuple(tuple(row) for row in rows)
+        self.n = len(self.rows)
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -752,40 +782,39 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
-        return Matrix([
+        return Matrix._trusted(
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
-        ])
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
-        return Matrix([
+        return Matrix._trusted(
             [a - b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
-        ])
+        )
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._trusted([-a for a in row] for row in self.rows)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if other.n != self.n:
                 raise ValueError("size mismatch")
-            n = self.n
-            return Matrix([
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                        Fraction(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ])
+            if _all_fractions(self.rows) and _all_fractions(other.rows):
+                return Matrix._trusted(_fraction_product(self.rows, other.rows))
+            cols = tuple(zip(*other.rows))
+            return Matrix._trusted(
+                [sum((a * b for a, b in zip(row, col)), Fraction(0))
+                 for col in cols]
+                for row in self.rows
+            )
         return NotImplemented
 
     def scaled(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix([[c * a for a in row] for row in self.rows])
+        return Matrix._trusted([c * a for a in row] for row in self.rows)
 
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.n:
@@ -793,7 +822,7 @@ class Matrix:
         return tuple(dot(row, v) for row in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        return Matrix._trusted(zip(*self.rows))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -846,7 +875,7 @@ class Matrix:
                 if not factor:
                     continue
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+        return Matrix._trusted(row[n:] for row in work)
 
     def is_symmetric(self) -> bool:
         return all(
@@ -969,7 +998,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     if any(isinstance(v, ExtScalar) for row in aug for v in row):
         div, prev = scalar_div, Fraction(1)
     else:
-        aug = [_integer_row(row) for row in aug]
+        aug = [_scaled_row(row)[1] for row in aug]
         div, prev = _exact_int_div, 1
 
     pivots = []  # (row, col)
@@ -1016,10 +1045,29 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     return SolutionSpace(ncols, particular, basis)
 
 
-def _integer_row(row: list) -> list:
-    """A row of Fractions times the lcm of their denominators, as ints."""
+def _all_fractions(rows) -> bool:
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+def _scaled_row(row):
+    """(d, ints) with ints = d * row and d the lcm of row's denominators."""
     den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row]
+    return den, [v.numerator * (den // v.denominator) for v in row]
+
+
+def _fraction_product(a_rows, b_rows):
+    """Rows of A*B for Fraction matrices, with integer dot products.
+
+    Row i of A is d_i times an int row, column j of B is e_j times an int
+    column, so (AB)_ij = (int row . int column) / (d_i e_j) exactly.
+    """
+    left = [_scaled_row(row) for row in a_rows]
+    right = [_scaled_row(col) for col in zip(*b_rows)]
+    return [
+        [Fraction(sum(map(operator.mul, ints, col_ints)), d * e)
+         for e, col_ints in right]
+        for d, ints in left
+    ]
 
 
 def _exact_int_div(a: int, b: int) -> int:

@@ -71,7 +71,11 @@ def _as_fraction(value) -> Fraction:
 
 
 def _rational_matrix(m: Matrix) -> Matrix:
-    return Matrix([[_as_fraction(v) for v in row] for row in m.rows])
+    """``m`` itself, once every entry is checked to be rational."""
+    for row in m.rows:
+        for v in row:
+            _as_fraction(v)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,20 @@ class _GradedObject:
         self.components = clean
 
     @classmethod
+    def _trusted(cls, nvars: int, grade: int,
+                 components: Dict[IndexTuple, Polynomial]):
+        """Wrap components built from validated objects, dropping zeros.
+
+        The keys must already be valid index tuples for (nvars, grade) and
+        the values polynomials in ``nvars`` variables.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.grade = grade
+        self.components = {e: p for e, p in components.items() if p.terms}
+        return self
+
+    @classmethod
     def zero(cls, nvars: int, grade: int):
         return cls(nvars, grade, {})
 
@@ -123,7 +137,7 @@ class _GradedObject:
             cur = comps.get(exps)
             add = -poly if negate else poly
             comps[exps] = add if cur is None else cur + add
-        return type(self)(self.nvars, self.grade, comps)
+        return self._trusted(self.nvars, self.grade, comps)
 
     def __add__(self, other):
         return self._combined(other, negate=False)
@@ -132,13 +146,13 @@ class _GradedObject:
         return self._combined(other, negate=True)
 
     def __neg__(self):
-        return type(self)(self.nvars, self.grade,
-                          {e: -p for e, p in self.components.items()})
+        return self._trusted(self.nvars, self.grade,
+                             {e: -p for e, p in self.components.items()})
 
     def scale(self, c):
         c = as_scalar(c)
-        return type(self)(self.nvars, self.grade,
-                          {e: p * c for e, p in self.components.items()})
+        return self._trusted(self.nvars, self.grade,
+                             {e: p * c for e, p in self.components.items()})
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -238,7 +252,7 @@ def wedge(u: MultiVectorField, v: MultiVectorField) -> MultiVectorField:
                 term = -term
             cur = comps.get(key)
             comps[key] = term if cur is None else cur + term
-    return MultiVectorField(n, grade, comps)
+    return MultiVectorField._trusted(n, grade, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +269,7 @@ def vol_dual(u: MultiVectorField) -> DifferentialForm:
     for exps, poly in u.components.items():
         sign = _dual_sign(exps)
         comps[_complement(exps, n)] = poly if sign > 0 else -poly
-    return DifferentialForm(n, n - u.grade, comps)
+    return DifferentialForm._trusted(n, n - u.grade, comps)
 
 
 def vol_dual_inv(w: DifferentialForm) -> MultiVectorField:
@@ -268,7 +282,7 @@ def vol_dual_inv(w: DifferentialForm) -> MultiVectorField:
         field_idx = _complement(exps, n)
         sign = _dual_sign(field_idx)
         comps[field_idx] = poly if sign > 0 else -poly
-    return MultiVectorField(n, n - w.grade, comps)
+    return MultiVectorField._trusted(n, n - w.grade, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def ext_deriv(w: DifferentialForm) -> DifferentialForm:
             term = dpoly if sign > 0 else -dpoly
             cur = comps.get(key)
             comps[key] = term if cur is None else cur + term
-    return DifferentialForm(n, w.grade + 1, comps)
+    return DifferentialForm._trusted(n, w.grade + 1, comps)
 
 
 def curl(u: MultiVectorField) -> MultiVectorField:

@@ -1,0 +1,48 @@
+"""Record the CLI regression corpus: exit code and exact stdout per case.
+
+Each case in ``cases.json`` names a CLI invocation (``argv``, and an
+optional ``env`` overlay such as ``POISSON_FORGE_SEED``).  Running
+
+    PYTHONPATH=src python tests/corpus/record.py
+
+re-runs every case, stores its exit code in ``cases.json`` and its stdout
+byte for byte in ``<name>.out``.  ``tests/test_corpus.py`` replays the
+cases and compares.  Re-record only when an output is meant to change.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent
+CASES = CORPUS / "cases.json"
+
+
+def load_cases():
+    return json.loads(CASES.read_text(encoding="utf-8"))
+
+
+def run_case(case):
+    env = dict(os.environ, **case.get("env", {}))
+    return subprocess.run(
+        [sys.executable, "-m", "poisson_forge.cli", *case["argv"]],
+        capture_output=True, env=env,
+    )
+
+
+def main():
+    cases = load_cases()
+    for case in cases:
+        proc = run_case(case)
+        case["code"] = proc.returncode
+        (CORPUS / (case["name"] + ".out")).write_bytes(proc.stdout)
+        print("%-32s exit %d, %d bytes" % (case["name"], proc.returncode,
+                                           len(proc.stdout)))
+    CASES.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n",
+                     encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -326,6 +326,39 @@ def test_orbits_point_float_fallback():
     assert abs(sum(v * v for v in unit) - 1) < 1e-12
 
 
+_FLOAT_POINT_QUERY = {"K": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "-3"]],
+                      "point": ["1", "2", "3"]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "abc"])
+def test_orbits_tolerance_must_be_finite_and_positive(value):
+    # nan would disarm the residual check, inf accept a wrong rotation and
+    # a bound <= 0 fail every point with "residual exceeds tolerance"
+    proc = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY),
+                   "--tolerance=" + value)
+    assert proc.returncode == 2, proc.stdout
+    assert "--tolerance" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_orbits_accepts_a_finite_positive_tolerance():
+    default = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY))
+    loose = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY),
+                    "--tolerance", "1e-9")
+    assert default.returncode == loose.returncode == 0
+    assert loose.stdout == default.stdout
+
+
+@pytest.mark.parametrize("verb", ["classify", "decompose", "bracket", "modular",
+                                  "is-poisson", "deform-solve", "deform-check",
+                                  "verify-paper"])
+def test_tolerance_belongs_to_orbits_alone(verb):
+    argv = [verb] if verb == "verify-paper" else [verb, json.dumps(CASE8_PAIR)]
+    proc = run_cli(*argv, "--tolerance", "5")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --tolerance" in proc.stderr
+
+
 def test_orbits_rejects_unstructured_matrix():
     payload = {"K": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]]}
     proc = run_cli("orbits", json.dumps(payload))

@@ -1,0 +1,306 @@
+"""Results built without re-validation equal their validated copies.
+
+Arithmetic on polynomials, matrices and multivector fields wraps its
+results without re-checking them, and rational matrix products run on
+integers.  These tests run random rational and extension-field inputs,
+including ones that cancel to zero, through every such path and compare
+each result with the validating constructor's copy and with a slow
+reference; the public constructors must still reject bad input.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_field
+from poisson_forge.exactnum import (
+    SQRT2,
+    SQRT3,
+    ExtScalar,
+    Matrix,
+    ParseError,
+    Polynomial,
+)
+from poisson_forge.linclass import _rational_matrix
+from poisson_forge.multivec import (
+    DifferentialForm,
+    MultiVectorField,
+    _check_index_tuple,
+    curl,
+    ext_deriv,
+    schouten,
+    vol_dual,
+    vol_dual_inv,
+    wedge,
+)
+
+F = Fraction
+
+
+def _scalar(rng, irrational):
+    q = F(rng.randint(-6, 6), rng.randint(1, 5))
+    if irrational and rng.random() < 0.5:
+        return q + F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(
+            [SQRT2, SQRT3])
+    return q
+
+
+def _poly(rng, nvars, irrational, nterms=4, max_degree=3):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = _scalar(rng, irrational)
+    return Polynomial(nvars, terms)
+
+
+def _assert_valid_poly(p):
+    copy = Polynomial(p.nvars, p.terms)
+    assert copy == p
+    for exps, coef in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coef) in (Fraction, ExtScalar)
+        assert type(copy.terms[exps]) is type(coef)
+        assert coef
+
+
+# The accumulation the validating constructor used to receive: every sum
+# starts at Fraction(0) and the result goes through Polynomial(...).
+
+
+def _ref_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, F(0)) + c
+    return Polynomial(p.nvars, terms)
+
+
+def _ref_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, F(0)) + c1 * c2
+    return Polynomial(p.nvars, terms)
+
+
+def _ref_diff(p, i):
+    terms = {}
+    for exps, coef in p.terms.items():
+        if exps[i]:
+            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            terms[key] = terms.get(key, F(0)) + coef * exps[i]
+    return Polynomial(p.nvars, terms)
+
+
+def _same(actual, expected):
+    assert actual == expected
+    assert {e: type(c) for e, c in actual.terms.items()} == {
+        e: type(c) for e, c in expected.terms.items()}
+    _assert_valid_poly(actual)
+
+
+@pytest.mark.parametrize("irrational", [False, True])
+def test_polynomial_arithmetic_matches_validated_reference(irrational):
+    rng = random.Random(5101 + irrational)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p, q = _poly(rng, n, irrational), _poly(rng, n, irrational)
+        c = _scalar(rng, irrational)
+        _same(p + q, _ref_add(p, q))
+        _same(p - q, _ref_add(p, Polynomial(n, {e: -v for e, v in q.terms.items()})))
+        _same(-p, Polynomial(n, {e: -v for e, v in p.terms.items()}))
+        _same(p * q, _ref_mul(p, q))
+        _same(p * c, Polynomial(n, {e: v * c for e, v in p.terms.items()}))
+        _same(3 * p, Polynomial(n, {e: v * 3 for e, v in p.terms.items()}))
+        for i in range(n):
+            _same(p.diff(i), _ref_diff(p, i))
+        m = Matrix([[_scalar(rng, irrational) for _ in range(n)] for _ in range(n)])
+        pulled = p.compose_linear(m)
+        _assert_valid_poly(pulled)
+        point = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        assert pulled.eval(point) == p.eval(m.apply(point))
+
+
+def test_polynomial_results_that_cancel_are_empty():
+    rng = random.Random(5103)
+    for irrational in (False, True):
+        for _ in range(40):
+            p = _poly(rng, 3, irrational)
+            for zero in (p - p, p + (-p), p * 0, p * Polynomial.zero(3),
+                         Polynomial.constant(3, _scalar(rng, irrational)).diff(1)):
+                assert zero.terms == {} and zero == Polynomial.zero(3)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # (x + y)(x - y) - x^2 + y^2: every product term cancels
+    assert ((x + y) * (x - y) - x * x + y * y).terms == {}
+    r = SQRT2 * x + SQRT3 * y
+    assert (r * r - r ** 2).terms == {}
+
+
+def _ext_field(rng, nvars, grade):
+    comps = {}
+    for exps in itertools.combinations(range(nvars), grade):
+        if rng.random() < 0.8:
+            comps[exps] = _poly(rng, nvars, True, nterms=3, max_degree=2)
+    return MultiVectorField(nvars, grade, comps)
+
+
+def _assert_valid_field(f):
+    copy = type(f)(f.nvars, f.grade, f.components)
+    assert copy == f
+    for exps, poly in f.components.items():
+        _check_index_tuple(exps, f.nvars, f.grade)
+        assert poly.nvars == f.nvars and poly.terms
+        _assert_valid_poly(poly)
+
+
+@pytest.mark.parametrize("irrational", [False, True])
+def test_field_operations_match_validated_copies(rng, irrational):
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        gu, gv = rng.randint(0, n), rng.randint(0, n)
+        if irrational:
+            u, v = _ext_field(rng, n, gu), _ext_field(rng, n, gv)
+            w = _ext_field(rng, n, gu)
+        else:
+            u, v = random_field(rng, n, gu), random_field(rng, n, gv)
+            w = random_field(rng, n, gu)
+        c = _scalar(rng, irrational)
+        results = [u + w, u - w, -u, u.scale(c), u.scale(0), wedge(u, v),
+                   curl(u), schouten(u, v), vol_dual(u),
+                   vol_dual_inv(vol_dual(u)), ext_deriv(vol_dual(u))]
+        for f in results:
+            _assert_valid_field(f)
+        assert vol_dual_inv(vol_dual(u)) == u
+        assert (u - w) + w == u
+
+
+def test_field_results_that_cancel_are_empty(rng):
+    for _ in range(10):
+        u = _ext_field(rng, 3, 1)
+        v = random_field(rng, 3, 2)
+        for zero in (u - u, wedge(u, u), curl(curl(v)), u.scale(0),
+                     ext_deriv(ext_deriv(vol_dual(v)))):
+            assert zero.components == {}
+    # a Poisson bivector: its self-bracket cancels term by term
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    rot = MultiVectorField(3, 2, {(0, 1): z, (0, 2): -y, (1, 2): x})
+    assert schouten(rot, rot).components == {}
+    assert isinstance(schouten(rot, rot), MultiVectorField)
+    assert isinstance(vol_dual(rot), DifferentialForm)
+
+
+def _ref_product(a, b):
+    n = a.n
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), F(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _assert_product(a, b):
+    got = a * b
+    want = _ref_product(a, b)
+    assert [list(r) for r in got.rows] == want
+    assert [[type(v) for v in r] for r in got.rows] == [
+        [type(v) for v in r] for r in want]
+    assert got == Matrix(got.rows)
+
+
+def _fraction_matrix(rng, n, digits=2):
+    bound = 10 ** digits
+    return Matrix([[F(rng.randint(-bound, bound), rng.randint(1, bound))
+                    if rng.random() < 0.8 else F(0) for _ in range(n)]
+                   for _ in range(n)])
+
+
+def test_integer_matrix_product_matches_fraction_reference():
+    rng = random.Random(5104)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 3, 4])
+        a, b = _fraction_matrix(rng, n), _fraction_matrix(rng, n)
+        _assert_product(a, b)
+        assert all(type(v) is F for row in (a * b).rows for v in row)
+    for _ in range(40):
+        a, b = _fraction_matrix(rng, 3, 30), _fraction_matrix(rng, 3, 30)
+        _assert_product(a, b)
+    z = Matrix.zero(3)
+    a = _fraction_matrix(rng, 3)
+    _assert_product(z, a)
+    _assert_product(a, z)
+    assert (z * a).rows == ((F(0),) * 3,) * 3
+
+
+def test_mixed_extension_matrix_product_keeps_the_exact_loop():
+    rng = random.Random(5105)
+    for _ in range(100):
+        a = _fraction_matrix(rng, 3)
+        b = Matrix([[_scalar(rng, True) for _ in range(3)] for _ in range(3)])
+        _assert_product(a, b)
+        _assert_product(b, a)
+    # rational values carried as ExtScalar stay ExtScalar in the product
+    one = ExtScalar.of(1)
+    e = Matrix([[one, 0, 0], [0, one, 0], [0, 0, one]])
+    _assert_product(e, _fraction_matrix(rng, 3))
+
+
+def test_matrix_results_match_validated_copies():
+    rng = random.Random(5106)
+    for irrational in (False, True):
+        for _ in range(60):
+            a = Matrix([[_scalar(rng, irrational) for _ in range(3)]
+                        for _ in range(3)])
+            b = Matrix([[_scalar(rng, irrational) for _ in range(3)]
+                        for _ in range(3)])
+            results = [a + b, a - b, -a, a.transpose(), a.scaled(F(2, 3)),
+                       a * b, a - a]
+            if a.det():
+                results.append(a.inverse())
+                assert a * a.inverse() == Matrix.identity(3)
+            for m in results:
+                assert m == Matrix(m.rows)
+                assert type(m.rows) is tuple and m.n == 3
+                assert all(type(r) is tuple and len(r) == 3 for r in m.rows)
+                assert all(type(v) in (F, ExtScalar) for r in m.rows for v in r)
+
+
+def test_rational_matrix_returns_its_checked_argument():
+    m = Matrix([[1, F(1, 2), 0], [0, 1, 0], [0, 0, 1]])
+    assert _rational_matrix(m) is m
+    for bad in (SQRT2, ExtScalar.of(1)):
+        with pytest.raises(TypeError):
+            _rational_matrix(Matrix([[1, 0, 0], [0, bad, 0], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Polynomial(2, {(1, 0, 0): 1}), ValueError),
+    (lambda: Polynomial(2, {(-1, 0): 1}), ValueError),
+    (lambda: Polynomial(2, {(1, 0): "x"}), TypeError),
+    (lambda: Polynomial(2, {(1, 0): 0.5}), TypeError),
+    (lambda: Polynomial.monomial(2, (1, 2, 3)), ValueError),
+    (lambda: Polynomial.constant(2, None), TypeError),
+    (lambda: Polynomial.linear([1, "a"]), TypeError),
+    (lambda: Polynomial.from_json({"vars": ["x", "y"],
+                                   "terms": [{"exp": [1], "coef": "1"}]}),
+     ParseError),
+    (lambda: MultiVectorField(3, 2, {(1, 0): 1}), ValueError),
+    (lambda: MultiVectorField(3, 2, {(0, 3): 1}), ValueError),
+    (lambda: MultiVectorField(3, 1, {(0, 1): 1}), ValueError),
+    (lambda: MultiVectorField(3, 1, {(0,): Polynomial.variable(2, 0)}),
+     ValueError),
+    (lambda: MultiVectorField(3, 1, {(0,): "x"}), TypeError),
+    (lambda: MultiVectorField(3, -1, {}), ValueError),
+    (lambda: MultiVectorField.from_json({"n": 3, "grade": 1, "components": {
+        "4": {"vars": ["x", "y", "z"], "terms": []}}}), ValueError),
+    (lambda: Matrix([[1, 2], [3]]), ValueError),
+    (lambda: Matrix([[1, 0.5], [0, 1]]), TypeError),
+], ids=["poly-length", "poly-negative", "poly-str-coef", "poly-float-coef",
+        "monomial-length", "constant-none", "linear-str", "poly-json",
+        "field-order", "field-range", "field-length", "field-arity",
+        "field-coef", "field-grade", "field-json", "matrix-ragged",
+        "matrix-float"])
+def test_public_constructors_still_reject_bad_input(build, error):
+    with pytest.raises(error):
+        build()
