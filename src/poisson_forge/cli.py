@@ -59,7 +59,8 @@ def _read_payload(raw: str) -> dict:
         text = raw
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number longer than Python's int digit limit
         raise ParseError("input is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object at the top level")

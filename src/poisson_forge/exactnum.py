@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -370,18 +372,33 @@ class ParseError(ValueError):
     """Structurally malformed input (not a domain violation)."""
 
 
+def _bad_literal(kind: str, data) -> ParseError:
+    """Error naming a rejected literal.  A long one is cut short and its
+    length given, with Python's limit on the digits of an int parsed from
+    a string when one of its digit runs exceeds that limit."""
+    text = repr(data)
+    if len(text) <= 40:
+        return ParseError("bad %s %s" % (kind, text))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    over = limit and any(len(run) > limit
+                         for run in re.findall(r"\d+", str(data)))
+    return ParseError("bad %s %s... (%d characters%s)" % (
+        kind, text[:40], len(str(data)),
+        "; an integer may have at most %d digits" % limit if over else ""))
+
+
 def _rational_from_json(data) -> Fraction:
     try:
         return Fraction(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational literal %r" % (data,)) from exc
+        raise _bad_literal("rational literal", data) from exc
 
 
 def int_from_json(data) -> int:
     try:
         return int(data)
     except (TypeError, ValueError) as exc:
-        raise ParseError("bad integer %r" % (data,)) from exc
+        raise _bad_literal("integer", data) from exc
 
 
 def scalar_from_json(data) -> Scalar:

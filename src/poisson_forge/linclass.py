@@ -116,6 +116,13 @@ class LinearPair:
                    Matrix.from_json(data["A"]))
 
 
+# diagonal of each standard Gram matrix at modulus 1, i.e. its sign pattern
+SIGN_PATTERNS = {
+    1: (0, 0, 0), 2: (1, 1, 1), 3: (1, 1, -1), 4: (1, 1, 0), 5: (1, -1, 0),
+    6: (1, 0, 0), 7: (0, 0, 0), 8: (1, 1, 0), 9: (1, -1, 0), 10: (1, 0, 0),
+}
+
+
 def standard_pair(case_id: int, scale=1) -> LinearPair:
     """The standard pair for one of the ten cases.
 
@@ -130,28 +137,11 @@ def standard_pair(case_id: int, scale=1) -> LinearPair:
     if scale <= 0:
         raise ValueError("modulus must be positive")
     k = (0, 0, 1) if case_id >= 7 else (0, 0, 0)
-    grams = {
-        1: Matrix.zero(3),
-        2: Matrix.diagonal([1, 1, 1]),
-        3: Matrix.diagonal([1, 1, -1]),
-        4: Matrix.diagonal([1, 1, 0]),
-        5: Matrix.diagonal([1, -1, 0]),
-        6: Matrix.diagonal([1, 0, 0]),
-        7: Matrix.zero(3),
-        8: Matrix.diagonal([scale, scale, 0]),
-        9: Matrix.diagonal([scale, -scale, 0]),
-        10: Matrix.diagonal([1, 0, 0]),
-    }
-    return LinearPair(k, grams[case_id])
+    return LinearPair(k, Matrix.diagonal([scale * s
+                                          for s in SIGN_PATTERNS[case_id]]))
 
 
 STANDARD_PAIRS = {case: standard_pair(case) for case in range(1, 11)}
-
-# diagonal sign pattern of the standard Gram matrix, common scale dropped
-SIGN_PATTERNS = {
-    1: (0, 0, 0), 2: (1, 1, 1), 3: (1, 1, -1), 4: (1, 1, 0), 5: (1, -1, 0),
-    6: (1, 0, 0), 7: (0, 0, 0), 8: (1, 1, 0), 9: (1, -1, 0), 10: (1, 0, 0),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Multivector fields and differential forms with polynomial coefficients.
+"""Multivector fields with polynomial coefficients.
 
 A grade-p multivector field on R^n is stored as a sparse map from strictly
-increasing index tuples (i_1 < ... < i_p, zero-based) to exact polynomials;
-differential forms mirror the layout on the covariant side.  The module
-implements:
+increasing index tuples (i_1 < ... < i_p, zero-based) to exact polynomials.
+The module implements:
 
 - the exterior (wedge) product,
-- duality against the standard volume form dx_1^...^dx_n, in both
-  directions (``vol_dual`` / ``vol_dual_inv``),
-- the exterior derivative,
-- the divergence-type ``curl`` operator (volume duality conjugated with the
-  exterior derivative, with a grade-dependent sign), which lowers grade by
-  one and squares to zero,
+- the divergence operator ``curl`` (Koszul's D), which lowers grade by one
+  and squares to zero.  On the basis p-vector e_I, I = (i_0 < ... < i_{p-1}),
+  with coefficient u_I it reads
+
+      D(u_I e_I) = sum_t (-1)^t (du_I/dx_{i_t}) e_{I without i_t},
+
+  the ordinary divergence on vector fields and 0 on functions (Koszul,
+  "Crochet de Schouten-Nijenhuis et cohomologie", Asterisque 1985),
 - the Schouten bracket, computed from the curl operator by the
   Koszul-type identity
   [U, V] = (-1)^(p+1) (curl(U^V) - curl(U)^V - (-1)^p U^curl(V)),
@@ -22,11 +23,10 @@ implements:
   the bivector of a quadratic/cubic potential, and the Lie-Poisson
   bivector of a structure-constant array.
 
-Sign convention: the duality sends the basis p-vector e_I to
-sign(I) * dx_{complement(I)} with sign(I) = (-1)^{sum_t (I[t]-t)}.  This is
-the unique choice under which the bivector of a potential f on R^3 comes
-out as f_x d/dy^d/dz + f_y d/dz^d/dx + f_z d/dx^d/dy, the normal form all
-the classification code relies on.
+Sign convention for potentials: the bivector of f on R^n has the component
+(-1)^(n-1-i) df/dx_i on the complement of the index i.  On R^3 this is
+f_x d/dy^d/dz + f_y d/dz^d/dx + f_z d/dx^d/dy, the normal form all the
+classification code relies on, and its curl vanishes.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ def _check_index_tuple(exps: IndexTuple, nvars: int, grade: int):
         raise ValueError("index tuple %r is not strictly increasing" % (exps,))
 
 
-def _dual_sign(indices: IndexTuple) -> int:
-    """Sign of the volume-duality image of the basis element e_I."""
-    return -1 if sum(i - t for t, i in enumerate(indices)) % 2 else 1
-
-
-def _complement(indices: IndexTuple, nvars: int) -> IndexTuple:
-    chosen = set(indices)
-    return tuple(i for i in range(nvars) if i not in chosen)
-
-
 def _merge_sign(left: IndexTuple, right: IndexTuple) -> Optional[int]:
     """Sign of sorting the concatenation left+right; None if they overlap."""
     if set(left) & set(right):
@@ -72,8 +62,8 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> Optional[int]:
     return -1 if inversions % 2 else 1
 
 
-class _GradedObject:
-    """Shared sparse-component machinery for fields and forms."""
+class MultiVectorField:
+    """Polynomial coefficients on d/dx_{i_1}^...^d/dx_{i_p}."""
 
     __slots__ = ("nvars", "grade", "components")
 
@@ -115,7 +105,7 @@ class _GradedObject:
 
     @classmethod
     def function(cls, poly: Polynomial):
-        """Wrap a polynomial as a grade-0 object."""
+        """Wrap a polynomial as a grade-0 field."""
         return cls(poly.nvars, 0, {(): poly})
 
     def is_zero(self) -> bool:
@@ -126,7 +116,8 @@ class _GradedObject:
 
     def _require_compatible(self, other):
         if type(self) is not type(other):
-            raise TypeError("mixed field/form arithmetic")
+            raise TypeError("cannot combine %s with %s"
+                            % (type(self).__name__, type(other).__name__))
         if self.nvars != other.nvars or self.grade != other.grade:
             raise ValueError("nvars/grade mismatch")
 
@@ -168,14 +159,14 @@ class _GradedObject:
             {e: str(p) for e, p in sorted(self.components.items())},
         )
 
-    def _render(self, basis_symbol: str, joiner: str) -> str:
+    def __str__(self):
         if not self.components:
             return "0"
         names = var_names(self.nvars)
         pieces = []
         for exps in sorted(self.components):
             poly = self.components[exps]
-            base = joiner.join(basis_symbol % names[i] for i in exps)
+            base = "∧".join("∂%s" % names[i] for i in exps)
             if not base:
                 pieces.append(str(poly))
             elif poly == Polynomial.constant(self.nvars, 1):
@@ -184,17 +175,10 @@ class _GradedObject:
                 pieces.append("(%s)·%s" % (poly, base))
         return " + ".join(pieces)
 
-
-class MultiVectorField(_GradedObject):
-    """Contravariant: polynomial coefficients on d/dx_{i_1}^...^d/dx_{i_p}."""
-
     def as_polynomial(self) -> Polynomial:
         if self.grade != 0:
             raise ValueError("grade %d field is not a function" % self.grade)
         return self.component(())
-
-    def __str__(self):
-        return self._render("∂%s", "∧")
 
     def to_json(self) -> dict:
         return {
@@ -216,17 +200,6 @@ class MultiVectorField(_GradedObject):
                     if str(key) else ())
             comps[exps] = Polynomial.from_json(poly_data)
         return cls(nvars, grade, comps)
-
-
-class DifferentialForm(_GradedObject):
-    """Covariant: polynomial coefficients on dx_{i_1}^...^dx_{i_q}."""
-
-    def __str__(self):
-        return self._render("d%s", "∧")
-
-
-def volume_form(nvars: int) -> DifferentialForm:
-    return DifferentialForm(nvars, nvars, {tuple(range(nvars)): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -256,76 +229,32 @@ def wedge(u: MultiVectorField, v: MultiVectorField) -> MultiVectorField:
 
 
 # ---------------------------------------------------------------------------
-# volume duality
+# the curl operator
 # ---------------------------------------------------------------------------
-
-
-def vol_dual(u: MultiVectorField) -> DifferentialForm:
-    """Duality against the volume form: grade p field -> degree n-p form."""
-    n = u.nvars
-    if not 0 <= u.grade <= n:
-        raise ValueError("grade %d out of range for duality on R^%d" % (u.grade, n))
-    comps: Dict[IndexTuple, Polynomial] = {}
-    for exps, poly in u.components.items():
-        sign = _dual_sign(exps)
-        comps[_complement(exps, n)] = poly if sign > 0 else -poly
-    return DifferentialForm._trusted(n, n - u.grade, comps)
-
-
-def vol_dual_inv(w: DifferentialForm) -> MultiVectorField:
-    """Inverse duality: degree q form -> grade n-q field."""
-    n = w.nvars
-    if not 0 <= w.grade <= n:
-        raise ValueError("degree %d out of range for duality on R^%d" % (w.grade, n))
-    comps: Dict[IndexTuple, Polynomial] = {}
-    for exps, poly in w.components.items():
-        field_idx = _complement(exps, n)
-        sign = _dual_sign(field_idx)
-        comps[field_idx] = poly if sign > 0 else -poly
-    return MultiVectorField._trusted(n, n - w.grade, comps)
-
-
-# ---------------------------------------------------------------------------
-# exterior derivative and the curl operator
-# ---------------------------------------------------------------------------
-
-
-def ext_deriv(w: DifferentialForm) -> DifferentialForm:
-    n = w.nvars
-    if w.grade >= n:
-        return DifferentialForm.zero(n, w.grade + 1)
-    comps: Dict[IndexTuple, Polynomial] = {}
-    for exps, poly in w.components.items():
-        for i in range(n):
-            dpoly = poly.diff(i)
-            if dpoly.is_zero():
-                continue
-            sign = _merge_sign((i,), exps)
-            if sign is None:
-                continue
-            key = tuple(sorted((i,) + exps))
-            term = dpoly if sign > 0 else -dpoly
-            cur = comps.get(key)
-            comps[key] = term if cur is None else cur + term
-    return DifferentialForm._trusted(n, w.grade + 1, comps)
 
 
 def curl(u: MultiVectorField) -> MultiVectorField:
-    """Divergence-type operator: lowers grade by one; curl∘curl = 0.
+    """Koszul's divergence operator: lowers grade by one; curl∘curl = 0.
 
-    Defined as volume duality conjugated with the exterior derivative and
-    the sign (-1)^(p+1) on grade p.  On a vector field it is the ordinary
+    Each component u_I e_I contributes (-1)^t du_I/dx_{i_t} to the index
+    tuple I without its t-th entry.  On a vector field this is the ordinary
     divergence (a grade-0 field); on grade 0 it returns 0.
     """
     n = u.nvars
     if u.grade == 0:
         return MultiVectorField.zero(n, 0)
-    if u.is_zero():
-        return MultiVectorField.zero(n, u.grade - 1)
-    result = vol_dual_inv(ext_deriv(vol_dual(u)))
-    if u.grade % 2 == 0:  # (-1)^(p+1) = -1 for even p
-        result = -result
-    return result
+    comps: Dict[IndexTuple, Polynomial] = {}
+    for idx, poly in u.components.items():
+        for t, i in enumerate(idx):
+            term = poly.diff(i)
+            if not term.terms:
+                continue
+            if t % 2:
+                term = -term
+            key = idx[:t] + idx[t + 1:]
+            cur = comps.get(key)
+            comps[key] = term if cur is None else cur + term
+    return MultiVectorField._trusted(n, u.grade - 1, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +346,20 @@ def euler_vf(nvars: int) -> MultiVectorField:
 
 
 def bivector_from_potential(f: Polynomial) -> MultiVectorField:
-    """Inverse volume dual of df; on R^3 the classical potential bivector."""
-    df = ext_deriv(DifferentialForm.function(f))
-    return vol_dual_inv(df)
+    """Grade n-1 field with (-1)^(n-1-i) df/dx_i on the complement of i.
+
+    On R^3 this is the classical potential bivector
+    f_x d/dy^d/dz + f_y d/dz^d/dx + f_z d/dx^d/dy.
+    """
+    n = f.nvars
+    if n < 1:
+        raise ValueError("a potential needs at least one variable")
+    comps = {}
+    for i in range(n):
+        term = f.diff(i)
+        comps[tuple(range(i)) + tuple(range(i + 1, n))] = (
+            -term if (n - 1 - i) % 2 else term)
+    return MultiVectorField._trusted(n, n - 1, comps)
 
 
 def lie_poisson_bivector(c) -> MultiVectorField:

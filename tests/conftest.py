@@ -1,10 +1,11 @@
+import itertools
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from poisson_forge.exactnum import Polynomial
+from poisson_forge.exactnum import SQRT2, SQRT3, Polynomial
 from poisson_forge.multivec import MultiVectorField
 
 
@@ -36,10 +37,38 @@ def random_polynomial(rng, nvars, max_degree=2, nterms=3) -> Polynomial:
 
 
 def random_field(rng, nvars, grade, max_degree=2) -> MultiVectorField:
-    import itertools
-
     comps = {}
     for exps in itertools.combinations(range(nvars), grade):
         if rng.random() < 0.8:
             comps[exps] = random_polynomial(rng, nvars, max_degree)
+    return MultiVectorField(nvars, grade, comps)
+
+
+def random_ext_scalar(rng, irrational):
+    """A Fraction, or when ``irrational`` half the time an ExtScalar."""
+    q = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if irrational and rng.random() < 0.5:
+        return q + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(
+            [SQRT2, SQRT3])
+    return q
+
+
+def random_ext_polynomial(rng, nvars, irrational, nterms=4, max_degree=3):
+    """Coefficients from ``random_ext_scalar``."""
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = random_ext_scalar(rng, irrational)
+    return Polynomial(nvars, terms)
+
+
+def random_ext_field(rng, nvars, grade):
+    """A field whose coefficients are Fractions and ExtScalars."""
+    comps = {}
+    for exps in itertools.combinations(range(nvars), grade):
+        if rng.random() < 0.8:
+            comps[exps] = random_ext_polynomial(rng, nvars, True, nterms=3,
+                                                max_degree=2)
     return MultiVectorField(nvars, grade, comps)

@@ -3,11 +3,14 @@
 Each case in ``cases.json`` names a CLI invocation (``argv``, and an
 optional ``env`` overlay such as ``POISSON_FORGE_SEED``).  Running
 
-    PYTHONPATH=src python tests/corpus/record.py
+    PYTHONPATH=src python tests/corpus/record.py [NAME ...]
 
-re-runs every case, stores its exit code in ``cases.json`` and its stdout
-byte for byte in ``<name>.out``.  ``tests/test_corpus.py`` replays the
-cases and compares.  Re-record only when an output is meant to change.
+re-runs the named cases (every case when no name is given), stores each
+exit code in ``cases.json`` and each stdout byte for byte in
+``<name>.out``.  A case that is named but not yet in ``cases.json`` is an
+error: add its ``name``, ``argv`` and ``env`` there first.
+``tests/test_corpus.py`` replays the cases and compares.  Re-record only
+when an output is meant to change.
 """
 
 import json
@@ -32,9 +35,14 @@ def run_case(case):
     )
 
 
-def main():
+def main(names=()):
     cases = load_cases()
+    unknown = set(names) - {case["name"] for case in cases}
+    if unknown:
+        sys.exit("unknown case(s): %s" % ", ".join(sorted(unknown)))
     for case in cases:
+        if names and case["name"] not in names:
+            continue
         proc = run_case(case)
         case["code"] = proc.returncode
         (CORPUS / (case["name"] + ".out")).write_bytes(proc.stdout)
@@ -45,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

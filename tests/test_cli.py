@@ -112,6 +112,49 @@ def test_malformed_values_exit_2_without_traceback(verb, payload):
     assert "Traceback" not in proc.stderr
 
 
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="this Python parses ints of any length")
+
+
+@needs_digit_limit
+def test_overlong_literal_exits_2_with_a_short_message():
+    digits = INT_DIGIT_LIMIT + 700
+    proc = run_cli("classify", json.dumps(
+        {"k": ["1" * digits, "0", "1"], "A": _ZERO_GRAM}))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error: bad rational literal '1111")
+    assert "%d characters" % digits in proc.stderr
+    assert "at most %d digits" % INT_DIGIT_LIMIT in proc.stderr
+    assert len(proc.stderr) < 200
+    assert "Traceback" not in proc.stderr
+
+
+@needs_digit_limit
+def test_overlong_exponent_and_bare_number_exit_2_with_short_messages():
+    digits = INT_DIGIT_LIMIT + 700
+    field = {"n": 3, "grade": 0, "components": {"": {
+        "vars": ["x", "y", "z"],
+        "terms": [{"exp": ["1" * digits, 0, 0], "coef": "1"}]}}}
+    bare = '{"k": [%s, "0", "1"], "A": %s}' % ("1" * digits,
+                                              json.dumps(_ZERO_GRAM))
+    for verb, payload in (("is-poisson", json.dumps(field)),
+                          ("classify", bare)):
+        proc = run_cli(verb, payload)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("parse error")
+        assert len(proc.stderr) < 300
+        assert "Traceback" not in proc.stderr
+
+
+@needs_digit_limit
+def test_literal_under_the_digit_limit_is_accepted():
+    literal = "1" * (INT_DIGIT_LIMIT - 300)
+    out = run_json("classify", json.dumps(
+        {"k": [literal, "0", "1"], "A": _ZERO_GRAM}))
+    assert out["case"] == 7
+
+
 def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
     from poisson_forge import cli
 

@@ -206,6 +206,15 @@ def test_scalar_json_rejects_malformed_literals(data):
         scalar_from_json(data)
 
 
+def test_rejected_literals_are_echoed_whole_only_when_short():
+    with pytest.raises(ParseError, match=r"^bad rational literal 'a'$"):
+        scalar_from_json("a")
+    with pytest.raises(ParseError) as info:
+        scalar_from_json("a" * 1000)
+    assert str(info.value) == ("bad rational literal '%s... (1000 characters)"
+                               % ("a" * 39))
+
+
 @pytest.mark.parametrize("exp", [[1, 0], [1, 0, 0, 0], [1, -1, 0], ["a", 0, 0]])
 def test_polynomial_json_rejects_malformed_exponents(exp):
     data = {"vars": ["x", "y", "z"], "terms": [{"exp": exp, "coef": "1"}]}

@@ -74,6 +74,44 @@ def test_standard_pairs():
         standard_pair(4, 2)  # no modulus outside 8/9
 
 
+def _table_standard_pair(case_id, scale=1):
+    """The standard pair as first written: all ten Gram matrices built,
+    the requested one returned."""
+    scale = F(scale)
+    k = (0, 0, 1) if case_id >= 7 else (0, 0, 0)
+    grams = {
+        1: Matrix.zero(3),
+        2: Matrix.diagonal([1, 1, 1]),
+        3: Matrix.diagonal([1, 1, -1]),
+        4: Matrix.diagonal([1, 1, 0]),
+        5: Matrix.diagonal([1, -1, 0]),
+        6: Matrix.diagonal([1, 0, 0]),
+        7: Matrix.zero(3),
+        8: Matrix.diagonal([scale, scale, 0]),
+        9: Matrix.diagonal([scale, -scale, 0]),
+        10: Matrix.diagonal([1, 0, 0]),
+    }
+    return LinearPair(k, grams[case_id])
+
+
+def _assert_same_pair(got, want):
+    assert got == want
+    assert got.k == want.k
+    assert [[(v, type(v)) for v in row] for row in got.gram.rows] == \
+        [[(v, type(v)) for v in row] for row in want.gram.rows]
+
+
+def test_standard_pair_matches_the_ten_gram_table():
+    for case in range(1, 11):
+        _assert_same_pair(standard_pair(case), _table_standard_pair(case))
+        _assert_same_pair(STANDARD_PAIRS[case], _table_standard_pair(case))
+    for case in (8, 9):
+        for a in (F(1), F(2), F(1, 3), F(7, 2), F(10 ** 20, 3)):
+            _assert_same_pair(standard_pair(case, a),
+                              _table_standard_pair(case, a))
+        _assert_same_pair(standard_pair(case, 5), _table_standard_pair(case, 5))
+
+
 def test_pair_json_roundtrip():
     pair = LinearPair((0, 0, 1), Matrix.diagonal([F(1, 2), F(-1, 2), 0]))
     data = pair.to_json()

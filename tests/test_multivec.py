@@ -1,29 +1,36 @@
-"""Multivector calculus: wedge, volume duality, curl, Schouten bracket."""
+"""Multivector calculus: wedge, curl, Schouten bracket.
+
+The volume duality and the exterior derivative live on in the
+``form_reference`` route that the direct curl replaced; their tests pin
+that reference.
+"""
 
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_field, random_polynomial
+from form_reference import (
+    DifferentialForm,
+    ext_deriv,
+    vol_dual,
+    vol_dual_inv,
+    volume_form,
+)
 from poisson_forge.exactnum import Matrix, Polynomial
 from poisson_forge.multivec import (
-    DifferentialForm,
     MultiVectorField,
     bivector_from_potential,
     const_vf,
     constant_vector,
     curl,
     euler_vf,
-    ext_deriv,
     is_poisson,
     jacobi_holds,
     lie_poisson_bivector,
     linear_vf,
     modular_field,
     schouten,
-    vol_dual,
-    vol_dual_inv,
-    volume_form,
     wedge,
 )
 
@@ -79,7 +86,7 @@ def test_wedge_grade0_is_multiplication():
 
 
 # ---------------------------------------------------------------------------
-# volume duality
+# volume duality (reference route)
 # ---------------------------------------------------------------------------
 
 
@@ -117,7 +124,7 @@ def test_dual_roundtrip_all_grades(rng):
 
 
 # ---------------------------------------------------------------------------
-# exterior derivative
+# exterior derivative (reference route)
 # ---------------------------------------------------------------------------
 
 

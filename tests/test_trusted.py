@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_field
+from conftest import (
+    random_ext_field,
+    random_ext_polynomial,
+    random_ext_scalar,
+    random_field,
+)
+from form_reference import DifferentialForm, ext_deriv, vol_dual, vol_dual_inv
 from poisson_forge.exactnum import (
     SQRT2,
     SQRT3,
@@ -25,36 +31,14 @@ from poisson_forge.exactnum import (
 )
 from poisson_forge.linclass import _rational_matrix
 from poisson_forge.multivec import (
-    DifferentialForm,
     MultiVectorField,
     _check_index_tuple,
     curl,
-    ext_deriv,
     schouten,
-    vol_dual,
-    vol_dual_inv,
     wedge,
 )
 
 F = Fraction
-
-
-def _scalar(rng, irrational):
-    q = F(rng.randint(-6, 6), rng.randint(1, 5))
-    if irrational and rng.random() < 0.5:
-        return q + F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(
-            [SQRT2, SQRT3])
-    return q
-
-
-def _poly(rng, nvars, irrational, nterms=4, max_degree=3):
-    terms = {}
-    for _ in range(nterms):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = _scalar(rng, irrational)
-    return Polynomial(nvars, terms)
 
 
 def _assert_valid_poly(p):
@@ -109,8 +93,9 @@ def test_polynomial_arithmetic_matches_validated_reference(irrational):
     rng = random.Random(5101 + irrational)
     for _ in range(150):
         n = rng.randint(1, 3)
-        p, q = _poly(rng, n, irrational), _poly(rng, n, irrational)
-        c = _scalar(rng, irrational)
+        p = random_ext_polynomial(rng, n, irrational)
+        q = random_ext_polynomial(rng, n, irrational)
+        c = random_ext_scalar(rng, irrational)
         _same(p + q, _ref_add(p, q))
         _same(p - q, _ref_add(p, Polynomial(n, {e: -v for e, v in q.terms.items()})))
         _same(-p, Polynomial(n, {e: -v for e, v in p.terms.items()}))
@@ -119,7 +104,8 @@ def test_polynomial_arithmetic_matches_validated_reference(irrational):
         _same(3 * p, Polynomial(n, {e: v * 3 for e, v in p.terms.items()}))
         for i in range(n):
             _same(p.diff(i), _ref_diff(p, i))
-        m = Matrix([[_scalar(rng, irrational) for _ in range(n)] for _ in range(n)])
+        m = Matrix([[random_ext_scalar(rng, irrational) for _ in range(n)]
+                    for _ in range(n)])
         pulled = p.compose_linear(m)
         _assert_valid_poly(pulled)
         point = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
@@ -130,23 +116,16 @@ def test_polynomial_results_that_cancel_are_empty():
     rng = random.Random(5103)
     for irrational in (False, True):
         for _ in range(40):
-            p = _poly(rng, 3, irrational)
+            p = random_ext_polynomial(rng, 3, irrational)
+            c = random_ext_scalar(rng, irrational)
             for zero in (p - p, p + (-p), p * 0, p * Polynomial.zero(3),
-                         Polynomial.constant(3, _scalar(rng, irrational)).diff(1)):
+                         Polynomial.constant(3, c).diff(1)):
                 assert zero.terms == {} and zero == Polynomial.zero(3)
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     # (x + y)(x - y) - x^2 + y^2: every product term cancels
     assert ((x + y) * (x - y) - x * x + y * y).terms == {}
     r = SQRT2 * x + SQRT3 * y
     assert (r * r - r ** 2).terms == {}
-
-
-def _ext_field(rng, nvars, grade):
-    comps = {}
-    for exps in itertools.combinations(range(nvars), grade):
-        if rng.random() < 0.8:
-            comps[exps] = _poly(rng, nvars, True, nterms=3, max_degree=2)
-    return MultiVectorField(nvars, grade, comps)
 
 
 def _assert_valid_field(f):
@@ -164,12 +143,12 @@ def test_field_operations_match_validated_copies(rng, irrational):
         n = rng.randint(2, 4)
         gu, gv = rng.randint(0, n), rng.randint(0, n)
         if irrational:
-            u, v = _ext_field(rng, n, gu), _ext_field(rng, n, gv)
-            w = _ext_field(rng, n, gu)
+            u, v = random_ext_field(rng, n, gu), random_ext_field(rng, n, gv)
+            w = random_ext_field(rng, n, gu)
         else:
             u, v = random_field(rng, n, gu), random_field(rng, n, gv)
             w = random_field(rng, n, gu)
-        c = _scalar(rng, irrational)
+        c = random_ext_scalar(rng, irrational)
         results = [u + w, u - w, -u, u.scale(c), u.scale(0), wedge(u, v),
                    curl(u), schouten(u, v), vol_dual(u),
                    vol_dual_inv(vol_dual(u)), ext_deriv(vol_dual(u))]
@@ -181,7 +160,7 @@ def test_field_operations_match_validated_copies(rng, irrational):
 
 def test_field_results_that_cancel_are_empty(rng):
     for _ in range(10):
-        u = _ext_field(rng, 3, 1)
+        u = random_ext_field(rng, 3, 1)
         v = random_field(rng, 3, 2)
         for zero in (u - u, wedge(u, u), curl(curl(v)), u.scale(0),
                      ext_deriv(ext_deriv(vol_dual(v)))):
@@ -237,7 +216,8 @@ def test_mixed_extension_matrix_product_keeps_the_exact_loop():
     rng = random.Random(5105)
     for _ in range(100):
         a = _fraction_matrix(rng, 3)
-        b = Matrix([[_scalar(rng, True) for _ in range(3)] for _ in range(3)])
+        b = Matrix([[random_ext_scalar(rng, True) for _ in range(3)]
+                    for _ in range(3)])
         _assert_product(a, b)
         _assert_product(b, a)
     # rational values carried as ExtScalar stay ExtScalar in the product
@@ -250,9 +230,9 @@ def test_matrix_results_match_validated_copies():
     rng = random.Random(5106)
     for irrational in (False, True):
         for _ in range(60):
-            a = Matrix([[_scalar(rng, irrational) for _ in range(3)]
+            a = Matrix([[random_ext_scalar(rng, irrational) for _ in range(3)]
                         for _ in range(3)])
-            b = Matrix([[_scalar(rng, irrational) for _ in range(3)]
+            b = Matrix([[random_ext_scalar(rng, irrational) for _ in range(3)]
                         for _ in range(3)])
             results = [a + b, a - b, -a, a.transpose(), a.scaled(F(2, 3)),
                        a * b, a - a]
