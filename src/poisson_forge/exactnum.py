@@ -13,16 +13,36 @@ On top of the scalars the module provides:
 - :class:`Polynomial` -- sparse multivariate polynomials with exact
   coefficients, supporting differentiation, evaluation and pullback along
   a linear change of coordinates,
-- :class:`Matrix` -- dense square matrices with exact inverse/determinant;
-  a product of two Fraction matrices runs on integers (rows and columns
-  scaled by the lcm of their denominators),
+- :class:`Matrix` -- dense square matrices with exact inverse/determinant,
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
-  returning the full affine solution set as a :class:`SolutionSpace`;
-  it eliminates rational systems on integers (Bareiss), checking that
-  every division by the previous pivot leaves no remainder,
+  returning the full affine solution set as a :class:`SolutionSpace`,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
+
+The linear algebra runs on Python ints.  A matrix of Fractions is read
+as (D, M): integer entries M over one denominator D, the lcm of the
+denominators, as FLINT stores ``fmpq_mat``.  A 3x3 determinant is then
+det(M) / D^3, the 3x3 inverse D adj(M) / det(M), and the image of a
+vector w / e (integer entries w over their lcm e) is (M w) / (D e); a
+product scales the rows of the left factor and the columns of the right
+one by their own lcms.  Each result entry becomes a Fraction once, at
+the end.  Matrices with an ExtScalar entry, and other sizes for ``det``
+and ``inverse``, keep the cofactor, Laplace and Gauss-Jordan loops on
+the scalars.
+
+``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
+after scaling each row by the lcm of its denominators, which leaves the
+solution set unchanged: a rational system on ints, a system with an
+ExtScalar entry on integer coordinate 4-tuples in the ring
+Z[sqrt2, sqrt3] = Z + Z sqrt2 + Z sqrt3 + Z sqrt6.  Every Bareiss cell is
+pivot*a - factor*b divided by the previous pivot, and the quotient is a
+minor of the scaled input, so it lies in Z or in that ring; the
+division is therefore exact.  In the ring it multiplies by the divisor's
+cofactor (the product of its three nontrivial Galois conjugates) and
+divides each coordinate by the integer norm.  A nonzero remainder
+raises ``ArithmeticError``, under ``python -O`` too.  Back substitution
+alone runs on Fractions and ExtScalars.
 
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
 malformed input.  The public constructors validate their arguments;
@@ -155,19 +175,7 @@ class ExtScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtScalar":
-        num = self._num
-        if not any(num):
-            raise ZeroDivisionError("ExtScalar division by zero")
-        n0, n1, n2, n3 = num
-        cofactor = _int_mul(_int_mul((n0, -n1, n2, -n3), (n0, n1, -n2, -n3)),
-                            (n0, -n1, -n2, n3))
-        norm = _int_mul(num, cofactor)
-        # the field norm is rational by Galois invariance
-        if norm[1] or norm[2] or norm[3]:
-            raise ArithmeticError("field norm came out irrational")
-        n = norm[0]
-        if n == 0:
-            raise ZeroDivisionError("ExtScalar division by zero")
+        cofactor, n = _norm_cofactor(self._num)
         # self = num/den, so 1/self = den * cofactor / N(num)
         den = self._den
         if n < 0:
@@ -274,6 +282,24 @@ def _int_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
+def _norm_cofactor(num: tuple):
+    """(cofactor, N) for nonzero integer coordinates ``num``: the product of
+    the three nontrivial Galois conjugates of ``num`` and the integer field
+    norm N = num * cofactor."""
+    if not any(num):
+        raise ZeroDivisionError("ExtScalar division by zero")
+    n0, n1, n2, n3 = num
+    cofactor = _int_mul(_int_mul((n0, -n1, n2, -n3), (n0, n1, -n2, -n3)),
+                        (n0, -n1, -n2, n3))
+    norm = _int_mul(num, cofactor)
+    # the field norm is rational by Galois invariance
+    if norm[1] or norm[2] or norm[3]:
+        raise ArithmeticError("field norm came out irrational")
+    if norm[0] == 0:
+        raise ZeroDivisionError("ExtScalar division by zero")
+    return cofactor, norm[0]
+
+
 def _ext_sum(a: ExtScalar, b: ExtScalar, sign: int) -> ExtScalar:
     """a + sign * b."""
     a0, a1, a2, a3 = a._num
@@ -372,22 +398,46 @@ class ParseError(ValueError):
     """Structurally malformed input (not a domain violation)."""
 
 
-def _bad_literal(kind: str, data) -> ParseError:
-    """Error naming a rejected literal.  A long one is cut short and its
-    length given, with Python's limit on the digits of an int parsed from
-    a string when one of its digit runs exceeds that limit."""
+def _bad_literal(kind: str, data, reason: str = "") -> ParseError:
+    """Error naming a rejected literal, and the reason when one is given.
+    A long literal is cut short and its length given, with Python's limit
+    on the digits of an int parsed from a string when one of its digit
+    runs exceeds that limit."""
     text = repr(data)
     if len(text) <= 40:
-        return ParseError("bad %s %s" % (kind, text))
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        return ParseError("bad %s %s%s" % (kind, text, reason))
+    limit = _int_digit_limit()
     over = limit and any(len(run) > limit
                          for run in re.findall(r"\d+", str(data)))
-    return ParseError("bad %s %s... (%d characters%s)" % (
+    return ParseError("bad %s %s... (%d characters%s)%s" % (
         kind, text[:40], len(str(data)),
-        "; an integer may have at most %d digits" % limit if over else ""))
+        "; an integer may have at most %d digits" % limit if over else "",
+        reason))
+
+
+def _int_digit_limit() -> int:
+    """Python's limit on the digits of an int parsed from a string; 0 if
+    this interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+#: the decimal exponent of a literal such as "1.5e-3", as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _rational_from_json(data) -> Fraction:
+    if type(data) is bool:          # Fraction(True) would read it as 1
+        raise _bad_literal("rational literal", data)
+    # "1e5000" is a 5001-digit integer: the exponent is capped at the digit
+    # limit (Python's default of 4300 where there is none) before Fraction
+    # builds the number
+    found = _EXPONENT.search(data) if isinstance(data, str) else None
+    if found:
+        cap = _int_digit_limit() or 4300
+        digits = found.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(cap)) or int(digits or 0) > cap:
+            raise _bad_literal("rational literal", data,
+                               ": an exponent may be at most %d" % cap)
     try:
         return Fraction(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -395,10 +445,15 @@ def _rational_from_json(data) -> Fraction:
 
 
 def int_from_json(data) -> int:
-    try:
-        return int(data)
-    except (TypeError, ValueError) as exc:
-        raise _bad_literal("integer", data) from exc
+    """A JSON integer (not a boolean) or a string of decimal digits."""
+    if type(data) is int:
+        return data
+    if isinstance(data, str) and re.fullmatch(r"[0-9]+", data):
+        try:
+            return int(data)
+        except ValueError as exc:       # more digits than Python parses
+            raise _bad_literal("integer", data) from exc
+    raise _bad_literal("integer", data)
 
 
 def scalar_from_json(data) -> Scalar:
@@ -833,9 +888,22 @@ class Matrix:
         c = as_scalar(c)
         return Matrix._trusted([c * a for a in row] for row in self.rows)
 
+    def _integer_form(self):
+        """(D, M) for a Fraction matrix: its entries, row by row, as ints
+        over D, the lcm of their denominators."""
+        return _scaled_row([v for row in self.rows for v in row])
+
     def apply(self, v: Sequence) -> tuple:
-        if len(v) != self.n:
+        n = self.n
+        if len(v) != n:
             raise ValueError("size mismatch")
+        if _all_fractions(self.rows) and _all_fractions((v,)):
+            # (M/D)(w/e) = (M w) / (D e) on integer rows M and vector w
+            den, ints = self._integer_form()
+            e, w = _scaled_row(v)
+            den *= e
+            return tuple(Fraction(sum(map(operator.mul, ints[k:k + n], w)), den)
+                         for k in range(0, n * n, n))
         return tuple(dot(row, v) for row in self.rows)
 
     def transpose(self) -> "Matrix":
@@ -857,6 +925,11 @@ class Matrix:
             (a, b), (c, d) = self.rows
             return a * d - b * c
         if self.n == 3:
+            if _all_fractions(self.rows):
+                # det(M/D) = det(M) / D^3
+                den, (a, b, c, d, e, f, g, h, i) = self._integer_form()
+                return Fraction(a * (e * i - f * h) - b * (d * i - f * g)
+                                + c * (d * h - e * g), den ** 3)
             (a, b, c), (d, e, f), (g, h, i) = self.rows
             return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         # Laplace expansion along the first row (matrices here are tiny)
@@ -874,6 +947,18 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         n = self.n
+        if n == 3 and _all_fractions(self.rows):
+            # (M/D)^-1 = D adj(M) / det(M)
+            den, (a, b, c, d, e, f, g, h, i) = self._integer_form()
+            adj = (e * i - f * h, c * h - b * i, b * f - c * e,
+                   f * g - d * i, a * i - c * g, c * d - a * f,
+                   d * h - e * g, b * g - a * h, a * e - b * d)
+            det = a * adj[0] + b * adj[3] + c * adj[6]
+            if not det:
+                raise ZeroDivisionError("singular matrix")
+            return Matrix._trusted(
+                [Fraction(den * x, det) for x in adj[k:k + 3]]
+                for k in (0, 3, 6))
         work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
                 for i, row in enumerate(self.rows)]
         for col in range(n):
@@ -988,16 +1073,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
                  ncols: Optional[int] = None) -> SolutionSpace:
     """Solve M x = b exactly, returning the full affine solution set.
 
-    Forward elimination is fraction-free in the Bareiss style: each cell
-    update is a two-term cross product divided by the previous pivot, and
-    that division is exact.  A rational system is first scaled row by row
-    to integers (each row times the lcm of its denominators, which leaves
-    the solution set unchanged), so elimination runs on Python ints and
-    every division is an integer division whose zero remainder is checked
-    (a nonzero one raises ``ArithmeticError``, also under ``python -O``).
-    A system with an :class:`ExtScalar` entry runs the same loop on field
-    elements, dividing with :func:`scalar_div`.  Back substitution returns
-    Fractions for a rational system.
+    Forward elimination is fraction-free in the Bareiss style, on ints for
+    a rational system and on integer coordinates in Z[sqrt2, sqrt3] for a
+    system with an :class:`ExtScalar` entry (see the module docstring);
+    one loop serves both, with a per-row update and a per-pivot divisor
+    for each.  Back substitution returns Fractions for a rational system.
     """
     m = len(rows)
     if ncols is None:
@@ -1012,16 +1092,22 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         row.append(as_scalar(rhs[i]))
         aug.append(row)
 
-    if any(isinstance(v, ExtScalar) for row in aug for v in row):
-        div, prev = scalar_div, Fraction(1)
+    # ``update`` runs the Bareiss step on the tail of a row, dividing by
+    # the previous pivot as ``divisor`` prepared it; ``prev`` starts as 1
+    field = any(isinstance(v, ExtScalar) for row in aug for v in row)
+    if field:
+        aug = [_ring_row(row) for row in aug]
+        zero, prev, update, divisor = (_RING_ZERO, _RING_ONE, _ring_update,
+                                       _norm_cofactor)
     else:
         aug = [_scaled_row(row)[1] for row in aug]
-        div, prev = _exact_int_div, 1
+        # an int pivot is its own divisor
+        zero, prev, update, divisor = 0, 1, _int_update, int
 
     pivots = []  # (row, col)
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
+        pr = next((i for i in range(r, m) if aug[i][c] != zero), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
@@ -1029,12 +1115,12 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         pivot = pivot_row[c]
         for i in range(r + 1, m):
             row = aug[i]
-            factor = row[c]
-            row[c:] = [div(pivot * a - factor * b, prev)
-                       for a, b in zip(row[c:], pivot_row[c:])]
-        prev = pivot
+            row[c:] = update(pivot, row[c], row[c:], pivot_row[c:], prev)
+        prev = divisor(pivot)
         pivots.append((r, c))
         r += 1
+    if field:
+        aug = [[_ext(t, 1) for t in row] for row in aug]
 
     for i in range(r, m):
         if aug[i][ncols]:
@@ -1093,6 +1179,44 @@ def _exact_int_div(a: int, b: int) -> int:
     if rem:
         raise ArithmeticError("inexact Bareiss division %d / %d" % (a, b))
     return q
+
+
+def _int_update(pivot, factor, row, pivot_row, prev):
+    """(pivot*a - factor*b) / prev for a in row, b in pivot_row."""
+    return [_exact_int_div(pivot * a - factor * b, prev)
+            for a, b in zip(row, pivot_row)]
+
+
+_RING_ZERO = (0, 0, 0, 0)
+#: 1 as ``_norm_cofactor`` prepares a divisor: (cofactor, norm)
+_RING_ONE = ((1, 0, 0, 0), 1)
+
+
+def _ring_row(row):
+    """Integer coordinates in Z[sqrt2, sqrt3] of row times the lcm of its
+    denominators, one 4-tuple on (1, sqrt2, sqrt3, sqrt6) per entry."""
+    parts = [(v._num, v._den) if isinstance(v, ExtScalar)
+             else ((v.numerator, 0, 0, 0), v.denominator) for v in row]
+    den = math.lcm(*(d for _, d in parts))
+    return [tuple([c * (den // d) for c in num]) for num, d in parts]
+
+
+def _ring_update(pivot, factor, row, pivot_row, prev):
+    """``_int_update`` on coordinate 4-tuples, with prev = (cofactor, N) of
+    the previous pivot p: each cross product is multiplied by p's
+    cofactor and every coordinate divided by the integer norm N."""
+    cofactor, norm = prev
+    out = []
+    for a, b in zip(row, pivot_row):
+        if a == _RING_ZERO and factor == _RING_ZERO:
+            out.append(a)           # most cells of the sparse catalog systems
+            continue
+        p0, p1, p2, p3 = _int_mul(pivot, a)
+        q0, q1, q2, q3 = _int_mul(factor, b)
+        out.append(tuple([
+            _exact_int_div(x, norm) for x in
+            _int_mul((p0 - q0, p1 - q1, p2 - q2, p3 - q3), cofactor)]))
+    return out
 
 
 def congruent_diagonalize(a: Matrix, rng=None):

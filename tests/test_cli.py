@@ -155,6 +155,56 @@ def test_literal_under_the_digit_limit_is_accepted():
     assert out["case"] == 7
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "1e1000000000", "1E-4301",
+                                     "2.5e+0010_000"])
+def test_exponent_over_the_digit_limit_exits_2_before_the_number_is_built(
+        literal):
+    # 10^(10^9) would take minutes and gigabytes: the timeout proves it is
+    # never built
+    proc = subprocess.run(
+        [sys.executable, "-m", "poisson_forge.cli", "classify",
+         json.dumps({"k": [literal, "0", "1"], "A": _ZERO_GRAM})],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error: bad rational literal %r"
+                                  % literal)
+    assert "an exponent may be at most" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_small_exponent_literal_is_accepted():
+    out = run_json("classify", json.dumps(
+        {"k": ["1e3", "0", "1"], "A": _ZERO_GRAM}))
+    assert out["case"] == 7
+    assert out["witness"]["R"][0][2] == "1000"
+
+
+def _field_with(exp=(1, 0, 0), n=3, grade=2):
+    return json.dumps({"n": n, "grade": grade, "components": {"1,2": {
+        "vars": ["x", "y", "z"], "terms": [{"exp": list(exp), "coef": "1"}]}}})
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("is-poisson", _field_with(exp=(1.5, 0, 0))),
+    ("modular", _field_with(exp=(True, 0, 0))),
+    ("is-poisson", _field_with(n=3.0)),
+    ("modular", _field_with(n=True)),
+    ("is-poisson", _field_with(grade=2.0)),
+    ("modular", _field_with(grade=True)),
+], ids=["exp-float", "exp-bool", "n-float", "n-bool", "grade-float",
+        "grade-bool"])
+def test_float_and_boolean_integers_exit_2_without_traceback(verb, payload):
+    proc = run_cli(verb, payload)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error: bad integer")
+    assert "Traceback" not in proc.stderr
+
+
+def test_integer_fields_accept_ints_and_digit_strings():
+    for payload in (_field_with(), _field_with(exp=("1", "0", "0"))):
+        assert run_json("is-poisson", payload)["is_poisson"] is True
+
+
 def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
     from poisson_forge import cli
 

@@ -18,6 +18,7 @@ from poisson_forge.exactnum import (
     _exact_int_div,
     congruent_diagonalize,
     gram_of_quadratic,
+    int_from_json,
     quadratic_form_poly,
     scalar_div,
     scalar_from_json,
@@ -200,7 +201,8 @@ def test_sqrt_exact_rejects_outside_field():
 
 
 @pytest.mark.parametrize("data", ["a", "1/0", ["1", "0", "x", "0"],
-                                  ["1", "0", "1/0", "0"], None, 1.5])
+                                  ["1", "0", "1/0", "0"], None, 1.5, True,
+                                  ["0", False, "0", "0"]])
 def test_scalar_json_rejects_malformed_literals(data):
     with pytest.raises(ParseError):
         scalar_from_json(data)
@@ -213,6 +215,22 @@ def test_rejected_literals_are_echoed_whole_only_when_short():
         scalar_from_json("a" * 1000)
     assert str(info.value) == ("bad rational literal '%s... (1000 characters)"
                                % ("a" * 39))
+
+
+def test_exponent_notation_is_capped_at_the_digit_limit():
+    assert scalar_from_json("1e3") == 1000
+    assert scalar_from_json("-2.5E-2") == F(-1, 40)
+    for literal in ("1e5000", "1e-5000", "1e1000000000", " 3E+9_999 "):
+        with pytest.raises(ParseError, match="an exponent may be at most"):
+            scalar_from_json(literal)
+
+
+def test_int_from_json_takes_ints_and_digit_strings_only():
+    assert int_from_json(3) == 3
+    assert int_from_json("12") == 12
+    for data in (True, False, 1.5, 2.0, "1.5", "-1", " 1", "", None, [1]):
+        with pytest.raises(ParseError, match="^bad integer"):
+            int_from_json(data)
 
 
 @pytest.mark.parametrize("exp", [[1, 0], [1, 0, 0, 0], [1, -1, 0], ["a", 0, 0]])

@@ -1,0 +1,202 @@
+"""Integer kernels of ``exactnum`` against the kernels they replaced.
+
+A rational 3x3 ``Matrix`` computes ``det``, ``inverse`` and ``apply`` as
+integer rows over one denominator, and ``solve_linear`` eliminates a
+system with an ``ExtScalar`` entry on integer coordinates in
+Z[sqrt2, sqrt3].  ``linalg_reference`` keeps the old kernels: on seeded
+inputs both must give the same values, with the same types on rational
+input and the same ``scalar_to_json`` of every coordinate on field
+systems.
+"""
+
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import linalg_reference as ref
+from poisson_forge.exactnum import (
+    SQRT2,
+    SQRT3,
+    ExtScalar,
+    Matrix,
+    _norm_cofactor,
+    _ring_update,
+    scalar_to_json,
+    solve_linear,
+)
+
+
+def _same(got, want):
+    """Equal values of equal types, entry by entry."""
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def _random_rational(rng, digits):
+    if rng.random() < 0.25:
+        return F(0)
+    top = 10 ** digits
+    return F(rng.randint(-top, top), rng.randint(1, top))
+
+
+def _random_matrix(rng, n, digits, singular=False):
+    rows = [[_random_rational(rng, digits) for _ in range(n)] for _ in range(n)]
+    if singular:                       # last row: a combination of two others
+        a, b = _random_rational(rng, digits), _random_rational(rng, digits)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return Matrix(rows)
+
+
+def _check_against_reference(m, v):
+    _same((m.det(),), (ref.det(m),))
+    _same(m.apply(v), ref.apply(m, v))
+    try:
+        want = ref.inverse(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            m.inverse()
+        return
+    got = m.inverse()
+    for row, want_row in zip(got.rows, want.rows):
+        _same(row, want_row)
+
+
+@pytest.mark.parametrize("digits", [1, 3, 30])
+def test_rational_matrices_match_the_fraction_kernels(digits):
+    rng = random.Random(8100 + digits)
+    singular = 0
+    for k in range(150):
+        m = _random_matrix(rng, 3, digits, singular=k % 5 == 0)
+        v = tuple(_random_rational(rng, digits) for _ in range(3))
+        _check_against_reference(m, v)
+        singular += not m.det()
+    assert singular >= 30
+
+
+def test_rational_matrices_of_other_sizes_match_the_fraction_kernels():
+    rng = random.Random(8110)
+    for n in (1, 2, 4):
+        for k in range(40):
+            m = _random_matrix(rng, n, 2, singular=n > 1 and k % 4 == 0)
+            v = tuple(_random_rational(rng, 2) for _ in range(n))
+            _check_against_reference(m, v)
+
+
+def test_integer_entries_and_vectors_keep_their_results():
+    m = Matrix([[2, 0, 1], [1, 3, 0], [0, 1, 1]])
+    _check_against_reference(m, (1, 2, 3))
+    _check_against_reference(m, (F(1), F(1, 2), F(-3, 4)))
+    _check_against_reference(Matrix._trusted([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                             (F(1), F(2), F(3)))
+
+
+def _random_field_entry(rng):
+    value = _random_rational(rng, 1)
+    if rng.random() < 0.4:
+        return value + _random_rational(rng, 1) * rng.choice([SQRT2, SQRT3])
+    return value
+
+
+def test_mixed_extension_matrices_keep_the_field_loops():
+    rng = random.Random(8120)
+    for k in range(150):
+        rows = [[_random_rational(rng, 2) for _ in range(3)] for _ in range(3)]
+        i, j = rng.randrange(3), rng.randrange(3)
+        rows[i][j] = rows[i][j] + F(rng.randint(1, 5), rng.randint(1, 5)) * SQRT2
+        if k % 5 == 0:
+            rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+        m = Matrix(rows)
+        v = tuple(_random_field_entry(rng) for _ in range(3))
+        _check_against_reference(m, v)
+
+
+def _random_field_system(rng, m, n):
+    """Seeded m x n system with ExtScalar entries: of random rank, with a
+    zero row now and then, consistent or with a random right-hand side."""
+    rank = rng.randint(0, min(m, n))
+    left = [[_random_field_entry(rng) for _ in range(rank)] for _ in range(m)]
+    right = [[_random_field_entry(rng) for _ in range(n)] for _ in range(rank)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(rank)), F(0))
+             for j in range(n)] for i in range(m)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(m)] = [F(0)] * n
+    # keep one irrational entry, so the field route is the one taken
+    rows[rng.randrange(m)][rng.randrange(n)] += SQRT3
+    if rng.random() < 0.5:
+        x = [_random_field_entry(rng) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = [_random_field_entry(rng) for _ in range(m)]
+    return rows, rhs
+
+
+def _as_json(space):
+    if space.is_empty:
+        return None
+    return [[scalar_to_json(v) for v in x]
+            for x in (space.particular,) + space.basis]
+
+
+def test_field_systems_match_the_scalar_div_loop():
+    rng = random.Random(8130)
+    seen = set()
+    for _ in range(250):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows, rhs = _random_field_system(rng, m, n)
+        got, want = solve_linear(rows, rhs, n), ref.solve_linear(rows, rhs, n)
+        assert got.particular == want.particular
+        assert got.basis == want.basis
+        assert _as_json(got) == _as_json(want)
+        seen.add((m == n, got.is_empty, bool(not got.is_empty and got.basis)))
+    # square and rectangular; inconsistent, unique and underdetermined
+    assert {(True, True, False), (False, True, False), (True, False, False),
+            (False, False, True), (True, False, True)} <= seen
+
+
+def test_field_systems_of_catalog_size_match_the_scalar_div_loop():
+    rng = random.Random(8140)
+    for _ in range(6):
+        rows, rhs = _random_field_system(rng, 16, 10)
+        got, want = solve_linear(rows, rhs, 10), ref.solve_linear(rows, rhs, 10)
+        assert _as_json(got) == _as_json(want)
+
+
+def test_field_system_with_only_zero_rows():
+    rows = [[F(0), ExtScalar.parts(0, 0, 0, 0)], [F(0), F(0)]]
+    got, want = solve_linear(rows, [0, SQRT2], 2), ref.solve_linear(rows, [0, SQRT2], 2)
+    assert got.is_empty and want.is_empty
+    got = solve_linear(rows, [0, ExtScalar.parts(0)], 2)
+    assert _as_json(got) == _as_json(ref.solve_linear(rows, [0, 0], 2))
+    assert got.dim == 2
+
+
+def test_ring_division_remainder_raises_under_python_O():
+    # 1 / 2 has no integer coordinates: the remainder check must raise,
+    # and it must not be an assert that -O strips
+    code = (
+        "from poisson_forge.exactnum import _norm_cofactor, _ring_update\n"
+        "try:\n"
+        "    _ring_update((1, 0, 0, 0), (0, 0, 0, 0), [(1, 0, 0, 0)],\n"
+        "                 [(0, 0, 0, 0)], _norm_cofactor((2, 0, 0, 0)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised inexact Bareiss division")
+
+
+def test_ring_division_is_exact_division_by_the_previous_pivot():
+    # (1 + sqrt2) * (3 - sqrt3) over (1 + sqrt2) is 3 - sqrt3
+    p = (1, 1, 0, 0)
+    prod = (3, 3, -1, -1)
+    [cell] = _ring_update((1, 0, 0, 0), (0, 0, 0, 0), [prod], [(0, 0, 0, 0)],
+                          _norm_cofactor(p))
+    assert cell == (3, 0, -1, 0)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _ring_update((1, 0, 0, 0), (0, 0, 0, 0), [(1, 0, 0, 0)],
+                     [(0, 0, 0, 0)], _norm_cofactor((0, 2, 0, 0)))
