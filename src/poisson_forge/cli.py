@@ -344,6 +344,12 @@ def main(argv=None) -> int:
         print("parse error: malformed input (%s)" % exc, file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):
+            # an exact result longer than the interpreter prints
+            exc = ("a result has an integer of more than %d digits, the "
+                   "interpreter's limit on integer string conversion "
+                   "(sys.get_int_max_str_digits())"
+                   % sys.get_int_max_str_digits())
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

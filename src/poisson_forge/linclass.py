@@ -65,8 +65,6 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError("expected a rational value, got %r" % (value,))
 
 
@@ -346,53 +344,23 @@ def _permute_columns(m: Matrix, perm) -> Matrix:
     return Matrix([[row[p] for p in perm] for row in m.rows])
 
 
-def _diag_of_congruence(r: Matrix, a: Matrix) -> tuple:
-    u = r.transpose() * a * r
-    if not u.is_diagonal():  # pragma: no cover - Lagrange output is diagonal
-        raise AssertionError("congruence did not diagonalize")
-    return tuple(u.rows[i][i] for i in range(3))
+def _arrange(diag, cases):
+    """Case id, column order and global sign matching a diagonal form.
 
-
-def _sort_by_sign(values) -> tuple:
-    """Column order putting positive entries first, then negative, then zero.
-
-    Within a sign class the original order is kept, so the construction is
-    deterministic.
+    The first of ``cases`` whose sign pattern sigma, times +1 or else -1,
+    holds the signs of ``diag`` wins; the order then puts column perm[i]
+    in slot i so that sign(diag_perm[i]) = sign * sigma_i.  Columns of one
+    sign keep their order, so the construction is deterministic.
     """
-    pos = [i for i, v in enumerate(values) if v > 0]
-    neg = [i for i, v in enumerate(values) if v < 0]
-    zer = [i for i, v in enumerate(values) if v == 0]
-    return tuple(pos + neg + zer)
-
-
-def _arrange_definite_part(diag):
-    """Case id, column order and global sign for a diagonalized form (k = 0).
-
-    The order makes sign(diag_i) = sign * sigma_i slotwise for the case's
-    pattern sigma; the signature determines the case up to that global sign.
-    """
-    pos = [i for i, v in enumerate(diag) if v > 0]
-    neg = [i for i, v in enumerate(diag) if v < 0]
-    zer = [i for i, v in enumerate(diag) if v == 0]
-    npos, nneg = len(pos), len(neg)
-    rank = npos + nneg
-    if rank == 0:
-        return 1, (0, 1, 2), 1
-    if rank == 3:
-        if npos in (0, 3):
-            return 2, tuple(pos + neg), 1 if npos else -1
-        if npos == 2:
-            return 3, tuple(pos + neg), 1
-        return 3, tuple(neg + pos), -1
-    if rank == 2:
-        if npos == 2:
-            return 4, tuple(pos + zer), 1
-        if nneg == 2:
-            return 4, tuple(neg + zer), -1
-        return 5, tuple(pos + neg + zer), 1
-    if npos:
-        return 6, tuple(pos + zer), 1
-    return 6, tuple(neg + zer), -1
+    signs = [(v > 0) - (v < 0) for v in diag]
+    for case in cases:
+        for sign in (1, -1):
+            want = [sign * s for s in SIGN_PATTERNS[case]]
+            if sorted(want) == sorted(signs):
+                pools = {s: iter([i for i, t in enumerate(signs) if t == s])
+                         for s in (1, -1, 0)}
+                return case, tuple(next(pools[s]) for s in want), sign
+    raise AssertionError("no sign pattern fits %r" % (diag,))  # pragma: no cover
 
 
 def classify(pair: LinearPair):
@@ -401,66 +369,47 @@ def classify(pair: LinearPair):
     The witness maps the standard pair of the found case (modulus a for
     cases 8/9) to ``pair`` in the sense of is_isomorphism; see
     verify_witness for the rational identities certifying that.
+
+    The free block is diagonalized by congruence: all of A when k = 0,
+    else the 2x2 block of A in a basis completed by k, where the diagonal
+    of R' A R is det of that basis times the block's diagonal.
     """
-    a_squared = None
     if not any(pair.k):
+        free, cases, flip = 3, range(1, 7), 2
         base, diag = congruent_diagonalize(pair.gram)
-        case, perm, sign = _arrange_definite_part(diag)
-        base = _permute_columns(base, perm)
-        diag = tuple(diag[p] for p in perm)
-        rank = sum(1 for v in diag if v != 0)
-        if case == 1:
-            base, scales = Matrix.identity(3), [Fraction(0)] * 3
-        else:
-            if (base.det() > 0) != (sign > 0):
-                base = _negate_column(base, 2)
-            scales = [abs(v) for v in diag]
-            if rank == 3:
-                # det(T) is forced here, so rescale to keep it consistent
-                prod = scales[0] * scales[1] * scales[2]
-                det_sq = base.det() ** 2
-                scales = [det_sq * v / prod for v in scales]
-            else:
-                # one spare column soaks up the determinant so det(T) = sign
-                spare = Fraction(1)
-                for v in scales[:rank]:
-                    spare = spare * v
-                scales[rank] = base.det() ** 2 / spare
     else:
+        free, cases, flip = 2, range(7, 11), 0
         base = _complete_basis(pair.k)
+        det = base.det()
         # pull the form back to coordinates where k becomes e3
-        block = (base.transpose() * pair.gram * base).scaled(1 / base.det())
-        if any(block.rows[i][2] for i in range(3)):
-            raise AssertionError("compatible pair with nonzero k-block")
+        block = (base.transpose() * pair.gram * base).scaled(1 / det)
         two = Matrix([row[:2] for row in block.rows[:2]])
-        if two.is_zero():
-            case, scales = 7, [Fraction(0)] * 3
-        else:
-            inner, _ = congruent_diagonalize(two)
-            embed = Matrix([
-                [inner.rows[0][0], inner.rows[0][1], 0],
-                [inner.rows[1][0], inner.rows[1][1], 0],
-                [0, 0, 1],
-            ])
-            base = base * embed
-            diag = list(_diag_of_congruence(base, pair.gram))
-            det2 = two.det()
-            if det2 > 0:
-                case, a_squared = 8, det2
-            elif det2 < 0:
-                case, a_squared = 9, -det2
-            else:
-                case = 10
-            perm = _sort_by_sign(diag[:2])
-            base = _permute_columns(base, perm + (2,))
-            diag = [diag[p] for p in perm] + [diag[2]]
-            sigma = SIGN_PATTERNS[case]
-            sign = 1 if (diag[0] > 0) == (sigma[0] > 0) else -1
-            if (base.det() > 0) != (sign > 0):
-                base = _negate_column(base, 0)
-            scales = [abs(diag[0]), abs(diag[1]), Fraction(0)]
-            if case == 10:
-                scales[1] = base.det() ** 2 / scales[0]
+        inner, diag2 = congruent_diagonalize(two)
+        base = base * Matrix([
+            [inner.rows[0][0], inner.rows[0][1], 0],
+            [inner.rows[1][0], inner.rows[1][1], 0],
+            [0, 0, 1],
+        ])
+        diag = (det * diag2[0], det * diag2[1], Fraction(0))
+    case, perm, sign = _arrange(diag, cases)
+    base = _permute_columns(base, perm)
+    scales = [abs(diag[p]) for p in perm]
+    rank = sum(1 for v in scales if v)
+    if rank:
+        if (base.det() > 0) != (sign > 0):
+            base = _negate_column(base, flip)
+        det_sq = base.det() ** 2
+        if rank == 3:
+            # det(T) is forced here, so rescale to keep it consistent
+            prod = scales[0] * scales[1] * scales[2]
+            scales = [det_sq * v / prod for v in scales]
+        elif rank < free:
+            # one spare column soaks up the determinant so det(T) = sign
+            spare = Fraction(1)
+            for v in scales[:rank]:
+                spare = spare * v
+            scales[rank] = det_sq / spare
+    a_squared = abs(two.det()) if case in (8, 9) else None
     label = StdFormLabel(case, a_squared)
     witness = Witness(base, tuple(scales))
     if not verify_witness(pair, label, witness):  # pragma: no cover

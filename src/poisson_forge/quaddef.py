@@ -410,43 +410,27 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     floating-point eigenvalue report.
     """
     _check_twist(k_matrix)
-    entries = [v for row in k_matrix.rows for v in row]
-    for v in entries:
-        if isinstance(v, ExtScalar) and not v.is_rational:
-            return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
-    rows = k_matrix.rows
-    c2 = Fraction(0)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c2 += rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
-    c2 = Fraction(c2) if not isinstance(c2, ExtScalar) else c2.rational_value()
-    det = k_matrix.det()
-    det = Fraction(det) if not isinstance(det, ExtScalar) else det.rational_value()
-    roots = _rational_roots_monic_cubic(c2, -det)
-    if roots is None:
-        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
-
-    distinct = sorted(set(roots), reverse=True)
-    if len(distinct) == 3 and 0 not in distinct:
-        if k_matrix.is_diagonal():
-            ordered = tuple(rows[i][i] for i in range(3))
-        else:
-            ordered = tuple(distinct)
-        return JordanFamily.diag_distinct(*ordered)
-    if len(distinct) == 2:
-        lam = next(r for r in distinct if roots.count(r) == 2)
-        if lam != 0:
+    if not any(isinstance(v, ExtScalar) and not v.is_rational
+               for row in k_matrix.rows for v in row):
+        q = Matrix([[v.rational_value() if isinstance(v, ExtScalar) else v
+                     for v in row] for row in k_matrix.rows])
+        m = q.rows
+        c2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
+                 for i, j in ((0, 1), (0, 2), (1, 2)))
+        roots = _rational_roots_monic_cubic(c2, -q.det())
+        distinct = sorted(set(roots or ()), reverse=True)
+        if len(distinct) == 3 and 0 not in distinct:
+            if q.is_diagonal():
+                distinct = [m[i][i] for i in range(3)]
+            return JordanFamily.diag_distinct(*distinct)
+        if len(distinct) == 2:
+            lam = next(r for r in distinct if roots.count(r) == 2)
             eye = Matrix.identity(3)
-            diagonalizable = ((k_matrix - eye.scaled(lam))
-                              * (k_matrix + eye.scaled(2 * lam))).is_zero()
-            if diagonalizable:
+            if lam and ((q - eye.scaled(lam))
+                        * (q + eye.scaled(2 * lam))).is_zero():
                 return JordanFamily.diag_repeated(lam)
-        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
-    if distinct == [Fraction(0)]:
-        if not (k_matrix * k_matrix).is_zero() and not k_matrix.is_zero():
-            return JordanFamily(NILPOTENT_FULL)
-        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
-    # three rational eigenvalues with a zero among them
+        if distinct == [0] and not (q * q).is_zero():
+            return JordanFamily.nilpotent_full()
     return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
 
 
@@ -581,7 +565,8 @@ def _t_of_v_float(raw, tolerance: float):
     u = arr / norm
     if u[2] < 0:
         u = -u
-    if abs(u[2] - 1.0) < tolerance:
+    # a fixed snap: ``tolerance`` bounds the residual only, never moves u
+    if abs(u[2] - 1.0) < 1e-12:
         return numpy.eye(3)
     denom = float(numpy.sqrt(1.0 - u[2] * u[2]))
     w = (numpy.array([0.0, 0.0, 1.0]) - u[2] * u) / denom
@@ -592,21 +577,23 @@ def _t_of_v_float(raw, tolerance: float):
     return t
 
 
-#: canonical stratum representatives, keyed by family tag
-_STRATA_REPS = {
-    DIAG_DISTINCT: {
-        (2,): (1, (0, 0, 1)),
-        (1,): (2, (0, 1, 0)),
-        (0,): (3, (1, 0, 0)),
-        (0, 1): (4, (1, 1, 0)),
-        (1, 2): (5, (0, 1, 1)),
-        (0, 2): (6, (1, 0, 1)),
-        (0, 1, 2): (7, (1, 1, 1)),
-    },
+#: stratum index of each coordinate support pattern, keyed by family tag:
+#: distinct eigenvalues keep the support, the repeated-eigenvalue block
+#: acts transitively on its invariant plane, and the nilpotent shift
+#: filters by the first nonzero coordinate
+_STRATA = {
+    DIAG_DISTINCT: {(2,): 1, (1,): 2, (0,): 3, (0, 1): 4, (1, 2): 5,
+                    (0, 2): 6, (0, 1, 2): 7},
+    DIAG_REPEATED: {(2,): 1, (0,): 2, (1,): 2, (0, 1): 2, (0, 2): 3,
+                    (1, 2): 3, (0, 1, 2): 3},
+    NILPOTENT_FULL: {(2,): 1, (1,): 2, (1, 2): 2, (0,): 3, (0, 1): 3,
+                     (0, 2): 3, (0, 1, 2): 3},
 }
 
+#: canonical representative point of each stratum, keyed by family tag
 _REP_POINTS = {
-    DIAG_DISTINCT: {i: p for (i, p) in _STRATA_REPS[DIAG_DISTINCT].values()},
+    DIAG_DISTINCT: {1: (0, 0, 1), 2: (0, 1, 0), 3: (1, 0, 0), 4: (1, 1, 0),
+                    5: (0, 1, 1), 6: (1, 0, 1), 7: (1, 1, 1)},
     DIAG_REPEATED: {1: (0, 0, 1), 2: (0, 1, 0), 3: (0, 1, 1)},
     NILPOTENT_FULL: {1: (0, 0, 1), 2: (0, 1, 0), 3: (1, 0, 0)},
 }
@@ -619,36 +606,13 @@ def orbit_count(family: JordanFamily) -> int:
 def p2_orbit_rep(family: JordanFamily, v) -> OrbitRep:
     """Canonical representative of the stratum of v under the family's group.
 
-    The three families have solvable stratifications: diagonal matrices
-    with distinct eigenvalues preserve exactly the support pattern of
-    the coordinates; the repeated-eigenvalue block acts transitively on
-    its invariant plane; the nilpotent shift filters by the first
-    nonzero coordinate.
+    The stratum is read off the support of the coordinates in ``_STRATA``.
     """
     point = v if isinstance(v, P2Point) else P2Point(tuple(v))
-    if family.tag == DIAG_DISTINCT:
-        index, rep = _STRATA_REPS[DIAG_DISTINCT][point.support]
-    elif family.tag == DIAG_REPEATED:
-        a, b, _ = point.coords
-        if not a and not b:
-            index = 1
-        elif 2 not in point.support:
-            index = 2
-        else:
-            index = 3
-        rep = _REP_POINTS[DIAG_REPEATED][index]
-    elif family.tag == NILPOTENT_FULL:
-        a, b, _ = point.coords
-        if a:
-            index = 3
-        elif b:
-            index = 2
-        else:
-            index = 1
-        rep = _REP_POINTS[NILPOTENT_FULL][index]
-    else:
+    if family.tag not in _STRATA:
         raise ValueError("no orbit machinery for family %r" % family.tag)
-    return OrbitRep(index, *_rep_rotation(rep))
+    index = _STRATA[family.tag][point.support]
+    return OrbitRep(index, *_rep_rotation(_REP_POINTS[family.tag][index]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -714,20 +678,6 @@ class CatalogEntry(NamedTuple):
     rep: Optional[OrbitRep]
     twist: Matrix
     solution: SolutionSpace
-
-    def to_json(self):
-        particular, basis = solution_polys(self.solution)
-        data = {
-            "orbit": self.orbit_index,
-            "rep": None if self.rep is None
-                   else [scalar_to_json(v) for v in self.rep.unit],
-            "K": self.twist.to_json(),
-            "solution": {
-                "particular": None if particular is None else particular.to_json(),
-                "basis": [b.to_json() for b in basis],
-            },
-        }
-        return data
 
 
 def catalog(case_id: int, family_or_matrix) -> tuple:

@@ -1,0 +1,239 @@
+"""Reference normal-form deciders: the hand-written sign and strata rules.
+
+``linclass.classify`` reads the sign patterns of the ten standard forms
+from ``SIGN_PATTERNS`` through one rule for both values of k, and
+``quaddef.p2_orbit_rep`` reads the stratum of a point from one table of
+support patterns.  This module keeps the deciders those replaced, as they
+were, so that the tests can compare the two on seeded inputs:
+
+- ``classify``: two branches, k = 0 through ``_arrange_definite_part``
+  and k != 0 through ``_sort_by_sign`` and the sign of a 2x2 determinant,
+- ``p2_orbit_rep``: a support table for distinct eigenvalues and an
+  if-chain for each of the other two families,
+- ``jordan_family_of``: the exact route with an OTHER exit per failed test.
+"""
+
+from fractions import Fraction
+
+from poisson_forge.exactnum import ExtScalar, Matrix, congruent_diagonalize
+from poisson_forge.linclass import (
+    SIGN_PATTERNS,
+    StdFormLabel,
+    Witness,
+    _complete_basis,
+    _negate_column,
+    _permute_columns,
+    verify_witness,
+)
+from poisson_forge.quaddef import (
+    DIAG_DISTINCT,
+    DIAG_REPEATED,
+    NILPOTENT_FULL,
+    OTHER,
+    JordanFamily,
+    OrbitRep,
+    P2Point,
+    _check_twist,
+    _float_eigen_report,
+    _rational_roots_monic_cubic,
+    _rep_rotation,
+)
+
+
+# ---------------------------------------------------------------------------
+# classify
+# ---------------------------------------------------------------------------
+
+
+def _diag_of_congruence(r, a):
+    u = r.transpose() * a * r
+    if not u.is_diagonal():
+        raise AssertionError("congruence did not diagonalize")
+    return tuple(u.rows[i][i] for i in range(3))
+
+
+def _sort_by_sign(values):
+    pos = [i for i, v in enumerate(values) if v > 0]
+    neg = [i for i, v in enumerate(values) if v < 0]
+    zer = [i for i, v in enumerate(values) if v == 0]
+    return tuple(pos + neg + zer)
+
+
+def _arrange_definite_part(diag):
+    pos = [i for i, v in enumerate(diag) if v > 0]
+    neg = [i for i, v in enumerate(diag) if v < 0]
+    zer = [i for i, v in enumerate(diag) if v == 0]
+    npos, nneg = len(pos), len(neg)
+    rank = npos + nneg
+    if rank == 0:
+        return 1, (0, 1, 2), 1
+    if rank == 3:
+        if npos in (0, 3):
+            return 2, tuple(pos + neg), 1 if npos else -1
+        if npos == 2:
+            return 3, tuple(pos + neg), 1
+        return 3, tuple(neg + pos), -1
+    if rank == 2:
+        if npos == 2:
+            return 4, tuple(pos + zer), 1
+        if nneg == 2:
+            return 4, tuple(neg + zer), -1
+        return 5, tuple(pos + neg + zer), 1
+    if npos:
+        return 6, tuple(pos + zer), 1
+    return 6, tuple(neg + zer), -1
+
+
+def classify(pair):
+    a_squared = None
+    if not any(pair.k):
+        base, diag = congruent_diagonalize(pair.gram)
+        case, perm, sign = _arrange_definite_part(diag)
+        base = _permute_columns(base, perm)
+        diag = tuple(diag[p] for p in perm)
+        rank = sum(1 for v in diag if v != 0)
+        if case == 1:
+            base, scales = Matrix.identity(3), [Fraction(0)] * 3
+        else:
+            if (base.det() > 0) != (sign > 0):
+                base = _negate_column(base, 2)
+            scales = [abs(v) for v in diag]
+            if rank == 3:
+                prod = scales[0] * scales[1] * scales[2]
+                det_sq = base.det() ** 2
+                scales = [det_sq * v / prod for v in scales]
+            else:
+                spare = Fraction(1)
+                for v in scales[:rank]:
+                    spare = spare * v
+                scales[rank] = base.det() ** 2 / spare
+    else:
+        base = _complete_basis(pair.k)
+        block = (base.transpose() * pair.gram * base).scaled(1 / base.det())
+        if any(block.rows[i][2] for i in range(3)):
+            raise AssertionError("compatible pair with nonzero k-block")
+        two = Matrix([row[:2] for row in block.rows[:2]])
+        if two.is_zero():
+            case, scales = 7, [Fraction(0)] * 3
+        else:
+            inner, _ = congruent_diagonalize(two)
+            embed = Matrix([
+                [inner.rows[0][0], inner.rows[0][1], 0],
+                [inner.rows[1][0], inner.rows[1][1], 0],
+                [0, 0, 1],
+            ])
+            base = base * embed
+            diag = list(_diag_of_congruence(base, pair.gram))
+            det2 = two.det()
+            if det2 > 0:
+                case, a_squared = 8, det2
+            elif det2 < 0:
+                case, a_squared = 9, -det2
+            else:
+                case = 10
+            perm = _sort_by_sign(diag[:2])
+            base = _permute_columns(base, perm + (2,))
+            diag = [diag[p] for p in perm] + [diag[2]]
+            sigma = SIGN_PATTERNS[case]
+            sign = 1 if (diag[0] > 0) == (sigma[0] > 0) else -1
+            if (base.det() > 0) != (sign > 0):
+                base = _negate_column(base, 0)
+            scales = [abs(diag[0]), abs(diag[1]), Fraction(0)]
+            if case == 10:
+                scales[1] = base.det() ** 2 / scales[0]
+    label = StdFormLabel(case, a_squared)
+    witness = Witness(base, tuple(scales))
+    if not verify_witness(pair, label, witness):
+        raise AssertionError("constructed witness failed verification")
+    return label, witness
+
+
+# ---------------------------------------------------------------------------
+# families and strata
+# ---------------------------------------------------------------------------
+
+
+def jordan_family_of(k_matrix):
+    _check_twist(k_matrix)
+    entries = [v for row in k_matrix.rows for v in row]
+    for v in entries:
+        if isinstance(v, ExtScalar) and not v.is_rational:
+            return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    rows = k_matrix.rows
+    c2 = Fraction(0)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            c2 += rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
+    c2 = Fraction(c2) if not isinstance(c2, ExtScalar) else c2.rational_value()
+    det = k_matrix.det()
+    det = Fraction(det) if not isinstance(det, ExtScalar) else det.rational_value()
+    roots = _rational_roots_monic_cubic(c2, -det)
+    if roots is None:
+        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+
+    distinct = sorted(set(roots), reverse=True)
+    if len(distinct) == 3 and 0 not in distinct:
+        if k_matrix.is_diagonal():
+            ordered = tuple(rows[i][i] for i in range(3))
+        else:
+            ordered = tuple(distinct)
+        return JordanFamily.diag_distinct(*ordered)
+    if len(distinct) == 2:
+        lam = next(r for r in distinct if roots.count(r) == 2)
+        if lam != 0:
+            eye = Matrix.identity(3)
+            diagonalizable = ((k_matrix - eye.scaled(lam))
+                              * (k_matrix + eye.scaled(2 * lam))).is_zero()
+            if diagonalizable:
+                return JordanFamily.diag_repeated(lam)
+        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    if distinct == [Fraction(0)]:
+        if not (k_matrix * k_matrix).is_zero() and not k_matrix.is_zero():
+            return JordanFamily(NILPOTENT_FULL)
+        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+
+
+_STRATA_REPS = {
+    DIAG_DISTINCT: {
+        (2,): (1, (0, 0, 1)),
+        (1,): (2, (0, 1, 0)),
+        (0,): (3, (1, 0, 0)),
+        (0, 1): (4, (1, 1, 0)),
+        (1, 2): (5, (0, 1, 1)),
+        (0, 2): (6, (1, 0, 1)),
+        (0, 1, 2): (7, (1, 1, 1)),
+    },
+}
+
+_REP_POINTS = {
+    DIAG_REPEATED: {1: (0, 0, 1), 2: (0, 1, 0), 3: (0, 1, 1)},
+    NILPOTENT_FULL: {1: (0, 0, 1), 2: (0, 1, 0), 3: (1, 0, 0)},
+}
+
+
+def p2_orbit_rep(family, v):
+    point = v if isinstance(v, P2Point) else P2Point(tuple(v))
+    if family.tag == DIAG_DISTINCT:
+        index, rep = _STRATA_REPS[DIAG_DISTINCT][point.support]
+    elif family.tag == DIAG_REPEATED:
+        a, b, _ = point.coords
+        if not a and not b:
+            index = 1
+        elif 2 not in point.support:
+            index = 2
+        else:
+            index = 3
+        rep = _REP_POINTS[DIAG_REPEATED][index]
+    elif family.tag == NILPOTENT_FULL:
+        a, b, _ = point.coords
+        if a:
+            index = 3
+        elif b:
+            index = 2
+        else:
+            index = 1
+        rep = _REP_POINTS[NILPOTENT_FULL][index]
+    else:
+        raise ValueError("no orbit machinery for family %r" % family.tag)
+    return OrbitRep(index, *_rep_rotation(rep))

@@ -8,10 +8,14 @@ import sys
 
 import pytest
 
-from poisson_forge.exactnum import Matrix, Polynomial
+from poisson_forge import verify
+from poisson_forge.exactnum import Matrix, Polynomial, SolutionSpace
 from poisson_forge.goldens import default_goldens
 from poisson_forge.linclass import Witness
-from poisson_forge.verify import _check_criterion_two_routes
+from poisson_forge.verify import (
+    _check_criterion_two_routes,
+    _check_solver_equivariance,
+)
 
 
 def run_cli(*argv, stdin=None, env=None):
@@ -153,6 +157,20 @@ def test_literal_under_the_digit_limit_is_accepted():
     out = run_json("classify", json.dumps(
         {"k": [literal, "0", "1"], "A": _ZERO_GRAM}))
     assert out["case"] == 7
+
+
+@needs_digit_limit
+def test_result_over_the_digit_limit_exits_1_naming_the_limit():
+    # the literal passes the exponent cap, but the witness has an integer
+    # of 4301 digits, which the interpreter refuses to convert to a string
+    proc = run_cli("classify", json.dumps(
+        {"k": ["1.5e-%d" % INT_DIGIT_LIMIT, "0", "1"], "A": _ZERO_GRAM}))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: a result has an integer of more "
+                                  "than %d digits" % INT_DIGIT_LIMIT)
+    assert "set_int_max_str_digits" not in proc.stderr
 
 
 @pytest.mark.parametrize("literal", ["1e5000", "1e1000000000", "1E-4301",
@@ -442,6 +460,25 @@ def test_orbits_accepts_a_finite_positive_tolerance():
     assert loose.stdout == default.stdout
 
 
+def test_orbits_tolerance_bounds_the_residual_only():
+    # a loose bound once snapped the unit (1, 2, 3)/sqrt(14) to e3
+    default = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY))
+    loose = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY),
+                    "--tolerance", "0.5")
+    assert default.returncode == loose.returncode == 0
+    assert loose.stdout == default.stdout
+
+
+def test_orbits_accepts_a_rational_entry_written_as_four_coordinates():
+    plain = run_cli("orbits", json.dumps(_FLOAT_POINT_QUERY))
+    query = dict(_FLOAT_POINT_QUERY,
+                 K=[[["1", "0", "0", "0"], "0", "0"], ["0", "2", "0"],
+                    ["0", "0", "-3"]])
+    coords = run_cli("orbits", json.dumps(query))
+    assert coords.returncode == plain.returncode == 0, coords.stderr
+    assert coords.stdout == plain.stdout
+
+
 @pytest.mark.parametrize("verb", ["classify", "decompose", "bracket", "modular",
                                   "is-poisson", "deform-solve", "deform-check",
                                   "verify-paper"])
@@ -484,6 +521,24 @@ def test_criterion_item_passes_when_the_sample_holds_one_verdict():
     # this item seed draws 60 random tuples that all fail to deform
     details = _check_criterion_two_routes(None, random.Random(1390410980))
     assert "(1 deform, 61 do not)" in details
+
+
+def test_equivariance_item_fails_on_a_wrongly_transported_space(monkeypatch):
+    # the item transports a nonempty space in each case, so a solver that
+    # answers a conjugated twist with a moved particular cubic is caught
+    real = verify.solve_F
+
+    def skewed(lp, twist):
+        space = real(lp, twist)
+        if space.is_empty or twist.is_diagonal():
+            return space
+        moved = tuple(2 * c for c in space.particular)
+        return SolutionSpace(10, moved, space.basis)
+
+    assert _check_solver_equivariance(None, random.Random(0))
+    monkeypatch.setattr(verify, "solve_F", skewed)
+    with pytest.raises(verify._Mismatch, match="failed to transport"):
+        _check_solver_equivariance(None, random.Random(0))
 
 
 def test_verify_paper_corrupted_goldens(tmp_path):

@@ -978,20 +978,15 @@ def test_catalog_indefinite_pair_hyperbolic_twist():
     assert entry.solution.same_space(span_of_cubics(expected))
 
 
-def test_catalog_json_shape():
-    import json
-
+def test_catalog_entry_shape():
     entries = catalog(7, JordanFamily.diag_repeated(1))
-    blob = [e.to_json() for e in entries]
-    json.dumps(blob)
-    assert [e["orbit"] for e in blob] == [1, 2, 3]
-    assert set(blob[0]) == {"orbit", "rep", "K", "solution"}
-    assert blob[0]["solution"]["particular"] is not None
-    assert blob[2]["solution"]["particular"] is None
+    assert [e.orbit_index for e in entries] == [1, 2, 3]
+    assert [e.rep.orbit_index for e in entries] == [1, 2, 3]
+    assert not entries[0].solution.is_empty
+    assert entries[2].solution.is_empty
     (single,) = catalog(2, ktilde((0, 0, 1)))
-    single_blob = single.to_json()
-    assert single_blob["orbit"] is None
-    assert len(single_blob["solution"]["basis"]) == 2
+    assert single.orbit_index is None and single.rep is None
+    assert len(single.solution.basis) == 2
 
 
 # ---------------------------------------------------------------------------
