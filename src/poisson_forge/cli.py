@@ -246,7 +246,10 @@ def _cmd_orbits(args):
 
 def _cmd_verify_paper(args):
     goldens = load_goldens(args.goldens) if args.goldens else None
-    seed = int(os.environ.get("POISSON_FORGE_SEED", DEFAULT_SEED))
+    try:
+        seed = int(os.environ.get("POISSON_FORGE_SEED", DEFAULT_SEED))
+    except ValueError:
+        raise ParseError("POISSON_FORGE_SEED is not an integer") from None
     items = run_verification(goldens=goldens, seed=seed)
     if args.format == "json":
         print(json.dumps([it.to_json() for it in items], indent=2))

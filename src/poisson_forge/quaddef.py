@@ -18,6 +18,7 @@ matrix, and the special-orthogonal maps that carry each stratum
 representative to the vertical axis.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -31,6 +32,7 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _rational_sqrt,
     apply_matrix_derivation,
     as_scalar,
     cross3,
@@ -291,9 +293,8 @@ class JordanFamily:
     ``DIAG_DISTINCT`` carries three pairwise-distinct nonzero rational
     eigenvalues summing to zero; ``DIAG_REPEATED`` carries the single
     parameter of diag(l, l, -2l); ``NILPOTENT_FULL`` is the full
-    3x3 nilpotent shift; everything else is ``OTHER`` (with a floating
-    eigenvalue report when the characteristic polynomial does not split
-    over the rationals).
+    3x3 nilpotent shift; everything else is ``OTHER``, with a floating
+    eigenvalue report.
     """
 
     tag: str
@@ -361,14 +362,9 @@ def _rational_roots_monic_cubic(c2: Fraction, c0: Fraction):
     root = Fraction(s, d)
     # deflate: t^3 + c2 t + c0 = (t - r)(t^2 + r t + (r^2 + c2))
     b, c = root, root * root + c2
-    disc = b * b - 4 * c
-    if disc < 0:
+    sq = _rational_sqrt(b * b - 4 * c)
+    if sq is None:
         return None
-    num, dden = disc.numerator, disc.denominator
-    rn, rd = math.isqrt(num), math.isqrt(dden)
-    if rn * rn != num or rd * rd != dden:
-        return None
-    sq = Fraction(rn, rd)
     return (root, (-b + sq) / 2, (-b - sq) / 2)
 
 
@@ -414,14 +410,12 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
                for row in k_matrix.rows for v in row):
         q = Matrix([[v.rational_value() if isinstance(v, ExtScalar) else v
                      for v in row] for row in k_matrix.rows])
-        m = q.rows
-        c2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
-                 for i, j in ((0, 1), (0, 2), (1, 2)))
-        roots = _rational_roots_monic_cubic(c2, -q.det())
+        c2, det = _char_coeffs(q)
+        roots = _rational_roots_monic_cubic(c2, -det)
         distinct = sorted(set(roots or ()), reverse=True)
         if len(distinct) == 3 and 0 not in distinct:
             if q.is_diagonal():
-                distinct = [m[i][i] for i in range(3)]
+                distinct = [q.rows[i][i] for i in range(3)]
             return JordanFamily.diag_distinct(*distinct)
         if len(distinct) == 2:
             lam = next(r for r in distinct if roots.count(r) == 2)
@@ -434,16 +428,50 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
 
 
-def _float_eigen_report(k_matrix: Matrix) -> tuple:
-    import numpy
+def _char_coeffs(m: Matrix) -> tuple:
+    """(c2, det), Fractions when rational: m's char. poly t^3 + c2 t - det."""
+    r = m.rows
+    c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i]
+             for i, j in ((0, 1), (0, 2), (1, 2)))
+    return tuple(c.rational_value() if isinstance(c, ExtScalar)
+                 and c.is_rational else c for c in (c2, m.det()))
 
-    arr = numpy.array(
-        [[float(v) for v in row] for row in k_matrix.rows],
-        dtype=float,
-    )
-    eigs = sorted(numpy.linalg.eigvals(arr),
-                  key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    return tuple((float(z.real), float(z.imag)) for z in eigs)
+
+def _binary_exponent(v) -> int:
+    """e with |c| < 2^(e+1) for every rational part c of a nonzero scalar."""
+    parts = v.coords if isinstance(v, ExtScalar) else (v,)
+    return max(c.numerator.bit_length() - c.denominator.bit_length()
+               for c in parts if c)
+
+
+def _float_eigen_report(k_matrix: Matrix) -> tuple:
+    """Roots of the characteristic cubic as sorted (real, imag) floats:
+    exact when it splits over Q, else by bisection and deflation."""
+    c2, det = _char_coeffs(k_matrix)
+    roots = (None if isinstance(c2, ExtScalar) or isinstance(det, ExtScalar)
+             else _rational_roots_monic_cubic(c2, -det))
+    try:
+        if roots is not None:
+            eigs = [complex(r) for r in roots]
+        else:
+            # t = 2^k s gives s^3 + p s + q with |p|, |q| below 14
+            k = max(-(-_binary_exponent(c) // n)
+                    for c, n in ((c2, 2), (det, 3)) if c)
+            p = float(c2 * Fraction(4) ** -k)
+            q = float(-det * Fraction(8) ** -k)
+            hi = 1 + max(abs(p), abs(q))  # f(-hi) < 0 < f(hi)
+            lo, mid = -hi, 0.0
+            while lo < mid < hi and (value := mid * (mid * mid + p) + q):
+                lo, hi = (mid, hi) if value < 0 else (lo, mid)
+                mid = (lo + hi) / 2
+            # t^3 + p t + q = (t - mid)(t^2 + mid t + mid^2 + p)
+            root = cmath.sqrt(-3 * mid * mid - 4 * p)
+            eigs = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                    for z in (mid, (-mid + root) / 2, (-mid - root) / 2)]
+    except OverflowError:
+        raise ValueError("an eigenvalue is beyond the float range") from None
+    eigs.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return tuple((z.real + 0.0, z.imag + 0.0) for z in eigs)  # no -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -515,34 +543,29 @@ def t_of_v(v, tolerance: float = 1e-12):
     with T^T T = I and det T = 1, both checked (a failure raises even
     under ``python -O``).  Anything else -- float coordinates, or an
     exact point whose normalization needs a square root outside the
-    field -- takes the floating route, which returns a
-    ``numpy.ndarray`` after checking the orthogonality residual against
+    field -- takes the floating route, which returns a tuple of three
+    float rows after checking the orthogonality residual against
     ``tolerance``.
     """
-    if isinstance(v, P2Point):
-        try:
-            coords = v.unit_vector()
-        except ExactSqrtError:
-            return _t_of_v_float([float(c) for c in v.coords], tolerance)
-    else:
-        try:
-            coords = vec(v)
-        except TypeError:
-            return _t_of_v_float([float(c) for c in v], tolerance)
-        norm_sq = sum((c * c for c in coords), Fraction(0))
-        if norm_sq != 1:
-            raise ValueError("exact input must be a unit vector")
-    if len(coords) != 3:
-        raise ValueError("expected three coordinates")
-    vert = coords[2]
-    if float(vert) < 0:
-        raise ValueError("unit vector must have nonnegative vertical component")
-    if vert == 1:
-        return Matrix.identity(3)
+    raw = v.coords if isinstance(v, P2Point) else tuple(v)
     try:
+        if isinstance(v, P2Point):
+            coords = v.unit_vector()
+        else:
+            coords = vec(v)
+            norm_sq = sum((c * c for c in coords), Fraction(0))
+            if norm_sq != 1:
+                raise ValueError("exact input must be a unit vector")
+        if len(coords) != 3:
+            raise ValueError("expected three coordinates")
+        vert = coords[2]
+        if float(vert) < 0:
+            raise ValueError("unit vector must have nonnegative vertical component")
+        if vert == 1:
+            return Matrix.identity(3)
         sine = sqrt_exact(1 - vert * vert)
-    except ExactSqrtError:
-        return _t_of_v_float([float(c) for c in coords], tolerance)
+    except (ExactSqrtError, TypeError):
+        return _t_of_v_float(raw, tolerance)
     w = tuple(
         scalar_div((1 if i == 2 else 0) - vert * coords[i], sine)
         for i in range(3)
@@ -555,23 +578,24 @@ def t_of_v(v, tolerance: float = 1e-12):
     return t
 
 
-def _t_of_v_float(raw, tolerance: float):
-    import numpy
-
-    arr = numpy.asarray(raw, dtype=float)
-    norm = float(numpy.linalg.norm(arr))
+def _t_of_v_float(raw, tolerance: float) -> tuple:
+    exact = [c if isinstance(c, ExtScalar) else Fraction(c) for c in raw]
+    # scaled by a power of two: no product overflows, no rounding changes
+    k = max((_binary_exponent(c) for c in exact if c), default=0)
+    x, y, z = (float(c * Fraction(2) ** -k) for c in exact)
+    norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise ValueError("zero vector has no direction")
-    u = arr / norm
+    u = (x / norm, y / norm, z / norm)
     if u[2] < 0:
-        u = -u
-    # a fixed snap: ``tolerance`` bounds the residual only, never moves u
-    if abs(u[2] - 1.0) < 1e-12:
-        return numpy.eye(3)
-    denom = float(numpy.sqrt(1.0 - u[2] * u[2]))
-    w = (numpy.array([0.0, 0.0, 1.0]) - u[2] * u) / denom
-    t = numpy.vstack([w, numpy.cross(u, w), u])
-    residual = float(numpy.max(numpy.abs(t @ t.T - numpy.eye(3))))
+        u = (-u[0], -u[1], -u[2])
+    s = math.hypot(u[0], u[1])
+    if s == 0:
+        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    w = (-u[0] * u[2] / s, -u[1] * u[2] / s, s)
+    t = (w, cross3(u, w), u)
+    residual = max(abs(sum(a * b for a, b in zip(t[i], t[j])) - (i == j))
+                   for i in range(3) for j in range(3))
     if residual > tolerance:
         raise ValueError("orthogonality residual %g exceeds tolerance" % residual)
     return t

@@ -7,9 +7,7 @@ import pytest
 
 from poisson_forge.exactnum import SQRT2, SQRT3, Polynomial
 from poisson_forge.multivec import MultiVectorField
-
-
-DEFAULT_SEED = 20260412
+from poisson_forge.verify import DEFAULT_SEED
 
 
 def _suite_seed() -> int:

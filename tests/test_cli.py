@@ -489,6 +489,36 @@ def test_tolerance_belongs_to_orbits_alone(verb):
     assert "unrecognized arguments: --tolerance" in proc.stderr
 
 
+_DIAG_123 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "-3"]]
+
+
+def test_orbits_float_unit_keeps_small_components():
+    # a fixed snap once printed the unit [0.0, 0.0, 1.0] here
+    out = run_json("orbits", json.dumps({"K": _DIAG_123,
+                                         "point": ["1/1000000", "0", "1"]}))
+    assert out["point"]["orbit"] == 6
+    assert out["point"]["unit"] == [9.999999999995e-07, 0.0, 0.9999999999995]
+
+
+def test_orbits_float_unit_of_a_point_beyond_the_float_range():
+    out = run_json("orbits", json.dumps({"K": _DIAG_123,
+                                         "point": ["1e400", "2", "3"]}))
+    assert out["point"]["orbit"] == 7
+    assert out["point"]["unit"] == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1e400", "1e+200"),
+    ("1e700", "an eigenvalue is beyond the float range"),
+])
+def test_orbits_eigenvalue_report_of_huge_entries_exits_1(entry, message):
+    payload = {"K": [["0", entry, "0"], ["-1", "0", "0"], ["0", "0", "0"]]}
+    proc = run_cli("orbits", json.dumps(payload))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
 def test_orbits_rejects_unstructured_matrix():
     payload = {"K": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "-2"]]}
     proc = run_cli("orbits", json.dumps(payload))
@@ -505,6 +535,15 @@ def test_verify_paper_all_pass():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "35/35 items passed"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_verify_paper_rejects_a_non_integer_seed():
+    proc = run_cli("verify-paper",
+                   env=dict(os.environ, POISSON_FORGE_SEED="abc"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "POISSON_FORGE_SEED" in proc.stderr
 
 
 def test_verify_paper_is_reproducible_across_hash_seeds():

@@ -6,8 +6,9 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
+
+from conftest import random_ext_scalar
 
 from poisson_forge.exactnum import (
     ExactSqrtError,
@@ -57,6 +58,7 @@ from poisson_forge.quaddef import (
 from poisson_forge.quaddef import (
     _derivation_rows,
     _drift_rows,
+    _float_eigen_report,
     _rational_roots_monic_cubic,
     _rep_rotation,
 )
@@ -492,6 +494,43 @@ def test_jordan_family_of_other_cases():
         jordan_family_of(Matrix.identity(3))
 
 
+@pytest.mark.parametrize("irrational", [False, True])
+def test_eigen_report_satisfies_vieta(rng, irrational):
+    """The reported roots of OTHER twists have sum 0 (the trace), pairwise
+    product sum c2 and product det, up to float rounding."""
+    seen = 0
+    while seen < 60:
+        rows = [[random_ext_scalar(rng, irrational) for _ in range(3)]
+                for _ in range(3)]
+        rows[2][2] = -rows[0][0] - rows[1][1]
+        m = Matrix(rows)
+        family = jordan_family_of(m)
+        if family.tag != OTHER:
+            continue
+        seen += 1
+        report = family.eigen_report
+        assert report == _float_eigen_report(m)
+        keys = [(round(re, 9), round(im, 9)) for re, im in report]
+        assert keys == sorted(keys)
+        l1, l2, l3 = (complex(re, im) for re, im in report)
+        c2 = sum(m.rows[i][i] * m.rows[j][j] - m.rows[i][j] * m.rows[j][i]
+                 for i, j in ((0, 1), (0, 2), (1, 2)))
+        scale = max(1.0, abs(l1), abs(l2), abs(l3))
+        assert abs(l1 + l2 + l3) <= 1e-9 * scale
+        assert abs(l1 * l2 + l1 * l3 + l2 * l3 - float(c2)) <= 1e-9 * scale ** 2
+        assert abs(l1 * l2 * l3 - float(m.det())) <= 1e-9 * scale ** 3
+
+
+def test_eigen_report_scales_past_the_float_range():
+    huge = Matrix([[0, F(10) ** 400, 0], [-1, 0, 0], [0, 0, 0]])
+    assert _float_eigen_report(huge) == ((0.0, -1e200), (0.0, 0.0),
+                                         (0.0, 1e200))
+    for beyond in (Matrix([[0, F(10) ** 700, 0], [-1, 0, 0], [0, 0, 0]]),
+                   Matrix.diagonal([F(10) ** 400, -F(10) ** 400, 0])):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            jordan_family_of(beyond)
+
+
 def _trial_division_roots(c2, c0):
     """Reference: one rational root by the rational-root theorem, found by
     trial division, then the deflated quadratic.  Exponential in the bit
@@ -758,15 +797,25 @@ def test_t_of_v_rejects_bad_exact_input():
         t_of_v((0, 0, F(-1)))
 
 
+def _is_float_rows(t):
+    return (isinstance(t, tuple) and len(t) == 3
+            and all(isinstance(row, tuple) and len(row) == 3
+                    and all(isinstance(v, float) for v in row) for row in t))
+
+
 def test_t_of_v_float_fallback():
     t = t_of_v((0.6, 0.0, 0.8))
-    assert isinstance(t, np.ndarray)
-    assert np.max(np.abs(t @ t.T - np.eye(3))) < 1e-12
-    assert np.allclose(t[2], [0.6, 0.0, 0.8])
+    assert _is_float_rows(t)
+    assert max(abs(sum(a * b for a, b in zip(t[i], t[j])) - (i == j))
+               for i in range(3) for j in range(3)) < 1e-12
+    # |a - b| <= 1e-8 + 1e-5 |b|, the bounds of the former allclose check
+    assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+               for a, b in zip(t[2], [0.6, 0.0, 0.8]))
     # exact input whose norm leaves the field drops to floats too
     t = t_of_v(P2Point((3, 0, 5)))
-    assert isinstance(t, np.ndarray)
-    assert abs(np.linalg.det(t) - 1.0) < 1e-12
+    assert _is_float_rows(t)
+    det = sum(a * b for a, b in zip(t[0], cross3(t[1], t[2])))
+    assert abs(det - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
