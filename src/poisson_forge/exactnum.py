@@ -20,16 +20,20 @@ On top of the scalars the module provides:
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
 
-The linear algebra runs on Python ints.  A matrix of Fractions is read
-as (D, M): integer entries M over one denominator D, the lcm of the
-denominators, as FLINT stores ``fmpq_mat``.  A 3x3 determinant is then
-det(M) / D^3, the 3x3 inverse D adj(M) / det(M), and the image of a
-vector w / e (integer entries w over their lcm e) is (M w) / (D e); a
-product scales the rows of the left factor and the columns of the right
-one by their own lcms.  Each result entry becomes a Fraction once, at
-the end.  Matrices with an ExtScalar entry, and other sizes for ``det``
-and ``inverse``, keep the cofactor, Laplace and Gauss-Jordan loops on
-the scalars.
+The linear algebra runs on Python ints.  A matrix of Fractions has the
+integer form (D, M), as FLINT stores ``fmpq_mat``: a flat tuple M of its
+n^2 entries, row by row, as ints over one denominator D > 0 with
+gcd(D, M) = 1, so that two such matrices are equal exactly when their
+forms are.  Products, transposes, negation, scaling by a Fraction and
+the 3x3 inverse D adj(M) / det(M) build the form of their result from
+the forms of their operands, reduced by one gcd, and no Fraction; the
+3x3 determinant det(M) / D^3 and the image (M w) / (D e) of a vector
+w / e build only their results.  Each of the two views is built at most
+once: a matrix built from rows gets its form on its first integer
+operation, and one built by an integer operation gets its Fraction
+``rows`` on first read.  A matrix with an ExtScalar (or int) entry has
+no form and keeps the cofactor, Laplace and Gauss-Jordan loops on the
+scalars, as do other sizes for ``det`` and ``inverse``.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -811,21 +815,52 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
 class Matrix:
     """Square matrix with exact scalar entries."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("_rows", "n", "_form")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(as_scalar(v) for v in row) for row in rows)
-        self.n = len(self.rows)
-        if any(len(row) != self.n for row in self.rows):
+        self._rows = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+        self.n, self._form = len(self._rows), None
+        if any(len(row) != self.n for row in self._rows):
             raise ValueError("matrix must be square")
 
     @classmethod
     def _trusted(cls, rows) -> "Matrix":
         """Wrap square rows of package scalars computed from matrices."""
         self = object.__new__(cls)
-        self.rows = tuple(tuple(row) for row in rows)
-        self.n = len(self.rows)
+        self._rows = tuple(tuple(row) for row in rows)
+        self.n, self._form = len(self._rows), None
         return self
+
+    @classmethod
+    def _of_form(cls, n: int, den: int, ints) -> "Matrix":
+        """ints / den, row by row, reduced to the canonical (D, M)."""
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            ints = [v // g for v in ints]
+        self = object.__new__(cls)
+        self._rows, self.n, self._form = None, n, (den, tuple(ints))
+        return self
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            n, (den, ints) = self.n, self._form
+            self._rows = tuple(tuple([Fraction(v, den) for v in ints[k:k + n]])
+                               for k in range(0, n * n, n))
+        return self._rows
+
+    def integer_form(self):
+        """(D, M) when every entry is a Fraction, else None."""
+        if self._form is None:
+            flat = [v for row in self._rows for v in row]
+            self._form = False
+            if all(type(v) is Fraction for v in flat):
+                den, ints = _scaled_row(flat)
+                self._form = (den, tuple(ints))
+        return self._form or None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -843,10 +878,9 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.n == other.n and all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.n) for j in range(self.n)
-        )
+        if self.integer_form() and other.integer_form():
+            return self._form == other._form
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -868,14 +902,21 @@ class Matrix:
         )
 
     def __neg__(self):
+        if self.integer_form():
+            return self.scaled(-1)
         return Matrix._trusted([-a for a in row] for row in self.rows)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if other.n != self.n:
                 raise ValueError("size mismatch")
-            if _all_fractions(self.rows) and _all_fractions(other.rows):
-                return Matrix._trusted(_fraction_product(self.rows, other.rows))
+            if self.integer_form() and other.integer_form():
+                # (A/D)(B/E) = (A B) / (D E)
+                (den, a), (e, b), n = self._form, other._form, self.n
+                cols = [b[j::n] for j in range(n)]
+                return Matrix._of_form(n, den * e, [
+                    sum(map(operator.mul, a[k:k + n], col))
+                    for k in range(0, n * n, n) for col in cols])
             cols = tuple(zip(*other.rows))
             return Matrix._trusted(
                 [sum((a * b for a, b in zip(row, col)), Fraction(0))
@@ -886,20 +927,18 @@ class Matrix:
 
     def scaled(self, c) -> "Matrix":
         c = as_scalar(c)
+        if type(c) is Fraction and self.integer_form():
+            (den, ints), p = self._form, c.numerator
+            return Matrix._of_form(self.n, den * c.denominator, [p * v for v in ints])
         return Matrix._trusted([c * a for a in row] for row in self.rows)
-
-    def _integer_form(self):
-        """(D, M) for a Fraction matrix: its entries, row by row, as ints
-        over D, the lcm of their denominators."""
-        return _scaled_row([v for row in self.rows for v in row])
 
     def apply(self, v: Sequence) -> tuple:
         n = self.n
         if len(v) != n:
             raise ValueError("size mismatch")
-        if _all_fractions(self.rows) and _all_fractions((v,)):
+        if self.integer_form() and all(type(x) is Fraction for x in v):
             # (M/D)(w/e) = (M w) / (D e) on integer rows M and vector w
-            den, ints = self._integer_form()
+            den, ints = self._form
             e, w = _scaled_row(v)
             den *= e
             return tuple(Fraction(sum(map(operator.mul, ints[k:k + n], w)), den)
@@ -907,6 +946,9 @@ class Matrix:
         return tuple(dot(row, v) for row in self.rows)
 
     def transpose(self) -> "Matrix":
+        if self.integer_form():
+            n, (den, ints) = self.n, self._form
+            return Matrix._of_form(n, den, [v for j in range(n) for v in ints[j::n]])
         return Matrix._trusted(zip(*self.rows))
 
     def column(self, j: int) -> tuple:
@@ -925,9 +967,9 @@ class Matrix:
             (a, b), (c, d) = self.rows
             return a * d - b * c
         if self.n == 3:
-            if _all_fractions(self.rows):
+            if self.integer_form():
                 # det(M/D) = det(M) / D^3
-                den, (a, b, c, d, e, f, g, h, i) = self._integer_form()
+                den, (a, b, c, d, e, f, g, h, i) = self._form
                 return Fraction(a * (e * i - f * h) - b * (d * i - f * g)
                                 + c * (d * h - e * g), den ** 3)
             (a, b, c), (d, e, f), (g, h, i) = self.rows
@@ -947,18 +989,16 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         n = self.n
-        if n == 3 and _all_fractions(self.rows):
+        if n == 3 and self.integer_form():
             # (M/D)^-1 = D adj(M) / det(M)
-            den, (a, b, c, d, e, f, g, h, i) = self._integer_form()
+            den, (a, b, c, d, e, f, g, h, i) = self._form
             adj = (e * i - f * h, c * h - b * i, b * f - c * e,
                    f * g - d * i, a * i - c * g, c * d - a * f,
                    d * h - e * g, b * g - a * h, a * e - b * d)
             det = a * adj[0] + b * adj[3] + c * adj[6]
             if not det:
                 raise ZeroDivisionError("singular matrix")
-            return Matrix._trusted(
-                [Fraction(den * x, det) for x in adj[k:k + 3]]
-                for k in (0, 3, 6))
+            return Matrix._of_form(3, det, [den * x for x in adj])
         work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
                 for i, row in enumerate(self.rows)]
         for col in range(n):
@@ -980,6 +1020,9 @@ class Matrix:
         return Matrix._trusted(row[n:] for row in work)
 
     def is_symmetric(self) -> bool:
+        if self.integer_form():
+            n, ints = self.n, self._form[1]
+            return all(ints[i::n] == ints[i * n:i * n + n] for i in range(n))
         return all(
             self.rows[i][j] == self.rows[j][i]
             for i in range(self.n) for j in range(i + 1, self.n)
@@ -1148,29 +1191,10 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     return SolutionSpace(ncols, particular, basis)
 
 
-def _all_fractions(rows) -> bool:
-    return all(type(v) is Fraction for row in rows for v in row)
-
-
 def _scaled_row(row):
     """(d, ints) with ints = d * row and d the lcm of row's denominators."""
     den = math.lcm(*(v.denominator for v in row))
     return den, [v.numerator * (den // v.denominator) for v in row]
-
-
-def _fraction_product(a_rows, b_rows):
-    """Rows of A*B for Fraction matrices, with integer dot products.
-
-    Row i of A is d_i times an int row, column j of B is e_j times an int
-    column, so (AB)_ij = (int row . int column) / (d_i e_j) exactly.
-    """
-    left = [_scaled_row(row) for row in a_rows]
-    right = [_scaled_row(col) for col in zip(*b_rows)]
-    return [
-        [Fraction(sum(map(operator.mul, ints, col_ints)), d * e)
-         for e, col_ints in right]
-        for d, ints in left
-    ]
 
 
 def _exact_int_div(a: int, b: int) -> int:

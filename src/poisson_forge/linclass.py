@@ -70,9 +70,10 @@ def _as_fraction(value) -> Fraction:
 
 def _rational_matrix(m: Matrix) -> Matrix:
     """``m`` itself, once every entry is checked to be rational."""
-    for row in m.rows:
-        for v in row:
-            _as_fraction(v)
+    if m.integer_form() is None:
+        for row in m.rows:
+            for v in row:
+                _as_fraction(v)
     return m
 
 
@@ -97,6 +98,14 @@ class LinearPair:
             raise ValueError("Gram matrix must be symmetric")
         if any(self.gram.apply(self.k)):
             raise ValueError("incompatible pair: A k != 0")
+
+    @classmethod
+    def _trusted(cls, k: tuple, gram: Matrix) -> "LinearPair":
+        """Wrap a Fraction k and a rational Gram matrix forming a pair."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "gram", gram)
+        return self
 
     def potential(self) -> Polynomial:
         """The quadratic potential f = (Ax, x)."""
@@ -231,14 +240,16 @@ def decompose(pi: MultiVectorField) -> Decomposition:
 
 
 def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
-    """Image of a pair under an invertible linear map."""
+    """Image of a pair under an invertible linear map, valid by construction:
+    with S = T^-1, S' A S is symmetric as A is, and S' A S T k = S' A k = 0.
+    """
     t = _rational_matrix(t)
     det = t.det()
     if not det:
         raise ValueError("transformation must be invertible")
     tinv = t.inverse()
     gram = (tinv.transpose() * pair.gram * tinv).scaled(det)
-    return LinearPair(t.apply(pair.k), gram)
+    return LinearPair._trusted(t.apply(pair.k), gram)
 
 
 def is_isomorphism(t: Matrix, p1: LinearPair, p2: LinearPair) -> bool:

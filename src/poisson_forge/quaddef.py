@@ -446,10 +446,13 @@ def _binary_exponent(v) -> int:
 
 def _float_eigen_report(k_matrix: Matrix) -> tuple:
     """Roots of the characteristic cubic as sorted (real, imag) floats:
-    exact when it splits over Q, else by bisection and deflation."""
+    exact when it splits over Q or has a repeated root (discriminant
+    -4 c2^3 - 27 det^2 = 0), else by bisection and deflation."""
     c2, det = _char_coeffs(k_matrix)
     roots = (None if isinstance(c2, ExtScalar) or isinstance(det, ExtScalar)
              else _rational_roots_monic_cubic(c2, -det))
+    if roots is None and c2 and not 4 * c2 * c2 * c2 + 27 * det * det:
+        roots = (3 * det / (2 * c2),) * 2 + (-3 * det / c2,)
     try:
         if roots is not None:
             eigs = [complex(r) for r in roots]

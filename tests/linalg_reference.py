@@ -1,12 +1,15 @@
 """Reference kernels: exact linear algebra on package scalars.
 
 ``exactnum`` runs its linear algebra on Python ints: a rational 3x3
-``Matrix`` is taken as integer rows over one denominator for ``det``,
-``inverse`` and ``apply``, and ``solve_linear`` eliminates a system with
-an ``ExtScalar`` entry on integer coordinates in Z[sqrt2, sqrt3].  This
-module keeps the kernels those replaced, as they were, so that the tests
-can compare the two on seeded inputs:
+``Matrix`` keeps its entries as integers over one denominator for
+products, ``transpose``, ``scaled``, ``det``, ``inverse`` and ``apply``,
+and ``solve_linear`` eliminates a system with an ``ExtScalar`` entry on
+integer coordinates in Z[sqrt2, sqrt3].  This module keeps the kernels
+those replaced, as they were, so that the tests can compare the two on
+seeded inputs:
 
+- ``product``: the plain triple loop on the entries,
+- ``transpose``, ``scaled``: entry by entry on the rows,
 - ``det``: the cofactor formulas (Laplace expansion above 3x3) on the
   entries themselves,
 - ``inverse``: Gauss-Jordan elimination with ``scalar_div``,
@@ -32,6 +35,28 @@ def dot(u, v):
     for a, b in zip(u, v):
         total = total + a * b
     return total
+
+
+def product(a, b):
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = Fraction(0)
+            for t in range(n):
+                total = total + a.rows[i][t] * b.rows[t][j]
+            row.append(total)
+        rows.append(row)
+    return Matrix._trusted(rows)
+
+
+def transpose(m):
+    return Matrix._trusted(zip(*m.rows))
+
+
+def scaled(m, c):
+    return Matrix._trusted([c * v for v in row] for row in m.rows)
 
 
 def apply(m, v):

@@ -1,14 +1,17 @@
 """Integer kernels of ``exactnum`` against the kernels they replaced.
 
-A rational 3x3 ``Matrix`` computes ``det``, ``inverse`` and ``apply`` as
-integer rows over one denominator, and ``solve_linear`` eliminates a
-system with an ``ExtScalar`` entry on integer coordinates in
-Z[sqrt2, sqrt3].  ``linalg_reference`` keeps the old kernels: on seeded
-inputs both must give the same values, with the same types on rational
-input and the same ``scalar_to_json`` of every coordinate on field
-systems.
+A rational ``Matrix`` keeps the integer form (D, M) from operation to
+operation: products, ``transpose``, ``scaled`` and the 3x3 ``inverse``
+run on it, and ``det`` and ``apply`` read it.  ``solve_linear``
+eliminates a system with an ``ExtScalar`` entry on integer coordinates
+in Z[sqrt2, sqrt3].  ``linalg_reference`` keeps the old kernels: on
+seeded inputs both must give the same values, with the same types on
+rational input and the same ``scalar_to_json`` of every coordinate on
+field systems.  The form must be canonical (D > 0, gcd(D, M) = 1), so
+that ``==`` on forms agrees with ``==`` on entries.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -91,6 +94,112 @@ def test_integer_entries_and_vectors_keep_their_results():
     _check_against_reference(m, (F(1), F(1, 2), F(-3, 4)))
     _check_against_reference(Matrix._trusted([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                              (F(1), F(2), F(3)))
+
+
+def _assert_canonical(m):
+    """m's integer form is the canonical one of its entries."""
+    den, ints = m.integer_form()
+    assert den > 0 and math.gcd(den, *ints) == 1
+    assert type(ints) is tuple and len(ints) == m.n * m.n
+    assert Matrix([list(row) for row in m.rows]).integer_form() == (den, ints)
+
+
+@pytest.mark.parametrize("digits", [1, 3, 30])
+def test_chains_of_integer_operations_match_the_fraction_kernels(digits):
+    rng = random.Random(8150 + digits)
+    ops = ("product", "product", "transpose", "scaled", "inverse", "negate")
+    seen = set()
+    for _ in range(40):
+        got = _random_matrix(rng, 3, digits)
+        want = Matrix._trusted(got.rows)    # the reference reads rows only
+        for _ in range(6):
+            op = rng.choice(ops)
+            if op == "product":
+                other = _random_matrix(rng, 3, digits)
+                if rng.random() < 0.5:
+                    got, want = got * other, ref.product(want, other)
+                else:
+                    got, want = other * got, ref.product(other, want)
+            elif op == "transpose":
+                got, want = got.transpose(), ref.transpose(want)
+            elif op == "scaled":
+                c = _random_rational(rng, digits)
+                c = c.numerator if c.denominator == 1 else c
+                got, want = got.scaled(c), ref.scaled(want, F(c))
+            elif op == "negate":
+                got, want = -got, ref.scaled(want, F(-1))
+            else:
+                try:
+                    want = ref.inverse(want)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError, match="singular"):
+                        got.inverse()
+                    seen.add("singular")
+                    break
+                got = got.inverse()
+            seen.add(op)
+            for row, want_row in zip(got.rows, want.rows):
+                _same(row, want_row)
+            _assert_canonical(got)
+            v = tuple(_random_rational(rng, digits) for _ in range(3))
+            _same((got.det(),), (ref.det(want),))
+            _same(got.apply(v), ref.apply(want, v))
+    assert seen == set(ops) | {"singular"}
+
+
+def test_equality_and_hash_agree_across_the_three_views():
+    rng = random.Random(8160)
+    identity = Matrix.identity(3)
+    for digits in (1, 3, 30):
+        for _ in range(30):
+            m = _random_matrix(rng, 3, digits)
+            bump = Matrix.diagonal([0, _random_rational(rng, digits) or 1, 0])
+            views = []
+            for entries in (m.rows, (m + bump).rows):
+                by_form = Matrix(entries) * identity  # built by an integer op
+                by_rows = Matrix([list(row) for row in entries])
+                by_ext = Matrix([[ExtScalar.of(v) for v in row]
+                                 for row in entries])
+                assert by_form.integer_form() and by_ext.integer_form() is None
+                views.append((by_form, by_rows, by_ext))
+            same, other = views
+            for a in same:
+                for b in same:
+                    assert a == b and not a != b
+                for b in other:
+                    assert a != b and not a == b
+                assert {hash(b) for b in same} == {hash(a)}
+
+
+def test_zero_and_common_factors_normalise_to_the_canonical_form():
+    zero = (1, (0,) * 9)
+    m = Matrix([[F(1, 3), F(2, 5), 0], [0, F(7, 2), 1], [F(-1, 6), 0, 2]])
+    for z in (Matrix.zero(3), m * Matrix.zero(3), m.scaled(0), -Matrix.zero(3),
+              m.scaled(F(1, 7)) * Matrix.zero(3).transpose()):
+        assert z.integer_form() == zero
+        assert z == Matrix.zero(3)
+    # (I/2) * diag(2, 4, 6) is (2, diag(2, 4, 6)) before the common 2 goes
+    product = Matrix.diagonal([F(1, 2)] * 3) * Matrix.diagonal([2, 4, 6])
+    assert product.integer_form() == (1, (1, 0, 0, 0, 2, 0, 0, 0, 3))
+    assert product == Matrix.diagonal([1, 2, 3])
+    # m/3 * 3m^-1: every numerator carries the denominator's factors
+    assert m.scaled(F(1, 3)) * m.inverse().scaled(3) == Matrix.identity(3)
+    assert m.scaled(F(2, 9)).scaled(F(9, 2)).integer_form() == m.integer_form()
+    # det(M) < 0: the inverse still has D > 0
+    flip = Matrix.diagonal([F(-2, 3), 1, 1])
+    assert flip.inverse().integer_form() == (2, (-3, 0, 0, 0, 2, 0, 0, 0, 2))
+    assert flip.inverse() == Matrix.diagonal([F(-3, 2), 1, 1])
+    for a in (m, m.inverse(), flip.inverse(), -m, m * m.transpose()):
+        _assert_canonical(a)
+
+
+def test_singular_inverse_raises_on_the_integer_form():
+    a = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for m in (a, a * Matrix.identity(3), a.transpose(), a.scaled(F(2, 7)),
+              -a, Matrix.zero(3)):
+        assert m.integer_form() is not None
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            m.inverse()
 
 
 def _random_field_entry(rng):

@@ -365,6 +365,22 @@ def test_is_isomorphism_consistent_with_transform(rng):
         assert is_isomorphism(t, pair, transform_pair(t, pair))
 
 
+def test_transform_pair_builds_a_valid_pair(rng):
+    """transform_pair skips LinearPair's checks: its image must pass them
+    and come out the same, in values and in entry types."""
+    maps = [random_invertible(rng) for _ in range(60)]
+    maps.append(Matrix._trusted([[1, 2, 0], [0, 1, 1], [1, 0, 3]]))  # int entries
+    for t in maps:
+        case = rng.randrange(1, 11)
+        scale = F(rng.randint(1, 9), rng.randint(1, 9)) if case in (8, 9) else 1
+        pair = transform_pair(random_invertible(rng), standard_pair(case, scale))
+        got = transform_pair(t, pair)
+        checked = LinearPair(got.k, got.gram)
+        assert got == checked
+        assert [type(v) for v in got.k] == [type(v) for v in checked.k] == [F] * 3
+        assert all(type(v) is F for row in got.gram.rows for v in row)
+
+
 def test_is_isomorphism_sqrt2_rotation():
     # orthogonal with irrational entries; cross-checked by pullback identity
     s = scalar_div(SQRT2, 2)

@@ -531,6 +531,24 @@ def test_eigen_report_scales_past_the_float_range():
             jordan_family_of(beyond)
 
 
+def test_eigen_report_is_exact_at_a_repeated_irrational_root():
+    """With c2 != 0 and discriminant -4 c2^3 - 27 det^2 = 0 the roots are
+    3 det / (2 c2), twice, and -3 det / c2, exact in the field; bisection
+    to the double root would lose about half its digits."""
+    r2, r3 = float(SQRT2), float(SQRT3)
+    assert r2 == 1.4142135623730951
+    for m in (Matrix.diagonal([SQRT2, SQRT2, -2 * SQRT2]),
+              Matrix([[SQRT2, 1, 0], [0, SQRT2, 0], [0, 0, -2 * SQRT2]])):
+        assert _float_eigen_report(m) == ((-2 * r2, 0.0), (r2, 0.0),
+                                          (r2, 0.0))
+        assert jordan_family_of(m).eigen_report == _float_eigen_report(m)
+    assert _float_eigen_report(Matrix.diagonal([-SQRT3, -SQRT3, 2 * SQRT3])) == (
+        (-r3, 0.0), (-r3, 0.0), (2 * r3, 0.0))
+    huge = F(10) ** 400 * SQRT2
+    with pytest.raises(ValueError, match="beyond the float range"):
+        _float_eigen_report(Matrix.diagonal([huge, huge, -2 * huge]))
+
+
 def _trial_division_roots(c2, c0):
     """Reference: one rational root by the rational-root theorem, found by
     trial division, then the deflated quadratic.  Exponential in the bit
