@@ -62,6 +62,9 @@ def _read_payload(raw: str) -> dict:
     except ValueError as exc:
         # JSONDecodeError, or a number longer than Python's int digit limit
         raise ParseError("input is not valid JSON: %s" % exc) from exc
+    except RecursionError:
+        # the decoder recurses once per nesting level of arrays and objects
+        raise ParseError("input is not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object at the top level")
     return data

@@ -20,13 +20,29 @@ On top of the scalars the module provides:
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
 
+Rational polynomials run on Python ints.  A polynomial whose
+coefficients are all Fractions is stored as FLINT stores ``fmpq_poly``:
+the integer form (D, T), with T a dict from exponent tuples to nonzero
+int numerators over one denominator D > 0 and gcd(D, T) = 1.  Every
+operation reduces its result to that form (zero entries dropped, one
+gcd, none when D = 1), so two rational polynomials are equal exactly
+when their forms are.  Products, sums (over lcm(D, E), or directly when
+the denominators agree), negation, scaling by an int or a Fraction,
+``diff``, the constructors, ``compose_linear``,
+``apply_matrix_derivation`` and ``quadratic_form_poly`` (the last two
+read the matrix's integer form below) build no Fraction.  ``terms`` is
+a view: the Fraction dict is built from the form on first read and
+cached.  A polynomial with an ExtScalar coefficient keeps that dict of
+scalars and the old loops; ``==`` and ``hash`` agree across the two
+kinds, so a rational ExtScalar coefficient equals its Fraction twin.
+
 The linear algebra runs on Python ints.  A matrix of Fractions has the
 integer form (D, M), as FLINT stores ``fmpq_mat``: a flat tuple M of its
 n^2 entries, row by row, as ints over one denominator D > 0 with
 gcd(D, M) = 1, so that two such matrices are equal exactly when their
-forms are.  Products, transposes, negation, scaling by a Fraction and
-the 3x3 inverse D adj(M) / det(M) build the form of their result from
-the forms of their operands, reduced by one gcd, and no Fraction; the
+forms are.  Products, sums, transposes, negation, scaling by a Fraction
+and the 3x3 inverse D adj(M) / det(M) build the form of their result
+from the forms of their operands, reduced by one gcd, and no Fraction; the
 3x3 determinant det(M) / D^3 and the image (M w) / (D e) of a vector
 w / e build only their results.  Each of the two views is built at most
 once: a matrix built from rows gets its form on its first integer
@@ -37,9 +53,10 @@ scalars, as do other sizes for ``det`` and ``inverse``.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
-solution set unchanged: a rational system on ints, a system with an
-ExtScalar entry on integer coordinate 4-tuples in the ring
-Z[sqrt2, sqrt3] = Z + Z sqrt2 + Z sqrt3 + Z sqrt6.  Every Bareiss cell is
+solution set unchanged (a row given as ints is taken as it is): a
+rational system on ints, a system with an ExtScalar entry on integer
+coordinate 4-tuples in the ring Z[sqrt2, sqrt3] = Z + Z sqrt2 + Z sqrt3
++ Z sqrt6.  Every Bareiss cell is
 pivot*a - factor*b divided by the previous pivot, and the quotient is a
 minor of the scaled input, so it lies in Z or in that ring; the
 division is therefore exact.  In the ring it multiplies by the divisor's
@@ -495,22 +512,33 @@ class Polynomial:
     """Sparse exact polynomial in ``nvars`` variables.
 
     Terms map exponent tuples to nonzero scalars.  Instances are treated
-    as immutable; all operations return fresh polynomials.
+    as immutable; all operations return fresh polynomials.  A polynomial
+    whose coefficients are all rational is kept on its integer form
+    (see the module docstring), and ``terms`` is then a view built on
+    first read.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_form")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         self.nvars = nvars
         clean = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError("bad exponent tuple %r" % (exps,))
-            coef = as_scalar(coef)
+            if type(coef) is not int and type(coef) is not Fraction:
+                coef = as_scalar(coef)
             if coef:
                 clean[exps] = coef
-        self.terms = clean
+        if any(isinstance(c, ExtScalar) for c in clean.values()):
+            self._terms = {e: Fraction(c) if type(c) is int else c
+                           for e, c in clean.items()}
+            self._form = False
+        else:
+            # ints and Fractions: no Fraction is built for an int
+            den, ints = _scaled_row(clean.values())
+            self._terms, self._form = None, (den, dict(zip(clean, ints)))
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
@@ -521,24 +549,62 @@ class Polynomial:
         """
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
+        self._terms = {e: c for e, c in terms.items() if c}
+        self._form = None
         return self
+
+    @classmethod
+    def _of_form(cls, nvars: int, den: int, ints: dict) -> "Polynomial":
+        """ints / den for a positive den, reduced to the canonical form:
+        zero entries dropped, numerators and den divided by their gcd."""
+        if 0 in ints.values():
+            ints = {e: v for e, v in ints.items() if v}
+        if den != 1:
+            g = math.gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {e: v // g for e, v in ints.items()}
+        self = object.__new__(cls)
+        self.nvars, self._terms, self._form = nvars, None, (den, ints)
+        return self
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den, ints = self._form
+            self._terms = {e: Fraction(v, den) for e, v in ints.items()}
+        return self._terms
+
+    def integer_form(self):
+        """(D, {exps: int}) when every coefficient is a Fraction, else None."""
+        if self._form is None:
+            self._form = False
+            if all(type(c) is Fraction for c in self._terms.values()):
+                den, ints = _scaled_row(self._terms.values())
+                self._form = (den, dict(zip(self._terms, ints)))
+        return self._form or None
+
+    def _exponents(self):
+        return self._form[1] if self._terms is None else self._terms
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return cls._of_form(nvars, 1, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        if type(value) is int or type(value) is Fraction:
+            return cls._of_form(nvars, value.denominator,
+                                {(0,) * nvars: value.numerator})
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls._of_form(nvars, 1, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "Polynomial":
@@ -548,24 +614,24 @@ class Polynomial:
     def linear(cls, coeffs: Sequence) -> "Polynomial":
         """The linear form sum_j coeffs[j] x_j in len(coeffs) variables."""
         n = len(coeffs)
-        return cls(n, {tuple(1 if k == j else 0 for k in range(n)): c
-                       for j, c in enumerate(coeffs)})
+        return cls(n, dict(zip(_unit_exponents(n), coeffs)))
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._exponents()
 
     def coeff(self, exps: Sequence[int]):
+        if self._terms is None:
+            den, ints = self._form
+            return Fraction(ints.get(tuple(exps), 0), den)
         return self.terms.get(tuple(exps), Fraction(0))
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._exponents()), default=0)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self.terms)
+        return all(sum(e) == d for e in self._exponents())
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
@@ -580,6 +646,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_arity(other)
+        a, b = self.integer_form(), other.integer_form()
+        if a and b:
+            (den, ints), (e, other_ints) = a, b
+            if den == e:
+                terms = dict(ints)
+                for exps, v in other_ints.items():
+                    terms[exps] = terms.get(exps, 0) + v
+            else:
+                # a / den + b / e over lcm(den, e)
+                lcm = math.lcm(den, e)
+                s, t, den = lcm // den, lcm // e, lcm
+                terms = {exps: v * s for exps, v in ints.items()}
+                for exps, v in other_ints.items():
+                    terms[exps] = terms.get(exps, 0) + v * t
+            return Polynomial._of_form(self.nvars, den, terms)
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
             cur = terms.get(exps)
@@ -592,19 +673,39 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
+        form = self.integer_form()
+        if form:
+            return Polynomial._of_form(self.nvars, form[0],
+                                       {e: -v for e, v in form[1].items()})
         return Polynomial._trusted(self.nvars,
                                    {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_arity(other)
-            terms: dict = {}
+            a, b = self.integer_form(), other.integer_form()
+            if a and b:
+                # (P / D)(Q / E) = (P Q) / (D E)
+                (den, ints), (e, other_ints) = a, b
+                terms: dict = {}
+                for e1, c1 in ints.items():
+                    for e2, c2 in other_ints.items():
+                        key = tuple(map(operator.add, e1, e2))
+                        terms[key] = terms.get(key, 0) + c1 * c2
+                return Polynomial._of_form(self.nvars, den * e, terms)
+            terms = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
                     cur = terms.get(key)
                     terms[key] = c1 * c2 if cur is None else cur + c1 * c2
             return Polynomial._trusted(self.nvars, terms)
+        if type(other) is int or type(other) is Fraction:
+            form = self.integer_form()
+            if form:
+                p, den = other.numerator, form[0] * other.denominator
+                return Polynomial._of_form(
+                    self.nvars, den, {e: p * v for e, v in form[1].items()})
         try:
             c = as_scalar(other)
         except TypeError:
@@ -626,7 +727,11 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        if self.integer_form() and other.integer_form():
+            return self._form == other._form
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -634,6 +739,13 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
+        form = self.integer_form()
+        if form:
+            # distinct exponents stay distinct once one entry drops by one
+            return Polynomial._of_form(self.nvars, form[0], {
+                exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
+                    v * exps[index]
+                for exps, v in form[1].items() if exps[index]})
         terms = {}
         for exps, coef in self.terms.items():
             e = exps[index]
@@ -667,9 +779,18 @@ class Polynomial:
         """Pullback p(M x): substitute x_i -> sum_j M[i][j] x_j."""
         if m.n != self.nvars:
             raise ValueError("matrix size %d does not match arity %d" % (m.n, self.nvars))
-        subs = [Polynomial.linear(row) for row in m.rows]
+        n = self.nvars
+        subs = _linear_forms(m)
+        form = self.integer_form()
+        if form:
+            den, one = form[0], (0,) * n
+            terms = [(exps, Polynomial._of_form(n, den, {one: v}))
+                     for exps, v in form[1].items()]
+        else:
+            terms = [(exps, Polynomial.constant(n, coef))
+                     for exps, coef in self.terms.items()]
         # cache powers of the substituted linear forms
-        powers = [{0: Polynomial.constant(self.nvars, 1)} for _ in range(self.nvars)]
+        powers = [{0: Polynomial.constant(n, 1)} for _ in range(n)]
 
         def power(i, e):
             cache = powers[i]
@@ -678,9 +799,8 @@ class Polynomial:
                 cache[top + 1] = cache[top] * subs[i]
             return cache[e]
 
-        out = Polynomial.zero(self.nvars)
-        for exps, coef in self.terms.items():
-            term = Polynomial.constant(self.nvars, coef)
+        out = Polynomial.zero(n)
+        for exps, term in terms:
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
@@ -741,22 +861,50 @@ class Polynomial:
         return cls(nvars, terms)
 
 
+def _unit_exponents(n: int) -> tuple:
+    """The exponent tuples of x_1, ..., x_n."""
+    return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
+
+
+def _linear_forms(m: "Matrix") -> list:
+    """The linear forms sum_j M[i][j] x_j, one per row, on the integer
+    form when M has one."""
+    form, n = m.integer_form(), m.n
+    if form:
+        den, ints = form
+        units = _unit_exponents(n)
+        return [Polynomial._of_form(n, den, dict(zip(units, ints[k:k + n])))
+                for k in range(0, n * n, n)]
+    return [Polynomial.linear(row) for row in m.rows]
+
+
 def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
     """Derivative of p along the linear vector field x -> M x."""
     if m.n != p.nvars:
         raise ValueError("matrix size %d does not match arity %d" % (m.n, p.nvars))
     out = Polynomial.zero(p.nvars)
-    for i in range(m.n):
+    for i, form in enumerate(_linear_forms(m)):
         pi = p.diff(i)
-        if not pi.terms:
-            continue
-        out = out + Polynomial.linear(m.rows[i]) * pi
+        if not pi.is_zero():
+            out = out + form * pi
     return out
 
 
 def quadratic_form_poly(m: "Matrix") -> Polynomial:
     """The quadratic polynomial x^T M x = sum_ij M_ij x_i x_j."""
     n = m.n
+    form = m.integer_form()
+    if form:
+        den, ints = form
+        terms = {}
+        for k, v in enumerate(ints):
+            if v:
+                exps = [0] * n
+                exps[k // n] += 1
+                exps[k % n] += 1
+                key = tuple(exps)
+                terms[key] = terms.get(key, 0) + v
+        return Polynomial._of_form(n, den, terms)
     out = Polynomial.zero(n)
     for i in range(n):
         for j in range(n):
@@ -888,6 +1036,8 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
+        if self.integer_form() and other.integer_form():
+            return self._form_sum(other, 1)
         return Matrix._trusted(
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
@@ -896,10 +1046,19 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
+        if self.integer_form() and other.integer_form():
+            return self._form_sum(other, -1)
         return Matrix._trusted(
             [a - b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
         )
+
+    def _form_sum(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other on the forms: A / D + B / E over lcm(D, E)."""
+        (d, a), (e, b) = self._form, other._form
+        lcm = math.lcm(d, e)
+        s, t = lcm // d, sign * (lcm // e)
+        return Matrix._of_form(self.n, lcm, [s * x + t * y for x, y in zip(a, b)])
 
     def __neg__(self):
         if self.integer_form():
@@ -1127,13 +1286,16 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         if m == 0:
             raise ValueError("cannot infer column count from an empty system")
         ncols = len(rows[0])
-    aug = []
+    aug, on_ints = [], []
     for i in range(m):
-        row = [as_scalar(v) for v in rows[i]]
+        row = list(rows[i])
         if len(row) != ncols:
             raise ValueError("ragged system")
-        row.append(as_scalar(rhs[i]))
-        aug.append(row)
+        row.append(rhs[i])
+        # a row that is already all ints needs no coercion and no scaling
+        ints = all(type(v) is int for v in row)
+        aug.append(row if ints else [as_scalar(v) for v in row])
+        on_ints.append(ints)
 
     # ``update`` runs the Bareiss step on the tail of a row, dividing by
     # the previous pivot as ``divisor`` prepared it; ``prev`` starts as 1
@@ -1143,7 +1305,8 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         zero, prev, update, divisor = (_RING_ZERO, _RING_ONE, _ring_update,
                                        _norm_cofactor)
     else:
-        aug = [_scaled_row(row)[1] for row in aug]
+        aug = [row if ints else _scaled_row(row)[1]
+               for row, ints in zip(aug, on_ints)]
         # an int pivot is its own divisor
         zero, prev, update, divisor = 0, 1, _int_update, int
 

@@ -96,7 +96,8 @@ class MultiVectorField:
         self = object.__new__(cls)
         self.nvars = nvars
         self.grade = grade
-        self.components = {e: p for e, p in components.items() if p.terms}
+        self.components = {e: p for e, p in components.items()
+                           if not p.is_zero()}
         return self
 
     @classmethod
@@ -247,7 +248,7 @@ def curl(u: MultiVectorField) -> MultiVectorField:
     for idx, poly in u.components.items():
         for t, i in enumerate(idx):
             term = poly.diff(i)
-            if not term.terms:
+            if term.is_zero():
                 continue
             if t % 2:
                 term = -term

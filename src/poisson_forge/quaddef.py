@@ -33,6 +33,7 @@ from .exactnum import (
     Polynomial,
     SolutionSpace,
     _rational_sqrt,
+    _scaled_row,
     apply_matrix_derivation,
     as_scalar,
     cross3,
@@ -168,17 +169,32 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     return route_bracket
 
 
-def _derivation_rows(k_matrix: Matrix) -> list:
-    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients.
+def _twist_rows(k_matrix: Matrix):
+    """The rows of K, or of D K as ints when K has the integer form (D, M).
+
+    The kernel equations are homogeneous, so the factor D changes no
+    solution.
+    """
+    form = k_matrix.integer_form()
+    if not form:
+        return k_matrix.rows
+    ints = form[1]
+    return ints[0:3], ints[3:6], ints[6:9]
+
+
+def _derivation_rows(k: Sequence) -> list:
+    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for
+    the rows ``k`` of K.
 
     Column s is the image of the monomial x^e, e = CUBIC_MONOMIALS[s]:
     the sum over i, j of K[i][j] e_i x^(e - u_i + u_j).  Off the diagonal
     each entry has the single term i -> j; the diagonal entry sums
     K[i][i] e_i over i.  Entries equal apply_matrix_derivation's
-    coefficients in value and type, missing ones being Fraction(0).
+    coefficients in value and type, missing ones being Fraction(0);
+    integer rows give integer rows.
     """
-    k = k_matrix.rows
-    rows = [[Fraction(0)] * 10 for _ in range(10)]
+    zero = 0 if all(type(v) is int for row in k for v in row) else Fraction(0)
+    rows = [[zero] * 10 for _ in range(10)]
     for s, e in enumerate(CUBIC_MONOMIALS):
         diagonal = None
         for i in range(3):
@@ -209,10 +225,14 @@ def _drift_rows(k: Sequence) -> list:
 
     Column s is the image of x^e, e = CUBIC_MONOMIALS[s]: the sum over i
     of k_i e_i x^(e - u_i), one term per quadratic monomial.  Entries
-    equal directional_diff's coefficients in value and type.
+    equal directional_diff's coefficients in value and type; an integer
+    k gives integer rows.
     """
-    k = vec(k)
-    rows = [[Fraction(0)] * 10 for _ in QUAD_MONOMIALS]
+    if all(type(c) is int for c in k):
+        zero = 0
+    else:
+        k, zero = vec(k), Fraction(0)
+    rows = [[zero] * 10 for _ in QUAD_MONOMIALS]
     for s, e in enumerate(CUBIC_MONOMIALS):
         for i in range(3):
             if e[i] and k[i]:
@@ -225,7 +245,7 @@ def _drift_rows(k: Sequence) -> list:
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     """All cubics annihilated by the derivation of a traceless matrix."""
     _check_twist(k_matrix)
-    return solve_linear(_derivation_rows(k_matrix), [0] * 10, 10)
+    return solve_linear(_derivation_rows(_twist_rows(k_matrix)), [0] * 10, 10)
 
 
 def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
@@ -237,10 +257,18 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     route before being returned.
     """
     _check_twist(k_matrix)
-    rows = _derivation_rows(k_matrix) + _drift_rows(lp.k)
-    rhs = [Fraction(0)] * 10 + list(_quad_coords(deform_rhs(lp, k_matrix)))
-
-    space = solve_linear(rows, rhs, 10)
+    source = deform_rhs(lp, k_matrix)
+    form = source.integer_form()
+    if form:
+        # k.grad F = T / D times D s, s the lcm of k's denominators:
+        # integer rows and an integer right-hand side
+        (den, ints), (s, k) = form, _scaled_row(lp.k)
+        drift = _drift_rows([den * c for c in k])
+        rhs = [s * ints.get(m, 0) for m in QUAD_MONOMIALS]
+    else:
+        drift, rhs = _drift_rows(lp.k), list(_quad_coords(source))
+    rows = _derivation_rows(_twist_rows(k_matrix)) + drift
+    space = solve_linear(rows, [0] * 10 + rhs, 10)
     if not space.is_empty:
         members = [space.particular]
         members.extend(tuple(p + c for p, c in zip(space.particular, b))

@@ -9,8 +9,9 @@ re-runs the named cases (every case when no name is given), stores each
 exit code in ``cases.json`` and each stdout byte for byte in
 ``<name>.out``.  A case that is named but not yet in ``cases.json`` is an
 error: add its ``name``, ``argv`` and ``env`` there first.
-``tests/test_corpus.py`` replays the cases and compares.  Re-record only
-when an output is meant to change.
+``tests/test_corpus.py`` replays the cases and compares, and
+``replay.py`` does the same outside pytest, under interpreter flags such
+as ``-O``.  Re-record only when an output is meant to change.
 """
 
 import json
@@ -27,10 +28,11 @@ def load_cases():
     return json.loads(CASES.read_text(encoding="utf-8"))
 
 
-def run_case(case):
+def run_case(case, flags=()):
+    """Run one case, with interpreter ``flags`` such as ("-O",)."""
     env = dict(os.environ, **case.get("env", {}))
     return subprocess.run(
-        [sys.executable, "-m", "poisson_forge.cli", *case["argv"]],
+        [sys.executable, *flags, "-m", "poisson_forge.cli", *case["argv"]],
         capture_output=True, env=env,
     )
 

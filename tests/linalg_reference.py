@@ -2,14 +2,15 @@
 
 ``exactnum`` runs its linear algebra on Python ints: a rational 3x3
 ``Matrix`` keeps its entries as integers over one denominator for
-products, ``transpose``, ``scaled``, ``det``, ``inverse`` and ``apply``,
-and ``solve_linear`` eliminates a system with an ``ExtScalar`` entry on
-integer coordinates in Z[sqrt2, sqrt3].  This module keeps the kernels
+products, sums, ``transpose``, ``scaled``, ``det``, ``inverse`` and
+``apply``, and ``solve_linear`` eliminates a system with an ``ExtScalar``
+entry on integer coordinates in Z[sqrt2, sqrt3].  This module keeps the kernels
 those replaced, as they were, so that the tests can compare the two on
 seeded inputs:
 
 - ``product``: the plain triple loop on the entries,
-- ``transpose``, ``scaled``: entry by entry on the rows,
+- ``transpose``, ``scaled``, ``add``, ``sub``: entry by entry on the
+  rows,
 - ``det``: the cofactor formulas (Laplace expansion above 3x3) on the
   entries themselves,
 - ``inverse``: Gauss-Jordan elimination with ``scalar_div``,
@@ -57,6 +58,16 @@ def transpose(m):
 
 def scaled(m, c):
     return Matrix._trusted([c * v for v in row] for row in m.rows)
+
+
+def add(a, b):
+    return Matrix._trusted([x + y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(a.rows, b.rows))
+
+
+def sub(a, b):
+    return Matrix._trusted([x - y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(a.rows, b.rows))
 
 
 def apply(m, v):

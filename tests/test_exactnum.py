@@ -338,6 +338,38 @@ def test_quadratic_gram_roundtrip():
     assert gram_of_quadratic(p) == a
 
 
+X1, Y1, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 0)
+
+
+@pytest.mark.parametrize("ints, den, terms", [
+    ({X1: 6, Y1: -4, ONE: 12}, 2, {X1: 3, Y1: -2, ONE: 6}),
+    ({X1: 6, Y1: -4}, 12, {X1: F(1, 2), Y1: F(-1, 3)}),
+], ids=["integral", "rational"])
+def test_polynomial_kinds_agree_on_equality_and_hash(ints, den, terms):
+    on_form = Polynomial._of_form(3, den, ints)
+    from_init = P(3, terms)
+    with_ext = P(3, {**terms, X1: ExtScalar.of(terms[X1])})
+    assert with_ext.integer_form() is None
+    assert on_form.integer_form() == from_init.integer_form()
+    assert on_form == from_init == with_ext
+    assert with_ext == on_form and with_ext == from_init
+    assert hash(on_form) == hash(from_init) == hash(with_ext)
+    for p in (on_form, from_init):
+        assert all(type(c) is Fraction for c in p.terms.values())
+    assert type(with_ext.terms[X1]) is ExtScalar
+
+
+def test_zero_polynomial_has_the_unit_form():
+    x = Polynomial.variable(3, 0)
+    for zero in (Polynomial.zero(3), P(3, {X1: 0, Y1: F(0)}), x - x,
+                 x * F(0), Polynomial._of_form(3, 6, {X1: 0}),
+                 Polynomial.constant(3, 1).diff(0)):
+        assert zero.integer_form() == (1, {})
+        assert zero.is_zero() and zero.terms == {} and zero.degree() == 0
+        assert zero == Polynomial.zero(3)
+        assert hash(zero) == hash(Polynomial.zero(3))
+
+
 def test_polynomial_json_roundtrip():
     p = P(3, {(1, 2, 0): F(-3, 7), (0, 0, 1): SQRT2 * F(1, 2)})
     assert Polynomial.from_json(p.to_json()) == p

@@ -1,8 +1,8 @@
 """Integer kernels of ``exactnum`` against the kernels they replaced.
 
 A rational ``Matrix`` keeps the integer form (D, M) from operation to
-operation: products, ``transpose``, ``scaled`` and the 3x3 ``inverse``
-run on it, and ``det`` and ``apply`` read it.  ``solve_linear``
+operation: products, sums, ``transpose``, ``scaled`` and the 3x3
+``inverse`` run on it, and ``det`` and ``apply`` read it.  ``solve_linear``
 eliminates a system with an ``ExtScalar`` entry on integer coordinates
 in Z[sqrt2, sqrt3].  ``linalg_reference`` keeps the old kernels: on
 seeded inputs both must give the same values, with the same types on
@@ -107,7 +107,8 @@ def _assert_canonical(m):
 @pytest.mark.parametrize("digits", [1, 3, 30])
 def test_chains_of_integer_operations_match_the_fraction_kernels(digits):
     rng = random.Random(8150 + digits)
-    ops = ("product", "product", "transpose", "scaled", "inverse", "negate")
+    ops = ("product", "product", "transpose", "scaled", "inverse", "negate",
+           "sum", "difference")
     seen = set()
     for _ in range(40):
         got = _random_matrix(rng, 3, digits)
@@ -120,6 +121,12 @@ def test_chains_of_integer_operations_match_the_fraction_kernels(digits):
                     got, want = got * other, ref.product(want, other)
                 else:
                     got, want = other * got, ref.product(other, want)
+            elif op in ("sum", "difference"):
+                other = _random_matrix(rng, 3, digits)
+                if op == "sum":
+                    got, want = got + other, ref.add(want, other)
+                else:
+                    got, want = got - other, ref.sub(want, other)
             elif op == "transpose":
                 got, want = got.transpose(), ref.transpose(want)
             elif op == "scaled":

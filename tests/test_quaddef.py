@@ -21,9 +21,15 @@ from poisson_forge.exactnum import (
     apply_matrix_derivation,
     cross3,
     scalar_div,
+    solve_linear,
     sqrt_exact,
 )
-from poisson_forge.linclass import aut_member, der0_space, standard_pair
+from poisson_forge.linclass import (
+    LinearPair,
+    aut_member,
+    der0_space,
+    standard_pair,
+)
 from poisson_forge.linclass import transform_pair as transform_linear_pair
 from poisson_forge.multivec import is_poisson
 from poisson_forge.quaddef import (
@@ -337,8 +343,26 @@ def test_assembled_rows_match_the_polynomial_route(rng):
                   for e in CUBIC_MONOMIALS]
         kernel = [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
         drift = [[p.coeff(t) for p in drifts] for t in QUAD_MONOMIALS]
-        assert _typed(_derivation_rows(k_matrix)) == _typed(kernel)
+        assert _typed(_derivation_rows(k_matrix.rows)) == _typed(kernel)
         assert _typed(_drift_rows(k)) == _typed(drift)
+
+
+def test_integer_rows_are_the_scaled_rational_rows(rng):
+    # solve_F and cubic_kernel assemble a rational system on ints: the
+    # rows of D K and the drift of the lcm-scaled k, entry by entry the
+    # rational rows times the scale, and all of type int
+    for _ in range(100):
+        k_matrix = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 6))
+                            for _ in range(3)] for _ in range(3)])
+        den, ints = k_matrix.integer_form()
+        int_rows = _derivation_rows((ints[0:3], ints[3:6], ints[6:9]))
+        assert _typed(int_rows) == [[(int, den * v) for v in row]
+                                    for row in _derivation_rows(k_matrix.rows)]
+        k = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)]
+        scale = math.lcm(*(c.denominator for c in k))
+        int_k = [(scale * c).numerator for c in k]
+        assert _typed(_drift_rows(int_k)) == [[(int, scale * v) for v in row]
+                                              for row in _drift_rows(k)]
 
 
 def test_cubic_kernel_requires_traceless():
@@ -405,6 +429,39 @@ def test_solve_F_members_pass_bracket_route(rng):
         assert not deform_check(BOOK, QuadraticPair(twist, cubic))
         rejected += 1
     assert rejected == 25
+
+
+def test_solve_F_matches_the_fraction_system_for_fractional_k():
+    # solve_F scales the drift rows and the right-hand side by D s (D the
+    # denominator of the source, s the lcm of k's denominators); the
+    # system assembled from Fraction rows must give the same space
+    rng = random.Random(9400)
+    families = [Matrix.diagonal([1, 2, -3]), Matrix.diagonal([1, 1, -2]),
+                Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), Matrix.zero(3)]
+    solved = 0
+    for _ in range(40):
+        s = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 5))
+                     for _ in range(3)] for _ in range(3)])
+        if not s.det():
+            continue
+        lp = transform_linear_pair(s, standard_pair(rng.randint(1, 10)))
+        twist = (s * rng.choice(families) * s.inverse()).scaled(
+            F(rng.randint(1, 5), rng.randint(1, 7)))
+        rows = _derivation_rows(twist.rows) + _drift_rows(lp.k)
+        source = deform_rhs(lp, twist)
+        rhs = [F(0)] * 10 + [source.coeff(m) for m in QUAD_MONOMIALS]
+        want = solve_linear(rows, rhs, 10)
+        got = solve_F(lp, twist)
+        assert got == want
+        assert [type(v) for v in got.particular or ()] == [
+            type(v) for v in want.particular or ()]
+        solved += not got.is_empty and any(c.denominator > 1 for c in lp.k)
+    assert solved >= 5
+    lp = LinearPair((F(0), F(0), F(7, 4)), Matrix(
+        [[F(1, 6), F(2, 15), 0], [F(2, 15), F(-7, 4), 0], [0, 0, 0]]))
+    space = solve_F(lp, Matrix.diagonal([F(1, 6), F(1, 6), F(-1, 3)]))
+    assert str(solution_polys(space)[0]) == "-2/63·x^2z - 16/315·xyz + 1/3·y^2z"
+    assert space.basis == ()
 
 
 def test_solve_F_equivariance(rng):
