@@ -346,23 +346,17 @@ def _complete_basis(k) -> Matrix:
 
 
 def _negate_column(m: Matrix, j: int) -> Matrix:
-    form, n = m.integer_form(), m.n
-    if form:
-        den, ints = form
-        return Matrix._of_form(n, den, [-v if k % n == j else v
-                                        for k, v in enumerate(ints)])
-    return Matrix([
-        [-v if t == j else v for t, v in enumerate(row)] for row in m.rows
-    ])
+    """Negate column j of a rational matrix, on its integer form."""
+    (den, ints), n = m.integer_form(), m.n
+    return Matrix._of_form(n, den, [-v if k % n == j else v
+                                    for k, v in enumerate(ints)])
 
 
 def _permute_columns(m: Matrix, perm) -> Matrix:
-    form, n = m.integer_form(), m.n
-    if form:
-        den, ints = form
-        return Matrix._of_form(n, den, [ints[k + p] for k in range(0, n * n, n)
-                                        for p in perm])
-    return Matrix([[row[p] for p in perm] for row in m.rows])
+    """Put column perm[i] of a rational matrix in slot i, on its integer form."""
+    (den, ints), n = m.integer_form(), m.n
+    return Matrix._of_form(n, den, [ints[k + p] for k in range(0, n * n, n)
+                                    for p in perm])
 
 
 def _arrange(diag, cases):

@@ -9,9 +9,9 @@ re-runs the named cases (every case when no name is given), stores each
 exit code in ``cases.json`` and each stdout byte for byte in
 ``<name>.out``.  A case that is named but not yet in ``cases.json`` is an
 error: add its ``name``, ``argv`` and ``env`` there first.
-``tests/test_corpus.py`` replays the cases and compares, and
-``replay.py`` does the same outside pytest, under interpreter flags such
-as ``-O``.  Re-record only when an output is meant to change.
+``tests/test_corpus.py`` replays the cases and compares, once as
+recorded and once under ``python -O``.  Re-record only when an output is
+meant to change.
 """
 
 import json

@@ -20,9 +20,14 @@ from poisson_forge.quaddef import ktilde
 CASES = record.load_cases()
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_corpus_case_replays_byte_for_byte(case):
-    proc = record.run_case(case)
+#: every case as recorded, and again under ``python -O``, which strips
+#: ``assert`` statements: no recorded result may depend on one
+@pytest.mark.parametrize("case, flags", [
+    pytest.param(c, flags, id=c["name"] + "".join(flags))
+    for flags in [(), ("-O",)] for c in CASES
+])
+def test_corpus_case_replays_byte_for_byte(case, flags):
+    proc = record.run_case(case, flags)
     assert proc.returncode == case["code"], proc.stderr.decode()
     expected = (record.CORPUS / (case["name"] + ".out")).read_bytes()
     assert proc.stdout == expected
