@@ -3,7 +3,8 @@
 One verb per invocation; structures come in as JSON (inline, from a
 file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
-(invalid structures, inconsistent systems, failed verification), 2 on
+(invalid structures, inconsistent systems, failed verification, a
+``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``), 2 on
 parse errors and bad usage, 3 on an internal error (a failed internal
 consistency check or any other unexpected exception), reported in one
 line on stderr without a traceback.  A reader that closes stdout early
@@ -48,6 +49,13 @@ from .quaddef import (
 )
 from .verify import DEFAULT_SEED, run_verification
 
+#: largest (terms of u) x (terms of v) that ``bracket`` and ``is-poisson``
+#: take on.  The Schouten bracket's work grows with this product: random
+#: bivectors of degree up to 30 take about 3 us per unit on a 2-core VM
+#: under Python 3.11, so the cap keeps one call under a second, where a
+#: 1,200-term bivector (1.44 million) would take several
+MAX_TERM_PRODUCT = 250_000
+
 
 def _read_payload(raw: str) -> dict:
     if raw == "-":
@@ -84,6 +92,14 @@ def _field_from(data: dict) -> MultiVectorField:
         return MultiVectorField.from_json(data)
     raise ParseError('expected a pair {"k","A"} or a field {"n","grade",'
                      '"components"}')
+
+
+def _check_term_product(u: MultiVectorField, v: MultiVectorField):
+    """Raise ValueError when bracketing u with v would exceed the cap."""
+    m, n = (sum(len(p.terms) for p in f.components.values()) for f in (u, v))
+    if m * n > MAX_TERM_PRODUCT:
+        raise ValueError("input too large: %d x %d terms exceed the bracket's "
+                         "cap of %d" % (m, n, MAX_TERM_PRODUCT))
 
 
 def _matrix_from(data, key: str) -> Matrix:
@@ -159,7 +175,9 @@ def _cmd_bracket(args):
     for key in ("u", "v"):
         if not isinstance(data.get(key), dict):
             raise ParseError('bracket needs "u" and "v" objects')
-    out = schouten(_field_from(data["u"]), _field_from(data["v"]))
+    u, v = _field_from(data["u"]), _field_from(data["v"])
+    _check_term_product(u, v)
+    out = schouten(u, v)
     _emit(args, out.to_json(), [str(out)])
     return 0
 
@@ -173,6 +191,7 @@ def _cmd_modular(args):
 
 def _cmd_is_poisson(args):
     pi = _field_from(_read_payload(args.input))
+    _check_term_product(pi, pi)
     verdict = is_poisson(pi)
     _emit(args, {"is_poisson": verdict},
           ["is_poisson: %s" % str(verdict).lower()])

@@ -20,21 +20,24 @@ On top of the scalars the module provides:
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
 
-Rational polynomials run on Python ints.  A polynomial whose
-coefficients are all Fractions is stored as FLINT stores ``fmpq_poly``:
-the integer form (D, T), with T a dict from exponent tuples to nonzero
-int numerators over one denominator D > 0 and gcd(D, T) = 1.  Every
-operation reduces its result to that form (zero entries dropped, one
-gcd, none when D = 1), so two rational polynomials are equal exactly
-when their forms are.  Products, sums (over lcm(D, E), or directly when
-the denominators agree), negation, scaling by an int or a Fraction,
-``diff``, the constructors, ``compose_linear``,
-``apply_matrix_derivation`` and ``quadratic_form_poly`` (the last two
-read the matrix's integer form below) build no Fraction.  ``terms`` is
-a view: the Fraction dict is built from the form on first read and
-cached.  A polynomial with an ExtScalar coefficient keeps that dict of
-scalars and the old loops; ``==`` and ``hash`` agree across the two
-kinds, so a rational ExtScalar coefficient equals its Fraction twin.
+Every polynomial is stored on one form (D, T), the layout FLINT uses
+for ``fmpq_poly``: T maps exponent tuples to nonzero values over one
+denominator D > 0.  A rational polynomial holds int numerators over a
+canonical D (gcd(D, T) = 1), so two rational polynomials are equal
+exactly when their forms are; a polynomial with an ExtScalar
+coefficient holds its scalars (Fractions and ExtScalars) over D = 1.
+Products, sums (over lcm(D, E), or directly when the denominators
+agree), negation, scaling, ``diff`` and ``compose_linear`` have one body
+for both kinds: plain ``+`` and ``*`` on the values, and a flag, carried
+from the operands, that says whether they were all ints, so that the
+rational path makes no extra pass over its values.  ``_of_form`` alone
+normalises a result: it drops zero entries, divides int numerators and
+D by their gcd (none when D = 1), divides scalars by D, and puts the
+result back on ints once no ExtScalar is left.  A rational polynomial
+builds no Fraction until ``terms`` is read; that Fraction dict is a view
+built on first read and cached, and is T itself for the other kind.
+``==`` and ``hash`` agree across the two kinds, so a rational ExtScalar
+coefficient equals its Fraction twin.
 
 The linear algebra runs on Python ints.  A matrix of Fractions has the
 integer form (D, M), as FLINT stores ``fmpq_mat``: a flat tuple M of its
@@ -49,7 +52,11 @@ once: a matrix built from rows gets its form on its first integer
 operation, and one built by an integer operation gets its Fraction
 ``rows`` on first read.  A matrix with an ExtScalar (or int) entry has
 no form and keeps the cofactor, Laplace and Gauss-Jordan loops on the
-scalars, as do other sizes for ``det`` and ``inverse``.
+scalars, as do other sizes for ``det`` and ``inverse``.  Those loops
+stay because the tests compare the values and the entry types of
+``det`` and ``inverse`` with reference loops: an adjugate inverse of an
+ExtScalar matrix gives the same values, but rational ExtScalar entries
+where Gauss-Jordan gives Fractions.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -68,7 +75,8 @@ alone runs on Fractions and ExtScalars.
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
 malformed input.  The public constructors validate their arguments;
 arithmetic results built from already validated polynomials and matrices
-only drop zero entries (``_trusted``).
+are not validated again: a polynomial is only normalised
+(``Polynomial._of_form``), a matrix only wrapped (``Matrix._trusted``).
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -512,16 +520,15 @@ class Polynomial:
     """Sparse exact polynomial in ``nvars`` variables.
 
     Terms map exponent tuples to nonzero scalars.  Instances are treated
-    as immutable; all operations return fresh polynomials.  A polynomial
-    whose coefficients are all rational is kept on its integer form
-    (see the module docstring), and ``terms`` is then a view built on
-    first read.
+    as immutable; all operations return fresh polynomials.  Every
+    polynomial is stored on one form (D, T) (see the module docstring),
+    and ``terms`` is the Fraction view of a rational one, built on first
+    read.
     """
 
-    __slots__ = ("nvars", "_terms", "_form")
+    __slots__ = ("nvars", "_form", "_rational", "_terms")
 
-    def __init__(self, nvars: int, terms: Optional[dict] = None):
-        self.nvars = nvars
+    def __new__(cls, nvars: int, terms: Optional[dict] = None):
         clean = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(map(int, exps))
@@ -531,41 +538,39 @@ class Polynomial:
                 coef = as_scalar(coef)
             if coef:
                 clean[exps] = coef
-        if any(isinstance(c, ExtScalar) for c in clean.values()):
-            self._terms = {e: Fraction(c) if type(c) is int else c
-                           for e, c in clean.items()}
-            self._form = False
-        else:
-            # ints and Fractions: no Fraction is built for an int
-            den, ints = _scaled_row(clean.values())
-            self._terms, self._form = None, (den, dict(zip(clean, ints)))
+        return cls._of_form(nvars, 1, clean, False)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the slots on Polynomial(nvars)
+        return (self.nvars,)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Wrap terms built from validated polynomials, dropping zeros.
-
-        The keys must already be exponent tuples of length ``nvars`` and
-        the values package scalars; only zero coefficients are removed.
-        """
+    def _of_form(cls, nvars: int, den: int, vals: dict,
+                 rational: bool = True) -> "Polynomial":
+        """vals / den for a positive den, on the canonical form: the one
+        normalisation.  The values are ints when ``rational`` is true,
+        and otherwise any mix of ints, Fractions and ExtScalars.  Zero
+        entries are dropped; scalars are divided by den, and go back on
+        ints once no ExtScalar is among them; int numerators and den are
+        divided by their gcd."""
         self = object.__new__(cls)
-        self.nvars = nvars
-        self._terms = {e: c for e, c in terms.items() if c}
-        self._form = None
-        return self
-
-    @classmethod
-    def _of_form(cls, nvars: int, den: int, ints: dict) -> "Polynomial":
-        """ints / den for a positive den, reduced to the canonical form:
-        zero entries dropped, numerators and den divided by their gcd."""
-        if 0 in ints.values():
-            ints = {e: v for e, v in ints.items() if v}
+        self.nvars, self._rational, self._terms = nvars, rational, None
+        if 0 in vals.values():
+            vals = {e: v for e, v in vals.items() if v}
+        if not rational:
+            if any(type(v) is ExtScalar for v in vals.values()):
+                vals = {e: _over(v, den) for e, v in vals.items()}
+                self._form, self._terms = (1, vals), vals
+                return self
+            # ints and Fractions: no Fraction is built for an int
+            d, ints = _scaled_row(vals.values())
+            den, vals, self._rational = den * d, dict(zip(vals, ints)), True
         if den != 1:
-            g = math.gcd(den, *ints.values())
+            g = math.gcd(den, *vals.values())
             if g != 1:
                 den //= g
-                ints = {e: v // g for e, v in ints.items()}
-        self = object.__new__(cls)
-        self.nvars, self._terms, self._form = nvars, None, (den, ints)
+                vals = {e: v // g for e, v in vals.items()}
+        self._form = (den, vals)
         return self
 
     @property
@@ -577,15 +582,7 @@ class Polynomial:
 
     def integer_form(self):
         """(D, {exps: int}) when every coefficient is a Fraction, else None."""
-        if self._form is None:
-            self._form = False
-            if all(type(c) is Fraction for c in self._terms.values()):
-                den, ints = _scaled_row(self._terms.values())
-                self._form = (den, dict(zip(self._terms, ints)))
-        return self._form or None
-
-    def _exponents(self):
-        return self._form[1] if self._terms is None else self._terms
+        return self._form if self._rational else None
 
     # -- constructors -------------------------------------------------
 
@@ -619,19 +616,17 @@ class Polynomial:
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._exponents()
+        return not self._form[1]
 
     def coeff(self, exps: Sequence[int]):
-        if self._terms is None:
-            den, ints = self._form
-            return Fraction(ints.get(tuple(exps), 0), den)
-        return self.terms.get(tuple(exps), Fraction(0))
+        den, vals = self._form
+        return _over(vals.get(tuple(exps), 0), den)
 
     def degree(self) -> int:
-        return max(map(sum, self._exponents()), default=0)
+        return max(map(sum, self._form[1]), default=0)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self._exponents())
+        return all(sum(e) == d for e in self._form[1])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
@@ -646,26 +641,18 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_arity(other)
-        a, b = self.integer_form(), other.integer_form()
-        if a and b:
-            (den, ints), (e, other_ints) = a, b
-            if den == e:
-                terms = dict(ints)
-                for exps, v in other_ints.items():
-                    terms[exps] = terms.get(exps, 0) + v
-            else:
-                # a / den + b / e over lcm(den, e)
-                lcm = math.lcm(den, e)
-                s, t, den = lcm // den, lcm // e, lcm
-                terms = {exps: v * s for exps, v in ints.items()}
-                for exps, v in other_ints.items():
-                    terms[exps] = terms.get(exps, 0) + v * t
-            return Polynomial._of_form(self.nvars, den, terms)
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            cur = terms.get(exps)
-            terms[exps] = coef if cur is None else cur + coef
-        return Polynomial._trusted(self.nvars, terms)
+        # a / d + b / e over lcm(d, e), directly when the denominators agree
+        (d, a), (e, b) = self._form, other._form
+        den = d if d == e else math.lcm(d, e)
+        s, t = den // d, den // e
+        terms = dict(a) if s == 1 else {x: v * s for x, v in a.items()}
+        for x, v in b.items():
+            if t != 1:
+                v = v * t
+            cur = terms.get(x)
+            terms[x] = v if cur is None else cur + v
+        return Polynomial._of_form(self.nvars, den, terms,
+                                   self._rational and other._rational)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -673,45 +660,37 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        form = self.integer_form()
-        if form:
-            return Polynomial._of_form(self.nvars, form[0],
-                                       {e: -v for e, v in form[1].items()})
-        return Polynomial._trusted(self.nvars,
-                                   {e: -c for e, c in self.terms.items()})
+        den, vals = self._form
+        return Polynomial._of_form(self.nvars, den,
+                                   {e: -v for e, v in vals.items()},
+                                   self._rational)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_arity(other)
-            a, b = self.integer_form(), other.integer_form()
-            if a and b:
-                # (P / D)(Q / E) = (P Q) / (D E)
-                (den, ints), (e, other_ints) = a, b
-                terms: dict = {}
-                for e1, c1 in ints.items():
-                    for e2, c2 in other_ints.items():
-                        key = tuple(map(operator.add, e1, e2))
-                        terms[key] = terms.get(key, 0) + c1 * c2
-                return Polynomial._of_form(self.nvars, den * e, terms)
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
+            # (P / D)(Q / E) = (P Q) / (D E)
+            (d, a), (e, b) = self._form, other._form
+            terms: dict = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    key = tuple(map(operator.add, e1, e2))
+                    c = c1 * c2
                     cur = terms.get(key)
-                    terms[key] = c1 * c2 if cur is None else cur + c1 * c2
-            return Polynomial._trusted(self.nvars, terms)
-        if type(other) is int or type(other) is Fraction:
-            form = self.integer_form()
-            if form:
-                p, den = other.numerator, form[0] * other.denominator
-                return Polynomial._of_form(
-                    self.nvars, den, {e: p * v for e, v in form[1].items()})
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return Polynomial._trusted(self.nvars,
-                                   {e: v * c for e, v in self.terms.items()})
+                    terms[key] = c if cur is None else cur + c
+            return Polynomial._of_form(self.nvars, d * e, terms,
+                                       self._rational and other._rational)
+        if type(other) is not int and type(other) is not Fraction:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        # (P / D) (p / q) = (p P) / (D q); an ExtScalar is p over q = 1
+        ext = type(other) is ExtScalar
+        p, q = (other, 1) if ext else (other.numerator, other.denominator)
+        den, vals = self._form
+        return Polynomial._of_form(self.nvars, den * q,
+                                   {e: p * v for e, v in vals.items()},
+                                   self._rational and not ext)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -729,9 +708,10 @@ class Polynomial:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        if self.integer_form() and other.integer_form():
-            return self._form == other._form
-        return self.terms == other.terms
+        if self._rational is not other._rational:
+            # a rational ExtScalar coefficient equals its Fraction twin
+            return self.terms == other.terms
+        return self._form == other._form
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -739,22 +719,12 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
-        form = self.integer_form()
-        if form:
-            # distinct exponents stay distinct once one entry drops by one
-            return Polynomial._of_form(self.nvars, form[0], {
-                exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
-                    v * exps[index]
-                for exps, v in form[1].items() if exps[index]})
-        terms = {}
-        for exps, coef in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            key = exps[:index] + (e - 1,) + exps[index + 1:]
-            cur = terms.get(key)
-            terms[key] = coef * e if cur is None else cur + coef * e
-        return Polynomial._trusted(self.nvars, terms)
+        den, vals = self._form
+        # distinct exponents stay distinct once one entry drops by one
+        return Polynomial._of_form(self.nvars, den, {
+            exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
+                v * exps[index]
+            for exps, v in vals.items() if exps[index]}, self._rational)
 
     def directional_diff(self, vector: Sequence) -> "Polynomial":
         """Derivative along a constant vector: sum_i v_i d/dx_i."""
@@ -781,14 +751,9 @@ class Polynomial:
             raise ValueError("matrix size %d does not match arity %d" % (m.n, self.nvars))
         n = self.nvars
         subs = _linear_forms(m)
-        form = self.integer_form()
-        if form:
-            den, one = form[0], (0,) * n
-            terms = [(exps, Polynomial._of_form(n, den, {one: v}))
-                     for exps, v in form[1].items()]
-        else:
-            terms = [(exps, Polynomial.constant(n, coef))
-                     for exps, coef in self.terms.items()]
+        (den, vals), one = self._form, (0,) * n
+        terms = [(exps, Polynomial._of_form(n, den, {one: v}, self._rational))
+                 for exps, v in vals.items()]
         # cache powers of the substituted linear forms
         powers = [{0: Polynomial.constant(n, 1)} for _ in range(n)]
 
@@ -861,21 +826,26 @@ class Polynomial:
         return cls(nvars, terms)
 
 
+def _over(v, den: int) -> Scalar:
+    """v / den as a package scalar, for an int, Fraction or ExtScalar v
+    and an int den > 0."""
+    if type(v) is ExtScalar:
+        return v if den == 1 else _reduced(v._num, v._den * den)
+    return v if den == 1 and type(v) is Fraction else Fraction(v, den)
+
+
 def _unit_exponents(n: int) -> tuple:
     """The exponent tuples of x_1, ..., x_n."""
     return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
 
 
 def _linear_forms(m: "Matrix") -> list:
-    """The linear forms sum_j M[i][j] x_j, one per row, on the integer
-    form when M has one."""
-    form, n = m.integer_form(), m.n
-    if form:
-        den, ints = form
-        units = _unit_exponents(n)
-        return [Polynomial._of_form(n, den, dict(zip(units, ints[k:k + n])))
-                for k in range(0, n * n, n)]
-    return [Polynomial.linear(row) for row in m.rows]
+    """The linear forms sum_j M[i][j] x_j, one per row."""
+    n, (den, flat) = m.n, m._flat()
+    units, rational = _unit_exponents(n), m.integer_form() is not None
+    return [Polynomial._of_form(n, den, dict(zip(units, flat[k:k + n])),
+                                rational)
+            for k in range(0, n * n, n)]
 
 
 def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
@@ -892,29 +862,17 @@ def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
 
 def quadratic_form_poly(m: "Matrix") -> Polynomial:
     """The quadratic polynomial x^T M x = sum_ij M_ij x_i x_j."""
-    n = m.n
-    form = m.integer_form()
-    if form:
-        den, ints = form
-        terms = {}
-        for k, v in enumerate(ints):
-            if v:
-                exps = [0] * n
-                exps[k // n] += 1
-                exps[k % n] += 1
-                key = tuple(exps)
-                terms[key] = terms.get(key, 0) + v
-        return Polynomial._of_form(n, den, terms)
-    out = Polynomial.zero(n)
-    for i in range(n):
-        for j in range(n):
-            if not m.rows[i][j]:
-                continue
+    n, (den, flat) = m.n, m._flat()
+    terms = {}
+    for k, v in enumerate(flat):
+        if v:
             exps = [0] * n
-            exps[i] += 1
-            exps[j] += 1
-            out = out + Polynomial.monomial(n, exps, m.rows[i][j])
-    return out
+            exps[k // n] += 1
+            exps[k % n] += 1
+            key = tuple(exps)
+            cur = terms.get(key)
+            terms[key] = v if cur is None else cur + v
+    return Polynomial._of_form(n, den, terms, m.integer_form() is not None)
 
 
 def gram_of_quadratic(p: Polynomial) -> "Matrix":
@@ -1009,6 +967,10 @@ class Matrix:
                 den, ints = _scaled_row(flat)
                 self._form = (den, tuple(ints))
         return self._form or None
+
+    def _flat(self):
+        """(D, entries row by row): the integer form, or the entries over 1."""
+        return self.integer_form() or (1, [v for row in self.rows for v in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -1369,9 +1331,16 @@ def _exact_int_div(a: int, b: int) -> int:
 
 
 def _int_update(pivot, factor, row, pivot_row, prev):
-    """(pivot*a - factor*b) / prev for a in row, b in pivot_row."""
-    return [_exact_int_div(pivot * a - factor * b, prev)
-            for a, b in zip(row, pivot_row)]
+    """(pivot*a - factor*b) / prev for a in row, b in pivot_row, with
+    ``_exact_int_div`` inline: this runs once per Bareiss cell."""
+    out = []
+    for a, b in zip(row, pivot_row):
+        q, rem = divmod(pivot * a - factor * b, prev)
+        if rem:
+            raise ArithmeticError("inexact Bareiss division %d / %d"
+                                  % (pivot * a - factor * b, prev))
+        out.append(q)
+    return out
 
 
 _RING_ZERO = (0, 0, 0, 0)

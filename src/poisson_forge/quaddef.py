@@ -83,12 +83,6 @@ def cubic_from_coords(coords: Sequence) -> Polynomial:
     return Polynomial(3, dict(zip(CUBIC_MONOMIALS, coords)))
 
 
-def _quad_coords(p: Polynomial) -> tuple:
-    if p.nvars != 3 or not p.is_homogeneous(2):
-        raise ValueError("not a homogeneous quadratic on three variables: %s" % p)
-    return tuple(p.coeff(m) for m in QUAD_MONOMIALS)
-
-
 def ktilde(k: Sequence) -> Matrix:
     """Cross-product matrix of a vector: ktilde(k) v = k x v."""
     a, b, c = vec(k)
@@ -170,16 +164,14 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
 
 
 def _twist_rows(k_matrix: Matrix):
-    """The rows of K, or of D K as ints when K has the integer form (D, M).
+    """The rows of D K, as ints when K has the integer form (D, M), and
+    the rows of K (D = 1) otherwise.
 
     The kernel equations are homogeneous, so the factor D changes no
     solution.
     """
-    form = k_matrix.integer_form()
-    if not form:
-        return k_matrix.rows
-    ints = form[1]
-    return ints[0:3], ints[3:6], ints[6:9]
+    _, flat = k_matrix._flat()
+    return flat[0:3], flat[3:6], flat[6:9]
 
 
 def _derivation_rows(k: Sequence) -> list:
@@ -257,16 +249,12 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     route before being returned.
     """
     _check_twist(k_matrix)
-    source = deform_rhs(lp, k_matrix)
-    form = source.integer_form()
-    if form:
-        # k.grad F = T / D times D s, s the lcm of k's denominators:
-        # integer rows and an integer right-hand side
-        (den, ints), (s, k) = form, _scaled_row(lp.k)
-        drift = _drift_rows([den * c for c in k])
-        rhs = [s * ints.get(m, 0) for m in QUAD_MONOMIALS]
-    else:
-        drift, rhs = _drift_rows(lp.k), list(_quad_coords(source))
+    # k.grad F = T / D times D s, s the lcm of k's denominators: integer
+    # rows, and a right-hand side of ints on a rational source (D = 1 and
+    # the scalars T otherwise)
+    (den, vals), (s, k) = deform_rhs(lp, k_matrix)._form, _scaled_row(lp.k)
+    drift = _drift_rows([den * c for c in k])
+    rhs = [s * vals.get(m, 0) for m in QUAD_MONOMIALS]
     rows = _derivation_rows(_twist_rows(k_matrix)) + drift
     space = solve_linear(rows, [0] * 10 + rhs, 10)
     if not space.is_empty:

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, inputs, exit codes."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -338,6 +339,42 @@ def test_is_poisson_verdicts():
     xvar = {"vars": ["x", "y", "z"], "terms": [{"exp": [1, 0, 0], "coef": "1"}]}
     broken = {"n": 3, "grade": 2, "components": {"1,2": zvar, "1,3": xvar}}
     assert run_json("is-poisson", json.dumps(broken)) == {"is_poisson": False}
+
+
+def _bivector_with_terms(count):
+    """A bivector whose one component has ``count`` terms."""
+    terms = [{"exp": [i, 0, 0], "coef": "1"} for i in range(count)]
+    return {"n": 3, "grade": 2,
+            "components": {"1,2": {"vars": ["x", "y", "z"], "terms": terms}}}
+
+
+@pytest.mark.parametrize("verb", ["bracket", "is-poisson"])
+def test_term_product_over_the_cap_is_a_domain_error(verb, monkeypatch,
+                                                     capsys):
+    from poisson_forge import cli
+
+    def unreachable(*args):
+        raise AssertionError("the bracket ran on an input over the cap")
+
+    monkeypatch.setattr(cli, "schouten", unreachable)
+    monkeypatch.setattr(cli, "is_poisson", unreachable)
+    side = math.isqrt(cli.MAX_TERM_PRODUCT) + 1
+    field = _bivector_with_terms(side)
+    payload = {"u": field, "v": field} if verb == "bracket" else field
+    assert cli.main([verb, json.dumps(payload)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: input too large: %d x %d terms exceed the "
+                   "bracket's cap of %d\n" % (side, side, cli.MAX_TERM_PRODUCT))
+
+
+def test_term_product_at_the_cap_is_bracketed(monkeypatch, capsys):
+    from poisson_forge import cli
+
+    u, v = _bivector_with_terms(3), _bivector_with_terms(2)
+    monkeypatch.setattr(cli, "MAX_TERM_PRODUCT", 6)
+    assert cli.main(["bracket", json.dumps({"u": u, "v": v})]) == 0
+    assert cli.main(["bracket", json.dumps({"u": u, "v": u})]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 # --- deform-solve / deform-check -------------------------------------------

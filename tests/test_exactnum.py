@@ -1,6 +1,8 @@
 """Exact scalar, polynomial and linear algebra tests."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -341,13 +343,22 @@ def test_quadratic_gram_roundtrip():
 X1, Y1, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 0)
 
 
-@pytest.mark.parametrize("ints, den, terms", [
-    ({X1: 6, Y1: -4, ONE: 12}, 2, {X1: 3, Y1: -2, ONE: 6}),
-    ({X1: 6, Y1: -4}, 12, {X1: F(1, 2), Y1: F(-1, 3)}),
-], ids=["integral", "rational"])
-def test_polynomial_kinds_agree_on_equality_and_hash(ints, den, terms):
+def _through_cancelled_irrationals(nvars, terms):
+    """P(nvars, terms), reached along a chain of mixed polynomials whose
+    irrational terms cancel at the end."""
+    irrational = Polynomial.monomial(nvars, (0, 0, 3), SQRT2)
+    return (P(nvars, terms) * F(1, 3) + irrational) * 3 - irrational * 3
+
+
+@pytest.mark.parametrize("ints, den, terms, build", [
+    ({X1: 6, Y1: -4, ONE: 12}, 2, {X1: 3, Y1: -2, ONE: 6}, P),
+    ({X1: 6, Y1: -4}, 12, {X1: F(1, 2), Y1: F(-1, 3)}, P),
+    ({X1: 6, Y1: -4}, 12, {X1: F(1, 2), Y1: F(-1, 3)},
+     _through_cancelled_irrationals),
+], ids=["integral", "rational", "cancelled-chain"])
+def test_polynomial_kinds_agree_on_equality_and_hash(ints, den, terms, build):
     on_form = Polynomial._of_form(3, den, ints)
-    from_init = P(3, terms)
+    from_init = build(3, terms)
     with_ext = P(3, {**terms, X1: ExtScalar.of(terms[X1])})
     assert with_ext.integer_form() is None
     assert on_form.integer_form() == from_init.integer_form()
@@ -363,11 +374,20 @@ def test_zero_polynomial_has_the_unit_form():
     x = Polynomial.variable(3, 0)
     for zero in (Polynomial.zero(3), P(3, {X1: 0, Y1: F(0)}), x - x,
                  x * F(0), Polynomial._of_form(3, 6, {X1: 0}),
+                 P(3, {X1: SQRT2, Y1: F(1, 2)}) * 0,
                  Polynomial.constant(3, 1).diff(0)):
         assert zero.integer_form() == (1, {})
         assert zero.is_zero() and zero.terms == {} and zero.degree() == 0
         assert zero == Polynomial.zero(3)
         assert hash(zero) == hash(Polynomial.zero(3))
+
+
+def test_polynomials_of_both_kinds_survive_copy_and_pickle():
+    for p in (P(3, {X1: F(1, 2), Y1: 3}), P(3, {X1: F(1, 2), Y1: SQRT2})):
+        for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and twin.integer_form() == p.integer_form()
+            assert {e: type(c) for e, c in twin.terms.items()} == {
+                e: type(c) for e, c in p.terms.items()}
 
 
 def test_polynomial_json_roundtrip():

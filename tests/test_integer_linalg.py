@@ -290,13 +290,19 @@ def test_field_system_with_only_zero_rows():
 
 
 def test_ring_division_remainder_raises_under_python_O():
-    # 1 / 2 has no integer coordinates: the remainder check must raise,
-    # and it must not be an assert that -O strips
+    # 1 / 2 has no integer coordinates, in the ring and on the int path:
+    # the remainder check must raise, and it must not be an assert that -O
+    # strips
     code = (
-        "from poisson_forge.exactnum import _norm_cofactor, _ring_update\n"
+        "from poisson_forge.exactnum import (_int_update, _norm_cofactor,\n"
+        "                                    _ring_update)\n"
         "try:\n"
         "    _ring_update((1, 0, 0, 0), (0, 0, 0, 0), [(1, 0, 0, 0)],\n"
         "                 [(0, 0, 0, 0)], _norm_cofactor((2, 0, 0, 0)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+        "try:\n"
+        "    _int_update(1, 0, [4, 1], [0, 0], 2)\n"
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
     )
@@ -304,6 +310,8 @@ def test_ring_division_remainder_raises_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised inexact Bareiss division")
+    assert proc.stdout.splitlines()[1:] == ["raised inexact Bareiss division "
+                                            "1 / 2"]
 
 
 def test_ring_division_is_exact_division_by_the_previous_pivot():
