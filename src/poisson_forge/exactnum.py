@@ -39,24 +39,25 @@ built on first read and cached, and is T itself for the other kind.
 ``==`` and ``hash`` agree across the two kinds, so a rational ExtScalar
 coefficient equals its Fraction twin.
 
-The linear algebra runs on Python ints.  A matrix of Fractions has the
-integer form (D, M), as FLINT stores ``fmpq_mat``: a flat tuple M of its
-n^2 entries, row by row, as ints over one denominator D > 0 with
-gcd(D, M) = 1, so that two such matrices are equal exactly when their
-forms are.  Products, sums, transposes, negation, scaling by a Fraction
-and the 3x3 inverse D adj(M) / det(M) build the form of their result
-from the forms of their operands, reduced by one gcd, and no Fraction; the
-3x3 determinant det(M) / D^3 and the image (M w) / (D e) of a vector
-w / e build only their results.  Each of the two views is built at most
-once: a matrix built from rows gets its form on its first integer
-operation, and one built by an integer operation gets its Fraction
-``rows`` on first read.  A matrix with an ExtScalar (or int) entry has
-no form and keeps the cofactor, Laplace and Gauss-Jordan loops on the
-scalars, as do other sizes for ``det`` and ``inverse``.  Those loops
-stay because the tests compare the values and the entry types of
-``det`` and ``inverse`` with reference loops: an adjugate inverse of an
-ExtScalar matrix gives the same values, but rational ExtScalar entries
-where Gauss-Jordan gives Fractions.
+Every matrix is stored on one form (D, M) in the same way, the layout
+FLINT uses for ``fmpq_mat``: M is a flat tuple of its n^2 values, row by
+row, over one denominator D.  A rational matrix holds int numerators
+over a canonical D (D > 0, gcd(D, M) = 1), so two rational matrices are
+equal exactly when their forms are; a matrix with an ExtScalar entry
+holds its scalars over D = 1.  ``==``, sums, products, negation,
+``scaled``, ``transpose``, ``trace``, ``is_symmetric`` and ``det`` up to
+3x3 have one body for both kinds, plain ``+`` and ``*`` on the values
+with the flag carried from the operands; ``Matrix._of_form`` alone
+normalises a result, as for polynomials.  ``rows`` is a view built on
+first read (Fractions for a rational matrix), or the rows the
+constructor was given.  ``apply`` keeps an int path for a vector of
+Fractions, and the 3x3 rational inverse is D adj(M) / det(M).  Two loops
+stay on the scalars: Gauss-Jordan ``inverse``, for a matrix with an
+ExtScalar entry and for sizes other than 3x3, and the Laplace ``det``
+above 3x3.  They stay because the tests compare the values and the entry
+types of ``det`` and ``inverse`` with reference loops: an adjugate
+inverse of an ExtScalar matrix gives the same values, but rational
+ExtScalar entries where Gauss-Jordan gives Fractions.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -75,8 +76,8 @@ alone runs on Fractions and ExtScalars.
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
 malformed input.  The public constructors validate their arguments;
 arithmetic results built from already validated polynomials and matrices
-are not validated again: a polynomial is only normalised
-(``Polynomial._of_form``), a matrix only wrapped (``Matrix._trusted``).
+are not validated again, only normalised (``Polynomial._of_form``,
+``Matrix._of_form``).
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -841,10 +842,9 @@ def _unit_exponents(n: int) -> tuple:
 
 def _linear_forms(m: "Matrix") -> list:
     """The linear forms sum_j M[i][j] x_j, one per row."""
-    n, (den, flat) = m.n, m._flat()
-    units, rational = _unit_exponents(n), m.integer_form() is not None
+    n, (den, flat), units = m.n, m._form, _unit_exponents(m.n)
     return [Polynomial._of_form(n, den, dict(zip(units, flat[k:k + n])),
-                                rational)
+                                m._rational)
             for k in range(0, n * n, n)]
 
 
@@ -862,7 +862,7 @@ def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
 
 def quadratic_form_poly(m: "Matrix") -> Polynomial:
     """The quadratic polynomial x^T M x = sum_ij M_ij x_i x_j."""
-    n, (den, flat) = m.n, m._flat()
+    n, (den, flat) = m.n, m._form
     terms = {}
     for k, v in enumerate(flat):
         if v:
@@ -872,7 +872,7 @@ def quadratic_form_poly(m: "Matrix") -> Polynomial:
             key = tuple(exps)
             cur = terms.get(key)
             terms[key] = v if cur is None else cur + v
-    return Polynomial._of_form(n, den, terms, m.integer_form() is not None)
+    return Polynomial._of_form(n, den, terms, m._rational)
 
 
 def gram_of_quadratic(p: Polynomial) -> "Matrix":
@@ -903,13 +903,6 @@ def vec(values: Iterable) -> tuple:
     return tuple(as_scalar(v) for v in values)
 
 
-def dot(u: Sequence, v: Sequence):
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
-
-
 def cross3(u: Sequence, v: Sequence) -> tuple:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -919,58 +912,61 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
 
 
 class Matrix:
-    """Square matrix with exact scalar entries."""
+    """Square matrix with exact scalar entries, stored on one form (D, M);
+    ``rows`` is a view of it, built on first read."""
 
-    __slots__ = ("_rows", "n", "_form")
+    __slots__ = ("n", "_form", "_rational", "_rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self._rows = tuple(tuple(as_scalar(v) for v in row) for row in rows)
-        self.n, self._form = len(self._rows), None
-        if any(len(row) != self.n for row in self._rows):
+        rows = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
+        m = Matrix._trusted(rows)
+        # the rows given are the view: no Fraction is rebuilt
+        self.n, self._form, self._rational, self._rows = (
+            m.n, m._form, m._rational, rows)
 
     @classmethod
     def _trusted(cls, rows) -> "Matrix":
-        """Wrap square rows of package scalars computed from matrices."""
-        self = object.__new__(cls)
-        self._rows = tuple(tuple(row) for row in rows)
-        self.n, self._form = len(self._rows), None
-        return self
+        """Square rows of package scalars computed from matrices."""
+        flat = [v for row in rows for v in row]
+        return cls._of_form(math.isqrt(len(flat)), 1, flat, False)
 
     @classmethod
-    def _of_form(cls, n: int, den: int, ints) -> "Matrix":
-        """ints / den, row by row, reduced to the canonical (D, M)."""
-        g = math.gcd(den, *ints)
+    def _of_form(cls, n: int, den: int, vals, rational: bool = True) -> "Matrix":
+        """vals / den, row by row, on the canonical form: the one
+        normalisation.  The values are ints when ``rational`` is true, and
+        otherwise any mix of ints, Fractions and ExtScalars."""
+        self = object.__new__(cls)
+        self.n, self._rows, self._rational = n, None, True
+        if not rational:
+            if any(type(v) is ExtScalar for v in vals):
+                self._form = (1, tuple([_over(v, den) for v in vals]))
+                self._rational = False
+                return self
+            d, vals = _scaled_row(vals)
+            den *= d
+        g = math.gcd(den, *vals)
         if den < 0:
             g = -g
         if g != 1:
             den //= g
-            ints = [v // g for v in ints]
-        self = object.__new__(cls)
-        self._rows, self.n, self._form = None, n, (den, tuple(ints))
+            vals = [v // g for v in vals]
+        self._form = (den, tuple(vals))
         return self
 
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            n, (den, ints) = self.n, self._form
-            self._rows = tuple(tuple([Fraction(v, den) for v in ints[k:k + n]])
-                               for k in range(0, n * n, n))
+            n, (den, vals) = self.n, self._form
+            if self._rational:
+                vals = [Fraction(v, den) for v in vals]
+            self._rows = tuple(tuple(vals[k:k + n]) for k in range(0, n * n, n))
         return self._rows
 
     def integer_form(self):
         """(D, M) when every entry is a Fraction, else None."""
-        if self._form is None:
-            flat = [v for row in self._rows for v in row]
-            self._form = False
-            if all(type(v) is Fraction for v in flat):
-                den, ints = _scaled_row(flat)
-                self._form = (den, tuple(ints))
-        return self._form or None
-
-    def _flat(self):
-        """(D, entries row by row): the integer form, or the entries over 1."""
-        return self.integer_form() or (1, [v for row in self.rows for v in row])
+        return self._form if self._rational else None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -988,9 +984,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.integer_form() and other.integer_form():
-            return self._form == other._form
-        return self.rows == other.rows
+        if self._rational is not other._rational:
+            # a rational ExtScalar entry equals its Fraction twin
+            return self.rows == other.rows
+        return self._form == other._form
 
     def __hash__(self):
         return hash(self.rows)
@@ -998,103 +995,86 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
-        if self.integer_form() and other.integer_form():
-            return self._form_sum(other, 1)
-        return Matrix._trusted(
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        )
+        return self._form_sum(other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix) or other.n != self.n:
             return NotImplemented
-        if self.integer_form() and other.integer_form():
-            return self._form_sum(other, -1)
-        return Matrix._trusted(
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        )
+        return self._form_sum(other, operator.sub)
 
-    def _form_sum(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other on the forms: A / D + B / E over lcm(D, E)."""
+    def _form_sum(self, other: "Matrix", op) -> "Matrix":
+        """A / D op B / E over lcm(D, E), directly when D = E."""
         (d, a), (e, b) = self._form, other._form
-        lcm = math.lcm(d, e)
-        s, t = lcm // d, sign * (lcm // e)
-        return Matrix._of_form(self.n, lcm, [s * x + t * y for x, y in zip(a, b)])
+        den = d if d == e else math.lcm(d, e)
+        if den != d:
+            a = [den // d * x for x in a]
+        if den != e:
+            b = [den // e * y for y in b]
+        return Matrix._of_form(self.n, den, list(map(op, a, b)),
+                               self._rational and other._rational)
 
     def __neg__(self):
-        if self.integer_form():
-            return self.scaled(-1)
-        return Matrix._trusted([-a for a in row] for row in self.rows)
+        den, vals = self._form
+        return Matrix._of_form(self.n, den, [-v for v in vals], self._rational)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if other.n != self.n:
                 raise ValueError("size mismatch")
-            if self.integer_form() and other.integer_form():
-                # (A/D)(B/E) = (A B) / (D E)
-                (den, a), (e, b), n = self._form, other._form, self.n
-                cols = [b[j::n] for j in range(n)]
-                return Matrix._of_form(n, den * e, [
-                    sum(map(operator.mul, a[k:k + n], col))
-                    for k in range(0, n * n, n) for col in cols])
-            cols = tuple(zip(*other.rows))
-            return Matrix._trusted(
-                [sum((a * b for a, b in zip(row, col)), Fraction(0))
-                 for col in cols]
-                for row in self.rows
-            )
+            # (A/D)(B/E) = (A B) / (D E)
+            (d, a), (e, b), n = self._form, other._form, self.n
+            cols = [b[j::n] for j in range(n)]
+            return Matrix._of_form(n, d * e, [
+                sum(map(operator.mul, a[k:k + n], col))
+                for k in range(0, n * n, n) for col in cols],
+                self._rational and other._rational)
         return NotImplemented
 
     def scaled(self, c) -> "Matrix":
         c = as_scalar(c)
-        if type(c) is Fraction and self.integer_form():
-            (den, ints), p = self._form, c.numerator
-            return Matrix._of_form(self.n, den * c.denominator, [p * v for v in ints])
-        return Matrix._trusted([c * a for a in row] for row in self.rows)
+        # (M / D) (p / q) = (p M) / (D q); an ExtScalar is p over q = 1
+        ext = type(c) is ExtScalar
+        p, q = (c, 1) if ext else (c.numerator, c.denominator)
+        den, vals = self._form
+        return Matrix._of_form(self.n, den * q, [p * v for v in vals],
+                               self._rational and not ext)
 
     def apply(self, v: Sequence) -> tuple:
-        n = self.n
+        n, (den, vals) = self.n, self._form
         if len(v) != n:
             raise ValueError("size mismatch")
-        if self.integer_form() and all(type(x) is Fraction for x in v):
+        if self._rational and all(type(x) is Fraction for x in v):
             # (M/D)(w/e) = (M w) / (D e) on integer rows M and vector w
-            den, ints = self._form
             e, w = _scaled_row(v)
-            den *= e
-            return tuple(Fraction(sum(map(operator.mul, ints[k:k + n], w)), den)
+            return tuple(Fraction(sum(map(operator.mul, vals[k:k + n], w)), den * e)
                          for k in range(0, n * n, n))
-        return tuple(dot(row, v) for row in self.rows)
+        return tuple(_over(sum(map(operator.mul, vals[k:k + n], v)), den)
+                     for k in range(0, n * n, n))
 
     def transpose(self) -> "Matrix":
-        if self.integer_form():
-            n, (den, ints) = self.n, self._form
-            return Matrix._of_form(n, den, [v for j in range(n) for v in ints[j::n]])
-        return Matrix._trusted(zip(*self.rows))
+        n, (den, vals) = self.n, self._form
+        return Matrix._of_form(n, den, [v for j in range(n) for v in vals[j::n]],
+                               self._rational)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
     def trace(self):
-        total = Fraction(0)
-        for i in range(self.n):
-            total = total + self.rows[i][i]
-        return total
+        den, vals = self._form
+        return _over(sum(vals[::self.n + 1]), den)
 
     def det(self):
-        if self.n == 1:
-            return self.rows[0][0]
-        if self.n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        if self.n == 3:
-            if self.integer_form():
-                # det(M/D) = det(M) / D^3
-                den, (a, b, c, d, e, f, g, h, i) = self._form
-                return Fraction(a * (e * i - f * h) - b * (d * i - f * g)
-                                + c * (d * h - e * g), den ** 3)
-            (a, b, c), (d, e, f), (g, h, i) = self.rows
-            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        n, (den, vals) = self.n, self._form
+        # det(M / D) = det(M) / D^n
+        if n == 1:
+            return _over(vals[0], den)
+        if n == 2:
+            a, b, c, d = vals
+            return _over(a * d - b * c, den ** 2)
+        if n == 3:
+            a, b, c, d, e, f, g, h, i = vals
+            return _over(a * (e * i - f * h) - b * (d * i - f * g)
+                         + c * (d * h - e * g), den ** 3)
         # Laplace expansion along the first row (matrices here are tiny)
         total = Fraction(0)
         for j in range(self.n):
@@ -1110,7 +1090,7 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         n = self.n
-        if n == 3 and self.integer_form():
+        if n == 3 and self._rational:
             # (M/D)^-1 = D adj(M) / det(M)
             den, (a, b, c, d, e, f, g, h, i) = self._form
             adj = (e * i - f * h, c * h - b * i, b * f - c * e,
@@ -1141,28 +1121,20 @@ class Matrix:
         return Matrix._trusted(row[n:] for row in work)
 
     def is_symmetric(self) -> bool:
-        if self.integer_form():
-            n, ints = self.n, self._form[1]
-            return all(ints[i::n] == ints[i * n:i * n + n] for i in range(n))
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        n, vals = self.n, self._form[1]
+        return all(vals[i::n] == vals[i * n:i * n + n] for i in range(n))
 
     def is_skew(self) -> bool:
-        return all(
-            self.rows[i][j] == -as_scalar(self.rows[j][i])
-            for i in range(self.n) for j in range(i, self.n)
-        )
+        n, vals = self.n, self._form[1]
+        return all(vals[i::n] == tuple(-v for v in vals[i * n:i * n + n])
+                   for i in range(n))
 
     def is_zero(self) -> bool:
-        return not any(v for row in self.rows for v in row)
+        return not any(self._form[1])
 
     def is_diagonal(self) -> bool:
-        return all(
-            not self.rows[i][j]
-            for i in range(self.n) for j in range(self.n) if i != j
-        )
+        # the diagonal entries are those at multiples of n + 1
+        return not any(v for k, v in enumerate(self._form[1]) if k % (self.n + 1))
 
     def __repr__(self):
         return "Matrix(%s)" % (list(list(r) for r in self.rows),)

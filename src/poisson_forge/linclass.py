@@ -65,15 +65,14 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError("expected a rational value, got %r" % (value,))
+    raise TypeError("expected a rational value, got %s" % (value,))
 
 
 def _rational_matrix(m: Matrix) -> Matrix:
     """``m`` itself, once every entry is checked to be rational."""
     if m.integer_form() is None:
-        for row in m.rows:
-            for v in row:
-                _as_fraction(v)
+        # off the integer form, a matrix has an ExtScalar entry
+        _as_fraction(next(v for v in m._form[1] if type(v) is not Fraction))
     return m
 
 

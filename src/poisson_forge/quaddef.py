@@ -164,13 +164,13 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
 
 
 def _twist_rows(k_matrix: Matrix):
-    """The rows of D K, as ints when K has the integer form (D, M), and
-    the rows of K (D = 1) otherwise.
+    """The rows of D K for K on its form (D, M): ints for a rational K,
+    and the scalars of K (D = 1) otherwise.
 
     The kernel equations are homogeneous, so the factor D changes no
     solution.
     """
-    _, flat = k_matrix._flat()
+    flat = k_matrix._form[1]
     return flat[0:3], flat[3:6], flat[6:9]
 
 
@@ -254,7 +254,9 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     # the scalars T otherwise)
     (den, vals), (s, k) = deform_rhs(lp, k_matrix)._form, _scaled_row(lp.k)
     drift = _drift_rows([den * c for c in k])
-    rhs = [s * vals.get(m, 0) for m in QUAD_MONOMIALS]
+    rhs = [vals.get(m, 0) for m in QUAD_MONOMIALS]
+    if s != 1:
+        rhs = [s * v for v in rhs]
     rows = _derivation_rows(_twist_rows(k_matrix)) + drift
     space = solve_linear(rows, [0] * 10 + rhs, 10)
     if not space.is_empty:

@@ -130,6 +130,20 @@ def test_malformed_values_exit_2_without_traceback(verb, payload):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("pair", [
+    {"k": [0, 0, 0], "A": [[1, 0, 0], [0, 1, 0], [0, 0, [1, 1, 0, 0]]]},
+    {"k": [[1, 1, 0, 0], 0, 0], "A": _ZERO_GRAM},
+], ids=["gram-entry", "k-entry"])
+def test_irrational_pair_entry_is_named_as_the_output_prints_it(pair, capsys):
+    from poisson_forge import cli
+
+    assert cli.main(["classify", json.dumps(pair)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("parse error: malformed input (expected a rational value, "
+                   "got 1 + sqrt2)\n")
+    assert "Fraction(" not in err
+
+
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
     not INT_DIGIT_LIMIT, reason="this Python parses ints of any length")

@@ -390,6 +390,17 @@ def test_polynomials_of_both_kinds_survive_copy_and_pickle():
                 e: type(c) for e, c in p.terms.items()}
 
 
+def test_matrices_of_both_kinds_survive_copy_and_pickle():
+    rational = Matrix([[F(1, 2), 3], [0, F(-2, 3)]])
+    # rows given, rows not yet built, and a matrix with an ExtScalar entry
+    for m in (rational, rational * rational, Matrix([[F(1, 2), SQRT2], [0, 1]])):
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and twin.integer_form() == m.integer_form()
+            assert twin * m == m * m and twin.n == m.n
+            assert [type(v) for row in twin.rows for v in row] == [
+                type(v) for row in m.rows for v in row]
+
+
 def test_polynomial_json_roundtrip():
     p = P(3, {(1, 2, 0): F(-3, 7), (0, 0, 1): SQRT2 * F(1, 2)})
     assert Polynomial.from_json(p.to_json()) == p

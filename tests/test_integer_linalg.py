@@ -23,6 +23,7 @@ import linalg_reference as ref
 from poisson_forge.exactnum import (
     SQRT2,
     SQRT3,
+    SQRT6,
     ExtScalar,
     Matrix,
     _norm_cofactor,
@@ -227,6 +228,80 @@ def test_mixed_extension_matrices_keep_the_field_loops():
         m = Matrix(rows)
         v = tuple(_random_field_entry(rng) for _ in range(3))
         _check_against_reference(m, v)
+
+
+def _same_entries(got, want):
+    for row, want_row in zip(got.rows, want.rows):
+        _same(row, want_row)
+
+
+def _random_field_matrix(rng):
+    """3x3 with entries in Q(sqrt2, sqrt3), at least one of them irrational."""
+    rows = [[_random_field_entry(rng) for _ in range(3)] for _ in range(3)]
+    i, j = rng.randrange(3), rng.randrange(3)
+    rows[i][j] = rows[i][j] + F(rng.randint(1, 5), rng.randint(1, 5)) * SQRT2
+    return Matrix(rows)
+
+
+def test_chains_on_matrices_with_an_irrational_entry_match_the_scalar_kernels():
+    rng = random.Random(8170)
+    ops = ("product", "product", "sum", "difference", "transpose", "negate",
+           "scaled", "scaled-ext", "inverse")
+    seen = set()
+    for _ in range(40):
+        got = _random_field_matrix(rng)
+        want = Matrix._trusted(got.rows)    # the reference reads rows only
+        for _ in range(6):
+            op = rng.choice(ops)
+            # the other operand is rational or irrational, on either side
+            other = (_random_field_matrix(rng) if rng.random() < 0.5
+                     else _random_matrix(rng, 3, 2))
+            if op == "product":
+                if rng.random() < 0.5:
+                    got, want = got * other, ref.product(want, other)
+                else:
+                    got, want = other * got, ref.product(other, want)
+            elif op == "sum":
+                if rng.random() < 0.5:
+                    got, want = got + other, ref.add(want, other)
+                else:
+                    got, want = other + got, ref.add(other, want)
+            elif op == "difference":
+                if rng.random() < 0.5:
+                    got, want = got - other, ref.sub(want, other)
+                else:
+                    got, want = other - got, ref.sub(other, want)
+            elif op == "transpose":
+                got, want = got.transpose(), ref.transpose(want)
+            elif op == "negate":
+                got, want = -got, ref.scaled(want, F(-1))
+            elif op in ("scaled", "scaled-ext"):
+                c = _random_rational(rng, 2)
+                if op == "scaled-ext":
+                    c = c + _random_rational(rng, 1) * SQRT3 + SQRT6
+                got, want = got.scaled(c), ref.scaled(want, c)
+                # the other operand, rational or not, scaled by c
+                _same_entries(other.scaled(c), ref.scaled(other, c))
+                if op == "scaled-ext":
+                    assert other.scaled(c).integer_form() is None
+            else:
+                try:
+                    want = ref.inverse(want)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError, match="singular"):
+                        got.inverse()
+                    break
+                got = got.inverse()
+            seen.add(op)
+            # an ExtScalar entry stays one, so the matrix stays off the ints
+            assert got.integer_form() is None
+            _same_entries(got, want)
+            v = tuple(_random_field_entry(rng) for _ in range(3))
+            _same((got.det(),), (ref.det(want),))
+            _same(got.apply(v), ref.apply(want, v))
+            for m, r in ((got, want), (other, other)):
+                _same((m.trace(),), (sum((r.rows[i][i] for i in range(3)), F(0)),))
+    assert seen == set(ops)
 
 
 def _random_field_system(rng, m, n):
