@@ -5,11 +5,12 @@ file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification, a
 ``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``), 2 on
-parse errors and bad usage, 3 on an internal error (a failed internal
-consistency check or any other unexpected exception), reported in one
-line on stderr without a traceback.  A reader that closes stdout early
-(``poisson-forge ... | head``) is not an error: the CLI stops writing and
-exits 0 with nothing on stderr.
+parse errors (an input that cannot be read, too) and bad usage, 3 on an
+internal error (a failed internal consistency check or any other
+unexpected exception), reported in one line on stderr without a
+traceback.  A reader that closes stdout early (``poisson-forge ... |
+head``) is not an error: the CLI stops writing and exits 0 with nothing
+on stderr.
 """
 
 import argparse
@@ -33,7 +34,6 @@ from .linclass import (
     decompose,
 )
 from .multivec import MultiVectorField, modular_field, is_poisson, schouten
-from .goldens import load_goldens
 from .quaddef import (
     OTHER,
     P2Point,
@@ -58,13 +58,18 @@ MAX_TERM_PRODUCT = 250_000
 
 
 def _read_payload(raw: str) -> dict:
-    if raw == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = raw
+    """The JSON object given inline, as a file path, or as - for stdin."""
+    try:
+        if raw == "-":
+            text = sys.stdin.read()
+        elif os.path.exists(raw):
+            with open(raw, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = raw
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or bytes that are not UTF-8
+        raise ParseError("cannot read input %s: %s" % (raw, exc)) from None
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -267,7 +272,7 @@ def _cmd_orbits(args):
 
 
 def _cmd_verify_paper(args):
-    goldens = load_goldens(args.goldens) if args.goldens else None
+    goldens = _read_payload(args.goldens) if args.goldens else None
     try:
         seed = int(os.environ.get("POISSON_FORGE_SEED", DEFAULT_SEED))
     except ValueError:
@@ -332,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "floating rotation (finite, positive)")
         if verb == "verify-paper":
             p.add_argument("--goldens", default=None,
-                           help="replacement expected-value table (JSON file)")
+                           help="replacement expected-value table: inline "
+                                "JSON, a file path, or - for stdin")
         return p
 
     add("classify", True, "name the standard form of a linear structure")

@@ -18,7 +18,8 @@ On top of the scalars the module provides:
   returning the full affine solution set as a :class:`SolutionSpace`,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
   a symmetric matrix (R^T A R diagonal), used to read off rank and
-  signature exactly.
+  signature exactly, and :func:`gram_of_quadratic`, the symmetric matrix
+  of a quadratic form.
 
 Every polynomial is stored on one form (D, T), the layout FLINT uses
 for ``fmpq_poly``: T maps exponent tuples to nonzero values over one
@@ -58,6 +59,13 @@ above 3x3.  They stay because the tests compare the values and the entry
 types of ``det`` and ``inverse`` with reference loops: an adjugate
 inverse of an ExtScalar matrix gives the same values, but rational
 ExtScalar entries where Gauss-Jordan gives Fractions.
+
+Quadratic forms run on (D, M) too.  ``congruent_diagonalize`` applies
+each Lagrange step as one elementary matrix E -- a shear that adds one
+column to another, a swap, or one shear that clears a whole row -- as
+A <- E^T A E and R <- R E, with the products above; so det R = +-1.
+``gram_of_quadratic`` reads the form (D, T) of the quadratic and builds
+A = B / 2D in one normalisation, the inverse of ``quadratic_form_poly``.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -876,22 +884,19 @@ def quadratic_form_poly(m: "Matrix") -> Polynomial:
 
 
 def gram_of_quadratic(p: Polynomial) -> "Matrix":
-    """Symmetric Gram matrix A with p = (A x, x), for homogeneous quadratics."""
+    """Symmetric Gram matrix A with p = (A x, x), for homogeneous quadratics:
+    A = B / 2D on p's form (D, T), B_ii = 2 T(x_i^2), B_ij = T(x_i x_j)."""
     if not p.is_homogeneous(2):
         raise ValueError("not a homogeneous quadratic: %s" % p)
-    n = p.nvars
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for exps, coef in p.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = coef
+    n, (den, vals) = p.nvars, p._form
+    flat = [0] * (n * n)
+    for exps, v in vals.items():
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+        if i == j:
+            flat[i * n + i] = 2 * v
         else:
-            i, j = support
-            half = scalar_div(coef, 2)
-            rows[i][j] = half
-            rows[j][i] = half
-    return Matrix(rows)
+            flat[i * n + j] = flat[j * n + i] = v
+    return Matrix._of_form(n, 2 * den, flat, p._rational)
 
 
 # ---------------------------------------------------------------------------
@@ -1347,60 +1352,55 @@ def _ring_update(pivot, factor, row, pivot_row, prev):
     return out
 
 
+def _identity_with(n: int, cells: dict) -> Matrix:
+    """The n x n identity with the cells {(i, j): value} set."""
+    vals = [0] * (n * n)
+    vals[::n + 1] = [1] * n
+    for (i, j), v in cells.items():
+        vals[i * n + j] = v
+    return Matrix._of_form(n, 1, vals, False)
+
+
 def congruent_diagonalize(a: Matrix, rng=None):
     """Lagrange congruence: returns (R, d) with R^T A R = diag(d) exactly.
 
     A must be symmetric.  With ``rng`` given, admissible pivots are chosen
     at random (used to check that signature counts are order-independent);
-    otherwise pivot selection is deterministic by index.
+    otherwise pivot selection is deterministic by index.  Each step is a
+    shear or a swap E, applied as A <- E^T A E and R <- R E.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
     n = a.n
-    b = [list(row) for row in a.rows]
-    r = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    r = _identity_with(n, {})
 
-    def add_col(dst, src, factor):
-        # column operation plus the mirrored row operation keeps symmetry
-        for i in range(n):
-            b[i][dst] = b[i][dst] + factor * b[i][src]
-        for j in range(n):
-            b[dst][j] = b[dst][j] + factor * b[src][j]
-        for i in range(n):
-            r[i][dst] = r[i][dst] + factor * r[i][src]
+    def step(cells):
+        nonlocal a, r
+        e = _identity_with(n, cells)
+        a, r = e.transpose() * (a * e), r * e
 
-    def swap_cols(i, j):
-        for row in b:
-            row[i], row[j] = row[j], row[i]
-        b[i], b[j] = b[j], b[i]
-        for row in r:
-            row[i], row[j] = row[j], row[i]
+    def pick(options):
+        return options[0 if rng is None else rng.randrange(len(options))]
 
     for k in range(n):
-        candidates = [i for i in range(k, n) if b[i][i]]
+        b = a._form[1]
+        candidates = [i for i in range(k, n) if b[i * n + i]]
         if not candidates:
-            off = [
-                (i, j)
-                for i in range(k, n) for j in range(i + 1, n)
-                if b[i][j]
-            ]
+            off = [(i, j) for i in range(k, n) for j in range(i + 1, n)
+                   if b[i * n + j]]
             if not off:
                 break  # the rest of the form is zero
-            if rng is not None:
-                i, j = off[rng.randrange(len(off))]
-            else:
-                i, j = off[0]
-            add_col(i, j, Fraction(1))
+            i, j = pick(off)
+            step({(j, i): 1})  # column i += column j
             candidates = [i]
-        if rng is not None:
-            p = candidates[rng.randrange(len(candidates))]
-        else:
-            p = candidates[0]
+        p = pick(candidates)
         if p != k:
-            swap_cols(k, p)
-        pivot = b[k][k]
-        for j in range(k + 1, n):
-            if b[k][j]:
-                add_col(j, k, scalar_div(-b[k][j], pivot))
-
-    return Matrix(r), tuple(b[i][i] for i in range(n))
+            step({(k, k): 0, (p, p): 0, (k, p): 1, (p, k): 1})
+        # clear row k in one shear: column j += -b_kj / b_kk column k
+        b = a._form[1]
+        shear = {(k, j): scalar_div(-b[k * n + j], b[k * n + k])
+                 for j in range(k + 1, n) if b[k * n + j]}
+        if shear:
+            step(shear)
+    den, b = a._form
+    return r, tuple(_over(b[i * n + i], den) for i in range(n))

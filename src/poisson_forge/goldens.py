@@ -7,9 +7,10 @@ nested lists, polynomials in their canonical rendered form, solution
 spaces as ``{"particular": ..., "basis": [...]}`` with ``null`` standing
 for an inconsistent (empty) system.
 
-``load_goldens`` reads a user-supplied replacement table, which is how
-the self-test exercises the failure path: corrupt one value in a copy of
-this table and the corresponding verification item must flip to FAIL.
+``verify-paper --goldens`` reads a user-supplied replacement table, the
+same way the CLI reads every input, which is how the self-test exercises
+the failure path: corrupt one value in a copy of this table and the
+corresponding verification item must flip to FAIL.
 """
 
 import copy
@@ -818,12 +819,6 @@ _DEFAULT_GOLDENS_JSON = r"""
 def default_goldens() -> dict:
     """A fresh copy of the built-in expected-value table."""
     return copy.deepcopy(_PARSED)
-
-
-def load_goldens(path: str) -> dict:
-    """Read a (possibly edited) expected-value table from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 _PARSED = json.loads(_DEFAULT_GOLDENS_JSON)

@@ -384,27 +384,19 @@ def classify(pair: LinearPair):
     cases 8/9) to ``pair`` in the sense of is_isomorphism; see
     verify_witness for the rational identities certifying that.
 
-    The free block is diagonalized by congruence: all of A when k = 0,
-    else the 2x2 block of A in a basis completed by k, where the diagonal
-    of R' A R is det of that basis times the block's diagonal.
+    The form is diagonalized by congruence: A when k = 0, else B' A B for
+    B = _complete_basis(k), whose zero third row and column (A k = 0) keep
+    column 3 of R at e3, so base = B R ends in k.  Shears and swaps give
+    det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.
     """
     if not any(pair.k):
         free, cases, flip = 3, range(1, 7), 2
         base, diag = congruent_diagonalize(pair.gram)
     else:
         free, cases, flip = 2, range(7, 11), 0
-        base = _complete_basis(pair.k)
-        det = base.det()
-        # pull the form back to coordinates where k becomes e3
-        block = (base.transpose() * pair.gram * base).scaled(1 / det)
-        two = Matrix([row[:2] for row in block.rows[:2]])
-        inner, diag2 = congruent_diagonalize(two)
-        base = base * Matrix([
-            [inner.rows[0][0], inner.rows[0][1], 0],
-            [inner.rows[1][0], inner.rows[1][1], 0],
-            [0, 0, 1],
-        ])
-        diag = (det * diag2[0], det * diag2[1], Fraction(0))
+        basis = _complete_basis(pair.k)
+        inner, diag = congruent_diagonalize(basis.transpose() * pair.gram * basis)
+        base = basis * inner
     case, perm, sign = _arrange(diag, cases)
     base = _permute_columns(base, perm)
     scales = [abs(diag[p]) for p in perm]
@@ -423,7 +415,7 @@ def classify(pair: LinearPair):
             for v in scales[:rank]:
                 spare = spare * v
             scales[rank] = det_sq / spare
-    a_squared = abs(two.det()) if case in (8, 9) else None
+    a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
     label = StdFormLabel(case, a_squared)
     witness = Witness(base, tuple(scales))
     if not verify_witness(pair, label, witness):  # pragma: no cover

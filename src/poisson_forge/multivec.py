@@ -36,6 +36,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .exactnum import (
     Matrix,
+    ParseError,
     Polynomial,
     as_scalar,
     int_from_json,
@@ -196,7 +197,10 @@ class MultiVectorField:
         nvars = int_from_json(data["n"])
         grade = int_from_json(data["grade"])
         comps = {}
-        for key, poly_data in data.get("components", {}).items():
+        components = data.get("components", {})
+        if not isinstance(components, dict):
+            raise ParseError('"components" must be an object')
+        for key, poly_data in components.items():
             exps = (tuple(int_from_json(s) - 1 for s in str(key).split(","))
                     if str(key) else ())
             comps[exps] = Polynomial.from_json(poly_data)

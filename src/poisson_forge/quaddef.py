@@ -695,10 +695,10 @@ def enumerate_orbit_pairs(family: JordanFamily) -> tuple:
     for index in sorted(_REP_POINTS[family.tag]):
         rep = p2_orbit_rep(family, _REP_POINTS[family.tag][index])
         t = rep.rotation
-        tinv = t.inverse()
-        det = t.det()
+        # t_of_v checks T' T = I and det T = 1, so T^-1 = T'
+        tinv = t.transpose()
         twist = t * k_matrix * tinv
-        cubics = tuple(b.compose_linear(tinv) * det for b in basis_polys)
+        cubics = tuple(b.compose_linear(tinv) for b in basis_polys)
         out.append(OrbitFamily(rep, twist, cubics))
     return tuple(out)
 

@@ -16,7 +16,11 @@ seeded inputs:
 - ``inverse``: Gauss-Jordan elimination with ``scalar_div``,
 - ``apply``: one ``dot`` per row,
 - ``solve_linear``: the Bareiss loop that divided field elements with
-  ``scalar_div``, and the integer loop for rational systems.
+  ``scalar_div``, and the integer loop for rational systems,
+- ``congruent_diagonalize``: Lagrange's column operations, one cell at a
+  time, on lists of package scalars,
+- ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
+  each off-diagonal coefficient halved by ``scalar_div``.
 """
 
 import math
@@ -25,6 +29,7 @@ from fractions import Fraction
 from poisson_forge.exactnum import (
     ExtScalar,
     Matrix,
+    Polynomial,
     SolutionSpace,
     as_scalar,
     scalar_div,
@@ -198,3 +203,81 @@ def solve_linear(rows, rhs, ncols=None):
         back_substitute({fc: 1}, homogeneous=True) for fc in free_cols
     )
     return SolutionSpace(ncols, particular, basis)
+
+
+def congruent_diagonalize(a: Matrix, rng=None):
+    """Lagrange congruence: returns (R, d) with R^T A R = diag(d) exactly.
+
+    A must be symmetric.  With ``rng`` given, admissible pivots are chosen
+    at random (used to check that signature counts are order-independent);
+    otherwise pivot selection is deterministic by index.
+    """
+    if not a.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    n = a.n
+    b = [list(row) for row in a.rows]
+    r = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, factor):
+        # column operation plus the mirrored row operation keeps symmetry
+        for i in range(n):
+            b[i][dst] = b[i][dst] + factor * b[i][src]
+        for j in range(n):
+            b[dst][j] = b[dst][j] + factor * b[src][j]
+        for i in range(n):
+            r[i][dst] = r[i][dst] + factor * r[i][src]
+
+    def swap_cols(i, j):
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+        b[i], b[j] = b[j], b[i]
+        for row in r:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        candidates = [i for i in range(k, n) if b[i][i]]
+        if not candidates:
+            off = [
+                (i, j)
+                for i in range(k, n) for j in range(i + 1, n)
+                if b[i][j]
+            ]
+            if not off:
+                break  # the rest of the form is zero
+            if rng is not None:
+                i, j = off[rng.randrange(len(off))]
+            else:
+                i, j = off[0]
+            add_col(i, j, Fraction(1))
+            candidates = [i]
+        if rng is not None:
+            p = candidates[rng.randrange(len(candidates))]
+        else:
+            p = candidates[0]
+        if p != k:
+            swap_cols(k, p)
+        pivot = b[k][k]
+        for j in range(k + 1, n):
+            if b[k][j]:
+                add_col(j, k, scalar_div(-b[k][j], pivot))
+
+    return Matrix(r), tuple(b[i][i] for i in range(n))
+
+
+def gram_of_quadratic(p: Polynomial) -> "Matrix":
+    """Symmetric Gram matrix A with p = (A x, x), for homogeneous quadratics."""
+    if not p.is_homogeneous(2):
+        raise ValueError("not a homogeneous quadratic: %s" % p)
+    n = p.nvars
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for exps, coef in p.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            i = support[0]
+            rows[i][i] = coef
+        else:
+            i, j = support
+            half = scalar_div(coef, 2)
+            rows[i][j] = half
+            rows[j][i] = half
+    return Matrix(rows)

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, inputs, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -657,3 +658,74 @@ def test_verify_paper_corrupted_goldens(tmp_path):
     failed = [it for it in items if it["status"] == "FAIL"]
     assert failed, "corruption must surface as FAIL items"
     assert any("expected '5'" in it["details"] for it in failed)
+
+
+def test_verify_paper_takes_goldens_inline_like_every_input(capsys):
+    from poisson_forge import cli
+
+    goldens = default_goldens()
+    goldens["ten_forms"]["8"]["a_squared"] = "5"
+    assert cli.main(["verify-paper", "--goldens", json.dumps(goldens),
+                     "--format", "json"]) == 1
+    items = json.loads(capsys.readouterr().out)
+    failed = [it for it in items if it["status"] == "FAIL"]
+    assert any("expected '5'" in it["details"] for it in failed)
+
+
+@pytest.mark.parametrize("table", [
+    "missing-file", "directory", "bad-json", "array-file", "array-inline",
+    "not-utf-8"])
+def test_malformed_goldens_exit_2_before_the_sweep(table, tmp_path,
+                                                   monkeypatch, capsys):
+    from poisson_forge import cli
+
+    def sweep(**kwargs):
+        raise AssertionError("the sweep ran on a malformed table")
+
+    monkeypatch.setattr(cli, "run_verification", sweep)
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    arg = {"missing-file": str(tmp_path / "missing.json"),
+           "directory": str(tmp_path),
+           "bad-json": "{bad",
+           "array-file": str(tmp_path / "array.json"),
+           "array-inline": "[]",
+           "not-utf-8": str(tmp_path / "latin1.json")}[table]
+    assert cli.main(["verify-paper", "--goldens", arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, components", [
+    ("is-poisson", "x"), ("bracket", [1]), ("bracket", 3),
+    ("bracket", True), ("bracket", None),
+], ids=["string", "list", "number", "boolean", "null"])
+def test_components_that_are_not_an_object_exit_2(verb, components, capsys):
+    from poisson_forge import cli
+
+    field = {"n": 3, "grade": 2, "components": components}
+    payload = field if verb == "is-poisson" else {"u": field, "v": field}
+    assert cli.main([verb, json.dumps(payload)]) == 2
+    err = capsys.readouterr().err
+    assert err == 'parse error: "components" must be an object\n'
+
+
+@pytest.mark.parametrize("source", ["directory", "not-utf-8-file",
+                                    "not-utf-8-stdin"])
+def test_unreadable_input_exits_2_without_traceback(source, tmp_path,
+                                                    monkeypatch, capsys):
+    from poisson_forge import cli
+
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff{}")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff{}"), encoding="utf-8"))
+    arg = {"directory": str(tmp_path), "not-utf-8-file": str(bad),
+           "not-utf-8-stdin": "-"}[source]
+    assert cli.main(["classify", arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: cannot read input ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -26,8 +26,12 @@ from poisson_forge.exactnum import (
     SQRT6,
     ExtScalar,
     Matrix,
+    Polynomial,
     _norm_cofactor,
     _ring_update,
+    congruent_diagonalize,
+    gram_of_quadratic,
+    quadratic_form_poly,
     scalar_to_json,
     solve_linear,
 )
@@ -399,3 +403,75 @@ def test_ring_division_is_exact_division_by_the_previous_pivot():
     with pytest.raises(ArithmeticError, match="inexact"):
         _ring_update((1, 0, 0, 0), (0, 0, 0, 0), [(1, 0, 0, 0)],
                      [(0, 0, 0, 0)], _norm_cofactor((0, 2, 0, 0)))
+
+
+def _random_symmetric(rng, n, field, zero_diagonal):
+    """n x n symmetric, with entries in Q(sqrt2, sqrt3) when ``field``."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            rows[i][j] = rows[j][i] = (_random_field_entry(rng) if field
+                                       else _random_rational(rng, 2))
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["rational", "field"])
+def test_congruence_on_the_form_matches_the_column_loop(field):
+    """Same R and d as Lagrange's column loop, with and without a seeded
+    rng, which must also be left in the same state (one ``randrange``
+    per pivot choice); same entry types on rational input."""
+    rng = random.Random(8300 + field)
+    zero_diagonals = irrational = 0
+    for t in range(400):
+        n = 1 + t % 4
+        zero_diagonal = rng.random() < 0.3
+        a = _random_symmetric(rng, n, field, zero_diagonal)
+        zero_diagonals += zero_diagonal and n > 1 and not a.is_zero()
+        irrational += a.integer_form() is None
+        for seed in (None, t):
+            pick_got = None if seed is None else random.Random(seed)
+            pick_want = None if seed is None else random.Random(seed)
+            r, d = congruent_diagonalize(a, rng=pick_got)
+            r_want, d_want = ref.congruent_diagonalize(a, rng=pick_want)
+            assert (r, d) == (r_want, d_want)
+            if seed is not None:
+                assert pick_got.getstate() == pick_want.getstate()
+            if a.integer_form() is not None:
+                _same(d, d_want)
+                _same_entries(r, r_want)
+            assert r.transpose() * a * r == Matrix.diagonal(d)
+            assert r.det() in (1, -1)
+    assert zero_diagonals > 50
+    assert (irrational > 100) is field
+
+
+def _random_quadratic(rng, n, field):
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.7:
+                exps = [0] * n
+                exps[i] += 1
+                exps[j] += 1
+                terms[tuple(exps)] = (_random_field_entry(rng) if field
+                                      else _random_rational(rng, 2))
+    return Polynomial(n, terms)
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["rational", "field"])
+def test_gram_matrix_on_the_form_matches_the_fraction_rows(field):
+    """Same values, entry types and kind as the Fraction rows, on
+    quadratics of both kinds; and the inverse of quadratic_form_poly."""
+    rng = random.Random(8310 + field)
+    kinds = set()
+    for t in range(400):
+        p = _random_quadratic(rng, 1 + t % 4, field)
+        got, want = gram_of_quadratic(p), ref.gram_of_quadratic(p)
+        assert got == want
+        assert got._rational is want._rational
+        _same_entries(got, want)
+        assert quadratic_form_poly(got) == p
+        kinds.add(p._rational)
+    assert kinds == ({True, False} if field else {True})
