@@ -5,12 +5,13 @@ file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification, a
 ``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``), 2 on
-parse errors (an input that cannot be read, too) and bad usage, 3 on an
-internal error (a failed internal consistency check or any other
-unexpected exception), reported in one line on stderr without a
-traceback.  A reader that closes stdout early (``poisson-forge ... |
-head``) is not an error: the CLI stops writing and exits 0 with nothing
-on stderr.
+parse errors (an input that cannot be read or names no file, and a
+``--goldens`` table without every section of the built-in one, too) and
+bad usage, 3 on an internal error (a failed internal consistency check
+or any other unexpected exception), reported in one line on stderr
+without a traceback.  A reader that closes stdout early
+(``poisson-forge ... | head``) is not an error: the CLI stops writing
+and exits 0 with nothing on stderr.
 """
 
 import argparse
@@ -26,6 +27,7 @@ from .exactnum import (
     Polynomial,
     scalar_to_json,
 )
+from .goldens import default_goldens
 from .linclass import (
     LinearPair,
     bivector_of,
@@ -65,8 +67,12 @@ def _read_payload(raw: str) -> dict:
         elif os.path.exists(raw):
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        else:
+        elif raw.lstrip()[:1] in ("{", "["):
             text = raw
+        else:
+            # neither a file nor JSON: most likely a mistyped file name
+            name = raw if len(raw) <= 80 else raw[:80] + "..."
+            raise ParseError("cannot read input %s: no such file" % name)
     except (OSError, UnicodeDecodeError) as exc:
         # a directory, an unreadable file, or bytes that are not UTF-8
         raise ParseError("cannot read input %s: %s" % (raw, exc)) from None
@@ -271,8 +277,20 @@ def _cmd_orbits(args):
     return 0
 
 
+def _goldens_from(raw: str) -> dict:
+    """A --goldens table holding every section of the built-in one, each
+    with the same JSON type."""
+    table = _read_payload(raw)
+    bad = [name for name, value in default_goldens().items()
+           if type(table.get(name)) is not type(value)]
+    if bad:
+        raise ParseError("goldens table lacks or mistypes the sections: %s"
+                         % ", ".join(bad))
+    return table
+
+
 def _cmd_verify_paper(args):
-    goldens = _read_payload(args.goldens) if args.goldens else None
+    goldens = _goldens_from(args.goldens) if args.goldens else None
     try:
         seed = int(os.environ.get("POISSON_FORGE_SEED", DEFAULT_SEED))
     except ValueError:

@@ -51,14 +51,17 @@ holds its scalars over D = 1.  ``==``, sums, products, negation,
 with the flag carried from the operands; ``Matrix._of_form`` alone
 normalises a result, as for polynomials.  ``rows`` is a view built on
 first read (Fractions for a rational matrix), or the rows the
-constructor was given.  ``apply`` keeps an int path for a vector of
-Fractions, and the 3x3 rational inverse is D adj(M) / det(M).  Two loops
-stay on the scalars: Gauss-Jordan ``inverse``, for a matrix with an
-ExtScalar entry and for sizes other than 3x3, and the Laplace ``det``
-above 3x3.  They stay because the tests compare the values and the entry
-types of ``det`` and ``inverse`` with reference loops: an adjugate
-inverse of an ExtScalar matrix gives the same values, but rational
-ExtScalar entries where Gauss-Jordan gives Fractions.
+constructor was given.  Structured matrices (``identity``, ``zero``,
+``diagonal``, and the elementary matrices of the congruence) are built
+on the form directly, with no rows to coerce.  ``apply`` keeps an int
+path for a vector of Fractions, and the 3x3 rational inverse is
+D adj(M) / det(M).  Two loops stay on the scalars: Gauss-Jordan
+``inverse``, for a matrix with an ExtScalar entry and for sizes other
+than 3x3, and the Laplace ``det`` above 3x3.  They stay because the
+tests compare the values and the entry types of ``det`` and ``inverse``
+with reference loops: an adjugate inverse of an ExtScalar matrix gives
+the same values, but rational ExtScalar entries where Gauss-Jordan gives
+Fractions.
 
 Quadratic forms run on (D, M) too.  ``congruent_diagonalize`` applies
 each Lagrange step as one elementary matrix E -- a shear that adds one
@@ -66,6 +69,8 @@ column to another, a swap, or one shear that clears a whole row -- as
 A <- E^T A E and R <- R E, with the products above; so det R = +-1.
 ``gram_of_quadratic`` reads the form (D, T) of the quadratic and builds
 A = B / 2D in one normalisation, the inverse of ``quadratic_form_poly``.
+``linclass.classify`` arranges the columns of its witness the same way,
+by products with a permutation matrix and a sign flip.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -82,10 +87,11 @@ raises ``ArithmeticError``, under ``python -O`` too.  Back substitution
 alone runs on Fractions and ExtScalars.
 
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
-malformed input.  The public constructors validate their arguments;
-arithmetic results built from already validated polynomials and matrices
-are not validated again, only normalised (``Polynomial._of_form``,
-``Matrix._of_form``).
+malformed input; four coordinates whose sqrt2, sqrt3 and sqrt6 parts
+are zero decode to the Fraction.  The public constructors validate their
+arguments; arithmetic results built from already validated polynomials
+and matrices are not validated again, only normalised
+(``Polynomial._of_form``, ``Matrix._of_form``).
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -498,7 +504,9 @@ def scalar_from_json(data) -> Scalar:
     if isinstance(data, (str, int)):
         return _rational_from_json(data)
     if isinstance(data, list) and len(data) == 4:
-        return ExtScalar(tuple(_rational_from_json(c) for c in data))
+        value = ExtScalar(tuple(_rational_from_json(c) for c in data))
+        # a rational value written as four coordinates reads as its Fraction
+        return value.rational_value() if value.is_rational else value
     raise ParseError("bad scalar encoding: %r" % (data,))
 
 
@@ -975,16 +983,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _identity_with(n, {})
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls._of_form(n, 1, [0] * (n * n))
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return _identity_with(len(values), {(i, i): as_scalar(v)
+                                            for i, v in enumerate(values)})
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

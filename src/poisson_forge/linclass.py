@@ -37,6 +37,7 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _identity_with,
     apply_matrix_derivation,
     congruent_diagonalize,
     gram_of_quadratic,
@@ -338,24 +339,9 @@ def classification_to_json(label: StdFormLabel, witness: Witness):
 def _complete_basis(k) -> Matrix:
     """Rational basis with third column k: pivot on the largest coordinate."""
     pivot = max(range(3), key=lambda i: (abs(k[i]), -i))
-    cols = [[Fraction(1) if i == j else Fraction(0) for i in range(3)]
-            for j in range(3) if j != pivot]
-    cols.append(list(k))
-    return Matrix(list(zip(*cols)))
-
-
-def _negate_column(m: Matrix, j: int) -> Matrix:
-    """Negate column j of a rational matrix, on its integer form."""
-    (den, ints), n = m.integer_form(), m.n
-    return Matrix._of_form(n, den, [-v if k % n == j else v
-                                    for k, v in enumerate(ints)])
-
-
-def _permute_columns(m: Matrix, perm) -> Matrix:
-    """Put column perm[i] of a rational matrix in slot i, on its integer form."""
-    (den, ints), n = m.integer_form(), m.n
-    return Matrix._of_form(n, den, [ints[k + p] for k in range(0, n * n, n)
-                                    for p in perm])
+    units = [j for j in range(3) if j != pivot]
+    return Matrix._of_form(3, 1, [v for i in range(3) for v in (
+        int(i == units[0]), int(i == units[1]), k[i])], False)
 
 
 def _arrange(diag, cases):
@@ -387,7 +373,8 @@ def classify(pair: LinearPair):
     The form is diagonalized by congruence: A when k = 0, else B' A B for
     B = _complete_basis(k), whose zero third row and column (A k = 0) keep
     column 3 of R at e3, so base = B R ends in k.  Shears and swaps give
-    det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.
+    det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.  A permutation
+    and a sign flip, matrix products as well, then arrange base's columns.
     """
     if not any(pair.k):
         free, cases, flip = 3, range(1, 7), 2
@@ -398,12 +385,14 @@ def classify(pair: LinearPair):
         inner, diag = congruent_diagonalize(basis.transpose() * pair.gram * basis)
         base = basis * inner
     case, perm, sign = _arrange(diag, cases)
-    base = _permute_columns(base, perm)
+    # column perm[c] goes to slot c: P[r][c] = 1 exactly when r = perm[c]
+    base = base * Matrix._of_form(3, 1, [int(r == p) for r in range(3)
+                                         for p in perm])
     scales = [abs(diag[p]) for p in perm]
     rank = sum(1 for v in scales if v)
     if rank:
         if (base.det() > 0) != (sign > 0):
-            base = _negate_column(base, flip)
+            base = base * _identity_with(3, {(flip, flip): -1})
         det_sq = base.det() ** 2
         if rank == 3:
             # det(T) is forced here, so rescale to keep it consistent
@@ -471,7 +460,8 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
 
 
 def _block2(m: Matrix) -> Matrix:
-    return Matrix([[m.rows[0][0], m.rows[0][1]], [m.rows[1][0], m.rows[1][1]]])
+    den, vals = m._form
+    return Matrix._of_form(2, den, vals[:2] + vals[3:5], m._rational)
 
 
 def _fixes_e3(m: Matrix) -> bool:
@@ -568,13 +558,8 @@ def der0_space(case_id: int) -> SolutionSpace:
     """
     pair = STANDARD_PAIRS[case_id]
     f = pair.potential()
-    units = []
-    for i in range(3):
-        for j in range(3):
-            units.append(Matrix([
-                [1 if (r, c) == (i, j) else 0 for c in range(3)]
-                for r in range(3)
-            ]))
+    units = [Matrix._of_form(3, 1, [int(k == c) for k in range(9)])
+             for c in range(9)]
     rows = [[u.trace() for u in units]]
     for i in range(3):
         rows.append([u.apply(pair.k)[i] for u in units])

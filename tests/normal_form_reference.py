@@ -8,6 +8,8 @@ were, so that the tests can compare the two on seeded inputs:
 
 - ``classify``: two branches, k = 0 through ``_arrange_definite_part``
   and k != 0 through ``_sort_by_sign`` and the sign of a 2x2 determinant,
+  with the column helpers it used: ``_complete_basis`` (built through
+  ``Matrix(rows)``), ``_permute_columns`` and ``_negate_column``,
 - ``p2_orbit_rep``: a support table for distinct eigenvalues and an
   if-chain for each of the other two families,
 - ``jordan_family_of``: the exact route with an OTHER exit per failed test.
@@ -20,9 +22,6 @@ from poisson_forge.linclass import (
     SIGN_PATTERNS,
     StdFormLabel,
     Witness,
-    _complete_basis,
-    _negate_column,
-    _permute_columns,
     verify_witness,
 )
 from poisson_forge.quaddef import (
@@ -43,6 +42,29 @@ from poisson_forge.quaddef import (
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
+
+
+def _complete_basis(k) -> Matrix:
+    """Rational basis with third column k: pivot on the largest coordinate."""
+    pivot = max(range(3), key=lambda i: (abs(k[i]), -i))
+    cols = [[Fraction(1) if i == j else Fraction(0) for i in range(3)]
+            for j in range(3) if j != pivot]
+    cols.append(list(k))
+    return Matrix(list(zip(*cols)))
+
+
+def _negate_column(m: Matrix, j: int) -> Matrix:
+    """Negate column j of a rational matrix, on its integer form."""
+    (den, ints), n = m.integer_form(), m.n
+    return Matrix._of_form(n, den, [-v if k % n == j else v
+                                    for k, v in enumerate(ints)])
+
+
+def _permute_columns(m: Matrix, perm) -> Matrix:
+    """Put column perm[i] of a rational matrix in slot i, on its integer form."""
+    (den, ints), n = m.integer_form(), m.n
+    return Matrix._of_form(n, den, [ints[k + p] for k in range(0, n * n, n)
+                                    for p in perm])
 
 
 def _diag_of_congruence(r, a):

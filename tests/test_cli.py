@@ -674,7 +674,7 @@ def test_verify_paper_takes_goldens_inline_like_every_input(capsys):
 
 @pytest.mark.parametrize("table", [
     "missing-file", "directory", "bad-json", "array-file", "array-inline",
-    "not-utf-8"])
+    "not-utf-8", "empty-object", "mistyped-section"])
 def test_malformed_goldens_exit_2_before_the_sweep(table, tmp_path,
                                                    monkeypatch, capsys):
     from poisson_forge import cli
@@ -690,7 +690,9 @@ def test_malformed_goldens_exit_2_before_the_sweep(table, tmp_path,
            "bad-json": "{bad",
            "array-file": str(tmp_path / "array.json"),
            "array-inline": "[]",
-           "not-utf-8": str(tmp_path / "latin1.json")}[table]
+           "not-utf-8": str(tmp_path / "latin1.json"),
+           "empty-object": "{}",
+           "mistyped-section": '{"ten_forms": 5}'}[table]
     assert cli.main(["verify-paper", "--goldens", arg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
@@ -729,3 +731,98 @@ def test_unreadable_input_exits_2_without_traceback(source, tmp_path,
     assert err.startswith("parse error: cannot read input ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _goldens_without(section):
+    table = default_goldens()
+    del table[section]
+    return table
+
+
+@pytest.mark.parametrize("table, named", [
+    ("{}", "ten_forms, symmetry_dims, "),
+    ('{"ten_forms": 5}', "ten_forms, symmetry_dims, "),
+    (json.dumps(_goldens_without("orbit_counts")), "sections: orbit_counts\n"),
+    (json.dumps(dict(default_goldens(), axis_twist_matrix={})),
+     "sections: axis_twist_matrix\n"),
+], ids=["empty", "mistyped", "one-missing", "one-mistyped"])
+def test_goldens_without_a_section_of_the_builtin_table_names_it(
+        table, named, capsys):
+    from poisson_forge import cli
+
+    assert cli.main(["verify-paper", "--goldens", table]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: goldens table lacks or mistypes "
+                          "the sections: ")
+    assert named in err
+
+
+@pytest.mark.parametrize("verb", ["classify", "verify-paper"])
+def test_mistyped_file_name_is_reported_as_a_missing_file(verb, tmp_path,
+                                                          capsys):
+    from poisson_forge import cli
+
+    missing = str(tmp_path / "missing.json")
+    argv = ["verify-paper", "--goldens", missing] if verb == "verify-paper" \
+        else [verb, missing]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: cannot read input %s: no such file\n" % missing
+    assert "Traceback" not in err
+
+
+def test_a_long_argument_that_names_no_file_is_quoted_in_part(capsys):
+    from poisson_forge import cli
+
+    assert cli.main(["classify", "x" * 100_000]) == 2
+    err = capsys.readouterr().err
+    assert err == ("parse error: cannot read input %s...: no such file\n"
+                   % ("x" * 80))
+
+
+def test_inline_json_after_whitespace_is_still_read_inline(capsys):
+    from poisson_forge import cli
+
+    assert cli.main(["classify", "  \n" + json.dumps(CASE8_PAIR)]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == 8
+
+
+def _four_coordinates(value):
+    return [value, "0", "0", "0"]
+
+
+# each verb's input with one rational entry written as four coordinates
+_FOUR_COORDINATE_INPUTS = {
+    "classify": dict(CASE8_PAIR, k=[_four_coordinates("0"), "0", "1"]),
+    "decompose": dict(CASE8_PAIR, A=[[_four_coordinates("2"), "0", "0"],
+                                     ["0", "2", "0"], ["0", "0", "0"]]),
+    "modular": dict(CASE8_PAIR, k=["0", "0", _four_coordinates("1")]),
+    "is-poisson": dict(CASE8_PAIR, A=[["2", "0", "0"],
+                                      ["0", _four_coordinates("2"), "0"],
+                                      ["0", "0", "0"]]),
+    "deform-solve": {"pair": dict(BOOK_PAIR,
+                                  k=["0", "0", _four_coordinates("1")]),
+                     "K": _DIAG_123},
+    "deform-check": {"pair": dict(BOOK_PAIR,
+                                  k=["0", "0", _four_coordinates("1")]),
+                     "K": _DIAG_123, "F": XYZ_SIXTH},
+}
+_PLAIN_INPUTS = {
+    "classify": CASE8_PAIR, "decompose": CASE8_PAIR, "modular": CASE8_PAIR,
+    "is-poisson": CASE8_PAIR,
+    "deform-solve": {"pair": BOOK_PAIR, "K": _DIAG_123},
+    "deform-check": {"pair": BOOK_PAIR, "K": _DIAG_123, "F": XYZ_SIXTH},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_PLAIN_INPUTS))
+def test_pair_verbs_accept_a_rational_entry_written_as_four_coordinates(
+        verb, capsys):
+    from poisson_forge import cli
+
+    assert cli.main([verb, json.dumps(_PLAIN_INPUTS[verb])]) == 0
+    plain = capsys.readouterr()
+    assert cli.main([verb, json.dumps(_FOUR_COORDINATE_INPUTS[verb])]) == 0
+    coords = capsys.readouterr()
+    assert coords.err == plain.err == ""
+    assert coords.out == plain.out

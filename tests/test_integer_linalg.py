@@ -475,3 +475,43 @@ def test_gram_matrix_on_the_form_matches_the_fraction_rows(field):
         assert quadratic_form_poly(got) == p
         kinds.add(p._rational)
     assert kinds == ({True, False} if field else {True})
+
+
+def _random_diagonal_entry(rng):
+    """An int, a Fraction, an irrational ExtScalar or a rational one."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    value = _random_rational(rng, 2)
+    if kind == 1:
+        return value
+    if kind == 2:
+        return value + F(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice(
+            [SQRT2, SQRT3, SQRT6])
+    return ExtScalar.of(value)
+
+
+def test_structured_constructors_match_the_rows_they_stand_for(rng):
+    """identity, zero and diagonal are built on the form: Matrix(rows) of
+    the same entries gives the same values, form and entry types."""
+    def same(got, want):
+        assert got == want and got.rows == want.rows
+        assert got.integer_form() == want.integer_form()
+        assert ([[type(v) for v in row] for row in got.rows]
+                == [[type(v) for v in row] for row in want.rows])
+
+    kinds = set()
+    for n in range(1, 5):
+        same(Matrix.identity(n),
+             Matrix([[int(i == j) for j in range(n)] for i in range(n)]))
+        same(Matrix.zero(n), Matrix([[0] * n for _ in range(n)]))
+        for _ in range(100):
+            values = [_random_diagonal_entry(rng) for _ in range(n)]
+            kinds.update(type(v) for v in values)
+            same(Matrix.diagonal(values),
+                 Matrix([[values[i] if i == j else 0 for j in range(n)]
+                         for i in range(n)]))
+        values[rng.randrange(n)] = 0.5
+        with pytest.raises(TypeError):
+            Matrix.diagonal(values)
+    assert kinds == {int, F, ExtScalar}

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import normal_form_reference as ref
 from poisson_forge.exactnum import (
     Matrix,
     Polynomial,
@@ -18,6 +19,8 @@ from poisson_forge.linclass import (
     STANDARD_PAIRS,
     StdFormLabel,
     Witness,
+    _block2,
+    _complete_basis,
     aut_member,
     bivector_of,
     classification_to_json,
@@ -540,3 +543,26 @@ def test_der0_members_are_derivations(rng):
             m = Matrix([list(vec9[0:3]), list(vec9[3:6]), list(vec9[6:9])])
             assert is_derivation(m, case)
             assert m.trace() == 0
+
+
+def test_structured_matrices_on_the_form_match_the_rows_they_stand_for(rng):
+    """The completed basis and the 2x2 block are built on the (D, M) form:
+    same values, form and entry types as the rows they replaced."""
+    def same(got, want):
+        assert got == want and got.integer_form() == want.integer_form()
+        assert ([[type(v) for v in row] for row in got.rows]
+                == [[type(v) for v in row] for row in want.rows])
+
+    pivots = set()
+    for _ in range(300):
+        k = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        if any(k):
+            got = _complete_basis(k)
+            same(got, ref._complete_basis(k))
+            assert got.column(2) == k
+            pivots.add(max(range(3), key=lambda i: (abs(k[i]), -i)))
+        t = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(3)] for _ in range(3)])
+        for m in (t, t.scaled(SQRT2)):
+            same(_block2(m), Matrix([row[:2] for row in m.rows[:2]]))
+    assert pivots == {0, 1, 2}
