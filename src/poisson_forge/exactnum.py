@@ -103,9 +103,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class ExactSqrtError(ValueError):
@@ -1165,8 +1164,7 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     """Affine solution set of a linear system.
 
     ``particular`` is None exactly when the system is inconsistent; the

@@ -29,7 +29,6 @@ verify_witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -82,30 +81,26 @@ def _rational_matrix(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearPair:
+class LinearPair(NamedTuple("LinearPair", [("k", tuple), ("gram", Matrix)])):
     """A compatible pair (k, A) encoding a linear bivector on R^3."""
 
-    k: tuple
-    gram: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(_as_fraction(v) for v in self.k))
-        object.__setattr__(self, "gram", _rational_matrix(self.gram))
-        if len(self.k) != 3 or self.gram.n != 3:
+    def __new__(cls, k: tuple, gram: Matrix):
+        k = tuple(_as_fraction(v) for v in k)
+        gram = _rational_matrix(gram)
+        if len(k) != 3 or gram.n != 3:
             raise ValueError("pairs live on R^3")
-        if not self.gram.is_symmetric():
+        if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if any(self.gram.apply(self.k)):
+        if any(gram.apply(k)):
             raise ValueError("incompatible pair: A k != 0")
+        return tuple.__new__(cls, (k, gram))
 
     @classmethod
     def _trusted(cls, k: tuple, gram: Matrix) -> "LinearPair":
         """Wrap a Fraction k and a rational Gram matrix forming a pair."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "gram", gram)
-        return self
+        return tuple.__new__(cls, (k, gram))
 
     def potential(self) -> Polynomial:
         """The quadratic potential f = (Ax, x)."""
@@ -271,22 +266,22 @@ def is_isomorphism(t: Matrix, p1: LinearPair, p2: LinearPair) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StdFormLabel:
+class StdFormLabel(NamedTuple("StdFormLabel", [
+        ("case_id", int), ("a_squared", Optional[Fraction])])):
     """Which of the ten standard forms, with the exact modulus a^2 for 8/9."""
 
-    case_id: int
-    a_squared: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.case_id not in range(1, 11):
+    def __new__(cls, case_id: int, a_squared: Optional[Fraction] = None):
+        if case_id not in range(1, 11):
             raise ValueError("case_id must be 1..10")
-        if (self.a_squared is not None) != (self.case_id in (8, 9)):
+        if (a_squared is not None) != (case_id in (8, 9)):
             raise ValueError("modulus present exactly for cases 8 and 9")
-        if self.a_squared is not None:
-            object.__setattr__(self, "a_squared", _as_fraction(self.a_squared))
-            if self.a_squared <= 0:
+        if a_squared is not None:
+            a_squared = _as_fraction(a_squared)
+            if a_squared <= 0:
                 raise ValueError("modulus a^2 must be positive")
+        return tuple.__new__(cls, (case_id, a_squared))
 
     def to_json(self):
         out = {"case": self.case_id}
@@ -295,8 +290,7 @@ class StdFormLabel:
         return out
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple("Witness", [("base", Matrix), ("scales", tuple)])):
     """Invertible change of coordinates in factored form R * diag(1/sqrt(d)).
 
     ``base`` is rational and invertible; ``scales`` holds three non-negative
@@ -304,19 +298,18 @@ class Witness:
     sends the standard pair of the classified case to the classified pair.
     """
 
-    base: Matrix
-    scales: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _rational_matrix(self.base))
-        object.__setattr__(
-            self, "scales", tuple(_as_fraction(v) for v in self.scales))
-        if self.base.n != 3 or len(self.scales) != 3:
+    def __new__(cls, base: Matrix, scales: tuple):
+        base = _rational_matrix(base)
+        scales = tuple(_as_fraction(v) for v in scales)
+        if base.n != 3 or len(scales) != 3:
             raise ValueError("witness lives on R^3")
-        if any(v < 0 for v in self.scales):
+        if any(v < 0 for v in scales):
             raise ValueError("scales must be non-negative")
-        if not self.base.det():
+        if not base.det():
             raise ValueError("witness base must be invertible")
+        return tuple.__new__(cls, (base, scales))
 
     def to_json(self):
         return {

@@ -22,7 +22,6 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -102,23 +101,23 @@ def _check_twist(k_matrix: Matrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticPair:
+class QuadraticPair(NamedTuple("QuadraticPair", [
+        ("twist", Matrix), ("cubic", Polynomial)])):
     """Traceless twist matrix plus the cubic potential it annihilates."""
 
-    twist: Matrix
-    cubic: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_twist(self.twist)
-        if self.cubic.nvars != 3 or not self.cubic.is_homogeneous(3):
+    def __new__(cls, twist: Matrix, cubic: Polynomial):
+        _check_twist(twist)
+        if cubic.nvars != 3 or not cubic.is_homogeneous(3):
             raise ValueError("potential must be a homogeneous cubic on R^3")
-        residual = apply_matrix_derivation(self.twist, self.cubic)
+        residual = apply_matrix_derivation(twist, cubic)
         if not residual.is_zero():
             raise ValueError(
                 "cubic is not invariant under the twist flow "
                 "(derivation residual %s)" % residual
             )
+        return tuple.__new__(cls, (twist, cubic))
 
     def to_json(self) -> dict:
         return {"K": self.twist.to_json(), "F": self.cubic.to_json()}
@@ -304,8 +303,8 @@ NILPOTENT_FULL = "NILPOTENT_FULL"
 OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class JordanFamily:
+class JordanFamily(NamedTuple("JordanFamily", [
+        ("tag", str), ("lambdas", tuple), ("eigen_report", tuple)])):
     """Normal form of a traceless matrix, as far as the orbit machinery cares.
 
     ``DIAG_DISTINCT`` carries three pairwise-distinct nonzero rational
@@ -315,28 +314,26 @@ class JordanFamily:
     eigenvalue report.
     """
 
-    tag: str
-    lambdas: tuple = ()
-    eigen_report: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas",
-                           tuple(Fraction(v) for v in self.lambdas))
-        if self.tag == DIAG_DISTINCT:
-            l1, l2, l3 = self.lambdas
+    def __new__(cls, tag: str, lambdas: tuple = (), eigen_report: tuple = ()):
+        lambdas = tuple(Fraction(v) for v in lambdas)
+        if tag == DIAG_DISTINCT:
+            l1, l2, l3 = lambdas
             if l1 + l2 + l3 != 0:
                 raise ValueError("eigenvalues must sum to zero")
             if len({l1, l2, l3}) != 3 or 0 in (l1, l2, l3):
                 raise ValueError("eigenvalues must be pairwise distinct and nonzero")
-        elif self.tag == DIAG_REPEATED:
-            (lam,) = self.lambdas
+        elif tag == DIAG_REPEATED:
+            (lam,) = lambdas
             if lam == 0:
                 raise ValueError("repeated eigenvalue must be nonzero")
-        elif self.tag == NILPOTENT_FULL:
-            if self.lambdas:
+        elif tag == NILPOTENT_FULL:
+            if lambdas:
                 raise ValueError("nilpotent family takes no parameters")
-        elif self.tag != OTHER:
-            raise ValueError("unknown family tag %r" % self.tag)
+        elif tag != OTHER:
+            raise ValueError("unknown family tag %r" % tag)
+        return tuple.__new__(cls, (tag, lambdas, eigen_report))
 
     @classmethod
     def diag_distinct(cls, l1, l2, l3) -> "JordanFamily":
@@ -500,23 +497,21 @@ def _float_eigen_report(k_matrix: Matrix) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class P2Point:
+class P2Point(NamedTuple("P2Point", [("coords", tuple)])):
     """A projective point on R^3, canonicalized by its last nonzero slot."""
 
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(as_scalar(v) for v in self.coords)
+    def __new__(cls, coords: tuple):
+        coords = tuple(as_scalar(v) for v in coords)
         if len(coords) != 3:
             raise ValueError("projective points live on three coordinates")
         last = next((i for i in (2, 1, 0) if coords[i]), None)
         if last is None:
             raise ValueError("projective point needs a nonzero coordinate")
         pivot = coords[last]
-        object.__setattr__(
-            self, "coords", tuple(scalar_div(v, pivot) for v in coords)
-        )
+        coords = tuple(scalar_div(v, pivot) for v in coords)
+        return tuple.__new__(cls, (coords,))
 
     @property
     def support(self) -> tuple:

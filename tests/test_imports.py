@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the CLI
+loads no standard-library module it does not need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,23 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: records are NamedTuples, so starting the CLI needs neither of these
+UNNEEDED_AT_START = ("dataclasses", "inspect")
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import poisson_forge.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "poisson_forge.cli" in loaded
+    assert [name for name in UNNEEDED_AT_START if name in loaded] == []
