@@ -146,6 +146,13 @@ def standard_pair(case_id: int, scale=1) -> LinearPair:
 STANDARD_PAIRS = {case: standard_pair(case) for case in range(1, 11)}
 
 
+def _catalog_pair(case_id: int) -> LinearPair:
+    """The standard pair of a case at modulus one; ValueError off 1..10."""
+    if case_id not in STANDARD_PAIRS:
+        raise ValueError("case_id must be 1..10")
+    return STANDARD_PAIRS[case_id]
+
+
 # ---------------------------------------------------------------------------
 # pairs <-> bivectors
 # ---------------------------------------------------------------------------
@@ -517,9 +524,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
     t = _rational_matrix(t)
     if not t.det():
         raise ValueError("transformation must be invertible")
-    pair = STANDARD_PAIRS[case_id] if case_id in STANDARD_PAIRS else None
-    if pair is None:
-        raise ValueError("case_id must be 1..10")
+    pair = _catalog_pair(case_id)
     by_definition = is_isomorphism(t, pair, pair)
     by_shape = _aut_closed_form(t, case_id)
     if by_definition != by_shape:  # pragma: no cover - cross-check
@@ -536,7 +541,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
 def is_derivation(d: Matrix, case_id: int) -> bool:
     """Infinitesimal symmetry test: D k = 0 and D^ f = tr(D) f exactly."""
     d = _rational_matrix(d)
-    pair = STANDARD_PAIRS[case_id]
+    pair = _catalog_pair(case_id)
     if any(d.apply(pair.k)):
         return False
     f = pair.potential()
@@ -549,7 +554,7 @@ def der0_space(case_id: int) -> SolutionSpace:
     Matrices are flattened row-major into R^9; the space solves tr D = 0,
     D k = 0 and D^ f = 0 (the potential of the case, modulus one).
     """
-    pair = STANDARD_PAIRS[case_id]
+    pair = _catalog_pair(case_id)
     f = pair.potential()
     units = [Matrix._of_form(3, 1, [int(k == c) for k in range(9)])
              for c in range(9)]

@@ -566,3 +566,15 @@ def test_structured_matrices_on_the_form_match_the_rows_they_stand_for(rng):
         for m in (t, t.scaled(SQRT2)):
             same(_block2(m), Matrix([row[:2] for row in m.rows[:2]]))
     assert pivots == {0, 1, 2}
+
+
+@pytest.mark.parametrize("case_id", [0, 11, -1])
+@pytest.mark.parametrize("call", [
+    lambda case_id: is_derivation(Matrix.zero(3), case_id),
+    lambda case_id: der0_space(case_id),
+    lambda case_id: aut_member(Matrix.identity(3), case_id),
+    lambda case_id: standard_pair(case_id),
+], ids=["is_derivation", "der0_space", "aut_member", "standard_pair"])
+def test_a_case_id_off_the_catalog_raises_the_same_value_error(call, case_id):
+    with pytest.raises(ValueError, match=r"^case_id must be 1\.\.10$"):
+        call(case_id)
