@@ -196,6 +196,10 @@ class MultiVectorField:
     def from_json(cls, data: dict) -> "MultiVectorField":
         nvars = int_from_json(data["n"])
         grade = int_from_json(data["grade"])
+        if nvars < 0:
+            raise ValueError("negative n")
+        if grade > nvars:
+            raise ValueError("grade %d exceeds n = %d" % (grade, nvars))
         comps = {}
         components = data.get("components", {})
         if not isinstance(components, dict):

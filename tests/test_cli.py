@@ -826,3 +826,23 @@ def test_pair_verbs_accept_a_rational_entry_written_as_four_coordinates(
     coords = capsys.readouterr()
     assert coords.err == plain.err == ""
     assert coords.out == plain.out
+
+
+@pytest.mark.parametrize("verb", ["modular", "is-poisson", "bracket"])
+@pytest.mark.parametrize("n, grade, message", [
+    (-3, 2, "negative n"),
+    (-1, 0, "negative n"),
+    (1, 2, "grade 2 exceeds n = 1"),
+    (0, 1, "grade 1 exceeds n = 0"),
+    (3, -1, "negative grade"),
+], ids=["negative-n", "negative-n-grade-0", "grade-above-n", "grade-above-0",
+        "negative-grade"])
+def test_impossible_field_dimensions_exit_1(verb, n, grade, message, capsys):
+    from poisson_forge import cli
+
+    field = {"n": n, "grade": grade, "components": {}}
+    payload = {"u": field, "v": field} if verb == "bracket" else field
+    assert cli.main([verb, json.dumps(payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
