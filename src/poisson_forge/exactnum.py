@@ -83,8 +83,14 @@ minor of the scaled input, so it lies in Z or in that ring; the
 division is therefore exact.  In the ring it multiplies by the divisor's
 cofactor (the product of its three nontrivial Galois conjugates) and
 divides each coordinate by the integer norm.  A nonzero remainder
-raises ``ArithmeticError``, under ``python -O`` too.  Back substitution
-alone runs on Fractions and ExtScalars.
+raises ``ArithmeticError``, under ``python -O`` too.  A rational system
+back-substitutes on ints as well: by Cramer's rule the last pivot, the
+determinant of the pivot block, times any solution with integral free
+coordinates is a vector of ints, so the loop runs on those numerators
+over that one denominator, each division by a pivot is exact (and
+checked like a Bareiss cell), and one Fraction per coordinate is built
+at the end.  Back substitution of a system with an ExtScalar entry runs
+on Fractions and ExtScalars.
 
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
 malformed input; four coordinates whose sqrt2, sqrt3 and sqrt6 parts
@@ -99,6 +105,7 @@ index order, and polynomial terms carry a fixed canonical ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -516,6 +523,12 @@ def scalar_from_json(data) -> Scalar:
 _VAR_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z"), 4: ("x", "y", "z", "w")}
 
 
+def _check_nvars(nvars: int):
+    """Raise ValueError for a negative number of variables."""
+    if nvars < 0:
+        raise ValueError("negative n")
+
+
 def var_names(nvars: int) -> tuple:
     if nvars in _VAR_NAMES:
         return _VAR_NAMES[nvars]
@@ -545,6 +558,7 @@ class Polynomial:
     __slots__ = ("nvars", "_form", "_rational", "_terms")
 
     def __new__(cls, nvars: int, terms: Optional[dict] = None):
+        _check_nvars(nvars)
         clean = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(map(int, exps))
@@ -604,10 +618,12 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
+        _check_nvars(nvars)
         return cls._of_form(nvars, 1, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        _check_nvars(nvars)
         if type(value) is int or type(value) is Fraction:
             return cls._of_form(nvars, value.denominator,
                                 {(0,) * nvars: value.numerator})
@@ -615,6 +631,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
+        _check_nvars(nvars)
         exps = [0] * nvars
         exps[index] = 1
         return cls._of_form(nvars, 1, {tuple(exps): 1})
@@ -1224,7 +1241,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     a rational system and on integer coordinates in Z[sqrt2, sqrt3] for a
     system with an :class:`ExtScalar` entry (see the module docstring);
     one loop serves both, with a per-row update and a per-pivot divisor
-    for each.  Back substitution returns Fractions for a rational system.
+    for each.  A rational system back-substitutes on int numerators over
+    one denominator, the last pivot, and builds one Fraction per
+    coordinate at the end; a system with an ExtScalar entry
+    back-substitutes on its scalars, so that its pivot coordinates are
+    ExtScalars.  Free coordinates are Fraction(0) or Fraction(1).
     """
     m = len(rows)
     if ncols is None:
@@ -1244,7 +1265,8 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
 
     # ``update`` runs the Bareiss step on the tail of a row, dividing by
     # the previous pivot as ``divisor`` prepared it; ``prev`` starts as 1
-    field = any(isinstance(v, ExtScalar) for row in aug for v in row)
+    field = any(isinstance(v, ExtScalar)
+                for row, ints in zip(aug, on_ints) if not ints for v in row)
     if field:
         aug = [_ring_row(row) for row in aug]
         zero, prev, update, divisor = (_RING_ZERO, _RING_ONE, _ring_update,
@@ -1270,33 +1292,62 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         prev = divisor(pivot)
         pivots.append((r, c))
         r += 1
-    if field:
-        aug = [[_ext(t, 1) for t in row] for row in aug]
 
     for i in range(r, m):
-        if aug[i][ncols]:
+        if aug[i][ncols] != zero:
             return SolutionSpace(ncols, None, ())
 
     pivot_cols = [c for (_, c) in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
-
-    def back_substitute(free_values: dict, homogeneous: bool) -> tuple:
-        x = [Fraction(0)] * ncols
-        for c, v in free_values.items():
-            x[c] = as_scalar(v)
-        for (pr_i, pc) in reversed(pivots):
-            acc = Fraction(0) if homogeneous else aug[pr_i][ncols]
-            for j in range(pc + 1, ncols):
-                if aug[pr_i][j] and x[j]:
-                    acc = acc - aug[pr_i][j] * x[j]
-            x[pc] = scalar_div(acc, aug[pr_i][pc])
-        return tuple(x)
-
-    particular = back_substitute({}, homogeneous=False)
-    basis = tuple(
-        back_substitute({fc: 1}, homogeneous=True) for fc in free_cols
-    )
+    if field:
+        aug = [[_ext(t, 1) for t in row] for row in aug]
+        back_substitute = functools.partial(_scalar_back_substitute,
+                                            aug, pivots, ncols)
+    else:
+        # the last pivot (1 without pivots) is the determinant of the
+        # pivot block, a common denominator of every solution
+        back_substitute = functools.partial(_int_back_substitute,
+                                            prev, aug, pivots, ncols)
+    particular = back_substitute(None)
+    basis = tuple(back_substitute(fc) for fc in free_cols)
     return SolutionSpace(ncols, particular, basis)
+
+
+def _int_back_substitute(den, aug, pivots, ncols, free_col):
+    """The solution of Bareiss rows on ints that is 0 on every free column
+    (1 on ``free_col``, and then of the homogeneous system), as Fractions.
+
+    By Cramer's rule ``den``, the determinant of the pivot block, times
+    the solution is a vector of ints: the loop runs on those numerators,
+    and each division by a pivot is exact.
+    """
+    x = [0] * ncols
+    if free_col is not None:
+        x[free_col] = den
+    for i, pc in reversed(pivots):
+        row = aug[i]
+        acc = 0 if free_col is not None else row[ncols] * den
+        for j in range(pc + 1, ncols):
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[pc] = _exact_int_div(acc, row[pc])
+    return tuple([Fraction(v, den) for v in x])
+
+
+def _scalar_back_substitute(aug, pivots, ncols, free_col):
+    """``_int_back_substitute`` on Fractions and ExtScalars, for the rows
+    of a system with an ExtScalar entry."""
+    x = [Fraction(0)] * ncols
+    if free_col is not None:
+        x[free_col] = Fraction(1)
+    for i, pc in reversed(pivots):
+        row = aug[i]
+        acc = Fraction(0) if free_col is not None else row[ncols]
+        for j in range(pc + 1, ncols):
+            if row[j] and x[j]:
+                acc = acc - row[j] * x[j]
+        x[pc] = scalar_div(acc, row[pc])
+    return tuple(x)
 
 
 def _scaled_row(row):

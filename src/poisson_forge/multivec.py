@@ -38,6 +38,7 @@ from .exactnum import (
     Matrix,
     ParseError,
     Polynomial,
+    _check_nvars,
     as_scalar,
     int_from_json,
     var_names,
@@ -70,6 +71,7 @@ class MultiVectorField:
 
     def __init__(self, nvars: int, grade: int,
                  components: Optional[Dict[IndexTuple, Polynomial]] = None):
+        _check_nvars(nvars)
         if grade < 0:
             raise ValueError("negative grade")
         self.nvars = nvars
@@ -196,8 +198,7 @@ class MultiVectorField:
     def from_json(cls, data: dict) -> "MultiVectorField":
         nvars = int_from_json(data["n"])
         grade = int_from_json(data["grade"])
-        if nvars < 0:
-            raise ValueError("negative n")
+        _check_nvars(nvars)
         if grade > nvars:
             raise ValueError("grade %d exceeds n = %d" % (grade, nvars))
         comps = {}

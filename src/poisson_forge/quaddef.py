@@ -233,21 +233,60 @@ def _drift_rows(k: Sequence) -> list:
     return rows
 
 
+#: kernels of the last few twists, oldest first: ``solve_F`` and then
+#: ``cubic_kernel`` on one twist eliminate its ten kernel rows once
+_KERNELS = {}
+_KERNELS_KEPT = 8
+
+
+def _kernel(k_matrix: Matrix):
+    """(ker D_K, whether it was solved on ExtScalars) for a checked twist.
+
+    The key is K's form and that flag: a K whose ExtScalar entries are all
+    zero has rows without ExtScalars and solves on ints, as a rational K
+    does, so the flag fixes the entry types of the space.
+    """
+    field = not k_matrix._rational and any(
+        type(v) is ExtScalar and v for v in k_matrix._form[1])
+    key = (field, k_matrix._form)
+    space = _KERNELS.get(key)
+    if space is None:
+        if len(_KERNELS) == _KERNELS_KEPT:
+            del _KERNELS[next(iter(_KERNELS))]
+        space = _KERNELS[key] = solve_linear(
+            _derivation_rows(_twist_rows(k_matrix)), [0] * 10, 10)
+    return space, field
+
+
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
-    """All cubics annihilated by the derivation of a traceless matrix."""
+    """All cubics annihilated by the derivation of a traceless matrix.
+
+    The space is shared with ``solve_F``, which solves on its basis: the
+    kernels of the last ``_KERNELS_KEPT`` twists are kept."""
     _check_twist(k_matrix)
-    return solve_linear(_derivation_rows(_twist_rows(k_matrix)), [0] * 10, 10)
+    return _kernel(k_matrix)[0]
+
+
+def _last_nonzero(v: Sequence) -> int:
+    return max(i for i, x in enumerate(v) if x)
 
 
 def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     """Exact affine set of cubics making (K, F) a deformation of lp.
 
-    Stacks the ten kernel equations on top of the six coefficient
-    equations of the quadratic identity and solves over the coefficient
-    field.  Every member of the result is re-checked through the bracket
-    route before being returned.
+    The set is {N c : (drift N) c = rhs} for the basis N of K's cubic
+    kernel that ``cubic_kernel`` returns: the six coefficient equations
+    of the quadratic identity in r = dim ker unknowns (r >= 1, since
+    x1 x2 x3 in an eigenbasis has weight tr K = 0).  The space is on
+    ``solve_linear``'s canonical form for the whole system, kernel and
+    coefficient equations together, with its entry types: ExtScalar off
+    the free coordinates when K or the right-hand side has an ExtScalar,
+    Fractions otherwise.  Every member of the result is re-checked
+    through the bracket route before being returned.
     """
     _check_twist(k_matrix)
+    kernel, field = _kernel(k_matrix)
+    n = kernel.basis
     # k.grad F = T / D times D s, s the lcm of k's denominators: integer
     # rows, and a right-hand side of ints on a rational source (D = 1 and
     # the scalars T otherwise)
@@ -256,8 +295,11 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     rhs = [vals.get(m, 0) for m in QUAD_MONOMIALS]
     if s != 1:
         rhs = [s * v for v in rhs]
-    rows = _derivation_rows(_twist_rows(k_matrix)) + drift
-    space = solve_linear(rows, [0] * 10 + rhs, 10)
+    reduced = solve_linear(
+        [[sum(a * b[t] for t, a in enumerate(row) if a and b[t]) for b in n]
+         for row in drift], rhs, len(n))
+    space = _kernel_combinations(
+        n, reduced, field or any(type(v) is ExtScalar for v in rhs))
     if not space.is_empty:
         members = [space.particular]
         members.extend(tuple(p + c for p, c in zip(space.particular, b))
@@ -267,6 +309,42 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
                 raise AssertionError(
                     "solver produced a cubic the bracket route rejects")
     return space
+
+
+def _kernel_combinations(n: tuple, reduced: SolutionSpace,
+                         field: bool) -> SolutionSpace:
+    """{N c : c in reduced} on ``solve_linear``'s canonical form, with
+    the entry types of the stacked system (ExtScalars off the free
+    columns when ``field``, Fractions otherwise).
+
+    The free columns of ``solve_linear`` are fixed by the solution set:
+    they are the last nonzero coordinates of its direction vectors (the
+    pivots of its basis reduced from the right).  A kernel basis vector
+    is 1 on its own free column, 0 on the other free columns and 0 after
+    its own, so N c is c_j on the j-th free column of the kernel, and its
+    last nonzero coordinate is the free column of c's last nonzero one.
+    The free columns of the image are therefore those of ``reduced``,
+    carried through N, and the images of its particular and basis
+    vectors are already 0 and 1 there.
+    """
+    if reduced.is_empty:
+        return SolutionSpace(10, None, ())
+    kernel_free = [_last_nonzero(b) for b in n]
+    free = [kernel_free[_last_nonzero(c)] for c in reduced.basis]
+    zero, one = Fraction(0), Fraction(1)
+
+    def image(c, own):
+        v = [sum((a * b[t] for a, b in zip(c, n) if a and b[t]), zero)
+             for t in range(10)]
+        if field:
+            v = [ExtScalar.of(x) for x in v]
+        for t in free:
+            v[t] = one if t == own else zero
+        return tuple(v)
+
+    return SolutionSpace(10, image(reduced.particular, None),
+                         tuple(image(c, own)
+                               for c, own in zip(reduced.basis, free)))
 
 
 def transform_pair(t: Matrix, qp: QuadraticPair) -> QuadraticPair:

@@ -16,16 +16,20 @@ seeded inputs:
 - ``inverse``: Gauss-Jordan elimination with ``scalar_div``,
 - ``apply``: one ``dot`` per row,
 - ``solve_linear``: the Bareiss loop that divided field elements with
-  ``scalar_div``, and the integer loop for rational systems,
+  ``scalar_div``, and the integer loop for rational systems, both with
+  back substitution on Fractions and ExtScalars,
 - ``congruent_diagonalize``: Lagrange's column operations, one cell at a
   time, on lists of package scalars,
 - ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
-  each off-diagonal coefficient halved by ``scalar_div``.
+  each off-diagonal coefficient halved by ``scalar_div``,
+- ``stacked_solve_F``: the deformation solver's one 16x10 system, the
+  kernel equations of the twist stacked on the coefficient equations.
 """
 
 import math
 from fractions import Fraction
 
+from poisson_forge import exactnum, quaddef
 from poisson_forge.exactnum import (
     ExtScalar,
     Matrix,
@@ -281,3 +285,20 @@ def gram_of_quadratic(p: Polynomial) -> "Matrix":
             rows[i][j] = half
             rows[j][i] = half
     return Matrix(rows)
+
+
+def stacked_solve_F(lp, k_matrix):
+    """The affine set of admissible cubics as ``quaddef.solve_F`` found it
+    before it solved on the cubic kernel: the ten kernel equations stacked
+    on the six coefficient equations of the quadratic identity, one 16x10
+    system for the package's ``solve_linear``.  The bracket re-check is
+    left out."""
+    quaddef._check_twist(k_matrix)
+    (den, vals), (s, k) = (quaddef.deform_rhs(lp, k_matrix)._form,
+                           _scaled_row(lp.k))
+    drift = quaddef._drift_rows([den * c for c in k])
+    rhs = [vals.get(m, 0) for m in quaddef.QUAD_MONOMIALS]
+    if s != 1:
+        rhs = [s * v for v in rhs]
+    rows = quaddef._derivation_rows(quaddef._twist_rows(k_matrix)) + drift
+    return exactnum.solve_linear(rows, [0] * 10 + rhs, 10)

@@ -359,6 +359,64 @@ def test_field_systems_of_catalog_size_match_the_scalar_div_loop():
         assert _as_json(got) == _as_json(want)
 
 
+def _random_rational_system(rng, m, n, kind):
+    """Seeded m x n rational system of one kind: ``rank-deficient`` (a
+    product of random factors of rank below min(m, n), consistent),
+    ``inconsistent`` (rank-deficient, with a right-hand side off the
+    column space) or ``wide`` (full random entries whose numerators and
+    denominators reach 10^12)."""
+    def entry():
+        if kind == "wide":
+            top = 10 ** 12
+            return F(rng.randint(-top, top), rng.randint(top // 2, top))
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    if kind == "wide":
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+    else:
+        rank = rng.randint(0, min(m, n) - 1)
+        left = [[entry() for _ in range(rank)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(rank)]
+        rows = [[sum((left[i][t] * right[t][j] for t in range(rank)), F(0))
+                 for j in range(n)] for i in range(m)]
+    x = [entry() for _ in range(n)]
+    rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    if kind == "inconsistent":
+        # add a vector off the column space: one that pairs to 1 with a
+        # vector of its left kernel
+        left_kernel = solve_linear([list(c) for c in zip(*rows)], [0] * n, m)
+        y = left_kernel.basis[0]
+        rhs = [r + v / sum(v * v for v in y) for r, v in zip(rhs, y)]
+    elif rng.random() < 0.5:
+        rhs = [entry() for _ in range(m)]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("kind", ["rank-deficient", "inconsistent", "wide"])
+def test_rational_systems_match_the_fraction_back_substitution(kind):
+    # back substitution runs on int numerators over the last Bareiss
+    # pivot; the reference back-substitutes on Fractions
+    rng = random.Random(8150)
+    seen = set()
+    for _ in range(150):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows, rhs = _random_rational_system(rng, m, n, kind)
+        got, want = solve_linear(rows, rhs, n), ref.solve_linear(rows, rhs, n)
+        assert got.is_empty == want.is_empty
+        if not got.is_empty:
+            _same(got.particular, want.particular)
+            assert len(got.basis) == len(want.basis)
+            for b, c in zip(got.basis, want.basis):
+                _same(b, c)
+        seen.add((got.is_empty, bool(not got.is_empty and got.basis)))
+    if kind == "inconsistent":
+        assert seen == {(True, False)}
+    elif kind == "rank-deficient":
+        assert (False, True) in seen
+    else:
+        assert (False, False) in seen and (False, True) in seen
+
+
 def test_field_system_with_only_zero_rows():
     rows = [[F(0), ExtScalar.parts(0, 0, 0, 0)], [F(0), F(0)]]
     got, want = solve_linear(rows, [0, SQRT2], 2), ref.solve_linear(rows, [0, SQRT2], 2)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import linalg_reference as ref
 from conftest import random_ext_scalar
 
 from poisson_forge.exactnum import (
@@ -493,6 +494,80 @@ def test_solve_F_equivariance(rng):
             image = type(right)(10, push(right.particular),
                                 tuple(push(b) for b in right.basis))
             assert left.same_space(image)
+
+
+def _typed_space(space):
+    if space.is_empty:
+        return None
+    return [[(type(v), v) for v in x] for x in (space.particular,) + space.basis]
+
+
+def _random_rational_twist(rng):
+    rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+            for _ in range(3)]
+    rows[2][2] = -rows[0][0] - rows[1][1]
+    return Matrix(rows)
+
+
+#: traceless K with cubic kernels of dimension 3, 2, 2, 2 and 10
+DEGENERATE_TWISTS = [
+    Matrix.diagonal([1, 1, -2]),
+    Matrix.diagonal([1, -1, 0]),
+    Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    ktilde((0, 0, 1)),
+    Matrix.zero(3),
+]
+
+
+def test_solve_F_on_the_kernel_matches_the_stacked_system(rng):
+    # solve_F solves six equations on a basis of the cubic kernel; the
+    # 16x10 system it replaced must give the same space, entry by entry
+    # in value and type, for rational, field and degenerate twists
+    families = [
+        JordanFamily.diag_distinct(*rng.choice([(1, 2, -3), (F(1, 2), F(-3, 2), 1),
+                                                (3, -1, -2)])),
+        JordanFamily.diag_repeated(F(rng.randint(1, 4), rng.randint(1, 3))),
+        JordanFamily.nilpotent_full(),
+    ]
+    draws = [(transform_linear_pair(random_invertible(rng),
+                                    standard_pair(rng.randint(1, 10))),
+              _random_rational_twist(rng)) for _ in range(40)]
+    draws += [(standard_pair(case), orbit.twist)
+              for family in families for orbit in enumerate_orbit_pairs(family)
+              for case in rng.sample(range(1, 11), 3)]
+    draws += [(standard_pair(case), twist)
+              for twist in DEGENERATE_TWISTS for case in (1, 6, 7, 10)]
+    dims, field, solved = set(), 0, 0
+    for lp, twist in draws:
+        got, want = solve_F(lp, twist), ref.stacked_solve_F(lp, twist)
+        assert got == want
+        assert _typed_space(got) == _typed_space(want)
+        kernel = cubic_kernel(twist)
+        assert _typed_space(kernel) == _typed_space(
+            solve_linear(_derivation_rows(twist.rows), [0] * 10, 10))
+        assert kernel.dim >= 1
+        dims.add(kernel.dim)
+        field += twist.integer_form() is None
+        solved += not got.is_empty
+    assert {1, 2, 3, 10} <= dims
+    assert field >= 10 and solved >= 10
+
+
+def test_twists_equal_in_value_keep_the_entry_types_of_their_own_solve():
+    # a field-form K whose ExtScalars are all zero solves on ints, like
+    # the same K with an ExtScalar entry does not: the shared kernel must
+    # keep the entry types of each
+    on_ring = Matrix([[ExtScalar.of(1), 0, 0], [0, ExtScalar.of(-1), 0],
+                      [0, 0, 0]])
+    on_ints = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, ExtScalar.of(0)]])
+    assert on_ring == on_ints
+    for twist in (on_ring, on_ints, on_ring, on_ints):
+        assert _typed_space(cubic_kernel(twist)) == _typed_space(
+            solve_linear(_derivation_rows(twist.rows), [0] * 10, 10))
+        for case in (7, 10):
+            lp = standard_pair(case)
+            assert _typed_space(solve_F(lp, twist)) == _typed_space(
+                ref.stacked_solve_F(lp, twist))
 
 
 # ---------------------------------------------------------------------------

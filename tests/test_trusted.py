@@ -284,3 +284,28 @@ def test_rational_matrix_returns_its_checked_argument():
 def test_public_constructors_still_reject_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(-1),
+    lambda: Polynomial(-2, {}),
+    lambda: Polynomial.zero(-2),
+    lambda: Polynomial.constant(-1, 3),
+    lambda: Polynomial.constant(-1, SQRT2),
+    lambda: Polynomial.variable(-2, 0),
+    lambda: Polynomial.monomial(-1, ()),
+    lambda: MultiVectorField(-3, 2),
+    lambda: MultiVectorField(-1, 0, {}),
+    lambda: MultiVectorField.zero(-1, 0),
+], ids=["poly", "poly-empty-terms", "poly-zero", "constant", "constant-ext",
+        "variable", "monomial", "field", "field-grade-0", "field-zero"])
+def test_constructors_refuse_a_negative_variable_count(build):
+    # the message the JSON boundary gives for the same input
+    with pytest.raises(ValueError, match="^negative n$"):
+        build()
+
+
+def test_constructors_take_zero_variables():
+    assert Polynomial.zero(0).nvars == 0
+    assert Polynomial.constant(0, 3) == Polynomial(0, {(): 3})
+    assert MultiVectorField(0, 0).nvars == 0
