@@ -529,6 +529,13 @@ def _check_nvars(nvars: int):
         raise ValueError("negative n")
 
 
+def _check_index(index: int, nvars: int):
+    """Raise ValueError unless ``index`` names one of ``nvars`` variables."""
+    if not 0 <= index < nvars:
+        raise ValueError("variable index %r out of range for %d variables"
+                         % (index, nvars))
+
+
 def var_names(nvars: int) -> tuple:
     if nvars in _VAR_NAMES:
         return _VAR_NAMES[nvars]
@@ -632,6 +639,7 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         _check_nvars(nvars)
+        _check_index(index, nvars)
         exps = [0] * nvars
         exps[index] = 1
         return cls._of_form(nvars, 1, {tuple(exps): 1})
@@ -752,6 +760,8 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
+        if not 0 <= index < self.nvars:  # hot: no call on a good index
+            _check_index(index, self.nvars)
         den, vals = self._form
         # distinct exponents stay distinct once one entry drops by one
         return Polynomial._of_form(self.nvars, den, {
@@ -761,6 +771,9 @@ class Polynomial:
 
     def directional_diff(self, vector: Sequence) -> "Polynomial":
         """Derivative along a constant vector: sum_i v_i d/dx_i."""
+        if len(vector) != self.nvars:
+            raise ValueError("direction of length %d for %d variables"
+                             % (len(vector), self.nvars))
         out = Polynomial.zero(self.nvars)
         for i, v in enumerate(vector):
             v = as_scalar(v)

@@ -37,6 +37,8 @@ from .exactnum import (
     Polynomial,
     SolutionSpace,
     _identity_with,
+    _scaled_row,
+    _unit_exponents,
     apply_matrix_derivation,
     congruent_diagonalize,
     gram_of_quadratic,
@@ -48,7 +50,6 @@ from .exactnum import (
 )
 from .multivec import (
     MultiVectorField,
-    bivector_from_potential,
     const_vf,
     constant_vector,
     curl,
@@ -158,10 +159,34 @@ def _catalog_pair(case_id: int) -> LinearPair:
 # ---------------------------------------------------------------------------
 
 
+#: the index pairs (i, j), i < j, complementary to l = 0, 1, 2
+_COMPLEMENTS = ((1, 2), (0, 2), (0, 1))
+_UNIT_EXPONENTS = _unit_exponents(3)
+
+
 def bivector_of(pair: LinearPair) -> MultiVectorField:
-    """The linear bivector pi_f + (1/2) I^ ^ k^ of a pair."""
-    twist = wedge(euler_vf(3), const_vf(pair.k)).scale(Fraction(1, 2))
-    return bivector_from_potential(pair.potential()) + twist
+    """The linear bivector pi_f + (1/2) I^ ^ k^ of a pair.
+
+    For l = 0, 1, 2 the component on the complement (i, j) of l is the
+    linear form
+
+        2 s_l (A x)_l + (1/2) (k_j x_i - k_i x_j),    s = (1, -1, 1),
+
+    the signed partial of f = (A x, x) (see ``bivector_from_potential``)
+    plus the twist.  It is read off the integer forms, (D, A) of the Gram
+    matrix and k = (k numerators) / d, as int numerators over 2 d D: one
+    normalisation per component, and always a rational polynomial.
+    """
+    (den, a), (d, k) = pair.gram._form, _scaled_row(pair.k)
+    comps = {}
+    for l, (i, j) in enumerate(_COMPLEMENTS):
+        s = -4 * d if l == 1 else 4 * d
+        nums = [s * v for v in a[3 * l:3 * l + 3]]
+        nums[i] += den * k[j]
+        nums[j] -= den * k[i]
+        comps[(i, j)] = Polynomial._of_form(3, 2 * d * den,
+                                            dict(zip(_UNIT_EXPONENTS, nums)))
+    return MultiVectorField._trusted(3, 2, comps)
 
 
 def _require_linear(pi: MultiVectorField):

@@ -21,7 +21,10 @@ The module implements:
 - modular fields and Poisson checks for bivectors, plus constructors for
   the standard players: linear/constant vector fields, the Euler field,
   the bivector of a quadratic/cubic potential, and the Lie-Poisson
-  bivector of a structure-constant array.
+  bivector of a structure-constant array.  The linear, constant and Euler
+  fields build their components on the polynomial form (D, T) of
+  ``exactnum`` and wrap them with ``MultiVectorField._trusted``, with no
+  second validation.
 
 Sign convention for potentials: the bivector of f on R^n has the component
 (-1)^(n-1-i) df/dx_i on the complement of the index i.  On R^3 this is
@@ -39,6 +42,8 @@ from .exactnum import (
     ParseError,
     Polynomial,
     _check_nvars,
+    _linear_forms,
+    _unit_exponents,
     as_scalar,
     int_from_json,
     var_names,
@@ -335,23 +340,32 @@ def is_poisson(pi: MultiVectorField) -> bool:
 
 
 def linear_vf(a: Matrix) -> MultiVectorField:
-    """The linear vector field x -> Ax, i.e. sum_i (Ax)_i d/dx_i."""
-    return MultiVectorField(a.n, 1, {
-        (i,): Polynomial.linear(row) for i, row in enumerate(a.rows)
+    """The linear vector field x -> Ax, i.e. sum_i (Ax)_i d/dx_i.
+
+    Built on the form: row i of A's form (D, M) over D is the component
+    on d/dx_i, and a zero row gives none.
+    """
+    return MultiVectorField._trusted(a.n, 1, {
+        (i,): form for i, form in enumerate(_linear_forms(a))
     })
 
 
 def const_vf(k: Sequence) -> MultiVectorField:
+    """The constant vector field sum_i k_i d/dx_i; a zero k_i gives no
+    component.  Each entry goes through ``Polynomial.constant``, which
+    refuses a value that is not an exact scalar."""
     n = len(k)
-    return MultiVectorField(n, 1, {
+    return MultiVectorField._trusted(n, 1, {
         (i,): Polynomial.constant(n, k[i]) for i in range(n)
     })
 
 
 def euler_vf(nvars: int) -> MultiVectorField:
-    """The radial field sum_i x_i d/dx_i."""
-    return MultiVectorField(nvars, 1, {
-        (i,): Polynomial.variable(nvars, i) for i in range(nvars)
+    """The radial field sum_i x_i d/dx_i, built on the unit exponents."""
+    _check_nvars(nvars)
+    return MultiVectorField._trusted(nvars, 1, {
+        (i,): Polynomial._of_form(nvars, 1, {unit: 1})
+        for i, unit in enumerate(_unit_exponents(nvars))
     })
 
 

@@ -48,10 +48,7 @@ from .exactnum import (
 from .multivec import (
     MultiVectorField,
     bivector_from_potential,
-    euler_vf,
-    linear_vf,
     schouten,
-    wedge,
 )
 from .linclass import LinearPair, bivector_of, standard_pair
 
@@ -67,6 +64,9 @@ CUBIC_MONOMIALS = _graded_monomials(3)
 QUAD_MONOMIALS = _graded_monomials(2)
 _CUBIC_INDEX = {e: s for s, e in enumerate(CUBIC_MONOMIALS)}
 _QUAD_INDEX = {e: s for s, e in enumerate(QUAD_MONOMIALS)}
+#: _QUAD_KEYS[i][m] is the exponent tuple of x_i x_m
+_QUAD_KEYS = tuple(tuple(tuple(int(r == i) + int(r == m) for r in range(3))
+                         for m in range(3)) for i in range(3))
 
 
 def cubic_coords(p: Polynomial) -> tuple:
@@ -85,7 +85,7 @@ def cubic_from_coords(coords: Sequence) -> Polynomial:
 def ktilde(k: Sequence) -> Matrix:
     """Cross-product matrix of a vector: ktilde(k) v = k x v."""
     a, b, c = vec(k)
-    return Matrix([[0, -c, b], [c, 0, -a], [-b, a, 0]])
+    return Matrix._of_form(3, 1, [0, -c, b, c, 0, -a, -b, a, 0], False)
 
 
 def _check_twist(k_matrix: Matrix):
@@ -128,9 +128,32 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
 
 
 def pi_quad(qp: QuadraticPair) -> MultiVectorField:
-    """The quadratic bivector of a pair: potential part plus scaled twist."""
-    twist = wedge(euler_vf(3), linear_vf(qp.twist)).scale(Fraction(1, 3))
-    return bivector_from_potential(qp.cubic) + twist
+    """The quadratic bivector pi_F + (1/3) I^ ^ Kx of a pair.
+
+    Its component on (i, j), i < j, is
+
+        bivector_from_potential(F)[(i, j)] + (1/3) (x_i (Kx)_j - x_j (Kx)_i),
+
+    the second term read off K's form (D, M) as one polynomial over 3 D:
+    x_i x_m takes M_jm and x_j x_m takes -M_im, zero entries skipped, so
+    that each coefficient has the value and the type (Fraction or
+    ExtScalar) of the wedge product it stands for.
+    """
+    den, m = qp.twist._form
+    comps = dict(bivector_from_potential(qp.cubic).components)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        vals = {}
+        for row, x, negate in ((j, i, False), (i, j, True)):
+            for t, v in enumerate(m[3 * row:3 * row + 3]):
+                if v:
+                    key = _QUAD_KEYS[x][t]
+                    v = -v if negate else v
+                    cur = vals.get(key)
+                    vals[key] = v if cur is None else cur + v
+        twist = Polynomial._of_form(3, 3 * den, vals, qp.twist._rational)
+        cur = comps.get((i, j))
+        comps[(i, j)] = twist if cur is None else cur + twist
+    return MultiVectorField._trusted(3, 2, comps)
 
 
 def deform_rhs(lp: LinearPair, k_matrix: Matrix) -> Polynomial:

@@ -70,3 +70,12 @@ def random_ext_field(rng, nvars, grade):
             comps[exps] = random_ext_polynomial(rng, nvars, True, nterms=3,
                                                 max_degree=2)
     return MultiVectorField(nvars, grade, comps)
+
+
+def typed_components(field):
+    """Each component of a field as (D, {exps: (value, type)}, rational
+    flag): equal exactly when the forms, the flags and the coefficient
+    types agree."""
+    return {e: (p._form[0], {x: (v, type(v)) for x, v in p._form[1].items()},
+                p._rational)
+            for e, p in field.components.items()}

@@ -10,12 +10,27 @@ where ``vol_dual`` sends the basis p-vector e_I to sign(I) dx_{complement(I)}
 with sign(I) = (-1)^{sum_t (I[t] - t)}.  This module keeps that route, as
 it was, so that the tests can compare the direct formulas with it on
 seeded fields and still pin the duality and the exterior derivative.
+
+It also keeps the generic constructions of the two R^3 bivectors that
+``linclass.bivector_of`` and ``quaddef.pi_quad`` now read off the integer
+forms in one step: the twist as a wedge product with the Euler field,
+scaled and added to the potential bivector.
 """
 
+from fractions import Fraction
 from typing import Dict
 
 from poisson_forge.exactnum import Polynomial
-from poisson_forge.multivec import IndexTuple, MultiVectorField, _merge_sign
+from poisson_forge.multivec import (
+    IndexTuple,
+    MultiVectorField,
+    _merge_sign,
+    bivector_from_potential as direct_bivector_from_potential,
+    const_vf,
+    euler_vf,
+    linear_vf,
+    wedge,
+)
 
 
 class DifferentialForm(MultiVectorField):
@@ -105,3 +120,15 @@ def bivector_from_potential(f: Polynomial) -> MultiVectorField:
     """Inverse volume dual of df."""
     df = ext_deriv(DifferentialForm.function(f))
     return vol_dual_inv(df)
+
+
+def bivector_of(pair) -> MultiVectorField:
+    """pi_f + (1/2) I^ ^ k^ of a linear pair, by the wedge product."""
+    twist = wedge(euler_vf(3), const_vf(pair.k)).scale(Fraction(1, 2))
+    return direct_bivector_from_potential(pair.potential()) + twist
+
+
+def pi_quad(qp) -> MultiVectorField:
+    """pi_F + (1/3) I^ ^ Kx of a quadratic pair, by the wedge product."""
+    twist = wedge(euler_vf(3), linear_vf(qp.twist)).scale(Fraction(1, 3))
+    return direct_bivector_from_potential(qp.cubic) + twist

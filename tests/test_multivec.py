@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_field, random_polynomial
+from conftest import random_field, random_polynomial, typed_components
 from form_reference import (
     DifferentialForm,
     ext_deriv,
@@ -17,7 +17,7 @@ from form_reference import (
     vol_dual_inv,
     volume_form,
 )
-from poisson_forge.exactnum import Matrix, Polynomial
+from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix, Polynomial
 from poisson_forge.multivec import (
     MultiVectorField,
     bivector_from_potential,
@@ -385,3 +385,53 @@ def test_poisson_iff_jacobi_nontrivial_cases():
     broken[1][2][1], broken[2][1][1] = F(1), F(-1)
     assert not jacobi_holds(broken)
     assert not is_poisson(lie_poisson_bivector(broken))
+
+
+# ---------------------------------------------------------------------------
+# constructors on the form
+# ---------------------------------------------------------------------------
+
+
+def test_euler_vf_refuses_a_negative_variable_count():
+    with pytest.raises(ValueError, match="^negative n$"):
+        euler_vf(-1)
+
+
+def test_const_vf_refuses_a_float():
+    with pytest.raises(TypeError):
+        const_vf([0.5])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_euler_vf_matches_the_validating_constructor(n):
+    want = MultiVectorField(n, 1, {(i,): _var(n, i) for i in range(n)})
+    assert typed_components(euler_vf(n)) == typed_components(want)
+
+
+def test_zero_entries_and_rows_give_no_component():
+    assert set(const_vf((F(1, 2), 0, ExtScalar.of(0))).components) == {(0,)}
+    assert const_vf((0, 0, 0)).is_zero()
+    a = Matrix([[1, 2, 0], [0, 0, 0], [0, F(1, 3), -1]])
+    assert set(linear_vf(a).components) == {(0,), (2,)}
+    field = Matrix([[SQRT2, 0, 0], [ExtScalar.of(0), 0, 0], [0, 0, 0]])
+    assert set(linear_vf(field).components) == {(0,)}
+    assert linear_vf(Matrix.zero(3)).is_zero()
+
+
+def test_linear_vf_of_a_field_matrix_matches_the_row_route():
+    # rows with an irrational entry, with rational ExtScalars, with only
+    # Fractions and with a zero ExtScalar: each row keeps the value and
+    # the coefficient types Polynomial.linear gives it
+    a = Matrix([[SQRT2, F(1, 2), 0],
+                [ExtScalar.of(F(2, 3)), ExtScalar.of(0), 1],
+                [F(-1, 4), 3, ExtScalar.of(0)]])
+    assert a.integer_form() is None
+    want = MultiVectorField(3, 1, {(i,): Polynomial.linear(row)
+                                   for i, row in enumerate(a.rows)})
+    assert typed_components(linear_vf(a)) == typed_components(want)
+    assert [p._rational for _, p in sorted(linear_vf(a).components.items())] == [
+        False, False, True]
+    b = Matrix([[SQRT3 + 1, 2, F(1, 5)], [0, 0, 0], [F(7, 2), SQRT2, -SQRT3]])
+    want = MultiVectorField(3, 1, {(i,): Polynomial.linear(row)
+                                   for i, row in enumerate(b.rows)})
+    assert typed_components(linear_vf(b)) == typed_components(want)

@@ -305,6 +305,23 @@ def test_constructors_refuse_a_negative_variable_count(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial.variable(3, -1),
+    lambda: Polynomial.variable(3, -3),
+    lambda: Polynomial.variable(3, 3),
+    lambda: Polynomial.variable(0, 0),
+    lambda: Polynomial(3, {(1, 1, 1): 1}).diff(-1),
+    lambda: Polynomial(3, {(1, 1, 1): 1}).diff(3),
+    lambda: Polynomial(3, {(1, 1, 1): 1}).directional_diff([1, 2]),
+    lambda: Polynomial(3, {(1, 1, 1): 1}).directional_diff([1, 2, 0, 0]),
+], ids=["variable-wraps-to-z", "variable-wraps-to-x", "variable-past-end",
+        "variable-of-none", "diff-wraps", "diff-past-end",
+        "direction-short", "direction-long"])
+def test_variable_indices_and_directions_out_of_range_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_constructors_take_zero_variables():
     assert Polynomial.zero(0).nvars == 0
     assert Polynomial.constant(0, 3) == Polynomial(0, {(): 3})
