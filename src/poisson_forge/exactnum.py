@@ -83,14 +83,15 @@ minor of the scaled input, so it lies in Z or in that ring; the
 division is therefore exact.  In the ring it multiplies by the divisor's
 cofactor (the product of its three nontrivial Galois conjugates) and
 divides each coordinate by the integer norm.  A nonzero remainder
-raises ``ArithmeticError``, under ``python -O`` too.  A rational system
-back-substitutes on ints as well: by Cramer's rule the last pivot, the
-determinant of the pivot block, times any solution with integral free
-coordinates is a vector of ints, so the loop runs on those numerators
-over that one denominator, each division by a pivot is exact (and
-checked like a Bareiss cell), and one Fraction per coordinate is built
-at the end.  Back substitution of a system with an ExtScalar entry runs
-on Fractions and ExtScalars.
+raises ``ArithmeticError``, under ``python -O`` too.  One back
+substitution serves both kinds of system: it computes den times the
+solution and divides each pivot coordinate by its pivot.  On a rational
+system den is the last pivot, the determinant of the pivot block; by
+Cramer's rule den times any solution with integral free coordinates is
+a vector of ints, so the loop runs on ints, each division is exact (and
+checked like a Bareiss cell), and one Fraction over den per coordinate
+is built at the end.  On a system with an ExtScalar entry the rows are
+read back as ExtScalars, den is 1 and the division is the field's.
 
 JSON decoding of scalars and polynomials raises :class:`ParseError` on
 malformed input; four coordinates whose sqrt2, sqrt3 and sqrt6 parts
@@ -105,7 +106,6 @@ index order, and polynomial terms carry a fixed canonical ordering.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -782,6 +782,9 @@ class Polynomial:
         return out
 
     def eval(self, point: Sequence):
+        if len(point) != self.nvars:
+            raise ValueError("point of length %d for %d variables"
+                             % (len(point), self.nvars))
         total = Fraction(0)
         for exps, coef in self.terms.items():
             value = coef
@@ -1254,11 +1257,12 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
     a rational system and on integer coordinates in Z[sqrt2, sqrt3] for a
     system with an :class:`ExtScalar` entry (see the module docstring);
     one loop serves both, with a per-row update and a per-pivot divisor
-    for each.  A rational system back-substitutes on int numerators over
-    one denominator, the last pivot, and builds one Fraction per
-    coordinate at the end; a system with an ExtScalar entry
-    back-substitutes on its scalars, so that its pivot coordinates are
-    ExtScalars.  Free coordinates are Fraction(0) or Fraction(1).
+    for each.  One back substitution serves both too, with a denominator
+    and a division for each: int numerators over the last pivot with an
+    exact int division, or ExtScalars over 1 with the field's division.
+    Pivot coordinates are Fractions for a rational system and ExtScalars
+    for a system with an ExtScalar entry; free coordinates are
+    Fraction(0) or Fraction(1).
     """
     m = len(rows)
     if ncols is None:
@@ -1310,57 +1314,46 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence,
         if aug[i][ncols] != zero:
             return SolutionSpace(ncols, None, ())
 
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     if field:
         aug = [[_ext(t, 1) for t in row] for row in aug]
-        back_substitute = functools.partial(_scalar_back_substitute,
-                                            aug, pivots, ncols)
+        den, div = 1, operator.truediv
     else:
         # the last pivot (1 without pivots) is the determinant of the
         # pivot block, a common denominator of every solution
-        back_substitute = functools.partial(_int_back_substitute,
-                                            prev, aug, pivots, ncols)
-    particular = back_substitute(None)
-    basis = tuple(back_substitute(fc) for fc in free_cols)
+        den, div = prev, _exact_int_div
+    pivot_cols = [c for (_, c) in pivots]
+    particular = _back_substitute(aug, pivots, ncols, den, div, None)
+    basis = tuple(_back_substitute(aug, pivots, ncols, den, div, fc)
+                  for fc in range(ncols) if fc not in pivot_cols)
     return SolutionSpace(ncols, particular, basis)
 
 
-def _int_back_substitute(den, aug, pivots, ncols, free_col):
-    """The solution of Bareiss rows on ints that is 0 on every free column
-    (1 on ``free_col``, and then of the homogeneous system), as Fractions.
+def _back_substitute(aug, pivots, ncols, den, div, free_col):
+    """The solution of echelon rows that is 0 on every free column (1 on
+    ``free_col``, and then of the homogeneous system).
 
-    By Cramer's rule ``den``, the determinant of the pivot block, times
-    the solution is a vector of ints: the loop runs on those numerators,
-    and each division by a pivot is exact.
+    The loop computes ``den`` times the solution and divides each pivot
+    coordinate with ``div``.  On int rows ``den`` is the determinant of
+    the pivot block, so by Cramer's rule the loop runs on ints and each
+    division is exact; on ExtScalar rows ``den`` is 1 and ``div`` the
+    field's.  Int coordinates come back as Fractions over ``den``, the
+    ExtScalars as they are.
     """
     x = [0] * ncols
     if free_col is not None:
         x[free_col] = den
     for i, pc in reversed(pivots):
         row = aug[i]
-        acc = 0 if free_col is not None else row[ncols] * den
+        if free_col is not None:
+            acc = 0
+        else:
+            # den is 1 on ExtScalar rows, where a product would promote it
+            acc = row[ncols] if den == 1 else row[ncols] * den
         for j in range(pc + 1, ncols):
             if row[j] and x[j]:
                 acc -= row[j] * x[j]
-        x[pc] = _exact_int_div(acc, row[pc])
-    return tuple([Fraction(v, den) for v in x])
-
-
-def _scalar_back_substitute(aug, pivots, ncols, free_col):
-    """``_int_back_substitute`` on Fractions and ExtScalars, for the rows
-    of a system with an ExtScalar entry."""
-    x = [Fraction(0)] * ncols
-    if free_col is not None:
-        x[free_col] = Fraction(1)
-    for i, pc in reversed(pivots):
-        row = aug[i]
-        acc = Fraction(0) if free_col is not None else row[ncols]
-        for j in range(pc + 1, ncols):
-            if row[j] and x[j]:
-                acc = acc - row[j] * x[j]
-        x[pc] = scalar_div(acc, row[pc])
-    return tuple(x)
+        x[pc] = div(acc, row[pc])
+    return tuple([Fraction(v, den) if type(v) is int else v for v in x])
 
 
 def _scaled_row(row):

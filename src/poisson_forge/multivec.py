@@ -121,7 +121,13 @@ class MultiVectorField:
         return not self.components
 
     def component(self, exps: Sequence[int]) -> Polynomial:
-        return self.components.get(tuple(exps), Polynomial.zero(self.nvars))
+        exps = tuple(exps)
+        poly = self.components.get(exps)
+        if poly is None:
+            # a stored key is valid already
+            _check_index_tuple(exps, self.nvars, self.grade)
+            poly = Polynomial.zero(self.nvars)
+        return poly
 
     def _require_compatible(self, other):
         if type(self) is not type(other):

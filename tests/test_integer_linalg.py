@@ -359,6 +359,73 @@ def test_field_systems_of_catalog_size_match_the_scalar_div_loop():
         assert _as_json(got) == _as_json(want)
 
 
+def _pivot_columns(rows, n):
+    """Columns that raise the rank of the columns before them, from the
+    kernel dimension of each leading block under the reference solver."""
+    m = len(rows)
+    ranks = [0] + [c - ref.solve_linear([row[:c] for row in rows], [0] * m,
+                                        c).dim for c in range(1, n + 1)]
+    return {c for c in range(n) if ranks[c + 1] > ranks[c]}
+
+
+def _assert_field_entry_types(space, pivot_cols):
+    """ExtScalar pivot coordinates; free ones exactly Fraction(0) or
+    Fraction(1) (1 only at the free column of a basis vector)."""
+    free_cols = [c for c in range(space.ambient_dim) if c not in pivot_cols]
+    assert len(space.basis) == len(free_cols)
+    for x, one_at in [(space.particular, None)] + list(zip(space.basis,
+                                                           free_cols)):
+        for c, v in enumerate(x):
+            if c in pivot_cols:
+                assert type(v) is ExtScalar, (c, v)
+            else:
+                assert type(v) is F, (c, v)
+                assert v == (1 if c == one_at else 0)
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    # a rational-valued ExtScalar pivot, with a free column after it
+    ([[SQRT2 * SQRT2, 1], [F(0), F(0)]], [SQRT2 * SQRT2, 0]),
+    # a zero ExtScalar entry beside an irrational pivot
+    ([[ExtScalar.parts(0), SQRT3, 1], [1, ExtScalar.parts(0), SQRT2 * SQRT2]],
+     [SQRT6, 0]),
+    # no pivot at all: every coordinate is free
+    ([[ExtScalar.parts(0), 0], [0, 0]], [0, ExtScalar.parts(0)]),
+    # rank-deficient and consistent, zero ExtScalar right-hand side
+    ([[SQRT2, 2, SQRT2 * SQRT3], [2, 2 * SQRT2, 2 * SQRT3]],
+     [ExtScalar.parts(0), 0]),
+], ids=["rational-ext-pivot", "zero-ext-entry", "no-pivot", "rank-one"])
+def test_field_solutions_keep_their_entry_types_on_hand_built_systems(rows,
+                                                                      rhs):
+    n = len(rows[0])
+    got, want = solve_linear(rows, rhs, n), ref.solve_linear(rows, rhs, n)
+    assert not got.is_empty
+    assert got.particular == want.particular and got.basis == want.basis
+    _assert_field_entry_types(got, _pivot_columns(rows, n))
+
+
+def test_field_solutions_keep_their_entry_types():
+    rng = random.Random(8160)
+    seen = set()
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows, rhs = _random_field_system(rng, m, n)
+        got, want = solve_linear(rows, rhs, n), ref.solve_linear(rows, rhs, n)
+        assert got.is_empty == want.is_empty
+        if got.is_empty:
+            seen.add("inconsistent")
+            continue
+        assert got.particular == want.particular and got.basis == want.basis
+        pivot_cols = _pivot_columns(rows, n)
+        _assert_field_entry_types(got, pivot_cols)
+        seen.add("rank-deficient" if len(pivot_cols) < min(m, n) else
+                 "full-rank")
+        if got.basis:
+            seen.add("free-columns")
+    assert seen == {"inconsistent", "rank-deficient", "full-rank",
+                    "free-columns"}
+
+
 def _random_rational_system(rng, m, n, kind):
     """Seeded m x n rational system of one kind: ``rank-deficient`` (a
     product of random factors of rank below min(m, n), consistent),

@@ -322,6 +322,35 @@ def test_variable_indices_and_directions_out_of_range_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("point", [[1, 2], [1, 2, 3, 4], []],
+                         ids=["short", "long", "empty"])
+def test_points_of_the_wrong_length_are_refused(point):
+    p = Polynomial(3, {(1, 1, 1): 1, (0, 0, 0): 5})
+    with pytest.raises(ValueError, match="point of length"):
+        p.eval(point)
+    assert p.eval([1, 2, 3]) == 11
+    assert Polynomial(0, {(): 4}).eval([]) == 4
+
+
+@pytest.mark.parametrize("grade, exps", [
+    (1, (5,)), (1, (3,)), (1, (-1,)), (1, (0, 1)), (1, ()),
+    (2, (1, 0)), (2, (1, 1)), (2, (0,)), (2, (0, 3)), (0, (0,)),
+], ids=["past-end", "just-past-end", "negative", "too-long", "too-short",
+        "decreasing", "repeated", "short-pair", "pair-past-end",
+        "function-with-index"])
+def test_component_refuses_index_tuples_the_field_cannot_have(grade, exps):
+    stored = (0, 1, 2)[:grade]
+    field = MultiVectorField(3, grade, {stored: 1})
+    with pytest.raises(ValueError):
+        field.component(exps)
+    # a stored key returns its component, a valid missing one zero
+    assert field.component(stored) == Polynomial.constant(3, 1)
+    assert field.component(list(stored)) is field.components[stored]
+    for valid in itertools.combinations(range(3), grade):
+        if valid != stored:
+            assert field.component(valid).is_zero()
+
+
 def test_constructors_take_zero_variables():
     assert Polynomial.zero(0).nvars == 0
     assert Polynomial.constant(0, 3) == Polynomial(0, {(): 3})
