@@ -8,7 +8,12 @@ A with quadratic potential f = (Ax, x), so that
 
 where pi_f is the bivector whose components are the partials of f (see
 multivec.bivector_from_potential) and I^ is the Euler field.  Compatibility
-of the pair is the single linear condition A k = 0.
+of the pair is the single linear condition A k = 0.  bivector_of and
+pair_of go between the two on the coefficients, with no bracket: a linear
+bivector on R^3 has 9 coefficients, 3 for k and 6 for a symmetric A, so
+it comes from exactly one such (k, A), and it is Poisson exactly when
+A k = 0.  decompose splits a linear bivector on any R^n into the twist
+along its modular vector and a curl-free part.
 
 Two pairs describe isomorphic structures when some invertible T satisfies
 k2 = T k1 and T' A2 T = det(T) A1 (prime meaning transpose).  Under that
@@ -29,6 +34,8 @@ verify_witness.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -37,11 +44,11 @@ from .exactnum import (
     Polynomial,
     SolutionSpace,
     _identity_with,
+    _over,
     _scaled_row,
     _unit_exponents,
     apply_matrix_derivation,
     congruent_diagonalize,
-    gram_of_quadratic,
     quadratic_form_poly,
     scalar_from_json,
     scalar_to_json,
@@ -50,11 +57,8 @@ from .exactnum import (
 )
 from .multivec import (
     MultiVectorField,
-    const_vf,
     constant_vector,
     curl,
-    euler_vf,
-    is_poisson,
     modular_field,
     schouten,
     wedge,
@@ -199,26 +203,66 @@ def _require_linear(pi: MultiVectorField):
             )
 
 
+def _signed_rows(pi: MultiVectorField):
+    """(d, M, rational): M = diag(1, -1, 1) C over d, for a linear
+    bivector on R^3 whose component on the complement of l has the
+    x-coefficients C_l.
+
+    For a rational bivector M holds int numerators over the lcm d of the
+    three denominators.  Otherwise d = 1 and M holds each coefficient as
+    its component stores it, a Fraction or an ExtScalar, so that what is
+    read off M keeps the types of the coefficients it comes from.
+    """
+    comps = [pi.components.get(c) for c in _COMPLEMENTS]
+    rational = all(p is None or p._rational for p in comps)
+    d = math.lcm(*(p._form[0] for p in comps if p is not None)) if rational else 1
+    rows = []
+    for l, p in enumerate(comps):
+        if p is None:
+            rows.append((0, 0, 0))
+            continue
+        s = -1 if l == 1 else 1
+        if rational:
+            den, vals = p._form
+            s *= d // den
+            rows.append(tuple(s * vals.get(u, 0) for u in _UNIT_EXPONENTS))
+        else:
+            rows.append(tuple(s * p.coeff(u) for u in _UNIT_EXPONENTS))
+    return d, rows, rational
+
+
 def pair_of(pi: MultiVectorField) -> LinearPair:
-    """Recover the pair (k, A) of a linear Poisson bivector on R^3."""
+    """Recover the pair (k, A) of a linear Poisson bivector on R^3.
+
+    ``bivector_of`` puts 2 A + T into M = diag(1, -1, 1) C (see
+    ``_signed_rows``), T the antisymmetric matrix with T_12 = k_0 / 2,
+    T_20 = k_1 / 2 and T_01 = k_2 / 2.  So every linear bivector on R^3
+    is ``bivector_of(k, A)`` for exactly one pair, 9 coefficients being
+    3 + 6: A = (M + M') / 4 and k = (M_12 - M_21, M_20 - M_02,
+    M_01 - M_10).  The bivector is Poisson exactly when A k = 0; the
+    Schouten self-bracket is computed only to word the error.  A
+    coefficient in the extension field never gives a pair: its k or A
+    fails the ``LinearPair`` check for a rational value.
+    """
     _require_linear(pi)
     if pi.nvars != 3:
         raise ValueError("pairs are defined on R^3 only")
-    if not is_poisson(pi):
+    d, m, rational = _signed_rows(pi)
+    # an ExtScalar difference that cancels is the Fraction 0 the modular
+    # field gives there; while k is rational, no entry of M + M' cancels
+    # that way
+    k = [v or 0 for v in (m[1][2] - m[2][1], m[2][0] - m[0][2],
+                          m[0][1] - m[1][0])]
+    sym = [m[i][j] + m[j][i] for i in range(3) for j in range(3)]
+    if any(sum(map(operator.mul, sym[3 * i:3 * i + 3], k)) for i in range(3)):
         jac = schouten(pi, pi)
         exps, poly = next(iter(sorted(jac.components.items())))
         label = ",".join(str(i + 1) for i in exps)
         raise ValueError(
             "not a Poisson bivector: Jacobiator component (%s) is %s" % (label, poly)
         )
-    k = constant_vector(modular_field(pi))
-    twist = wedge(euler_vf(3), const_vf(k)).scale(Fraction(1, 2))
-    rest = pi - twist
-    # rest carries the partials of f in its components; recover f by Euler
-    x, y, z = (Polynomial.variable(3, i) for i in range(3))
-    f = (x * rest.component((1, 2)) - y * rest.component((0, 2))
-         + z * rest.component((0, 1))) * Fraction(1, 2)
-    pair = LinearPair(k, gram_of_quadratic(f))
+    pair = LinearPair(tuple(_over(v, d) for v in k),
+                      Matrix._of_form(3, 4 * d, sym, rational))
     if bivector_of(pair) != pi:
         raise ValueError("bivector is not of potential type")  # pragma: no cover
     return pair
@@ -245,19 +289,33 @@ def decompose(pi: MultiVectorField) -> Decomposition:
     """Split a linear bivector as pi = (1/(n-1)) I^ ^ k^ + L with curl(L) = 0.
 
     Works on R^n for any n >= 2; k is the constant value of the modular
-    field.  The two reported booleans are automatic when pi is Poisson.
+    field.  The twist's component on (i, j) is (k_j x_i - k_i x_j)/(n-1),
+    built on the form.  The bracket [k^, L] with a constant field is the
+    derivative of L's coefficients along k, so for a linear L it vanishes
+    exactly when sum_m k_m L_{I,m} = 0 on every component I, L_{I,m} the
+    coefficient of x_m.  The two reported booleans are automatic when pi
+    is Poisson.
     """
     _require_linear(pi)
     n = pi.nvars
     k = constant_vector(modular_field(pi))
-    lam = pi - wedge(euler_vf(n), const_vf(k)).scale(Fraction(1, n - 1))
+    rational = all(type(v) is Fraction for v in k)
+    d, w = _scaled_row(k) if rational else (1, k)
+    units = _unit_exponents(n)
+    lam = pi - MultiVectorField._trusted(n, 2, {
+        (i, j): Polynomial._of_form(n, d * (n - 1),
+                                    {units[i]: w[j], units[j]: -w[i]}, rational)
+        for i in range(n) for j in range(i + 1, n)})
     if not curl(lam).is_zero():  # pragma: no cover - identity of the splitting
         raise AssertionError("curl-free part has nonzero curl")
+    along_k = dict(zip(units, w))
     return Decomposition(
         k=k,
         curl_free=lam,
         square_closed=curl(wedge(lam, lam)).is_zero(),
-        twist_commutes=schouten(const_vf(k), lam).is_zero(),
+        twist_commutes=not any(
+            sum(along_k[u] * v for u, v in poly._form[1].items())
+            for poly in lam.components.values()),
     )
 
 

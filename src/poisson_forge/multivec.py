@@ -392,13 +392,22 @@ def bivector_from_potential(f: Polynomial) -> MultiVectorField:
     return MultiVectorField._trusted(n, n - 1, comps)
 
 
+def _structure_size(c) -> int:
+    """n for an n*n*n nested sequence; ValueError on a ragged one."""
+    n = len(c)
+    if any(len(row) != n or any(len(col) != n for col in row) for row in c):
+        raise ValueError("structure constants must be a %dx%dx%d array"
+                         % (n, n, n))
+    return n
+
+
 def lie_poisson_bivector(c) -> MultiVectorField:
     """Bivector with components pi^{ij} = sum_k c[i][j][k] x_k.
 
     ``c`` is an n*n*n nested sequence of structure constants,
     antisymmetric in the first two slots ([e_i, e_j] = sum_k c[i][j][k] e_k).
     """
-    n = len(c)
+    n = _structure_size(c)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -415,7 +424,7 @@ def lie_poisson_bivector(c) -> MultiVectorField:
 
 def jacobi_holds(c) -> bool:
     """Independent triple-loop Jacobi test for structure constants."""
-    n = len(c)
+    n = _structure_size(c)
     for i in range(n):
         for j in range(n):
             for k in range(n):

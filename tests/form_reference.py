@@ -14,21 +14,34 @@ seeded fields and still pin the duality and the exterior derivative.
 It also keeps the generic constructions of the two R^3 bivectors that
 ``linclass.bivector_of`` and ``quaddef.pi_quad`` now read off the integer
 forms in one step: the twist as a wedge product with the Euler field,
-scaled and added to the potential bivector.
+scaled and added to the potential bivector.  And it keeps the generic
+routes of ``linclass.pair_of`` and ``linclass.decompose``, which now read
+the pair (k, A) off the coefficients of a linear bivector: ``pair_of``
+tested the Schouten self-bracket, took k from the curl, subtracted the
+twist as a wedge product and rebuilt f by Euler's identity, and
+``decompose`` built its twist as a wedge product and decided
+``twist_commutes`` by a Schouten bracket with the constant field k.
 """
 
 from fractions import Fraction
 from typing import Dict
 
-from poisson_forge.exactnum import Polynomial
+from poisson_forge.exactnum import Polynomial, gram_of_quadratic
+from poisson_forge.linclass import Decomposition, LinearPair, _require_linear
+from poisson_forge.linclass import bivector_of as direct_bivector_of
 from poisson_forge.multivec import (
     IndexTuple,
     MultiVectorField,
     _merge_sign,
     bivector_from_potential as direct_bivector_from_potential,
     const_vf,
+    constant_vector,
+    curl as direct_curl,
     euler_vf,
+    is_poisson,
     linear_vf,
+    modular_field,
+    schouten,
     wedge,
 )
 
@@ -132,3 +145,46 @@ def pi_quad(qp) -> MultiVectorField:
     """pi_F + (1/3) I^ ^ Kx of a quadratic pair, by the wedge product."""
     twist = wedge(euler_vf(3), linear_vf(qp.twist)).scale(Fraction(1, 3))
     return direct_bivector_from_potential(qp.cubic) + twist
+
+
+def pair_of(pi: MultiVectorField) -> LinearPair:
+    """The pair (k, A) of a linear Poisson bivector on R^3, by the Schouten
+    self-bracket, the modular field and Euler's identity for f."""
+    _require_linear(pi)
+    if pi.nvars != 3:
+        raise ValueError("pairs are defined on R^3 only")
+    if not is_poisson(pi):
+        jac = schouten(pi, pi)
+        exps, poly = next(iter(sorted(jac.components.items())))
+        label = ",".join(str(i + 1) for i in exps)
+        raise ValueError(
+            "not a Poisson bivector: Jacobiator component (%s) is %s" % (label, poly)
+        )
+    k = constant_vector(modular_field(pi))
+    twist = wedge(euler_vf(3), const_vf(k)).scale(Fraction(1, 2))
+    rest = pi - twist
+    # rest carries the partials of f in its components; recover f by Euler
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    f = (x * rest.component((1, 2)) - y * rest.component((0, 2))
+         + z * rest.component((0, 1))) * Fraction(1, 2)
+    pair = LinearPair(k, gram_of_quadratic(f))
+    if direct_bivector_of(pair) != pi:
+        raise ValueError("bivector is not of potential type")
+    return pair
+
+
+def decompose(pi: MultiVectorField) -> Decomposition:
+    """pi = (1/(n-1)) I^ ^ k^ + L, the twist by the wedge product and
+    ``twist_commutes`` by the Schouten bracket [k^, L]."""
+    _require_linear(pi)
+    n = pi.nvars
+    k = constant_vector(modular_field(pi))
+    lam = pi - wedge(euler_vf(n), const_vf(k)).scale(Fraction(1, n - 1))
+    if not direct_curl(lam).is_zero():
+        raise AssertionError("curl-free part has nonzero curl")
+    return Decomposition(
+        k=k,
+        curl_free=lam,
+        square_closed=direct_curl(wedge(lam, lam)).is_zero(),
+        twist_commutes=schouten(const_vf(k), lam).is_zero(),
+    )

@@ -1,4 +1,4 @@
-"""The two R^3 bivectors read off the integer forms in one step.
+"""The R^3 bivectors and their pairs read off the integer forms in one step.
 
 ``linclass.bivector_of`` and ``quaddef.pi_quad`` build each component as
 one polynomial on the forms of the pair.  ``form_reference`` keeps the
@@ -6,16 +6,34 @@ generic construction they replaced, a wedge product with the Euler field
 that is scaled and added to the potential bivector; on seeded pairs the
 two must agree in every component's form (D, T), its rational flag and
 the type of every coefficient.
+
+The other way round, ``linclass.pair_of`` reads (k, A) off the
+coefficients of a linear bivector on R^3, and ``linclass.decompose``
+builds its twist on the form and tests [k^, L] = 0 as a derivative along
+k.  ``form_reference`` keeps their Schouten-bracket routes; on seeded
+bivectors, Poisson or not and with Fraction or ExtScalar coefficients,
+the two must agree in values, entry types, exception types and messages.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import form_reference as ref
-from conftest import typed_components
+from conftest import random_fraction, typed_components
 
-from poisson_forge.exactnum import ExtScalar, Matrix
-from poisson_forge.linclass import STANDARD_PAIRS, bivector_of, standard_pair
+from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix, Polynomial
+from poisson_forge.linclass import (
+    STANDARD_PAIRS,
+    Decomposition,
+    LinearPair,
+    bivector_of,
+    decompose,
+    pair_of,
+    standard_pair,
+)
 from poisson_forge.linclass import transform_pair as transform_linear_pair
+from poisson_forge.multivec import MultiVectorField
 from poisson_forge.quaddef import (
     JordanFamily,
     QuadraticPair,
@@ -90,3 +108,111 @@ def test_pi_quad_matches_the_wedge_route(rng):
         _same(pi_quad(qp), ref.pi_quad(qp))
         field_twists += qp.twist.integer_form() is None
     assert field_twists >= 10
+
+
+# ---------------------------------------------------------------------------
+# pair_of and decompose against their Schouten-bracket routes
+# ---------------------------------------------------------------------------
+
+
+def _typed_scalars(values):
+    return tuple((v, type(v)) for v in values)
+
+
+def _typed_result(call, pi):
+    """What ``call(pi)`` gives, with every entry type, or the exception
+    type and message it raises."""
+    try:
+        out = call(pi)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, LinearPair):
+        return (_typed_scalars(out.k), out.gram._form, out.gram._rational,
+                tuple(type(v) for v in out.gram._form[1]))
+    assert isinstance(out, Decomposition)
+    return (_typed_scalars(out.k), typed_components(out.curl_free),
+            out.square_closed, out.twist_commutes)
+
+
+def _standard_bivectors(rng):
+    """bivector_of of every standard pair, moduli of cases 8 and 9, and
+    transforms of them."""
+    pairs = list(STANDARD_PAIRS.values())
+    pairs += [standard_pair(case, _random_modulus(rng))
+              for case in (8, 9) for _ in range(3)]
+    for case in range(1, 11):
+        for _ in range(4):
+            scale = _random_modulus(rng) if case in (8, 9) else 1
+            t = random_invertible(rng).scaled(F(1, rng.randint(1, 4)))
+            pairs.append(transform_linear_pair(t, standard_pair(case, scale)))
+    return [bivector_of(pair) for pair in pairs]
+
+
+def _random_linear_bivector(rng, n, coefficient):
+    comps = {}
+    for exps in itertools.combinations(range(n), 2):
+        if rng.random() < 0.8:
+            comps[exps] = Polynomial(n, {
+                tuple(int(m == j) for m in range(n)): coefficient(rng)
+                for j in rng.sample(range(n), rng.randint(1, n))})
+    return MultiVectorField(n, 2, comps)
+
+
+def _field_coefficient(rng):
+    """A Fraction, or an ExtScalar that is irrational, rational or zero."""
+    q = random_fraction(rng)
+    return rng.choice([q, q, ExtScalar.of(q), ExtScalar.of(0),
+                       q + random_fraction(rng) * rng.choice([SQRT2, SQRT3])])
+
+
+def _retyped(pi, rng, scale=1):
+    """``pi`` times ``scale``, with about half of its coefficients stored
+    as ExtScalars: still Poisson when ``pi`` is."""
+    comps = {}
+    for exps, poly in pi.components.items():
+        comps[exps] = Polynomial(pi.nvars, {
+            x: ExtScalar.of(c) * scale if rng.random() < 0.5 else c * scale
+            for x, c in poly.terms.items()})
+    return MultiVectorField(pi.nvars, 2, comps)
+
+
+def test_pair_of_matches_the_schouten_route(rng):
+    fields = _standard_bivectors(rng)
+    poisson = list(fields)
+    fields += [_random_linear_bivector(rng, 3, random_fraction)
+               for _ in range(80)]
+    fields += [_random_linear_bivector(rng, 3, _field_coefficient)
+               for _ in range(60)]
+    # Poisson bivectors with ExtScalar coefficients: rational-valued ones,
+    # and the same scaled by sqrt2 or 1 + sqrt3
+    for pi in rng.sample(poisson, 30):
+        fields.append(_retyped(pi, rng))
+        fields.append(_retyped(pi, rng, rng.choice([SQRT2, 1 + SQRT3])))
+    # k = 0 with a mixed off-diagonal pair: M_01 - M_10 is an ExtScalar 0
+    fields.append(MultiVectorField(3, 2, {
+        (0, 2): Polynomial(3, {(1, 0, 0): ExtScalar.of(-2)}),
+        (1, 2): Polynomial(3, {(0, 1, 0): F(2)})}))
+    outcomes = Counter()
+    for pi in fields:
+        got = _typed_result(pair_of, pi)
+        assert got == _typed_result(ref.pair_of, pi)
+        outcomes[got[0] if got[0] in (ValueError, TypeError) else LinearPair] += 1
+    assert outcomes[LinearPair] >= len(poisson)
+    assert outcomes[ValueError] >= 100
+    assert outcomes[TypeError] >= 50
+
+
+def test_decompose_matches_the_schouten_route(rng):
+    fields = _standard_bivectors(rng)
+    for n in range(2, 6):
+        fields += [_random_linear_bivector(rng, n, random_fraction)
+                   for _ in range(25)]
+        fields += [_random_linear_bivector(rng, n, _field_coefficient)
+                   for _ in range(15)]
+    fields += [_retyped(pi, rng, SQRT2) for pi in rng.sample(fields, 20)]
+    commutes = set()
+    for pi in fields:
+        got = _typed_result(decompose, pi)
+        assert got == _typed_result(ref.decompose, pi)
+        commutes.add(got[3])
+    assert commutes == {True, False}

@@ -356,6 +356,16 @@ def test_non_antisymmetric_constants_rejected():
         lie_poisson_bivector(c)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 2), (3, 2, 3)])
+def test_ragged_structure_constants_are_refused(shape):
+    a, b, c = shape
+    ragged = [[[0] * c for _ in range(b)] for _ in range(a)]
+    for build in (lie_poisson_bivector, jacobi_holds):
+        with pytest.raises(ValueError,
+                           match="^structure constants must be a 3x3x3 array$"):
+            build(ragged)
+
+
 def test_poisson_iff_jacobi(rng):
     for _ in range(50):
         c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
