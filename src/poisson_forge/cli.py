@@ -209,24 +209,23 @@ def _cmd_is_poisson(args):
     return 0
 
 
-def _cmd_deform_solve(args):
+def _deformation_input(args):
+    """(payload, pair, twist) of a deform-solve or deform-check input."""
     data = _read_payload(args.input)
     if "pair" not in data:
-        raise ParseError('deform-solve needs a "pair" field')
-    pair = _pair_from(data["pair"])
-    twist = _matrix_from(data, "K")
-    space = solve_F(pair, twist)
-    report, lines = _space_report(space)
+        raise ParseError('%s needs a "pair" field' % args.verb)
+    return data, _pair_from(data["pair"]), _matrix_from(data, "K")
+
+
+def _cmd_deform_solve(args):
+    _, pair, twist = _deformation_input(args)
+    report, lines = _space_report(solve_F(pair, twist))
     _emit(args, report, lines)
     return 0
 
 
 def _cmd_deform_check(args):
-    data = _read_payload(args.input)
-    if "pair" not in data:
-        raise ParseError('deform-check needs a "pair" field')
-    pair = _pair_from(data["pair"])
-    twist = _matrix_from(data, "K")
+    data, pair, twist = _deformation_input(args)
     if "F" not in data:
         raise ParseError('deform-check needs an "F" field')
     cubic = Polynomial.from_json(data["F"])

@@ -93,12 +93,14 @@ checked like a Bareiss cell), and one Fraction over den per coordinate
 is built at the end.  On a system with an ExtScalar entry the rows are
 read back as ExtScalars, den is 1 and the division is the field's.
 
-JSON decoding of scalars and polynomials raises :class:`ParseError` on
-malformed input; four coordinates whose sqrt2, sqrt3 and sqrt6 parts
-are zero decode to the Fraction.  The public constructors validate their
-arguments; arithmetic results built from already validated polynomials
-and matrices are not validated again, only normalised
-(``Polynomial._of_form``, ``Matrix._of_form``).
+``as_rational`` is the one rational reader (``as_rational_matrix`` for a
+matrix): an int, a Fraction or a rational-valued ExtScalar reads as its
+Fraction, anything else (a float too) raises TypeError.  ``demote`` maps
+a rational-valued ExtScalar to its Fraction; JSON decoding applies it to
+four coordinates, and raises :class:`ParseError` on malformed input.
+The public constructors validate their arguments; arithmetic results
+built from already validated polynomials and matrices are not validated
+again, only normalised (``Polynomial._of_form``, ``Matrix._of_form``).
 
 All operations are deterministic: ties in pivot selection are broken by
 index order, and polynomial terms carry a fixed canonical ordering.
@@ -143,7 +145,7 @@ class ExtScalar:
     def __init__(self, coords):
         if len(coords) != 4:
             raise ValueError("ExtScalar needs 4 coordinates")
-        fracs = [Fraction(c) for c in coords]
+        fracs = [as_rational(c) for c in coords]
         # the lcm of reduced denominators leaves no common factor behind
         den = math.lcm(*(f.denominator for f in fracs))
         self._num = tuple(f.numerator * (den // f.denominator) for f in fracs)
@@ -157,8 +159,7 @@ class ExtScalar:
             return value
         if isinstance(value, int):
             return _ext((int(value), 0, 0, 0), 1)
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
+        value = as_rational(value)
         return _ext((value.numerator, 0, 0, 0), value.denominator)
 
     @classmethod
@@ -364,14 +365,10 @@ def _ext_sum(a: ExtScalar, b: ExtScalar, sign: int) -> ExtScalar:
     return _reduced((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
 
 
-SQRT2 = ExtScalar.parts(0, 1, 0, 0)
-SQRT3 = ExtScalar.parts(0, 0, 1, 0)
-SQRT6 = ExtScalar.parts(0, 0, 0, 1)
-
-Scalar = Union[Fraction, ExtScalar]
-
-
 def _coerce_ext(value) -> Optional[ExtScalar]:
+    """An ExtScalar operator's other operand promoted into the field, or
+    None.  Apart from ``as_scalar``, which keeps a rational a Fraction:
+    one coercion for both would make hot shared code branch on its caller."""
     if isinstance(value, ExtScalar):
         return value
     if isinstance(value, (int, Fraction)):
@@ -381,13 +378,43 @@ def _coerce_ext(value) -> Optional[ExtScalar]:
 
 def as_scalar(value) -> Scalar:
     """Coerce ints/Fractions/ExtScalars into a package scalar."""
-    if isinstance(value, ExtScalar):
-        return value
-    if isinstance(value, Fraction):
+    if isinstance(value, (ExtScalar, Fraction)):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("not an exact scalar: %r" % (value,))
+
+
+def demote(value):
+    """A rational-valued ExtScalar as its Fraction, any other value as is."""
+    if isinstance(value, ExtScalar) and value.is_rational:
+        return value.rational_value()
+    return value
+
+
+def as_rational(value) -> Fraction:
+    """The one rational reader: the Fraction of an int, a Fraction or a
+    rational-valued ExtScalar; TypeError for a float or anything else."""
+    if type(value) is Fraction:
+        return value
+    value = demote(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError("expected a rational value, got %s" % (value,))
+
+
+def as_rational_matrix(m: "Matrix") -> "Matrix":
+    """``m`` when rational, else the rational twin of a matrix whose entries
+    are all rational-valued (``as_rational``'s TypeError otherwise)."""
+    return m if m._rational else Matrix._of_form(
+        m.n, 1, [as_rational(v) for v in m._form[1]], False)
+
+
+SQRT2 = ExtScalar.parts(0, 1, 0, 0)
+SQRT3 = ExtScalar.parts(0, 0, 1, 0)
+SQRT6 = ExtScalar.parts(0, 0, 0, 1)
+
+Scalar = Union[Fraction, ExtScalar]
 
 
 def scalar_div(a, b):
@@ -416,11 +443,9 @@ def sqrt_exact(value) -> Scalar:
     {1, 2, 3, 6}; raises :class:`ExactSqrtError` otherwise.  Irrational
     ExtScalar inputs are rejected (callers fall back to floating point).
     """
-    v = as_scalar(value)
+    v = demote(as_scalar(value))
     if isinstance(v, ExtScalar):
-        if not v.is_rational:
-            raise ExactSqrtError("no exact sqrt for irrational input %s" % v)
-        v = v.rational_value()
+        raise ExactSqrtError("no exact sqrt for irrational input %s" % v)
     if v < 0:
         raise ExactSqrtError("negative input %s" % v)
     for m, unit in ((1, Fraction(1)), (2, SQRT2), (3, SQRT3), (6, SQRT6)):
@@ -436,11 +461,9 @@ def sqrt_exact(value) -> Scalar:
 
 
 def scalar_to_json(value):
-    value = as_scalar(value)
+    value = demote(as_scalar(value))
     if isinstance(value, ExtScalar):
-        if not value.is_rational:
-            return [str(c) for c in value.coords]
-        value = value.rational_value()
+        return [str(c) for c in value.coords]
     return str(value)
 
 
@@ -510,9 +533,8 @@ def scalar_from_json(data) -> Scalar:
     if isinstance(data, (str, int)):
         return _rational_from_json(data)
     if isinstance(data, list) and len(data) == 4:
-        value = ExtScalar(tuple(_rational_from_json(c) for c in data))
         # a rational value written as four coordinates reads as its Fraction
-        return value.rational_value() if value.is_rational else value
+        return demote(ExtScalar(tuple(_rational_from_json(c) for c in data)))
     raise ParseError("bad scalar encoding: %r" % (data,))
 
 
@@ -831,12 +853,10 @@ class Polynomial:
                 n if e == 1 else "%s^%d" % (n, e)
                 for n, e in zip(names, exps) if e
             )
-            if isinstance(coef, ExtScalar) and not coef.is_rational:
-                cs = "(%s)" % coef
-                body = cs if not mono else "%s·%s" % (cs, mono)
-                pieces.append(("+", body))
+            c = demote(coef)
+            if isinstance(c, ExtScalar):
+                pieces.append(("+", "(%s)·%s" % (c, mono) if mono else "(%s)" % c))
                 continue
-            c = coef.rational_value() if isinstance(coef, ExtScalar) else coef
             mag = abs(c)
             if not mono:
                 body = str(mag)

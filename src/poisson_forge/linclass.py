@@ -30,6 +30,10 @@ the real change of coordinates T = R * diag(1/sqrt(d_i)) (factor 1 where
 d_i = 0).  The witness is checkable without leaving rational arithmetic
 because every sqrt appears squared in the verification identities; see
 verify_witness.
+
+Every rational input (a pair, a modulus, a witness, the matrix given to
+transform_pair, aut_member or is_derivation) is read by exactnum's one
+rational reader, as_rational or as_rational_matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .exactnum import (
     _scaled_row,
     _unit_exponents,
     apply_matrix_derivation,
+    as_rational,
+    as_rational_matrix,
     congruent_diagonalize,
     quadratic_form_poly,
     scalar_from_json,
@@ -65,22 +71,6 @@ from .multivec import (
 )
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError("expected a rational value, got %s" % (value,))
-
-
-def _rational_matrix(m: Matrix) -> Matrix:
-    """``m`` itself, once every entry is checked to be rational."""
-    if m.integer_form() is None:
-        # off the integer form, a matrix has an ExtScalar entry
-        _as_fraction(next(v for v in m._form[1] if type(v) is not Fraction))
-    return m
-
-
 # ---------------------------------------------------------------------------
 # pairs
 # ---------------------------------------------------------------------------
@@ -92,8 +82,8 @@ class LinearPair(NamedTuple("LinearPair", [("k", tuple), ("gram", Matrix)])):
     __slots__ = ()
 
     def __new__(cls, k: tuple, gram: Matrix):
-        k = tuple(_as_fraction(v) for v in k)
-        gram = _rational_matrix(gram)
+        k = tuple(as_rational(v) for v in k)
+        gram = as_rational_matrix(gram)
         if len(k) != 3 or gram.n != 3:
             raise ValueError("pairs live on R^3")
         if not gram.is_symmetric():
@@ -136,7 +126,7 @@ def standard_pair(case_id: int, scale=1) -> LinearPair:
     ``scale`` is the positive rational modulus a for cases 8 and 9 (the
     catalog value is a = 1); other cases admit no modulus.
     """
-    scale = _as_fraction(scale)
+    scale = as_rational(scale)
     if case_id not in range(1, 11):
         raise ValueError("case_id must be 1..10")
     if case_id not in (8, 9) and scale != 1:
@@ -240,19 +230,15 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     is ``bivector_of(k, A)`` for exactly one pair, 9 coefficients being
     3 + 6: A = (M + M') / 4 and k = (M_12 - M_21, M_20 - M_02,
     M_01 - M_10).  The bivector is Poisson exactly when A k = 0; the
-    Schouten self-bracket is computed only to word the error.  A
-    coefficient in the extension field never gives a pair: its k or A
-    fails the ``LinearPair`` check for a rational value.
+    Schouten self-bracket is computed only to word the error.
+    Rational-valued ExtScalar coefficients give the pair of their Fraction
+    twin; an irrational one fails the ``LinearPair`` rational reader.
     """
     _require_linear(pi)
     if pi.nvars != 3:
         raise ValueError("pairs are defined on R^3 only")
     d, m, rational = _signed_rows(pi)
-    # an ExtScalar difference that cancels is the Fraction 0 the modular
-    # field gives there; while k is rational, no entry of M + M' cancels
-    # that way
-    k = [v or 0 for v in (m[1][2] - m[2][1], m[2][0] - m[0][2],
-                          m[0][1] - m[1][0])]
+    k = (m[1][2] - m[2][1], m[2][0] - m[0][2], m[0][1] - m[1][0])
     sym = [m[i][j] + m[j][i] for i in range(3) for j in range(3)]
     if any(sum(map(operator.mul, sym[3 * i:3 * i + 3], k)) for i in range(3)):
         jac = schouten(pi, pi)
@@ -328,7 +314,7 @@ def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
     """Image of a pair under an invertible linear map, valid by construction:
     with S = T^-1, S' A S is symmetric as A is, and S' A S T k = S' A k = 0.
     """
-    t = _rational_matrix(t)
+    t = as_rational_matrix(t)
     det = t.det()
     if not det:
         raise ValueError("transformation must be invertible")
@@ -368,7 +354,7 @@ class StdFormLabel(NamedTuple("StdFormLabel", [
         if (a_squared is not None) != (case_id in (8, 9)):
             raise ValueError("modulus present exactly for cases 8 and 9")
         if a_squared is not None:
-            a_squared = _as_fraction(a_squared)
+            a_squared = as_rational(a_squared)
             if a_squared <= 0:
                 raise ValueError("modulus a^2 must be positive")
         return tuple.__new__(cls, (case_id, a_squared))
@@ -391,8 +377,8 @@ class Witness(NamedTuple("Witness", [("base", Matrix), ("scales", tuple)])):
     __slots__ = ()
 
     def __new__(cls, base: Matrix, scales: tuple):
-        base = _rational_matrix(base)
-        scales = tuple(_as_fraction(v) for v in scales)
+        base = as_rational_matrix(base)
+        scales = tuple(as_rational(v) for v in scales)
         if base.n != 3 or len(scales) != 3:
             raise ValueError("witness lives on R^3")
         if any(v < 0 for v in scales):
@@ -483,10 +469,7 @@ def classify(pair: LinearPair):
             scales = [det_sq * v / prod for v in scales]
         elif rank < free:
             # one spare column soaks up the determinant so det(T) = sign
-            spare = Fraction(1)
-            for v in scales[:rank]:
-                spare = spare * v
-            scales[rank] = det_sq / spare
+            scales[rank] = det_sq / math.prod(scales[:rank])
     a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
     label = StdFormLabel(case, a_squared)
     witness = Witness(base, tuple(scales))
@@ -526,15 +509,10 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
     eps = diag[live[0]] / (sigma[live[0]] * d[live[0]])
     if any(diag[i] != eps * sigma[i] * d[i] for i in live):
         return False
-    target = label.a_squared if label.a_squared is not None else Fraction(1)
+    target = label.a_squared if label.a_squared is not None else 1
     det = r.det()
-    prod = Fraction(1)
-    for v in d:
-        if v > 0:
-            prod = prod * v
-    if eps ** 2 * prod != target * det ** 2:
-        return False
-    return (eps > 0) == (det > 0)
+    return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det ** 2
+            and (eps > 0) == (det > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +582,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
     equivariant up to det) and from the closed-form group description.
     A disagreement would mean a bug, so it raises.
     """
-    t = _rational_matrix(t)
+    t = as_rational_matrix(t)
     if not t.det():
         raise ValueError("transformation must be invertible")
     pair = _catalog_pair(case_id)
@@ -623,7 +601,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
 
 def is_derivation(d: Matrix, case_id: int) -> bool:
     """Infinitesimal symmetry test: D k = 0 and D^ f = tr(D) f exactly."""
-    d = _rational_matrix(d)
+    d = as_rational_matrix(d)
     pair = _catalog_pair(case_id)
     if any(d.apply(pair.k)):
         return False

@@ -34,8 +34,11 @@ from .exactnum import (
     _rational_sqrt,
     _scaled_row,
     apply_matrix_derivation,
+    as_rational,
+    as_rational_matrix,
     as_scalar,
     cross3,
+    demote,
     quadratic_form_poly,
     scalar_div,
     scalar_to_json,
@@ -418,7 +421,7 @@ class JordanFamily(NamedTuple("JordanFamily", [
     __slots__ = ()
 
     def __new__(cls, tag: str, lambdas: tuple = (), eigen_report: tuple = ()):
-        lambdas = tuple(Fraction(v) for v in lambdas)
+        lambdas = tuple(as_rational(v) for v in lambdas)
         if tag == DIAG_DISTINCT:
             l1, l2, l3 = lambdas
             if l1 + l2 + l3 != 0:
@@ -522,25 +525,25 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     floating-point eigenvalue report.
     """
     _check_twist(k_matrix)
-    if not any(isinstance(v, ExtScalar) and not v.is_rational
-               for row in k_matrix.rows for v in row):
-        q = Matrix([[v.rational_value() if isinstance(v, ExtScalar) else v
-                     for v in row] for row in k_matrix.rows])
-        c2, det = _char_coeffs(q)
-        roots = _rational_roots_monic_cubic(c2, -det)
-        distinct = sorted(set(roots or ()), reverse=True)
-        if len(distinct) == 3 and 0 not in distinct:
-            if q.is_diagonal():
-                distinct = [q.rows[i][i] for i in range(3)]
-            return JordanFamily.diag_distinct(*distinct)
-        if len(distinct) == 2:
-            lam = next(r for r in distinct if roots.count(r) == 2)
-            eye = Matrix.identity(3)
-            if lam and ((q - eye.scaled(lam))
-                        * (q + eye.scaled(2 * lam))).is_zero():
-                return JordanFamily.diag_repeated(lam)
-        if distinct == [0] and not (q * q).is_zero():
-            return JordanFamily.nilpotent_full()
+    try:
+        q = as_rational_matrix(k_matrix)
+    except TypeError:           # an irrational entry: no exact route
+        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    c2, det = _char_coeffs(q)
+    roots = _rational_roots_monic_cubic(c2, -det)
+    distinct = sorted(set(roots or ()), reverse=True)
+    if len(distinct) == 3 and 0 not in distinct:
+        if q.is_diagonal():
+            distinct = [q.rows[i][i] for i in range(3)]
+        return JordanFamily.diag_distinct(*distinct)
+    if len(distinct) == 2:
+        lam = next(r for r in distinct if roots.count(r) == 2)
+        eye = Matrix.identity(3)
+        if lam and ((q - eye.scaled(lam))
+                    * (q + eye.scaled(2 * lam))).is_zero():
+            return JordanFamily.diag_repeated(lam)
+    if distinct == [0] and not (q * q).is_zero():
+        return JordanFamily.nilpotent_full()
     return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
 
 
@@ -549,8 +552,7 @@ def _char_coeffs(m: Matrix) -> tuple:
     r = m.rows
     c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i]
              for i, j in ((0, 1), (0, 2), (1, 2)))
-    return tuple(c.rational_value() if isinstance(c, ExtScalar)
-                 and c.is_rational else c for c in (c2, m.det()))
+    return demote(c2), demote(m.det())
 
 
 def _binary_exponent(v) -> int:

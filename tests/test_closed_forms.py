@@ -12,7 +12,9 @@ coefficients of a linear bivector on R^3, and ``linclass.decompose``
 builds its twist on the form and tests [k^, L] = 0 as a derivative along
 k.  ``form_reference`` keeps their Schouten-bracket routes; on seeded
 bivectors, Poisson or not and with Fraction or ExtScalar coefficients,
-the two must agree in values, entry types, exception types and messages.
+the two must agree in values, entry types, exception types and messages;
+``pair_of`` of a field whose coefficients are all rational-valued must
+give what the reference gives on its Fraction twin.
 """
 
 import itertools
@@ -176,6 +178,28 @@ def _retyped(pi, rng, scale=1):
     return MultiVectorField(pi.nvars, 2, comps)
 
 
+def _fraction_twin(pi):
+    """``pi`` with its coefficients as Fractions, when it has an ExtScalar
+    coefficient and all of them are rational-valued; else None."""
+    coefs = [c for p in pi.components.values() for c in p.terms.values()]
+    if not any(isinstance(c, ExtScalar) for c in coefs) or any(
+            isinstance(c, ExtScalar) and not c.is_rational for c in coefs):
+        return None
+    return MultiVectorField(pi.nvars, 2, {
+        exps: Polynomial(pi.nvars, {
+            x: c.coords[0] if isinstance(c, ExtScalar) else c
+            for x, c in p.terms.items()})
+        for exps, p in pi.components.items()})
+
+
+#: floors, per seed, on two outcomes among the 257 inputs: a pair from a
+#: Poisson bivector with rational-valued ExtScalar coefficients, and a
+#: TypeError for an irrational coefficient (measured at ten seeds,
+#: 0, 7, 403 and 20260412 among them: 27 to 36, and 31 to 40)
+EXT_PAIRS_FLOOR = 20
+IRRATIONAL_FLOOR = 25
+
+
 def test_pair_of_matches_the_schouten_route(rng):
     fields = _standard_bivectors(rng)
     poisson = list(fields)
@@ -195,11 +219,16 @@ def test_pair_of_matches_the_schouten_route(rng):
     outcomes = Counter()
     for pi in fields:
         got = _typed_result(pair_of, pi)
-        assert got == _typed_result(ref.pair_of, pi)
-        outcomes[got[0] if got[0] in (ValueError, TypeError) else LinearPair] += 1
+        twin = _fraction_twin(pi)
+        # a rational-valued input gives what its Fraction twin gives
+        assert got == _typed_result(ref.pair_of, twin or pi)
+        outcome = got[0] if got[0] in (ValueError, TypeError) else LinearPair
+        outcomes[outcome] += 1
+        outcomes["ext pair"] += outcome is LinearPair and twin is not None
     assert outcomes[LinearPair] >= len(poisson)
     assert outcomes[ValueError] >= 100
-    assert outcomes[TypeError] >= 50
+    assert outcomes["ext pair"] >= EXT_PAIRS_FLOOR
+    assert outcomes[TypeError] >= IRRATIONAL_FLOOR
 
 
 def test_decompose_matches_the_schouten_route(rng):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the CLI
-loads no standard-library module it does not need."""
+"""Every name a package module imports is used in that module, no module
+has an assert statement, and the CLI loads no standard-library module it
+does not need."""
 
 import ast
 import subprocess
@@ -52,3 +53,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = proc.stdout.split()
     assert "poisson_forge.cli" in loaded
     assert [name for name in UNNEEDED_AT_START if name in loaded] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    """No invariant rests on ``assert``, which ``python -O`` strips."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []

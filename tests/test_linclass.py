@@ -6,6 +6,7 @@ import pytest
 
 import normal_form_reference as ref
 from poisson_forge.exactnum import (
+    ExtScalar,
     Matrix,
     Polynomial,
     SolutionSpace,
@@ -174,6 +175,19 @@ def test_pair_of_recovers_gram_from_partials():
     pair = pair_of(lam)
     assert pair.k == (0, 0, 0)
     assert pair.gram == Matrix.identity(3)
+
+
+def test_pair_of_reads_rational_valued_extscalar_coefficients():
+    # z d/dx ^ d/dy with an ExtScalar 1 for its coefficient
+    pi = MultiVectorField(3, 2, {(0, 1): Polynomial(3, {(0, 0, 1): ExtScalar.of(1)})})
+    pair = pair_of(pi)
+    assert pair.k == (0, 0, 0)
+    assert pair.gram == Matrix.diagonal([0, 0, F(1, 2)])
+    assert all(type(v) is F for v in pair.k)
+    assert pair.gram.integer_form() == (2, (0,) * 8 + (1,))
+    assert all(type(v) is F for row in pair.gram.rows for v in row)
+    with pytest.raises(TypeError, match=r"expected a rational value, got 1/2\*sqrt2"):
+        pair_of(pi.scale(SQRT2))
 
 
 def test_pair_of_so3():

@@ -28,8 +28,8 @@ from poisson_forge.exactnum import (
     Matrix,
     ParseError,
     Polynomial,
+    as_rational_matrix,
 )
-from poisson_forge.linclass import _rational_matrix
 from poisson_forge.multivec import (
     MultiVectorField,
     _check_index_tuple,
@@ -37,6 +37,7 @@ from poisson_forge.multivec import (
     schouten,
     wedge,
 )
+from poisson_forge.quaddef import JordanFamily
 
 F = Fraction
 
@@ -248,10 +249,15 @@ def test_matrix_results_match_validated_copies():
 
 def test_rational_matrix_returns_its_checked_argument():
     m = Matrix([[1, F(1, 2), 0], [0, 1, 0], [0, 0, 1]])
-    assert _rational_matrix(m) is m
-    for bad in (SQRT2, ExtScalar.of(1)):
-        with pytest.raises(TypeError):
-            _rational_matrix(Matrix([[1, 0, 0], [0, bad, 0], [0, 0, 1]]))
+    assert as_rational_matrix(m) is m
+    # a field-form matrix whose entries are all rational reads as its twin
+    twin = as_rational_matrix(Matrix([[1, 0, 0], [0, ExtScalar.of(F(1, 2)), 0],
+                                      [0, 0, ExtScalar.of(1)]]))
+    assert twin.integer_form() == (2, (2, 0, 0, 0, 1, 0, 0, 0, 2))
+    assert twin == Matrix.diagonal([1, F(1, 2), 1])
+    with pytest.raises(TypeError, match="got sqrt2"):
+        as_rational_matrix(Matrix([[ExtScalar.of(1), 0, 0], [0, SQRT2, 0],
+                                   [0, 0, 1]]))
 
 
 @pytest.mark.parametrize("build, error", [
@@ -276,14 +282,28 @@ def test_rational_matrix_returns_its_checked_argument():
         "4": {"vars": ["x", "y", "z"], "terms": []}}}), ValueError),
     (lambda: Matrix([[1, 2], [3]]), ValueError),
     (lambda: Matrix([[1, 0.5], [0, 1]]), TypeError),
+    (lambda: JordanFamily.diag_repeated(0.1), TypeError),
+    (lambda: JordanFamily.diag_repeated("1/2"), TypeError),
+    (lambda: ExtScalar.of(0.1), TypeError),
+    (lambda: ExtScalar.parts(0, "1/2"), TypeError),
 ], ids=["poly-length", "poly-negative", "poly-str-coef", "poly-float-coef",
         "monomial-length", "constant-none", "linear-str", "poly-json",
         "field-order", "field-range", "field-length", "field-arity",
         "field-coef", "field-grade", "field-json", "matrix-ragged",
-        "matrix-float"])
+        "matrix-float", "family-float-lambda", "family-str-lambda",
+        "ext-float", "ext-str-coordinate"])
 def test_public_constructors_still_reject_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_family_reads_a_rational_valued_lambda_as_its_fraction():
+    family = JordanFamily.diag_repeated(ExtScalar.of(2))
+    assert family == JordanFamily.diag_repeated(2)
+    assert [type(v) for v in family.lambdas] == [F]
+    family = JordanFamily.diag_distinct(ExtScalar.of(F(1, 2)), F(-3, 2), 1)
+    assert family.lambdas == (F(1, 2), F(-3, 2), F(1))
+    assert all(type(v) is F for v in family.lambdas)
 
 
 @pytest.mark.parametrize("build", [
