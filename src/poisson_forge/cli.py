@@ -4,7 +4,9 @@ One verb per invocation; structures come in as JSON (inline, from a
 file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification, a
-``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``), 2 on
+``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``, and a
+``decompose`` input on R^n whose terms plus n(n-1) squared exceed it,
+refused as ``error: input too large``), 2 on
 parse errors (an input that cannot be read or names no file, and a
 ``--goldens`` table without every section of the built-in one, too) and
 bad usage, 3 on an internal error (a failed internal consistency check
@@ -55,7 +57,9 @@ from .verify import DEFAULT_SEED, run_verification
 #: take on.  The Schouten bracket's work grows with this product: random
 #: bivectors of degree up to 30 take about 3 us per unit on a 2-core VM
 #: under Python 3.11, so the cap keeps one call under a second, where a
-#: 1,200-term bivector (1.44 million) would take several
+#: 1,200-term bivector (1.44 million) would take several.  ``decompose``
+#: wedges its curl-free part with itself, so it takes on a bivector on R^n
+#: only while (terms + n(n-1))^2, a bound on that product, is within it
 MAX_TERM_PRODUCT = 250_000
 
 
@@ -169,6 +173,11 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     pi = _field_from(_read_payload(args.input))
+    # the curl-free part has at most n(n-1) terms more than pi, and
+    # square_closed wedges it with itself
+    terms = sum(len(p.terms) for p in pi.components.values())
+    if (terms + pi.nvars * (pi.nvars - 1)) ** 2 > MAX_TERM_PRODUCT:
+        raise ValueError("input too large")
     dec = decompose(pi)
     report = dec.to_json()
     lines = [

@@ -193,32 +193,28 @@ def _require_linear(pi: MultiVectorField):
             )
 
 
-def _signed_rows(pi: MultiVectorField):
-    """(d, M, rational): M = diag(1, -1, 1) C over d, for a linear
-    bivector on R^3 whose component on the complement of l has the
-    x-coefficients C_l.
+def _signed_rows(pi: MultiVectorField, keys: tuple = _UNIT_EXPONENTS):
+    """(d, M, rational): M = diag(1, -1, 1) C over d, for a bivector on
+    R^3 whose component on the complement of l has the coefficients C_l
+    on the monomials ``keys`` (x, y and z unless given).
 
-    For a rational bivector M holds int numerators over the lcm d of the
-    three denominators.  Otherwise d = 1 and M holds each coefficient as
-    its component stores it, a Fraction or an ExtScalar, so that what is
-    read off M keeps the types of the coefficients it comes from.
+    M holds each component's numerators over the lcm d of the three
+    denominators: ints for a rational bivector.  A component with an
+    ExtScalar has denominator 1, so its scalars are only scaled by d and
+    keep their type, and what is read off M and divided by d keeps the
+    types of the coefficients it comes from.
     """
     comps = [pi.components.get(c) for c in _COMPLEMENTS]
-    rational = all(p is None or p._rational for p in comps)
-    d = math.lcm(*(p._form[0] for p in comps if p is not None)) if rational else 1
+    d = math.lcm(*(p._form[0] for p in comps if p is not None))
     rows = []
     for l, p in enumerate(comps):
         if p is None:
-            rows.append((0, 0, 0))
+            rows.append((0,) * len(keys))
             continue
-        s = -1 if l == 1 else 1
-        if rational:
-            den, vals = p._form
-            s *= d // den
-            rows.append(tuple(s * vals.get(u, 0) for u in _UNIT_EXPONENTS))
-        else:
-            rows.append(tuple(s * p.coeff(u) for u in _UNIT_EXPONENTS))
-    return d, rows, rational
+        den, vals = p._form
+        s = -(d // den) if l == 1 else d // den
+        rows.append(tuple(s * vals.get(u, 0) for u in keys))
+    return d, rows, all(p is None or p._rational for p in comps)
 
 
 def pair_of(pi: MultiVectorField) -> LinearPair:

@@ -7,10 +7,17 @@ plus a homogeneous ``cubic`` potential annihilated by that field,
     pi = pi_cubic + (1/3) * euler ^ twist_field.
 
 Whether such a bivector is a deformation of a given linear structure --
-their bracket vanishes -- is decided twice, by independent routes: once
-with the Schouten bracket, once through an equivalent identity between
-two quadratic polynomials.  The solver inverts that identity exactly,
-giving the affine set of admissible cubics for a twist matrix.
+their bracket vanishes -- is decided twice, on coefficient forms: once
+from the coefficients of the two bivectors, whose bracket on R^3 is
+-(X.curl Y + Y.curl X) d1^d2^d3 for their vector fields X and Y, and
+once through an equivalent identity between two quadratic polynomials.
+The solver inverts that identity exactly, giving the affine set of
+admissible cubics for a twist matrix, on the kernel of the twist's
+derivation: for a regular twist (three distinct nonzero eigenvalues)
+the line of the invariant cubic det(x, Kx, K^2 x), for any other an
+exact elimination.  The bracket route alone shares nothing with the
+solver, so it is the one that makes the solver's re-check of its
+answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -22,6 +29,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -39,7 +47,6 @@ from .exactnum import (
     as_scalar,
     cross3,
     demote,
-    quadratic_form_poly,
     scalar_div,
     scalar_to_json,
     scalar_from_json,
@@ -48,12 +55,8 @@ from .exactnum import (
     term_sort_key,
     vec,
 )
-from .multivec import (
-    MultiVectorField,
-    bivector_from_potential,
-    schouten,
-)
-from .linclass import LinearPair, bivector_of, standard_pair
+from .multivec import MultiVectorField, bivector_from_potential
+from .linclass import LinearPair, _signed_rows, bivector_of, standard_pair
 
 
 def _graded_monomials(degree: int) -> tuple:
@@ -67,9 +70,11 @@ CUBIC_MONOMIALS = _graded_monomials(3)
 QUAD_MONOMIALS = _graded_monomials(2)
 _CUBIC_INDEX = {e: s for s, e in enumerate(CUBIC_MONOMIALS)}
 _QUAD_INDEX = {e: s for s, e in enumerate(QUAD_MONOMIALS)}
-#: _QUAD_KEYS[i][m] is the exponent tuple of x_i x_m
+#: _QUAD_KEYS[i][m] is the exponent tuple of x_i x_m, _QUAD_SLOTS[i][m]
+#: its slot in QUAD_MONOMIALS
 _QUAD_KEYS = tuple(tuple(tuple(int(r == i) + int(r == m) for r in range(3))
                          for m in range(3)) for i in range(3))
+_QUAD_SLOTS = tuple(tuple(_QUAD_INDEX[e] for e in row) for row in _QUAD_KEYS)
 
 
 def cubic_coords(p: Polynomial) -> tuple:
@@ -159,27 +164,94 @@ def pi_quad(qp: QuadraticPair) -> MultiVectorField:
     return MultiVectorField._trusted(3, 2, comps)
 
 
+def _rhs_numerators(lp: LinearPair, k_matrix: Matrix) -> tuple:
+    """(den, q): the source term -(1/6) x^T (12 A + ktilde(k)) K x as its
+    coordinates q on QUAD_MONOMIALS over den.
+
+    On the forms A = a / D_A, k = n / s and K = m / D_K, 12 A + ktilde(k)
+    is P / (D_A s) for the int matrix P = 12 s a + D_A ktilde(n), so
+    den = 6 D_A s D_K and q is minus the quadratic coordinates of
+    x^T (P m) x: ints for a rational K, and the scalars of K otherwise,
+    each of the type the matrix product P m gives it, with zero entries
+    of P m skipped and zero coordinates as int 0.
+    """
+    (da, a), (s, n), (dk, m) = lp.gram._form, _scaled_row(lp.k), k_matrix._form
+    cross = (0, -n[2], n[1], n[2], 0, -n[0], -n[1], n[0], 0)
+    p = [12 * s * v + da * c for v, c in zip(a, cross)]
+    q = [None] * 6
+    for i in range(3):
+        row = p[3 * i:3 * i + 3]
+        for j in range(3):
+            v = sum(map(operator.mul, row, m[j::3]))
+            if v:
+                slot = _QUAD_SLOTS[i][j]
+                q[slot] = v if q[slot] is None else q[slot] + v
+    return 6 * da * s * dk, [-v if v else 0 for v in q]
+
+
 def deform_rhs(lp: LinearPair, k_matrix: Matrix) -> Polynomial:
     """Quadratic source term of the deformation identity.
 
     The constant-direction derivative of an admissible cubic must equal
     -(1/6) x^T (12 A + ktilde(k)) K x for the linear pair (k, A).
     """
-    m = (lp.gram.scaled(12) + ktilde(lp.k)) * k_matrix
-    return quadratic_form_poly(m) * Fraction(-1, 6)
+    den, q = _rhs_numerators(lp, k_matrix)
+    return Polynomial._of_form(3, den, dict(zip(QUAD_MONOMIALS, q)),
+                               k_matrix._rational)
+
+
+def _brackets_to_zero(lin: MultiVectorField, quad: MultiVectorField) -> bool:
+    """Does a linear bivector on R^3 commute with a quadratic one?
+
+    Written pi_X, with pi^{23} = X_1, pi^{13} = -X_2 and pi^{12} = X_3, a
+    bivector on R^3 is a vector field X, and [pi_X, pi_Y] =
+    -(X.curl Y + Y.curl X) d1^d2^d3 (Dufour and Zung, Poisson Structures
+    and Their Normal Forms, 2005).  For a linear X, curl X is constant
+    and, for a quadratic Y, curl Y is linear, so the bracket is six
+    quadratic coefficients.  X and Y are read off the two bivectors'
+    coefficient forms (``linclass._signed_rows``) as numerators over
+    their denominators, which the test of vanishing leaves out: ints for
+    rational bivectors, and the scalars of a component on ExtScalars.
+    """
+    _, x, _ = _signed_rows(lin)
+    _, y, _ = _signed_rows(quad, QUAD_MONOMIALS)
+    out = [0] * 6
+    for l in range(3):
+        a, b = (l + 1) % 3, (l + 2) % 3
+        # (curl X)_l = d_a X_b - d_b X_a, and (curl Y)_l likewise, linear
+        curl_x = x[b][a] - x[a][b]
+        curl_y = [y[b][_QUAD_SLOTS[a][m]] * (1 + (a == m))
+                  - y[a][_QUAD_SLOTS[b][m]] * (1 + (b == m)) for m in range(3)]
+        for m, v in enumerate(x[l]):
+            if v:
+                for n, w in enumerate(curl_y):
+                    out[_QUAD_SLOTS[m][n]] += v * w
+        if curl_x:
+            for t, w in enumerate(y[l]):
+                out[t] += curl_x * w
+    return not any(out)
 
 
 def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
-    """Does the quadratic pair deform the linear one?  Decided twice.
+    """Does the quadratic pair deform the linear one?  Decided twice, on
+    coefficient forms: ints for rational pairs.
 
-    Route one brackets the two bivectors and tests exact vanishing;
-    route two tests the equivalent polynomial identity.  The routes must
-    agree on every valid input -- a mismatch raises instead of guessing.
+    Route one reads the coefficients of ``bivector_of(lp)`` and
+    ``pi_quad(qp)`` (``_brackets_to_zero``); route two tests the identity
+    k.grad F = -(1/6) x^T (12 A + ktilde(k)) K x, ``_drift_rows`` of k
+    applied to F's coefficients against ``_rhs_numerators``.  Route two
+    shares both with ``solve_F``, so route one is what keeps the solver's
+    re-check of its members independent.  The routes must agree on every
+    valid input -- a mismatch raises, also under ``python -O``.
     """
-    bracket = schouten(bivector_of(lp), pi_quad(qp))
-    route_bracket = bracket.is_zero()
-    lhs = qp.cubic.directional_diff(lp.k)
-    route_identity = lhs == deform_rhs(lp, qp.twist)
+    route_bracket = _brackets_to_zero(bivector_of(lp), pi_quad(qp))
+    (den, q), (s, k) = _rhs_numerators(lp, qp.twist), _scaled_row(lp.k)
+    df, f = qp.cubic._form
+    coords = [f.get(e, 0) for e in CUBIC_MONOMIALS]
+    # the drift of k's numerators takes F to s df k.grad F
+    route_identity = all(
+        sum(a * c for a, c in zip(row, coords) if a and c) * den
+        == v * s * df for row, v in zip(_drift_rows(k), q))
     if route_bracket != route_identity:
         raise AssertionError(
             "deformation criterion routes disagree (bracket: %s, identity: %s)"
@@ -259,18 +331,75 @@ def _drift_rows(k: Sequence) -> list:
     return rows
 
 
+#: _TRIPLE_SLOTS[i][j][l] is the slot of x_i x_j x_l in CUBIC_MONOMIALS
+_TRIPLE_SLOTS = tuple(tuple(tuple(
+    _CUBIC_INDEX[tuple(int(r == i) + int(r == j) + int(r == l)
+                       for r in range(3))]
+    for l in range(3)) for j in range(3)) for i in range(3))
+
+
+def _invariant_cubic(k: Sequence) -> Optional[list]:
+    """The coefficients of f(x) = det(x, Kx, K^2 x) for the rows ``k`` of
+    K, when K is regular; None otherwise.
+
+    K is regular when q = -det K and the discriminant -4 p^3 - 27 q^2 of
+    its characteristic polynomial t^3 + p t + q are nonzero: three
+    distinct nonzero eigenvalues.  In an eigenbasis the cubic monomial of
+    exponent e then has weight e.lambda, zero only for e = (1, 1, 1), so
+    ker D_K is one line; f spans it, as f(e^{tK} x) = det(e^{tK}) f(x) =
+    f(x) for tr K = 0, and f is not 0 since K has a cyclic vector
+    (Olver, Classical Invariant Theory, 1999).  Scaling K by D scales f
+    by D^3, so the rows of D K serve as well.  f = sum_i x_i (Kx x K^2x)_i
+    is summed term by term, ints for int rows and scalars otherwise.
+    """
+    (a, b, c), (d, e, g), (h, i, j) = k
+    p = a * e - b * d + a * j - c * h + e * j - g * i
+    det = a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
+    if not det or not 4 * p * p * p + 27 * det * det:
+        return None
+    sq = [[k[r][0] * k[0][s] + k[r][1] * k[1][s] + k[r][2] * k[2][s]
+           for s in range(3)] for r in range(3)]
+    f = [0] * 10
+    for t, slots in enumerate(_TRIPLE_SLOTS):
+        u, v = (t + 1) % 3, (t + 2) % 3
+        for r, row in enumerate(slots):
+            for s, slot in enumerate(row):
+                f[slot] += k[u][r] * sq[v][s] - k[v][r] * sq[u][s]
+    return f
+
+
+def _line_space(f: list, field: bool) -> SolutionSpace:
+    """The line spanned by f on ``solve_linear``'s canonical form, with its
+    entry types: f / f_last, Fraction(1) on the free column (f's last
+    nonzero slot) and Fraction(0) there in the zero particular; the other
+    coordinates are ExtScalars when ``field``, Fractions otherwise."""
+    free = _last_nonzero(f)
+    last = f[free]
+    if field:
+        inv = ExtScalar.of(last).inverse()
+        basis = [ExtScalar.of(v) * inv for v in f]
+        particular = [ExtScalar.of(0)] * 10
+    else:
+        basis = [Fraction(v, last) for v in f]
+        particular = [Fraction(0)] * 10
+    basis[free], particular[free] = Fraction(1), Fraction(0)
+    return SolutionSpace(10, tuple(particular), (tuple(basis),))
+
+
 #: kernels of the last few twists, oldest first: ``solve_F`` and then
-#: ``cubic_kernel`` on one twist eliminate its ten kernel rows once
+#: ``cubic_kernel`` on one twist compute its kernel once
 _KERNELS = {}
 _KERNELS_KEPT = 8
 
 
 def _kernel(k_matrix: Matrix):
-    """(ker D_K, whether it was solved on ExtScalars) for a checked twist.
+    """(ker D_K, whether it is on ExtScalars) for a checked twist.
 
-    The key is K's form and that flag: a K whose ExtScalar entries are all
-    zero has rows without ExtScalars and solves on ints, as a rational K
-    does, so the flag fixes the entry types of the space.
+    A regular K takes the line of ``_invariant_cubic``; any other K
+    eliminates its ten kernel rows.  The key is K's form and that flag:
+    a K whose ExtScalar entries are all zero has rows without ExtScalars
+    and solves on ints, as a rational K does, so the flag fixes the entry
+    types of the space.
     """
     field = not k_matrix._rational and any(
         type(v) is ExtScalar and v for v in k_matrix._form[1])
@@ -279,16 +408,24 @@ def _kernel(k_matrix: Matrix):
     if space is None:
         if len(_KERNELS) == _KERNELS_KEPT:
             del _KERNELS[next(iter(_KERNELS))]
-        space = _KERNELS[key] = solve_linear(
-            _derivation_rows(_twist_rows(k_matrix)), [0] * 10, 10)
+        # a K off the field is read on ints, whatever its entry types
+        rows = _twist_rows(k_matrix if field else as_rational_matrix(k_matrix))
+        f = _invariant_cubic(rows)
+        space = _KERNELS[key] = (
+            solve_linear(_derivation_rows(rows), [0] * 10, 10) if f is None
+            else _line_space(f, field))
     return space, field
 
 
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     """All cubics annihilated by the derivation of a traceless matrix.
 
-    The space is shared with ``solve_F``, which solves on its basis: the
-    kernels of the last ``_KERNELS_KEPT`` twists are kept."""
+    For a regular K the space is the line of f(x) = det(x, Kx, K^2 x)
+    (``_invariant_cubic``), with no elimination; any other K solves its
+    ten kernel equations.  Either way the space is ``solve_linear``'s
+    canonical form, in values and entry types.  It is shared with
+    ``solve_F``, which solves on its basis: the kernels of the last
+    ``_KERNELS_KEPT`` twists are kept."""
     _check_twist(k_matrix)
     return _kernel(k_matrix)[0]
 
@@ -302,23 +439,27 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
 
     The set is {N c : (drift N) c = rhs} for the basis N of K's cubic
     kernel that ``cubic_kernel`` returns: the six coefficient equations
-    of the quadratic identity in r = dim ker unknowns (r >= 1, since
-    x1 x2 x3 in an eigenbasis has weight tr K = 0).  The space is on
+    of the quadratic identity in r = dim ker unknowns.  r >= 1: the
+    kernel holds f(x) = det(x, Kx, K^2 x), nonzero when K has a cyclic
+    vector; a K without one is diagonalizable with a repeated eigenvalue,
+    where x1 x2 x3 in an eigenbasis has weight tr K = 0, or has K^2 = 0,
+    where the cube of a linear form vanishing on K's image is invariant.
+    For a regular K, r = 1 and the system is 6 x 1.  The space is on
     ``solve_linear``'s canonical form for the whole system, kernel and
     coefficient equations together, with its entry types: ExtScalar off
     the free coordinates when K or the right-hand side has an ExtScalar,
     Fractions otherwise.  Every member of the result is re-checked
-    through the bracket route before being returned.
+    through ``deform_check`` before being returned; its bracket route,
+    which shares no step with this solver, carries that independence.
     """
     _check_twist(k_matrix)
     kernel, field = _kernel(k_matrix)
     n = kernel.basis
-    # k.grad F = T / D times D s, s the lcm of k's denominators: integer
-    # rows, and a right-hand side of ints on a rational source (D = 1 and
-    # the scalars T otherwise)
-    (den, vals), (s, k) = deform_rhs(lp, k_matrix)._form, _scaled_row(lp.k)
+    # k.grad F = q / den times den s, s the lcm of k's denominators:
+    # integer rows, and a right-hand side of ints on a rational K (the
+    # scalars of K otherwise)
+    (den, rhs), (s, k) = _rhs_numerators(lp, k_matrix), _scaled_row(lp.k)
     drift = _drift_rows([den * c for c in k])
-    rhs = [vals.get(m, 0) for m in QUAD_MONOMIALS]
     if s != 1:
         rhs = [s * v for v in rhs]
     reduced = solve_linear(

@@ -14,7 +14,7 @@ import zlib
 from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
-from .exactnum import Matrix, Polynomial, SolutionSpace
+from .exactnum import Matrix, Polynomial, SolutionSpace, scalar_from_json
 from .goldens import default_goldens
 from .linclass import (
     LinearPair,
@@ -599,7 +599,7 @@ def _check_nilpotent_family(g, rng):
 
 def _check_book_distinct_catalogs(g, rng):
     for probe in g["book_catalogs"]["distinct_probes"]:
-        lams = tuple(Fraction(v) for v in probe["lambdas"])
+        lams = tuple(scalar_from_json(v) for v in probe["lambdas"])
         fam = JordanFamily.diag_distinct(*lams)
         computed = [_space_json(e.solution) for e in catalog(7, fam)]
         _expect("catalog for eigenvalues %s" % (lams,),
@@ -610,7 +610,7 @@ def _check_book_distinct_catalogs(g, rng):
 
 def _check_book_repeated_catalogs(g, rng):
     for probe in g["book_catalogs"]["repeated"]:
-        lam = Fraction(probe["lambda"])
+        lam = scalar_from_json(probe["lambda"])
         fam = JordanFamily.diag_repeated(lam)
         computed = [_space_json(e.solution) for e in catalog(7, fam)]
         _expect("catalog for repeated eigenvalue %s" % lam,
@@ -628,7 +628,7 @@ def _check_book_nilpotent_catalog(g, rng):
 
 def _check_open_book_catalogs(g, rng):
     for probe in g["open_book_catalogs"]["repeated"]:
-        lam = Fraction(probe["lambda"])
+        lam = scalar_from_json(probe["lambda"])
         fam = JordanFamily.diag_repeated(lam)
         computed = [_space_json(e.solution) for e in catalog(10, fam)]
         _expect("open-book catalog for eigenvalue %s" % lam,

@@ -21,12 +21,22 @@ tested the Schouten self-bracket, took k from the curl, subtracted the
 twist as a wedge product and rebuilt f by Euler's identity, and
 ``decompose`` built its twist as a wedge product and decided
 ``twist_commutes`` by a Schouten bracket with the constant field k.
+
+Last, it keeps ``quaddef.deform_check`` as it was before both of its
+routes ran on coefficient forms: the Schouten bracket of the two
+bivectors, and the identity compared as two polynomials, with the
+source term ``deform_rhs`` built by matrix products.
 """
 
 from fractions import Fraction
 from typing import Dict
 
-from poisson_forge.exactnum import Polynomial, gram_of_quadratic
+from poisson_forge import quaddef
+from poisson_forge.exactnum import (
+    Polynomial,
+    gram_of_quadratic,
+    quadratic_form_poly,
+)
 from poisson_forge.linclass import Decomposition, LinearPair, _require_linear
 from poisson_forge.linclass import bivector_of as direct_bivector_of
 from poisson_forge.multivec import (
@@ -188,3 +198,24 @@ def decompose(pi: MultiVectorField) -> Decomposition:
         square_closed=direct_curl(wedge(lam, lam)).is_zero(),
         twist_commutes=schouten(const_vf(k), lam).is_zero(),
     )
+
+
+def deform_rhs(lp, k_matrix) -> Polynomial:
+    """-(1/6) x^T (12 A + ktilde(k)) K x by matrix products."""
+    m = (lp.gram.scaled(12) + quaddef.ktilde(lp.k)) * k_matrix
+    return quadratic_form_poly(m) * Fraction(-1, 6)
+
+
+def deform_check(lp, qp) -> bool:
+    """The deformation criterion by the Schouten bracket of the two
+    bivectors and by the identity between two polynomials."""
+    bracket = schouten(direct_bivector_of(lp), quaddef.pi_quad(qp))
+    route_bracket = bracket.is_zero()
+    lhs = qp.cubic.directional_diff(lp.k)
+    route_identity = lhs == deform_rhs(lp, qp.twist)
+    if route_bracket != route_identity:
+        raise AssertionError(
+            "deformation criterion routes disagree (bracket: %s, identity: %s)"
+            % (route_bracket, route_identity)
+        )
+    return route_bracket

@@ -23,7 +23,9 @@ seeded inputs:
 - ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
   each off-diagonal coefficient halved by ``scalar_div``,
 - ``stacked_solve_F``: the deformation solver's one 16x10 system, the
-  kernel equations of the twist stacked on the coefficient equations.
+  kernel equations of the twist stacked on the coefficient equations,
+- ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
+  equations, which a regular twist no longer needs.
 """
 
 import math
@@ -302,3 +304,10 @@ def stacked_solve_F(lp, k_matrix):
         rhs = [s * v for v in rhs]
     rows = quaddef._derivation_rows(quaddef._twist_rows(k_matrix)) + drift
     return exactnum.solve_linear(rows, [0] * 10 + rhs, 10)
+
+
+def kernel(k_matrix):
+    """ker D_K as the package's ``solve_linear`` eliminates it from the
+    rows of K's form (the flag of ``quaddef._kernel`` aside)."""
+    return exactnum.solve_linear(
+        quaddef._derivation_rows(quaddef._twist_rows(k_matrix)), [0] * 10, 10)

@@ -392,6 +392,50 @@ def test_term_product_at_the_cap_is_bracketed(monkeypatch, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def _linear_bivector_on(n, terms_of):
+    """A linear bivector on R^n with the terms ``terms_of(i, j)`` (a list of
+    (variable, coefficient)) on each component (i, j), zero-based."""
+    names = ["x%d" % (t + 1) for t in range(n)]
+    comps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [{"exp": [int(t == m) for t in range(n)], "coef": str(c)}
+                     for m, c in terms_of(i, j)]
+            if terms:
+                comps["%d,%d" % (i + 1, j + 1)] = {"vars": names,
+                                                   "terms": terms}
+    return {"n": n, "grade": 2, "components": comps}
+
+
+@pytest.mark.parametrize("field", [
+    # sum_i x_{i+1} d_i^d_{i+1}: 29 terms, a 841-term curl-free part
+    _linear_bivector_on(30, lambda i, j: [(j, 1)] if j == i + 1 else []),
+    # 435 components of up to 20 terms each
+    _linear_bivector_on(30, lambda i, j: [(m, 1 + (i + j + m) % 7)
+                                          for m in range(20) if (i + m) % 3]),
+])
+def test_decompose_refuses_an_input_too_large(field, monkeypatch, capsys):
+    from poisson_forge import cli
+
+    def unreachable(pi):
+        raise AssertionError("decompose ran on an input over the cap")
+
+    monkeypatch.setattr(cli, "decompose", unreachable)
+    assert cli.main(["decompose", json.dumps(field)]) == 1
+    assert capsys.readouterr().err == "error: input too large\n"
+
+
+def test_decompose_takes_the_corpus_input_on_four_variables(capsys):
+    from corpus import record
+    from poisson_forge import cli
+
+    (case,) = [c for c in record.load_cases()
+               if c["name"] == "decompose-four-vars"]
+    assert cli.main(case["argv"]) == case["code"] == 0
+    out = capsys.readouterr().out
+    assert out == (record.CORPUS / "decompose-four-vars.out").read_text()
+
+
 # --- deform-solve / deform-check -------------------------------------------
 
 
@@ -670,6 +714,26 @@ def test_verify_paper_takes_goldens_inline_like_every_input(capsys):
     items = json.loads(capsys.readouterr().out)
     failed = [it for it in items if it["status"] == "FAIL"]
     assert any("expected '5'" in it["details"] for it in failed)
+
+
+def test_goldens_eigenvalues_are_read_by_the_scalar_reader(capsys):
+    # a JSON float is no exact scalar: the three catalog items fail on it
+    # by name instead of running on its binary fraction
+    from poisson_forge import cli
+
+    goldens = default_goldens()
+    goldens["book_catalogs"]["distinct_probes"][0]["lambdas"][0] = 0.1
+    goldens["book_catalogs"]["repeated"][0]["lambda"] = 0.1
+    goldens["open_book_catalogs"]["repeated"][0]["lambda"] = 0.1
+    assert cli.main(["verify-paper", "--goldens", json.dumps(goldens),
+                     "--format", "json"]) == 1
+    items = {it["item"]: it for it in json.loads(capsys.readouterr().out)}
+    for name in ("axis pair: distinct-eigenvalue catalogs",
+                 "axis pair: repeated-eigenvalue catalogs",
+                 "open-book pair: catalogs"):
+        assert items[name]["status"] == "FAIL"
+        assert items[name]["details"] == "bad scalar encoding: 0.1"
+    assert sum(it["status"] == "FAIL" for it in items.values()) == 3
 
 
 @pytest.mark.parametrize("table", [

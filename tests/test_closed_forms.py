@@ -15,6 +15,14 @@ bivectors, Poisson or not and with Fraction or ExtScalar coefficients,
 the two must agree in values, entry types, exception types and messages;
 ``pair_of`` of a field whose coefficients are all rational-valued must
 give what the reference gives on its Fraction twin.
+
+Last, ``quaddef.deform_check`` decides the deformation criterion on
+coefficient forms, its bracket route from the vector fields of the two
+bivectors and its identity route on the drift matrix.  ``form_reference``
+keeps the Schouten-bracket route and the source term built by matrix
+products; on seeded pairs with Fraction or ExtScalar entries the two must
+agree in verdicts, exception types and messages, and ``deform_rhs`` in
+values and entry types.
 """
 
 import itertools
@@ -22,7 +30,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import form_reference as ref
-from conftest import random_fraction, typed_components
+from conftest import random_ext_scalar, random_fraction, typed_components
 
 from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix, Polynomial
 from poisson_forge.linclass import (
@@ -35,12 +43,18 @@ from poisson_forge.linclass import (
     standard_pair,
 )
 from poisson_forge.linclass import transform_pair as transform_linear_pair
-from poisson_forge.multivec import MultiVectorField
+from poisson_forge.multivec import MultiVectorField, schouten
 from poisson_forge.quaddef import (
     JordanFamily,
     QuadraticPair,
+    _brackets_to_zero,
+    cubic_from_coords,
+    cubic_kernel,
+    deform_check,
+    deform_rhs,
     enumerate_orbit_pairs,
     pi_quad,
+    solve_F,
     transform_pair,
 )
 from poisson_forge.verify import random_invertible, random_kernel_cubic, random_traceless
@@ -245,3 +259,122 @@ def test_decompose_matches_the_schouten_route(rng):
         assert got == _typed_result(ref.decompose, pi)
         commutes.add(got[3])
     assert commutes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# deform_check and deform_rhs against the Schouten and matrix routes
+# ---------------------------------------------------------------------------
+
+
+def _random_field_twist(rng):
+    """A traceless twist with Fraction entries and, half the time each,
+    ExtScalar ones."""
+    rows = [[random_ext_scalar(rng, True) for _ in range(3)] for _ in range(3)]
+    rows[2][2] = -rows[0][0] - rows[1][1]
+    return Matrix(rows)
+
+
+def _random_quadratic_bivector(rng):
+    comps = {}
+    for exps in ((0, 1), (0, 2), (1, 2)):
+        if rng.random() < 0.8:
+            comps[exps] = Polynomial(3, {
+                e: random_ext_scalar(rng, True)
+                for e in rng.sample(QUAD_EXPONENTS, rng.randint(1, 6))})
+    return MultiVectorField(3, 2, comps)
+
+
+QUAD_EXPONENTS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1),
+                  (0, 0, 2)]
+
+
+def test_bracket_of_vector_fields_matches_the_schouten_bracket(rng):
+    # [pi_X, pi_Y] = -(X.curl Y + Y.curl X) d1^d2^d3 on any linear and
+    # quadratic bivectors, Poisson or not, with ExtScalar coefficients
+    vanishing = 0
+    for _ in range(150):
+        lin = _random_linear_bivector(rng, 3, _field_coefficient)
+        quad = _random_quadratic_bivector(rng)
+        if rng.random() < 0.2:
+            quad = MultiVectorField(3, 2, {})
+        got = _brackets_to_zero(lin, quad)
+        assert got == schouten(lin, quad).is_zero()
+        vanishing += got
+    assert vanishing >= 10
+
+
+def _deformation_inputs(rng):
+    """(lp, qp) pairs: kernel cubics of rational and field twists with
+    Fraction or ExtScalar coefficients, solved cubics, and orbit pairs."""
+    for _ in range(60):
+        lp = transform_linear_pair(random_invertible(rng),
+                                   standard_pair(rng.randint(1, 10)))
+        twist = (_random_field_twist(rng) if rng.random() < 0.5
+                 else random_traceless(rng).scaled(F(1, rng.randint(1, 3))))
+        basis = cubic_kernel(twist).basis
+        coeffs = [random_ext_scalar(rng, True) for _ in basis]
+        cubic = cubic_from_coords([sum((c * b[i] for c, b in zip(coeffs, basis)),
+                                       F(0)) for i in range(10)])
+        yield lp, QuadraticPair(twist, cubic)
+        yield from _solved_pairs(rng, lp, twist)
+    for qp in _orbit_pairs(rng):
+        lp = standard_pair(rng.randint(1, 10))
+        yield lp, qp
+        yield from _solved_pairs(rng, lp, qp.twist)
+
+
+def _solved_pairs(rng, lp, twist):
+    """The particular solved cubic, and a member off it by ExtScalar or
+    Fraction steps along the basis."""
+    space = solve_F(lp, twist)
+    if space.is_empty:
+        return
+    yield lp, QuadraticPair(twist, cubic_from_coords(space.particular))
+    steps = [random_ext_scalar(rng, True) for _ in space.basis]
+    yield lp, QuadraticPair(twist, cubic_from_coords([
+        p + sum((c * b[i] for c, b in zip(steps, space.basis)), F(0))
+        for i, p in enumerate(space.particular)]))
+
+
+def _verdict(check, lp, qp):
+    try:
+        return check(lp, qp)
+    except Exception as exc:        # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+def test_deform_check_matches_the_schouten_route(rng):
+    inputs = list(_deformation_inputs(rng))
+    # a pair that skips QuadraticPair's invariance check, and two inputs
+    # that are no pairs at all
+    inputs.append((standard_pair(7), tuple.__new__(QuadraticPair, (
+        Matrix.diagonal([1, 2, -3]), Polynomial(3, {(3, 0, 0): SQRT2})))))
+    inputs.append((standard_pair(7), (Matrix.zero(3), Polynomial.zero(3))))
+    inputs.append((None, QuadraticPair(Matrix.zero(3), Polynomial.zero(3))))
+    verdicts = Counter()
+    for lp, qp in inputs:
+        got = _verdict(deform_check, lp, qp)
+        assert got == _verdict(ref.deform_check, lp, qp)
+        verdicts[got if isinstance(got, bool) else got[0]] += 1
+        verdicts["field"] += (isinstance(qp, QuadraticPair)
+                              and qp.twist.integer_form() is None)
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
+    assert verdicts[AttributeError] == 2
+    assert verdicts["field"] >= 20
+
+
+def test_deform_rhs_matches_the_matrix_route(rng):
+    twists = [_random_field_twist(rng) for _ in range(60)]
+    twists += [random_traceless(rng).scaled(F(1, rng.randint(1, 3)))
+               for _ in range(30)]
+    # field-form twists whose ExtScalar entries are rational, or zero
+    twists += [Matrix([[ExtScalar.of(1), 0, 0], [0, ExtScalar.of(-1), 0],
+                       [0, 0, 0]]),
+               Matrix([[1, ExtScalar.of(0), 0], [0, 2, 0], [0, 0, -3]])]
+    for twist in twists:
+        lp = transform_linear_pair(random_invertible(rng).scaled(
+            F(1, rng.randint(1, 4))), standard_pair(rng.randint(1, 10)))
+        got, want = deform_rhs(lp, twist), ref.deform_rhs(lp, twist)
+        assert got._form == want._form and got._rational is want._rational
+        assert {e: type(v) for e, v in got._form[1].items()} == \
+            {e: type(v) for e, v in want._form[1].items()}

@@ -32,6 +32,7 @@ from poisson_forge.linclass import (
     standard_pair,
 )
 from poisson_forge.linclass import transform_pair as transform_linear_pair
+from poisson_forge import quaddef
 from poisson_forge.multivec import is_poisson
 from poisson_forge.quaddef import (
     CUBIC_MONOMIALS,
@@ -570,6 +571,47 @@ def test_twists_equal_in_value_keep_the_entry_types_of_their_own_solve():
                 ref.stacked_solve_F(lp, twist))
 
 
+def _random_ring_twist(rng):
+    rows = [[_random_twist_entry(rng) for _ in range(3)] for _ in range(3)]
+    rows[2][2] = -rows[0][0] - rows[1][1]
+    return Matrix(rows)
+
+
+def test_closed_form_kernel_matches_the_elimination(rng):
+    # a regular twist takes the line of det(x, Kx, K^2 x) with no
+    # elimination: it must be the space the elimination gives, in values
+    # and entry types, as every other twist's still is
+    twists = [_random_rational_twist(rng) for _ in range(60)]
+    twists += [_random_ring_twist(rng) for _ in range(80)]
+    twists += DEGENERATE_TWISTS
+    twists += [Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                # regular, with a zero and a rational ExtScalar entry
+                Matrix([[1, ExtScalar.of(0), 0], [0, 2, 0], [0, 0, -3]]),
+                Matrix([[ExtScalar.of(1), 1, 0], [0, 2, 0], [0, 0, -3]]),
+                Matrix.diagonal([SQRT2, SQRT3, -SQRT2 - SQRT3])]
+    dims, regular = set(), {True: 0, False: 0}
+    for twist in twists:
+        quaddef._KERNELS.clear()
+        got = cubic_kernel(twist)
+        assert _typed_space(got) == _typed_space(ref.kernel(twist))
+        dims.add(got.dim)
+        rows = quaddef._twist_rows(twist)
+        if quaddef._invariant_cubic(rows) is not None:
+            assert got.dim == 1
+            regular[any(type(v) is ExtScalar and v for row in rows
+                        for v in row)] += 1
+    assert {1, 2, 3, 10} <= dims
+    assert regular[False] >= 50 and regular[True] >= 20
+
+
+def test_deform_check_raises_when_its_routes_disagree(monkeypatch):
+    qp = QuadraticPair(Matrix.diagonal([1, 2, -3]), XYZ * F(1, 6))
+    monkeypatch.setattr(quaddef, "_brackets_to_zero", lambda lin, quad: False)
+    with pytest.raises(AssertionError, match=r"routes disagree "
+                       r"\(bracket: False, identity: True\)"):
+        deform_check(BOOK, qp)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue families
 # ---------------------------------------------------------------------------
@@ -880,6 +922,25 @@ def test_solver_recheck_survives_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert "bracket route rejects" in proc.stdout
+
+
+def test_route_disagreement_survives_optimized_mode():
+    proc = _run_optimized(
+        "from poisson_forge import quaddef\n"
+        "from poisson_forge.exactnum import Matrix, Polynomial\n"
+        "from poisson_forge.linclass import standard_pair\n"
+        "quaddef._brackets_to_zero = lambda lin, quad: True\n"
+        "qp = quaddef.QuadraticPair(Matrix.diagonal([1, 2, -3]),\n"
+        "                           Polynomial(3, {(1, 1, 1): 1}))\n"
+        "try:\n"
+        "    quaddef.deform_check(standard_pair(7), qp)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('deform_check returned on disagreeing routes')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(bracket: True, identity: False)" in proc.stdout
 
 
 @pytest.mark.parametrize("fake_cross, message", [
