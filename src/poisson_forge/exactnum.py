@@ -51,26 +51,33 @@ holds its scalars over D = 1.  ``==``, sums, products, negation,
 with the flag carried from the operands; ``Matrix._of_form`` alone
 normalises a result, as for polynomials.  ``rows`` is a view built on
 first read (Fractions for a rational matrix), or the rows the
-constructor was given.  Structured matrices (``identity``, ``zero``,
-``diagonal``, and the elementary matrices of the congruence) are built
-on the form directly, with no rows to coerce.  ``apply`` keeps an int
-path for a vector of Fractions, and the 3x3 rational inverse is
-D adj(M) / det(M).  Two loops stay on the scalars: Gauss-Jordan
-``inverse``, for a matrix with an ExtScalar entry and for sizes other
-than 3x3, and the Laplace ``det`` above 3x3.  They stay because the
-tests compare the values and the entry types of ``det`` and ``inverse``
-with reference loops: an adjugate inverse of an ExtScalar matrix gives
-the same values, but rational ExtScalar entries where Gauss-Jordan gives
-Fractions.
+constructor was given.  Structured matrices (``identity``, ``zero``
+and ``diagonal``) are built on the form directly, with no rows to
+coerce.  ``apply`` keeps an int path for a vector of Fractions, and the
+3x3 rational inverse is D adj(M) / det(M).  Two loops stay on the
+scalars: Gauss-Jordan ``inverse``, for a matrix with an ExtScalar entry
+and for sizes other than 3x3, and the Laplace ``det`` above 3x3.  They
+stay because the tests compare the values and the entry types of
+``det`` and ``inverse`` with reference loops: an adjugate inverse of an
+ExtScalar matrix gives the same values, but rational ExtScalar entries
+where Gauss-Jordan gives Fractions.
 
-Quadratic forms run on (D, M) too.  ``congruent_diagonalize`` applies
-each Lagrange step as one elementary matrix E -- a shear that adds one
-column to another, a swap, or one shear that clears a whole row -- as
-A <- E^T A E and R <- R E, with the products above; so det R = +-1.
+Quadratic forms run on (D, M) too, fraction-free on flat lists.
+``congruent_diagonalize`` keeps A = B / s and R = Q / t, starting from
+A's form and Q = I: the shear that adds one column to another and the
+swap are column and row operations in place, and the shear F = b_kk E
+that clears row k sets column j to b_kk col j - b_kj col k, which
+leaves B's Schur complement below k over s b_kk, and Q F over t b_kk;
+so det R = +-1.  One body serves both kinds of A: a rational one runs
+on ints, each scale and its list divided by their gcd after a shear;
+one with an ExtScalar entry runs on its scalars, divided by s and t
+once at the end, and a rational-valued entry of R or d comes back as a
+Fraction.  ``_product3``, ``_congruence3`` and ``_det3`` give A B, R' A R
+and det for 3x3 flat lists of values; ``linclass`` runs ``classify``,
+``verify_witness`` and ``is_isomorphism`` on them, on the numerators of
+the forms, with the identities cross-multiplied.
 ``gram_of_quadratic`` reads the form (D, T) of the quadratic and builds
 A = B / 2D in one normalisation, the inverse of ``quadratic_form_poly``.
-``linclass.classify`` arranges the columns of its witness the same way,
-by products with a permutation matrix and a sign flip.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -529,6 +536,16 @@ def int_from_json(data) -> int:
     raise _bad_literal("integer", data)
 
 
+def array_from_json(data, what: str) -> list:
+    """``data`` when it is a JSON array; ParseError naming ``what``
+    otherwise, a string too, which would be read character by character."""
+    if type(data) is not list:
+        text = repr(data)
+        raise ParseError("%s must be a JSON array, got %s" % (
+            what, text if len(text) <= 40 else text[:40] + "..."))
+    return data
+
+
 def scalar_from_json(data) -> Scalar:
     if isinstance(data, (str, int)):
         return _rational_from_json(data)
@@ -883,10 +900,11 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        nvars = len(data["vars"])
+        nvars = len(array_from_json(data["vars"], '"vars"'))
         terms = {}
-        for item in data["terms"]:
-            exps = tuple(int_from_json(e) for e in item["exp"])
+        for item in array_from_json(data["terms"], '"terms"'):
+            exps = tuple(int_from_json(e)
+                         for e in array_from_json(item["exp"], '"exp"'))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ParseError("bad exponent tuple %r for %d variables"
                                  % (exps, nvars))
@@ -976,6 +994,28 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
     )
 
 
+def _product3(a: Sequence, b: Sequence) -> list:
+    """A B for 3x3 matrices given as flat row-major lists of values."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return [a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8, a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8]
+
+
+def _congruence3(r: Sequence, a: Sequence) -> list:
+    """R' A R for 3x3 matrices given as flat row-major lists of values."""
+    return _product3([*r[0::3], *r[1::3], *r[2::3]], _product3(a, r))
+
+
+def _det3(vals: Sequence):
+    """The determinant of a 3x3 matrix given as a flat row-major list."""
+    a, b, c, d, e, f, g, h, i = vals
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 class Matrix:
     """Square matrix with exact scalar entries, stored on one form (D, M);
     ``rows`` is a view of it, built on first read."""
@@ -1035,7 +1075,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return _identity_with(n, {})
+        return cls._of_form(n, 1, [int(k % (n + 1) == 0)
+                                   for k in range(n * n)])
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
@@ -1043,8 +1084,10 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
-        return _identity_with(len(values), {(i, i): as_scalar(v)
-                                            for i, v in enumerate(values)})
+        n = len(values)
+        vals = [0] * (n * n)
+        vals[::n + 1] = [as_scalar(v) for v in values]
+        return cls._of_form(n, 1, vals, False)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -1137,9 +1180,7 @@ class Matrix:
             a, b, c, d = vals
             return _over(a * d - b * c, den ** 2)
         if n == 3:
-            a, b, c, d, e, f, g, h, i = vals
-            return _over(a * (e * i - f * h) - b * (d * i - f * g)
-                         + c * (d * h - e * g), den ** 3)
+            return _over(_det3(vals), den ** 3)
         # Laplace expansion along the first row (matrices here are tiny)
         total = Fraction(0)
         for j in range(self.n):
@@ -1209,7 +1250,9 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data) -> "Matrix":
-        return cls([[scalar_from_json(v) for v in row] for row in data])
+        return cls([[scalar_from_json(v)
+                     for v in array_from_json(row, "a matrix row")]
+                    for row in array_from_json(data, "a matrix")])
 
 
 # ---------------------------------------------------------------------------
@@ -1435,38 +1478,34 @@ def _ring_update(pivot, factor, row, pivot_row, prev):
     return out
 
 
-def _identity_with(n: int, cells: dict) -> Matrix:
-    """The n x n identity with the cells {(i, j): value} set."""
-    vals = [0] * (n * n)
-    vals[::n + 1] = [1] * n
-    for (i, j), v in cells.items():
-        vals[i * n + j] = v
-    return Matrix._of_form(n, 1, vals, False)
-
-
 def congruent_diagonalize(a: Matrix, rng=None):
     """Lagrange congruence: returns (R, d) with R^T A R = diag(d) exactly.
 
     A must be symmetric.  With ``rng`` given, admissible pivots are chosen
     at random (used to check that signature counts are order-independent);
-    otherwise pivot selection is deterministic by index.  Each step is a
-    shear or a swap E, applied as A <- E^T A E and R <- R E.
+    otherwise pivot selection is deterministic by index.  The loop runs
+    fraction-free on flat lists, A = B / s and R = Q / t, with (s, B) A's
+    form: "column i += column j" and the swap are column and row
+    operations in place, and the shear F = b_kk E that clears row k sets
+    column j to b_kk col j - b_kj col k, so that F' B F / b_kk, every
+    entry of which b_kk divides, is B's Schur complement below k with
+    b_kk^2 at (k, k), over s b_kk, and Q F is over t b_kk.  Shears and
+    swaps give det R = +-1.  A rational A runs on ints, each scale and
+    its list divided by their gcd after a shear; an A with an ExtScalar
+    entry runs on its scalars, divided by s and t once at the end.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    n = a.n
-    r = _identity_with(n, {})
-
-    def step(cells):
-        nonlocal a, r
-        e = _identity_with(n, cells)
-        a, r = e.transpose() * (a * e), r * e
+    n, rational = a.n, a._rational
+    s, b = a._form
+    b, t, q = list(b), 1, [0] * (n * n)
+    q[::n + 1] = [1] * n
+    rows = range(0, n * n, n)
 
     def pick(options):
         return options[0 if rng is None else rng.randrange(len(options))]
 
     for k in range(n):
-        b = a._form[1]
         candidates = [i for i in range(k, n) if b[i * n + i]]
         if not candidates:
             off = [(i, j) for i in range(k, n) for j in range(i + 1, n)
@@ -1474,16 +1513,36 @@ def congruent_diagonalize(a: Matrix, rng=None):
             if not off:
                 break  # the rest of the form is zero
             i, j = pick(off)
-            step({(j, i): 1})  # column i += column j
+            for x in (b, q):                # column i += column j
+                for r in rows:
+                    x[r + i] += x[r + j]
+            b[i * n:i * n + n] = map(operator.add, b[i * n:i * n + n],
+                                     b[j * n:j * n + n])
             candidates = [i]
         p = pick(candidates)
         if p != k:
-            step({(k, k): 0, (p, p): 0, (k, p): 1, (p, k): 1})
-        # clear row k in one shear: column j += -b_kj / b_kk column k
-        b = a._form[1]
-        shear = {(k, j): scalar_div(-b[k * n + j], b[k * n + k])
-                 for j in range(k + 1, n) if b[k * n + j]}
-        if shear:
-            step(shear)
-    den, b = a._form
-    return r, tuple(_over(b[i * n + i], den) for i in range(n))
+            for x in (b, q):                # swap columns k and p
+                for r in rows:
+                    x[r + k], x[r + p] = x[r + p], x[r + k]
+            b[k * n:k * n + n], b[p * n:p * n + n] = (b[p * n:p * n + n],
+                                                      b[k * n:k * n + n])
+        # row k past the pivot, with zeros up to it: b_kj for j > k
+        pivot, c = b[k * n + k], [0] * (k + 1) + b[k * n + k + 1:k * n + n]
+        if not any(c):
+            continue
+        q = [pivot * v - c[m % n] * q[m - m % n + k] for m, v in enumerate(q)]
+        b = [pivot * v - c[m // n] * c[m % n] for m, v in enumerate(b)]
+        b[k * n:k * n + n] = b[k::n] = [0] * n
+        b[k * n + k] = pivot * pivot
+        s, t = s * pivot, t * pivot
+        if rational:
+            g = math.gcd(s, *b)
+            s, b = s // g, [v // g for v in b]
+            g = math.gcd(t, *q)
+            t, q = t // g, [v // g for v in q]
+    if rational:
+        return (Matrix._of_form(n, t, q),
+                tuple(Fraction(b[i * n + i], s) for i in range(n)))
+    return (Matrix._of_form(n, 1, [demote(scalar_div(v, t)) for v in q],
+                            False),
+            tuple(demote(scalar_div(b[i * n + i], s)) for i in range(n)))

@@ -31,6 +31,15 @@ d_i = 0).  The witness is checkable without leaving rational arithmetic
 because every sqrt appears squared in the verification identities; see
 verify_witness.
 
+The normal-form layer runs on the int numerators of the forms (D, M),
+on flat lists: the fraction-free Lagrange congruence of exactnum, then
+B' A B, B R, the column permutation, the sign flip and det(base) in
+classify; U = R' A R in verify_witness, whose identities are
+cross-multiplied; and T' A2 T in is_isomorphism, cross-multiplied with
+det(T) A1 on the forms, one body for a rational T and for one with
+entries in the quadratic extension field.  _aut_closed_form stays on
+rows, the independent second route of aut_member.
+
 Every rational input (a pair, a modulus, a witness, the matrix given to
 transform_pair, aut_member or is_derivation) is read by exactnum's one
 rational reader, as_rational or as_rational_matrix.
@@ -47,11 +56,14 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
-    _identity_with,
+    _congruence3,
+    _det3,
+    _product3,
     _over,
     _scaled_row,
     _unit_exponents,
     apply_matrix_derivation,
+    array_from_json,
     as_rational,
     as_rational_matrix,
     congruent_diagonalize,
@@ -59,7 +71,6 @@ from .exactnum import (
     scalar_from_json,
     scalar_to_json,
     solve_linear,
-    vec,
 )
 from .multivec import (
     MultiVectorField,
@@ -109,7 +120,8 @@ class LinearPair(NamedTuple("LinearPair", [("k", tuple), ("gram", Matrix)])):
 
     @classmethod
     def from_json(cls, data) -> "LinearPair":
-        return cls(tuple(scalar_from_json(v) for v in data["k"]),
+        return cls(tuple(scalar_from_json(v)
+                         for v in array_from_json(data["k"], '"k"')),
                    Matrix.from_json(data["A"]))
 
 
@@ -322,15 +334,25 @@ def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
 def is_isomorphism(t: Matrix, p1: LinearPair, p2: LinearPair) -> bool:
     """Exact test of k2 = T k1 and T' A2 T = det(T) A1.
 
-    The matrix may have entries in the quadratic extension field; both
-    identities are checked without rounding.
+    Both identities are cross-multiplied on the forms, T = M / D_T, the
+    Gram matrices A_i / D_i and k_i = w_i / e_i: e_2 M w_1 = D_T e_1 w_2
+    and M' A_2 M D_T D_1 = det(M) A_1 D_2.  One body serves a rational T,
+    on ints, and a T with entries in the quadratic extension field, on
+    its scalars over D_T = 1; neither rounds.
     """
-    det = t.det()
+    if t.n != 3:
+        raise ValueError("size mismatch")
+    (dt, m), (d1, a1), (d2, a2) = t._form, p1.gram._form, p2.gram._form
+    det = _det3(m)
     if not det:
         raise ValueError("transformation must be invertible")
-    if vec(t.apply(p1.k)) != vec(p2.k):
+    (e1, w1), (e2, w2) = _scaled_row(p1.k), _scaled_row(p2.k)
+    if any(e2 * sum(map(operator.mul, m[3 * i:3 * i + 3], w1)) != dt * e1 * v
+           for i, v in enumerate(w2)):
         return False
-    return t.transpose() * p2.gram * t == p1.gram.scaled(det)
+    left, right = dt * d1, det * d2
+    return all(x * left == y * right
+               for x, y in zip(_congruence3(m, a2), a1))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +414,8 @@ class Witness(NamedTuple("Witness", [("base", Matrix), ("scales", tuple)])):
     @classmethod
     def from_json(cls, data) -> "Witness":
         return cls(Matrix.from_json(data["R"]),
-                   tuple(scalar_from_json(v) for v in data["d"]))
+                   tuple(scalar_from_json(v)
+                         for v in array_from_json(data["d"], '"d"')))
 
 
 def classification_to_json(label: StdFormLabel, witness: Witness):
@@ -438,27 +461,35 @@ def classify(pair: LinearPair):
     The form is diagonalized by congruence: A when k = 0, else B' A B for
     B = _complete_basis(k), whose zero third row and column (A k = 0) keep
     column 3 of R at e3, so base = B R ends in k.  Shears and swaps give
-    det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.  A permutation
-    and a sign flip, matrix products as well, then arrange base's columns.
+    det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.  B' A B and
+    B R are products of the int numerators of the forms, base = N / D;
+    the column permutation re-indexes N, the sign flip negates one of
+    its columns and det(base) is det(N) / D^3.  The label and witness go
+    through their validating constructors, and verify_witness re-checks
+    the witness.
     """
     if not any(pair.k):
         free, cases, flip = 3, range(1, 7), 2
-        base, diag = congruent_diagonalize(pair.gram)
+        inner, diag = congruent_diagonalize(pair.gram)
+        den, base = inner._form
     else:
         free, cases, flip = 2, range(7, 11), 0
-        basis = _complete_basis(pair.k)
-        inner, diag = congruent_diagonalize(basis.transpose() * pair.gram * basis)
-        base = basis * inner
+        (e, b), (s, a) = _complete_basis(pair.k)._form, pair.gram._form
+        inner, diag = congruent_diagonalize(
+            Matrix._of_form(3, e * e * s, _congruence3(b, a)))
+        t, r = inner._form
+        den, base = e * t, _product3(b, r)
     case, perm, sign = _arrange(diag, cases)
-    # column perm[c] goes to slot c: P[r][c] = 1 exactly when r = perm[c]
-    base = base * Matrix._of_form(3, 1, [int(r == p) for r in range(3)
-                                         for p in perm])
+    # column perm[c] goes to slot c
+    base = [base[i + p] for i in (0, 3, 6) for p in perm]
     scales = [abs(diag[p]) for p in perm]
     rank = sum(1 for v in scales if v)
     if rank:
-        if (base.det() > 0) != (sign > 0):
-            base = base * _identity_with(3, {(flip, flip): -1})
-        det_sq = base.det() ** 2
+        det = _det3(base)
+        if (det > 0) != (sign > 0):
+            base[flip::3] = [-v for v in base[flip::3]]
+            det = -det
+        det_sq = Fraction(det * det, den ** 6)
         if rank == 3:
             # det(T) is forced here, so rescale to keep it consistent
             prod = scales[0] * scales[1] * scales[2]
@@ -468,7 +499,7 @@ def classify(pair: LinearPair):
             scales[rank] = det_sq / math.prod(scales[:rank])
     a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
     label = StdFormLabel(case, a_squared)
-    witness = Witness(base, tuple(scales))
+    witness = Witness(Matrix._of_form(3, den, base), tuple(scales))
     if not verify_witness(pair, label, witness):  # pragma: no cover
         raise AssertionError("constructed witness failed verification")
     return label, witness
@@ -482,16 +513,21 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
     the isomorphism identities T e3 = k (cases 7-10), T' A T = det(T) a s
     reduce to: U = R' A R diagonal with U_ii = eps * s_i * d_i for a single
     rational eps, eps^2 * prod(positive d_i) = a^2 * det(R)^2, and eps of
-    the same sign as det(R).  Every square root appears squared.
+    the same sign as det(R).  Every square root appears squared.  U is
+    computed on the numerators, u / (D_R^2 D_A) for R = N / D_R, and the
+    identities for eps cross-multiplied, u_i s_l d_l = u_l s_i d_i with
+    d = m / e on ints and l the first index with s_l != 0; eps and det(R)
+    are exact Fractions.
     """
     sigma = SIGN_PATTERNS[label.case_id]
-    r, d = witness.base, witness.scales
-    u = r.transpose() * pair.gram * r
-    if not u.is_diagonal():
+    (t, r), (s, a), d = witness.base._form, pair.gram._form, witness.scales
+    u = _congruence3(r, a)
+    if any(u[1:4]) or any(u[5:8]):
         return False
-    diag = [u.rows[i][i] for i in range(3)]
+    diag = u[::4]
     if label.case_id >= 7:
-        if d[2] != 0 or r.column(2) != tuple(pair.k):
+        if d[2] != 0 or any(v * q.denominator != q.numerator * t
+                            for v, q in zip(r[2::3], pair.k)):
             return False
     elif any(pair.k):
         return False
@@ -502,11 +538,14 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
         return pair.gram.is_zero()
     if any(d[i] == 0 for i in live):
         return False
-    eps = diag[live[0]] / (sigma[live[0]] * d[live[0]])
-    if any(diag[i] != eps * sigma[i] * d[i] for i in live):
+    e, m = _scaled_row(d)
+    l = live[0]
+    if any(diag[i] * sigma[l] * m[l] != diag[l] * sigma[i] * m[i]
+           for i in live):
         return False
+    eps = Fraction(diag[l] * e, t * t * s * sigma[l] * m[l])
     target = label.a_squared if label.a_squared is not None else 1
-    det = r.det()
+    det = Fraction(_det3(r), t ** 3)
     return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det ** 2
             and (eps > 0) == (det > 0))
 

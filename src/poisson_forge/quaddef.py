@@ -39,9 +39,11 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _over,
     _rational_sqrt,
     _scaled_row,
     apply_matrix_derivation,
+    array_from_json,
     as_rational,
     as_rational_matrix,
     as_scalar,
@@ -393,28 +395,37 @@ _KERNELS_KEPT = 8
 
 
 def _kernel(k_matrix: Matrix):
-    """(ker D_K, whether it is on ExtScalars) for a checked twist.
+    """(ker D_K, whether it is on ExtScalars, its basis numerators) for a
+    checked twist.
 
     A regular K takes the line of ``_invariant_cubic``; any other K
     eliminates its ten kernel rows.  The key is K's form and that flag:
     a K whose ExtScalar entries are all zero has rows without ExtScalars
     and solves on ints, as a rational K does, so the flag fixes the entry
-    types of the space.
+    types of the space.  The numerators are one (e, m) per basis vector
+    b = m / e, e > 0: ints for a rational kernel, f over |f_last| for the
+    line of f, and the vector itself over 1 on ExtScalars.
     """
     field = not k_matrix._rational and any(
         type(v) is ExtScalar and v for v in k_matrix._form[1])
     key = (field, k_matrix._form)
-    space = _KERNELS.get(key)
-    if space is None:
+    entry = _KERNELS.get(key)
+    if entry is None:
         if len(_KERNELS) == _KERNELS_KEPT:
             del _KERNELS[next(iter(_KERNELS))]
         # a K off the field is read on ints, whatever its entry types
         rows = _twist_rows(k_matrix if field else as_rational_matrix(k_matrix))
         f = _invariant_cubic(rows)
-        space = _KERNELS[key] = (
-            solve_linear(_derivation_rows(rows), [0] * 10, 10) if f is None
-            else _line_space(f, field))
-    return space, field
+        if f is None:
+            space = solve_linear(_derivation_rows(rows), [0] * 10, 10)
+            nums = tuple((1, b) if field else _scaled_row(b)
+                         for b in space.basis)
+        else:
+            space, last = _line_space(f, field), f[_last_nonzero(f)]
+            nums = (((1, space.basis[0]) if field else
+                     (abs(last), f if last > 0 else [-v for v in f])),)
+        entry = _KERNELS[key] = (space, nums)
+    return entry[0], field, entry[1]
 
 
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
@@ -453,8 +464,7 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     which shares no step with this solver, carries that independence.
     """
     _check_twist(k_matrix)
-    kernel, field = _kernel(k_matrix)
-    n = kernel.basis
+    _, field, nums = _kernel(k_matrix)
     # k.grad F = q / den times den s, s the lcm of k's denominators:
     # integer rows, and a right-hand side of ints on a rational K (the
     # scalars of K otherwise)
@@ -462,11 +472,12 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     drift = _drift_rows([den * c for c in k])
     if s != 1:
         rhs = [s * v for v in rhs]
+    # the unknowns are c_j / e_j on the numerators m_j of the basis
     reduced = solve_linear(
-        [[sum(a * b[t] for t, a in enumerate(row) if a and b[t]) for b in n]
-         for row in drift], rhs, len(n))
+        [[sum(a * m[t] for t, a in enumerate(row) if a and m[t])
+          for _, m in nums] for row in drift], rhs, len(nums))
     space = _kernel_combinations(
-        n, reduced, field or any(type(v) is ExtScalar for v in rhs))
+        nums, reduced, field or any(type(v) is ExtScalar for v in rhs))
     if not space.is_empty:
         members = [space.particular]
         members.extend(tuple(p + c for p, c in zip(space.particular, b))
@@ -478,11 +489,13 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     return space
 
 
-def _kernel_combinations(n: tuple, reduced: SolutionSpace,
+def _kernel_combinations(nums: tuple, reduced: SolutionSpace,
                          field: bool) -> SolutionSpace:
     """{N c : c in reduced} on ``solve_linear``'s canonical form, with
     the entry types of the stacked system (ExtScalars off the free
-    columns when ``field``, Fractions otherwise).
+    columns when ``field``, Fractions otherwise), for the basis N of
+    ``_kernel`` given by its numerators, b_j = m_j / e_j, and ``reduced``
+    solved on them, in the unknowns c_j / e_j.
 
     The free columns of ``solve_linear`` are fixed by the solution set:
     they are the last nonzero coordinates of its direction vectors (the
@@ -492,26 +505,36 @@ def _kernel_combinations(n: tuple, reduced: SolutionSpace,
     last nonzero coordinate is the free column of c's last nonzero one.
     The free columns of the image are therefore those of ``reduced``,
     carried through N, and the images of its particular and basis
-    vectors are already 0 and 1 there.
+    vectors are 0 and 1 there.  The particular point of ``reduced`` maps
+    to M c; its basis vector that is 1 on column j stands for the
+    direction e_j times the canonical one, which maps to M c / e_j.  On
+    a rational system c is read as ints over one denominator, so that
+    each coordinate is one Fraction.
     """
     if reduced.is_empty:
         return SolutionSpace(10, None, ())
-    kernel_free = [_last_nonzero(b) for b in n]
-    free = [kernel_free[_last_nonzero(c)] for c in reduced.basis]
+    kernel_free = [_last_nonzero(m) for _, m in nums]
+    owns = [_last_nonzero(c) for c in reduced.basis]
+    free = [kernel_free[j] for j in owns]
     zero, one = Fraction(0), Fraction(1)
 
-    def image(c, own):
-        v = [sum((a * b[t] for a, b in zip(c, n) if a and b[t]), zero)
-             for t in range(10)]
+    def image(c, j):
+        e, own = (1, None) if j is None else (nums[j][0], kernel_free[j])
         if field:
-            v = [ExtScalar.of(x) for x in v]
+            v = [ExtScalar.of(_over(sum((a * m[t] for a, (_, m) in zip(c, nums)
+                                         if a and m[t]), zero), e))
+                 for t in range(10)]
+        else:
+            d, w = _scaled_row(c)
+            v = [Fraction(sum(a * m[t] for a, (_, m) in zip(w, nums)
+                              if a and m[t]), d * e) for t in range(10)]
         for t in free:
             v[t] = one if t == own else zero
         return tuple(v)
 
     return SolutionSpace(10, image(reduced.particular, None),
-                         tuple(image(c, own)
-                               for c, own in zip(reduced.basis, free)))
+                         tuple(image(c, j)
+                               for c, j in zip(reduced.basis, owns)))
 
 
 def transform_pair(t: Matrix, qp: QuadraticPair) -> QuadraticPair:
@@ -776,7 +799,8 @@ class P2Point(NamedTuple("P2Point", [("coords", tuple)])):
 
     @classmethod
     def from_json(cls, data) -> "P2Point":
-        return cls(tuple(scalar_from_json(v) for v in data))
+        return cls(tuple(scalar_from_json(v)
+                         for v in array_from_json(data, "a point")))
 
 
 class OrbitRep(NamedTuple):

@@ -10,20 +10,31 @@ were, so that the tests can compare the two on seeded inputs:
   and k != 0 through ``_sort_by_sign`` and the sign of a 2x2 determinant,
   with the column helpers it used: ``_complete_basis`` (built through
   ``Matrix(rows)``), ``_permute_columns`` and ``_negate_column``,
+- ``classify_by_products``, ``verify_witness_by_products`` and
+  ``is_isomorphism_by_products``: one rule for both values of k as
+  ``linclass`` ran it on ``Matrix`` products (B' A B, B R, a permutation
+  matrix, a sign flip, R' A R and T' A2 T), before it ran on the int
+  numerators of the forms; the bodies are as they were, with the
+  congruence and the witness check taken from these references
+  (``linalg_reference.congruent_diagonalize_by_products``),
 - ``p2_orbit_rep``: a support table for distinct eigenvalues and an
   if-chain for each of the other two families,
 - ``jordan_family_of``: the exact route with an OTHER exit per failed test.
 """
 
+import math
 from fractions import Fraction
 
-from poisson_forge.exactnum import ExtScalar, Matrix, congruent_diagonalize
+from linalg_reference import _identity_with, congruent_diagonalize_by_products
+from poisson_forge.exactnum import ExtScalar, Matrix, congruent_diagonalize, vec
 from poisson_forge.linclass import (
     SIGN_PATTERNS,
     StdFormLabel,
     Witness,
+    _arrange,
     verify_witness,
 )
+from poisson_forge.linclass import _complete_basis as _basis_on_the_form
 from poisson_forge.quaddef import (
     DIAG_DISTINCT,
     DIAG_REPEATED,
@@ -168,6 +179,78 @@ def classify(pair):
     if not verify_witness(pair, label, witness):
         raise AssertionError("constructed witness failed verification")
     return label, witness
+
+
+def classify_by_products(pair):
+    if not any(pair.k):
+        free, cases, flip = 3, range(1, 7), 2
+        base, diag = congruent_diagonalize_by_products(pair.gram)
+    else:
+        free, cases, flip = 2, range(7, 11), 0
+        basis = _basis_on_the_form(pair.k)
+        inner, diag = congruent_diagonalize_by_products(
+            basis.transpose() * pair.gram * basis)
+        base = basis * inner
+    case, perm, sign = _arrange(diag, cases)
+    # column perm[c] goes to slot c: P[r][c] = 1 exactly when r = perm[c]
+    base = base * Matrix._of_form(3, 1, [int(r == p) for r in range(3)
+                                         for p in perm])
+    scales = [abs(diag[p]) for p in perm]
+    rank = sum(1 for v in scales if v)
+    if rank:
+        if (base.det() > 0) != (sign > 0):
+            base = base * _identity_with(3, {(flip, flip): -1})
+        det_sq = base.det() ** 2
+        if rank == 3:
+            # det(T) is forced here, so rescale to keep it consistent
+            prod = scales[0] * scales[1] * scales[2]
+            scales = [det_sq * v / prod for v in scales]
+        elif rank < free:
+            # one spare column soaks up the determinant so det(T) = sign
+            scales[rank] = det_sq / math.prod(scales[:rank])
+    a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
+    label = StdFormLabel(case, a_squared)
+    witness = Witness(base, tuple(scales))
+    if not verify_witness_by_products(pair, label, witness):
+        raise AssertionError("constructed witness failed verification")
+    return label, witness
+
+
+def verify_witness_by_products(pair, label, witness) -> bool:
+    sigma = SIGN_PATTERNS[label.case_id]
+    r, d = witness.base, witness.scales
+    u = r.transpose() * pair.gram * r
+    if not u.is_diagonal():
+        return False
+    diag = [u.rows[i][i] for i in range(3)]
+    if label.case_id >= 7:
+        if d[2] != 0 or r.column(2) != tuple(pair.k):
+            return False
+    elif any(pair.k):
+        return False
+    live = [i for i in range(3) if sigma[i] != 0]
+    if any(diag[i] != 0 for i in range(3) if sigma[i] == 0):
+        return False
+    if not live:
+        return pair.gram.is_zero()
+    if any(d[i] == 0 for i in live):
+        return False
+    eps = diag[live[0]] / (sigma[live[0]] * d[live[0]])
+    if any(diag[i] != eps * sigma[i] * d[i] for i in live):
+        return False
+    target = label.a_squared if label.a_squared is not None else 1
+    det = r.det()
+    return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det ** 2
+            and (eps > 0) == (det > 0))
+
+
+def is_isomorphism_by_products(t, p1, p2) -> bool:
+    det = t.det()
+    if not det:
+        raise ValueError("transformation must be invertible")
+    if vec(t.apply(p1.k)) != vec(p2.k):
+        return False
+    return t.transpose() * p2.gram * t == p1.gram.scaled(det)
 
 
 # ---------------------------------------------------------------------------

@@ -910,3 +910,51 @@ def test_impossible_field_dimensions_exit_1(verb, n, grade, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_K = [[1, 0, 0], [0, 2, 0], [0, 0, -3]]
+
+
+#: a string (or an object) where an array is expected; each was read
+#: element by element, character by character for a string
+@pytest.mark.parametrize("verb, payload, message", [
+    ("classify", {"k": "000", "A": _I3}, "\"k\" must be a JSON array, got '000'"),
+    ("classify", {"k": [0, 0, 0], "A": [["1", "0", "0"], "010", [0, 0, 1]]},
+     "a matrix row must be a JSON array, got '010'"),
+    ("classify", {"k": [0, 0, 0], "A": {"den": 1}},
+     "a matrix must be a JSON array, got {'den': 1}"),
+    ("orbits", {"K": _K, "point": "111"},
+     "a point must be a JSON array, got '111'"),
+    ("deform-check", {"pair": BOOK_PAIR, "K": ["100", "020", [0, 0, -3]],
+                      "F": XYZ_SIXTH},
+     "a matrix row must be a JSON array, got '100'"),
+    ("deform-check", {"pair": BOOK_PAIR, "K": _K,
+                      "F": dict(XYZ_SIXTH, vars="xyz")},
+     "\"vars\" must be a JSON array, got 'xyz'"),
+    ("deform-check", {"pair": BOOK_PAIR, "K": _K,
+                      "F": dict(XYZ_SIXTH, terms=[{"exp": "111", "coef": "1/6"}])},
+     "\"exp\" must be a JSON array, got '111'"),
+    ("deform-check", {"pair": BOOK_PAIR, "K": _K,
+                      "F": dict(XYZ_SIXTH, terms="t")},
+     "\"terms\" must be a JSON array, got 't'"),
+], ids=["k", "matrix-row", "matrix-object", "point", "twist-rows", "vars",
+        "exp", "terms"])
+def test_a_string_where_an_array_is_expected_exits_2(verb, payload, message,
+                                                     capsys):
+    from poisson_forge import cli
+
+    assert cli.main([verb, json.dumps(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: %s\n" % message
+
+
+def test_witness_scales_must_be_an_array():
+    from poisson_forge.exactnum import ParseError
+
+    with pytest.raises(ParseError, match='"d" must be a JSON array'):
+        Witness.from_json({"R": _I3, "d": "110"})
+    long = "1" * 60
+    with pytest.raises(ParseError, match="got '1{39}\\.\\.\\.$"):
+        Witness.from_json({"R": _I3, "d": long})

@@ -1,0 +1,199 @@
+"""The normal-form layer on int numerators against the Matrix products it
+replaced.
+
+``classify``, ``verify_witness`` and ``is_isomorphism`` run on the forms
+(D, M) of their matrices: B' A B, B R, the column permutation, the sign
+flip, R' A R and T' A2 T are products of flat numerator lists, and the
+identities are cross-multiplied.  ``normal_form_reference`` keeps the
+bodies that ran on ``Matrix`` products (with the matrix-product Lagrange
+congruence of ``linalg_reference``): on seeded inputs both must give the
+same labels, the same witnesses in form and entry types, the same
+verdicts and the same errors.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+import normal_form_reference as ref
+from conftest import random_ext_scalar
+from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
+from poisson_forge.linclass import (
+    LinearPair,
+    StdFormLabel,
+    Witness,
+    classify,
+    is_isomorphism,
+    standard_pair,
+    transform_pair,
+    verify_witness,
+)
+
+
+def _random_invertible(rng):
+    """Fraction entries, so that the forms have denominators other than 1."""
+    while True:
+        m = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(3)] for _ in range(3)])
+        if m.det():
+            return m
+
+
+def _random_pairs(rng, count):
+    """Conjugates of the standard pairs (8 and 9 at a random modulus), with
+    their negated Gram matrices, and pairs with A = 0 and a random k."""
+    pairs = []
+    while len(pairs) < count:
+        case = rng.randint(1, 10)
+        scale = F(rng.randint(1, 9), rng.randint(1, 4)) if case in (8, 9) else 1
+        pair = transform_pair(_random_invertible(rng), standard_pair(case, scale))
+        pairs += [pair, LinearPair(pair.k, pair.gram.scaled(-1))]
+        k = [F(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.7
+             else F(0) for _ in range(3)]
+        if any(k):
+            pairs.append(LinearPair(tuple(k), Matrix.zero(3)))
+    return pairs
+
+
+def _same_classification(pair):
+    label, witness = classify(pair)
+    want_label, want_witness = ref.classify_by_products(pair)
+    assert label == want_label
+    assert type(label.a_squared) is type(want_label.a_squared)
+    assert witness.base._form == want_witness.base._form
+    assert witness.base._rational is want_witness.base._rational is True
+    assert witness.scales == want_witness.scales
+    assert [type(v) for v in witness.scales] == [F] * 3
+    assert [type(v) for v in want_witness.scales] == [F] * 3
+    return label, witness
+
+
+def _moduli():
+    """Cases 8 and 9 at moduli that are not squares, squares, and large."""
+    return [standard_pair(case, a) for case in (8, 9)
+            for a in (F(1), F(2), F(1, 3), F(9, 4), F(18), F(10 ** 12, 7))]
+
+
+def test_classify_matches_the_matrix_products_on_the_standard_pairs():
+    for case in range(1, 11):
+        label, _ = _same_classification(standard_pair(case))
+        assert label.case_id == case
+    for pair in _moduli():
+        label, _ = _same_classification(pair)
+        assert label.a_squared == pair.gram.rows[0][0] ** 2
+
+
+def test_classify_matches_the_matrix_products_on_random_conjugates(rng):
+    pairs = _random_pairs(rng, 320)
+    cases = set()
+    for pair in pairs:
+        cases.add(_same_classification(pair)[0].case_id)
+    for pair in _moduli():
+        moved = transform_pair(_random_invertible(rng), pair)
+        label, _ = _same_classification(moved)
+        assert label.a_squared == pair.gram.rows[0][0] ** 2
+    assert len(pairs) >= 320
+    assert cases == set(range(1, 11))
+
+
+def _tampered(rng, witness):
+    """The four tamperings: a sheared base, a doubled scale, a negated base
+    and reversed scales."""
+    base, scales = witness.base, witness.scales
+    i, j = rng.sample(range(3), 2)
+    cells = [int(r == c) for r in range(3) for c in range(3)]
+    cells[3 * i + j] = rng.choice([-2, -1, 1, F(1, 2), 3])
+    doubled = list(scales)
+    doubled[rng.randrange(3)] *= 2
+    return {
+        "sheared": Witness(base * Matrix._of_form(3, 1, cells, False), scales),
+        "doubled": Witness(base, tuple(doubled)),
+        "negated": Witness(-base, scales),
+        "reversed": Witness(base, scales[::-1]),
+    }
+
+
+def test_verify_witness_matches_the_matrix_products(rng):
+    """Honest witnesses pass both; each tampering gets the same verdict
+    from both, and every kind of tampering is rejected on some pairs."""
+    rejected = dict.fromkeys(["sheared", "doubled", "negated", "reversed",
+                              "relabelled"], 0)
+    for pair in _random_pairs(rng, 200) + _moduli():
+        label, witness = classify(pair)
+        assert verify_witness(pair, label, witness)
+        assert ref.verify_witness_by_products(pair, label, witness)
+        for kind, bad in _tampered(rng, witness).items():
+            got = verify_witness(pair, label, bad)
+            assert got == ref.verify_witness_by_products(pair, label, bad), kind
+            rejected[kind] += not got
+        if label.a_squared is not None:
+            other = StdFormLabel(17 - label.case_id, label.a_squared)
+            got = verify_witness(pair, other, witness)
+            assert got == ref.verify_witness_by_products(pair, other, witness)
+            rejected["relabelled"] += not got
+    assert all(count >= 20 for count in rejected.values()), rejected
+
+
+def _outcome(decide, t, p1, p2):
+    try:
+        return decide(t, p1, p2)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def _isomorphism_cases(rng):
+    """(T, p1, p2) over rational, ExtScalar and singular T: images under T
+    (true), under a perturbed T and between unrelated pairs (mostly false),
+    and the automorphisms of cases 2, 8 and 9 with irrational entries."""
+    pairs = _random_pairs(rng, 60)
+    cases = []
+    for p1 in pairs:
+        t = _random_invertible(rng)
+        p2 = transform_pair(t, p1)
+        cases += [(t, p1, p2), (t, p2, p1), (t, p1, rng.choice(pairs)),
+                  (t * Matrix.diagonal([1, 1, 2]), p1, p2)]
+        field = Matrix([[random_ext_scalar(rng, True) for _ in range(3)]
+                        for _ in range(3)])
+        cases.append((field, p1, rng.choice([p1, p2])))
+        typed = Matrix._trusted([[ExtScalar.of(v) for v in row]
+                                 for row in t.rows])
+        cases.append((typed, p1, p2))
+    h = SQRT2 / 2
+    rotation = Matrix([[h, -h, 0], [h, h, 0], [0, 0, 1]])
+    boost = Matrix([[1 + SQRT2, SQRT3, 0], [SQRT3, 1 + SQRT2, 0], [0, 0, 1]])
+    for t, case in ((rotation, 2), (rotation, 8), (boost, 9),
+                    (rotation.scaled(2), 8), (boost, 8)):
+        cases.append((t, standard_pair(case), standard_pair(case)))
+    for p1 in pairs[:20]:
+        u, v = rng.sample(range(3), 2)
+        rows = [list(row) for row in _random_invertible(rng).rows]
+        rows[v] = [2 * x for x in rows[u]]
+        cases.append((Matrix(rows), p1, p1))
+        rows[v] = [SQRT2 * x for x in rows[u]]
+        cases.append((Matrix(rows), p1, p1))
+    cases.append((Matrix.zero(3), pairs[0], pairs[0]))
+    return cases
+
+
+def test_is_isomorphism_matches_the_matrix_products(rng):
+    outcomes = {}
+    for t, p1, p2 in _isomorphism_cases(rng):
+        got = _outcome(is_isomorphism, t, p1, p2)
+        assert got == _outcome(ref.is_isomorphism_by_products, t, p1, p2)
+        kind = "rational" if t._rational else "field"
+        outcomes.setdefault((kind, got), 0)
+        outcomes[(kind, got)] += 1
+    invertible = "ValueError: transformation must be invertible"
+    for key in [("rational", True), ("rational", False), ("field", True),
+                ("field", False), ("rational", invertible),
+                ("field", invertible)]:
+        assert outcomes.get(key, 0) >= 5, outcomes
+
+
+def test_is_isomorphism_refuses_an_invertible_matrix_off_r3():
+    pair = standard_pair(2)
+    for t in (Matrix.identity(2), Matrix.identity(4)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            is_isomorphism(t, pair, pair)
+        with pytest.raises(ValueError, match="size mismatch"):
+            ref.is_isomorphism_by_products(t, pair, pair)
