@@ -18,8 +18,7 @@ On top of the scalars the module provides:
   returning the full affine solution set as a :class:`SolutionSpace`,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
   a symmetric matrix (R^T A R diagonal), used to read off rank and
-  signature exactly, and :func:`gram_of_quadratic`, the symmetric matrix
-  of a quadratic form.
+  signature exactly.
 
 Every polynomial is stored on one form (D, T), the layout FLINT uses
 for ``fmpq_poly``: T maps exponent tuples to nonzero values over one
@@ -76,8 +75,6 @@ Fraction.  ``_product3``, ``_congruence3`` and ``_det3`` give A B, R' A R
 and det for 3x3 flat lists of values; ``linclass`` runs ``classify``,
 ``verify_witness`` and ``is_isomorphism`` on them, on the numerators of
 the forms, with the identities cross-multiplied.
-``gram_of_quadratic`` reads the form (D, T) of the quadratic and builds
-A = B / 2D in one normalisation, the inverse of ``quadratic_form_poly``.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -189,14 +186,6 @@ class ExtScalar:
         if not self.is_rational:
             raise ValueError("%s is irrational" % (self,))
         return Fraction(self._num[0], self._den)
-
-    def conjugate(self, flip2: bool, flip3: bool) -> "ExtScalar":
-        n0, n1, n2, n3 = self._num
-        if flip2:
-            n1, n3 = -n1, -n3
-        if flip3:
-            n2, n3 = -n2, -n3
-        return _ext((n0, n1, n2, n3), self._den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -900,9 +889,16 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        nvars = len(array_from_json(data["vars"], '"vars"'))
-        terms = {}
+        names, seen = array_from_json(data["vars"], '"vars"'), set()
+        for name in names:
+            if type(name) is not str or name in seen:
+                raise _bad_literal("variable name", name, ": names are "
+                                   "distinct strings")
+            seen.add(name)
+        nvars, terms = len(names), {}
         for item in array_from_json(data["terms"], '"terms"'):
+            if type(item) is not dict:
+                raise _bad_literal("term", item, ": a term is a JSON object")
             exps = tuple(int_from_json(e)
                          for e in array_from_json(item["exp"], '"exp"'))
             if len(exps) != nvars or any(e < 0 for e in exps):
@@ -959,22 +955,6 @@ def quadratic_form_poly(m: "Matrix") -> Polynomial:
             cur = terms.get(key)
             terms[key] = v if cur is None else cur + v
     return Polynomial._of_form(n, den, terms, m._rational)
-
-
-def gram_of_quadratic(p: Polynomial) -> "Matrix":
-    """Symmetric Gram matrix A with p = (A x, x), for homogeneous quadratics:
-    A = B / 2D on p's form (D, T), B_ii = 2 T(x_i^2), B_ij = T(x_i x_j)."""
-    if not p.is_homogeneous(2):
-        raise ValueError("not a homogeneous quadratic: %s" % p)
-    n, (den, vals) = p.nvars, p._form
-    flat = [0] * (n * n)
-    for exps, v in vals.items():
-        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
-        if i == j:
-            flat[i * n + i] = 2 * v
-        else:
-            flat[i * n + j] = flat[j * n + i] = v
-    return Matrix._of_form(n, 2 * den, flat, p._rational)
 
 
 # ---------------------------------------------------------------------------

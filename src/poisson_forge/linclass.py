@@ -12,8 +12,10 @@ of the pair is the single linear condition A k = 0.  bivector_of and
 pair_of go between the two on the coefficients, with no bracket: a linear
 bivector on R^3 has 9 coefficients, 3 for k and 6 for a symmetric A, so
 it comes from exactly one such (k, A), and it is Poisson exactly when
-A k = 0.  decompose splits a linear bivector on any R^n into the twist
-along its modular vector and a curl-free part.
+A k = 0: its Jacobiator [pi, pi] is 4 (A k).x d1^d2^d3, which is what
+pair_of reports for one that is not.  decompose splits a linear
+bivector on any R^n into the twist along its modular vector and a
+curl-free part.
 
 Two pairs describe isomorphic structures when some invertible T satisfies
 k2 = T k1 and T' A2 T = det(T) A1 (prime meaning transpose).  Under that
@@ -77,7 +79,6 @@ from .multivec import (
     constant_vector,
     curl,
     modular_field,
-    schouten,
     wedge,
 )
 
@@ -132,32 +133,29 @@ SIGN_PATTERNS = {
 }
 
 
+#: the standard pair of each case, at modulus one for cases 8 and 9
+STANDARD_PAIRS = {case: LinearPair((0, 0, int(case >= 7)),
+                                   Matrix.diagonal(SIGN_PATTERNS[case]))
+                  for case in range(1, 11)}
+
+
 def standard_pair(case_id: int, scale=1) -> LinearPair:
     """The standard pair for one of the ten cases.
 
     ``scale`` is the positive rational modulus a for cases 8 and 9 (the
-    catalog value is a = 1); other cases admit no modulus.
+    catalog value a = 1 reads ``STANDARD_PAIRS``); no other case has one.
     """
     scale = as_rational(scale)
     if case_id not in range(1, 11):
         raise ValueError("case_id must be 1..10")
-    if case_id not in (8, 9) and scale != 1:
+    if scale == 1:
+        return STANDARD_PAIRS[case_id]
+    if case_id not in (8, 9):
         raise ValueError("only cases 8 and 9 carry a modulus")
     if scale <= 0:
         raise ValueError("modulus must be positive")
-    k = (0, 0, 1) if case_id >= 7 else (0, 0, 0)
-    return LinearPair(k, Matrix.diagonal([scale * s
-                                          for s in SIGN_PATTERNS[case_id]]))
-
-
-STANDARD_PAIRS = {case: standard_pair(case) for case in range(1, 11)}
-
-
-def _catalog_pair(case_id: int) -> LinearPair:
-    """The standard pair of a case at modulus one; ValueError off 1..10."""
-    if case_id not in STANDARD_PAIRS:
-        raise ValueError("case_id must be 1..10")
-    return STANDARD_PAIRS[case_id]
+    return LinearPair((0, 0, 1), Matrix.diagonal(
+        [scale * s for s in SIGN_PATTERNS[case_id]]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,9 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     T_20 = k_1 / 2 and T_01 = k_2 / 2.  So every linear bivector on R^3
     is ``bivector_of(k, A)`` for exactly one pair, 9 coefficients being
     3 + 6: A = (M + M') / 4 and k = (M_12 - M_21, M_20 - M_02,
-    M_01 - M_10).  The bivector is Poisson exactly when A k = 0; the
-    Schouten self-bracket is computed only to word the error.
+    M_01 - M_10).  The bivector is Poisson exactly when A k = 0; its
+    Jacobiator, which the error gives, is 4 (A k).x d1^d2^d3 by the R^3
+    identity [pi_X, pi_X] = -2 X.curl X (Dufour and Zung, 2005).
     Rational-valued ExtScalar coefficients give the pair of their Fraction
     twin; an irrational one fails the ``LinearPair`` rational reader.
     """
@@ -248,13 +247,13 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     d, m, rational = _signed_rows(pi)
     k = (m[1][2] - m[2][1], m[2][0] - m[0][2], m[0][1] - m[1][0])
     sym = [m[i][j] + m[j][i] for i in range(3) for j in range(3)]
-    if any(sum(map(operator.mul, sym[3 * i:3 * i + 3], k)) for i in range(3)):
-        jac = schouten(pi, pi)
-        exps, poly = next(iter(sorted(jac.components.items())))
-        label = ",".join(str(i + 1) for i in exps)
+    ak = [sum(map(operator.mul, sym[3 * i:3 * i + 3], k)) for i in range(3)]
+    if any(ak):
+        # [pi, pi] = 4 (A k).x d1^d2^d3, and 4 A k = ak / d^2
+        jac = Polynomial._of_form(3, d * d, dict(zip(_UNIT_EXPONENTS, ak)),
+                                  rational)
         raise ValueError(
-            "not a Poisson bivector: Jacobiator component (%s) is %s" % (label, poly)
-        )
+            "not a Poisson bivector: Jacobiator component (1,2,3) is %s" % jac)
     pair = LinearPair(tuple(_over(v, d) for v in k),
                       Matrix._of_form(3, 4 * d, sym, rational))
     if bivector_of(pair) != pi:
@@ -620,7 +619,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
     t = as_rational_matrix(t)
     if not t.det():
         raise ValueError("transformation must be invertible")
-    pair = _catalog_pair(case_id)
+    pair = standard_pair(case_id)
     by_definition = is_isomorphism(t, pair, pair)
     by_shape = _aut_closed_form(t, case_id)
     if by_definition != by_shape:  # pragma: no cover - cross-check
@@ -637,7 +636,7 @@ def aut_member(t: Matrix, case_id: int) -> bool:
 def is_derivation(d: Matrix, case_id: int) -> bool:
     """Infinitesimal symmetry test: D k = 0 and D^ f = tr(D) f exactly."""
     d = as_rational_matrix(d)
-    pair = _catalog_pair(case_id)
+    pair = standard_pair(case_id)
     if any(d.apply(pair.k)):
         return False
     f = pair.potential()
@@ -650,7 +649,7 @@ def der0_space(case_id: int) -> SolutionSpace:
     Matrices are flattened row-major into R^9; the space solves tr D = 0,
     D k = 0 and D^ f = 0 (the potential of the case, modulus one).
     """
-    pair = _catalog_pair(case_id)
+    pair = standard_pair(case_id)
     f = pair.potential()
     units = [Matrix._of_form(3, 1, [int(k == c) for k in range(9)])
              for c in range(9)]

@@ -15,9 +15,10 @@ The solver inverts that identity exactly, giving the affine set of
 admissible cubics for a twist matrix, on the kernel of the twist's
 derivation: for a regular twist (three distinct nonzero eigenvalues)
 the line of the invariant cubic det(x, Kx, K^2 x), for any other an
-exact elimination.  The bracket route alone shares nothing with the
-solver, so it is the one that makes the solver's re-check of its
-answers independent.
+exact elimination of the derivation rows, the drift rows of K's columns
+times x_j; both read K's flat values.  The bracket route alone shares
+nothing with the solver, so it is the one that makes the solver's
+re-check of its answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -39,7 +40,9 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _det3,
     _over,
+    _product3,
     _rational_sqrt,
     _scaled_row,
     apply_matrix_derivation,
@@ -262,55 +265,6 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     return route_bracket
 
 
-def _twist_rows(k_matrix: Matrix):
-    """The rows of D K for K on its form (D, M): ints for a rational K,
-    and the scalars of K (D = 1) otherwise.
-
-    The kernel equations are homogeneous, so the factor D changes no
-    solution.
-    """
-    flat = k_matrix._form[1]
-    return flat[0:3], flat[3:6], flat[6:9]
-
-
-def _derivation_rows(k: Sequence) -> list:
-    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for
-    the rows ``k`` of K.
-
-    Column s is the image of the monomial x^e, e = CUBIC_MONOMIALS[s]:
-    the sum over i, j of K[i][j] e_i x^(e - u_i + u_j).  Off the diagonal
-    each entry has the single term i -> j; the diagonal entry sums
-    K[i][i] e_i over i.  Entries equal apply_matrix_derivation's
-    coefficients in value and type, missing ones being Fraction(0);
-    integer rows give integer rows.
-    """
-    zero = 0 if all(type(v) is int for row in k for v in row) else Fraction(0)
-    rows = [[zero] * 10 for _ in range(10)]
-    for s, e in enumerate(CUBIC_MONOMIALS):
-        diagonal = None
-        for i in range(3):
-            if not e[i]:
-                continue
-            for j in range(3):
-                if not k[i][j]:
-                    continue
-                term = k[i][j] * e[i]
-                if i != j:
-                    target = list(e)
-                    target[i] -= 1
-                    target[j] += 1
-                    rows[_CUBIC_INDEX[tuple(target)]][s] = term
-                elif diagonal is None:
-                    diagonal = term
-                else:
-                    # a partial sum that cancels is dropped, as a
-                    # Polynomial drops a zero coefficient
-                    diagonal = (diagonal + term) or None
-        if diagonal is not None:
-            rows[s][s] = diagonal
-    return rows
-
-
 def _drift_rows(k: Sequence) -> list:
     """The 6x10 matrix of F -> k.grad F from cubic to quadratic coefficients.
 
@@ -340,9 +294,46 @@ _TRIPLE_SLOTS = tuple(tuple(tuple(
     for l in range(3)) for j in range(3)) for i in range(3))
 
 
+def _derivation_rows(k: Sequence) -> list:
+    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for K's
+    flat row-major values ``k``.
+
+    (Kx).grad F = sum_j x_j (K e_j).grad F: the drift rows of column j
+    (``_drift_rows``), each quadratic slot moved to the slot of its
+    product with x_j.  Off the diagonal each entry has the single term of
+    one column; the diagonal entry of x^e sums K[j][j] e_j over j.
+    Entries equal apply_matrix_derivation's coefficients in value and
+    type, missing ones being Fraction(0); integer values give integer
+    rows.
+    """
+    zero = 0 if all(type(v) is int for v in k) else Fraction(0)
+    rows = [[zero] * 10 for _ in range(10)]
+    for j in range(3):
+        drift = _drift_rows(k[j::3])
+        for a in range(3):
+            for m in range(a, 3):
+                t = _TRIPLE_SLOTS[a][m][j]
+                for s, v in enumerate(drift[_QUAD_SLOTS[a][m]]):
+                    if not v:
+                        continue
+                    if s == t:
+                        # a partial sum that cancels is dropped, as a
+                        # Polynomial drops a zero coefficient
+                        v = (rows[t][s] + v if rows[t][s] else v) or zero
+                    rows[t][s] = v
+    return rows
+
+
+def _minor_sum3(k: Sequence):
+    """The sum p of the principal 2x2 minors of K, for its flat row-major
+    values: K's characteristic polynomial is t^3 - tr(K) t^2 + p t - det K."""
+    a, b, c, d, e, g, h, i, j = k
+    return a * e - b * d + a * j - c * h + e * j - g * i
+
+
 def _invariant_cubic(k: Sequence) -> Optional[list]:
-    """The coefficients of f(x) = det(x, Kx, K^2 x) for the rows ``k`` of
-    K, when K is regular; None otherwise.
+    """The coefficients of f(x) = det(x, Kx, K^2 x) for K's flat
+    row-major values ``k``, when K is regular; None otherwise.
 
     K is regular when q = -det K and the discriminant -4 p^3 - 27 q^2 of
     its characteristic polynomial t^3 + p t + q are nonzero: three
@@ -351,22 +342,20 @@ def _invariant_cubic(k: Sequence) -> Optional[list]:
     ker D_K is one line; f spans it, as f(e^{tK} x) = det(e^{tK}) f(x) =
     f(x) for tr K = 0, and f is not 0 since K has a cyclic vector
     (Olver, Classical Invariant Theory, 1999).  Scaling K by D scales f
-    by D^3, so the rows of D K serve as well.  f = sum_i x_i (Kx x K^2x)_i
-    is summed term by term, ints for int rows and scalars otherwise.
+    by D^3, so the numerators of K serve as well.  f = sum_i x_i
+    (Kx x K^2x)_i is summed term by term, ints for int values and
+    scalars otherwise.
     """
-    (a, b, c), (d, e, g), (h, i, j) = k
-    p = a * e - b * d + a * j - c * h + e * j - g * i
-    det = a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
+    p, det = _minor_sum3(k), _det3(k)
     if not det or not 4 * p * p * p + 27 * det * det:
         return None
-    sq = [[k[r][0] * k[0][s] + k[r][1] * k[1][s] + k[r][2] * k[2][s]
-           for s in range(3)] for r in range(3)]
+    sq = _product3(k, k)
     f = [0] * 10
     for t, slots in enumerate(_TRIPLE_SLOTS):
-        u, v = (t + 1) % 3, (t + 2) % 3
+        u, v = 3 * ((t + 1) % 3), 3 * ((t + 2) % 3)
         for r, row in enumerate(slots):
             for s, slot in enumerate(row):
-                f[slot] += k[u][r] * sq[v][s] - k[v][r] * sq[u][s]
+                f[slot] += k[u + r] * sq[v + s] - k[v + r] * sq[u + s]
     return f
 
 
@@ -413,11 +402,12 @@ def _kernel(k_matrix: Matrix):
     if entry is None:
         if len(_KERNELS) == _KERNELS_KEPT:
             del _KERNELS[next(iter(_KERNELS))]
-        # a K off the field is read on ints, whatever its entry types
-        rows = _twist_rows(k_matrix if field else as_rational_matrix(k_matrix))
-        f = _invariant_cubic(rows)
+        # a K off the field is read on ints, whatever its entry types: the
+        # kernel equations are homogeneous, so the factor D changes nothing
+        k = (k_matrix if field else as_rational_matrix(k_matrix))._form[1]
+        f = _invariant_cubic(k)
         if f is None:
-            space = solve_linear(_derivation_rows(rows), [0] * 10, 10)
+            space = solve_linear(_derivation_rows(k), [0] * 10, 10)
             nums = tuple((1, b) if field else _scaled_row(b)
                          for b in space.basis)
         else:
@@ -713,10 +703,9 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
 
 def _char_coeffs(m: Matrix) -> tuple:
     """(c2, det), Fractions when rational: m's char. poly t^3 + c2 t - det."""
-    r = m.rows
-    c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i]
-             for i, j in ((0, 1), (0, 2), (1, 2)))
-    return demote(c2), demote(m.det())
+    den, vals = m._form
+    c2, det = _minor_sum3(vals), _det3(vals)
+    return demote(_over(c2, den * den)), demote(_over(det, den ** 3))
 
 
 def _binary_exponent(v) -> int:

@@ -92,7 +92,7 @@ def _expect_true(what, flag):
 
 # ---------------------------------------------------------------------------
 # small random generators (kept local so the package has no test deps;
-# the test suite draws from the same ones)
+# tests/conftest.py has its own, and some tests import these)
 # ---------------------------------------------------------------------------
 
 

@@ -31,12 +31,9 @@ source term ``deform_rhs`` built by matrix products.
 from fractions import Fraction
 from typing import Dict
 
+from linalg_reference import gram_of_quadratic
 from poisson_forge import quaddef
-from poisson_forge.exactnum import (
-    Polynomial,
-    gram_of_quadratic,
-    quadratic_form_poly,
-)
+from poisson_forge.exactnum import Polynomial, quadratic_form_poly
 from poisson_forge.linclass import Decomposition, LinearPair, _require_linear
 from poisson_forge.linclass import bivector_of as direct_bivector_of
 from poisson_forge.multivec import (

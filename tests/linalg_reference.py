@@ -24,7 +24,8 @@ seeded inputs:
   elementary matrices E, A <- E^T A E and R <- R E, with ``Matrix``
   products, built by ``_identity_with``,
 - ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
-  each off-diagonal coefficient halved by ``scalar_div``,
+  each off-diagonal coefficient halved by ``scalar_div``; the package no
+  longer has a Gram reader, and ``form_reference`` uses this one,
 - ``stacked_solve_F``: the deformation solver's one 16x10 system, the
   kernel equations of the twist stacked on the coefficient equations,
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
@@ -360,7 +361,7 @@ def stacked_solve_F(lp, k_matrix):
     rhs = [vals.get(m, 0) for m in quaddef.QUAD_MONOMIALS]
     if s != 1:
         rhs = [s * v for v in rhs]
-    rows = quaddef._derivation_rows(quaddef._twist_rows(k_matrix)) + drift
+    rows = quaddef._derivation_rows(k_matrix._form[1]) + drift
     return exactnum.solve_linear(rows, [0] * 10 + rhs, 10)
 
 
@@ -368,4 +369,4 @@ def kernel(k_matrix):
     """ker D_K as the package's ``solve_linear`` eliminates it from the
     rows of K's form (the flag of ``quaddef._kernel`` aside)."""
     return exactnum.solve_linear(
-        quaddef._derivation_rows(quaddef._twist_rows(k_matrix)), [0] * 10, 10)
+        quaddef._derivation_rows(k_matrix._form[1]), [0] * 10, 10)

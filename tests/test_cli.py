@@ -588,6 +588,39 @@ def test_orbits_accepts_a_rational_entry_written_as_four_coordinates():
     assert coords.stdout == plain.stdout
 
 
+_SQRT2, _SQRT3 = ["0", "1", "0", "0"], ["0", "0", "1", "0"]
+
+
+#: twists outside the three structured families, rational and not, with
+#: the eigenvalue report that each one's error names
+@pytest.mark.parametrize("twist, report", [
+    ([[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+     "((0.0, -1.0), (0.0, 0.0), (0.0, 1.0))"),
+    ([[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+     "((-1.0, 0.0), (0.0, 0.0), (1.0, 0.0))"),
+    ([[1, 1, 0], [0, 1, 0], [0, 0, -2]],
+     "((-2.0, 0.0), (1.0, 0.0), (1.0, 0.0))"),
+    ([[_SQRT2, 0, 0], [0, 0, 0], [0, 0, ["0", "-1", "0", "0"]]],
+     "((-1.4142135623730951, 0.0), (0.0, 0.0), (1.4142135623730951, 0.0))"),
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+     "((-0.5, -0.8660254037844386), (-0.5, 0.8660254037844386), (1.0, 0.0))"),
+    ([[_SQRT2, 0, 0], [0, _SQRT3, 0], [0, 0, ["0", "-1", "-1", "0"]]],
+     "((-3.1462643699419726, 0.0), (1.414213562373099, 0.0), "
+     "(1.7320508075688736, 0.0))"),
+], ids=["rotation", "diag-1-minus-1-0", "jordan-block", "diag-sqrt2",
+        "cyclic", "diag-sqrt2-sqrt3"])
+def test_orbits_names_the_eigenvalues_of_a_twist_outside_the_families(
+        twist, report, capsys):
+    from poisson_forge import cli
+
+    assert cli.main(["orbits", json.dumps({"K": twist})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: matrix is outside the three structured families "
+        "(eigenvalue report: %s)\n" % report)
+
+
 @pytest.mark.parametrize("verb", ["classify", "decompose", "bracket", "modular",
                                   "is-poisson", "deform-solve", "deform-check",
                                   "verify-paper"])
@@ -945,6 +978,23 @@ def test_a_string_where_an_array_is_expected_exits_2(verb, payload, message,
     from poisson_forge import cli
 
     assert cli.main([verb, json.dumps(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: %s\n" % message
+
+
+@pytest.mark.parametrize("polynomial, message", [
+    (dict(XYZ_SIXTH, vars=[None, 7, "q"]),
+     "bad variable name None: names are distinct strings"),
+    (dict(XYZ_SIXTH, vars=["x", "y", "x"]),
+     "bad variable name 'x': names are distinct strings"),
+    (dict(XYZ_SIXTH, terms=["t"]), "bad term 't': a term is a JSON object"),
+], ids=["vars-not-strings", "vars-repeated", "term-not-object"])
+def test_polynomial_names_a_bad_variable_or_term(polynomial, message, capsys):
+    from poisson_forge import cli
+
+    payload = {"pair": BOOK_PAIR, "K": _K, "F": polynomial}
+    assert cli.main(["deform-check", json.dumps(payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parse error: %s\n" % message

@@ -245,6 +245,32 @@ def test_pair_of_matches_the_schouten_route(rng):
     assert outcomes[TypeError] >= IRRATIONAL_FLOOR
 
 
+def test_pair_of_words_the_jacobiator_without_a_bracket(rng, monkeypatch):
+    # [pi, pi] = 4 (A k).x d1^d2^d3 on R^3: pair_of words its error from
+    # the sums of its Poisson test, and a Schouten bracket that raises
+    # changes nothing
+    from poisson_forge import linclass, multivec
+
+    fields = [_random_linear_bivector(rng, 3, coefficient)
+              for coefficient in (random_fraction, _field_coefficient)
+              for _ in range(20)]
+    fields += [_retyped(pi, rng, SQRT2) for pi in fields[:10]]
+    want = [_typed_result(ref.pair_of, pi) for pi in fields]
+
+    def refuse(*args):
+        raise RuntimeError("no bracket expected")
+
+    monkeypatch.setattr(multivec, "schouten", refuse)
+    # and under the name an import into linclass would bind
+    monkeypatch.setattr(linclass, "schouten", refuse, raising=False)
+    jacobiators = 0
+    for pi, expected in zip(fields, want):
+        got = _typed_result(pair_of, pi)
+        assert got == expected
+        jacobiators += "Jacobiator component (1,2,3)" in str(got[1])
+    assert jacobiators >= 25
+
+
 def test_decompose_matches_the_schouten_route(rng):
     fields = _standard_bivectors(rng)
     for n in range(2, 6):

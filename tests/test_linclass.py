@@ -10,7 +10,6 @@ from poisson_forge.exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
-    gram_of_quadratic,
     scalar_div,
     SQRT2,
 )
@@ -320,7 +319,7 @@ def test_classify_scaled_rotation_invariant_case():
 
 def test_classify_sheared_hyperbolic_case():
     # x^2 - 2xy has signature (+,-) on its rank-2 part
-    pair = LinearPair((0, 0, 0), gram_of_quadratic(poly3({(2, 0, 0): 1, (1, 1, 0): -2})))
+    pair = LinearPair((0, 0, 0), Matrix([[1, -1, 0], [-1, 0, 0], [0, 0, 0]]))
     label, _ = classify(pair)
     assert label.case_id == 5
 

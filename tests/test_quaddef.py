@@ -332,6 +332,11 @@ def _typed(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
+def _entries(m):
+    """The entries of a matrix, row by row, as ``m.rows`` holds them."""
+    return [v for row in m.rows for v in row]
+
+
 def test_assembled_rows_match_the_polynomial_route(rng):
     for _ in range(300):
         entries = [[_random_twist_entry(rng) for _ in range(3)] for _ in range(3)]
@@ -345,7 +350,7 @@ def test_assembled_rows_match_the_polynomial_route(rng):
                   for e in CUBIC_MONOMIALS]
         kernel = [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
         drift = [[p.coeff(t) for p in drifts] for t in QUAD_MONOMIALS]
-        assert _typed(_derivation_rows(k_matrix.rows)) == _typed(kernel)
+        assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(kernel)
         assert _typed(_drift_rows(k)) == _typed(drift)
 
 
@@ -357,9 +362,9 @@ def test_integer_rows_are_the_scaled_rational_rows(rng):
         k_matrix = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 6))
                             for _ in range(3)] for _ in range(3)])
         den, ints = k_matrix.integer_form()
-        int_rows = _derivation_rows((ints[0:3], ints[3:6], ints[6:9]))
+        int_rows = _derivation_rows(ints)
         assert _typed(int_rows) == [[(int, den * v) for v in row]
-                                    for row in _derivation_rows(k_matrix.rows)]
+                                    for row in _derivation_rows(_entries(k_matrix))]
         k = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)]
         scale = math.lcm(*(c.denominator for c in k))
         int_k = [(scale * c).numerator for c in k]
@@ -449,7 +454,7 @@ def test_solve_F_matches_the_fraction_system_for_fractional_k():
         lp = transform_linear_pair(s, standard_pair(rng.randint(1, 10)))
         twist = (s * rng.choice(families) * s.inverse()).scaled(
             F(rng.randint(1, 5), rng.randint(1, 7)))
-        rows = _derivation_rows(twist.rows) + _drift_rows(lp.k)
+        rows = _derivation_rows(_entries(twist)) + _drift_rows(lp.k)
         source = deform_rhs(lp, twist)
         rhs = [F(0)] * 10 + [source.coeff(m) for m in QUAD_MONOMIALS]
         want = solve_linear(rows, rhs, 10)
@@ -545,7 +550,7 @@ def test_solve_F_on_the_kernel_matches_the_stacked_system(rng):
         assert _typed_space(got) == _typed_space(want)
         kernel = cubic_kernel(twist)
         assert _typed_space(kernel) == _typed_space(
-            solve_linear(_derivation_rows(twist.rows), [0] * 10, 10))
+            solve_linear(_derivation_rows(_entries(twist)), [0] * 10, 10))
         assert kernel.dim >= 1
         dims.add(kernel.dim)
         field += twist.integer_form() is None
@@ -564,7 +569,7 @@ def test_twists_equal_in_value_keep_the_entry_types_of_their_own_solve():
     assert on_ring == on_ints
     for twist in (on_ring, on_ints, on_ring, on_ints):
         assert _typed_space(cubic_kernel(twist)) == _typed_space(
-            solve_linear(_derivation_rows(twist.rows), [0] * 10, 10))
+            solve_linear(_derivation_rows(_entries(twist)), [0] * 10, 10))
         for case in (7, 10):
             lp = standard_pair(case)
             assert _typed_space(solve_F(lp, twist)) == _typed_space(
@@ -595,11 +600,10 @@ def test_closed_form_kernel_matches_the_elimination(rng):
         got = cubic_kernel(twist)
         assert _typed_space(got) == _typed_space(ref.kernel(twist))
         dims.add(got.dim)
-        rows = quaddef._twist_rows(twist)
-        if quaddef._invariant_cubic(rows) is not None:
+        values = twist._form[1]
+        if quaddef._invariant_cubic(values) is not None:
             assert got.dim == 1
-            regular[any(type(v) is ExtScalar and v for row in rows
-                        for v in row)] += 1
+            regular[any(type(v) is ExtScalar and v for v in values)] += 1
     assert {1, 2, 3, 10} <= dims
     assert regular[False] >= 50 and regular[True] >= 20
 

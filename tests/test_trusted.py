@@ -37,7 +37,27 @@ from poisson_forge.multivec import (
     schouten,
     wedge,
 )
-from poisson_forge.quaddef import JordanFamily
+from poisson_forge.linclass import (
+    STANDARD_PAIRS,
+    LinearPair,
+    StdFormLabel,
+    Witness,
+    aut_member,
+    decompose,
+    pair_of,
+    standard_pair,
+    transform_pair,
+)
+from poisson_forge.quaddef import (
+    NILPOTENT_FULL,
+    OTHER,
+    JordanFamily,
+    P2Point,
+    cubic_coords,
+    cubic_from_coords,
+    cubic_kernel,
+    t_of_v,
+)
 
 F = Fraction
 
@@ -295,6 +315,52 @@ def test_rational_matrix_returns_its_checked_argument():
 def test_public_constructors_still_reject_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+_X = Polynomial.variable(3, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cubic_kernel(Matrix.identity(2)), "twist matrix must be 3x3"),
+    (lambda: cubic_coords(_X), "not a homogeneous cubic on three variables"),
+    (lambda: cubic_from_coords([0] * 9), "expected 10 cubic coefficients"),
+    (lambda: JordanFamily("BOGUS"), "unknown family tag 'BOGUS'"),
+    (lambda: JordanFamily(NILPOTENT_FULL, (1,)),
+     "nilpotent family takes no parameters"),
+    (lambda: JordanFamily(OTHER).matrix(), "no normal-form matrix for tag"),
+    (lambda: P2Point((1, 2)), "projective points live on three coordinates"),
+    (lambda: t_of_v((0.0, 0.0, 0.0)), "zero vector has no direction"),
+    (lambda: standard_pair(8, 0), "modulus must be positive"),
+    (lambda: pair_of(MultiVectorField(4, 2, {
+        (0, 1): Polynomial.variable(4, 2)})), "pairs are defined on R\\^3"),
+    (lambda: decompose(MultiVectorField(3, 1, {(0,): _X})),
+     "expected a bivector field"),
+    (lambda: StdFormLabel(8), "modulus present exactly for cases 8 and 9"),
+    (lambda: StdFormLabel(8, -1), "modulus a\\^2 must be positive"),
+    (lambda: Witness(Matrix.identity(2), (1, 1, 1)), "witness lives on R\\^3"),
+    (lambda: Witness(Matrix.diagonal([1, 1, 0]), (1, 1, 1)),
+     "witness base must be invertible"),
+    (lambda: LinearPair((0, 0), Matrix.zero(2)), "pairs live on R\\^3"),
+    (lambda: transform_pair(Matrix.zero(3), STANDARD_PAIRS[1]),
+     "transformation must be invertible"),
+    (lambda: aut_member(Matrix.zero(3), 1), "transformation must be invertible"),
+], ids=["kernel-size", "cubic-coords", "cubic-length", "family-tag",
+        "family-parameters", "family-other-matrix", "point-length",
+        "float-zero-vector", "zero-modulus", "pair-of-r4", "decompose-grade",
+        "label-no-modulus", "label-negative-modulus", "witness-size",
+        "witness-singular", "pair-size", "transform-singular",
+        "aut-singular"])
+def test_library_error_branches_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_float_rotation_flips_down_vectors_and_fixes_the_axis():
+    rows = t_of_v((0.6, 0.0, -0.8))
+    assert rows[2] == pytest.approx((-0.6, 0.0, 0.8), abs=1e-15)
+    assert rows[2][2] >= 0
+    assert t_of_v((0.0, 0.0, 2.0)) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                       (0.0, 0.0, 1.0))
 
 
 def test_family_reads_a_rational_valued_lambda_as_its_fraction():
