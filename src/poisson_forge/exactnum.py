@@ -11,9 +11,10 @@ rationals into the extension field when needed.
 On top of the scalars the module provides:
 
 - :class:`Polynomial` -- sparse multivariate polynomials with exact
-  coefficients, supporting differentiation, evaluation and pullback along
-  a linear change of coordinates,
-- :class:`Matrix` -- dense square matrices with exact inverse/determinant,
+  coefficients, supporting differentiation and pullback along a linear
+  change of coordinates,
+- :class:`Matrix` -- dense square matrices with an exact determinant up
+  to 3x3 and an exact inverse of a rational 3x3 matrix,
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
   returning the full affine solution set as a :class:`SolutionSpace`,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
@@ -52,14 +53,11 @@ normalises a result, as for polynomials.  ``rows`` is a view built on
 first read (Fractions for a rational matrix), or the rows the
 constructor was given.  Structured matrices (``identity``, ``zero``
 and ``diagonal``) are built on the form directly, with no rows to
-coerce.  ``apply`` keeps an int path for a vector of Fractions, and the
-3x3 rational inverse is D adj(M) / det(M).  Two loops stay on the
-scalars: Gauss-Jordan ``inverse``, for a matrix with an ExtScalar entry
-and for sizes other than 3x3, and the Laplace ``det`` above 3x3.  They
-stay because the tests compare the values and the entry types of
-``det`` and ``inverse`` with reference loops: an adjugate inverse of an
-ExtScalar matrix gives the same values, but rational ExtScalar entries
-where Gauss-Jordan gives Fractions.
+coerce.  ``apply`` keeps an int path for a vector of Fractions.  No
+product takes a determinant above 3x3 or inverts anything but a
+rational 3x3 matrix, so ``det`` has closed forms up to 3x3 only, and
+``inverse`` is D adj(M) / det(M) on the form ``as_rational_matrix``
+reads; other sizes raise ValueError, an irrational entry TypeError.
 
 Quadratic forms run on (D, M) too, fraction-free on flat lists.
 ``congruent_diagonalize`` keeps A = B / s and R = Q / t, starting from
@@ -67,14 +65,13 @@ A's form and Q = I: the shear that adds one column to another and the
 swap are column and row operations in place, and the shear F = b_kk E
 that clears row k sets column j to b_kk col j - b_kj col k, which
 leaves B's Schur complement below k over s b_kk, and Q F over t b_kk;
-so det R = +-1.  One body serves both kinds of A: a rational one runs
+so det R = +-1.  A is read by ``as_rational_matrix``, so the loop runs
 on ints, each scale and its list divided by their gcd after a shear;
-one with an ExtScalar entry runs on its scalars, divided by s and t
-once at the end, and a rational-valued entry of R or d comes back as a
-Fraction.  ``_product3``, ``_congruence3`` and ``_det3`` give A B, R' A R
-and det for 3x3 flat lists of values; ``linclass`` runs ``classify``,
-``verify_witness`` and ``is_isomorphism`` on them, on the numerators of
-the forms, with the identities cross-multiplied.
+its one caller, ``classify``, passes rational forms, and an irrational
+entry raises TypeError.  ``_product3``, ``_congruence3`` and ``_det3``
+give A B, R' A R and det for 3x3 flat lists of values; ``linclass``
+runs ``classify``, ``verify_witness`` and ``is_isomorphism`` on them, on
+the numerators of the forms, with the identities cross-multiplied.
 
 ``solve_linear`` eliminates fraction-free (Bareiss, Math. Comp. 22, 1968)
 after scaling each row by the lcm of its denominators, which leaves the
@@ -676,12 +673,6 @@ class Polynomial:
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "Polynomial":
         return cls(nvars, {tuple(exps): coef})
 
-    @classmethod
-    def linear(cls, coeffs: Sequence) -> "Polynomial":
-        """The linear form sum_j coeffs[j] x_j in len(coeffs) variables."""
-        n = len(coeffs)
-        return cls(n, dict(zip(_unit_exponents(n), coeffs)))
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -796,31 +787,6 @@ class Polynomial:
             exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
                 v * exps[index]
             for exps, v in vals.items() if exps[index]}, self._rational)
-
-    def directional_diff(self, vector: Sequence) -> "Polynomial":
-        """Derivative along a constant vector: sum_i v_i d/dx_i."""
-        if len(vector) != self.nvars:
-            raise ValueError("direction of length %d for %d variables"
-                             % (len(vector), self.nvars))
-        out = Polynomial.zero(self.nvars)
-        for i, v in enumerate(vector):
-            v = as_scalar(v)
-            if v:
-                out = out + self.diff(i) * v
-        return out
-
-    def eval(self, point: Sequence):
-        if len(point) != self.nvars:
-            raise ValueError("point of length %d for %d variables"
-                             % (len(point), self.nvars))
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            value = coef
-            for p, e in zip(point, exps):
-                for _ in range(e):
-                    value = value * p
-            total = total + value
-        return total
 
     def compose_linear(self, m: "Matrix") -> "Polynomial":
         """Pullback p(M x): substitute x_i -> sum_j M[i][j] x_j."""
@@ -1161,59 +1127,27 @@ class Matrix:
             return _over(a * d - b * c, den ** 2)
         if n == 3:
             return _over(_det3(vals), den ** 3)
-        # Laplace expansion along the first row (matrices here are tiny)
-        total = Fraction(0)
-        for j in range(self.n):
-            if not self.rows[0][j]:
-                continue
-            minor = Matrix([
-                [row[k] for k in range(self.n) if k != j]
-                for row in self.rows[1:]
-            ])
-            term = self.rows[0][j] * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
+        raise ValueError("det is implemented up to 3x3, not %dx%d" % (n, n))
 
     def inverse(self) -> "Matrix":
-        n = self.n
-        if n == 3 and self._rational:
-            # (M/D)^-1 = D adj(M) / det(M)
-            den, (a, b, c, d, e, f, g, h, i) = self._form
-            adj = (e * i - f * h, c * h - b * i, b * f - c * e,
-                   f * g - d * i, a * i - c * g, c * d - a * f,
-                   d * h - e * g, b * g - a * h, a * e - b * d)
-            det = a * adj[0] + b * adj[3] + c * adj[6]
-            if not det:
-                raise ZeroDivisionError("singular matrix")
-            return Matrix._of_form(3, det, [den * x for x in adj])
-        work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if work[r][col]), None
-            )
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            pv = work[col][col]
-            work[col] = [scalar_div(v, pv) for v in work[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = work[r][col]
-                if not factor:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix._trusted(row[n:] for row in work)
+        """(M/D)^-1 = D adj(M) / det(M) on the rational form of a 3x3
+        matrix: a rational-valued ExtScalar entry reads as its Fraction,
+        an irrational one raises ``as_rational``'s TypeError."""
+        if self.n != 3:
+            raise ValueError("inverse is implemented for 3x3, not %dx%d"
+                             % (self.n, self.n))
+        den, (a, b, c, d, e, f, g, h, i) = as_rational_matrix(self)._form
+        adj = (e * i - f * h, c * h - b * i, b * f - c * e,
+               f * g - d * i, a * i - c * g, c * d - a * f,
+               d * h - e * g, b * g - a * h, a * e - b * d)
+        det = a * adj[0] + b * adj[3] + c * adj[6]
+        if not det:
+            raise ZeroDivisionError("singular matrix")
+        return Matrix._of_form(3, det, [den * x for x in adj])
 
     def is_symmetric(self) -> bool:
         n, vals = self.n, self._form[1]
         return all(vals[i::n] == vals[i * n:i * n + n] for i in range(n))
-
-    def is_skew(self) -> bool:
-        n, vals = self.n, self._form[1]
-        return all(vals[i::n] == tuple(-v for v in vals[i * n:i * n + n])
-                   for i in range(n))
 
     def is_zero(self) -> bool:
         return not any(self._form[1])
@@ -1263,9 +1197,6 @@ class SolutionSpace(NamedTuple):
         if self.is_empty:
             raise ValueError("empty solution space has no dimension")
         return len(self.basis)
-
-    def is_zero_space(self) -> bool:
-        return (not self.is_empty) and not self.basis and not any(self.particular)
 
     def direction_in_span(self, v: Sequence) -> bool:
         if self.is_empty:
@@ -1470,14 +1401,13 @@ def congruent_diagonalize(a: Matrix, rng=None):
     column j to b_kk col j - b_kj col k, so that F' B F / b_kk, every
     entry of which b_kk divides, is B's Schur complement below k with
     b_kk^2 at (k, k), over s b_kk, and Q F is over t b_kk.  Shears and
-    swaps give det R = +-1.  A rational A runs on ints, each scale and
-    its list divided by their gcd after a shear; an A with an ExtScalar
-    entry runs on its scalars, divided by s and t once at the end.
+    swaps give det R = +-1.  A is read by ``as_rational_matrix``, so the
+    loop runs on ints, each scale and its list divided by their gcd after
+    a shear; an irrational entry raises TypeError.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    n, rational = a.n, a._rational
-    s, b = a._form
+    n, (s, b) = a.n, as_rational_matrix(a)._form
     b, t, q = list(b), 1, [0] * (n * n)
     q[::n + 1] = [1] * n
     rows = range(0, n * n, n)
@@ -1515,14 +1445,9 @@ def congruent_diagonalize(a: Matrix, rng=None):
         b[k * n:k * n + n] = b[k::n] = [0] * n
         b[k * n + k] = pivot * pivot
         s, t = s * pivot, t * pivot
-        if rational:
-            g = math.gcd(s, *b)
-            s, b = s // g, [v // g for v in b]
-            g = math.gcd(t, *q)
-            t, q = t // g, [v // g for v in q]
-    if rational:
-        return (Matrix._of_form(n, t, q),
-                tuple(Fraction(b[i * n + i], s) for i in range(n)))
-    return (Matrix._of_form(n, 1, [demote(scalar_div(v, t)) for v in q],
-                            False),
-            tuple(demote(scalar_div(b[i * n + i], s)) for i in range(n)))
+        g = math.gcd(s, *b)
+        s, b = s // g, [v // g for v in b]
+        g = math.gcd(t, *q)
+        t, q = t // g, [v // g for v in q]
+    return (Matrix._of_form(n, t, q),
+            tuple(Fraction(b[i * n + i], s) for i in range(n)))

@@ -139,6 +139,13 @@ STANDARD_PAIRS = {case: LinearPair((0, 0, int(case >= 7)),
                   for case in range(1, 11)}
 
 
+def _check_case_id(case_id) -> None:
+    """ValueError unless case_id is an int in 1..10 (not a bool, nor a
+    float that equals one)."""
+    if not (type(case_id) is int and 1 <= case_id <= 10):
+        raise ValueError("case_id must be 1..10")
+
+
 def standard_pair(case_id: int, scale=1) -> LinearPair:
     """The standard pair for one of the ten cases.
 
@@ -146,8 +153,7 @@ def standard_pair(case_id: int, scale=1) -> LinearPair:
     catalog value a = 1 reads ``STANDARD_PAIRS``); no other case has one.
     """
     scale = as_rational(scale)
-    if case_id not in range(1, 11):
-        raise ValueError("case_id must be 1..10")
+    _check_case_id(case_id)
     if scale == 1:
         return STANDARD_PAIRS[case_id]
     if case_id not in (8, 9):
@@ -366,8 +372,7 @@ class StdFormLabel(NamedTuple("StdFormLabel", [
     __slots__ = ()
 
     def __new__(cls, case_id: int, a_squared: Optional[Fraction] = None):
-        if case_id not in range(1, 11):
-            raise ValueError("case_id must be 1..10")
+        _check_case_id(case_id)
         if (a_squared is not None) != (case_id in (8, 9)):
             raise ValueError("modulus present exactly for cases 8 and 9")
         if a_squared is not None:

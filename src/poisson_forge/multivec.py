@@ -19,9 +19,8 @@ The module implements:
   p = grade of U, which extends the Lie bracket of vector fields to all
   grades with the standard graded antisymmetry,
 - modular fields and Poisson checks for bivectors, plus constructors for
-  the standard players: linear/constant vector fields, the Euler field,
-  the bivector of a quadratic/cubic potential, and the Lie-Poisson
-  bivector of a structure-constant array.  The linear, constant and Euler
+  the standard players: linear and constant vector fields and the
+  bivector of a quadratic/cubic potential.  The linear and constant
   fields build their components on the polynomial form (D, T) of
   ``exactnum`` and wrap them with ``MultiVectorField._trusted``, with no
   second validation.
@@ -34,7 +33,6 @@ classification code relies on, and its curl vanishes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -43,7 +41,6 @@ from .exactnum import (
     Polynomial,
     _check_nvars,
     _linear_forms,
-    _unit_exponents,
     as_scalar,
     int_from_json,
     var_names,
@@ -366,15 +363,6 @@ def const_vf(k: Sequence) -> MultiVectorField:
     })
 
 
-def euler_vf(nvars: int) -> MultiVectorField:
-    """The radial field sum_i x_i d/dx_i, built on the unit exponents."""
-    _check_nvars(nvars)
-    return MultiVectorField._trusted(nvars, 1, {
-        (i,): Polynomial._of_form(nvars, 1, {unit: 1})
-        for i, unit in enumerate(_unit_exponents(nvars))
-    })
-
-
 def bivector_from_potential(f: Polynomial) -> MultiVectorField:
     """Grade n-1 field with (-1)^(n-1-i) df/dx_i on the complement of i.
 
@@ -390,52 +378,3 @@ def bivector_from_potential(f: Polynomial) -> MultiVectorField:
         comps[tuple(range(i)) + tuple(range(i + 1, n))] = (
             -term if (n - 1 - i) % 2 else term)
     return MultiVectorField._trusted(n, n - 1, comps)
-
-
-def _structure_size(c) -> int:
-    """n for an n*n*n nested sequence; ValueError on a ragged one."""
-    n = len(c)
-    if any(len(row) != n or any(len(col) != n for col in row) for row in c):
-        raise ValueError("structure constants must be a %dx%dx%d array"
-                         % (n, n, n))
-    return n
-
-
-def lie_poisson_bivector(c) -> MultiVectorField:
-    """Bivector with components pi^{ij} = sum_k c[i][j][k] x_k.
-
-    ``c`` is an n*n*n nested sequence of structure constants,
-    antisymmetric in the first two slots ([e_i, e_j] = sum_k c[i][j][k] e_k).
-    """
-    n = _structure_size(c)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if as_scalar(c[i][j][k]) != -as_scalar(c[j][i][k]):
-                    raise ValueError(
-                        "structure constants not antisymmetric at (%d,%d,%d)"
-                        % (i, j, k)
-                    )
-    return MultiVectorField(n, 2, {
-        (i, j): Polynomial.linear(c[i][j])
-        for i in range(n) for j in range(i + 1, n)
-    })
-
-
-def jacobi_holds(c) -> bool:
-    """Independent triple-loop Jacobi test for structure constants."""
-    n = _structure_size(c)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    total = Fraction(0)
-                    for m in range(n):
-                        total = total + (
-                            as_scalar(c[i][j][m]) * as_scalar(c[m][k][l])
-                            + as_scalar(c[j][k][m]) * as_scalar(c[m][i][l])
-                            + as_scalar(c[k][i][m]) * as_scalar(c[m][j][l])
-                        )
-                    if total:
-                        return False
-    return True

@@ -270,8 +270,8 @@ def _drift_rows(k: Sequence) -> list:
 
     Column s is the image of x^e, e = CUBIC_MONOMIALS[s]: the sum over i
     of k_i e_i x^(e - u_i), one term per quadratic monomial.  Entries
-    equal directional_diff's coefficients in value and type; an integer
-    k gives integer rows.
+    equal the coefficients of sum_i k_i dF/dx_i in value and type; an
+    integer k gives integer rows.
     """
     if all(type(c) is int for c in k):
         zero = 0
@@ -528,7 +528,11 @@ def _kernel_combinations(nums: tuple, reduced: SolutionSpace,
 
 
 def transform_pair(t: Matrix, qp: QuadraticPair) -> QuadraticPair:
-    """Push a pair along an invertible map: (TKT^-1, det(T) F o T^-1)."""
+    """Push a pair along an invertible map: (TKT^-1, det(T) F o T^-1).
+
+    T must be a rational 3x3 matrix, as ``Matrix.inverse`` reads it: an
+    irrational entry raises TypeError.
+    """
     if not t.det():
         raise ValueError("transform must be invertible")
     tinv = t.inverse()

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_forge.exactnum import SQRT2, SQRT3, Polynomial
+import poly_reference
+from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Polynomial, as_scalar
 from poisson_forge.multivec import MultiVectorField
 from poisson_forge.verify import DEFAULT_SEED
 
@@ -32,6 +33,35 @@ def random_polynomial(rng, nvars, max_degree=2, nterms=3) -> Polynomial:
             exps[rng.randrange(nvars)] += 1
         terms[tuple(exps)] = random_fraction(rng)
     return Polynomial(nvars, terms)
+
+
+def along(p: Polynomial, vector) -> Polynomial:
+    """The derivative of p along a constant vector, sum_i v_i dp/dx_i,
+    with each v_i read as a package scalar and a zero one skipped."""
+    if len(vector) != p.nvars:
+        raise ValueError("direction of length %d for %d variables"
+                         % (len(vector), p.nvars))
+    out = Polynomial.zero(p.nvars)
+    for i, v in enumerate(vector):
+        v = as_scalar(v)
+        if v:
+            out = out + p.diff(i) * v
+    return out
+
+
+def evaluate(p: Polynomial, point):
+    """p at a point, by the reference kernel's evaluation, which would
+    read a point of the wrong length without a word."""
+    if len(point) != p.nvars:
+        raise ValueError("point of length %d for %d variables"
+                         % (len(point), p.nvars))
+    return poly_reference.Polynomial(p.nvars, p.terms).eval(point)
+
+
+def rational_valued(m) -> bool:
+    """Every entry of the matrix m is rational, an ExtScalar one too."""
+    return all(not isinstance(v, ExtScalar) or v.is_rational
+               for row in m.rows for v in row)
 
 
 def random_field(rng, nvars, grade, max_degree=2) -> MultiVectorField:

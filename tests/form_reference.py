@@ -26,14 +26,26 @@ Last, it keeps ``quaddef.deform_check`` as it was before both of its
 routes ran on coefficient forms: the Schouten bracket of the two
 bivectors, and the identity compared as two polynomials, with the
 source term ``deform_rhs`` built by matrix products.
+
+The Euler field ``euler_vf`` that these routes wedge with lives here, and
+so do the Lie-Poisson bivector of a structure-constant array and the
+triple-loop Jacobi test of the constants, ``is_poisson``'s independent
+oracle in the tests.
 """
 
 from fractions import Fraction
 from typing import Dict
 
+from conftest import along
 from linalg_reference import gram_of_quadratic
 from poisson_forge import quaddef
-from poisson_forge.exactnum import Polynomial, quadratic_form_poly
+from poisson_forge.exactnum import (
+    Polynomial,
+    _check_nvars,
+    _unit_exponents,
+    as_scalar,
+    quadratic_form_poly,
+)
 from poisson_forge.linclass import Decomposition, LinearPair, _require_linear
 from poisson_forge.linclass import bivector_of as direct_bivector_of
 from poisson_forge.multivec import (
@@ -44,13 +56,72 @@ from poisson_forge.multivec import (
     const_vf,
     constant_vector,
     curl as direct_curl,
-    euler_vf,
     is_poisson,
     linear_vf,
     modular_field,
     schouten,
     wedge,
 )
+
+
+def euler_vf(nvars: int) -> MultiVectorField:
+    """The radial field sum_i x_i d/dx_i, built on the unit exponents."""
+    _check_nvars(nvars)
+    return MultiVectorField._trusted(nvars, 1, {
+        (i,): Polynomial._of_form(nvars, 1, {unit: 1})
+        for i, unit in enumerate(_unit_exponents(nvars))
+    })
+
+
+def _structure_size(c) -> int:
+    """n for an n*n*n nested sequence; ValueError on a ragged one."""
+    n = len(c)
+    if any(len(row) != n or any(len(col) != n for col in row) for row in c):
+        raise ValueError("structure constants must be a %dx%dx%d array"
+                         % (n, n, n))
+    return n
+
+
+def lie_poisson_bivector(c) -> MultiVectorField:
+    """Bivector with components pi^{ij} = sum_k c[i][j][k] x_k.
+
+    ``c`` is an n*n*n nested sequence of structure constants,
+    antisymmetric in the first two slots ([e_i, e_j] = sum_k c[i][j][k] e_k).
+    """
+    n = _structure_size(c)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if as_scalar(c[i][j][k]) != -as_scalar(c[j][i][k]):
+                    raise ValueError(
+                        "structure constants not antisymmetric at (%d,%d,%d)"
+                        % (i, j, k)
+                    )
+    return MultiVectorField(n, 2, {
+        (i, j): Polynomial(n, {
+            tuple(1 if m == k else 0 for m in range(n)): c[i][j][k]
+            for k in range(n)})
+        for i in range(n) for j in range(i + 1, n)
+    })
+
+
+def jacobi_holds(c) -> bool:
+    """Independent triple-loop Jacobi test for structure constants."""
+    n = _structure_size(c)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    total = Fraction(0)
+                    for m in range(n):
+                        total = total + (
+                            as_scalar(c[i][j][m]) * as_scalar(c[m][k][l])
+                            + as_scalar(c[j][k][m]) * as_scalar(c[m][i][l])
+                            + as_scalar(c[k][i][m]) * as_scalar(c[m][j][l])
+                        )
+                    if total:
+                        return False
+    return True
 
 
 class DifferentialForm(MultiVectorField):
@@ -208,7 +279,7 @@ def deform_check(lp, qp) -> bool:
     bivectors and by the identity between two polynomials."""
     bracket = schouten(direct_bivector_of(lp), quaddef.pi_quad(qp))
     route_bracket = bracket.is_zero()
-    lhs = qp.cubic.directional_diff(lp.k)
+    lhs = along(qp.cubic, lp.k)
     route_identity = lhs == deform_rhs(lp, qp.twist)
     if route_bracket != route_identity:
         raise AssertionError(

