@@ -962,6 +962,21 @@ def _det3(vals: Sequence):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _adjugate3(vals: Sequence) -> list:
+    """adj(M), with M adj(M) = det(M) I, of a 3x3 matrix given as a flat
+    row-major list."""
+    a, b, c, d, e, f, g, h, i = vals
+    return [e * i - f * h, c * h - b * i, b * f - c * e,
+            f * g - d * i, a * i - c * g, c * d - a * f,
+            d * h - e * g, b * g - a * h, a * e - b * d]
+
+
+def _check_inverse_size(n: int) -> None:
+    """ValueError unless n = 3, the one size an inverse is computed for."""
+    if n != 3:
+        raise ValueError("inverse is implemented for 3x3, not %dx%d" % (n, n))
+
+
 class Matrix:
     """Square matrix with exact scalar entries, stored on one form (D, M);
     ``rows`` is a view of it, built on first read."""
@@ -1110,9 +1125,6 @@ class Matrix:
         return Matrix._of_form(n, den, [v for j in range(n) for v in vals[j::n]],
                                self._rational)
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
     def trace(self):
         den, vals = self._form
         return _over(sum(vals[::self.n + 1]), den)
@@ -1133,17 +1145,12 @@ class Matrix:
         """(M/D)^-1 = D adj(M) / det(M) on the rational form of a 3x3
         matrix: a rational-valued ExtScalar entry reads as its Fraction,
         an irrational one raises ``as_rational``'s TypeError."""
-        if self.n != 3:
-            raise ValueError("inverse is implemented for 3x3, not %dx%d"
-                             % (self.n, self.n))
-        den, (a, b, c, d, e, f, g, h, i) = as_rational_matrix(self)._form
-        adj = (e * i - f * h, c * h - b * i, b * f - c * e,
-               f * g - d * i, a * i - c * g, c * d - a * f,
-               d * h - e * g, b * g - a * h, a * e - b * d)
-        det = a * adj[0] + b * adj[3] + c * adj[6]
+        _check_inverse_size(self.n)
+        den, vals = as_rational_matrix(self)._form
+        det = _det3(vals)
         if not det:
             raise ZeroDivisionError("singular matrix")
-        return Matrix._of_form(3, det, [den * x for x in adj])
+        return Matrix._of_form(3, det, [den * x for x in _adjugate3(vals)])
 
     def is_symmetric(self) -> bool:
         n, vals = self.n, self._form[1]

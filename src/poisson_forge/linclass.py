@@ -39,8 +39,10 @@ B' A B, B R, the column permutation, the sign flip and det(base) in
 classify; U = R' A R in verify_witness, whose identities are
 cross-multiplied; and T' A2 T in is_isomorphism, cross-multiplied with
 det(T) A1 on the forms, one body for a rational T and for one with
-entries in the quadratic extension field.  _aut_closed_form stays on
-rows, the independent second route of aut_member.
+entries in the quadratic extension field.  transform_pair is one
+congruence by the adjugate of T's numerators, and _aut_closed_form, the
+independent second route of aut_member, cross-multiplies each group's
+defining equalities on T's numerators.
 
 Every rational input (a pair, a modulus, a witness, the matrix given to
 transform_pair, aut_member or is_derivation) is read by exactnum's one
@@ -58,6 +60,8 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _adjugate3,
+    _check_inverse_size,
     _congruence3,
     _det3,
     _product3,
@@ -69,6 +73,7 @@ from .exactnum import (
     as_rational,
     as_rational_matrix,
     congruent_diagonalize,
+    cross3,
     quadratic_form_poly,
     scalar_from_json,
     scalar_to_json,
@@ -325,14 +330,20 @@ def decompose(pi: MultiVectorField) -> Decomposition:
 
 def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
     """Image of a pair under an invertible linear map, valid by construction:
-    with S = T^-1, S' A S is symmetric as A is, and S' A S T k = S' A k = 0.
+    with S = T^-1, det(T) S' A S is symmetric as A is, and it sends T k to
+    det(T) S' A k = 0.
+
+    For T = M / D_T and A = a / s it is one congruence on the numerators,
+    adj(M)' a adj(M) / (D_T det(M) s), S being D_T adj(M) / det(M).  T is
+    read by the rational reader, so an irrational entry raises TypeError,
+    and only a 3x3 T is taken, as by ``Matrix.inverse``.
     """
     t = as_rational_matrix(t)
-    det = t.det()
-    if not det:
+    if not t.det():
         raise ValueError("transformation must be invertible")
-    tinv = t.inverse()
-    gram = (tinv.transpose() * pair.gram * tinv).scaled(det)
+    _check_inverse_size(t.n)
+    (dt, m), (s, a) = t._form, pair.gram._form
+    gram = Matrix._of_form(3, dt * _det3(m) * s, _congruence3(_adjugate3(m), a))
     return LinearPair._trusted(t.apply(pair.k), gram)
 
 
@@ -559,67 +570,65 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
 # ---------------------------------------------------------------------------
 
 
-def _block2(m: Matrix) -> Matrix:
-    den, vals = m._form
-    return Matrix._of_form(2, den, vals[:2] + vals[3:5], m._rational)
-
-
-def _fixes_e3(m: Matrix) -> bool:
-    return (m.rows[0][2] == 0 and m.rows[1][2] == 0 and m.rows[2][2] == 1)
-
-
 def _aut_closed_form(t: Matrix, case_id: int) -> bool:
-    """Membership in the automorphism group via its explicit description."""
-    m = t.rows
+    """Membership in the automorphism group via its explicit description.
+
+    The defining equalities of each group are cross-multiplied on the
+    numerators of the rational T = M / D (D > 0), with M = (m_ij):
+    T'JT = J and det T = 1 read M'JM = D^2 J and det M = D^3 (cases 2
+    and 3); B'B = c I with c > 0 and T_22 = det(B) / c, B the upper 2x2
+    block, read B_M' B_M = c I with c > 0 and m_22 c = D det(B_M)
+    (case 4); T e3 = e3 reads m_02 = m_12 = 0 and m_22 = D (cases 7-10).
+    """
+    d, m = t._form
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
     if case_id == 1:
         return True
-    if case_id == 2:
-        return t.transpose() * t == Matrix.identity(3) and t.det() == 1
-    if case_id == 3:
-        j = Matrix.diagonal([1, 1, -1])
-        return t.transpose() * j * t == j and t.det() == 1
-    if case_id == 4:
-        if m[0][2] != 0 or m[1][2] != 0:
-            return False
-        b = _block2(t)
-        bb = b.transpose() * b
-        c = bb.rows[0][0]
-        return (bb == Matrix.diagonal([c, c]) and c > 0
-                and m[2][2] == b.det() / c)
+    if case_id in (2, 3):
+        j = (1, 1, 1) if case_id == 2 else (1, 1, -1)
+        cols = (m[0::3], m[1::3], m[2::3])
+        return (all(sum(s * x * y for s, x, y in zip(j, cols[a], cols[b]))
+                    == (j[a] * d * d if a == b else 0)
+                    for a in range(3) for b in range(a, 3))
+                and sum(map(operator.mul, cols[0], cross3(cols[1], cols[2])))
+                == d ** 3)
+    # T e3 is a multiple of e3
+    keeps_axis = m02 == 0 and m12 == 0
+    if case_id in (4, 8):
+        # B_M' B_M = c I with c > 0
+        c = m00 * m00 + m10 * m10
+        conformal = (c > 0 and m00 * m01 + m10 * m11 == 0
+                     and m01 * m01 + m11 * m11 == c)
+        det_b = m00 * m11 - m01 * m10
+        if case_id == 4:
+            return keeps_axis and conformal and m22 * c == d * det_b
+        return keeps_axis and m22 == d and conformal and det_b == c
     if case_id == 5:
-        lam = m[2][2]
-        return (m[0][2] == 0 and m[1][2] == 0 and lam * lam == 1
-                and m[0][0] == lam * m[1][1] and m[1][0] == lam * m[0][1]
-                and m[1][1] ** 2 != m[0][1] ** 2)
+        # lambda = T_22 = +-1, T_00 = lambda T_11 and T_10 = lambda T_01
+        return (keeps_axis and m22 * m22 == d * d and d * m00 == m22 * m11
+                and d * m10 == m22 * m01 and m11 * m11 != m01 * m01)
     if case_id == 6:
-        if m[0][1] != 0 or m[0][2] != 0:
-            return False
-        lower = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-        return lower == m[0][0] and m[0][0] != 0
+        return (m01 == 0 and m02 == 0 and m11 * m22 - m12 * m21 == d * m00
+                and m00 != 0)
+    fixes_e3 = keeps_axis and m22 == d
     if case_id == 7:
-        return _fixes_e3(t)
-    if case_id == 8:
-        if not _fixes_e3(t):
-            return False
-        b = _block2(t)
-        bb = b.transpose() * b
-        c = bb.rows[0][0]
-        return bb == Matrix.diagonal([c, c]) and b.det() == c and c > 0
+        return fixes_e3
     if case_id == 9:
-        return (_fixes_e3(t) and m[0][0] == m[1][1] and m[1][0] == m[0][1]
-                and m[1][1] ** 2 != m[0][1] ** 2)
+        return (fixes_e3 and m00 == m11 and m10 == m01
+                and m11 * m11 != m01 * m01)
     if case_id == 10:
-        return (_fixes_e3(t) and m[0][1] == 0
-                and m[0][0] == m[1][1] and m[0][0] != 0)
+        return fixes_e3 and m01 == 0 and m00 == m11 and m00 != 0
     raise ValueError("case_id must be 1..10")
 
 
 def aut_member(t: Matrix, case_id: int) -> bool:
     """Does t preserve the standard structure of the given case?
 
-    Computed twice: from the defining equations (fixed k, potential
-    equivariant up to det) and from the closed-form group description.
-    A disagreement would mean a bug, so it raises.
+    Computed twice, both times on the int numerators (D, M) of T: from
+    the defining equations (fixed k, potential equivariant up to det) by
+    ``is_isomorphism``, and from the closed-form group description by
+    ``_aut_closed_form``, which shares no code with it.  A disagreement
+    would mean a bug, so it raises.
     """
     t = as_rational_matrix(t)
     if not t.det():

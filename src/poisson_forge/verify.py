@@ -14,7 +14,7 @@ import zlib
 from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
-from .exactnum import Matrix, Polynomial, SolutionSpace, scalar_from_json
+from .exactnum import Matrix, Polynomial, SolutionSpace, _det3, scalar_from_json
 from .goldens import default_goldens
 from .linclass import (
     LinearPair,
@@ -92,7 +92,10 @@ def _expect_true(what, flag):
 
 # ---------------------------------------------------------------------------
 # small random generators (kept local so the package has no test deps;
-# tests/conftest.py has its own, and some tests import these)
+# tests/conftest.py has its own, and some tests import these).  Each
+# matrix is built on its int form, and an invertible one is found by the
+# determinant of those ints; the rng calls and their order fix every later
+# draw of a verify item, so they must not change
 # ---------------------------------------------------------------------------
 
 
@@ -116,17 +119,24 @@ def _random_field(rng, nvars, grade):
 
 def random_invertible(rng):
     while True:
-        m = Matrix([[Fraction(rng.randint(-4, 4)) for _ in range(3)]
-                    for _ in range(3)])
-        if m.det() != 0:
-            return m
+        vals = [rng.randint(-4, 4) for _ in range(9)]
+        if _det3(vals):
+            return Matrix._of_form(3, 1, vals)
 
 
 def random_traceless(rng, lo=-4, hi=4):
-    rows = [[Fraction(rng.randint(lo, hi)) for _ in range(3)]
-            for _ in range(3)]
-    rows[2][2] = -rows[0][0] - rows[1][1]
-    return Matrix(rows)
+    vals = [rng.randint(lo, hi) for _ in range(9)]
+    vals[8] = -vals[0] - vals[4]
+    return Matrix._of_form(3, 1, vals)
+
+
+def _random_sparse_invertible(rng):
+    """Entries in [-3, 3], each drawn with a density chosen per matrix;
+    None when the draw is singular."""
+    density = rng.choice([1.0, 0.7, 0.4])
+    vals = [rng.randint(-3, 3) if rng.random() < density else 0
+            for _ in range(9)]
+    return Matrix._of_form(3, 1, vals) if _det3(vals) else None
 
 
 def random_kernel_cubic(rng, twist):
@@ -303,15 +313,9 @@ def _check_aut_two_routes(g, rng):
         _expect_true("known member rejected for case %d" % case,
                      aut_member(_AUT_SAMPLES[case], case))
         for _ in range(100):
-            density = rng.choice([1.0, 0.7, 0.4])
-            m = Matrix([
-                [Fraction(rng.randint(-3, 3)) if rng.random() < density
-                 else Fraction(0) for _ in range(3)]
-                for _ in range(3)
-            ])
-            if m.det() == 0:
-                continue
-            aut_member(m, case)     # raises if the two routes disagree
+            m = _random_sparse_invertible(rng)
+            if m is not None:
+                aut_member(m, case)     # raises if the two routes disagree
     return "closed-form and transport routes agreed on ~1000 random "\
            "matrices plus known members"
 

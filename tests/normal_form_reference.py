@@ -19,16 +19,29 @@ were, so that the tests can compare the two on seeded inputs:
   (``linalg_reference.congruent_diagonalize_by_products``),
 - ``p2_orbit_rep``: a support table for distinct eigenvalues and an
   if-chain for each of the other two families,
-- ``jordan_family_of``: the exact route with an OTHER exit per failed test.
+- ``jordan_family_of``: the exact route with an OTHER exit per failed test,
+- ``aut_closed_form``: the explicit description of each automorphism
+  group on ``Matrix`` rows and products, with its helpers ``_block2`` and
+  ``_fixes_e3``, before it was cross-multiplied on the numerators (D, M),
+- ``transform_pair``: the image of a pair as det(T) S' A S with
+  S = ``T.inverse()``, before it became one congruence by the adjugate,
+- ``column``: a column read off the rows, as ``Matrix.column`` did.
 """
 
 import math
 from fractions import Fraction
 
 from linalg_reference import _identity_with, congruent_diagonalize_by_products
-from poisson_forge.exactnum import ExtScalar, Matrix, congruent_diagonalize, vec
+from poisson_forge.exactnum import (
+    ExtScalar,
+    Matrix,
+    as_rational_matrix,
+    congruent_diagonalize,
+    vec,
+)
 from poisson_forge.linclass import (
     SIGN_PATTERNS,
+    LinearPair,
     StdFormLabel,
     Witness,
     _arrange,
@@ -224,7 +237,7 @@ def verify_witness_by_products(pair, label, witness) -> bool:
         return False
     diag = [u.rows[i][i] for i in range(3)]
     if label.case_id >= 7:
-        if d[2] != 0 or r.column(2) != tuple(pair.k):
+        if d[2] != 0 or column(r, 2) != tuple(pair.k):
             return False
     elif any(pair.k):
         return False
@@ -253,6 +266,80 @@ def is_isomorphism_by_products(t, p1, p2) -> bool:
     if vec(t.apply(p1.k)) != vec(p2.k):
         return False
     return t.transpose() * p2.gram * t == p1.gram.scaled(det)
+
+
+def column(m: Matrix, j: int) -> tuple:
+    return tuple(row[j] for row in m.rows)
+
+
+def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
+    t = as_rational_matrix(t)
+    det = t.det()
+    if not det:
+        raise ValueError("transformation must be invertible")
+    tinv = t.inverse()
+    gram = (tinv.transpose() * pair.gram * tinv).scaled(det)
+    return LinearPair._trusted(t.apply(pair.k), gram)
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups
+# ---------------------------------------------------------------------------
+
+
+def _block2(m: Matrix) -> Matrix:
+    den, vals = m._form
+    return Matrix._of_form(2, den, vals[:2] + vals[3:5], m._rational)
+
+
+def _fixes_e3(m: Matrix) -> bool:
+    return (m.rows[0][2] == 0 and m.rows[1][2] == 0 and m.rows[2][2] == 1)
+
+
+def aut_closed_form(t: Matrix, case_id: int) -> bool:
+    """Membership in the automorphism group via its explicit description."""
+    m = t.rows
+    if case_id == 1:
+        return True
+    if case_id == 2:
+        return t.transpose() * t == Matrix.identity(3) and t.det() == 1
+    if case_id == 3:
+        j = Matrix.diagonal([1, 1, -1])
+        return t.transpose() * j * t == j and t.det() == 1
+    if case_id == 4:
+        if m[0][2] != 0 or m[1][2] != 0:
+            return False
+        b = _block2(t)
+        bb = b.transpose() * b
+        c = bb.rows[0][0]
+        return (bb == Matrix.diagonal([c, c]) and c > 0
+                and m[2][2] == b.det() / c)
+    if case_id == 5:
+        lam = m[2][2]
+        return (m[0][2] == 0 and m[1][2] == 0 and lam * lam == 1
+                and m[0][0] == lam * m[1][1] and m[1][0] == lam * m[0][1]
+                and m[1][1] ** 2 != m[0][1] ** 2)
+    if case_id == 6:
+        if m[0][1] != 0 or m[0][2] != 0:
+            return False
+        lower = m[1][1] * m[2][2] - m[1][2] * m[2][1]
+        return lower == m[0][0] and m[0][0] != 0
+    if case_id == 7:
+        return _fixes_e3(t)
+    if case_id == 8:
+        if not _fixes_e3(t):
+            return False
+        b = _block2(t)
+        bb = b.transpose() * b
+        c = bb.rows[0][0]
+        return bb == Matrix.diagonal([c, c]) and b.det() == c and c > 0
+    if case_id == 9:
+        return (_fixes_e3(t) and m[0][0] == m[1][1] and m[1][0] == m[0][1]
+                and m[1][1] ** 2 != m[0][1] ** 2)
+    if case_id == 10:
+        return (_fixes_e3(t) and m[0][1] == 0
+                and m[0][0] == m[1][1] and m[0][0] != 0)
+    raise ValueError("case_id must be 1..10")
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,6 @@ REASONS = {
                                     "differential tests compare",
     "exactnum.Matrix.__hash__": _PROTOCOL,
     "exactnum.Matrix.__neg__": _PROTOCOL,
-    "exactnum.Matrix.column": "public query of a matrix; tests read the "
-                              "third column of a witness basis with it",
     "exactnum.Matrix.__repr__": _PROTOCOL,
     "linclass.Witness.from_json": "reads back a CLI witness; test_cli and "
                                   "test_linclass reach it",

@@ -1,0 +1,281 @@
+"""The verify sweep's matrix steps on int forms against the routes they
+replaced.
+
+``verify.random_invertible``, ``random_traceless`` and the draw of the
+"symmetry membership agrees along two routes" item build their matrices
+with ``Matrix._of_form`` on ints; ``linclass.transform_pair`` is one
+congruence by the adjugate of T's numerators; ``linclass._aut_closed_form``
+cross-multiplies each automorphism group's description on (D, M).  The
+oracles are the Fraction generators below and ``normal_form_reference``'s
+``transform_pair`` and ``aut_closed_form``: on seeded inputs both sides
+must give the same matrices and rng states, the same pairs in form and
+entry types, the same verdicts and the same errors.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import normal_form_reference as ref
+from poisson_forge import verify
+from poisson_forge.exactnum import SQRT2, ExtScalar, Matrix
+from poisson_forge.linclass import (
+    LinearPair,
+    _aut_closed_form,
+    aut_member,
+    standard_pair,
+    transform_pair,
+)
+
+
+# ---------------------------------------------------------------------------
+# the generators: same draws, same matrices
+# ---------------------------------------------------------------------------
+
+
+def _fraction_invertible(rng):
+    while True:
+        m = Matrix([[F(rng.randint(-4, 4)) for _ in range(3)]
+                    for _ in range(3)])
+        if m.det() != 0:
+            return m
+
+
+def _fraction_traceless(rng, lo=-4, hi=4):
+    rows = [[F(rng.randint(lo, hi)) for _ in range(3)] for _ in range(3)]
+    rows[2][2] = -rows[0][0] - rows[1][1]
+    return Matrix(rows)
+
+
+def _fraction_sparse_invertible(rng):
+    density = rng.choice([1.0, 0.7, 0.4])
+    m = Matrix([[F(rng.randint(-3, 3)) if rng.random() < density else F(0)
+                 for _ in range(3)] for _ in range(3)])
+    return None if m.det() == 0 else m
+
+
+def _same_matrix(got, want):
+    assert got._form == want._form and got._rational is want._rational
+    assert got.rows == want.rows
+    assert all(type(v) is F for row in got.rows for v in row)
+
+
+def test_generators_draw_the_fraction_matrices_from_the_same_stream():
+    """For seeds 0-199 the int generators give the matrices the Fraction
+    ones gave, in the same entry types, and leave the rng where those
+    left it."""
+    singular = 0
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        lo, hi = -(seed % 5), seed % 7
+        for _ in range(3):
+            _same_matrix(verify.random_invertible(new),
+                         _fraction_invertible(old))
+        _same_matrix(verify.random_traceless(new), _fraction_traceless(old))
+        _same_matrix(verify.random_traceless(new, lo, hi),
+                     _fraction_traceless(old, lo, hi))
+        for _ in range(10):
+            got = verify._random_sparse_invertible(new)
+            want = _fraction_sparse_invertible(old)
+            assert (got is None) == (want is None)
+            if got is None:
+                singular += 1
+            else:
+                _same_matrix(got, want)
+        assert new.getstate() == old.getstate()
+    assert singular >= 20
+
+
+def test_the_membership_item_draws_as_the_fraction_loop_did(monkeypatch, rng):
+    """The item hands aut_member the matrices of the Fraction loop, known
+    members first, and leaves the rng where that loop left it."""
+    seen, want = [], []
+    monkeypatch.setattr(verify, "aut_member",
+                        lambda t, case: seen.append((case, t)) or True)
+    old = random.Random()
+    old.setstate(rng.getstate())
+    verify._check_aut_two_routes(None, rng)
+    for case in range(1, 11):
+        want.append((case, verify._AUT_SAMPLES[case]))
+        for _ in range(100):
+            m = _fraction_sparse_invertible(old)
+            if m is not None:
+                want.append((case, m))
+    assert len(seen) == len(want) > 500
+    for (case, got), (want_case, m) in zip(seen, want):
+        assert case == want_case
+        _same_matrix(got, m)
+    assert rng.getstate() == old.getstate()
+
+
+# ---------------------------------------------------------------------------
+# transform_pair: the adjugate congruence against the inverse route
+# ---------------------------------------------------------------------------
+
+
+def _outcome(t, pair, transform):
+    try:
+        got = transform(t, pair)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return (got.k, [type(v) for v in got.k], got.gram._form,
+            got.gram._rational, [type(v) for row in got.gram.rows for v in row])
+
+
+def _rational_invertible(rng):
+    while True:
+        m = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(3)] for _ in range(3)])
+        if m.det() and m._form[0] > 1:
+            return m
+
+
+def _pairs(rng, count):
+    pairs = [standard_pair(case) for case in range(1, 11)]
+    while len(pairs) < count:
+        case = rng.randint(1, 10)
+        scale = F(rng.randint(1, 9), rng.randint(1, 4)) if case in (8, 9) else 1
+        pair = transform_pair(_rational_invertible(rng), standard_pair(case, scale))
+        pairs += [pair, LinearPair(pair.k, pair.gram.scaled(-1))]
+    return pairs
+
+
+def test_transform_pair_matches_the_inverse_route(rng):
+    """Int, rational (D > 1), int-typed and rational-valued ExtScalar maps
+    give the same k, the same Gram form and Fraction entries."""
+    maps = [verify.random_invertible(rng) for _ in range(40)]
+    maps += [_rational_invertible(rng) for _ in range(40)]
+    maps.append(Matrix._trusted([[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
+    maps += [Matrix._trusted([[ExtScalar.of(v) for v in row] for row in t.rows])
+             for t in maps[35:45]]
+    pairs = _pairs(rng, 40)
+    for t in maps:
+        for pair in rng.sample(pairs, 6):
+            got = _outcome(t, pair, transform_pair)
+            assert got == _outcome(t, pair, ref.transform_pair)
+            assert got[1] == [F] * 3 and got[3] is True
+            assert set(got[4]) == {F}
+
+
+def test_transform_pair_raises_as_the_inverse_route():
+    pair = standard_pair(8, 2)
+    singular = Matrix([[1, 2, 3], [2, 4, 6], [F(1, 2), 0, 1]])
+    singular_ext = Matrix._trusted([[ExtScalar.of(v) for v in row]
+                                    for row in singular.rows])
+    invertible = (ValueError, "transformation must be invertible")
+    irrational = (TypeError, "expected a rational value, got sqrt2")
+    cases = [
+        (Matrix.zero(3), invertible),
+        (singular, invertible),
+        (singular_ext, invertible),
+        (Matrix([[1, 2], [2, 4]]), invertible),
+        (Matrix([[1, 2], [3, 4]]),
+         (ValueError, "inverse is implemented for 3x3, not 2x2")),
+        (Matrix([[2]]), (ValueError, "inverse is implemented for 3x3, not 1x1")),
+        (Matrix.identity(4),
+         (ValueError, "det is implemented up to 3x3, not 4x4")),
+        (Matrix.diagonal([SQRT2, 1, 1]), irrational),
+        (Matrix([[SQRT2, 0], [0, 1]]), irrational),
+    ]
+    assert not singular_ext._rational
+    for t, error in cases:
+        assert _outcome(t, pair, transform_pair) == error
+        assert _outcome(t, pair, ref.transform_pair) == error
+
+
+# ---------------------------------------------------------------------------
+# the closed-form automorphism test on (D, M) against the rows
+# ---------------------------------------------------------------------------
+
+
+#: legs and hypotenuse: a^2 + b^2 = c^2
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+
+
+def _signed_permutations():
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            cells = [0] * 9
+            for r, c in enumerate(perm):
+                cells[3 * r + c] = signs[r]
+            out.append(Matrix._of_form(3, 1, cells))
+    return out
+
+
+def _built_members(rng):
+    """Matrices of the groups' own shapes: rotations and reflections about
+    e3 (scaled, with a free bottom row), rotations about e2, boosts,
+    hyperbolic blocks, shears fixing e3 and lower-triangular blocks of
+    matching corner."""
+    out = []
+    for a, b, c in PYTHAGOREAN:
+        bottom = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+        s = F(rng.randint(1, 4), rng.randint(1, 3))
+        for sign in (1, -1):
+            block = [[F(a, c), F(-b, c) * sign], [F(b, c), F(a, c) * sign]]
+            for scale, corner in ((1, 1), (s, 1), (s, sign),
+                                  (s, F(rng.randint(2, 5)))):
+                out.append(Matrix([[scale * v for v in block[0]] + [0],
+                                   [scale * v for v in block[1]] + [0],
+                                   bottom + [corner]]))
+        out.append(Matrix([[F(a, c), 0, F(-b, c)], [0, 1, 0],
+                           [F(b, c), 0, F(a, c)]]))
+        out.append(Matrix([[F(c, b), 0, F(a, b)], [0, 1, 0],
+                           [F(a, b), 0, F(c, b)]]))
+        x, y = F(c, a), F(b, a)
+        for lam in (1, -1):
+            out.append(Matrix([[lam * x, y, 0], [lam * y, x, 0],
+                               bottom + [lam]]))
+        out.append(Matrix([[y, 0, 0], [s, y, 0], bottom + [1]]))
+        lower = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+                 for _ in range(2)]
+        corner = lower[0][0] * lower[1][1] - lower[0][1] * lower[1][0]
+        if corner:
+            out.append(Matrix([[corner, 0, 0], [bottom[0]] + lower[0],
+                               [bottom[1]] + lower[1]]))
+    return out
+
+
+def _perturbed(rng, m):
+    cells = list(m.rows[0] + m.rows[1] + m.rows[2])
+    cells[rng.randrange(9)] += rng.choice([-1, 1, F(1, 2)])
+    return Matrix([cells[0:3], cells[3:6], cells[6:9]])
+
+
+def _aut_inputs(rng):
+    ints = [verify._random_sparse_invertible(rng) for _ in range(400)]
+    fixing = []
+    for _ in range(150):
+        top = [F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+               for _ in range(4)]
+        bottom = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
+        corner = rng.choice([1, 1, 1, -1, F(rng.randint(-4, 4) or 1, 2)])
+        fixing.append(Matrix([top[0:2] + [0], top[2:4] + [0],
+                              bottom + [corner]]))
+    members = (_signed_permutations() + _built_members(rng)
+               + list(verify._AUT_SAMPLES.values()))
+    rational = [_rational_invertible(rng) for _ in range(100)]
+    out = [m for m in ints + fixing + members + rational if m is not None]
+    out += [_perturbed(rng, m) for m in members + fixing[:50]]
+    return [m for m in out if m.det()]
+
+
+def test_aut_closed_form_on_the_forms_matches_the_rows(rng):
+    """Every case of the closed form gives the row route's verdict, a
+    bool, on int and rational (D > 1) matrices, on matrices that fix e3,
+    on built members and on their perturbations; cases 2-10 see both
+    verdicts, and case 1, the whole of GL(3), only True."""
+    inputs = _aut_inputs(rng)
+    verdicts = {case: set() for case in range(1, 11)}
+    for t in inputs:
+        for case in range(1, 11):
+            got = _aut_closed_form(t, case)
+            assert type(got) is bool
+            assert got == ref.aut_closed_form(t, case), (case, t)
+            assert aut_member(t, case) == got
+            verdicts[case].add(got)
+    assert sum(t._form[0] > 1 for t in inputs) >= 100
+    assert verdicts[1] == {True}
+    for case in range(2, 11):
+        assert verdicts[case] == {True, False}, case
