@@ -13,8 +13,8 @@ On top of the scalars the module provides:
 - :class:`Polynomial` -- sparse multivariate polynomials with exact
   coefficients, supporting differentiation and pullback along a linear
   change of coordinates,
-- :class:`Matrix` -- dense square matrices with an exact determinant up
-  to 3x3 and an exact inverse of a rational 3x3 matrix,
+- :class:`Matrix` -- dense square matrices with an exact determinant of
+  a 3x3 matrix and an exact inverse of a rational 3x3 matrix,
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
   returning the full affine solution set as a :class:`SolutionSpace`,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
@@ -46,17 +46,17 @@ row, over one denominator D.  A rational matrix holds int numerators
 over a canonical D (D > 0, gcd(D, M) = 1), so two rational matrices are
 equal exactly when their forms are; a matrix with an ExtScalar entry
 holds its scalars over D = 1.  ``==``, sums, products, negation,
-``scaled``, ``transpose``, ``trace``, ``is_symmetric`` and ``det`` up to
-3x3 have one body for both kinds, plain ``+`` and ``*`` on the values
+``scaled``, ``transpose``, ``trace``, ``is_symmetric`` and the 3x3
+``det`` have one body for both kinds, plain ``+`` and ``*`` on the values
 with the flag carried from the operands; ``Matrix._of_form`` alone
 normalises a result, as for polynomials.  ``rows`` is a view built on
 first read (Fractions for a rational matrix), or the rows the
 constructor was given.  Structured matrices (``identity``, ``zero``
 and ``diagonal``) are built on the form directly, with no rows to
 coerce.  ``apply`` keeps an int path for a vector of Fractions.  No
-product takes a determinant above 3x3 or inverts anything but a
-rational 3x3 matrix, so ``det`` has closed forms up to 3x3 only, and
-``inverse`` is D adj(M) / det(M) on the form ``as_rational_matrix``
+product takes the determinant of anything but a 3x3 matrix or inverts
+anything but a rational 3x3 matrix, so ``det`` has one closed form, for
+3x3, and ``inverse`` is D adj(M) / det(M) on the form ``as_rational_matrix``
 reads; other sizes raise ValueError, an irrational entry TypeError.
 
 Quadratic forms run on (D, M) too, fraction-free on flat lists.
@@ -971,10 +971,10 @@ def _adjugate3(vals: Sequence) -> list:
             d * h - e * g, b * g - a * h, a * e - b * d]
 
 
-def _check_inverse_size(n: int) -> None:
-    """ValueError unless n = 3, the one size an inverse is computed for."""
+def _check_3x3(n: int, what: str) -> None:
+    """ValueError unless n = 3, the one size ``what`` is computed for."""
     if n != 3:
-        raise ValueError("inverse is implemented for 3x3, not %dx%d" % (n, n))
+        raise ValueError("%s is implemented for 3x3, not %dx%d" % (what, n, n))
 
 
 class Matrix:
@@ -1130,22 +1130,16 @@ class Matrix:
         return _over(sum(vals[::self.n + 1]), den)
 
     def det(self):
-        n, (den, vals) = self.n, self._form
-        # det(M / D) = det(M) / D^n
-        if n == 1:
-            return _over(vals[0], den)
-        if n == 2:
-            a, b, c, d = vals
-            return _over(a * d - b * c, den ** 2)
-        if n == 3:
-            return _over(_det3(vals), den ** 3)
-        raise ValueError("det is implemented up to 3x3, not %dx%d" % (n, n))
+        _check_3x3(self.n, "det")
+        den, vals = self._form
+        # det(M / D) = det(M) / D^3
+        return _over(_det3(vals), den ** 3)
 
     def inverse(self) -> "Matrix":
         """(M/D)^-1 = D adj(M) / det(M) on the rational form of a 3x3
         matrix: a rational-valued ExtScalar entry reads as its Fraction,
         an irrational one raises ``as_rational``'s TypeError."""
-        _check_inverse_size(self.n)
+        _check_3x3(self.n, "inverse")
         den, vals = as_rational_matrix(self)._form
         det = _det3(vals)
         if not det:

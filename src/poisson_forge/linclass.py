@@ -61,7 +61,6 @@ from .exactnum import (
     Polynomial,
     SolutionSpace,
     _adjugate3,
-    _check_inverse_size,
     _congruence3,
     _det3,
     _product3,
@@ -336,12 +335,11 @@ def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
     For T = M / D_T and A = a / s it is one congruence on the numerators,
     adj(M)' a adj(M) / (D_T det(M) s), S being D_T adj(M) / det(M).  T is
     read by the rational reader, so an irrational entry raises TypeError,
-    and only a 3x3 T is taken, as by ``Matrix.inverse``.
+    and only a 3x3 T is taken, as by ``Matrix.det``.
     """
     t = as_rational_matrix(t)
     if not t.det():
         raise ValueError("transformation must be invertible")
-    _check_inverse_size(t.n)
     (dt, m), (s, a) = t._form, pair.gram._form
     gram = Matrix._of_form(3, dt * _det3(m) * s, _congruence3(_adjugate3(m), a))
     return LinearPair._trusted(t.apply(pair.k), gram)

@@ -377,45 +377,42 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
     return SolutionSpace(10, tuple(particular), (tuple(basis),))
 
 
-#: kernels of the last few twists, oldest first: ``solve_F`` and then
-#: ``cubic_kernel`` on one twist compute its kernel once
-_KERNELS = {}
-_KERNELS_KEPT = 8
-
-
 def _kernel(k_matrix: Matrix):
-    """(ker D_K, whether it is on ExtScalars, its basis numerators) for a
-    checked twist.
+    """(whether ker D_K is on ExtScalars, ker D_K, its basis numerators)
+    for a checked twist, from ``_kernel_of`` on K's flat values.
 
-    A regular K takes the line of ``_invariant_cubic``; any other K
-    eliminates its ten kernel rows.  The key is K's form and that flag:
-    a K whose ExtScalar entries are all zero has rows without ExtScalars
+    A K whose ExtScalar entries are all zero has rows without ExtScalars
     and solves on ints, as a rational K does, so the flag fixes the entry
-    types of the space.  The numerators are one (e, m) per basis vector
-    b = m / e, e > 0: ints for a rational kernel, f over |f_last| for the
-    line of f, and the vector itself over 1 on ExtScalars.
+    types of the space.
     """
     field = not k_matrix._rational and any(
         type(v) is ExtScalar and v for v in k_matrix._form[1])
-    key = (field, k_matrix._form)
-    entry = _KERNELS.get(key)
-    if entry is None:
-        if len(_KERNELS) == _KERNELS_KEPT:
-            del _KERNELS[next(iter(_KERNELS))]
-        # a K off the field is read on ints, whatever its entry types: the
-        # kernel equations are homogeneous, so the factor D changes nothing
-        k = (k_matrix if field else as_rational_matrix(k_matrix))._form[1]
-        f = _invariant_cubic(k)
-        if f is None:
-            space = solve_linear(_derivation_rows(k), [0] * 10, 10)
-            nums = tuple((1, b) if field else _scaled_row(b)
-                         for b in space.basis)
-        else:
-            space, last = _line_space(f, field), f[_last_nonzero(f)]
-            nums = (((1, space.basis[0]) if field else
-                     (abs(last), f if last > 0 else [-v for v in f])),)
-        entry = _KERNELS[key] = (space, nums)
-    return entry[0], field, entry[1]
+    # a K off the field is read on ints, whatever its entry types: the
+    # kernel equations are homogeneous, so the factor D changes nothing
+    k = (k_matrix if field else as_rational_matrix(k_matrix))._form[1]
+    return (field,) + _kernel_of(field, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_of(field: bool, k: tuple):
+    """(ker D_K, its basis numerators) for K's flat values ``k``, kept for
+    the last eight twists: ``solve_F`` and then ``cubic_kernel`` on one
+    twist compute its kernel once.
+
+    A regular K takes the line of ``_invariant_cubic``; any other K
+    eliminates its ten kernel rows.  The numerators are one (e, m) per
+    basis vector b = m / e, e > 0: ints for a rational kernel, f over
+    |f_last| for the line of f, and the vector itself over 1 on
+    ExtScalars.
+    """
+    f = _invariant_cubic(k)
+    if f is None:
+        space = solve_linear(_derivation_rows(k), [0] * 10, 10)
+        return space, tuple((1, b) if field else _scaled_row(b)
+                            for b in space.basis)
+    space, last = _line_space(f, field), f[_last_nonzero(f)]
+    return space, (((1, space.basis[0]) if field else
+                    (abs(last), f if last > 0 else [-v for v in f])),)
 
 
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
@@ -425,10 +422,10 @@ def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     (``_invariant_cubic``), with no elimination; any other K solves its
     ten kernel equations.  Either way the space is ``solve_linear``'s
     canonical form, in values and entry types.  It is shared with
-    ``solve_F``, which solves on its basis: the kernels of the last
-    ``_KERNELS_KEPT`` twists are kept."""
+    ``solve_F``, which solves on its basis, through the cache of
+    ``_kernel_of``."""
     _check_twist(k_matrix)
-    return _kernel(k_matrix)[0]
+    return _kernel(k_matrix)[1]
 
 
 def _last_nonzero(v: Sequence) -> int:
@@ -454,7 +451,7 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     which shares no step with this solver, carries that independence.
     """
     _check_twist(k_matrix)
-    _, field, nums = _kernel(k_matrix)
+    field, _, nums = _kernel(k_matrix)
     # k.grad F = q / den times den s, s the lcm of k's denominators:
     # integer rows, and a right-hand side of ints on a rational K (the
     # scalars of K otherwise)

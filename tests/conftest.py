@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 import poly_reference
-from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Polynomial, as_scalar
+from poisson_forge.exactnum import (
+    SQRT2,
+    SQRT3,
+    ExtScalar,
+    Matrix,
+    Polynomial,
+    as_scalar,
+)
+from poisson_forge.linclass import LinearPair, standard_pair, transform_pair
 from poisson_forge.multivec import MultiVectorField
 from poisson_forge.verify import DEFAULT_SEED
 
@@ -22,6 +30,41 @@ def rng():
 
 def random_fraction(rng, lo=-4, hi=4, max_den=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def random_rational_invertible(rng) -> Matrix:
+    """A 3x3 matrix of ``random_fraction(rng, -5, 5)`` entries, drawn
+    until invertible: Fractions, so that its form has a denominator other
+    than 1."""
+    while True:
+        m = Matrix([[random_fraction(rng, -5, 5) for _ in range(3)]
+                    for _ in range(3)])
+        if m.det():
+            return m
+
+
+def random_pairs(rng, count):
+    """Conjugates of the standard pairs (8 and 9 at a random modulus), with
+    their negated Gram matrices, and pairs with A = 0 and a random k."""
+    pairs = []
+    while len(pairs) < count:
+        case = rng.randint(1, 10)
+        scale = random_fraction(rng, 1, 9, 4) if case in (8, 9) else 1
+        pair = transform_pair(random_rational_invertible(rng),
+                              standard_pair(case, scale))
+        pairs += [pair, LinearPair(pair.k, pair.gram.scaled(-1))]
+        k = [random_fraction(rng, -5, 5) if rng.random() < 0.7 else Fraction(0)
+             for _ in range(3)]
+        if any(k):
+            pairs.append(LinearPair(tuple(k), Matrix.zero(3)))
+    return pairs
+
+
+def moduli_pairs():
+    """Cases 8 and 9 at moduli that are not squares, squares, and large."""
+    moduli = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(9, 4),
+              Fraction(18), Fraction(10 ** 12, 7))
+    return [standard_pair(case, a) for case in (8, 9) for a in moduli]
 
 
 def random_polynomial(rng, nvars, max_degree=2, nterms=3) -> Polynomial:

@@ -12,24 +12,27 @@ seeded inputs:
 - ``transpose``, ``scaled``, ``add``, ``sub``: entry by entry on the
   rows,
 - ``det``: the cofactor formulas (Laplace expansion above 3x3) on the
-  entries themselves,
-- ``inverse``: Gauss-Jordan elimination with ``scalar_div``,
+  entries themselves, of any size, where the package has a 3x3 ``det``
+  only,
+- ``inverse``: Gauss-Jordan elimination with ``scalar_div``; with
+  ``det`` it serves ``normal_form_reference`` in place of the package's
+  ``det`` and adjugate inverse,
 - ``apply``: one ``dot`` per row,
 - ``solve_linear``: the Bareiss loop that divided field elements with
   ``scalar_div``, and the integer loop for rational systems, both with
   back substitution on Fractions and ExtScalars,
 - ``congruent_diagonalize``: Lagrange's column operations, one cell at a
-  time, on lists of package scalars,
-- ``congruent_diagonalize_by_products``: the same steps applied as
-  elementary matrices E, A <- E^T A E and R <- R E, with ``Matrix``
-  products, built by ``_identity_with``,
+  time, on lists of package scalars; ``normal_form_reference.classify``
+  runs on it,
 - ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
   each off-diagonal coefficient halved by ``scalar_div``; the package no
   longer has a Gram reader, and ``form_reference`` uses this one,
 - ``stacked_solve_F``: the deformation solver's one 16x10 system, the
   kernel equations of the twist stacked on the coefficient equations,
+  the one oracle of ``quaddef.solve_F``,
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
-  equations, which a regular twist no longer needs.
+  equations, which a regular twist no longer needs, the one oracle of
+  ``quaddef.cubic_kernel``.
 """
 
 import math
@@ -41,7 +44,6 @@ from poisson_forge.exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
-    _over,
     as_scalar,
     scalar_div,
 )
@@ -273,60 +275,6 @@ def congruent_diagonalize(a: Matrix, rng=None):
                 add_col(j, k, scalar_div(-b[k][j], pivot))
 
     return Matrix(r), tuple(b[i][i] for i in range(n))
-
-
-def _identity_with(n: int, cells: dict) -> Matrix:
-    """The n x n identity with the cells {(i, j): value} set."""
-    vals = [0] * (n * n)
-    vals[::n + 1] = [1] * n
-    for (i, j), v in cells.items():
-        vals[i * n + j] = v
-    return Matrix._of_form(n, 1, vals, False)
-
-
-def congruent_diagonalize_by_products(a: Matrix, rng=None):
-    """Lagrange congruence: returns (R, d) with R^T A R = diag(d) exactly.
-
-    A must be symmetric.  With ``rng`` given, admissible pivots are chosen
-    at random (used to check that signature counts are order-independent);
-    otherwise pivot selection is deterministic by index.  Each step is a
-    shear or a swap E, applied as A <- E^T A E and R <- R E.
-    """
-    if not a.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    n = a.n
-    r = _identity_with(n, {})
-
-    def step(cells):
-        nonlocal a, r
-        e = _identity_with(n, cells)
-        a, r = e.transpose() * (a * e), r * e
-
-    def pick(options):
-        return options[0 if rng is None else rng.randrange(len(options))]
-
-    for k in range(n):
-        b = a._form[1]
-        candidates = [i for i in range(k, n) if b[i * n + i]]
-        if not candidates:
-            off = [(i, j) for i in range(k, n) for j in range(i + 1, n)
-                   if b[i * n + j]]
-            if not off:
-                break  # the rest of the form is zero
-            i, j = pick(off)
-            step({(j, i): 1})  # column i += column j
-            candidates = [i]
-        p = pick(candidates)
-        if p != k:
-            step({(k, k): 0, (p, p): 0, (k, p): 1, (p, k): 1})
-        # clear row k in one shear: column j += -b_kj / b_kk column k
-        b = a._form[1]
-        shear = {(k, j): scalar_div(-b[k * n + j], b[k * n + k])
-                 for j in range(k + 1, n) if b[k * n + j]}
-        if shear:
-            step(shear)
-    den, b = a._form
-    return r, tuple(_over(b[i * n + i], den) for i in range(n))
 
 
 def gram_of_quadratic(p: Polynomial) -> "Matrix":

@@ -1,22 +1,24 @@
 """Reference normal-form deciders: the hand-written sign and strata rules.
 
 ``linclass.classify`` reads the sign patterns of the ten standard forms
-from ``SIGN_PATTERNS`` through one rule for both values of k, and
-``quaddef.p2_orbit_rep`` reads the stratum of a point from one table of
-support patterns.  This module keeps the deciders those replaced, as they
-were, so that the tests can compare the two on seeded inputs:
+from ``SIGN_PATTERNS`` through one rule for both values of k, on the int
+numerators of its matrices, and ``quaddef.p2_orbit_rep`` reads the
+stratum of a point from one table of support patterns.  This module
+keeps the deciders those replaced, as they were, so that the tests can
+compare the two on seeded inputs.  Each is the one test-side oracle of
+its ``src`` routine, and none imports that routine or a helper of it:
+determinants and inverses come from ``linalg_reference`` (``det``,
+``inverse``), not from ``Matrix.det`` and ``Matrix.inverse``.
 
 - ``classify``: two branches, k = 0 through ``_arrange_definite_part``
   and k != 0 through ``_sort_by_sign`` and the sign of a 2x2 determinant,
+  on Lagrange's column loop (``linalg_reference.congruent_diagonalize``),
   with the column helpers it used: ``_complete_basis`` (built through
-  ``Matrix(rows)``), ``_permute_columns`` and ``_negate_column``,
-- ``classify_by_products``, ``verify_witness_by_products`` and
-  ``is_isomorphism_by_products``: one rule for both values of k as
-  ``linclass`` ran it on ``Matrix`` products (B' A B, B R, a permutation
-  matrix, a sign flip, R' A R and T' A2 T), before it ran on the int
-  numerators of the forms; the bodies are as they were, with the
-  congruence and the witness check taken from these references
-  (``linalg_reference.congruent_diagonalize_by_products``),
+  ``Matrix(rows)``), ``_permute_columns`` and ``_negate_column``; its
+  witness is checked by ``verify_witness_by_products``,
+- ``verify_witness_by_products`` and ``is_isomorphism_by_products``: the
+  witness check and the isomorphism test on ``Matrix`` products (R' A R
+  and T' A2 T), before they ran on the int numerators of the forms,
 - ``p2_orbit_rep``: a support table for distinct eigenvalues and an
   if-chain for each of the other two families,
 - ``jordan_family_of``: the exact route with an OTHER exit per failed test,
@@ -24,30 +26,17 @@ were, so that the tests can compare the two on seeded inputs:
   group on ``Matrix`` rows and products, with its helpers ``_block2`` and
   ``_fixes_e3``, before it was cross-multiplied on the numerators (D, M),
 - ``transform_pair``: the image of a pair as det(T) S' A S with
-  S = ``T.inverse()``, before it became one congruence by the adjugate,
+  S = T^-1 by Gauss-Jordan elimination, before it became one congruence
+  by the adjugate,
 - ``column``: a column read off the rows, as ``Matrix.column`` did.
 """
 
 import math
 from fractions import Fraction
 
-from linalg_reference import _identity_with, congruent_diagonalize_by_products
-from poisson_forge.exactnum import (
-    ExtScalar,
-    Matrix,
-    as_rational_matrix,
-    congruent_diagonalize,
-    vec,
-)
-from poisson_forge.linclass import (
-    SIGN_PATTERNS,
-    LinearPair,
-    StdFormLabel,
-    Witness,
-    _arrange,
-    verify_witness,
-)
-from poisson_forge.linclass import _complete_basis as _basis_on_the_form
+from linalg_reference import congruent_diagonalize, det, inverse
+from poisson_forge.exactnum import ExtScalar, Matrix, as_rational_matrix, vec
+from poisson_forge.linclass import SIGN_PATTERNS, LinearPair, StdFormLabel, Witness
 from poisson_forge.quaddef import (
     DIAG_DISTINCT,
     DIAG_REPEATED,
@@ -141,21 +130,21 @@ def classify(pair):
         if case == 1:
             base, scales = Matrix.identity(3), [Fraction(0)] * 3
         else:
-            if (base.det() > 0) != (sign > 0):
+            if (det(base) > 0) != (sign > 0):
                 base = _negate_column(base, 2)
             scales = [abs(v) for v in diag]
             if rank == 3:
                 prod = scales[0] * scales[1] * scales[2]
-                det_sq = base.det() ** 2
+                det_sq = det(base) ** 2
                 scales = [det_sq * v / prod for v in scales]
             else:
                 spare = Fraction(1)
                 for v in scales[:rank]:
                     spare = spare * v
-                scales[rank] = base.det() ** 2 / spare
+                scales[rank] = det(base) ** 2 / spare
     else:
         base = _complete_basis(pair.k)
-        block = (base.transpose() * pair.gram * base).scaled(1 / base.det())
+        block = (base.transpose() * pair.gram * base).scaled(1 / det(base))
         if any(block.rows[i][2] for i in range(3)):
             raise AssertionError("compatible pair with nonzero k-block")
         two = Matrix([row[:2] for row in block.rows[:2]])
@@ -170,7 +159,7 @@ def classify(pair):
             ])
             base = base * embed
             diag = list(_diag_of_congruence(base, pair.gram))
-            det2 = two.det()
+            det2 = det(two)
             if det2 > 0:
                 case, a_squared = 8, det2
             elif det2 < 0:
@@ -182,46 +171,11 @@ def classify(pair):
             diag = [diag[p] for p in perm] + [diag[2]]
             sigma = SIGN_PATTERNS[case]
             sign = 1 if (diag[0] > 0) == (sigma[0] > 0) else -1
-            if (base.det() > 0) != (sign > 0):
+            if (det(base) > 0) != (sign > 0):
                 base = _negate_column(base, 0)
             scales = [abs(diag[0]), abs(diag[1]), Fraction(0)]
             if case == 10:
-                scales[1] = base.det() ** 2 / scales[0]
-    label = StdFormLabel(case, a_squared)
-    witness = Witness(base, tuple(scales))
-    if not verify_witness(pair, label, witness):
-        raise AssertionError("constructed witness failed verification")
-    return label, witness
-
-
-def classify_by_products(pair):
-    if not any(pair.k):
-        free, cases, flip = 3, range(1, 7), 2
-        base, diag = congruent_diagonalize_by_products(pair.gram)
-    else:
-        free, cases, flip = 2, range(7, 11), 0
-        basis = _basis_on_the_form(pair.k)
-        inner, diag = congruent_diagonalize_by_products(
-            basis.transpose() * pair.gram * basis)
-        base = basis * inner
-    case, perm, sign = _arrange(diag, cases)
-    # column perm[c] goes to slot c: P[r][c] = 1 exactly when r = perm[c]
-    base = base * Matrix._of_form(3, 1, [int(r == p) for r in range(3)
-                                         for p in perm])
-    scales = [abs(diag[p]) for p in perm]
-    rank = sum(1 for v in scales if v)
-    if rank:
-        if (base.det() > 0) != (sign > 0):
-            base = base * _identity_with(3, {(flip, flip): -1})
-        det_sq = base.det() ** 2
-        if rank == 3:
-            # det(T) is forced here, so rescale to keep it consistent
-            prod = scales[0] * scales[1] * scales[2]
-            scales = [det_sq * v / prod for v in scales]
-        elif rank < free:
-            # one spare column soaks up the determinant so det(T) = sign
-            scales[rank] = det_sq / math.prod(scales[:rank])
-    a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
+                scales[1] = det(base) ** 2 / scales[0]
     label = StdFormLabel(case, a_squared)
     witness = Witness(base, tuple(scales))
     if not verify_witness_by_products(pair, label, witness):
@@ -252,20 +206,20 @@ def verify_witness_by_products(pair, label, witness) -> bool:
     if any(diag[i] != eps * sigma[i] * d[i] for i in live):
         return False
     target = label.a_squared if label.a_squared is not None else 1
-    det = r.det()
-    return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det ** 2
-            and (eps > 0) == (det > 0))
+    det_r = det(r)
+    return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det_r ** 2
+            and (eps > 0) == (det_r > 0))
 
 
 def is_isomorphism_by_products(t, p1, p2) -> bool:
     if t.n != 3:
         raise ValueError("size mismatch")
-    det = t.det()
-    if not det:
+    det_t = det(t)
+    if not det_t:
         raise ValueError("transformation must be invertible")
     if vec(t.apply(p1.k)) != vec(p2.k):
         return False
-    return t.transpose() * p2.gram * t == p1.gram.scaled(det)
+    return t.transpose() * p2.gram * t == p1.gram.scaled(det_t)
 
 
 def column(m: Matrix, j: int) -> tuple:
@@ -274,11 +228,13 @@ def column(m: Matrix, j: int) -> tuple:
 
 def transform_pair(t: Matrix, pair: LinearPair) -> LinearPair:
     t = as_rational_matrix(t)
-    det = t.det()
-    if not det:
+    if t.n != 3:
+        raise ValueError("det is implemented for 3x3, not %dx%d" % (t.n, t.n))
+    det_t = det(t)
+    if not det_t:
         raise ValueError("transformation must be invertible")
-    tinv = t.inverse()
-    gram = (tinv.transpose() * pair.gram * tinv).scaled(det)
+    tinv = inverse(t)
+    gram = (tinv.transpose() * pair.gram * tinv).scaled(det_t)
     return LinearPair._trusted(t.apply(pair.k), gram)
 
 
@@ -302,10 +258,10 @@ def aut_closed_form(t: Matrix, case_id: int) -> bool:
     if case_id == 1:
         return True
     if case_id == 2:
-        return t.transpose() * t == Matrix.identity(3) and t.det() == 1
+        return t.transpose() * t == Matrix.identity(3) and det(t) == 1
     if case_id == 3:
         j = Matrix.diagonal([1, 1, -1])
-        return t.transpose() * j * t == j and t.det() == 1
+        return t.transpose() * j * t == j and det(t) == 1
     if case_id == 4:
         if m[0][2] != 0 or m[1][2] != 0:
             return False
@@ -313,7 +269,7 @@ def aut_closed_form(t: Matrix, case_id: int) -> bool:
         bb = b.transpose() * b
         c = bb.rows[0][0]
         return (bb == Matrix.diagonal([c, c]) and c > 0
-                and m[2][2] == b.det() / c)
+                and m[2][2] == det(b) / c)
     if case_id == 5:
         lam = m[2][2]
         return (m[0][2] == 0 and m[1][2] == 0 and lam * lam == 1
@@ -332,7 +288,7 @@ def aut_closed_form(t: Matrix, case_id: int) -> bool:
         b = _block2(t)
         bb = b.transpose() * b
         c = bb.rows[0][0]
-        return bb == Matrix.diagonal([c, c]) and b.det() == c and c > 0
+        return bb == Matrix.diagonal([c, c]) and det(b) == c and c > 0
     if case_id == 9:
         return (_fixes_e3(t) and m[0][0] == m[1][1] and m[1][0] == m[0][1]
                 and m[1][1] ** 2 != m[0][1] ** 2)
@@ -359,9 +315,10 @@ def jordan_family_of(k_matrix):
         for j in range(i + 1, 3):
             c2 += rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
     c2 = Fraction(c2) if not isinstance(c2, ExtScalar) else c2.rational_value()
-    det = k_matrix.det()
-    det = Fraction(det) if not isinstance(det, ExtScalar) else det.rational_value()
-    roots = _rational_roots_monic_cubic(c2, -det)
+    det_k = det(k_matrix)
+    if isinstance(det_k, ExtScalar):
+        det_k = det_k.rational_value()
+    roots = _rational_roots_monic_cubic(c2, Fraction(-det_k))
     if roots is None:
         return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
 

@@ -2,9 +2,10 @@
 
 ``classify`` matches a diagonalized form to ``SIGN_PATTERNS`` by one rule
 and ``p2_orbit_rep`` reads strata from one table of support patterns.
-``normal_form_reference`` keeps the deciders from before: on seeded inputs
-both must give the same ``classification_to_json``, and the same family,
-stratum, representative and rotation.
+``normal_form_reference`` keeps the deciders from before, on its own
+congruence and determinant: on seeded inputs both must give the same
+``classification_to_json``, witness forms and entry types, and the same
+family, stratum, representative and rotation.
 """
 
 import random
@@ -13,9 +14,9 @@ from fractions import Fraction as F
 import pytest
 
 import normal_form_reference as ref
+from conftest import moduli_pairs, random_pairs, random_rational_invertible
 from poisson_forge.exactnum import SQRT2, Matrix
 from poisson_forge.linclass import (
-    LinearPair,
     classification_to_json,
     classify,
     standard_pair,
@@ -28,62 +29,43 @@ from poisson_forge.quaddef import (
 )
 
 
-def _random_rational(rng):
-    return F(rng.randint(-5, 5), rng.randint(1, 3))
-
-
-def _random_invertible(rng):
-    while True:
-        m = Matrix([[_random_rational(rng) for _ in range(3)]
-                    for _ in range(3)])
-        if m.det():
-            return m
-
-
-def _classified(pair):
-    return classification_to_json(*classify(pair))
-
-
-def _seeded_pairs(rng, count):
-    """Conjugates of random standard pairs (8 and 9 at a random modulus),
-    each with its negated Gram matrix, and pairs with a zero Gram matrix
-    and a random nonzero k."""
-    pairs = []
-    while len(pairs) < count:
-        case = rng.randint(1, 10)
-        scale = F(rng.randint(1, 9), rng.randint(1, 4)) if case in (8, 9) else 1
-        pair = transform_pair(_random_invertible(rng),
-                              standard_pair(case, scale))
-        pairs.append(pair)
-        pairs.append(LinearPair(pair.k, pair.gram.scaled(-1)))
-        k = [_random_rational(rng) if rng.random() < 0.7 else F(0)
-             for _ in range(3)]
-        if any(k):
-            pairs.append(LinearPair(tuple(k), Matrix.zero(3)))
-    return pairs
+def _same_classification(pair):
+    """The same JSON, witness form and entry types from ``classify`` and
+    the reference; the label."""
+    label, witness = classify(pair)
+    want_label, want_witness = ref.classify(pair)
+    assert classification_to_json(label, witness) == classification_to_json(
+        want_label, want_witness), pair
+    assert type(label.a_squared) is type(want_label.a_squared)
+    assert witness.base._form == want_witness.base._form
+    assert witness.base._rational is want_witness.base._rational is True
+    assert [type(v) for v in witness.scales] == [F] * 3
+    assert [type(v) for v in want_witness.scales] == [F] * 3
+    return label
 
 
 def test_standard_pairs_classify_as_before():
     for case in range(1, 11):
-        pair = standard_pair(case)
-        assert _classified(pair) == classification_to_json(*ref.classify(pair))
-        assert classify(pair)[0].case_id == case
+        assert _same_classification(standard_pair(case)).case_id == case
+    for pair in moduli_pairs():
+        label = _same_classification(pair)
+        assert label.a_squared == pair.gram.rows[0][0] ** 2
 
 
-def test_seeded_pairs_classify_as_before():
-    rng = random.Random(20260412)
-    pairs = _seeded_pairs(rng, 4000)
-    cases = set()
-    for pair in pairs:
-        got = _classified(pair)
-        assert got == classification_to_json(*ref.classify(pair)), pair
-        cases.add(got["case"])
-    assert len(pairs) >= 4000
-    assert cases == set(range(1, 11))
+def test_seeded_pairs_classify_as_before(rng):
+    """4,000 pairs at a fixed seed and 320 at the suite's each meet every
+    case; the moduli, conjugated, keep their a^2."""
+    for pairs in (random_pairs(random.Random(20260412), 4000),
+                  random_pairs(rng, 320)):
+        cases = {_same_classification(pair).case_id for pair in pairs}
+        assert cases == set(range(1, 11))
+    for pair in moduli_pairs():
+        moved = transform_pair(random_rational_invertible(rng), pair)
+        assert _same_classification(moved).a_squared == pair.gram.rows[0][0] ** 2
 
 
 def _conjugate(rng, m):
-    s = _random_invertible(rng)
+    s = random_rational_invertible(rng)
     return s * m * s.inverse()
 
 

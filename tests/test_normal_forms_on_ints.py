@@ -1,25 +1,30 @@
 """The normal-form layer on int numerators against the Matrix products it
 replaced.
 
-``classify``, ``verify_witness`` and ``is_isomorphism`` run on the forms
-(D, M) of their matrices: B' A B, B R, the column permutation, the sign
-flip, R' A R and T' A2 T are products of flat numerator lists, and the
-identities are cross-multiplied.  ``normal_form_reference`` keeps the
-bodies that ran on ``Matrix`` products (with the matrix-product Lagrange
-congruence of ``linalg_reference``): on seeded inputs both must give the
-same labels, the same witnesses in form and entry types, the same
-verdicts and the same errors.
+``verify_witness`` and ``is_isomorphism`` run on the forms (D, M) of
+their matrices: R' A R and T' A2 T are products of flat numerator lists,
+and the identities are cross-multiplied.  ``normal_form_reference`` keeps
+the bodies that ran on ``Matrix`` products: on seeded inputs both must
+give the same verdicts and the same errors.  (``classify`` is compared
+with the reference's rules in ``test_normal_form_tables``.)  The
+reference modules must stay independent of the routines they check.
 """
 
-from fractions import Fraction as F
+import ast
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import normal_form_reference as ref
-from conftest import random_ext_scalar
+from conftest import (
+    moduli_pairs,
+    random_ext_scalar,
+    random_pairs,
+    random_rational_invertible,
+)
 from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
 from poisson_forge.linclass import (
-    LinearPair,
     StdFormLabel,
     Witness,
     classify,
@@ -30,79 +35,13 @@ from poisson_forge.linclass import (
 )
 
 
-def _random_invertible(rng):
-    """Fraction entries, so that the forms have denominators other than 1."""
-    while True:
-        m = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 3))
-                     for _ in range(3)] for _ in range(3)])
-        if m.det():
-            return m
-
-
-def _random_pairs(rng, count):
-    """Conjugates of the standard pairs (8 and 9 at a random modulus), with
-    their negated Gram matrices, and pairs with A = 0 and a random k."""
-    pairs = []
-    while len(pairs) < count:
-        case = rng.randint(1, 10)
-        scale = F(rng.randint(1, 9), rng.randint(1, 4)) if case in (8, 9) else 1
-        pair = transform_pair(_random_invertible(rng), standard_pair(case, scale))
-        pairs += [pair, LinearPair(pair.k, pair.gram.scaled(-1))]
-        k = [F(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.7
-             else F(0) for _ in range(3)]
-        if any(k):
-            pairs.append(LinearPair(tuple(k), Matrix.zero(3)))
-    return pairs
-
-
-def _same_classification(pair):
-    label, witness = classify(pair)
-    want_label, want_witness = ref.classify_by_products(pair)
-    assert label == want_label
-    assert type(label.a_squared) is type(want_label.a_squared)
-    assert witness.base._form == want_witness.base._form
-    assert witness.base._rational is want_witness.base._rational is True
-    assert witness.scales == want_witness.scales
-    assert [type(v) for v in witness.scales] == [F] * 3
-    assert [type(v) for v in want_witness.scales] == [F] * 3
-    return label, witness
-
-
-def _moduli():
-    """Cases 8 and 9 at moduli that are not squares, squares, and large."""
-    return [standard_pair(case, a) for case in (8, 9)
-            for a in (F(1), F(2), F(1, 3), F(9, 4), F(18), F(10 ** 12, 7))]
-
-
-def test_classify_matches_the_matrix_products_on_the_standard_pairs():
-    for case in range(1, 11):
-        label, _ = _same_classification(standard_pair(case))
-        assert label.case_id == case
-    for pair in _moduli():
-        label, _ = _same_classification(pair)
-        assert label.a_squared == pair.gram.rows[0][0] ** 2
-
-
-def test_classify_matches_the_matrix_products_on_random_conjugates(rng):
-    pairs = _random_pairs(rng, 320)
-    cases = set()
-    for pair in pairs:
-        cases.add(_same_classification(pair)[0].case_id)
-    for pair in _moduli():
-        moved = transform_pair(_random_invertible(rng), pair)
-        label, _ = _same_classification(moved)
-        assert label.a_squared == pair.gram.rows[0][0] ** 2
-    assert len(pairs) >= 320
-    assert cases == set(range(1, 11))
-
-
 def _tampered(rng, witness):
     """The four tamperings: a sheared base, a doubled scale, a negated base
     and reversed scales."""
     base, scales = witness.base, witness.scales
     i, j = rng.sample(range(3), 2)
     cells = [int(r == c) for r in range(3) for c in range(3)]
-    cells[3 * i + j] = rng.choice([-2, -1, 1, F(1, 2), 3])
+    cells[3 * i + j] = rng.choice([-2, -1, 1, Fraction(1, 2), 3])
     doubled = list(scales)
     doubled[rng.randrange(3)] *= 2
     return {
@@ -118,7 +57,7 @@ def test_verify_witness_matches_the_matrix_products(rng):
     from both, and every kind of tampering is rejected on some pairs."""
     rejected = dict.fromkeys(["sheared", "doubled", "negated", "reversed",
                               "relabelled"], 0)
-    for pair in _random_pairs(rng, 200) + _moduli():
+    for pair in random_pairs(rng, 200) + moduli_pairs():
         label, witness = classify(pair)
         assert verify_witness(pair, label, witness)
         assert ref.verify_witness_by_products(pair, label, witness)
@@ -145,10 +84,10 @@ def _isomorphism_cases(rng):
     """(T, p1, p2) over rational, ExtScalar and singular T: images under T
     (true), under a perturbed T and between unrelated pairs (mostly false),
     and the automorphisms of cases 2, 8 and 9 with irrational entries."""
-    pairs = _random_pairs(rng, 60)
+    pairs = random_pairs(rng, 60)
     cases = []
     for p1 in pairs:
-        t = _random_invertible(rng)
+        t = random_rational_invertible(rng)
         p2 = transform_pair(t, p1)
         cases += [(t, p1, p2), (t, p2, p1), (t, p1, rng.choice(pairs)),
                   (t * Matrix.diagonal([1, 1, 2]), p1, p2)]
@@ -166,7 +105,7 @@ def _isomorphism_cases(rng):
         cases.append((t, standard_pair(case), standard_pair(case)))
     for p1 in pairs[:20]:
         u, v = rng.sample(range(3), 2)
-        rows = [list(row) for row in _random_invertible(rng).rows]
+        rows = [list(row) for row in random_rational_invertible(rng).rows]
         rows[v] = [2 * x for x in rows[u]]
         cases.append((Matrix(rows), p1, p1))
         rows[v] = [SQRT2 * x for x in rows[u]]
@@ -197,3 +136,31 @@ def test_is_isomorphism_refuses_an_invertible_matrix_off_r3():
             is_isomorphism(t, pair, pair)
         with pytest.raises(ValueError, match="size mismatch"):
             ref.is_isomorphism_by_products(t, pair, pair)
+
+
+#: what each reference module checks: it may import none of these from
+#: the package
+ORACLE_OF = {"congruent_diagonalize", "classify", "verify_witness",
+             "is_isomorphism", "transform_pair", "_arrange",
+             "_complete_basis", "_aut_closed_form", "_adjugate3"}
+
+
+def _names_taken(path):
+    """The names the module at ``path`` imports from ``poisson_forge``, and
+    every attribute it reads, such as ``exactnum.name``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module or "").startswith("poisson_forge"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_references_take_nothing_they_check_from_the_package():
+    here = Path(__file__).resolve().parent
+    for name in ("normal_form_reference.py", "linalg_reference.py"):
+        taken = _names_taken(here / name)
+        assert "Matrix" in taken, name      # the parse found the imports
+        assert not taken & ORACLE_OF, (name, sorted(taken & ORACLE_OF))

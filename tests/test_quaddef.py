@@ -23,7 +23,6 @@ from poisson_forge.exactnum import (
     cross3,
     scalar_div,
     solve_linear,
-    sqrt_exact,
 )
 from poisson_forge.linclass import (
     LinearPair,
@@ -37,8 +36,6 @@ from poisson_forge.multivec import is_poisson
 from poisson_forge.quaddef import (
     CUBIC_MONOMIALS,
     DIAG_DISTINCT,
-    DIAG_REPEATED,
-    NILPOTENT_FULL,
     OTHER,
     QUAD_MONOMIALS,
     JordanFamily,
@@ -596,7 +593,7 @@ def test_closed_form_kernel_matches_the_elimination(rng):
                 Matrix.diagonal([SQRT2, SQRT3, -SQRT2 - SQRT3])]
     dims, regular = set(), {True: 0, False: 0}
     for twist in twists:
-        quaddef._KERNELS.clear()
+        quaddef._kernel_of.cache_clear()
         got = cubic_kernel(twist)
         assert _typed_space(got) == _typed_space(ref.kernel(twist))
         dims.add(got.dim)

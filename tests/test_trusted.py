@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+import linalg_reference
+import poly_reference
 from conftest import (
     evaluate,
     random_ext_field,
@@ -75,35 +77,6 @@ def _assert_valid_poly(p):
         assert coef
 
 
-# The accumulation the validating constructor used to receive: every sum
-# starts at Fraction(0) and the result goes through Polynomial(...).
-
-
-def _ref_add(p, q):
-    terms = dict(p.terms)
-    for e, c in q.terms.items():
-        terms[e] = terms.get(e, F(0)) + c
-    return Polynomial(p.nvars, terms)
-
-
-def _ref_mul(p, q):
-    terms = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            terms[key] = terms.get(key, F(0)) + c1 * c2
-    return Polynomial(p.nvars, terms)
-
-
-def _ref_diff(p, i):
-    terms = {}
-    for exps, coef in p.terms.items():
-        if exps[i]:
-            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            terms[key] = terms.get(key, F(0)) + coef * exps[i]
-    return Polynomial(p.nvars, terms)
-
-
 def _same(actual, expected):
     assert actual == expected
     assert {e: type(c) for e, c in actual.terms.items()} == {
@@ -119,14 +92,16 @@ def test_polynomial_arithmetic_matches_validated_reference(irrational):
         p = random_ext_polynomial(rng, n, irrational)
         q = random_ext_polynomial(rng, n, irrational)
         c = random_ext_scalar(rng, irrational)
-        _same(p + q, _ref_add(p, q))
-        _same(p - q, _ref_add(p, Polynomial(n, {e: -v for e, v in q.terms.items()})))
+        # the dict kernel's results, through the validating constructor
+        a, b = (poly_reference.Polynomial(n, r.terms) for r in (p, q))
+        _same(p + q, Polynomial(n, (a + b).terms))
+        _same(p - q, Polynomial(n, (a - b).terms))
         _same(-p, Polynomial(n, {e: -v for e, v in p.terms.items()}))
-        _same(p * q, _ref_mul(p, q))
+        _same(p * q, Polynomial(n, (a * b).terms))
         _same(p * c, Polynomial(n, {e: v * c for e, v in p.terms.items()}))
         _same(3 * p, Polynomial(n, {e: v * 3 for e, v in p.terms.items()}))
         for i in range(n):
-            _same(p.diff(i), _ref_diff(p, i))
+            _same(p.diff(i), Polynomial(n, a.diff(i).terms))
         m = Matrix([[random_ext_scalar(rng, irrational) for _ in range(n)]
                     for _ in range(n)])
         pulled = p.compose_linear(m)
@@ -196,16 +171,10 @@ def test_field_results_that_cancel_are_empty(rng):
     assert isinstance(vol_dual(rot), DifferentialForm)
 
 
-def _ref_product(a, b):
-    n = a.n
-    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), F(0))
-             for j in range(n)] for i in range(n)]
-
-
 def _assert_product(a, b):
     got = a * b
-    want = _ref_product(a, b)
-    assert [list(r) for r in got.rows] == want
+    want = linalg_reference.product(a, b).rows
+    assert got.rows == want
     assert [[type(v) for v in r] for r in got.rows] == [
         [type(v) for v in r] for r in want]
     assert got == Matrix(got.rows)
@@ -350,12 +319,14 @@ _X = Polynomial.variable(3, 0)
     (lambda: transform_pair(Matrix.zero(3), STANDARD_PAIRS[1]),
      "transformation must be invertible"),
     (lambda: aut_member(Matrix.zero(3), 1), "transformation must be invertible"),
+    (lambda: aut_member(Matrix.identity(2), 1),
+     "det is implemented for 3x3, not 2x2"),
 ], ids=["kernel-size", "cubic-coords", "cubic-length", "family-tag",
         "family-parameters", "family-other-matrix", "point-length",
         "float-zero-vector", "zero-modulus", "pair-of-r4", "decompose-grade",
         "label-no-modulus", "label-negative-modulus", "witness-size",
         "witness-singular", "pair-size", "transform-singular",
-        "aut-singular"])
+        "aut-singular", "aut-size"])
 def test_library_error_branches_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build()
