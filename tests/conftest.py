@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import normal_form_reference
 import poly_reference
 from poisson_forge.exactnum import (
     SQRT2,
@@ -14,7 +15,13 @@ from poisson_forge.exactnum import (
     Polynomial,
     as_scalar,
 )
-from poisson_forge.linclass import LinearPair, standard_pair, transform_pair
+from poisson_forge.linclass import (
+    LinearPair,
+    classification_to_json,
+    classify,
+    standard_pair,
+    transform_pair,
+)
 from poisson_forge.multivec import MultiVectorField
 from poisson_forge.verify import DEFAULT_SEED
 
@@ -65,6 +72,21 @@ def moduli_pairs():
     moduli = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(9, 4),
               Fraction(18), Fraction(10 ** 12, 7))
     return [standard_pair(case, a) for case in (8, 9) for a in moduli]
+
+
+def same_classification(pair):
+    """The same JSON, witness form and entry types from ``classify`` and
+    ``normal_form_reference.classify``; the label."""
+    label, witness = classify(pair)
+    want_label, want_witness = normal_form_reference.classify(pair)
+    assert classification_to_json(label, witness) == classification_to_json(
+        want_label, want_witness), pair
+    assert type(label.a_squared) is type(want_label.a_squared)
+    assert witness.base._form == want_witness.base._form
+    assert witness.base._rational is want_witness.base._rational is True
+    assert [type(v) for v in witness.scales] == [Fraction] * 3
+    assert [type(v) for v in want_witness.scales] == [Fraction] * 3
+    return label
 
 
 def random_polynomial(rng, nvars, max_degree=2, nterms=3) -> Polynomial:

@@ -1,13 +1,14 @@
 """The normal-form layer on int numerators against the Matrix products it
 replaced.
 
-``verify_witness`` and ``is_isomorphism`` run on the forms (D, M) of
-their matrices: R' A R and T' A2 T are products of flat numerator lists,
-and the identities are cross-multiplied.  ``normal_form_reference`` keeps
-the bodies that ran on ``Matrix`` products: on seeded inputs both must
-give the same verdicts and the same errors.  (``classify`` is compared
-with the reference's rules in ``test_normal_form_tables``.)  The
-reference modules must stay independent of the routines they check.
+``classify``, ``verify_witness`` and ``is_isomorphism`` run on the forms
+(D, M) of their matrices: B' A B, R' A R and T' A2 T are products of flat
+numerator lists, and the identities are cross-multiplied.
+``normal_form_reference`` keeps the bodies that ran on ``Matrix``
+products, with the column-loop congruence of ``linalg_reference``: on
+seeded inputs both must give the same labels, the same witnesses in form
+and entry types, the same verdicts and the same errors.  The reference
+modules must stay independent of the routines they check.
 """
 
 import ast
@@ -22,6 +23,7 @@ from conftest import (
     random_ext_scalar,
     random_pairs,
     random_rational_invertible,
+    same_classification,
 )
 from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
 from poisson_forge.linclass import (
@@ -33,6 +35,24 @@ from poisson_forge.linclass import (
     transform_pair,
     verify_witness,
 )
+
+
+def test_classify_matches_the_matrix_products_on_the_standard_pairs():
+    """Cases 8 and 9 at the 12 moduli keep their a^2 (the ten standard
+    pairs at modulus 1 are in ``test_normal_form_tables``)."""
+    for pair in moduli_pairs():
+        label = same_classification(pair)
+        assert label.a_squared == pair.gram.rows[0][0] ** 2
+
+
+def test_classify_matches_the_matrix_products_on_random_conjugates(rng):
+    pairs = random_pairs(rng, 320)
+    cases = {same_classification(pair).case_id for pair in pairs}
+    for pair in moduli_pairs():
+        moved = transform_pair(random_rational_invertible(rng), pair)
+        assert same_classification(moved).a_squared == pair.gram.rows[0][0] ** 2
+    assert len(pairs) >= 320
+    assert cases == set(range(1, 11))
 
 
 def _tampered(rng, witness):
