@@ -5,8 +5,8 @@ file, or from stdin with ``-``) and results go out as JSON (default) or
 as readable tables.  Exit codes: 0 on success, 1 on domain errors
 (invalid structures, inconsistent systems, failed verification, a
 ``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``, and a
-``decompose`` input on R^n whose terms plus n(n-1) squared exceed it,
-refused as ``error: input too large``), 2 on
+``decompose`` input whose Jacobi test could make more than
+``MAX_DECOMPOSE_WORK`` products, refused as ``error: input too large``), 2 on
 parse errors (an input that cannot be read or names no file, and a
 ``--goldens`` table without every section of the built-in one, too) and
 bad usage, 3 on an internal error (a failed internal consistency check
@@ -36,6 +36,7 @@ from .linclass import (
     classification_to_json,
     classify,
     decompose,
+    decompose_work,
 )
 from .multivec import MultiVectorField, modular_field, is_poisson, schouten
 from .quaddef import (
@@ -57,10 +58,15 @@ from .verify import DEFAULT_SEED, run_verification
 #: take on.  The Schouten bracket's work grows with this product: random
 #: bivectors of degree up to 30 take about 3 us per unit on a 2-core VM
 #: under Python 3.11, so the cap keeps one call under a second, where a
-#: 1,200-term bivector (1.44 million) would take several.  ``decompose``
-#: wedges its curl-free part with itself, so it takes on a bivector on R^n
-#: only while (terms + n(n-1))^2, a bound on that product, is within it
+#: 1,200-term bivector (1.44 million) would take several.
 MAX_TERM_PRODUCT = 250_000
+
+#: largest ``linclass.decompose_work`` that ``decompose`` takes on.  Its
+#: Jacobi test makes at most that many products, at about 0.1 us each on
+#: a 2-core VM under Python 3.11, so the cap keeps one call near a second:
+#: a Poisson bivector on R^30 with 12,753 terms (11.4 million) took 1.2 s.
+#: On R^30 it admits up to 11,034 of the 13,050 possible terms
+MAX_DECOMPOSE_WORK = 10_000_000
 
 
 def _read_payload(raw: str) -> dict:
@@ -173,10 +179,10 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     pi = _field_from(_read_payload(args.input))
-    # the curl-free part has at most n(n-1) terms more than pi, and
-    # square_closed wedges it with itself
-    terms = sum(len(p.terms) for p in pi.components.values())
-    if (terms + pi.nvars * (pi.nvars - 1)) ** 2 > MAX_TERM_PRODUCT:
+    # square_closed's Jacobi test is the one step of decompose above linear
+    # in the size of pi, and n(n - 1) in the bound also covers the
+    # n(n - 1) / 2 components of the curl-free part
+    if decompose_work(pi) > MAX_DECOMPOSE_WORK:
         raise ValueError("input too large")
     dec = decompose(pi)
     report = dec.to_json()

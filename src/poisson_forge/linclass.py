@@ -15,7 +15,8 @@ it comes from exactly one such (k, A), and it is Poisson exactly when
 A k = 0: its Jacobiator [pi, pi] is 4 (A k).x d1^d2^d3, which is what
 pair_of reports for one that is not.  decompose splits a linear
 bivector on any R^n into the twist along its modular vector and a
-curl-free part.
+curl-free part, and reads both parts and its two verdicts off the
+bivector's structure constants.
 
 Two pairs describe isomorphic structures when some invertible T satisfies
 k2 = T k1 and T' A2 T = det(T) A1 (prime meaning transpose).  Under that
@@ -51,6 +52,7 @@ rational reader, as_rational or as_rational_matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -78,13 +80,7 @@ from .exactnum import (
     scalar_to_json,
     solve_linear,
 )
-from .multivec import (
-    MultiVectorField,
-    constant_vector,
-    curl,
-    modular_field,
-    wedge,
-)
+from .multivec import MultiVectorField
 
 
 # ---------------------------------------------------------------------------
@@ -288,37 +284,142 @@ class Decomposition(NamedTuple):
         }
 
 
+def _curl_numerators(rows: dict, n: int) -> list:
+    """The curl of a linear bivector on R^n, a constant vector: the signed
+    trace of its constants.
+
+    ``rows`` maps (i, j), i < j, to the numerators {m: c_ij^m} of the
+    component on (i, j) over one denominator; the curl's numerators over
+    it are out_j = sum_(i<j) c_ij^i - sum_(m>j) c_jm^m, summed in the
+    order of ``rows``.  A sum that cancels starts again from the int 0, as a sum of
+    polynomials drops a cancelled term: so out_j is an ExtScalar exactly
+    when ``curl`` gives one.
+    """
+    out = [0] * n
+    for (i, j), row in rows.items():
+        v = out[j] + row.get(i, 0)
+        out[j] = v if v else 0
+        v = out[i] - row.get(j, 0)
+        out[i] = v if v else 0
+    return out
+
+
+def _jacobi_holds(rows: dict, n: int) -> bool:
+    """Whether the linear bivector of ``rows`` (as in ``_curl_numerators``)
+    is Poisson: the Jacobi identity of its constants,
+
+        sum_l (c_jk^l c_il^m + c_ki^l c_jl^m + c_ij^l c_kl^m) = 0
+
+    for every i < j < k and every m, with c_ji = -c_ij.  Each nonzero
+    constant c_jk^l of a triple meets the row (c_il^m)_m of its third
+    index i, held dense, so a triple costs n products per such constant;
+    see ``decompose_work``.  The test stops at the first nonzero sum.
+    """
+    pairs, dense = {}, {}
+    for (i, j), row in rows.items():
+        row = [(m, v) for m, v in row.items() if v]
+        if row:
+            pairs[i, j] = row
+            pairs[j, i] = [(m, -v) for m, v in row]
+            vec = [0] * n
+            for m, v in row:
+                vec[m] = v
+            dense[i, j] = vec
+            dense[j, i] = [-v for v in vec]
+    for i, j, k in itertools.combinations(range(n), 3):
+        scalars, vecs = [], []
+        for a, b, t in ((j, k, i), (k, i, j), (i, j, k)):
+            for l, v in pairs.get((a, b), ()):
+                vec = dense.get((t, l))
+                if vec is not None:
+                    scalars.append(v)
+                    vecs.append(vec)
+        if any(sum(map(operator.mul, scalars, col)) for col in zip(*vecs)):
+            return False
+    return True
+
+
+def decompose_work(pi: MultiVectorField) -> int:
+    """A bound on the products ``decompose``'s Jacobi test makes on ``pi``.
+
+    The curl-free part has at most e_P + 2 nonzero constants on the pair
+    P = (i, j), e_P being pi's terms there (the twist adds x_i and x_j),
+    and ``_jacobi_holds`` multiplies each by a dense row of n entries for
+    each of the n - 2 third indices.  So the test makes at most
+    (T + n (n - 1)) n (n - 2) products, T the terms of pi: 0 for n < 4,
+    where no test runs.  The count reads only the term counts of pi's
+    components.
+    """
+    n = pi.nvars
+    if n < 4:
+        return 0
+    terms = sum(len(p._form[1]) for p in pi.components.values())
+    return (terms + n * (n - 1)) * n * (n - 2)
+
+
 def decompose(pi: MultiVectorField) -> Decomposition:
     """Split a linear bivector as pi = (1/(n-1)) I^ ^ k^ + L with curl(L) = 0.
 
-    Works on R^n for any n >= 2; k is the constant value of the modular
-    field.  The twist's component on (i, j) is (k_j x_i - k_i x_j)/(n-1),
-    built on the form.  The bracket [k^, L] with a constant field is the
-    derivative of L's coefficients along k, so for a linear L it vanishes
-    exactly when sum_m k_m L_{I,m} = 0 on every component I, L_{I,m} the
-    coefficient of x_m.  The two reported booleans are automatic when pi
-    is Poisson.
+    Works on R^n for any n >= 2, in one pass over the numerators c_ij^m of
+    pi's components (pi^ij = sum_m c_ij^m x_m) over the lcm D of their
+    denominators: ints for a rational pi, and for one with an ExtScalar
+    coefficient its scalars times D, as in ``_signed_rows``.
+
+    - k, the constant value of the modular field, is the signed trace of
+      the constants, k_j = sum_i c_ij^i with c_ji = -c_ij (the trace of
+      ad, up to sign; Weinstein, "The modular automorphism group of a
+      Poisson manifold", J. Geom. Phys. 23, 1997), read as
+      ``constant_vector(modular_field(pi))`` reads it, in value and type.
+    - L has on (i, j) the numerators (n-1) c_ij - (k_j x_i - k_i x_j) D
+      over D (n-1), one normalisation per component.  Its curl, the same
+      trace on those numerators, must vanish; a nonzero one raises.
+    - ``twist_commutes``: the bracket [k^, L] with a constant field is the
+      derivative of L's coefficients along k, so for a linear L it
+      vanishes exactly when sum_m k_m L_{I,m} = 0 on every component I.
+    - ``square_closed``, curl(L ^ L) = 0: for a curl-free L this is
+      -[L, L] (Koszul, "Crochet de Schouten-Nijenhuis et cohomologie",
+      Asterisque 1985), which for a linear L vanishes exactly when L's
+      constants satisfy the Jacobi identity; see ``_jacobi_holds``.  On
+      R^2 and R^3, L ^ L has grade 4 and is zero, so it holds with no
+      work.
+
+    ``decompose_work`` bounds the products of the Jacobi test.
     """
     _require_linear(pi)
     n = pi.nvars
-    k = constant_vector(modular_field(pi))
-    rational = all(type(v) is Fraction for v in k)
-    d, w = _scaled_row(k) if rational else (1, k)
+    comps = pi.components.values()
+    d = math.lcm(*(p._form[0] for p in comps))
+    rational = all(p._rational for p in comps)
     units = _unit_exponents(n)
-    lam = pi - MultiVectorField._trusted(n, 2, {
-        (i, j): Polynomial._of_form(n, d * (n - 1),
-                                    {units[i]: w[j], units[j]: -w[i]}, rational)
-        for i in range(n) for j in range(i + 1, n)})
-    if not curl(lam).is_zero():  # pragma: no cover - identity of the splitting
+    index = dict(zip(units, range(n)))
+    rows = {}
+    for key, p in pi.components.items():
+        den, vals = p._form
+        s = d // den
+        rows[key] = {index[u]: s * v for u, v in vals.items()}
+    w = _curl_numerators(rows, n)
+    keys = list(rows)
+    if any(w):
+        keys += [key for key in itertools.combinations(range(n), 2)
+                 if key not in rows]
+    lam = {}
+    for i, j in keys:
+        row = {m: (n - 1) * v for m, v in rows.get((i, j), {}).items()}
+        row[i] = row.get(i, 0) - w[j]
+        row[j] = row.get(j, 0) + w[i]
+        lam[i, j] = row
+    if any(_curl_numerators(lam, n)):  # pragma: no cover - identity
         raise AssertionError("curl-free part has nonzero curl")
-    along_k = dict(zip(units, w))
     return Decomposition(
-        k=k,
-        curl_free=lam,
-        square_closed=curl(wedge(lam, lam)).is_zero(),
-        twist_commutes=not any(
-            sum(along_k[u] * v for u, v in poly._form[1].items())
-            for poly in lam.components.values()),
+        k=tuple(_over(v, d) for v in w),
+        curl_free=MultiVectorField._trusted(n, 2, {
+            key: Polynomial._of_form(
+                n, d * (n - 1), {units[m]: v for m, v in row.items()},
+                rational)
+            for key, row in lam.items()}),
+        square_closed=n < 4 or _jacobi_holds(lam, n),
+        twist_commutes=not any(sum(w[m] * v for m, v in row.items())
+                               for row in lam.values()),
     )
 
 

@@ -19,8 +19,9 @@ routes of ``linclass.pair_of`` and ``linclass.decompose``, which now read
 the pair (k, A) off the coefficients of a linear bivector: ``pair_of``
 tested the Schouten self-bracket, took k from the curl, subtracted the
 twist as a wedge product and rebuilt f by Euler's identity, and
-``decompose`` built its twist as a wedge product and decided
-``twist_commutes`` by a Schouten bracket with the constant field k.
+``decompose`` took k from the curl, built its twist as a wedge product,
+decided ``square_closed`` by the curl of L ^ L and ``twist_commutes`` by
+a Schouten bracket with the constant field k.
 
 Last, it keeps ``quaddef.deform_check`` as it was before both of its
 routes ran on coefficient forms: the Schouten bracket of the two

@@ -408,10 +408,10 @@ def _linear_bivector_on(n, terms_of):
 
 
 @pytest.mark.parametrize("field", [
-    # sum_i x_{i+1} d_i^d_{i+1}: 29 terms, a 841-term curl-free part
-    _linear_bivector_on(30, lambda i, j: [(j, 1)] if j == i + 1 else []),
-    # 435 components of up to 20 terms each
-    _linear_bivector_on(30, lambda i, j: [(m, 1 + (i + j + m) % 7)
+    # sum_i x_{i+1} d_i^d_{i+1} on R^60: 59 terms, a bound of 12.5 million
+    _linear_bivector_on(60, lambda i, j: [(j, 1)] if j == i + 1 else []),
+    # 780 components of up to 20 terms each on R^40: 18.2 million
+    _linear_bivector_on(40, lambda i, j: [(m, 1 + (i + j + m) % 7)
                                           for m in range(20) if (i + m) % 3]),
 ])
 def test_decompose_refuses_an_input_too_large(field, monkeypatch, capsys):
@@ -423,6 +423,124 @@ def test_decompose_refuses_an_input_too_large(field, monkeypatch, capsys):
     monkeypatch.setattr(cli, "decompose", unreachable)
     assert cli.main(["decompose", json.dumps(field)]) == 1
     assert capsys.readouterr().err == "error: input too large\n"
+
+
+def test_decompose_work_at_the_cap_is_decomposed(monkeypatch, capsys):
+    from poisson_forge import cli
+    from poisson_forge.linclass import decompose_work
+    from poisson_forge.multivec import MultiVectorField
+
+    field = _linear_bivector_on(5, lambda i, j: [(i, 1), (j, 2)])
+    work = decompose_work(MultiVectorField.from_json(field))
+    assert work == (20 + 20) * 5 * 3
+    monkeypatch.setattr(cli, "MAX_DECOMPOSE_WORK", work)
+    assert cli.main(["decompose", json.dumps(field)]) == 0
+    monkeypatch.setattr(cli, "MAX_DECOMPOSE_WORK", work - 1)
+    assert cli.main(["decompose", json.dumps(field)]) == 1
+    assert capsys.readouterr().err == "error: input too large\n"
+
+
+def test_decompose_takes_a_dense_input_on_ten_variables(capsys):
+    # 45 components of 10 terms, refused by the cap on
+    # (terms + n(n - 1))^2 that the Jacobi bound replaced
+    import form_reference
+    from poisson_forge import cli
+    from poisson_forge.multivec import MultiVectorField
+
+    field = _linear_bivector_on(10, lambda i, j: [(m, 1 + (i * j + m) % 5)
+                                                  for m in range(10)])
+    assert cli.main(["decompose", json.dumps(field)]) == 0
+    want = form_reference.decompose(MultiVectorField.from_json(field))
+    assert json.loads(capsys.readouterr().out) == want.to_json()
+
+
+def _unimodular(n, rng):
+    """(T, T^-1) for T = (I + U)(I + L): U has entries -1, 0 and 1 from the
+    last half of the indices into the first, and L the other way round,
+    so that U^2 = L^2 = 0 and T^-1 = (I - L)(I - U)."""
+    half = n // 2
+    entries = [[rng.choice((-1, 0, 0, 0, 0, 1)) if (i < half) != (j < half)
+                else 0 for j in range(n)] for i in range(n)]
+
+    def shear(upper, sign):
+        return [[int(i == j) + (sign * v if (i < half) is upper else 0)
+                 for j, v in enumerate(row)] for i, row in enumerate(entries)]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+
+    return (product(shear(True, 1), shear(False, 1)),
+            product(shear(False, -1), shear(True, -1)))
+
+
+def _conjugated(n, constants, t, t_inv):
+    """The Lie-Poisson bivector of [e_i, e_j] = c e_m, for each
+    (i, j, m): c of ``constants``, on the basis f_a = sum_i T_ia e_i: its
+    constants on (a, b) are sum T_ia T_jb c (T^-1)_cm."""
+    rows = {}
+    for (i, j, m), c in constants.items():
+        for a in range(n):
+            for b in range(a + 1, n):
+                f = c * (t[i][a] * t[j][b] - t[j][a] * t[i][b])
+                if f:
+                    row = rows.setdefault((a, b), [0] * n)
+                    for r in range(n):
+                        row[r] += f * t_inv[r][m]
+    return _linear_bivector_on(n, lambda a, b: [
+        (m, c) for m, c in enumerate(rows.get((a, b), ())) if c])
+
+
+#: so(3)^9 on e_0..e_26 and [e_27, e_29] = e_27, [e_28, e_29] = e_28
+SO3_SUM_AND_BOOK = dict(
+    [((b, b + 1, b + 2), 1) for b in range(0, 27, 3)]
+    + [((b + 1, b + 2, b), 1) for b in range(0, 27, 3)]
+    + [((b, b + 2, b + 1), -1) for b in range(0, 27, 3)]
+    + [((27, 29, 27), 1), ((28, 29, 28), 1)])
+#: [e_0, e_i] = i e_i: R acting on the abelian ideal R^29
+SEMIDIRECT = {(0, i, i): i for i in range(1, 30)}
+
+
+@pytest.mark.parametrize("constants, modular, closed", [
+    # k_j = sum_i c_ij^i: 2 e_29 and -(1 + ... + 29) e_0
+    (SO3_SUM_AND_BOOK, (29, 2), False),
+    (SEMIDIRECT, (0, -435), True),
+])
+def test_decompose_takes_a_dense_poisson_input_on_thirty_variables(
+        constants, modular, closed, capsys):
+    # for k != 0 the curl-free part of a Lie algebra is Poisson exactly
+    # when the kernel of k, an ideal, is abelian: not so when it holds an
+    # so(3), and so on the semidirect product, where the Jacobi test runs
+    # every one of the 4,060 triples
+    import time
+    from poisson_forge import cli
+
+    # a fixed draw, so that the input's size, about 8,000 of the 13,050
+    # possible terms and a bound near 7.5 million, does not move with the
+    # suite's seed
+    t, t_inv = _unimodular(30, random.Random(30))
+    field = _conjugated(30, constants, t, t_inv)
+    start = time.perf_counter()
+    assert cli.main(["decompose", json.dumps(field)]) == 0
+    assert time.perf_counter() - start < 10
+    out = json.loads(capsys.readouterr().out)
+    # k is a covector: on the basis f it is T' k
+    index, value = modular
+    assert out["k"] == [str(value * t[index][b]) for b in range(30)]
+    assert set(out["k"]) != {"0"}
+    assert out["square_closed"] is closed
+    assert out["twist_commutes"] is True
+
+
+def test_decompose_finds_a_non_poisson_input_on_six_variables(capsys):
+    from poisson_forge import cli
+
+    field = _linear_bivector_on(6, lambda i, j: [(m, 1 + (i * j + m) % 5)
+                                                 for m in range(6)])
+    assert cli.main(["is-poisson", json.dumps(field)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"is_poisson": False}
+    assert cli.main(["decompose", json.dumps(field)]) == 0
+    assert json.loads(capsys.readouterr().out)["square_closed"] is False
 
 
 def test_decompose_takes_the_corpus_input_on_four_variables(capsys):

@@ -9,10 +9,13 @@ the type of every coefficient.
 
 The other way round, ``linclass.pair_of`` reads (k, A) off the
 coefficients of a linear bivector on R^3, and ``linclass.decompose``
-builds its twist on the form and tests [k^, L] = 0 as a derivative along
-k.  ``form_reference`` keeps their Schouten-bracket routes; on seeded
-bivectors, Poisson or not and with Fraction or ExtScalar coefficients,
-the two must agree in values, entry types, exception types and messages;
+reads everything it reports off the structure constants of one on R^n:
+k as their trace, the curl-free part L on the form, [k^, L] = 0 as a
+derivative along k and curl(L ^ L) = 0 as the Jacobi identity of L's
+constants.  ``form_reference`` keeps their curl, wedge and
+Schouten-bracket routes; on seeded bivectors, Poisson or not, on R^2 to
+R^8 for ``decompose`` and with Fraction or ExtScalar coefficients, the
+two must agree in values, entry types, exception types and messages;
 ``pair_of`` of a field whose coefficients are all rational-valued must
 give what the reference gives on its Fraction twin.
 
@@ -271,20 +274,57 @@ def test_pair_of_words_the_jacobiator_without_a_bracket(rng, monkeypatch):
     assert jacobiators >= 25
 
 
+def _semidirect(rng, n, coefficient):
+    """[e_0, e_i] = sum_j c_ji e_j on R^n: Poisson, and so is its
+    curl-free part, the kernel of its modular character being the
+    abelian ideal spanned by e_1, ..., e_(n-1)."""
+    return MultiVectorField(n, 2, {(0, i): Polynomial(n, {
+        tuple(int(m == j) for m in range(n)): coefficient(rng)
+        for j in rng.sample(range(1, n), rng.randint(1, n - 1))})
+        for i in range(1, n)})
+
+
 def test_decompose_matches_the_schouten_route(rng):
     fields = _standard_bivectors(rng)
-    for n in range(2, 6):
+    for n in range(2, 9):
+        # the Schouten route's wedge grows as n^6: fewer draws above R^5
+        few = n > 5
         fields += [_random_linear_bivector(rng, n, random_fraction)
-                   for _ in range(25)]
+                   for _ in range(8 if few else 25)]
         fields += [_random_linear_bivector(rng, n, _field_coefficient)
-                   for _ in range(15)]
+                   for _ in range(4 if few else 15)]
+        fields += [_semidirect(rng, n, coefficient)
+                   for coefficient in (random_fraction, _field_coefficient)]
     fields += [_retyped(pi, rng, SQRT2) for pi in rng.sample(fields, 20)]
-    commutes = set()
+    closed, commutes = set(), set()
     for pi in fields:
         got = _typed_result(decompose, pi)
         assert got == _typed_result(ref.decompose, pi)
+        if pi.nvars >= 4:
+            closed.add(got[2])
         commutes.add(got[3])
+    assert closed == {True, False}
     assert commutes == {True, False}
+
+
+def test_decompose_raises_as_the_schouten_route():
+    x = {(1, 0, 0, 0): 1}
+    cases = [
+        MultiVectorField(3, 2, {(0, 1): Polynomial(3, {(2, 0, 0): 1})}),
+        MultiVectorField(3, 2, {(0, 2): Polynomial(3, {(0, 0, 0): F(1, 2)})}),
+        MultiVectorField(5, 2, {(1, 4): Polynomial(5, {(0, 1, 0, 0, 1): 1})}),
+        MultiVectorField(4, 2, {(0, 1): Polynomial(4, x),
+                                (2, 3): Polynomial(4, {(1, 1, 0, 0): SQRT3})}),
+        MultiVectorField(1, 2),
+        MultiVectorField(0, 2),
+        MultiVectorField(3, 1, {(0,): Polynomial(3, {(1, 0, 0): 1})}),
+        MultiVectorField(4, 3, {(0, 1, 2): Polynomial(4, x)}),
+        MultiVectorField(2, 0, {(): Polynomial(2, {(1, 0): 1})}),
+    ]
+    for pi in cases:
+        got = _typed_result(decompose, pi)
+        assert got[0] is ValueError
+        assert got == _typed_result(ref.decompose, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pairs, ten standard forms, witnesses, symmetry groups."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -257,6 +258,46 @@ def test_decompose_rejects_nonlinear():
         decompose(MultiVectorField(3, 2, {(0, 1): poly3({(2, 0, 0): 1})}))
     with pytest.raises(ValueError, match="homogeneous linear"):
         decompose(MultiVectorField(3, 2, {(0, 1): poly3({(0, 0, 0): 1})}))
+
+
+def _gl_bivector(m):
+    """The Lie-Poisson bivector of gl(m) on R^(m^2), E_ab the coordinate
+    a m + b: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    n = m * m
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, e, d in itertools.product(range(m), repeat=4):
+        if b == e:
+            c[a * m + b][e * m + d][a * m + d] += 1
+        if d == a:
+            c[a * m + b][e * m + d][e * m + b] -= 1
+    return lie_poisson_bivector(c)
+
+
+def test_decompose_work_bounds_the_jacobi_products(rng, monkeypatch):
+    from types import SimpleNamespace
+
+    from poisson_forge import linclass
+
+    products = []
+
+    def mul(a, b):
+        products.append(1)
+        return a * b
+
+    monkeypatch.setattr(linclass, "operator", SimpleNamespace(mul=mul))
+    for m in (2, 3):
+        lam = _gl_bivector(m)
+        n = m * m
+        k = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        # gl(m) is unimodular: twisted along k, it splits back into k and
+        # gl(m), whose every triple the Jacobi test runs; the bound is
+        # taken on the input, twisted or not
+        for pi in (lam, lam + wedge(euler_vf(n), const_vf(k)).scale(
+                F(1, n - 1))):
+            products.clear()
+            dec = decompose(pi)
+            assert dec.curl_free == lam and dec.square_closed
+            assert 0 < len(products) <= linclass.decompose_work(pi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ cross-multiplies each automorphism group's description on (D, M).  The
 oracles are the Fraction generators below and ``normal_form_reference``'s
 ``transform_pair`` and ``aut_closed_form``: on seeded inputs both sides
 must give the same matrices and rng states, the same pairs in form and
-entry types, the same verdicts and the same errors.
+entry types, the same verdicts and the same errors.  The rational maps
+(D > 1) and the pairs come from the shared generators of ``conftest``.
 """
 
 import itertools
@@ -17,10 +18,11 @@ import random
 from fractions import Fraction as F
 
 import normal_form_reference as ref
+from conftest import random_pairs, random_rational_invertible
 from poisson_forge import verify
 from poisson_forge.exactnum import SQRT2, ExtScalar, Matrix
 from poisson_forge.linclass import (
-    LinearPair,
+    STANDARD_PAIRS,
     _aut_closed_form,
     aut_member,
     standard_pair,
@@ -122,33 +124,26 @@ def _outcome(t, pair, transform):
             got.gram._rational, [type(v) for row in got.gram.rows for v in row])
 
 
-def _rational_invertible(rng):
-    while True:
-        m = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 4))
-                     for _ in range(3)] for _ in range(3)])
-        if m.det() and m._form[0] > 1:
-            return m
-
-
-def _pairs(rng, count):
-    pairs = [standard_pair(case) for case in range(1, 11)]
-    while len(pairs) < count:
-        case = rng.randint(1, 10)
-        scale = F(rng.randint(1, 9), rng.randint(1, 4)) if case in (8, 9) else 1
-        pair = transform_pair(_rational_invertible(rng), standard_pair(case, scale))
-        pairs += [pair, LinearPair(pair.k, pair.gram.scaled(-1))]
-    return pairs
+def _rational_maps(rng, count):
+    """``count`` draws of ``random_rational_invertible`` whose form has a
+    denominator D > 1."""
+    maps = []
+    while len(maps) < count:
+        m = random_rational_invertible(rng)
+        if m._form[0] > 1:
+            maps.append(m)
+    return maps
 
 
 def test_transform_pair_matches_the_inverse_route(rng):
     """Int, rational (D > 1), int-typed and rational-valued ExtScalar maps
     give the same k, the same Gram form and Fraction entries."""
     maps = [verify.random_invertible(rng) for _ in range(40)]
-    maps += [_rational_invertible(rng) for _ in range(40)]
+    maps += _rational_maps(rng, 40)
     maps.append(Matrix._trusted([[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
     maps += [Matrix._trusted([[ExtScalar.of(v) for v in row] for row in t.rows])
              for t in maps[35:45]]
-    pairs = _pairs(rng, 40)
+    pairs = list(STANDARD_PAIRS.values()) + random_pairs(rng, 30)
     for t in maps:
         for pair in rng.sample(pairs, 6):
             got = _outcome(t, pair, transform_pair)
@@ -254,7 +249,7 @@ def _aut_inputs(rng):
                               bottom + [corner]]))
     members = (_signed_permutations() + _built_members(rng)
                + list(verify._AUT_SAMPLES.values()))
-    rational = [_rational_invertible(rng) for _ in range(100)]
+    rational = _rational_maps(rng, 100)
     out = [m for m in ints + fixing + members + rational if m is not None]
     out += [_perturbed(rng, m) for m in members + fixing[:50]]
     return [m for m in out if m.det()]
