@@ -109,6 +109,7 @@ index order, and polynomial terms carry a fixed canonical ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -885,7 +886,8 @@ def _over(v, den: int) -> Scalar:
 
 def _unit_exponents(n: int) -> tuple:
     """The exponent tuples of x_1, ..., x_n."""
-    return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
+    zero = (0,) * n
+    return tuple([zero[:j] + (1,) + zero[j + 1:] for j in range(n)])
 
 
 def _linear_forms(m: "Matrix") -> list:
@@ -896,16 +898,57 @@ def _linear_forms(m: "Matrix") -> list:
             for k in range(0, n * n, n)]
 
 
+@functools.lru_cache(maxsize=64)
+def _derivation_moves(exps: tuple) -> tuple:
+    """(i, e_i, keys) for each i with e_i > 0, where keys[j] is the
+    exponent tuple of x^e x_j / x_i: where a derivation along x_j d/dx_i
+    sends x^e, kept for the last 64 monomials."""
+    n, out = len(exps), []
+    for i, e in enumerate(exps):
+        if e:
+            lowered = exps[:i] + (e - 1,) + exps[i + 1:]
+            out.append((i, e, tuple([lowered[:j] + (lowered[j] + 1,)
+                                     + lowered[j + 1:] for j in range(n)])))
+    return tuple(out)
+
+
 def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
-    """Derivative of p along the linear vector field x -> M x."""
-    if m.n != p.nvars:
-        raise ValueError("matrix size %d does not match arity %d" % (m.n, p.nvars))
-    out = Polynomial.zero(p.nvars)
-    for i, form in enumerate(_linear_forms(m)):
-        pi = p.diff(i)
-        if not pi.is_zero():
-            out = out + form * pi
-    return out
+    """Derivative of p along the linear vector field x -> M x.
+
+    One pass over the forms: with p = P / D and M = N / E, the term
+    c x^e of P goes to sum_ij e_i c N_ij x^(e - u_i + u_j), over D E.
+    Int sums carry no type, so a rational p and M share one dict.
+    Otherwise each row i is summed on its own and the rows are added in
+    order, an entry that cancels dropped at once, as in the sum of the
+    products (M x)_i d_i p: an entry is an ExtScalar exactly when that
+    sum's is.
+    """
+    n = p.nvars
+    if m.n != n:
+        raise ValueError("matrix size %d does not match arity %d" % (m.n, n))
+    (dp, vals), (dm, flat) = p._form, m._form
+    rows = [[(j, v) for j, v in enumerate(flat[k:k + n]) if v]
+            for k in range(0, n * n, n)]
+    rational, out = p._rational and m._rational, {}
+    sums = [out] * n if rational else [{} for _ in range(n)]
+    for exps, c in vals.items():
+        for i, e, keys in _derivation_moves(exps):
+            terms, ce = sums[i], c * e
+            for j, v in rows[i]:
+                key = keys[j]
+                cur = terms.get(key)
+                terms[key] = v * ce if cur is None else cur + v * ce
+    if not rational:
+        for terms in sums:
+            for key, v in terms.items():
+                if v:
+                    cur = out.get(key)
+                    v = v if cur is None else cur + v
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+    return Polynomial._of_form(n, dp * dm, out, rational)
 
 
 def quadratic_form_poly(m: "Matrix") -> Polynomial:

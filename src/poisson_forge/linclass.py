@@ -52,6 +52,7 @@ rational reader, as_rational or as_rational_matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -630,8 +631,9 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
     the same sign as det(R).  Every square root appears squared.  U is
     computed on the numerators, u / (D_R^2 D_A) for R = N / D_R, and the
     identities for eps cross-multiplied, u_i s_l d_l = u_l s_i d_i with
-    d = m / e on ints and l the first index with s_l != 0; eps and det(R)
-    are exact Fractions.
+    d = m / e on ints and l the first index with s_l != 0.  The closing
+    identity and the sign test run on the numerators and denominators of
+    eps, det(R) and a^2, so no Fraction is built.
     """
     sigma = SIGN_PATTERNS[label.case_id]
     (t, r), (s, a), d = witness.base._form, pair.gram._form, witness.scales
@@ -657,11 +659,16 @@ def verify_witness(pair: LinearPair, label: StdFormLabel,
     if any(diag[i] * sigma[l] * m[l] != diag[l] * sigma[i] * m[i]
            for i in live):
         return False
-    eps = Fraction(diag[l] * e, t * t * s * sigma[l] * m[l])
-    target = label.a_squared if label.a_squared is not None else 1
-    det = Fraction(_det3(r), t ** 3)
-    return (eps ** 2 * math.prod(v for v in d if v > 0) == target * det ** 2
-            and (eps > 0) == (det > 0))
+    # eps = num / den, prod(positive d) = prod(positive m) / e^k,
+    # det(R) = det_r / t^3 and a^2 = p / q
+    num, den = diag[l] * e, t * t * s * sigma[l] * m[l]
+    positive = [v for v in m if v > 0]
+    det_r = _det3(r)
+    a_squared = label.a_squared if label.a_squared is not None else 1
+    p, q = a_squared.numerator, a_squared.denominator
+    return (num * num * math.prod(positive) * q * t ** 6
+            == p * det_r * det_r * den * den * e ** len(positive)
+            and (num * den > 0) == (det_r > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +763,15 @@ def is_derivation(d: Matrix, case_id: int) -> bool:
     return apply_matrix_derivation(d, f) == f * d.trace()
 
 
+@functools.lru_cache(maxsize=10, typed=True)
 def der0_space(case_id: int) -> SolutionSpace:
     """Traceless derivations of a standard structure, as a solution space.
 
     Matrices are flattened row-major into R^9; the space solves tr D = 0,
-    D k = 0 and D^ f = 0 (the potential of the case, modulus one).
+    D k = 0 and D^ f = 0 (the potential of the case, modulus one).  The
+    ten spaces are kept once solved; ``typed`` keeps True and 8.0, which
+    equal a case id, from reading its entry, so they raise as any other
+    value off the catalog does.
     """
     pair = standard_pair(case_id)
     f = pair.potential()

@@ -570,13 +570,15 @@ class JordanFamily(NamedTuple("JordanFamily", [
     eigenvalues summing to zero; ``DIAG_REPEATED`` carries the single
     parameter of diag(l, l, -2l); ``NILPOTENT_FULL`` is the full
     3x3 nilpotent shift; everything else is ``OTHER``, with a floating
-    eigenvalue report.
+    eigenvalue report, kept as a tuple of (real, imag) tuples so that
+    every family is hashable.
     """
 
     __slots__ = ()
 
     def __new__(cls, tag: str, lambdas: tuple = (), eigen_report: tuple = ()):
         lambdas = tuple(as_rational(v) for v in lambdas)
+        eigen_report = tuple(tuple(z) for z in eigen_report)
         if tag == DIAG_DISTINCT:
             l1, l2, l3 = lambdas
             if l1 + l2 + l3 != 0:
@@ -939,8 +941,15 @@ class OrbitFamily(NamedTuple):
         return data
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def enumerate_orbit_pairs(family: JordanFamily) -> tuple:
-    """Transported (twist, admissible-cubics) data for every stratum."""
+    """Transported (twist, admissible-cubics) data for every stratum.
+
+    Kept for the last eight families, so that one ``verify-paper`` pass
+    transports each of its five families once; the result is immutable.
+    ``typed`` keeps a plain tuple equal to a family from reading its
+    entry, and an error is never kept.
+    """
     k_matrix = family.matrix()
     kernel = cubic_kernel(k_matrix)
     basis_polys = [cubic_from_coords(b) for b in kernel.basis]

@@ -9,6 +9,8 @@ never stops the rest.
 """
 
 import itertools
+import math
+import operator
 import random
 import zlib
 from fractions import Fraction
@@ -38,9 +40,12 @@ from .multivec import (
     schouten,
 )
 from .quaddef import (
+    CUBIC_MONOMIALS,
     JordanFamily,
     P2Point,
     QuadraticPair,
+    _check_twist,
+    _kernel,
     catalog,
     coset_rep_g10,
     cubic_coords,
@@ -140,14 +145,23 @@ def _random_sparse_invertible(rng):
 
 
 def random_kernel_cubic(rng, twist):
-    """Random rational combination of the invariant cubics of ``twist``."""
-    ker = cubic_kernel(twist)
-    coeffs = [Fraction(rng.randint(-3, 3)) for _ in ker.basis]
-    coords = tuple(
-        sum((c * b[i] for c, b in zip(coeffs, ker.basis)), Fraction(0))
-        for i in range(10)
-    )
-    return cubic_from_coords(coords)
+    """Random combination, with integer coefficients in [-3, 3], of the
+    basis of ``cubic_kernel(twist)``.
+
+    It is summed on the basis numerators that ``quaddef._kernel`` keeps:
+    ints over their lcm for a rational kernel, and the entries themselves,
+    over 1, for a kernel on ExtScalars, where a coordinate is an ExtScalar
+    exactly when one of the basis vectors has one there.
+    """
+    _check_twist(twist)
+    field, _, nums = _kernel(twist)
+    coeffs = [rng.randint(-3, 3) for _ in nums]
+    den = math.lcm(*(e for e, _ in nums))
+    weights = [c * (den // e) for c, (e, _) in zip(coeffs, nums)]
+    coords = [sum(map(operator.mul, weights, column))
+              for column in zip(*(m for _, m in nums))]
+    return Polynomial._of_form(3, den, dict(zip(CUBIC_MONOMIALS, coords)),
+                               not field)
 
 
 def poly3(terms):

@@ -191,3 +191,41 @@ def test_a_symmetric_form_with_cancelling_entries_drops_its_term():
     _same(quadratic_form_poly(m), ref.quadratic_form_poly(m))
     assert quadratic_form_poly(m).integer_form() == (
         12, {(2, 0, 0): 2, (0, 2, 0): 21})
+
+
+#: entries that cancel across rows and across the two scalar types, so
+#: that a sum over the rows of a derivation can be zero or rational in
+#: one order of addition and an ExtScalar in another
+CANCELLING = (0, 1, -1, F(1, 2), F(-1, 2), SQRT2, -SQRT2,
+              ExtScalar.of(1), ExtScalar.of(-1), ExtScalar.of(0))
+
+
+def _typed_terms(p):
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_derivation_on_field_forms_matches_the_dict_kernel(nvars, rng):
+    """``apply_matrix_derivation`` sums each row of M on its own and adds
+    the rows in order: on ExtScalar matrices and polynomials whose rows
+    cancel, every coefficient has the value and the type of the dict
+    kernel's sum of the products (M x)_i d_i p."""
+    kinds = {"ext": 0, "fraction": 0}
+    for _ in range(400):
+        m = Matrix([[rng.choice(CANCELLING) for _ in range(nvars)]
+                    for _ in range(nvars)])
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = rng.choice(CANCELLING[1:])
+        got = apply_matrix_derivation(m, Polynomial(nvars, terms))
+        want = ref.apply_matrix_derivation(m, ref.Polynomial(nvars, terms))
+        assert _typed_terms(got) == _typed_terms(want)
+        assert got._form == Polynomial(nvars, want.terms)._form
+        _same(got, want)
+        if got.integer_form() is None:
+            for c in got.terms.values():
+                kinds["ext" if type(c) is ExtScalar else "fraction"] += 1
+    assert min(kinds.values()) >= 100, kinds

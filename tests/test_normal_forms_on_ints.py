@@ -72,9 +72,63 @@ def _tampered(rng, witness):
     }
 
 
+def _witness_edges(rng):
+    """(pair, label, witness, verdict) at the edges of the cross-multiplied
+    identity eps^2 prod(d+) = a^2 det(R)^2 and its sign test: det(R) < 0,
+    a rank-2 witness whose spare column carries the determinant, moduli
+    a^2 = 1/4 and 9, and tamperings that keep the identity but flip the
+    sign of eps or of det(R)."""
+    edges, negative = [], 0
+    for case in (2, 3, 4, 6, 8, 10):
+        # of A and -A, the one that matches the case's signs times -1 gets
+        # a witness with det(R) < 0 (and eps < 0)
+        moved = transform_pair(random_rational_invertible(rng),
+                               standard_pair(case))
+        for pair in (moved, type(moved)(moved.k, moved.gram.scaled(-1))):
+            label, witness = classify(pair)
+            negative += witness.base.det() < 0
+            edges.append((pair, label, witness, True))
+            # the other sign of A: U and eps change sign, the identity
+            # holds, and only the sign test rejects it
+            other = type(pair)(pair.k, pair.gram.scaled(-1))
+            edges.append((other, label, witness, False))
+    assert negative == 6
+    for case in (4, 5):
+        pair = transform_pair(random_rational_invertible(rng),
+                              standard_pair(case))
+        label, witness = classify(pair)
+        base, (d0, d1, spare) = witness.base, witness.scales
+        assert spare > 0
+        edges.append((pair, label, witness, True))
+        # both live scales times 4: eps^2 falls by 16 and d0 d1 grows by 16
+        edges.append((pair, label, Witness(base, (4 * d0, 4 * d1, spare)),
+                      True))
+        # the spare column negated leaves U and eps, and flips det(R)
+        flip = Matrix.diagonal([1, 1, -1])
+        edges.append((pair, label, Witness(base * flip, witness.scales),
+                      False))
+    for case in (8, 9):
+        for a, a_squared in ((Fraction(1, 2), Fraction(1, 4)),
+                             (Fraction(3), Fraction(9))):
+            for pair in (standard_pair(case, a), transform_pair(
+                    random_rational_invertible(rng), standard_pair(case, a))):
+                label, witness = classify(pair)
+                assert label.a_squared == a_squared
+                edges.append((pair, label, witness, True))
+                other = StdFormLabel(case, 36 / a_squared)
+                edges.append((pair, other, witness, False))
+                negated = type(pair)(pair.k, pair.gram.scaled(-1))
+                edges.append((negated, label, witness, False))
+    return edges
+
+
 def test_verify_witness_matches_the_matrix_products(rng):
     """Honest witnesses pass both; each tampering gets the same verdict
-    from both, and every kind of tampering is rejected on some pairs."""
+    from both, and every kind of tampering is rejected on some pairs.
+    The edge cases of ``_witness_edges`` get their known verdict."""
+    for pair, label, witness, verdict in _witness_edges(rng):
+        assert verify_witness(pair, label, witness) is verdict
+        assert ref.verify_witness_by_products(pair, label, witness) is verdict
     rejected = dict.fromkeys(["sheared", "doubled", "negated", "reversed",
                               "relabelled"], 0)
     for pair in random_pairs(rng, 200) + moduli_pairs():

@@ -5,28 +5,52 @@ replaced.
 "symmetry membership agrees along two routes" item build their matrices
 with ``Matrix._of_form`` on ints; ``linclass.transform_pair`` is one
 congruence by the adjugate of T's numerators; ``linclass._aut_closed_form``
-cross-multiplies each automorphism group's description on (D, M).  The
+cross-multiplies each automorphism group's description on (D, M);
+``verify.random_kernel_cubic`` sums on the kernel numerators.  The
 oracles are the Fraction generators below and ``normal_form_reference``'s
 ``transform_pair`` and ``aut_closed_form``: on seeded inputs both sides
-must give the same matrices and rng states, the same pairs in form and
-entry types, the same verdicts and the same errors.  The rational maps
-(D > 1) and the pairs come from the shared generators of ``conftest``.
+must give the same matrices, cubics and rng states, the same pairs in
+form and entry types, the same verdicts and the same errors.  The
+rational maps (D > 1) and the pairs come from the shared generators of
+``conftest``.  A pass builds its fixed tables once: the caches of
+``enumerate_orbit_pairs`` and ``der0_space`` are bounded, hold what a
+fresh call computes, and keep no error and no value off the catalog.
 """
 
 import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import normal_form_reference as ref
 from conftest import random_pairs, random_rational_invertible
 from poisson_forge import verify
-from poisson_forge.exactnum import SQRT2, ExtScalar, Matrix
+from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
 from poisson_forge.linclass import (
     STANDARD_PAIRS,
     _aut_closed_form,
     aut_member,
+    der0_space,
     standard_pair,
     transform_pair,
+)
+from poisson_forge.quaddef import (
+    OTHER,
+    JordanFamily,
+    cubic_from_coords,
+    cubic_kernel,
+    enumerate_orbit_pairs,
+    jordan_family_of,
+)
+
+#: the five families a ``verify-paper`` pass transports
+SWEEP_FAMILIES = (
+    JordanFamily.diag_distinct(1, 2, -3),
+    JordanFamily.diag_distinct(1, -4, 3),
+    JordanFamily.diag_repeated(1),
+    JordanFamily.diag_repeated(2),
+    JordanFamily.nilpotent_full(),
 )
 
 
@@ -108,6 +132,84 @@ def test_the_membership_item_draws_as_the_fraction_loop_did(monkeypatch, rng):
         assert case == want_case
         _same_matrix(got, m)
     assert rng.getstate() == old.getstate()
+
+
+def _fraction_kernel_cubic(rng, twist):
+    """The Fraction-sum route of ``random_kernel_cubic``."""
+    ker = cubic_kernel(twist)
+    coeffs = [F(rng.randint(-3, 3)) for _ in ker.basis]
+    coords = tuple(
+        sum((c * b[i] for c, b in zip(coeffs, ker.basis)), F(0))
+        for i in range(10)
+    )
+    return cubic_from_coords(coords)
+
+
+def _typed_terms(p):
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def _kernel_twists(rng):
+    """Traceless twists with kernels of dimension 1 to 10: int and rational
+    draws, conjugated repeated-eigenvalue and nilpotent twists, the zero
+    twist, the transported twists of the sweep's families (ExtScalar
+    entries), and draws and twists with rational, irrational and zero
+    ExtScalars."""
+    twists = [verify.random_traceless(rng) for _ in range(60)]
+    for _ in range(40):
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                for _ in range(3)]
+        rows[2][2] = -rows[0][0] - rows[1][1]
+        twists.append(Matrix(rows))
+    for _ in range(30):
+        rows = [[rng.choice([0, F(rng.randint(-3, 3), 2),
+                             ExtScalar.of(rng.randint(-2, 2)),
+                             ExtScalar.parts(rng.randint(-2, 2),
+                                             rng.randint(-1, 1), 0, 1)])
+                 for _ in range(3)] for _ in range(3)]
+        rows[2][2] = -rows[0][0] - rows[1][1]
+        twists.append(Matrix(rows))
+    shapes = [Matrix.diagonal([1, 1, -2]),
+              Matrix.diagonal([F(-7, 3), F(-7, 3), F(14, 3)]),
+              Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+              Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])]
+    for shape in shapes:
+        twists.append(shape)
+        for _ in range(10):
+            t = random_rational_invertible(rng)
+            twists.append(t * shape * t.inverse())
+    twists.append(Matrix.zero(3))
+    for family in SWEEP_FAMILIES:
+        twists += [orbit.twist for orbit in enumerate_orbit_pairs(family)]
+    twists += [Matrix.diagonal([SQRT2, SQRT3, -SQRT2 - SQRT3]),
+               Matrix([[ExtScalar.of(1), 1, 0], [0, 2, 0], [0, 0, -3]]),
+               Matrix([[1, ExtScalar.of(0), 0], [0, 1, 0], [0, 0, -2]]),
+               Matrix([[0, SQRT2, 0], [0, 0, 1], [0, 0, 0]])]
+    return twists
+
+
+def test_random_kernel_cubic_sums_as_the_fraction_route(rng):
+    """On the kernel numerators, three draws per twist give the cubic of
+    the Fraction sums, in value, form and coefficient types, and leave
+    the rng where that route left it."""
+    twists = _kernel_twists(rng)
+    dims, rational = set(), set()
+    for twist in twists:
+        seed = rng.randrange(2 ** 32)
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = verify.random_kernel_cubic(new, twist)
+            want = _fraction_kernel_cubic(old, twist)
+            assert got == want
+            assert got._form == want._form
+            assert got._rational is want._rational
+            assert _typed_terms(got) == _typed_terms(want)
+            assert new.getstate() == old.getstate()
+            rational.add(got._rational)
+        dims.add(cubic_kernel(twist).dim)
+    assert len(twists) >= 200
+    assert {1, 2, 3, 10} <= dims
+    assert rational == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +375,72 @@ def test_aut_closed_form_on_the_forms_matches_the_rows(rng):
     assert verdicts[1] == {True}
     for case in range(2, 11):
         assert verdicts[case] == {True, False}, case
+
+
+# ---------------------------------------------------------------------------
+# the sweep's fixed tables: one transport per family, one solve per case
+# ---------------------------------------------------------------------------
+
+
+def test_a_pass_transports_each_family_and_solves_each_case_once():
+    enumerate_orbit_pairs.cache_clear()
+    der0_space.cache_clear()
+    assert all(item.passed for item in verify.run_verification())
+    families, cases = enumerate_orbit_pairs.cache_info(), der0_space.cache_info()
+    assert (families.misses, families.currsize) == (5, 5)
+    assert (cases.misses, cases.currsize) == (10, 10)
+    assert families.hits > 0 and cases.hits > 0
+
+
+def test_the_tables_are_bounded_and_equal_a_fresh_solve():
+    """The caches hold a pass's five families and ten cases, and no more
+    than a fixed number; each entry is what a fresh call computes, in
+    value, form and entry types."""
+    assert 5 <= enumerate_orbit_pairs.cache_info().maxsize <= 64
+    assert 10 <= der0_space.cache_info().maxsize <= 64
+    for family in SWEEP_FAMILIES:
+        cached = enumerate_orbit_pairs(family)
+        assert enumerate_orbit_pairs(family) is cached
+        fresh = enumerate_orbit_pairs.__wrapped__(family)
+        assert cached == fresh
+        for got, want in zip(cached, fresh):
+            assert got.rep == want.rep
+            assert got.twist._form == want.twist._form
+            assert [type(v) for v in got.twist._form[1]] == [
+                type(v) for v in want.twist._form[1]]
+            assert [_typed_terms(c) for c in got.cubics] == [
+                _typed_terms(c) for c in want.cubics]
+    for case in range(1, 11):
+        cached = der0_space(case)
+        assert der0_space(case) is cached
+        fresh = der0_space.__wrapped__(case)
+        assert cached == fresh
+        assert [[type(v) for v in b] for b in cached.basis] == [
+            [type(v) for v in b] for b in fresh.basis]
+
+
+def test_values_off_the_tables_raise_with_the_tables_filled():
+    der0_space(1)
+    der0_space(8)
+    # True == 1 and 8.0 == 8, but neither is a case id
+    for case_id in (True, 8.0, 0, 11):
+        with pytest.raises(ValueError, match=r"^case_id must be 1\.\.10$"):
+            der0_space(case_id)
+    other = jordan_family_of(Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]))
+    assert other.tag == OTHER
+    # a report given as lists is kept as tuples, so the family is a key
+    listed = JordanFamily(OTHER, (), [list(z) for z in other.eigen_report])
+    assert listed == other
+    before = enumerate_orbit_pairs.cache_info()
+    for family in (other, other, listed):
+        with pytest.raises(ValueError, match="no normal-form matrix"):
+            enumerate_orbit_pairs(family)
+    after = enumerate_orbit_pairs.cache_info()
+    # each call ran and raised, and no entry was kept for it
+    assert after.misses == before.misses + 3
+    assert after.currsize == before.currsize
+    # a plain tuple equal to a cached family is not a family
+    family = SWEEP_FAMILIES[0]
+    enumerate_orbit_pairs(family)
+    with pytest.raises(AttributeError):
+        enumerate_orbit_pairs(tuple(family))
