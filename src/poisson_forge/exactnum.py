@@ -36,7 +36,8 @@ normalises a result: it drops zero entries, divides int numerators and
 D by their gcd (none when D = 1), divides scalars by D, and puts the
 result back on ints once no ExtScalar is left.  A rational polynomial
 builds no Fraction until ``terms`` is read; that Fraction dict is a view
-built on first read and cached, and is T itself for the other kind.
+built on first read and cached, and is T itself for the other kind, both
+behind a read-only ``MappingProxyType``.
 ``==`` and ``hash`` agree across the two kinds, so a rational ExtScalar
 coefficient equals its Fraction twin.
 
@@ -115,6 +116,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -622,8 +624,7 @@ class Polynomial:
             vals = {e: v for e, v in vals.items() if v}
         if not rational:
             if any(type(v) is ExtScalar for v in vals.values()):
-                vals = {e: _over(v, den) for e, v in vals.items()}
-                self._form, self._terms = (1, vals), vals
+                self._form = (1, {e: _over(v, den) for e, v in vals.items()})
                 return self
             # ints and Fractions: no Fraction is built for an int
             d, ints = _scaled_row(vals.values())
@@ -637,11 +638,17 @@ class Polynomial:
         return self
 
     @property
-    def terms(self) -> dict:
-        if self._terms is None:
-            den, ints = self._form
-            self._terms = {e: Fraction(v, den) for e, v in ints.items()}
-        return self._terms
+    def terms(self) -> MappingProxyType:
+        """The coefficients by exponent tuple, read-only: the Fraction
+        view of a rational polynomial, built on first read, and the form's
+        own values for the other kind."""
+        terms = self._terms
+        if terms is None:
+            den, vals = self._form
+            terms = self._terms = ({e: Fraction(v, den)
+                                    for e, v in vals.items()}
+                                   if self._rational else vals)
+        return MappingProxyType(terms)
 
     def integer_form(self):
         """(D, {exps: int}) when every coefficient is a Fraction, else None."""
@@ -1226,6 +1233,15 @@ class SolutionSpace(NamedTuple):
     The solver canonicalizes: the particular solution has zeros in all
     free coordinates, and each basis vector has a single free coordinate
     set to one.
+
+    On that canonical shape each basis vector b_j is 1 on its free
+    column f_j, its last nonzero slot, and 0 on the other free columns,
+    so a direction d lies in the span exactly when d = sum_j d[f_j] b_j:
+    ``direction_in_span`` (and through it ``contains`` and
+    ``same_space``) checks the shape and compares d coordinate by
+    coordinate, with no elimination.  A basis of any other shape, such
+    as ``quaddef.span_of_cubics`` builds, is tested by solving for the
+    coefficients with ``solve_linear``.
     """
 
     ambient_dim: int
@@ -1245,10 +1261,31 @@ class SolutionSpace(NamedTuple):
     def direction_in_span(self, v: Sequence) -> bool:
         if self.is_empty:
             return False
-        if not self.basis:
-            return not any(v)
-        rows = [[b[i] for b in self.basis] for i in range(self.ambient_dim)]
-        return not solve_linear(rows, list(v)).is_empty
+        free = self._free_columns()
+        if free is None:
+            rows = [[b[i] for b in self.basis]
+                    for i in range(self.ambient_dim)]
+            return not solve_linear(rows, list(v)).is_empty
+        coefs = [(v[f], b) for f, b in zip(free, self.basis) if v[f]]
+        return all(v[i] == sum(c * b[i] for c, b in coefs if b[i])
+                   for i in range(self.ambient_dim))
+
+    def _free_columns(self) -> Optional[list]:
+        """The free column of each basis vector, its last nonzero slot,
+        when every vector is 1 there and 0 on the others' free columns;
+        None for a basis of any other shape."""
+        free = []
+        for b in self.basis:
+            if not any(b):
+                return None
+            f = _last_nonzero(b)
+            if b[f] != 1:
+                return None
+            free.append(f)
+        if any(b[f] for j, b in enumerate(self.basis)
+               for k, f in enumerate(free) if k != j):
+            return None
+        return free
 
     def contains(self, v: Sequence) -> bool:
         if self.is_empty:
@@ -1265,6 +1302,10 @@ class SolutionSpace(NamedTuple):
         if not self.contains(other.particular):
             return False
         return all(self.direction_in_span(b) for b in other.basis)
+
+
+def _last_nonzero(v: Sequence) -> int:
+    return max(i for i, x in enumerate(v) if x)
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence,

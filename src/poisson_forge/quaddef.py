@@ -41,6 +41,7 @@ from .exactnum import (
     Polynomial,
     SolutionSpace,
     _det3,
+    _last_nonzero,
     _over,
     _product3,
     _rational_sqrt,
@@ -428,10 +429,6 @@ def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     return _kernel(k_matrix)[1]
 
 
-def _last_nonzero(v: Sequence) -> int:
-    return max(i for i, x in enumerate(v) if x)
-
-
 def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     """Exact affine set of cubics making (K, F) a deformation of lp.
 
@@ -757,20 +754,27 @@ def _float_eigen_report(k_matrix: Matrix) -> tuple:
 
 
 class P2Point(NamedTuple("P2Point", [("coords", tuple)])):
-    """A projective point on R^3, canonicalized by its last nonzero slot."""
+    """A projective point on R^3, canonicalized by its last nonzero slot.
+
+    Three ints divide as one Fraction each; any other coordinates are
+    read with ``as_scalar`` and divided with ``scalar_div``.
+    """
 
     __slots__ = ()
 
     def __new__(cls, coords: tuple):
-        coords = tuple(as_scalar(v) for v in coords)
-        if len(coords) != 3:
-            raise ValueError("projective points live on three coordinates")
+        coords = tuple(coords)
+        ints = len(coords) == 3 and all(type(v) is int for v in coords)
+        if not ints:
+            coords = tuple(as_scalar(v) for v in coords)
+            if len(coords) != 3:
+                raise ValueError("projective points live on three coordinates")
         last = next((i for i in (2, 1, 0) if coords[i]), None)
         if last is None:
             raise ValueError("projective point needs a nonzero coordinate")
         pivot = coords[last]
-        coords = tuple(scalar_div(v, pivot) for v in coords)
-        return tuple.__new__(cls, (coords,))
+        divide = Fraction if ints else scalar_div
+        return tuple.__new__(cls, (tuple(divide(v, pivot) for v in coords),))
 
     @property
     def support(self) -> tuple:

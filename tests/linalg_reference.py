@@ -32,7 +32,11 @@ seeded inputs:
   the one oracle of ``quaddef.solve_F``,
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
   equations, which a regular twist no longer needs, the one oracle of
-  ``quaddef.cubic_kernel``.
+  ``quaddef.cubic_kernel``,
+- ``direction_in_span``, ``contains``, ``same_space``: membership in a
+  ``SolutionSpace`` by solving for the coefficients of the basis with
+  this module's ``solve_linear``, for a basis of any shape; the package
+  reads them off the free columns of a canonical basis.
 """
 
 import math
@@ -318,3 +322,30 @@ def kernel(k_matrix):
     rows of K's form (the flag of ``quaddef._kernel`` aside)."""
     return exactnum.solve_linear(
         quaddef._derivation_rows(k_matrix._form[1]), [0] * 10, 10)
+
+
+def direction_in_span(space, v):
+    """Whether the direction v is a combination of the basis of ``space``:
+    the system whose columns are the basis vectors, solved for v."""
+    if space.is_empty:
+        return False
+    if not space.basis:
+        return not any(v)
+    rows = [[b[i] for b in space.basis] for i in range(space.ambient_dim)]
+    return not solve_linear(rows, list(v)).is_empty
+
+
+def contains(space, v):
+    return not space.is_empty and direction_in_span(
+        space, tuple(a - b for a, b in zip(v, space.particular)))
+
+
+def same_space(a, b):
+    """Equality of two affine sets: same dimension, and a contains b's
+    particular point and spans b's directions."""
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+    if a.ambient_dim != b.ambient_dim or len(a.basis) != len(b.basis):
+        return False
+    return contains(a, b.particular) and all(
+        direction_in_span(a, d) for d in b.basis)

@@ -216,7 +216,8 @@ def test_is_isomorphism_refuses_an_invertible_matrix_off_r3():
 #: the package
 ORACLE_OF = {"congruent_diagonalize", "classify", "verify_witness",
              "is_isomorphism", "transform_pair", "_arrange",
-             "_complete_basis", "_aut_closed_form", "_adjugate3"}
+             "_complete_basis", "_aut_closed_form", "_adjugate3",
+             "direction_in_span", "contains", "same_space", "_free_columns"}
 
 
 def _names_taken(path):

@@ -14,7 +14,12 @@ form and entry types, the same verdicts and the same errors.  The
 rational maps (D > 1) and the pairs come from the shared generators of
 ``conftest``.  A pass builds its fixed tables once: the caches of
 ``enumerate_orbit_pairs`` and ``der0_space`` are bounded, hold what a
-fresh call computes, and keep no error and no value off the catalog.
+fresh call computes, and keep no error and no value off the catalog;
+``Polynomial.terms`` is read-only, so no reader can change them.  A
+``P2Point`` of three ints divides each as one Fraction; the oracle is the
+``as_scalar`` and ``scalar_div`` route every input took before, which
+must give the same coordinates in value and type, and the same errors in
+type, message and order.
 """
 
 import itertools
@@ -26,7 +31,15 @@ import pytest
 import normal_form_reference as ref
 from conftest import random_pairs, random_rational_invertible
 from poisson_forge import verify
-from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
+from poisson_forge.exactnum import (
+    SQRT2,
+    SQRT3,
+    ExtScalar,
+    Matrix,
+    Polynomial,
+    as_scalar,
+    scalar_div,
+)
 from poisson_forge.linclass import (
     STANDARD_PAIRS,
     _aut_closed_form,
@@ -38,6 +51,7 @@ from poisson_forge.linclass import (
 from poisson_forge.quaddef import (
     OTHER,
     JordanFamily,
+    P2Point,
     cubic_from_coords,
     cubic_kernel,
     enumerate_orbit_pairs,
@@ -444,3 +458,72 @@ def test_values_off_the_tables_raise_with_the_tables_filled():
     enumerate_orbit_pairs(family)
     with pytest.raises(AttributeError):
         enumerate_orbit_pairs(tuple(family))
+
+
+def test_terms_are_read_only_and_keep_the_cached_orbit_data():
+    family = JordanFamily.diag_repeated(1)
+
+    def typed_cubics(pairs):
+        return [[_typed_terms(c) for c in of.cubics] for of in pairs]
+
+    before = typed_cubics(enumerate_orbit_pairs(family))
+    cubics = [c for of in enumerate_orbit_pairs(family) for c in of.cubics]
+    # a transported cubic on ExtScalars, whose terms are its form's values
+    assert any(not c._rational for c in cubics)
+    for c in cubics + [Polynomial.variable(3, 0)]:
+        exps = next(iter(c.terms))
+        with pytest.raises(TypeError):
+            c.terms[exps] = F(7)
+        with pytest.raises(TypeError):
+            del c.terms[exps]
+    assert typed_cubics(enumerate_orbit_pairs(family)) == before
+    assert typed_cubics(enumerate_orbit_pairs.__wrapped__(family)) == before
+
+
+# ---------------------------------------------------------------------------
+# projective points: one Fraction per int coordinate
+# ---------------------------------------------------------------------------
+
+
+def _p2_by_scalars(coords):
+    """The coordinates of ``P2Point(coords)`` as every input was read
+    before three ints divided as one Fraction each."""
+    coords = tuple(as_scalar(v) for v in coords)
+    if len(coords) != 3:
+        raise ValueError("projective points live on three coordinates")
+    last = next((i for i in (2, 1, 0) if coords[i]), None)
+    if last is None:
+        raise ValueError("projective point needs a nonzero coordinate")
+    return tuple(scalar_div(v, coords[last]) for v in coords)
+
+
+def _point_outcome(build, coords):
+    """(typed coordinates) or (error type, message) of ``build``."""
+    try:
+        return [(type(v), v) for v in build(coords)]
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_p2_point_on_ints_matches_the_scalar_route(rng):
+    # every int point in [-2, 2]^3: negative pivots, zeros in each slot
+    # and the zero point; then large ones
+    points = list(itertools.product(range(-2, 3), repeat=3))
+    points += [tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
+               for _ in range(40)]
+    mixed = [(True, 0, 2), (0, False, True), (False, False, False),
+             (F(1, 2), 3, -4), (F(0), F(0), F(-3, 7)), (SQRT2, 0, 2),
+             (1, SQRT3, F(2, 3)), (ExtScalar.of(2), 0, 0),
+             (SQRT2 - SQRT2, 0, 0)]
+    bad = [(1, 2), (1, 2, 3, 4), (0, 0, 0, 0), (), (1.0, 0, 1),
+           (0, 0, 0.0), ("x", 1, 1), (1, 2, "x", 4), (0.5, 1),
+           (0, 0, 0, "x")]
+    outcomes = set()
+    for coords in points + mixed + bad:
+        want = _point_outcome(_p2_by_scalars, coords)
+        for given in (coords, list(coords), iter(coords)):
+            got = _point_outcome(lambda c: P2Point(c).coords, given)
+            assert got == want, coords
+        outcomes.add(want[0] if isinstance(want, tuple) else "point")
+    assert outcomes == {"point", TypeError, ValueError}
+    assert P2Point((3, 0, -5)) == P2Point((F(3), F(0), F(-5)))
