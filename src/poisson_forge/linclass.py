@@ -36,8 +36,8 @@ verify_witness.
 
 The normal-form layer runs on the int numerators of the forms (D, M),
 on flat lists: the fraction-free Lagrange congruence of exactnum, then
-B' A B, B R, the column permutation, the sign flip and det(base) in
-classify; U = R' A R in verify_witness, whose identities are
+B' A B, B R, the column permutation, the sign flip, det(base) and the
+scales in classify; U = R' A R in verify_witness, whose identities are
 cross-multiplied; and T' A2 T in is_isomorphism, cross-multiplied with
 det(T) A1 on the forms, one body for a rational T and for one with
 entries in the quadratic extension field.  transform_pair is one
@@ -551,18 +551,19 @@ def _arrange(diag, cases):
     """Case id, column order and global sign matching a diagonal form.
 
     The first of ``cases`` whose sign pattern sigma, times +1 or else -1,
-    holds the signs of ``diag`` wins; the order then puts column perm[i]
-    in slot i so that sign(diag_perm[i]) = sign * sigma_i.  Columns of one
-    sign keep their order, so the construction is deterministic.
+    has as many 1s and -1s as the signs of ``diag`` wins; a stable sort
+    puts column perm[i] in slot i, sign(diag_perm[i]) = sign * sigma_i, as
+    equal signs are adjacent in sigma, so the order is deterministic.
     """
-    signs = [(v > 0) - (v < 0) for v in diag]
+    signs = [(v.numerator > 0) - (v.numerator < 0) for v in diag]
+    pos, neg = signs.count(1), signs.count(-1)
     for case in cases:
+        sigma = SIGN_PATTERNS[case]
         for sign in (1, -1):
-            want = [sign * s for s in SIGN_PATTERNS[case]]
-            if sorted(want) == sorted(signs):
-                pools = {s: iter([i for i, t in enumerate(signs) if t == s])
-                         for s in (1, -1, 0)}
-                return case, tuple(next(pools[s]) for s in want), sign
+            if sigma.count(sign) == pos and sigma.count(-sign) == neg:
+                want = [sign * v for v in sigma]
+                perm = sorted(range(3), key=lambda i: want.index(signs[i]))
+                return case, tuple(perm), sign
     raise AssertionError("no sign pattern fits %r" % (diag,))  # pragma: no cover
 
 
@@ -579,9 +580,10 @@ def classify(pair: LinearPair):
     det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.  B' A B and
     B R are products of the int numerators of the forms, base = N / D;
     the column permutation re-indexes N, the sign flip negates one of
-    its columns and det(base) is det(N) / D^3.  The label and witness go
-    through their validating constructors, and verify_witness re-checks
-    the witness.
+    its columns and det(base) is det(N) / D^3.  The signs, |d| and the
+    rescaling run on the ints n / q of d; only the scales and a^2 become
+    Fractions, through the label's and witness's validating
+    constructors, and verify_witness re-checks the witness.
     """
     if not any(pair.k):
         free, cases, flip = 3, range(1, 7), 2
@@ -595,26 +597,30 @@ def classify(pair: LinearPair):
         t, r = inner._form
         den, base = e * t, _product3(b, r)
     case, perm, sign = _arrange(diag, cases)
-    # column perm[c] goes to slot c
+    # column perm[c] goes to slot c, and |d| reads n / q slot by slot
     base = [base[i + p] for i in (0, 3, 6) for p in perm]
-    scales = [abs(diag[p]) for p in perm]
-    rank = sum(1 for v in scales if v)
+    n = [abs(diag[p].numerator) for p in perm]
+    q = [diag[p].denominator for p in perm]
+    rank = 3 - n.count(0)
     if rank:
         det = _det3(base)
         if (det > 0) != (sign > 0):
             base[flip::3] = [-v for v in base[flip::3]]
             det = -det
-        det_sq = Fraction(det * det, den ** 6)
+        det_sq, den6 = det * det, den ** 6  # det(base)^2 = det_sq / den6
         if rank == 3:
-            # det(T) is forced here, so rescale to keep it consistent
-            prod = scales[0] * scales[1] * scales[2]
-            scales = [det_sq * v / prod for v in scales]
+            # det(T) is forced: rescale to d_c det(base)^2 / (d_0 d_1 d_2)
+            prod_n, prod_q = math.prod(n), math.prod(q)
+            n = [det_sq * v * (prod_q // w) for v, w in zip(n, q)]
+            q = [den6 * prod_n] * 3
         elif rank < free:
             # one spare column soaks up the determinant so det(T) = sign
-            scales[rank] = det_sq / math.prod(scales[:rank])
-    a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
+            n[rank], q[rank] = (det_sq * math.prod(q[:rank]),
+                                den6 * math.prod(n[:rank]))
+    a_squared = (Fraction(n[0] * n[1] * den6, q[0] * q[1] * det_sq)
+                 if case in (8, 9) else None)
     label = StdFormLabel(case, a_squared)
-    witness = Witness(Matrix._of_form(3, den, base), tuple(scales))
+    witness = Witness(Matrix._of_form(3, den, base), tuple(map(Fraction, n, q)))
     if not verify_witness(pair, label, witness):  # pragma: no cover
         raise AssertionError("constructed witness failed verification")
     return label, witness

@@ -109,11 +109,6 @@ class MultiVectorField:
     def zero(cls, nvars: int, grade: int):
         return cls(nvars, grade, {})
 
-    @classmethod
-    def function(cls, poly: Polynomial):
-        """Wrap a polynomial as a grade-0 field."""
-        return cls(poly.nvars, 0, {(): poly})
-
     def is_zero(self) -> bool:
         return not self.components
 

@@ -61,8 +61,9 @@ from .exactnum import (
     term_sort_key,
     vec,
 )
-from .multivec import MultiVectorField, bivector_from_potential
-from .linclass import LinearPair, _signed_rows, bivector_of, standard_pair
+from .multivec import MultiVectorField
+from .linclass import (_COMPLEMENTS, LinearPair, _signed_rows, bivector_of,
+                       standard_pair)
 
 
 def _graded_monomials(degree: int) -> tuple:
@@ -81,6 +82,11 @@ _QUAD_INDEX = {e: s for s, e in enumerate(QUAD_MONOMIALS)}
 _QUAD_KEYS = tuple(tuple(tuple(int(r == i) + int(r == m) for r in range(3))
                          for m in range(3)) for i in range(3))
 _QUAD_SLOTS = tuple(tuple(_QUAD_INDEX[e] for e in row) for row in _QUAD_KEYS)
+#: _PARTIALS[e] lists (i, e_i, q, slot) for each x_i in the cubic x^e:
+#: d/dx_i x^e = e_i x^q, and q is QUAD_MONOMIALS[slot]
+_PARTIALS = {e: tuple((i, e[i], q, s) for s, q in enumerate(QUAD_MONOMIALS)
+                      for i in range(3) if q[:i] + (q[i] + 1,) + q[i + 1:] == e)
+             for e in CUBIC_MONOMIALS}
 
 
 def cubic_coords(p: Polynomial) -> tuple:
@@ -144,30 +150,35 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
 def pi_quad(qp: QuadraticPair) -> MultiVectorField:
     """The quadratic bivector pi_F + (1/3) I^ ^ Kx of a pair.
 
-    Its component on (i, j), i < j, is
-
-        bivector_from_potential(F)[(i, j)] + (1/3) (x_i (Kx)_j - x_j (Kx)_i),
-
-    the second term read off K's form (D, M) as one polynomial over 3 D:
-    x_i x_m takes M_jm and x_j x_m takes -M_im, zero entries skipped, so
-    that each coefficient has the value and the type (Fraction or
-    ExtScalar) of the wedge product it stands for.
+    Its component on the complement (i, j) of l, s_l dF/dx_l (s = (1, -1,
+    1), as in ``bivector_from_potential``) plus (1/3) (x_i (Kx)_j - x_j
+    (Kx)_i), is summed in one pass over 3 D_F D_K for F = f / D_F and
+    K = M / D_K: x_i x_m takes D_F M_jm, x_j x_m takes -D_F M_im (zeros
+    skipped), and a term c x^e of f adds 3 D_K s_l e_l c at x^(e - u_l),
+    a cancelled twist sum counting as absent, so each coefficient has the
+    value and type (Fraction or ExtScalar) of the sum of the two
+    bivectors.  ``_of_form`` normalises each component once.
     """
-    den, m = qp.twist._form
-    comps = dict(bivector_from_potential(qp.cubic).components)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    (dk, m), (df, f) = qp.twist._form, qp.cubic._form
+    sums = []
+    for i, j in _COMPLEMENTS:
         vals = {}
-        for row, x, negate in ((j, i, False), (i, j, True)):
-            for t, v in enumerate(m[3 * row:3 * row + 3]):
+        for row, x, s in ((j, i, df), (i, j, -df)):
+            for key, v in zip(_QUAD_KEYS[x], m[3 * row:3 * row + 3]):
                 if v:
-                    key = _QUAD_KEYS[x][t]
-                    v = -v if negate else v
                     cur = vals.get(key)
-                    vals[key] = v if cur is None else cur + v
-        twist = Polynomial._of_form(3, 3 * den, vals, qp.twist._rational)
-        cur = comps.get((i, j))
-        comps[(i, j)] = twist if cur is None else cur + twist
-    return MultiVectorField._trusted(3, 2, comps)
+                    vals[key] = v * s if cur is None else cur + v * s
+        sums.append(vals)
+    scale = (3 * dk, -3 * dk, 3 * dk)
+    for e, c in f.items():
+        for l, el, key, _ in _PARTIALS[e]:
+            vals, v = sums[l], c * (scale[l] * el)
+            cur = vals.get(key)
+            vals[key] = cur + v if cur else v
+    rational = qp.twist._rational and qp.cubic._rational
+    return MultiVectorField._trusted(3, 2, {
+        c: Polynomial._of_form(3, 3 * df * dk, vals, rational)
+        for c, vals in zip(_COMPLEMENTS, sums)})
 
 
 def _rhs_numerators(lp: LinearPair, k_matrix: Matrix) -> tuple:
@@ -243,21 +254,22 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     coefficient forms: ints for rational pairs.
 
     Route one reads the coefficients of ``bivector_of(lp)`` and
-    ``pi_quad(qp)`` (``_brackets_to_zero``); route two tests the identity
-    k.grad F = -(1/6) x^T (12 A + ktilde(k)) K x, ``_drift_rows`` of k
-    applied to F's coefficients against ``_rhs_numerators``.  Route two
-    shares both with ``solve_F``, so route one is what keeps the solver's
-    re-check of its members independent.  The routes must agree on every
-    valid input -- a mismatch raises, also under ``python -O``.
+    ``pi_quad(qp)`` (``_brackets_to_zero``); route two tests k.grad F =
+    -(1/6) x^T (12 A + ktilde(k)) K x against ``_rhs_numerators``, summing
+    s D_F k.grad F as n_i e_i c at x^(e - u_i) over the terms c x^e of
+    F = f / D_F, k = n / s.  Route one shares nothing with ``solve_F``, so
+    it keeps the solver's re-check of its members independent.  The routes
+    must agree on every valid input -- a mismatch raises, also under -O.
     """
     route_bracket = _brackets_to_zero(bivector_of(lp), pi_quad(qp))
     (den, q), (s, k) = _rhs_numerators(lp, qp.twist), _scaled_row(lp.k)
     df, f = qp.cubic._form
-    coords = [f.get(e, 0) for e in CUBIC_MONOMIALS]
-    # the drift of k's numerators takes F to s df k.grad F
-    route_identity = all(
-        sum(a * c for a, c in zip(row, coords) if a and c) * den
-        == v * s * df for row, v in zip(_drift_rows(k), q))
+    drift = [0] * 6
+    for e, c in f.items():
+        for i, ei, _, slot in _PARTIALS[e]:
+            if k[i]:
+                drift[slot] += k[i] * ei * c
+    route_identity = all(a * den == v * s * df for a, v in zip(drift, q))
     if route_bracket != route_identity:
         raise AssertionError(
             "deformation criterion routes disagree (bracket: %s, identity: %s)"
@@ -280,11 +292,9 @@ def _drift_rows(k: Sequence) -> list:
         k, zero = vec(k), Fraction(0)
     rows = [[zero] * 10 for _ in QUAD_MONOMIALS]
     for s, e in enumerate(CUBIC_MONOMIALS):
-        for i in range(3):
-            if e[i] and k[i]:
-                target = list(e)
-                target[i] -= 1
-                rows[_QUAD_INDEX[tuple(target)]][s] = k[i] * e[i]
+        for i, ei, _, slot in _PARTIALS[e]:
+            if k[i]:
+                rows[slot][s] = k[i] * ei
     return rows
 
 
@@ -858,15 +868,44 @@ def t_of_v(v, tolerance: float = 1e-12):
     return t
 
 
+def _scaled_bounds(x, bits: int) -> tuple:
+    """Ints lo <= x 2^bits <= hi; the floor and ceiling for a Fraction x."""
+    num, den = ((x._num, x._den) if type(x) is ExtScalar
+                else ((x.numerator,), x.denominator))
+    lo = hi = num[0] << bits
+    for n, r in zip(num[1:], (2, 3, 6)):
+        t = math.isqrt(r * n * n << 2 * bits)   # |n| sqrt(r) 2^bits, floored
+        lo, hi = (lo + t, hi + t + 1) if n > 0 else (lo - t - 1, hi - t)
+    return lo // den, -(-hi // den)
+
+
+def _nearest_root(c, w, bits: int = 64) -> float:
+    """The float nearest sign(c) sqrt(w), for exact c != 0 and w > 0, off
+    ``math.isqrt`` of the bounds of w 4^bits and those of c 2^bits.  For a
+    rational w, once the exact floor m of 2^bits sqrt(w) has 55 bits, m
+    plus a sticky half rounds as the root does; else both bounds must
+    round alike.  bits doubles until then: an irrational root is no tie."""
+    (lo, hi), (c_lo, c_hi) = (_scaled_bounds(w, 2 * bits),
+                              _scaled_bounds(c, bits))
+    m = math.isqrt(max(lo, 0))
+    if type(w) is Fraction and m >> 54:
+        ends = (2 * m + (m * m != hi),) * 2
+    else:
+        ends = (2 * m, 2 * math.isqrt(hi) + 2)
+    u, high = (float(Fraction(v, 2 << bits)) for v in ends)
+    if u != high or c_lo <= 0 <= c_hi:
+        return _nearest_root(c, w, 2 * bits)
+    return u if c_hi > 0 else -u
+
+
 def _t_of_v_float(raw, tolerance: float) -> tuple:
     exact = [c if isinstance(c, ExtScalar) else Fraction(c) for c in raw]
-    # scaled by a power of two: no product overflows, no rounding changes
-    k = max((_binary_exponent(c) for c in exact if c), default=0)
-    x, y, z = (float(c * Fraction(2) ** -k) for c in exact)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm == 0.0:
+    norm_sq = sum((c * c for c in exact), Fraction(0))
+    if not norm_sq:
         raise ValueError("zero vector has no direction")
-    u = (x / norm, y / norm, z / norm)
+    # the unit vector, each entry the float nearest to its exact value
+    u = tuple(_nearest_root(c, demote(c * c / norm_sq)) if c else 0.0
+              for c in exact)
     if u[2] < 0:
         u = (-u[0], -u[1], -u[2])
     s = math.hypot(u[0], u[1])

@@ -129,6 +129,11 @@ def rational_valued(m) -> bool:
                for row in m.rows for v in row)
 
 
+def function_field(poly: Polynomial, cls=MultiVectorField):
+    """A polynomial as a grade-0 field, or as a 0-form for a subclass."""
+    return cls(poly.nvars, 0, {(): poly})
+
+
 def random_field(rng, nvars, grade, max_degree=2) -> MultiVectorField:
     comps = {}
     for exps in itertools.combinations(range(nvars), grade):

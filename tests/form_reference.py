@@ -23,10 +23,17 @@ twist as a wedge product and rebuilt f by Euler's identity, and
 decided ``square_closed`` by the curl of L ^ L and ``twist_commutes`` by
 a Schouten bracket with the constant field k.
 
-Last, it keeps ``quaddef.deform_check`` as it was before both of its
-routes ran on coefficient forms: the Schouten bracket of the two
-bivectors, and the identity compared as two polynomials, with the
-source term ``deform_rhs`` built by matrix products.
+It keeps ``quaddef.deform_check`` as it was before both of its routes
+ran on coefficient forms: the Schouten bracket of the two bivectors
+(the quadratic one by the wedge route above), and the identity compared
+as two polynomials, with the source term ``deform_rhs`` built by matrix
+products.  And it keeps the last bodies of ``quaddef.pi_quad`` and
+``quaddef.deform_check`` before each read F's terms in one pass:
+``pi_quad_by_parts`` adds a twist polynomial to each normalised
+component of the potential bivector, and ``deform_check_on_drift_rows``
+applies the 6x10 drift matrix of k (``drift_rows``, the body
+``quaddef._drift_rows`` had then) to F's coefficient vector, with route
+one on ``pi_quad_by_parts``.
 
 The Euler field ``euler_vf`` that these routes wedge with lives here, and
 so do the Lie-Poisson bivector of a structure-constant array and the
@@ -37,12 +44,13 @@ oracle in the tests.
 from fractions import Fraction
 from typing import Dict
 
-from conftest import along
+from conftest import along, function_field
 from linalg_reference import gram_of_quadratic
 from poisson_forge import quaddef
 from poisson_forge.exactnum import (
     Polynomial,
     _check_nvars,
+    _scaled_row,
     _unit_exponents,
     as_scalar,
     quadratic_form_poly,
@@ -210,7 +218,7 @@ def curl(u: MultiVectorField) -> MultiVectorField:
 
 def bivector_from_potential(f: Polynomial) -> MultiVectorField:
     """Inverse volume dual of df."""
-    df = ext_deriv(DifferentialForm.function(f))
+    df = ext_deriv(function_field(f, DifferentialForm))
     return vol_dual_inv(df)
 
 
@@ -278,10 +286,63 @@ def deform_rhs(lp, k_matrix) -> Polynomial:
 def deform_check(lp, qp) -> bool:
     """The deformation criterion by the Schouten bracket of the two
     bivectors and by the identity between two polynomials."""
-    bracket = schouten(direct_bivector_of(lp), quaddef.pi_quad(qp))
+    bracket = schouten(direct_bivector_of(lp), pi_quad(qp))
     route_bracket = bracket.is_zero()
     lhs = along(qp.cubic, lp.k)
     route_identity = lhs == deform_rhs(lp, qp.twist)
+    if route_bracket != route_identity:
+        raise AssertionError(
+            "deformation criterion routes disagree (bracket: %s, identity: %s)"
+            % (route_bracket, route_identity)
+        )
+    return route_bracket
+
+
+def pi_quad_by_parts(qp) -> MultiVectorField:
+    """pi_F + (1/3) I^ ^ Kx: the components of the potential bivector, each
+    normalised, plus a twist polynomial over 3 D_K read off K's form."""
+    den, m = qp.twist._form
+    comps = dict(direct_bivector_from_potential(qp.cubic).components)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        vals = {}
+        for row, x, negate in ((j, i, False), (i, j, True)):
+            for t, v in enumerate(m[3 * row:3 * row + 3]):
+                if v:
+                    key = quaddef._QUAD_KEYS[x][t]
+                    v = -v if negate else v
+                    cur = vals.get(key)
+                    vals[key] = v if cur is None else cur + v
+        twist = Polynomial._of_form(3, 3 * den, vals, qp.twist._rational)
+        cur = comps.get((i, j))
+        comps[(i, j)] = twist if cur is None else cur + twist
+    return MultiVectorField._trusted(3, 2, comps)
+
+
+def drift_rows(k) -> list:
+    """The 6x10 matrix of F -> k.grad F for int k, column s the image
+    sum_i k_i e_i x^(e - u_i) of x^e, e = CUBIC_MONOMIALS[s]."""
+    rows = [[0] * 10 for _ in quaddef.QUAD_MONOMIALS]
+    for s, e in enumerate(quaddef.CUBIC_MONOMIALS):
+        for i in range(3):
+            if e[i] and k[i]:
+                target = list(e)
+                target[i] -= 1
+                rows[quaddef._QUAD_INDEX[tuple(target)]][s] = k[i] * e[i]
+    return rows
+
+
+def deform_check_on_drift_rows(lp, qp) -> bool:
+    """Route one on ``pi_quad_by_parts``; route two the drift rows of k's
+    numerators applied to F's coefficient vector, which gives
+    s D_F k.grad F, against the numerators of the source term."""
+    route_bracket = quaddef._brackets_to_zero(direct_bivector_of(lp),
+                                              pi_quad_by_parts(qp))
+    (den, q), (s, k) = quaddef._rhs_numerators(lp, qp.twist), _scaled_row(lp.k)
+    df, f = qp.cubic._form
+    coords = [f.get(e, 0) for e in quaddef.CUBIC_MONOMIALS]
+    route_identity = all(
+        sum(a * c for a, c in zip(row, coords) if a and c) * den
+        == v * s * df for row, v in zip(drift_rows(k), q))
     if route_bracket != route_identity:
         raise AssertionError(
             "deformation criterion routes disagree (bracket: %s, identity: %s)"

@@ -10,6 +10,13 @@ its ``src`` routine, and none imports that routine or a helper of it:
 determinants and inverses come from ``linalg_reference`` (``det``,
 ``inverse``), not from ``Matrix.det`` and ``Matrix.inverse``.
 
+- ``classify_on_fractions``: ``linclass.classify`` as it was before its
+  tail after the congruence ran on ints: the signs by Fraction
+  comparisons in ``_arrange_sorted`` (sorted sign lists and a pool of
+  columns per sign), |d|, det(base)^2, the rescaling and a^2 as
+  Fractions.  It runs on this module's ``_complete_basis``, on the column
+  loop of ``linalg_reference``, which gives the package congruence's R
+  and d, and on ``verify_witness_by_products``,
 - ``classify``: two branches, k = 0 through ``_arrange_definite_part``
   and k != 0 through ``_sort_by_sign`` and the sign of a 2x2 determinant,
   on Lagrange's column loop (``linalg_reference.congruent_diagonalize``),
@@ -35,7 +42,15 @@ import math
 from fractions import Fraction
 
 from linalg_reference import congruent_diagonalize, det, inverse
-from poisson_forge.exactnum import ExtScalar, Matrix, as_rational_matrix, vec
+from poisson_forge.exactnum import (
+    ExtScalar,
+    Matrix,
+    _congruence3,
+    _det3,
+    _product3,
+    as_rational_matrix,
+    vec,
+)
 from poisson_forge.linclass import SIGN_PATTERNS, LinearPair, StdFormLabel, Witness
 from poisson_forge.quaddef import (
     DIAG_DISTINCT,
@@ -178,6 +193,55 @@ def classify(pair):
                 scales[1] = det(base) ** 2 / scales[0]
     label = StdFormLabel(case, a_squared)
     witness = Witness(base, tuple(scales))
+    if not verify_witness_by_products(pair, label, witness):
+        raise AssertionError("constructed witness failed verification")
+    return label, witness
+
+
+def _arrange_sorted(diag, cases):
+    """Case id, column order and global sign: the first of ``cases`` whose
+    sign pattern, times +1 or else -1, sorts like the signs of ``diag``."""
+    signs = [(v > 0) - (v < 0) for v in diag]
+    for case in cases:
+        for sign in (1, -1):
+            want = [sign * s for s in SIGN_PATTERNS[case]]
+            if sorted(want) == sorted(signs):
+                pools = {s: iter([i for i, t in enumerate(signs) if t == s])
+                         for s in (1, -1, 0)}
+                return case, tuple(next(pools[s]) for s in want), sign
+    raise AssertionError("no sign pattern fits %r" % (diag,))
+
+
+def classify_on_fractions(pair):
+    if not any(pair.k):
+        free, cases, flip = 3, range(1, 7), 2
+        inner, diag = congruent_diagonalize(pair.gram)
+        den, base = inner._form
+    else:
+        free, cases, flip = 2, range(7, 11), 0
+        (e, b), (s, a) = _complete_basis(pair.k)._form, pair.gram._form
+        inner, diag = congruent_diagonalize(
+            Matrix._of_form(3, e * e * s, _congruence3(b, a)))
+        t, r = inner._form
+        den, base = e * t, _product3(b, r)
+    case, perm, sign = _arrange_sorted(diag, cases)
+    base = [base[i + p] for i in (0, 3, 6) for p in perm]
+    scales = [abs(diag[p]) for p in perm]
+    rank = sum(1 for v in scales if v)
+    if rank:
+        det = _det3(base)
+        if (det > 0) != (sign > 0):
+            base[flip::3] = [-v for v in base[flip::3]]
+            det = -det
+        det_sq = Fraction(det * det, den ** 6)
+        if rank == 3:
+            prod = scales[0] * scales[1] * scales[2]
+            scales = [det_sq * v / prod for v in scales]
+        elif rank < free:
+            scales[rank] = det_sq / math.prod(scales[:rank])
+    a_squared = scales[0] * scales[1] / det_sq if case in (8, 9) else None
+    label = StdFormLabel(case, a_squared)
+    witness = Witness(Matrix._of_form(3, den, base), tuple(scales))
     if not verify_witness_by_products(pair, label, witness):
         raise AssertionError("constructed witness failed verification")
     return label, witness

@@ -66,11 +66,11 @@ REASONS = {
     "exactnum.Matrix.__repr__": _PROTOCOL,
     "linclass.Witness.from_json": "reads back a CLI witness; test_cli and "
                                   "test_linclass reach it",
-    "multivec.MultiVectorField.function": "public constructor of a grade-0 "
-                                          "field; the tests and the "
-                                          "differential forms of "
-                                          "form_reference build with it",
     "multivec.MultiVectorField.__repr__": _PROTOCOL,
+    "multivec.bivector_from_potential": "public constructor of the potential "
+                                        "bivector on any R^n; quaddef.pi_quad "
+                                        "sums its R^3 components in one pass, "
+                                        "and the tests compare the two",
 }
 
 _hits = set()

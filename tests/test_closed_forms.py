@@ -21,11 +21,12 @@ give what the reference gives on its Fraction twin.
 
 Last, ``quaddef.deform_check`` decides the deformation criterion on
 coefficient forms, its bracket route from the vector fields of the two
-bivectors and its identity route on the drift matrix.  ``form_reference``
-keeps the Schouten-bracket route and the source term built by matrix
-products; on seeded pairs with Fraction or ExtScalar entries the two must
-agree in verdicts, exception types and messages, and ``deform_rhs`` in
-values and entry types.
+bivectors and its identity route as a sum over F's terms.
+``form_reference`` keeps the Schouten-bracket route (on its wedge-route
+``pi_quad``) and the source term built by matrix products; on seeded
+pairs with Fraction or ExtScalar entries the two must agree in
+verdicts, exception types and messages, and ``deform_rhs`` in values
+and entry types.
 """
 
 import itertools

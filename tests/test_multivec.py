@@ -9,7 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_field, random_polynomial, typed_components
+from conftest import (
+    function_field,
+    random_field,
+    random_polynomial,
+    typed_components,
+)
 from form_reference import (
     DifferentialForm,
     ext_deriv,
@@ -81,7 +86,7 @@ def test_wedge_graded_commutativity(rng):
 def test_wedge_grade0_is_multiplication():
     f = Polynomial.variable(3, 2)  # z
     u = MultiVectorField(3, 1, {(0,): _var(3, 0)})
-    fu = wedge(MultiVectorField.function(f), u)
+    fu = wedge(function_field(f), u)
     assert fu == MultiVectorField(3, 1, {(0,): _var(3, 0) * f})
 
 
@@ -108,7 +113,8 @@ def test_dual_fixed_signs_on_r3():
     ex = _basis_vf(3, 0)
     assert vol_dual(ex) == DifferentialForm(3, 2, {(1, 2): 1})  # +dy^dz
     top = MultiVectorField(3, 3, {(0, 1, 2): 1})
-    assert vol_dual(top) == DifferentialForm.function(Polynomial.constant(3, 1))
+    assert vol_dual(top) == function_field(Polynomial.constant(3, 1),
+                                           DifferentialForm)
 
 
 def test_dual_roundtrip_all_grades(rng):
@@ -137,7 +143,7 @@ def test_ext_deriv_basic():
 def test_ext_deriv_squares_to_zero(rng):
     for _ in range(20):
         f = random_polynomial(rng, 3, max_degree=3)
-        df = ext_deriv(DifferentialForm.function(f))
+        df = ext_deriv(function_field(f, DifferentialForm))
         assert ext_deriv(df).is_zero()
 
 
@@ -154,7 +160,7 @@ def test_ext_deriv_of_volume_form_is_zero():
 def test_curl_of_linear_field_is_trace():
     a = Matrix.diagonal([1, 2, 3])
     div = curl(linear_vf(a))
-    assert div == MultiVectorField.function(Polynomial.constant(3, 6))
+    assert div == function_field(Polynomial.constant(3, 6))
 
 
 def test_curl_of_constant_field_is_zero():
@@ -177,7 +183,7 @@ def test_curl_squares_to_zero(rng):
 
 def test_curl_on_functions_is_zero(rng):
     f = random_polynomial(rng, 3)
-    assert curl(MultiVectorField.function(f)).is_zero()
+    assert curl(function_field(f)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +274,8 @@ def test_grade0_bracket_acts_as_expected(rng):
     vf = Polynomial.zero(3)
     for i in range(3):
         vf = vf + v.component((i,)) * f.diff(i)
-    assert schouten(MultiVectorField.function(f), v) == \
-        MultiVectorField.function(-vf)
-    assert schouten(v, MultiVectorField.function(f)) == \
-        MultiVectorField.function(vf)
+    assert schouten(function_field(f), v) == function_field(-vf)
+    assert schouten(v, function_field(f)) == function_field(vf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -1028,6 +1029,60 @@ def test_t_of_v_float_fallback():
     assert _is_float_rows(t)
     det = sum(a * b for a, b in zip(t[0], cross3(t[1], t[2])))
     assert abs(det - 1.0) < 1e-12
+
+
+def _exact_value(c) -> Decimal:
+    """An exact scalar to 120 digits."""
+    if isinstance(c, ExtScalar):
+        roots = (Decimal(1), Decimal(2).sqrt(), Decimal(3).sqrt(),
+                 Decimal(6).sqrt())
+        return sum(n * r for n, r in zip(c._num, roots)) / c._den
+    return Decimal(c.numerator) / c.denominator
+
+
+def _is_nearest(u: float, c, norm_sq) -> bool:
+    """Is u the float nearest c / sqrt(norm_sq)?  For rational c it is
+    decided exactly: |c| / sqrt(N) lies between the midpoints of u and its
+    neighbours when their squares times N bracket c^2."""
+    if isinstance(c, ExtScalar) or isinstance(norm_sq, ExtScalar):
+        with localcontext() as ctx:
+            ctx.prec = 120
+            return u == float(_exact_value(c) / _exact_value(norm_sq).sqrt())
+    a = abs(u)
+    if a and (u < 0) != (c < 0):
+        return False
+    low = (F(math.nextafter(a, 0.0)) + F(a)) / 2
+    high = (F(a) + F(math.nextafter(a, math.inf))) / 2
+    return low * low * norm_sq <= c * c <= high * high * norm_sq
+
+
+def test_float_unit_is_correctly_rounded(rng):
+    """The unit row of the float rotation of a point with no exact unit
+    is c / |c| rounded to nearest, entry by entry."""
+    points = [P2Point(tuple(F(rng.randint(-99999, 99999), rng.randint(1, 99999))
+                            for _ in range(3))) for _ in range(300)]
+    points += [P2Point((F(rng.randint(1, 99999), 10 ** rng.randint(20, 400)),
+                        F(rng.randint(-9, 9)), 1)) for _ in range(20)]
+    points += [P2Point((1 + SQRT2, 1, 1)), P2Point((F(1393, 985) - SQRT2, 0, 1)),
+               P2Point((SQRT3 - 1, SQRT2 * F(1, 7), 0))]
+    points += [P2Point((random_ext_scalar(rng, True), random_ext_scalar(rng, True),
+                        1)) for _ in range(40)]
+    fallback = 0
+    for point in points:
+        try:
+            point.unit_vector()
+            continue
+        except ExactSqrtError:
+            fallback += 1
+        unit = t_of_v(point)[2]
+        norm_sq = sum((c * c for c in point.coords), F(0))
+        assert all(_is_nearest(u, c, norm_sq)
+                   for u, c in zip(unit, point.coords)), point
+    assert fallback >= 330
+    # a float input reads as its exact binary value, flipped upward
+    unit = t_of_v((0.6, 0.0, -0.8))[2]
+    assert all(_is_nearest(u, -F(c), F(0.6) ** 2 + F(0.8) ** 2)
+               for u, c in zip(unit, (0.6, 0.0, -0.8)))
 
 
 # ---------------------------------------------------------------------------
