@@ -1230,23 +1230,53 @@ class SolutionSpace(NamedTuple):
 
     ``particular`` is None exactly when the system is inconsistent; the
     zero-dimensional space {v} has a particular point and empty basis.
-    The solver canonicalizes: the particular solution has zeros in all
-    free coordinates, and each basis vector has a single free coordinate
-    set to one.
 
-    On that canonical shape each basis vector b_j is 1 on its free
-    column f_j, its last nonzero slot, and 0 on the other free columns,
-    so a direction d lies in the span exactly when d = sum_j d[f_j] b_j:
-    ``direction_in_span`` (and through it ``contains`` and
-    ``same_space``) checks the shape and compares d coordinate by
-    coordinate, with no elimination.  A basis of any other shape, such
-    as ``quaddef.span_of_cubics`` builds, is tested by solving for the
-    coefficients with ``solve_linear``.
+    Every space the package builds has one canonical shape:
+    ``solve_linear``, ``spanned_by`` and the solvers of ``quaddef``
+    return it.  Each basis vector b_j is 1 on its free column f_j, its
+    last nonzero slot, and 0 on the other free columns; the free columns
+    rise; and the point is 0 on every free column.  The basis is then
+    independent, so ``dim`` is the rank, and an affine set over a field
+    has exactly one such form.  So a direction d lies in the span
+    exactly when d = sum_j d[f_j] b_j, which ``direction_in_span`` (and
+    through it ``contains``) compares coordinate by coordinate, and two
+    spaces are equal exactly when their records are, which
+    ``same_space`` compares.  None of the three eliminates, and each
+    raises ValueError for a hand-built space off the shape.
     """
 
     ambient_dim: int
     particular: Optional[tuple]
     basis: tuple
+
+    @classmethod
+    def spanned_by(cls, particular: Sequence,
+                   vectors: Sequence[Sequence]) -> "SolutionSpace":
+        """particular + span(vectors), on the canonical shape.
+
+        One ``solve_linear`` on the vectors with their columns reversed
+        solves for the annihilator of the span.  Read back in the given
+        column order, its basis vector w_g is 1 on its own column g, 0
+        on the other such columns and nonzero only on later pivot
+        columns; the pivot columns are the span's free columns and the
+        columns g its bound ones.  A direction d lies in the span
+        exactly when w_g.d = 0 for every g, so the basis vector of a
+        free column f is 1 on f, 0 on the other free columns and
+        -w_g[f] on each bound column g, and the point is 0 on the free
+        columns and w_g.particular on each bound column g.
+        """
+        n = len(particular)
+        rows = [tuple(v)[::-1] for v in vectors]
+        bound = {n - 1 - _last_nonzero(w): w[::-1]
+                 for w in solve_linear(rows, [0] * len(rows), n).basis}
+        zero, one = Fraction(0), Fraction(1)
+        point = tuple(sum((a * b for a, b in zip(bound[g], particular)
+                           if a and b), zero) if g in bound else zero
+                      for g in range(n))
+        basis = tuple(tuple(-bound[g][f] if g in bound
+                            else one if g == f else zero for g in range(n))
+                      for f in range(n) if f not in bound)
+        return cls(n, point, basis)
 
     @property
     def is_empty(self) -> bool:
@@ -1259,49 +1289,40 @@ class SolutionSpace(NamedTuple):
         return len(self.basis)
 
     def direction_in_span(self, v: Sequence) -> bool:
-        if self.is_empty:
-            return False
-        free = self._free_columns()
-        if free is None:
-            rows = [[b[i] for b in self.basis]
-                    for i in range(self.ambient_dim)]
-            return not solve_linear(rows, list(v)).is_empty
-        coefs = [(v[f], b) for f, b in zip(free, self.basis) if v[f]]
-        return all(v[i] == sum(c * b[i] for c, b in coefs if b[i])
-                   for i in range(self.ambient_dim))
+        coefs = [(v[f], b) for f, b in zip(self._free_columns(), self.basis)
+                 if v[f]]
+        return not self.is_empty and all(
+            v[i] == sum(c * b[i] for c, b in coefs if b[i])
+            for i in range(self.ambient_dim))
 
-    def _free_columns(self) -> Optional[list]:
-        """The free column of each basis vector, its last nonzero slot,
-        when every vector is 1 there and 0 on the others' free columns;
-        None for a basis of any other shape."""
-        free = []
-        for b in self.basis:
-            if not any(b):
-                return None
-            f = _last_nonzero(b)
-            if b[f] != 1:
-                return None
-            free.append(f)
-        if any(b[f] for j, b in enumerate(self.basis)
-               for k, f in enumerate(free) if k != j):
-            return None
+    def _free_columns(self) -> list:
+        """The free column of each basis vector, its last nonzero slot.
+
+        Raises ValueError for a space off the canonical shape: the free
+        columns must rise, each vector be 1 on its own free column and 0
+        on the others, and the point 0 on every free column.
+        """
+        free = [max((i for i, x in enumerate(b) if x), default=-1)
+                for b in self.basis]
+        if (any(f >= g for f, g in zip([-1] + free, free))
+                or any(b[f] != 1 if j == k else b[f]
+                       for j, b in enumerate(self.basis)
+                       for k, f in enumerate(free))
+                or any(self.particular[f] for f in free)):
+            raise ValueError("solution space off the canonical shape")
         return free
 
     def contains(self, v: Sequence) -> bool:
-        if self.is_empty:
-            return False
-        return self.direction_in_span(
+        return not self.is_empty and self.direction_in_span(
             tuple(a - b for a, b in zip(v, self.particular)))
 
     def same_space(self, other: "SolutionSpace") -> bool:
-        """Exact equality of the two affine sets."""
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        if not self.contains(other.particular):
-            return False
-        return all(self.direction_in_span(b) for b in other.basis)
+        """Exact equality of the two affine sets, as equality of their
+        canonical forms; two empty sets are equal whatever their ambient
+        dimensions."""
+        self._free_columns()
+        other._free_columns()
+        return (self.is_empty and other.is_empty) or self == other
 
 
 def _last_nonzero(v: Sequence) -> int:

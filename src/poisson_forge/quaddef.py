@@ -554,9 +554,10 @@ def solution_polys(space: SolutionSpace):
 
 
 def span_of_cubics(polys: Sequence[Polynomial]) -> SolutionSpace:
-    """Homogeneous span of given cubics, as a coefficient-vector space."""
+    """Homogeneous span of given cubics, as a coefficient-vector space on
+    the canonical shape; its ``dim`` is the rank of the cubics."""
     zero = tuple(Fraction(0) for _ in CUBIC_MONOMIALS)
-    return SolutionSpace(10, zero, tuple(cubic_coords(p) for p in polys))
+    return SolutionSpace.spanned_by(zero, [cubic_coords(p) for p in polys])
 
 
 # ---------------------------------------------------------------------------

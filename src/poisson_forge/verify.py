@@ -498,8 +498,8 @@ def _check_solver_equivariance(g, rng):
                 moved = cubic_from_coords(coords).compose_linear(t_inv) * det
                 return cubic_coords(moved)
 
-            image = SolutionSpace(10, push(right.particular),
-                                  tuple(push(b) for b in right.basis))
+            image = SolutionSpace.spanned_by(
+                push(right.particular), [push(b) for b in right.basis])
             _expect_true("solver output failed to transport",
                          left.same_space(image))
             transported += 1

@@ -13,6 +13,7 @@ from poisson_forge.exactnum import (
     ExtScalar,
     Matrix,
     Polynomial,
+    SolutionSpace,
     as_scalar,
 )
 from poisson_forge.linclass import (
@@ -127,6 +128,13 @@ def rational_valued(m) -> bool:
     """Every entry of the matrix m is rational, an ExtScalar one too."""
     return all(not isinstance(v, ExtScalar) or v.is_rational
                for row in m.rows for v in row)
+
+
+def matrix_span(mats):
+    """The span of 3x3 matrices, each given as its rows, as a space of
+    coefficient vectors in Q^9 on the canonical shape."""
+    return SolutionSpace.spanned_by(
+        (Fraction(0),) * 9, [[v for row in m for v in row] for m in mats])
 
 
 def function_field(poly: Polynomial, cls=MultiVectorField):

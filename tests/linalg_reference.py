@@ -35,8 +35,11 @@ seeded inputs:
   ``quaddef.cubic_kernel``,
 - ``direction_in_span``, ``contains``, ``same_space``: membership in a
   ``SolutionSpace`` by solving for the coefficients of the basis with
-  this module's ``solve_linear``, for a basis of any shape; the package
-  reads them off the free columns of a canonical basis.
+  this module's ``solve_linear``, for a basis of any shape, and equality
+  as containment both ways; the package reads membership off the free
+  columns of the canonical shape, and equality as equality of canonical
+  forms.  With ``solve_linear`` for the rank they are also the oracle of
+  ``SolutionSpace.spanned_by``, which builds that shape.
 """
 
 import math
@@ -341,11 +344,13 @@ def contains(space, v):
 
 
 def same_space(a, b):
-    """Equality of two affine sets: same dimension, and a contains b's
-    particular point and spans b's directions."""
+    """Equality of two affine sets: a contains b's particular point, and
+    each spans the other's directions.  The lengths of the bases are not
+    compared, since a basis given by hand may be dependent."""
     if a.is_empty or b.is_empty:
         return a.is_empty and b.is_empty
-    if a.ambient_dim != b.ambient_dim or len(a.basis) != len(b.basis):
+    if a.ambient_dim != b.ambient_dim:
         return False
     return contains(a, b.particular) and all(
-        direction_in_span(a, d) for d in b.basis)
+        direction_in_span(a, d) for d in b.basis) and all(
+        direction_in_span(b, d) for d in a.basis)

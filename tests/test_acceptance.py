@@ -1,6 +1,5 @@
 """End-to-end acceptance gate: every published result, exact and timed."""
 
-import json
 import subprocess
 import sys
 import time
@@ -8,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import along, random_field
+from conftest import along, matrix_span, random_field
 from form_reference import euler_vf
-from poisson_forge.exactnum import Matrix, Polynomial, SolutionSpace
+from poisson_forge.exactnum import Matrix, Polynomial
 from poisson_forge.linclass import (
     LinearPair,
     aut_member,
@@ -221,11 +220,6 @@ def test_null_twist_family_simplifies_in_sheared_coordinates():
 # --- 9: infinitesimal symmetries of the six unimodular forms ----------------
 
 
-def _matrix_span(mats):
-    basis = tuple(tuple(F(v) for row in m for v in row) for m in mats)
-    return SolutionSpace(9, tuple(F(0) for _ in range(9)), basis)
-
-
 def test_infinitesimal_symmetry_dimensions_and_patterns():
     assert [der0_space(case).dim for case in range(1, 7)] == [8, 3, 3, 3, 3, 5]
     patterns = {
@@ -268,7 +262,7 @@ def test_infinitesimal_symmetry_dimensions_and_patterns():
         ],
     }
     for case, mats in patterns.items():
-        assert der0_space(case).same_space(_matrix_span(mats)), case
+        assert der0_space(case).same_space(matrix_span(mats)), case
 
 
 # --- 10: symmetry membership along two independent routes -------------------

@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module, no module
-has an assert statement, and the CLI loads no standard-library module it
-does not need."""
+"""Every name a package or test module imports is used in that module,
+no package module has an assert statement, and the CLI loads no
+standard-library module it does not need."""
 
 import ast
 import subprocess
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "poisson_forge"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "poisson_forge"
 
 
 def unused_imports(source: str) -> list:
@@ -29,8 +30,9 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else "tests/" + p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -6,17 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 import normal_form_reference as ref
+from conftest import matrix_span
 from form_reference import euler_vf, lie_poisson_bivector
 from poisson_forge.exactnum import (
     ExtScalar,
     Matrix,
     Polynomial,
-    SolutionSpace,
     scalar_div,
     SQRT2,
 )
 from poisson_forge.linclass import (
-    Decomposition,
     LinearPair,
     STANDARD_PAIRS,
     StdFormLabel,
@@ -534,11 +533,6 @@ def test_is_derivation_scaling_term():
     assert not is_derivation(Matrix.diagonal([1, 1, 1]), 8)
 
 
-def _space_from_basis(mats):
-    basis = tuple(tuple(F(v) for row in m.rows for v in row) for m in mats)
-    return SolutionSpace(9, tuple(F(0) for _ in range(9)), basis)
-
-
 def test_der0_dimensions():
     assert [der0_space(case).dim for case in range(1, 7)] == [8, 3, 3, 3, 3, 5]
 
@@ -585,7 +579,8 @@ def test_der0_closed_forms():
         ],
     }
     for case, mats in catalogs.items():
-        assert der0_space(case).same_space(_space_from_basis(mats)), case
+        assert der0_space(case).same_space(
+            matrix_span(m.rows for m in mats)), case
 
 
 def test_der0_members_are_derivations(rng):

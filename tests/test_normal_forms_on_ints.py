@@ -218,6 +218,7 @@ ORACLE_OF = {"congruent_diagonalize", "classify", "verify_witness",
              "is_isomorphism", "transform_pair", "_arrange",
              "_complete_basis", "_aut_closed_form", "_adjugate3",
              "direction_in_span", "contains", "same_space", "_free_columns",
+             "spanned_by",
              "pi_quad", "deform_check", "_PARTIALS"}
 
 

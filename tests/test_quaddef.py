@@ -20,6 +20,7 @@ from poisson_forge.exactnum import (
     SQRT2,
     SQRT3,
     SQRT6,
+    SolutionSpace,
     apply_matrix_derivation,
     cross3,
     scalar_div,
@@ -495,8 +496,8 @@ def test_solve_F_equivariance(rng):
                 moved = cubic_from_coords(coords).compose_linear(t_inv) * det
                 return cubic_coords(moved)
 
-            image = type(right)(10, push(right.particular),
-                                tuple(push(b) for b in right.basis))
+            image = SolutionSpace.spanned_by(
+                push(right.particular), [push(b) for b in right.basis])
             assert left.same_space(image)
 
 
