@@ -2,18 +2,20 @@
 
 One verb per invocation; structures come in as JSON (inline, from a
 file, or from stdin with ``-``) and results go out as JSON (default) or
-as readable tables.  Exit codes: 0 on success, 1 on domain errors
-(invalid structures, inconsistent systems, failed verification, a
-``bracket`` or ``is-poisson`` input over ``MAX_TERM_PRODUCT``, and a
-``decompose`` input whose Jacobi test could make more than
-``MAX_DECOMPOSE_WORK`` products, refused as ``error: input too large``), 2 on
-parse errors (an input that cannot be read or names no file, and a
-``--goldens`` table without every section of the built-in one, too) and
-bad usage, 3 on an internal error (a failed internal consistency check
-or any other unexpected exception), reported in one line on stderr
-without a traceback.  A reader that closes stdout early
-(``poisson-forge ... | head``) is not an error: the CLI stops writing
-and exits 0 with nothing on stderr.
+as readable tables.  ``main`` reads the input, runs the verb's handler
+and writes its report: a handler computes from the parsed payload and
+returns the report and its table lines.  Exit codes: 0 on success, 1 on
+domain errors (invalid structures, inconsistent systems, failed
+verification, a ``bracket`` or ``is-poisson`` input over
+``MAX_TERM_PRODUCT``, and a ``decompose`` input whose Jacobi test could
+make more than ``MAX_DECOMPOSE_WORK`` products, refused as
+``error: input too large``), 2 on parse errors (an input that cannot be
+read or names no file, and a ``--goldens`` table without every section
+of the built-in one, too) and bad usage, 3 on an internal error (a
+failed internal consistency check or any other unexpected exception),
+reported in one line on stderr without a traceback.  A reader that
+closes stdout early (``poisson-forge ... | head``) is not an error: the
+CLI stops writing and exits 0 with nothing on stderr.
 """
 
 import argparse
@@ -117,7 +119,8 @@ def _field_from(data: dict) -> MultiVectorField:
 
 def _check_term_product(u: MultiVectorField, v: MultiVectorField):
     """Raise ValueError when bracketing u with v would exceed the cap."""
-    m, n = (sum(len(p.terms) for p in f.components.values()) for f in (u, v))
+    m, n = (sum(len(p._form[1]) for p in f.components.values())
+            for f in (u, v))
     if m * n > MAX_TERM_PRODUCT:
         raise ValueError("input too large: %d x %d terms exceed the bracket's "
                          "cap of %d" % (m, n, MAX_TERM_PRODUCT))
@@ -127,14 +130,6 @@ def _matrix_from(data, key: str) -> Matrix:
     if key not in data:
         raise ParseError('missing "%s" field' % key)
     return Matrix.from_json(data[key])
-
-
-def _emit(args, json_obj, table_lines):
-    if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
-    else:
-        for line in table_lines:
-            print(line)
 
 
 def _space_report(space):
@@ -154,7 +149,8 @@ def _space_report(space):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each handler takes the parsed payload and the arguments and
+# returns (report, table lines); verify-paper adds its exit status
 # ---------------------------------------------------------------------------
 
 
@@ -164,94 +160,76 @@ def _rows_str(m: Matrix) -> str:
     )
 
 
-def _cmd_classify(args):
-    pair = _pair_from(_read_payload(args.input))
-    label, witness = classify(pair)
-    report = classification_to_json(label, witness)
+def _cmd_classify(data, args):
+    label, witness = classify(_pair_from(data))
     lines = ["case: %d" % label.case_id]
     if label.a_squared is not None:
         lines.append("a_squared: %s" % label.a_squared)
     lines.append("witness R: %s" % _rows_str(witness.base))
     lines.append("witness d: (%s)" % ", ".join(str(v) for v in witness.scales))
-    _emit(args, report, lines)
-    return 0
+    return classification_to_json(label, witness), lines
 
 
-def _cmd_decompose(args):
-    pi = _field_from(_read_payload(args.input))
+def _cmd_decompose(data, args):
+    pi = _field_from(data)
     # square_closed's Jacobi test is the one step of decompose above linear
     # in the size of pi, and n(n - 1) in the bound also covers the
     # n(n - 1) / 2 components of the curl-free part
     if decompose_work(pi) > MAX_DECOMPOSE_WORK:
         raise ValueError("input too large")
     dec = decompose(pi)
-    report = dec.to_json()
-    lines = [
+    return dec.to_json(), [
         "k: (%s)" % ", ".join(str(v) for v in dec.k),
         "curl_free: %s" % dec.curl_free,
         "square_closed: %s" % str(dec.square_closed).lower(),
         "twist_commutes: %s" % str(dec.twist_commutes).lower(),
     ]
-    _emit(args, report, lines)
-    return 0
 
 
-def _cmd_bracket(args):
-    data = _read_payload(args.input)
+def _cmd_bracket(data, args):
     for key in ("u", "v"):
         if not isinstance(data.get(key), dict):
             raise ParseError('bracket needs "u" and "v" objects')
     u, v = _field_from(data["u"]), _field_from(data["v"])
     _check_term_product(u, v)
     out = schouten(u, v)
-    _emit(args, out.to_json(), [str(out)])
-    return 0
+    return out.to_json(), [str(out)]
 
 
-def _cmd_modular(args):
-    pi = _field_from(_read_payload(args.input))
-    out = modular_field(pi)
-    _emit(args, out.to_json(), [str(out)])
-    return 0
+def _cmd_modular(data, args):
+    out = modular_field(_field_from(data))
+    return out.to_json(), [str(out)]
 
 
-def _cmd_is_poisson(args):
-    pi = _field_from(_read_payload(args.input))
+def _cmd_is_poisson(data, args):
+    pi = _field_from(data)
     _check_term_product(pi, pi)
     verdict = is_poisson(pi)
-    _emit(args, {"is_poisson": verdict},
-          ["is_poisson: %s" % str(verdict).lower()])
-    return 0
+    return {"is_poisson": verdict}, ["is_poisson: %s" % str(verdict).lower()]
 
 
-def _deformation_input(args):
-    """(payload, pair, twist) of a deform-solve or deform-check input."""
-    data = _read_payload(args.input)
+def _deformation_input(data, verb):
+    """(pair, twist) of a deform-solve or deform-check payload."""
     if "pair" not in data:
-        raise ParseError('%s needs a "pair" field' % args.verb)
-    return data, _pair_from(data["pair"]), _matrix_from(data, "K")
+        raise ParseError('%s needs a "pair" field' % verb)
+    return _pair_from(data["pair"]), _matrix_from(data, "K")
 
 
-def _cmd_deform_solve(args):
-    _, pair, twist = _deformation_input(args)
-    report, lines = _space_report(solve_F(pair, twist))
-    _emit(args, report, lines)
-    return 0
+def _cmd_deform_solve(data, args):
+    return _space_report(solve_F(*_deformation_input(data, args.verb)))
 
 
-def _cmd_deform_check(args):
-    data, pair, twist = _deformation_input(args)
+def _cmd_deform_check(data, args):
+    pair, twist = _deformation_input(data, args.verb)
     if "F" not in data:
         raise ParseError('deform-check needs an "F" field')
     cubic = Polynomial.from_json(data["F"])
     qp = QuadraticPair(twist, cubic)
     verdict = deform_check(pair, qp)
-    _emit(args, {"deforms": verdict}, ["deforms: %s" % str(verdict).lower()])
-    return 0
+    return {"deforms": verdict}, ["deforms: %s" % str(verdict).lower()]
 
 
-def _cmd_orbits(args):
-    data = _read_payload(args.input)
+def _cmd_orbits(data, args):
     twist = _matrix_from(data, "K")
     family = jordan_family_of(twist)
     if family.tag == OTHER:
@@ -287,8 +265,7 @@ def _cmd_orbits(args):
             point_report["unit"] = [float(v) for v in rotation[2]]
         report["point"] = point_report
         lines.append("point orbit: %d" % rep.orbit_index)
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _goldens_from(raw: str) -> dict:
@@ -303,34 +280,17 @@ def _goldens_from(raw: str) -> dict:
     return table
 
 
-def _cmd_verify_paper(args):
+def _cmd_verify_paper(data, args):
     goldens = _goldens_from(args.goldens) if args.goldens else None
     try:
         seed = int(os.environ.get("POISSON_FORGE_SEED", DEFAULT_SEED))
     except ValueError:
         raise ParseError("POISSON_FORGE_SEED is not an integer") from None
     items = run_verification(goldens=goldens, seed=seed)
-    if args.format == "json":
-        print(json.dumps([it.to_json() for it in items], indent=2))
-    else:
-        for it in items:
-            print("%s  %s: %s" % (it.status, it.item, it.details))
-        passed = sum(1 for it in items if it.passed)
-        print("%d/%d items passed" % (passed, len(items)))
-    return 0 if all(it.passed for it in items) else 1
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "bracket": _cmd_bracket,
-    "modular": _cmd_modular,
-    "is-poisson": _cmd_is_poisson,
-    "deform-solve": _cmd_deform_solve,
-    "deform-check": _cmd_deform_check,
-    "orbits": _cmd_orbits,
-    "verify-paper": _cmd_verify_paper,
-}
+    passed = sum(1 for it in items if it.passed)
+    lines = ["%s  %s: %s" % (it.status, it.item, it.details) for it in items]
+    lines.append("%d/%d items passed" % (passed, len(items)))
+    return [it.to_json() for it in items], lines, int(passed < len(items))
 
 
 def _positive_tolerance(text: str) -> float:
@@ -354,45 +314,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, needs_input, help_text):
+    def add(verb, handler, help_text, needs_input=True, default_format="json"):
+        """The verb's subparser, bound to its handler; the verb's own
+        options are added on the parser it returns."""
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input",
                            help="inline JSON, a file path, or - for stdin")
-        default_format = "table" if verb == "verify-paper" else "json"
         p.add_argument("--format", choices=("json", "table"),
                        default=default_format)
-        if verb == "orbits":
-            p.add_argument("--tolerance", type=_positive_tolerance,
-                           default=1e-12,
-                           help="orthogonality residual bound of the "
-                                "floating rotation (finite, positive)")
-        if verb == "verify-paper":
-            p.add_argument("--goldens", default=None,
-                           help="replacement expected-value table: inline "
-                                "JSON, a file path, or - for stdin")
         return p
 
-    add("classify", True, "name the standard form of a linear structure")
-    add("decompose", True, "split a linear bivector into twist + curl-free part")
-    add("bracket", True, "Schouten bracket of two fields")
-    add("modular", True, "modular vector field of a bivector")
-    add("is-poisson", True, "does the self-bracket vanish?")
-    add("deform-solve", True, "cubic potentials compatible with a twist")
-    add("deform-check", True, "is (K, F) a deformation of the pair?")
-    add("orbits", True, "orbit data of a twist under the rotation group")
-    add("verify-paper", False, "recompute and check every published result")
+    add("classify", _cmd_classify,
+        "name the standard form of a linear structure")
+    add("decompose", _cmd_decompose,
+        "split a linear bivector into twist + curl-free part")
+    add("bracket", _cmd_bracket, "Schouten bracket of two fields")
+    add("modular", _cmd_modular, "modular vector field of a bivector")
+    add("is-poisson", _cmd_is_poisson, "does the self-bracket vanish?")
+    add("deform-solve", _cmd_deform_solve,
+        "cubic potentials compatible with a twist")
+    add("deform-check", _cmd_deform_check,
+        "is (K, F) a deformation of the pair?")
+    add("orbits", _cmd_orbits,
+        "orbit data of a twist under the rotation group").add_argument(
+        "--tolerance", type=_positive_tolerance, default=1e-12,
+        help="orthogonality residual bound of the floating rotation "
+             "(finite, positive)")
+    add("verify-paper", _cmd_verify_paper,
+        "recompute and check every published result", needs_input=False,
+        default_format="table").add_argument(
+        "--goldens", default=None,
+        help="replacement expected-value table: inline JSON, a file path, "
+             "or - for stdin")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.verb]
+    args = _build_parser().parse_args(argv)
     try:
-        code = handler(args)
+        data = _read_payload(args.input) if "input" in args else None
+        report, lines, *status = args.handler(data, args)
+        if args.format == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
-        return code
+        return status[0] if status else 0
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so that the
         # interpreter's final flush stays quiet too

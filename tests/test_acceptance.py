@@ -221,7 +221,10 @@ def test_null_twist_family_simplifies_in_sheared_coordinates():
 
 
 def test_infinitesimal_symmetry_dimensions_and_patterns():
-    assert [der0_space(case).dim for case in range(1, 7)] == [8, 3, 3, 3, 3, 5]
+    assert [der0_space(case).dim for case in range(1, 11)] == [
+        8, 3, 3, 3, 3, 5, 5, 3, 3, 3]
+    bottom_row = [[[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [0, 1, 0]]]
     patterns = {
         1: [  # traceless matrices
             [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
@@ -260,6 +263,15 @@ def test_infinitesimal_symmetry_dimensions_and_patterns():
             [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
             [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
         ],
+        # cases 7-10: the bottom-row pair e_31, e_32 plus an upper-left part
+        7: [  # traceless upper-left block
+            [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+            [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+        ] + bottom_row,
+        8: [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]] + bottom_row,  # rotation
+        9: [[[0, 1, 0], [1, 0, 0], [0, 0, 0]]] + bottom_row,  # symmetric
+        10: [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]] + bottom_row,  # e_21
     }
     for case, mats in patterns.items():
         assert der0_space(case).same_space(matrix_span(mats)), case

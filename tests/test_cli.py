@@ -255,10 +255,10 @@ def test_integer_fields_accept_ints_and_digit_strings():
 def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
     from poisson_forge import cli
 
-    def broken(args):
+    def broken(data, args):
         raise RuntimeError("invariant broke")
 
-    monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+    monkeypatch.setattr(cli, "_cmd_classify", broken)
     assert cli.main(["classify", "{}"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: invariant broke\n"
@@ -380,6 +380,15 @@ def test_term_product_over_the_cap_is_a_domain_error(verb, monkeypatch,
     err = capsys.readouterr().err
     assert err == ("error: input too large: %d x %d terms exceed the "
                    "bracket's cap of %d\n" % (side, side, cli.MAX_TERM_PRODUCT))
+
+
+def test_term_product_check_builds_no_fraction_view():
+    from poisson_forge import cli
+
+    u, v = (cli._field_from(_bivector_with_terms(count)) for count in (3, 2))
+    cli._check_term_product(u, v)
+    assert all(p._terms is None for f in (u, v)
+               for p in f.components.values())
 
 
 def test_term_product_at_the_cap_is_bracketed(monkeypatch, capsys):
@@ -739,14 +748,27 @@ def test_orbits_names_the_eigenvalues_of_a_twist_outside_the_families(
         "(eigenvalue report: %s)\n" % report)
 
 
-@pytest.mark.parametrize("verb", ["classify", "decompose", "bracket", "modular",
-                                  "is-poisson", "deform-solve", "deform-check",
-                                  "verify-paper"])
-def test_tolerance_belongs_to_orbits_alone(verb):
+_VERBS = ["classify", "decompose", "bracket", "modular", "is-poisson",
+          "deform-solve", "deform-check", "orbits", "verify-paper"]
+
+#: each verb's own option, with a value and the one verb that owns it
+_OWNED_OPTIONS = [("--tolerance", "5", "orbits"),
+                  ("--goldens", "{}", "verify-paper")]
+
+
+# a --tolerance case keeps the bare verb as its id
+@pytest.mark.parametrize("verb, option, value", [
+    pytest.param(verb, option, value,
+                 id=verb if option == "--tolerance" else verb + option[1:])
+    for option, value, owner in _OWNED_OPTIONS
+    for verb in _VERBS if verb != owner
+])
+def test_tolerance_belongs_to_orbits_alone(verb, option, value):
+    """--tolerance and --goldens: every other verb refuses the option."""
     argv = [verb] if verb == "verify-paper" else [verb, json.dumps(CASE8_PAIR)]
-    proc = run_cli(*argv, "--tolerance", "5")
+    proc = run_cli(*argv, option, value)
     assert proc.returncode == 2
-    assert "unrecognized arguments: --tolerance" in proc.stderr
+    assert "unrecognized arguments: %s" % option in proc.stderr
 
 
 _DIAG_123 = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "-3"]]
