@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import normal_form_reference as ref
+from conftest import matrix_span
 from form_reference import euler_vf, lie_poisson_bivector
 from poisson_forge.exactnum import (
     ExtScalar,
@@ -530,6 +531,56 @@ def test_is_derivation_scaling_term():
     # potential scales by the full trace
     assert is_derivation(Matrix.diagonal([1, 1, 0]), 8)
     assert not is_derivation(Matrix.diagonal([1, 1, 1]), 8)
+
+
+def test_der0_dimensions():
+    assert [der0_space(case).dim for case in range(1, 7)] == [8, 3, 3, 3, 3, 5]
+
+
+def test_der0_closed_forms():
+    e = lambda rows: Matrix(rows)
+    catalogs = {
+        1: [  # traceless matrices
+            e([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+            e([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        ],
+        2: [  # skew-symmetric
+            e([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+        ],
+        3: [  # skew for the (+,+,-) form
+            e([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ],
+        4: [  # rotation in the first two slots plus anything feeding slot 3
+            e([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        ],
+        5: [  # hyperbolic rotation instead
+            e([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        ],
+        6: [  # first row zero, traceless lower block
+            e([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+            e([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+            e([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        ],
+    }
+    for case, mats in catalogs.items():
+        assert der0_space(case).same_space(
+            matrix_span(m.rows for m in mats)), case
 
 
 def test_der0_members_are_derivations(rng):
