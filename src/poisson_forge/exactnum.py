@@ -440,15 +440,16 @@ def sqrt_exact(value) -> Scalar:
     ExtScalar inputs are rejected (callers fall back to floating point).
     """
     v = demote(as_scalar(value))
+    # the messages leave v out: its str may pass Python's int digit limit
     if isinstance(v, ExtScalar):
-        raise ExactSqrtError("no exact sqrt for irrational input %s" % v)
+        raise ExactSqrtError("no exact sqrt for an irrational input")
     if v < 0:
-        raise ExactSqrtError("negative input %s" % v)
+        raise ExactSqrtError("no sqrt for a negative input")
     for m, unit in ((1, Fraction(1)), (2, SQRT2), (3, SQRT3), (6, SQRT6)):
         r = _rational_sqrt(v / m)
         if r is not None:
             return r if m == 1 else r * unit
-    raise ExactSqrtError("sqrt of %s is outside Q(sqrt2, sqrt3)" % v)
+    raise ExactSqrtError("the sqrt is outside Q(sqrt2, sqrt3)")
 
 
 # ---------------------------------------------------------------------------
@@ -1231,18 +1232,19 @@ class SolutionSpace(NamedTuple):
     ``particular`` is None exactly when the system is inconsistent; the
     zero-dimensional space {v} has a particular point and empty basis.
 
-    Every space the package builds has one canonical shape:
-    ``solve_linear``, ``spanned_by`` and the solvers of ``quaddef``
-    return it.  Each basis vector b_j is 1 on its free column f_j, its
-    last nonzero slot, and 0 on the other free columns; the free columns
-    rise; and the point is 0 on every free column.  The basis is then
-    independent, so ``dim`` is the rank, and an affine set over a field
-    has exactly one such form.  So a direction d lies in the span
-    exactly when d = sum_j d[f_j] b_j, which ``direction_in_span`` (and
-    through it ``contains``) compares coordinate by coordinate, and two
-    spaces are equal exactly when their records are, which
-    ``same_space`` compares.  None of the three eliminates, and each
-    raises ValueError for a hand-built space off the shape.
+    Every space the package builds has one canonical shape: its two
+    builders ``solve_linear`` and ``spanned_by`` return it, and so does
+    the closed-form line of ``quaddef._line_space``.  Each basis vector
+    b_j is 1 on its free column f_j, its last nonzero slot, and 0 on the
+    other free columns; the free columns rise; and the point is 0 on
+    every free column.  The basis is then independent, so ``dim`` is the
+    rank, and an affine set over a field has exactly one such form.  So
+    a direction d lies in the span exactly when d = sum_j d[f_j] b_j,
+    which ``direction_in_span`` (and through it ``contains``) compares
+    coordinate by coordinate, and two spaces are equal exactly when
+    their records are, which ``same_space`` compares.  None of the three
+    eliminates, and each raises ValueError for a hand-built space off
+    the shape.
     """
 
     ambient_dim: int
@@ -1263,17 +1265,23 @@ class SolutionSpace(NamedTuple):
         exactly when w_g.d = 0 for every g, so the basis vector of a
         free column f is 1 on f, 0 on the other free columns and
         -w_g[f] on each bound column g, and the point is 0 on the free
-        columns and w_g.particular on each bound column g.
+        columns and w_g.particular on each bound column g.  The entry
+        types are ``solve_linear``'s: Fraction(0) and Fraction(1) on the
+        free columns, and on the bound ones ExtScalars when an entry
+        given is one, Fractions otherwise.
         """
         n = len(particular)
         rows = [tuple(v)[::-1] for v in vectors]
         bound = {n - 1 - _last_nonzero(w): w[::-1]
                  for w in solve_linear(rows, [0] * len(rows), n).basis}
         zero, one = Fraction(0), Fraction(1)
+        start = (ExtScalar.of(0) if any(type(v) is ExtScalar for row in
+                                        (particular, *vectors) for v in row)
+                 else zero)
         point = tuple(sum((a * b for a, b in zip(bound[g], particular)
-                           if a and b), zero) if g in bound else zero
+                           if a and b), start) if g in bound else zero
                       for g in range(n))
-        basis = tuple(tuple(-bound[g][f] if g in bound
+        basis = tuple(tuple(start - bound[g][f] if g in bound
                             else one if g == f else zero for g in range(n))
                       for f in range(n) if f not in bound)
         return cls(n, point, basis)

@@ -15,10 +15,12 @@ The solver inverts that identity exactly, giving the affine set of
 admissible cubics for a twist matrix, on the kernel of the twist's
 derivation: for a regular twist (three distinct nonzero eigenvalues)
 the line of the invariant cubic det(x, Kx, K^2 x), for any other an
-exact elimination of the derivation rows, the drift rows of K's columns
-times x_j; both read K's flat values.  The bracket route alone shares
-nothing with the solver, so it is the one that makes the solver's
-re-check of its answers independent.
+exact elimination of the rows that ``apply_matrix_derivation`` gives
+the cubic monomials; both read K's flat values.  Its answer is the span
+of the solutions on that kernel, which ``SolutionSpace.spanned_by``
+puts on the canonical shape.  The bracket route alone shares nothing
+with the solver, so it is the one that makes the solver's re-check of
+its answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -307,32 +309,17 @@ _TRIPLE_SLOTS = tuple(tuple(tuple(
 
 def _derivation_rows(k: Sequence) -> list:
     """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for K's
-    flat row-major values ``k``.
-
-    (Kx).grad F = sum_j x_j (K e_j).grad F: the drift rows of column j
-    (``_drift_rows``), each quadratic slot moved to the slot of its
-    product with x_j.  Off the diagonal each entry has the single term of
-    one column; the diagonal entry of x^e sums K[j][j] e_j over j.
-    Entries equal apply_matrix_derivation's coefficients in value and
-    type, missing ones being Fraction(0); integer values give integer
-    rows.
+    flat row-major values ``k``: column s is ``apply_matrix_derivation``
+    of x^e, e = CUBIC_MONOMIALS[s].  Integer values give integer rows,
+    read off the images' forms; any other values give the images'
+    coefficients, in value and type, missing ones being Fraction(0).
     """
-    zero = 0 if all(type(v) is int for v in k) else Fraction(0)
-    rows = [[zero] * 10 for _ in range(10)]
-    for j in range(3):
-        drift = _drift_rows(k[j::3])
-        for a in range(3):
-            for m in range(a, 3):
-                t = _TRIPLE_SLOTS[a][m][j]
-                for s, v in enumerate(drift[_QUAD_SLOTS[a][m]]):
-                    if not v:
-                        continue
-                    if s == t:
-                        # a partial sum that cancels is dropped, as a
-                        # Polynomial drops a zero coefficient
-                        v = (rows[t][s] + v if rows[t][s] else v) or zero
-                    rows[t][s] = v
-    return rows
+    m = Matrix._of_form(3, 1, k, False)
+    images = [apply_matrix_derivation(m, Polynomial._of_form(3, 1, {e: 1}))
+              for e in CUBIC_MONOMIALS]
+    if all(type(v) is int for v in k):
+        return [[p._form[1].get(t, 0) for p in images] for t in CUBIC_MONOMIALS]
+    return [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
 
 
 def _minor_sum3(k: Sequence):
@@ -374,7 +361,12 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
     """The line spanned by f on ``solve_linear``'s canonical form, with its
     entry types: f / f_last, Fraction(1) on the free column (f's last
     nonzero slot) and Fraction(0) there in the zero particular; the other
-    coordinates are ExtScalars when ``field``, Fractions otherwise."""
+    coordinates are ExtScalars when ``field``, Fractions otherwise.
+
+    ``SolutionSpace.spanned_by((0,) * 10, [f])`` gives the same space, but
+    through an elimination: a regular twist is the common case, and that
+    elimination made the benchmark's ``rational-analysis`` workload about
+    20% slower."""
     free = _last_nonzero(f)
     last = f[free]
     if field:
@@ -442,20 +434,23 @@ def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
 def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     """Exact affine set of cubics making (K, F) a deformation of lp.
 
-    The set is {N c : (drift N) c = rhs} for the basis N of K's cubic
-    kernel that ``cubic_kernel`` returns: the six coefficient equations
-    of the quadratic identity in r = dim ker unknowns.  r >= 1: the
-    kernel holds f(x) = det(x, Kx, K^2 x), nonzero when K has a cyclic
-    vector; a K without one is diagonalizable with a repeated eigenvalue,
-    where x1 x2 x3 in an eigenbasis has weight tr K = 0, or has K^2 = 0,
-    where the cube of a linear form vanishing on K's image is invariant.
-    For a regular K, r = 1 and the system is 6 x 1.  The space is on
-    ``solve_linear``'s canonical form for the whole system, kernel and
-    coefficient equations together, with its entry types: ExtScalar off
-    the free coordinates when K or the right-hand side has an ExtScalar,
-    Fractions otherwise.  Every member of the result is re-checked
-    through ``deform_check`` before being returned; its bracket route,
-    which shares no step with this solver, carries that independence.
+    The set is {sum_j y_j m_j : (drift M) y = rhs} for the numerators
+    m_j = e_j b_j of the basis b_j of K's cubic kernel that
+    ``cubic_kernel`` returns: the six coefficient equations of the
+    quadratic identity in r = dim ker unknowns.  r >= 1: the kernel
+    holds f(x) = det(x, Kx, K^2 x), nonzero when K has a cyclic vector;
+    a K without one is diagonalizable with a repeated eigenvalue, where
+    x1 x2 x3 in an eigenbasis has weight tr K = 0, or has K^2 = 0, where
+    the cube of a linear form vanishing on K's image is invariant.  For
+    a regular K, r = 1 and the system is 6 x 1.
+    ``SolutionSpace.spanned_by`` puts the images of the reduced point
+    and directions on the canonical form, which is that of
+    ``solve_linear`` on the whole system, kernel and coefficient
+    equations together, in values and entry types: the images are on
+    ExtScalars when K or the right-hand side has an ExtScalar, as that
+    system is.  Every member of the result is re-checked through
+    ``deform_check`` before being returned; its bracket route, which
+    shares no step with this solver, carries that independence.
     """
     _check_twist(k_matrix)
     field, _, nums = _kernel(k_matrix)
@@ -466,69 +461,29 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     drift = _drift_rows([den * c for c in k])
     if s != 1:
         rhs = [s * v for v in rhs]
-    # the unknowns are c_j / e_j on the numerators m_j of the basis
     reduced = solve_linear(
         [[sum(a * m[t] for t, a in enumerate(row) if a and m[t])
           for _, m in nums] for row in drift], rhs, len(nums))
-    space = _kernel_combinations(
-        nums, reduced, field or any(type(v) is ExtScalar for v in rhs))
-    if not space.is_empty:
-        members = [space.particular]
-        members.extend(tuple(p + c for p, c in zip(space.particular, b))
-                       for b in space.basis)
-        for coords in members:
-            if not deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords))):
-                raise AssertionError(
-                    "solver produced a cubic the bracket route rejects")
-    return space
-
-
-def _kernel_combinations(nums: tuple, reduced: SolutionSpace,
-                         field: bool) -> SolutionSpace:
-    """{N c : c in reduced} on ``solve_linear``'s canonical form, with
-    the entry types of the stacked system (ExtScalars off the free
-    columns when ``field``, Fractions otherwise), for the basis N of
-    ``_kernel`` given by its numerators, b_j = m_j / e_j, and ``reduced``
-    solved on them, in the unknowns c_j / e_j.
-
-    The free columns of ``solve_linear`` are fixed by the solution set:
-    they are the last nonzero coordinates of its direction vectors (the
-    pivots of its basis reduced from the right).  A kernel basis vector
-    is 1 on its own free column, 0 on the other free columns and 0 after
-    its own, so N c is c_j on the j-th free column of the kernel, and its
-    last nonzero coordinate is the free column of c's last nonzero one.
-    The free columns of the image are therefore those of ``reduced``,
-    carried through N, and the images of its particular and basis
-    vectors are 0 and 1 there.  The particular point of ``reduced`` maps
-    to M c; its basis vector that is 1 on column j stands for the
-    direction e_j times the canonical one, which maps to M c / e_j.  On
-    a rational system c is read as ints over one denominator, so that
-    each coordinate is one Fraction.
-    """
     if reduced.is_empty:
         return SolutionSpace(10, None, ())
-    kernel_free = [_last_nonzero(m) for _, m in nums]
-    owns = [_last_nonzero(c) for c in reduced.basis]
-    free = [kernel_free[j] for j in owns]
-    zero, one = Fraction(0), Fraction(1)
+    # the images are on ExtScalars exactly when the stacked system is
+    zero = (ExtScalar.of(0) if field or any(type(v) is ExtScalar for v in rhs)
+            else 0)
 
-    def image(c, j):
-        e, own = (1, None) if j is None else (nums[j][0], kernel_free[j])
-        if field:
-            v = [ExtScalar.of(_over(sum((a * m[t] for a, (_, m) in zip(c, nums)
-                                         if a and m[t]), zero), e))
-                 for t in range(10)]
-        else:
-            d, w = _scaled_row(c)
-            v = [Fraction(sum(a * m[t] for a, (_, m) in zip(w, nums)
-                              if a and m[t]), d * e) for t in range(10)]
-        for t in free:
-            v[t] = one if t == own else zero
-        return tuple(v)
+    def image(y):
+        return tuple(sum((a * m[t] for a, (_, m) in zip(y, nums)
+                          if a and m[t]), zero) for t in range(10))
 
-    return SolutionSpace(10, image(reduced.particular, None),
-                         tuple(image(c, j)
-                               for c, j in zip(reduced.basis, owns)))
+    space = SolutionSpace.spanned_by(image(reduced.particular),
+                                     [image(y) for y in reduced.basis])
+    members = [space.particular]
+    members.extend(tuple(p + c for p, c in zip(space.particular, b))
+                   for b in space.basis)
+    for coords in members:
+        if not deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords))):
+            raise AssertionError(
+                "solver produced a cubic the bracket route rejects")
+    return space
 
 
 def transform_pair(t: Matrix, qp: QuadraticPair) -> QuadraticPair:
@@ -632,10 +587,9 @@ def _rational_roots_monic_cubic(c2: Fraction, c0: Fraction):
 
     With d the lcm of the two denominators, s = d t turns the cubic into
     the monic integer cubic s^3 + p s + q, whose rational roots are
-    integers.  One of them is found by bisection (see
+    integers.  The largest is found by Newton's method (see
     ``_integer_root_monic_cubic``) and the other two by deflation, so the
-    cost grows with the bit size of the coefficients, not with their
-    magnitude.
+    number of steps grows with the log of the coefficients' digit count.
     """
     d = math.lcm(c2.denominator, c0.denominator)
     p = c2.numerator * (d * d // c2.denominator)
@@ -653,33 +607,42 @@ def _rational_roots_monic_cubic(c2: Fraction, c0: Fraction):
 
 
 def _integer_root_monic_cubic(p: int, q: int) -> Optional[int]:
-    """An integer root of f(s) = s^3 + p s + q, or None.
+    """The largest root of f(s) = s^3 + p s + q when f splits over Q;
+    otherwise None, or an integer root that deflation then rejects.
 
-    Only the largest root of a split cubic is looked for, which suffices:
-    None means that f does not split over Q.  That root lies on the run
-    of integers where f rises towards +inf, below the Cauchy bound
-    1 + max(|p|, |q|): the whole line when p >= 0, as f' = 3 s^2 + p,
-    and from the least m with 3 m^2 >= -p on otherwise.  On that run the
-    least s with f(s) >= 0 is found by bisection; it is a root exactly
-    when f(s) = 0.
+    A repeated root (discriminant 4 p^3 + 27 q^2 = 0) is d = -3q / (2p),
+    the third root -2d.  Otherwise a split f has roots a > b >= c summing
+    to 0, so p = -(a^2 + ab + b^2) < 0 and f'(a) = (a - b)(a - c) > 0:
+    a lies above m = sqrt(-p/3), where f' vanishes, and on s > m f rises
+    and is convex.  So a is x1, the least integer above m, when
+    f(x1) >= 0; otherwise Newton's method from above, rounded up, stays
+    at or above a and ends at the least integer s >= a, a root exactly
+    when f(s) = 0.  It starts from the lesser of two bounds of a:
+    2^(k+1), as |p| < 4^k and |q| < 8^k, and x1 + sqrt(E / (3 x1)), as
+    E = -f(x1) = f'(x1) v + 3 x1 v^2 + v^3 for v = a - x1.  That start is
+    within a constant factor of a - x1, itself at most 2 f'(a) / f''(a),
+    so a bounded number of steps, each leaving at most 2/3 of the
+    distance, precedes the steps that double the correct digits: the
+    number of steps grows with the log of the digit count, also for two
+    close roots.
     """
     def f(s):
         return s * (s * s + p) + q
 
-    hi = 1 + max(abs(p), abs(q))
+    if not 4 * p * p * p + 27 * q * q:
+        d = -3 * q // (2 * p) if p else 0
+        return max(d, -2 * d)
     if p >= 0:
-        lo = -hi
-    else:
-        lo = math.isqrt(-p // 3)
-        while 3 * lo * lo < -p:
-            lo += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if f(lo) == 0 else None
+        return None
+    x1 = math.isqrt(-p // 3) + 1
+    e = -f(x1)
+    if e <= 0:
+        return x1 if not e else None
+    k = max(-(-p.bit_length() // 2), -(-q.bit_length() // 3))
+    x = min(x1 + math.isqrt(e // (3 * x1)) + 1, 1 << (k + 1))
+    while (step := f(x) // (3 * x * x + p)) or (x > x1 and f(x - 1) >= 0):
+        x -= step or 1
+    return x if not f(x) else None
 
 
 def jordan_family_of(k_matrix: Matrix) -> JordanFamily:

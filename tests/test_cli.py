@@ -789,6 +789,15 @@ def test_orbits_float_unit_of_a_point_beyond_the_float_range():
     assert out["point"]["unit"] == [1.0, 0.0, 0.0]
 
 
+def test_orbits_float_unit_of_a_point_whose_norm_has_over_4300_digits():
+    # the exact square root fails on a norm past str's digit limit; its
+    # error must not print the value, or the float fallback is never reached
+    out = run_json("orbits", json.dumps({"K": _DIAG_123,
+                                         "point": ["1e2200", "1", "1"]}))
+    assert out["point"]["orbit"] == 7
+    assert out["point"]["unit"] == [1.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("entry, message", [
     ("1e400", "1e+200"),
     ("1e700", "an eigenvalue is beyond the float range"),

@@ -799,6 +799,29 @@ def test_orbit_family_of_thirty_digit_eigenvalues_is_fast():
     assert proc.stdout.split() == ["True", "True", "None", "None"]
 
 
+def test_orbit_family_of_four_thousand_digit_entries_is_fast():
+    # a search from the Cauchy bound took tens of seconds on each twist
+    script = (
+        "from poisson_forge.exactnum import Matrix\n"
+        "from poisson_forge.quaddef import jordan_family_of\n"
+        "a = 10**4000\n"
+        "family = jordan_family_of(Matrix.diagonal([a, 2 * a, -3 * a]))\n"
+        "print(family.lambdas == (a, 2 * a, -3 * a))\n"
+        "try:\n"
+        "    jordan_family_of(Matrix([[0, a, 0], [-a, 0, 0], [0, 0, 0]]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("4000-digit eigenvalues took more than 10 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True", "an eigenvalue is beyond the float range"]
+
+
 def test_jordan_family_roundtrip():
     for fam in (JordanFamily.diag_distinct(1, -4, 3),
                 JordanFamily.diag_repeated(1),

@@ -255,12 +255,18 @@ def test_spanned_by_matches_elimination(rng):
     """``spanned_by`` builds the canonical shape of the span it is given:
     its basis and the vectors given span each other, its ``dim`` is the
     rank that ``linalg_reference.solve_linear`` finds, and it holds the
-    point."""
+    point.  Its entry types are ``solve_linear``'s: Fractions on the free
+    columns, and on the bound ones ExtScalars when an entry given is one,
+    Fractions otherwise."""
     kinds = Counter()
     for point, vectors in _span_inputs(rng):
         n = len(point)
         space = SolutionSpace.spanned_by(point, vectors)
-        space._free_columns()  # raises off the canonical shape
+        free = space._free_columns()  # raises off the canonical shape
+        on_ext = any(type(v) is ExtScalar for v in point + sum(vectors, ()))
+        assert all([type(v) for v in x] == [
+            F if i in free or not on_ext else ExtScalar for i in range(n)]
+            for x in (space.particular,) + space.basis)
         given = SolutionSpace(n, point, tuple(vectors))
         assert all(ref.direction_in_span(space, v) for v in vectors)
         assert all(ref.direction_in_span(given, b) for b in space.basis)
@@ -272,8 +278,9 @@ def test_spanned_by_matches_elimination(rng):
         kinds["ext"] += any(type(v) is ExtScalar
                             for b in space.basis for v in b)
         kinds["full"] += rank == n > 1
+        kinds["typed"] += on_ext
     assert kinds["dependent"] > 50 and kinds["independent"] > 50
-    assert kinds["ext"] > 10 and kinds["full"] > 0
+    assert kinds["ext"] > 10 and kinds["full"] > 0 and kinds["typed"] > 50
 
 
 def test_empty_and_zero_dimensional_spaces_match_elimination(rng):
