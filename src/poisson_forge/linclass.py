@@ -175,6 +175,17 @@ _COMPLEMENTS = ((1, 2), (0, 2), (0, 1))
 _UNIT_EXPONENTS = _unit_exponents(3)
 
 
+def _linear_rows(gram: Matrix, kform: tuple) -> tuple:
+    """(2 d D, M): the signed rows M = diag(1, -1, 1) C of ``bivector_of``,
+    2 A + T (see ``pair_of``), as ints over 2 d D for the Gram matrix's
+    form (D, A) and kform = (d, k numerators) = ``_scaled_row(k)``."""
+    (den, a), (d, k) = gram._form, kform
+    s, (k0, k1, k2) = 4 * d, (den * v for v in k)
+    return 2 * d * den, [[s * a[0], s * a[1] + k2, s * a[2] - k1],
+                         [s * a[3] - k2, s * a[4], s * a[5] + k0],
+                         [s * a[6] + k1, s * a[7] - k0, s * a[8]]]
+
+
 def bivector_of(pair: LinearPair) -> MultiVectorField:
     """The linear bivector pi_f + (1/2) I^ ^ k^ of a pair.
 
@@ -184,20 +195,14 @@ def bivector_of(pair: LinearPair) -> MultiVectorField:
         2 s_l (A x)_l + (1/2) (k_j x_i - k_i x_j),    s = (1, -1, 1),
 
     the signed partial of f = (A x, x) (see ``bivector_from_potential``)
-    plus the twist.  It is read off the integer forms, (D, A) of the Gram
-    matrix and k = (k numerators) / d, as int numerators over 2 d D: one
+    plus the twist: s_l times the row l of ``_linear_rows``, one
     normalisation per component, and always a rational polynomial.
     """
-    (den, a), (d, k) = pair.gram._form, _scaled_row(pair.k)
-    comps = {}
-    for l, (i, j) in enumerate(_COMPLEMENTS):
-        s = -4 * d if l == 1 else 4 * d
-        nums = [s * v for v in a[3 * l:3 * l + 3]]
-        nums[i] += den * k[j]
-        nums[j] -= den * k[i]
-        comps[(i, j)] = Polynomial._of_form(3, 2 * d * den,
-                                            dict(zip(_UNIT_EXPONENTS, nums)))
-    return MultiVectorField._trusted(3, 2, comps)
+    den, rows = _linear_rows(pair.gram, _scaled_row(pair.k))
+    rows[1] = [-v for v in rows[1]]
+    return MultiVectorField._trusted(3, 2, {
+        c: Polynomial._of_form(3, den, dict(zip(_UNIT_EXPONENTS, row)))
+        for c, row in zip(_COMPLEMENTS, rows)})
 
 
 def _require_linear(pi: MultiVectorField):
@@ -263,7 +268,8 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
             "not a Poisson bivector: Jacobiator component (1,2,3) is %s" % jac)
     pair = LinearPair(tuple(_over(v, d) for v in k),
                       Matrix._of_form(3, 4 * d, sym, rational))
-    if bivector_of(pair) != pi:
+    den, rows = _linear_rows(pair.gram, _scaled_row(pair.k))  # round trip
+    if any(u * d != v * den for r, w in zip(rows, m) for u, v in zip(r, w)):
         raise ValueError("bivector is not of potential type")  # pragma: no cover
     return pair
 
@@ -462,7 +468,8 @@ def is_isomorphism(t: Matrix, p1: LinearPair, p2: LinearPair) -> bool:
     det = _det3(m)
     if not det:
         raise ValueError("transformation must be invertible")
-    (e1, w1), (e2, w2) = _scaled_row(p1.k), _scaled_row(p2.k)
+    e1, w1 = _scaled_row(p1.k)
+    e2, w2 = (e1, w1) if p2.k is p1.k else _scaled_row(p2.k)
     if any(e2 * sum(map(operator.mul, m[3 * i:3 * i + 3], w1)) != dt * e1 * v
            for i, v in enumerate(w2)):
         return False

@@ -8,7 +8,7 @@ plus a homogeneous ``cubic`` potential annihilated by that field,
 
 Whether such a bivector is a deformation of a given linear structure --
 their bracket vanishes -- is decided twice, on coefficient forms: once
-from the coefficients of the two bivectors, whose bracket on R^3 is
+from the rows of the two bivectors' builders, whose bracket on R^3 is
 -(X.curl Y + Y.curl X) d1^d2^d3 for their vector fields X and Y, and
 once through an equivalent identity between two quadratic polynomials.
 The solver inverts that identity exactly, giving the affine set of
@@ -64,8 +64,7 @@ from .exactnum import (
     vec,
 )
 from .multivec import MultiVectorField
-from .linclass import (_COMPLEMENTS, LinearPair, _signed_rows, bivector_of,
-                       standard_pair)
+from .linclass import _COMPLEMENTS, LinearPair, _linear_rows, standard_pair
 
 
 def _graded_monomials(degree: int) -> tuple:
@@ -79,14 +78,13 @@ CUBIC_MONOMIALS = _graded_monomials(3)
 QUAD_MONOMIALS = _graded_monomials(2)
 _CUBIC_INDEX = {e: s for s, e in enumerate(CUBIC_MONOMIALS)}
 _QUAD_INDEX = {e: s for s, e in enumerate(QUAD_MONOMIALS)}
-#: _QUAD_KEYS[i][m] is the exponent tuple of x_i x_m, _QUAD_SLOTS[i][m]
-#: its slot in QUAD_MONOMIALS
-_QUAD_KEYS = tuple(tuple(tuple(int(r == i) + int(r == m) for r in range(3))
-                         for m in range(3)) for i in range(3))
-_QUAD_SLOTS = tuple(tuple(_QUAD_INDEX[e] for e in row) for row in _QUAD_KEYS)
-#: _PARTIALS[e] lists (i, e_i, q, slot) for each x_i in the cubic x^e:
-#: d/dx_i x^e = e_i x^q, and q is QUAD_MONOMIALS[slot]
-_PARTIALS = {e: tuple((i, e[i], q, s) for s, q in enumerate(QUAD_MONOMIALS)
+#: _QUAD_SLOTS[i][m] is the slot of x_i x_m in QUAD_MONOMIALS
+_QUAD_SLOTS = tuple(tuple(
+    _QUAD_INDEX[tuple(int(r == i) + int(r == m) for r in range(3))]
+    for m in range(3)) for i in range(3))
+#: _PARTIALS[e] lists (i, e_i, slot) for each x_i in the cubic x^e:
+#: d/dx_i x^e = e_i x^q for q = QUAD_MONOMIALS[slot]
+_PARTIALS = {e: tuple((i, e[i], s) for s, q in enumerate(QUAD_MONOMIALS)
                       for i in range(3) if q[:i] + (q[i] + 1,) + q[i + 1:] == e)
              for e in CUBIC_MONOMIALS}
 
@@ -149,43 +147,47 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
         return cls(Matrix.from_json(data["K"]), Polynomial.from_json(data["F"]))
 
 
-def pi_quad(qp: QuadraticPair) -> MultiVectorField:
-    """The quadratic bivector pi_F + (1/3) I^ ^ Kx of a pair.
-
-    Its component on the complement (i, j) of l, s_l dF/dx_l (s = (1, -1,
-    1), as in ``bivector_from_potential``) plus (1/3) (x_i (Kx)_j - x_j
-    (Kx)_i), is summed in one pass over 3 D_F D_K for F = f / D_F and
-    K = M / D_K: x_i x_m takes D_F M_jm, x_j x_m takes -D_F M_im (zeros
-    skipped), and a term c x^e of f adds 3 D_K s_l e_l c at x^(e - u_l),
-    a cancelled twist sum counting as absent, so each coefficient has the
-    value and type (Fraction or ExtScalar) of the sum of the two
-    bivectors.  ``_of_form`` normalises each component once.
-    """
+def _quad_sums(qp: QuadraticPair) -> tuple:
+    """(3 D_F D_K, M): the signed rows M = diag(1, -1, 1) C of ``pi_quad``
+    on QUAD_MONOMIALS, for F = f / D_F and K = m / D_K.  Row l is
+    Y_l = dF/dx_l + (1/3) (x_a (Kx)_b - x_b (Kx)_a), (l, a, b) cyclic:
+    x_a x_t takes D_F m_bt and x_b x_t takes -D_F m_at (zeros skipped),
+    and a term c x^e of f adds 3 D_K e_l c at x^(e - u_l), a cancelled
+    twist sum counting as absent.  So each entry has the value and type
+    of s_l times the sum of the two bivectors; an absent one is int 0."""
     (dk, m), (df, f) = qp.twist._form, qp.cubic._form
-    sums = []
-    for i, j in _COMPLEMENTS:
-        vals = {}
-        for row, x, s in ((j, i, df), (i, j, -df)):
-            for key, v in zip(_QUAD_KEYS[x], m[3 * row:3 * row + 3]):
+    rows = [[0] * 6 for _ in range(3)]
+    for l, row in enumerate(rows):
+        a, b = (l + 1) % 3, (l + 2) % 3
+        for r, x, s in ((b, a, df), (a, b, -df)):
+            for slot, v in zip(_QUAD_SLOTS[x], m[3 * r:3 * r + 3]):
                 if v:
-                    cur = vals.get(key)
-                    vals[key] = v * s if cur is None else cur + v * s
-        sums.append(vals)
-    scale = (3 * dk, -3 * dk, 3 * dk)
+                    cur = row[slot]
+                    row[slot] = cur + v * s if cur else v * s
+    scale = 3 * dk
     for e, c in f.items():
-        for l, el, key, _ in _PARTIALS[e]:
-            vals, v = sums[l], c * (scale[l] * el)
-            cur = vals.get(key)
-            vals[key] = cur + v if cur else v
+        for l, el, slot in _PARTIALS[e]:
+            row, v = rows[l], c * (scale * el)
+            cur = row[slot]
+            row[slot] = cur + v if cur else v
+    return 3 * df * dk, rows
+
+
+def pi_quad(qp: QuadraticPair) -> MultiVectorField:
+    """The quadratic bivector pi_F + (1/3) I^ ^ Kx of a pair: on the
+    complement of l, s_l times the row l of ``_quad_sums`` (s = (1, -1, 1),
+    as in ``bivector_from_potential``), which ``_of_form`` normalises."""
+    den, rows = _quad_sums(qp)
+    rows[1] = [-v for v in rows[1]]
     rational = qp.twist._rational and qp.cubic._rational
     return MultiVectorField._trusted(3, 2, {
-        c: Polynomial._of_form(3, 3 * df * dk, vals, rational)
-        for c, vals in zip(_COMPLEMENTS, sums)})
+        c: Polynomial._of_form(3, den, dict(zip(QUAD_MONOMIALS, row)), rational)
+        for c, row in zip(_COMPLEMENTS, rows)})
 
 
-def _rhs_numerators(lp: LinearPair, k_matrix: Matrix) -> tuple:
+def _rhs_numerators(lp: LinearPair, k_matrix: Matrix, kform: tuple) -> tuple:
     """(den, q): the source term -(1/6) x^T (12 A + ktilde(k)) K x as its
-    coordinates q on QUAD_MONOMIALS over den.
+    coordinates q on QUAD_MONOMIALS over den, for kform = _scaled_row(k).
 
     On the forms A = a / D_A, k = n / s and K = m / D_K, 12 A + ktilde(k)
     is P / (D_A s) for the int matrix P = 12 s a + D_A ktilde(n), so
@@ -194,7 +196,7 @@ def _rhs_numerators(lp: LinearPair, k_matrix: Matrix) -> tuple:
     each of the type the matrix product P m gives it, with zero entries
     of P m skipped and zero coordinates as int 0.
     """
-    (da, a), (s, n), (dk, m) = lp.gram._form, _scaled_row(lp.k), k_matrix._form
+    (da, a), (s, n), (dk, m) = lp.gram._form, kform, k_matrix._form
     cross = (0, -n[2], n[1], n[2], 0, -n[0], -n[1], n[0], 0)
     p = [12 * s * v + da * c for v, c in zip(a, cross)]
     q = [None] * 6
@@ -214,26 +216,23 @@ def deform_rhs(lp: LinearPair, k_matrix: Matrix) -> Polynomial:
     The constant-direction derivative of an admissible cubic must equal
     -(1/6) x^T (12 A + ktilde(k)) K x for the linear pair (k, A).
     """
-    den, q = _rhs_numerators(lp, k_matrix)
+    den, q = _rhs_numerators(lp, k_matrix, _scaled_row(lp.k))
     return Polynomial._of_form(3, den, dict(zip(QUAD_MONOMIALS, q)),
                                k_matrix._rational)
 
 
-def _brackets_to_zero(lin: MultiVectorField, quad: MultiVectorField) -> bool:
-    """Does a linear bivector on R^3 commute with a quadratic one?
+def _brackets_to_zero(x: Sequence, y: Sequence) -> bool:
+    """Does a linear bivector on R^3 commute with a quadratic one, given
+    the coefficients x[l] of X_l and y[l] of Y_l (on QUAD_MONOMIALS)?
 
     Written pi_X, with pi^{23} = X_1, pi^{13} = -X_2 and pi^{12} = X_3, a
     bivector on R^3 is a vector field X, and [pi_X, pi_Y] =
     -(X.curl Y + Y.curl X) d1^d2^d3 (Dufour and Zung, Poisson Structures
     and Their Normal Forms, 2005).  For a linear X, curl X is constant
     and, for a quadratic Y, curl Y is linear, so the bracket is six
-    quadratic coefficients.  X and Y are read off the two bivectors'
-    coefficient forms (``linclass._signed_rows``) as numerators over
-    their denominators, which the test of vanishing leaves out: ints for
-    rational bivectors, and the scalars of a component on ExtScalars.
+    quadratic coefficients.  The test leaves out any nonzero scale of x
+    and of y, so the builders' numerators serve: ints for rational pairs.
     """
-    _, x, _ = _signed_rows(lin)
-    _, y, _ = _signed_rows(quad, QUAD_MONOMIALS)
     out = [0] * 6
     for l in range(3):
         a, b = (l + 1) % 3, (l + 2) % 3
@@ -255,20 +254,23 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     """Does the quadratic pair deform the linear one?  Decided twice, on
     coefficient forms: ints for rational pairs.
 
-    Route one reads the coefficients of ``bivector_of(lp)`` and
-    ``pi_quad(qp)`` (``_brackets_to_zero``); route two tests k.grad F =
-    -(1/6) x^T (12 A + ktilde(k)) K x against ``_rhs_numerators``, summing
-    s D_F k.grad F as n_i e_i c at x^(e - u_i) over the terms c x^e of
-    F = f / D_F, k = n / s.  Route one shares nothing with ``solve_F``, so
-    it keeps the solver's re-check of its members independent.  The routes
-    must agree on every valid input -- a mismatch raises, also under -O.
+    Route one brackets the rows of ``bivector_of``'s and ``pi_quad``'s
+    builders, with no bivector built (``_brackets_to_zero``); route two
+    tests k.grad F = -(1/6) x^T (12 A + ktilde(k)) K x against
+    ``_rhs_numerators``, summing s D_F k.grad F as n_i e_i c at x^(e - u_i)
+    over the terms c x^e of F = f / D_F, k = n / s.  Route one shares
+    nothing with ``solve_F``, so it keeps the solver's re-check of its
+    members independent.  The routes must agree on every valid input -- a
+    mismatch raises, also under -O.
     """
-    route_bracket = _brackets_to_zero(bivector_of(lp), pi_quad(qp))
-    (den, q), (s, k) = _rhs_numerators(lp, qp.twist), _scaled_row(lp.k)
+    # lp.gram is read before lp.k, as bivector_of reads them
+    route_bracket = _brackets_to_zero(
+        _linear_rows(lp.gram, kform := _scaled_row(lp.k))[1], _quad_sums(qp)[1])
+    (den, q), (s, k) = _rhs_numerators(lp, qp.twist, kform), kform
     df, f = qp.cubic._form
     drift = [0] * 6
     for e, c in f.items():
-        for i, ei, _, slot in _PARTIALS[e]:
+        for i, ei, slot in _PARTIALS[e]:
             if k[i]:
                 drift[slot] += k[i] * ei * c
     route_identity = all(a * den == v * s * df for a, v in zip(drift, q))
@@ -294,7 +296,7 @@ def _drift_rows(k: Sequence) -> list:
         k, zero = vec(k), Fraction(0)
     rows = [[zero] * 10 for _ in QUAD_MONOMIALS]
     for s, e in enumerate(CUBIC_MONOMIALS):
-        for i, ei, _, slot in _PARTIALS[e]:
+        for i, ei, slot in _PARTIALS[e]:
             if k[i]:
                 rows[slot][s] = k[i] * ei
     return rows
@@ -457,7 +459,8 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     # k.grad F = q / den times den s, s the lcm of k's denominators:
     # integer rows, and a right-hand side of ints on a rational K (the
     # scalars of K otherwise)
-    (den, rhs), (s, k) = _rhs_numerators(lp, k_matrix), _scaled_row(lp.k)
+    kform = _scaled_row(lp.k)
+    (den, rhs), (s, k) = _rhs_numerators(lp, k_matrix, kform), kform
     drift = _drift_rows([den * c for c in k])
     if s != 1:
         rhs = [s * v for v in rhs]
@@ -657,8 +660,7 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
         q = as_rational_matrix(k_matrix)
     except TypeError:           # an irrational entry: no exact route
         return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
-    c2, det = _char_coeffs(q)
-    roots = _rational_roots_monic_cubic(c2, -det)
+    c2, det, roots = char = _char_coeffs(q)
     distinct = sorted(set(roots or ()), reverse=True)
     if len(distinct) == 3 and 0 not in distinct:
         if q.is_diagonal():
@@ -672,14 +674,18 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
             return JordanFamily.diag_repeated(lam)
     if distinct == [0] and not (q * q).is_zero():
         return JordanFamily.nilpotent_full()
-    return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    return JordanFamily(OTHER, (), _float_eigen_report(k_matrix, char))
 
 
 def _char_coeffs(m: Matrix) -> tuple:
-    """(c2, det), Fractions when rational: m's char. poly t^3 + c2 t - det."""
+    """(c2, det, roots) of m's char. poly t^3 + c2 t - det: Fractions when
+    rational, and the roots None unless it splits over Q."""
     den, vals = m._form
-    c2, det = _minor_sum3(vals), _det3(vals)
-    return demote(_over(c2, den * den)), demote(_over(det, den ** 3))
+    c2 = demote(_over(_minor_sum3(vals), den * den))
+    det = demote(_over(_det3(vals), den ** 3))
+    if isinstance(c2, ExtScalar) or isinstance(det, ExtScalar):
+        return c2, det, None
+    return c2, det, _rational_roots_monic_cubic(c2, -det)
 
 
 def _binary_exponent(v) -> int:
@@ -689,13 +695,12 @@ def _binary_exponent(v) -> int:
                for c in parts if c)
 
 
-def _float_eigen_report(k_matrix: Matrix) -> tuple:
+def _float_eigen_report(k_matrix: Matrix, char=None) -> tuple:
     """Roots of the characteristic cubic as sorted (real, imag) floats:
     exact when it splits over Q or has a repeated root (discriminant
-    -4 c2^3 - 27 det^2 = 0), else by bisection and deflation."""
-    c2, det = _char_coeffs(k_matrix)
-    roots = (None if isinstance(c2, ExtScalar) or isinstance(det, ExtScalar)
-             else _rational_roots_monic_cubic(c2, -det))
+    -4 c2^3 - 27 det^2 = 0), else by bisection and deflation.  ``char``
+    is ``_char_coeffs(k_matrix)`` when the caller has it already."""
+    c2, det, roots = char or _char_coeffs(k_matrix)
     if roots is None and c2 and not 4 * c2 * c2 * c2 + 27 * det * det:
         roots = (3 * det / (2 * c2),) * 2 + (-3 * det / c2,)
     try:

@@ -55,7 +55,8 @@ from poisson_forge.exactnum import (
     as_scalar,
     quadratic_form_poly,
 )
-from poisson_forge.linclass import Decomposition, LinearPair, _require_linear
+from poisson_forge.linclass import (Decomposition, LinearPair, _require_linear,
+                                    _signed_rows)
 from poisson_forge.linclass import bivector_of as direct_bivector_of
 from poisson_forge.multivec import (
     IndexTuple,
@@ -308,7 +309,7 @@ def pi_quad_by_parts(qp) -> MultiVectorField:
         for row, x, negate in ((j, i, False), (i, j, True)):
             for t, v in enumerate(m[3 * row:3 * row + 3]):
                 if v:
-                    key = quaddef._QUAD_KEYS[x][t]
+                    key = quaddef.QUAD_MONOMIALS[quaddef._QUAD_SLOTS[x][t]]
                     v = -v if negate else v
                     cur = vals.get(key)
                     vals[key] = v if cur is None else cur + v
@@ -335,9 +336,11 @@ def deform_check_on_drift_rows(lp, qp) -> bool:
     """Route one on ``pi_quad_by_parts``; route two the drift rows of k's
     numerators applied to F's coefficient vector, which gives
     s D_F k.grad F, against the numerators of the source term."""
-    route_bracket = quaddef._brackets_to_zero(direct_bivector_of(lp),
-                                              pi_quad_by_parts(qp))
-    (den, q), (s, k) = quaddef._rhs_numerators(lp, qp.twist), _scaled_row(lp.k)
+    route_bracket = quaddef._brackets_to_zero(
+        _signed_rows(direct_bivector_of(lp))[1],
+        _signed_rows(pi_quad_by_parts(qp), quaddef.QUAD_MONOMIALS)[1])
+    kform = _scaled_row(lp.k)
+    (den, q), (s, k) = quaddef._rhs_numerators(lp, qp.twist, kform), kform
     df, f = qp.cubic._form
     coords = [f.get(e, 0) for e in quaddef.CUBIC_MONOMIALS]
     route_identity = all(

@@ -27,12 +27,15 @@ seeded inputs:
 - ``gram_of_quadratic``: the Gram matrix built from Fraction rows, with
   each off-diagonal coefficient halved by ``scalar_div``; the package no
   longer has a Gram reader, and ``form_reference`` uses this one,
+- ``derivation_rows``: the 10x10 matrix of F -> (Kx).grad F, column by
+  column from ``poly_reference``'s dict-of-scalars derivation of each
+  cubic monomial, the oracle of ``quaddef._derivation_rows``,
 - ``stacked_solve_F``: the deformation solver's one 16x10 system, the
-  kernel equations of the twist stacked on the coefficient equations,
-  the one oracle of ``quaddef.solve_F``,
+  kernel equations of the twist (``derivation_rows``) stacked on the
+  coefficient equations, the one oracle of ``quaddef.solve_F``,
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
-  equations, which a regular twist no longer needs, the one oracle of
-  ``quaddef.cubic_kernel``,
+  equations (``derivation_rows``), which a regular twist no longer
+  needs, the one oracle of ``quaddef.cubic_kernel``,
 - ``direction_in_span``, ``contains``, ``same_space``: membership in a
   ``SolutionSpace`` by solving for the coefficients of the basis with
   this module's ``solve_linear``, for a basis of any shape, and equality
@@ -45,6 +48,7 @@ seeded inputs:
 import math
 from fractions import Fraction
 
+import poly_reference
 from poisson_forge import exactnum, quaddef
 from poisson_forge.exactnum import (
     ExtScalar,
@@ -303,6 +307,18 @@ def gram_of_quadratic(p: Polynomial) -> "Matrix":
     return Matrix(rows)
 
 
+def derivation_rows(k_matrix):
+    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients: column
+    s holds the coefficients of ``poly_reference.apply_matrix_derivation``
+    of x^e, e = CUBIC_MONOMIALS[s], in value and type, a missing one as
+    Fraction(0)."""
+    images = [poly_reference.apply_matrix_derivation(
+        k_matrix, poly_reference.Polynomial.monomial(3, e))
+        for e in quaddef.CUBIC_MONOMIALS]
+    return [[p.terms.get(t, Fraction(0)) for p in images]
+            for t in quaddef.CUBIC_MONOMIALS]
+
+
 def stacked_solve_F(lp, k_matrix):
     """The affine set of admissible cubics as ``quaddef.solve_F`` found it
     before it solved on the cubic kernel: the ten kernel equations stacked
@@ -316,15 +332,14 @@ def stacked_solve_F(lp, k_matrix):
     rhs = [vals.get(m, 0) for m in quaddef.QUAD_MONOMIALS]
     if s != 1:
         rhs = [s * v for v in rhs]
-    rows = quaddef._derivation_rows(k_matrix._form[1]) + drift
+    rows = derivation_rows(k_matrix) + drift
     return exactnum.solve_linear(rows, [0] * 10 + rhs, 10)
 
 
 def kernel(k_matrix):
     """ker D_K as the package's ``solve_linear`` eliminates it from the
-    rows of K's form (the flag of ``quaddef._kernel`` aside)."""
-    return exactnum.solve_linear(
-        quaddef._derivation_rows(k_matrix._form[1]), [0] * 10, 10)
+    rows of ``derivation_rows`` (the flag of ``quaddef._kernel`` aside)."""
+    return exactnum.solve_linear(derivation_rows(k_matrix), [0] * 10, 10)
 
 
 def direction_in_span(space, v):

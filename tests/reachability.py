@@ -71,6 +71,10 @@ REASONS = {
                                         "bivector on any R^n; quaddef.pi_quad "
                                         "sums its R^3 components in one pass, "
                                         "and the tests compare the two",
+    "quaddef.pi_quad": "public constructor of the quadratic bivector of a "
+                       "pair; deform_check brackets the rows of its builder "
+                       "_quad_sums without building it, and the tests "
+                       "compare it with the wedge route",
 }
 
 _hits = set()

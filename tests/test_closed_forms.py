@@ -33,14 +33,20 @@ import itertools
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
 import form_reference as ref
 from conftest import random_ext_scalar, random_fraction, typed_components
 
-from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix, Polynomial
+from poisson_forge import linclass
+from poisson_forge.exactnum import (SQRT2, SQRT3, ExtScalar, Matrix, Polynomial,
+                                    _scaled_row)
 from poisson_forge.linclass import (
     STANDARD_PAIRS,
     Decomposition,
     LinearPair,
+    _linear_rows,
+    _signed_rows,
     bivector_of,
     decompose,
     pair_of,
@@ -49,9 +55,11 @@ from poisson_forge.linclass import (
 from poisson_forge.linclass import transform_pair as transform_linear_pair
 from poisson_forge.multivec import MultiVectorField, schouten
 from poisson_forge.quaddef import (
+    QUAD_MONOMIALS,
     JordanFamily,
     QuadraticPair,
     _brackets_to_zero,
+    _quad_sums,
     cubic_from_coords,
     cubic_kernel,
     deform_check,
@@ -328,6 +336,39 @@ def test_decompose_raises_as_the_schouten_route():
         assert got == _typed_result(ref.decompose, pi)
 
 
+def _perturbing(real, l, m):
+    """``real`` with the entry (l, m) of the rows it returns moved by one."""
+    def rows(gram, kform):
+        den, out = real(gram, kform)
+        out[l][m] += 1
+        return den, out
+    return rows
+
+
+def test_pair_of_checks_its_round_trip_on_the_rows(monkeypatch):
+    # pair_of compares the rows of the pair it read with the rows of the
+    # bivector, cross-multiplied: a wrong entry anywhere must be caught
+    pair = standard_pair(9, F(9, 4))
+    pi = bivector_of(pair)
+    assert pair_of(pi) == pair
+    real = linclass._linear_rows
+    for l, m in itertools.product(range(3), repeat=2):
+        monkeypatch.setattr(linclass, "_linear_rows", _perturbing(real, l, m))
+        with pytest.raises(ValueError,
+                           match="^bivector is not of potential type$"):
+            pair_of(pi)
+
+
+def _same_rows(got, want):
+    """(den, rows) and (d, M) hold the same values over their
+    denominators: rows d = M den, entry by entry."""
+    (den, rows), (d, m) = got, want
+    assert len(rows) == len(m)
+    for row, signed in zip(rows, m):
+        assert len(row) == len(signed)
+        assert all(u * d == v * den for u, v in zip(row, signed))
+
+
 # ---------------------------------------------------------------------------
 # deform_check and deform_rhs against the Schouten and matrix routes
 # ---------------------------------------------------------------------------
@@ -364,7 +405,8 @@ def test_bracket_of_vector_fields_matches_the_schouten_bracket(rng):
         quad = _random_quadratic_bivector(rng)
         if rng.random() < 0.2:
             quad = MultiVectorField(3, 2, {})
-        got = _brackets_to_zero(lin, quad)
+        got = _brackets_to_zero(_signed_rows(lin)[1],
+                                _signed_rows(quad, QUAD_MONOMIALS)[1])
         assert got == schouten(lin, quad).is_zero()
         vanishing += got
     assert vanishing >= 10
@@ -408,6 +450,29 @@ def _verdict(check, lp, qp):
         return check(lp, qp)
     except Exception as exc:        # noqa: BLE001 - compared, not hidden
         return type(exc), str(exc)
+
+
+def test_row_builders_match_the_signed_rows_of_the_bivectors(rng):
+    # deform_check brackets the rows of the two builders and builds no
+    # bivector: they must be the signed rows that _signed_rows reads off
+    # bivector_of and pi_quad, up to the common scale
+    counts = Counter()
+    for lp, qp in _deformation_inputs(rng):
+        scaled = transform_linear_pair(random_invertible(rng).scaled(
+            F(1, rng.randint(2, 7))), lp)
+        for pair in (lp, scaled):
+            den, rows = _linear_rows(pair.gram, _scaled_row(pair.k))
+            assert all(type(v) is int for row in rows for v in row)
+            d, m, _ = _signed_rows(bivector_of(pair))
+            _same_rows((den, rows), (d, m))
+            counts["fractional k"] += any(v.denominator != 1 for v in pair.k)
+        den, rows = _quad_sums(qp)
+        d, m, rational = _signed_rows(pi_quad(qp), QUAD_MONOMIALS)
+        _same_rows((den, rows), (d, m))
+        if qp.twist._rational and qp.cubic._rational:
+            assert all(type(v) is int for row in rows for v in row)
+        counts["field"] += not rational
+    assert counts["fractional k"] >= 20 and counts["field"] >= 20, counts
 
 
 def test_deform_check_matches_the_schouten_route(rng):

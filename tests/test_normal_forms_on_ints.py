@@ -219,7 +219,8 @@ ORACLE_OF = {"congruent_diagonalize", "classify", "verify_witness",
              "_complete_basis", "_aut_closed_form", "_adjugate3",
              "direction_in_span", "contains", "same_space", "_free_columns",
              "spanned_by",
-             "pi_quad", "deform_check", "_PARTIALS"}
+             "pi_quad", "_quad_sums", "deform_check", "_PARTIALS",
+             "_derivation_rows"}
 
 
 def _names_taken(path):

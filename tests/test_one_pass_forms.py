@@ -222,7 +222,7 @@ def test_deform_check_raises_as_the_drift_rows_do_on_disagreeing_routes(
         rng, monkeypatch):
     # route one negated: every verdict becomes a disagreement
     monkeypatch.setattr(quaddef, "_brackets_to_zero",
-                        lambda lin, quad: not brackets_to_zero(lin, quad))
+                        lambda x, y: not brackets_to_zero(x, y))
     linear, messages = _linear_pairs(rng), Counter()
     for twist in _twists(rng)[::4]:
         for qp in _quadratic_pairs(rng, twist):

@@ -343,13 +343,11 @@ def test_assembled_rows_match_the_polynomial_route(rng):
             entries[1][1] = -entries[0][0]   # diagonal sums that cancel
         k_matrix = Matrix(entries)
         k = [_random_twist_entry(rng) for _ in range(3)]
-        images = [apply_matrix_derivation(k_matrix, Polynomial.monomial(3, e))
-                  for e in CUBIC_MONOMIALS]
         drifts = [along(Polynomial.monomial(3, e), k)
                   for e in CUBIC_MONOMIALS]
-        kernel = [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
         drift = [[p.coeff(t) for p in drifts] for t in QUAD_MONOMIALS]
-        assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(kernel)
+        assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(
+            ref.derivation_rows(k_matrix))
         assert _typed(_drift_rows(k)) == _typed(drift)
 
 
@@ -669,6 +667,25 @@ def test_jordan_family_of_other_cases():
     assert len(rot.eigen_report) == 3  # complex spectrum, float report
     with pytest.raises(ValueError, match="traceless"):
         jordan_family_of(Matrix.identity(3))
+
+
+def test_jordan_family_of_searches_the_characteristic_cubic_once(monkeypatch):
+    # a rational twist outside the three families hands its root search,
+    # with c2 and det, to the float report, which does not search again
+    real, calls = quaddef._rational_roots_monic_cubic, []
+
+    def counted(c2, c0):
+        calls.append((c2, c0))
+        return real(c2, c0)
+
+    monkeypatch.setattr(quaddef, "_rational_roots_monic_cubic", counted)
+    for m in (ktilde((0, 0, 1)), Matrix.diagonal([1, -1, 0]),
+              Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+              Matrix([[1, 2, 0], [3, -1, 1], [0, 5, 0]])):
+        calls.clear()
+        family = jordan_family_of(m)
+        assert family.tag == OTHER and len(calls) == 1, (m, calls)
+        assert family.eigen_report == _float_eigen_report(m)
 
 
 @pytest.mark.parametrize("irrational", [False, True])
