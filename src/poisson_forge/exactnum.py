@@ -67,9 +67,10 @@ swap are column and row operations in place, and the shear F = b_kk E
 that clears row k sets column j to b_kk col j - b_kj col k, which
 leaves B's Schur complement below k over s b_kk, and Q F over t b_kk;
 so det R = +-1.  A is read by ``as_rational_matrix``, so the loop runs
-on ints, each scale and its list divided by their gcd after a shear;
-its one caller, ``classify``, passes rational forms, and an irrational
-entry raises TypeError.  ``_product3``, ``_congruence3`` and ``_det3``
+on ints, each scale and its list divided by their gcd after a shear,
+and an irrational entry raises TypeError.  ``classify`` reads the int
+diagonal over one s > 0 off that loop (``_congruent_diagonal``), with no
+Fraction built.  ``_product3``, ``_congruence3`` and ``_det3``
 give A B, R' A R and det for 3x3 flat lists of values; ``linclass``
 runs ``classify``, ``verify_witness`` and ``is_isomorphism`` on them, on
 the numerators of the forms, with the identities cross-multiplied.
@@ -1506,6 +1507,17 @@ def _ring_update(pivot, factor, row, pivot_row, prev):
 def congruent_diagonalize(a: Matrix, rng=None):
     """Lagrange congruence: returns (R, d) with R^T A R = diag(d) exactly.
 
+    A must be symmetric.  The loop is ``_congruent_diagonal``'s; d is its
+    int diagonal over s, as Fractions.
+    """
+    r, s, d = _congruent_diagonal(a, rng)
+    return r, tuple(Fraction(v, s) for v in d)
+
+
+def _congruent_diagonal(a: Matrix, rng=None):
+    """(R, s, d): R^T A R = diag(d) / s for ints d and s > 0, the loop of
+    ``congruent_diagonalize``, whose Fractions ``classify`` does not need.
+
     A must be symmetric.  With ``rng`` given, admissible pivots are chosen
     at random (used to check that signature counts are order-independent);
     otherwise pivot selection is deterministic by index.  The loop runs
@@ -1563,5 +1575,7 @@ def congruent_diagonalize(a: Matrix, rng=None):
         s, b = s // g, [v // g for v in b]
         g = math.gcd(t, *q)
         t, q = t // g, [v // g for v in q]
-    return (Matrix._of_form(n, t, q),
-            tuple(Fraction(b[i * n + i], s) for i in range(n)))
+    d = b[::n + 1]
+    if s < 0:
+        s, d = -s, [-v for v in d]
+    return Matrix._of_form(n, t, q), s, d

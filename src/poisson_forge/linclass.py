@@ -65,6 +65,7 @@ from .exactnum import (
     SolutionSpace,
     _adjugate3,
     _congruence3,
+    _congruent_diagonal,
     _det3,
     _product3,
     _over,
@@ -74,7 +75,6 @@ from .exactnum import (
     array_from_json,
     as_rational,
     as_rational_matrix,
-    congruent_diagonalize,
     cross3,
     quadratic_form_poly,
     scalar_from_json,
@@ -249,9 +249,12 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     3 + 6: A = (M + M') / 4 and k = (M_12 - M_21, M_20 - M_02,
     M_01 - M_10).  The bivector is Poisson exactly when A k = 0; its
     Jacobiator, which the error gives, is 4 (A k).x d1^d2^d3 by the R^3
-    identity [pi_X, pi_X] = -2 X.curl X (Dufour and Zung, 2005).
-    Rational-valued ExtScalar coefficients give the pair of their Fraction
-    twin; an irrational one fails the ``LinearPair`` rational reader.
+    identity [pi_X, pi_X] = -2 X.curl X (Dufour and Zung, 2005).  The
+    sums that read A off M make it symmetric, and the Poisson test has
+    refused A k != 0, so the pair is built by ``LinearPair._trusted``
+    after the rational reader alone: rational-valued ExtScalar
+    coefficients give the pair of their Fraction twin, and an irrational
+    one raises the reader's TypeError.  The pair's rows must give M back.
     """
     _require_linear(pi)
     if pi.nvars != 3:
@@ -266,8 +269,9 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
                                   rational)
         raise ValueError(
             "not a Poisson bivector: Jacobiator component (1,2,3) is %s" % jac)
-    pair = LinearPair(tuple(_over(v, d) for v in k),
-                      Matrix._of_form(3, 4 * d, sym, rational))
+    pair = LinearPair._trusted(
+        tuple(as_rational(_over(v, d)) for v in k),
+        as_rational_matrix(Matrix._of_form(3, 4 * d, sym, rational)))
     den, rows = _linear_rows(pair.gram, _scaled_row(pair.k))  # round trip
     if any(u * d != v * den for r, w in zip(rows, m) for u, v in zip(r, w)):
         raise ValueError("bivector is not of potential type")  # pragma: no cover
@@ -523,7 +527,7 @@ class Witness(NamedTuple("Witness", [("base", Matrix), ("scales", tuple)])):
             raise ValueError("witness lives on R^3")
         if any(v < 0 for v in scales):
             raise ValueError("scales must be non-negative")
-        if not base.det():
+        if not _det3(base._form[1]):
             raise ValueError("witness base must be invertible")
         return tuple.__new__(cls, (base, scales))
 
@@ -547,22 +551,26 @@ def classification_to_json(label: StdFormLabel, witness: Witness):
 
 
 def _complete_basis(k) -> Matrix:
-    """Rational basis with third column k: pivot on the largest coordinate."""
-    pivot = max(range(3), key=lambda i: (abs(k[i]), -i))
+    """Rational basis with third column k: pivot on the largest coordinate,
+    compared on k's numerators n over their one denominator d; the two
+    unit columns and n are built over d."""
+    d, n = _scaled_row(k)
+    pivot = max(range(3), key=lambda i: (abs(n[i]), -i))
     units = [j for j in range(3) if j != pivot]
-    return Matrix._of_form(3, 1, [v for i in range(3) for v in (
-        int(i == units[0]), int(i == units[1]), k[i])], False)
+    return Matrix._of_form(3, d, [v for i in range(3) for v in (
+        d * (i == units[0]), d * (i == units[1]), n[i])])
 
 
-def _arrange(diag, cases):
-    """Case id, column order and global sign matching a diagonal form.
+def _arrange(diag, s, cases):
+    """Case id, column order and global sign matching a diagonal form,
+    diag / s for ints ``diag`` and s > 0.
 
     The first of ``cases`` whose sign pattern sigma, times +1 or else -1,
     has as many 1s and -1s as the signs of ``diag`` wins; a stable sort
     puts column perm[i] in slot i, sign(diag_perm[i]) = sign * sigma_i, as
     equal signs are adjacent in sigma, so the order is deterministic.
     """
-    signs = [(v.numerator > 0) - (v.numerator < 0) for v in diag]
+    signs = [(v > 0) - (v < 0) for v in diag]
     pos, neg = signs.count(1), signs.count(-1)
     for case in cases:
         sigma = SIGN_PATTERNS[case]
@@ -571,7 +579,8 @@ def _arrange(diag, cases):
                 want = [sign * v for v in sigma]
                 perm = sorted(range(3), key=lambda i: want.index(signs[i]))
                 return case, tuple(perm), sign
-    raise AssertionError("no sign pattern fits %r" % (diag,))  # pragma: no cover
+    raise AssertionError("no sign pattern fits %r" % (  # pragma: no cover
+        tuple(Fraction(v, s) for v in diag),))
 
 
 def classify(pair: LinearPair):
@@ -587,27 +596,27 @@ def classify(pair: LinearPair):
     det R = +-1, so a^2 = |d_0 d_1| / det(B)^2 in cases 8/9.  B' A B and
     B R are products of the int numerators of the forms, base = N / D;
     the column permutation re-indexes N, the sign flip negates one of
-    its columns and det(base) is det(N) / D^3.  The signs, |d| and the
-    rescaling run on the ints n / q of d; only the scales and a^2 become
-    Fractions, through the label's and witness's validating
+    its columns and det(base) is det(N) / D^3.  The congruence gives d
+    as ints over one s > 0 (``_congruent_diagonal``), so the signs, |d|
+    and the rescaling run on the ints n / q of d; only the scales and a^2
+    become Fractions, through the label's and witness's validating
     constructors, and verify_witness re-checks the witness.
     """
     if not any(pair.k):
         free, cases, flip = 3, range(1, 7), 2
-        inner, diag = congruent_diagonalize(pair.gram)
+        inner, s, diag = _congruent_diagonal(pair.gram)
         den, base = inner._form
     else:
         free, cases, flip = 2, range(7, 11), 0
-        (e, b), (s, a) = _complete_basis(pair.k)._form, pair.gram._form
-        inner, diag = congruent_diagonalize(
-            Matrix._of_form(3, e * e * s, _congruence3(b, a)))
+        (e, b), (sa, a) = _complete_basis(pair.k)._form, pair.gram._form
+        inner, s, diag = _congruent_diagonal(
+            Matrix._of_form(3, e * e * sa, _congruence3(b, a)))
         t, r = inner._form
         den, base = e * t, _product3(b, r)
-    case, perm, sign = _arrange(diag, cases)
+    case, perm, sign = _arrange(diag, s, cases)
     # column perm[c] goes to slot c, and |d| reads n / q slot by slot
     base = [base[i + p] for i in (0, 3, 6) for p in perm]
-    n = [abs(diag[p].numerator) for p in perm]
-    q = [diag[p].denominator for p in perm]
+    n, q = [abs(diag[p]) for p in perm], [s] * 3
     rank = 3 - n.count(0)
     if rank:
         det = _det3(base)

@@ -87,6 +87,12 @@ _QUAD_SLOTS = tuple(tuple(
 _PARTIALS = {e: tuple((i, e[i], s) for s, q in enumerate(QUAD_MONOMIALS)
                       for i in range(3) if q[:i] + (q[i] + 1,) + q[i + 1:] == e)
              for e in CUBIC_MONOMIALS}
+#: _DERIVATION_SLOTS[e] lists (e_i, 3 i, slots) for each x_i in the cubic
+#: x^e: D_K sends x^e to sum_j e_i K_ij x^(e - u_i + u_j), the cubic of
+#: CUBIC_MONOMIALS[slots[j]]
+_DERIVATION_SLOTS = {e: tuple((e[i], 3 * i, tuple(
+    _CUBIC_INDEX[tuple(e[r] - (r == i) + (r == j) for r in range(3))]
+    for j in range(3))) for i in range(3) if e[i]) for e in CUBIC_MONOMIALS}
 
 
 def cubic_coords(p: Polynomial) -> tuple:
@@ -97,9 +103,17 @@ def cubic_coords(p: Polynomial) -> tuple:
 
 
 def cubic_from_coords(coords: Sequence) -> Polynomial:
+    """The homogeneous cubic on R^3 with coefficients ``coords`` on
+    CUBIC_MONOMIALS: ``Polynomial(3, dict(zip(CUBIC_MONOMIALS, coords)))``
+    in value, form and errors, with no second pass over the monomials.
+    Each entry that is not an int or a Fraction goes through ``as_scalar``,
+    as the constructor sends it, so a bad value raises its TypeError; zero
+    entries are dropped by ``Polynomial._of_form``."""
     if len(coords) != len(CUBIC_MONOMIALS):
         raise ValueError("expected %d cubic coefficients" % len(CUBIC_MONOMIALS))
-    return Polynomial(3, dict(zip(CUBIC_MONOMIALS, coords)))
+    return Polynomial._of_form(3, 1, dict(zip(CUBIC_MONOMIALS, [
+        c if type(c) is int or type(c) is Fraction else as_scalar(c)
+        for c in coords])), False)
 
 
 def ktilde(k: Sequence) -> Matrix:
@@ -123,7 +137,15 @@ def _check_twist(k_matrix: Matrix):
 
 class QuadraticPair(NamedTuple("QuadraticPair", [
         ("twist", Matrix), ("cubic", Polynomial)])):
-    """Traceless twist matrix plus the cubic potential it annihilates."""
+    """Traceless twist matrix plus the cubic potential it annihilates.
+
+    D_K F = 0 is tested on the numerators of the forms, K = m / D_K and
+    F = f / D_F: each term c x^e of f adds e_i m_ij c at x^(e - u_i + u_j)
+    (``_DERIVATION_SLOTS``), ints for a rational pair and scalars that
+    just add otherwise, and D_K F is zero exactly when all ten sums are.
+    Only a refused cubic builds ``apply_matrix_derivation(twist, cubic)``,
+    to word the error.
+    """
 
     __slots__ = ()
 
@@ -131,11 +153,18 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
         _check_twist(twist)
         if cubic.nvars != 3 or not cubic.is_homogeneous(3):
             raise ValueError("potential must be a homogeneous cubic on R^3")
-        residual = apply_matrix_derivation(twist, cubic)
-        if not residual.is_zero():
+        m, out = twist._form[1], [0] * 10
+        for e, c in cubic._form[1].items():
+            for ei, row, slots in _DERIVATION_SLOTS[e]:
+                w = ei * c
+                for v, slot in zip(m[row:row + 3], slots):
+                    if v:
+                        out[slot] += v * w
+        if any(out):
             raise ValueError(
                 "cubic is not invariant under the twist flow "
-                "(derivation residual %s)" % residual
+                "(derivation residual %s)"
+                % apply_matrix_derivation(twist, cubic)
             )
         return tuple.__new__(cls, (twist, cubic))
 
@@ -260,13 +289,24 @@ def deform_check(lp: LinearPair, qp: QuadraticPair) -> bool:
     ``_rhs_numerators``, summing s D_F k.grad F as n_i e_i c at x^(e - u_i)
     over the terms c x^e of F = f / D_F, k = n / s.  Route one shares
     nothing with ``solve_F``, so it keeps the solver's re-check of its
-    members independent.  The routes must agree on every valid input -- a
-    mismatch raises, also under -O.
+    members independent; that re-check runs both routes through
+    ``_deforms``, as this function does.  The routes must agree on every
+    valid input -- a mismatch raises, also under -O.
     """
     # lp.gram is read before lp.k, as bivector_of reads them
-    route_bracket = _brackets_to_zero(
-        _linear_rows(lp.gram, kform := _scaled_row(lp.k))[1], _quad_sums(qp)[1])
-    (den, q), (s, k) = _rhs_numerators(lp, qp.twist, kform), kform
+    gram, kform = lp.gram, _scaled_row(lp.k)
+    return _deforms(gram, qp, kform, _rhs_numerators(lp, qp.twist, kform))
+
+
+def _deforms(gram: Matrix, qp: QuadraticPair, kform: tuple, rhs: tuple) -> bool:
+    """``deform_check``'s two routes for the pair (k, gram), given
+    kform = _scaled_row(k) and rhs = _rhs_numerators(pair, qp.twist, kform).
+    ``solve_F`` hands over the right-hand side it has just solved against,
+    which the identity route shares with it by design; the bracket route
+    computes all it reads itself."""
+    route_bracket = _brackets_to_zero(_linear_rows(gram, kform)[1],
+                                      _quad_sums(qp)[1])
+    (den, q), (s, k) = rhs, kform
     df, f = qp.cubic._form
     drift = [0] * 6
     for e, c in f.items():
@@ -450,9 +490,11 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     ``solve_linear`` on the whole system, kernel and coefficient
     equations together, in values and entry types: the images are on
     ExtScalars when K or the right-hand side has an ExtScalar, as that
-    system is.  Every member of the result is re-checked through
-    ``deform_check`` before being returned; its bracket route, which
-    shares no step with this solver, carries that independence.
+    system is.  Every member of the result is re-checked by
+    ``deform_check``'s two routes (``_deforms``) before being returned,
+    the identity route on the right-hand side solved against; the bracket
+    route, which shares no step with this solver, carries the
+    independence of the re-check.
     """
     _check_twist(k_matrix)
     field, _, nums = _kernel(k_matrix)
@@ -460,7 +502,8 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     # integer rows, and a right-hand side of ints on a rational K (the
     # scalars of K otherwise)
     kform = _scaled_row(lp.k)
-    (den, rhs), (s, k) = _rhs_numerators(lp, k_matrix, kform), kform
+    source = _rhs_numerators(lp, k_matrix, kform)
+    (den, rhs), (s, k) = source, kform
     drift = _drift_rows([den * c for c in k])
     if s != 1:
         rhs = [s * v for v in rhs]
@@ -483,7 +526,8 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     members.extend(tuple(p + c for p, c in zip(space.particular, b))
                    for b in space.basis)
     for coords in members:
-        if not deform_check(lp, QuadraticPair(k_matrix, cubic_from_coords(coords))):
+        qp = QuadraticPair(k_matrix, cubic_from_coords(coords))
+        if not _deforms(lp.gram, qp, kform, source):
             raise AssertionError(
                 "solver produced a cubic the bracket route rejects")
     return space

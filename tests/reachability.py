@@ -64,6 +64,11 @@ REASONS = {
     "exactnum.Matrix.__hash__": _PROTOCOL,
     "exactnum.Matrix.__neg__": _PROTOCOL,
     "exactnum.Matrix.__repr__": _PROTOCOL,
+    "exactnum.congruent_diagonalize": "public Lagrange congruence with a "
+                                      "Fraction diagonal; classify reads the "
+                                      "int diagonal of its loop, "
+                                      "_congruent_diagonal, and test_exactnum "
+                                      "and test_integer_linalg reach it",
     "linclass.Witness.from_json": "reads back a CLI witness; test_cli and "
                                   "test_linclass reach it",
     "multivec.MultiVectorField.__repr__": _PROTOCOL,

@@ -17,7 +17,9 @@ Schouten-bracket routes; on seeded bivectors, Poisson or not, on R^2 to
 R^8 for ``decompose`` and with Fraction or ExtScalar coefficients, the
 two must agree in values, entry types, exception types and messages;
 ``pair_of`` of a field whose coefficients are all rational-valued must
-give what the reference gives on its Fraction twin.
+give what the reference gives on its Fraction twin, and each pair it
+builds unchecked what ``LinearPair``'s validating constructor makes of
+its fields.
 
 Last, ``quaddef.deform_check`` decides the deformation criterion on
 coefficient forms, its bracket route from the vector fields of the two
@@ -249,6 +251,12 @@ def test_pair_of_matches_the_schouten_route(rng):
         # a rational-valued input gives what its Fraction twin gives
         assert got == _typed_result(ref.pair_of, twin or pi)
         outcome = got[0] if got[0] in (ValueError, TypeError) else LinearPair
+        if outcome is LinearPair:
+            # pair_of wraps its pair unchecked: it must be what the
+            # validating constructor makes of the same fields
+            pair = pair_of(pi)
+            assert got == _typed_result(
+                lambda _: LinearPair(pair.k, pair.gram), pi)
         outcomes[outcome] += 1
         outcomes["ext pair"] += outcome is LinearPair and twin is not None
     assert outcomes[LinearPair] >= len(poisson)

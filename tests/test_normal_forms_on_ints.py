@@ -214,13 +214,13 @@ def test_is_isomorphism_refuses_an_invertible_matrix_off_r3():
 
 #: what each reference module checks: it may import none of these from
 #: the package
-ORACLE_OF = {"congruent_diagonalize", "classify", "verify_witness",
-             "is_isomorphism", "transform_pair", "_arrange",
+ORACLE_OF = {"congruent_diagonalize", "_congruent_diagonal", "classify",
+             "verify_witness", "is_isomorphism", "transform_pair", "_arrange",
              "_complete_basis", "_aut_closed_form", "_adjugate3",
              "direction_in_span", "contains", "same_space", "_free_columns",
              "spanned_by",
-             "pi_quad", "_quad_sums", "deform_check", "_PARTIALS",
-             "_derivation_rows"}
+             "pi_quad", "_quad_sums", "deform_check", "_deforms", "_PARTIALS",
+             "_DERIVATION_SLOTS", "_derivation_rows"}
 
 
 def _names_taken(path):

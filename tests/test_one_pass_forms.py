@@ -13,6 +13,13 @@ are rational-valued ExtScalars, and components whose terms cancel --
 both must give the same values, forms (D, T), entry types and rational
 flags, the same verdicts and witnesses, and errors of the same type and
 message.
+
+``QuadraticPair`` tests D_K F = 0 on slot sums over the numerators of
+K and F, and ``cubic_from_coords`` builds its cubic on the form: the
+first must accept exactly when ``apply_matrix_derivation(K, F)`` is
+zero and word a refusal with that residual, and the second must give
+what the validating ``Polynomial`` constructor gives, in value, form
+and rational flag, or raise as it raises.
 """
 
 from collections import Counter
@@ -23,11 +30,13 @@ import normal_form_reference as nf_ref
 from conftest import (
     moduli_pairs,
     random_ext_scalar,
+    random_fraction,
     random_pairs,
     random_rational_invertible,
     typed_components,
 )
-from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix, Polynomial
+from poisson_forge.exactnum import (SQRT2, SQRT3, ExtScalar, Matrix, Polynomial,
+                                    apply_matrix_derivation)
 from poisson_forge.linclass import (
     LinearPair,
     classify,
@@ -36,6 +45,7 @@ from poisson_forge.linclass import (
 )
 from poisson_forge import quaddef
 from poisson_forge.quaddef import (
+    CUBIC_MONOMIALS,
     JordanFamily,
     QuadraticPair,
     _brackets_to_zero as brackets_to_zero,
@@ -275,3 +285,57 @@ def test_classify_matches_the_fraction_tail(rng):
     cases = Counter(_same_classification(pair) for pair in pairs)
     assert set(range(1, 11)) <= set(cases), cases
     assert cases[AssertionError] == 2, cases
+
+
+def test_pair_invariance_matches_the_derivation_residual(rng):
+    # a cubic plus a multiple of one monomial is invariant only when that
+    # monomial's weight vanishes; a cancelling cubic need not be invariant
+    verdicts = Counter()
+    for twist in _twists(rng):
+        kernel = random_kernel_cubic(rng, twist)
+        cubics = [kernel, Polynomial.zero(3), kernel * SQRT2,
+                  _cancelling_cubic(rng, twist)]
+        cubics += [kernel + Polynomial(3, {
+            rng.choice(CUBIC_MONOMIALS): random_ext_scalar(rng, True) or 1})
+            for _ in range(4)]
+        for cubic in cubics:
+            residual = apply_matrix_derivation(twist, cubic)
+            got = _outcome(QuadraticPair, twist, cubic)
+            if residual.is_zero():
+                assert type(got) is QuadraticPair and got == (twist, cubic)
+            else:
+                assert got == (ValueError, "cubic is not invariant under the "
+                               "twist flow (derivation residual %s)" % residual)
+            verdicts[twist._rational, residual.is_zero()] += 1
+    assert min(verdicts.values()) >= 80 and len(verdicts) == 4, verdicts
+
+
+def _coordinate(rng):
+    """An int, a Fraction or an ExtScalar, rational-valued, irrational or
+    zero, or a bool."""
+    q = random_fraction(rng)
+    return rng.choice([0, F(0), ExtScalar.of(0), rng.randint(-5, 5), q, q,
+                       ExtScalar.of(q), random_ext_scalar(rng, True), True])
+
+
+def test_cubic_from_coords_matches_the_validating_constructor(rng):
+    kinds = Counter()
+    for _ in range(400):
+        coords = [_coordinate(rng) for _ in range(10)]
+        if rng.random() < 0.25:
+            coords[rng.randrange(10)] = rng.choice([1.5, "1", None, 2j, [1]])
+        got = _outcome(cubic_from_coords, coords)
+        want = _outcome(Polynomial, 3, dict(zip(CUBIC_MONOMIALS, coords)))
+        if isinstance(want, tuple):
+            assert got == want
+            kinds[want[0]] += 1
+            continue
+        assert got == want and got._rational == want._rational
+        assert got._form[0] == want._form[0]
+        assert ([(e, type(v), v) for e, v in got._form[1].items()]
+                == [(e, type(v), v) for e, v in want._form[1].items()])
+        kinds[got._rational] += 1
+    assert kinds[TypeError] >= 60 and kinds[True] >= 25 and kinds[False] >= 150
+    for coords in ([0] * 9, [F(1)] * 11, ()):
+        assert _outcome(cubic_from_coords, coords) == (
+            ValueError, "expected 10 cubic coefficients")
