@@ -791,21 +791,26 @@ def der0_space(case_id: int) -> SolutionSpace:
 
     Matrices are flattened row-major into R^9; the space solves tr D = 0,
     D k = 0 and D^ f = 0 (the potential of the case, modulus one).  The
-    ten spaces are kept once solved; ``typed`` keeps True and 8.0, which
-    equal a case id, from reading its entry, so they raise as any other
-    value off the catalog does.
+    rows are ints on the forms: the trace row, the rows of D k on k's
+    numerators n, where E_ij gives n_j in row i, and the rows of
+    D^ f = 0 on the Gram matrix's numerators a, where E_ij, the field
+    x_j d/dx_i, gives 2 a_ir at x_j x_r; they span the rows of the
+    system over Q, so ``solve_linear``'s canonical space is the same.
+    The ten spaces are kept once solved; ``typed`` keeps True and 8.0,
+    which equal a case id, from reading its entry, so they raise as any
+    other value off the catalog does.
     """
     pair = standard_pair(case_id)
-    f = pair.potential()
-    units = [Matrix._of_form(3, 1, [int(k == c) for k in range(9)])
-             for c in range(9)]
-    rows = [[u.trace() for u in units]]
+    (_, a), (_, n) = pair.gram._form, _scaled_row(pair.k)
+    rows = [[1, 0, 0, 0, 1, 0, 0, 0, 1]]
+    rows += [[n[c % 3] if c // 3 == i else 0 for c in range(9)]
+             for i in range(3)]
+    derived = {}
     for i in range(3):
-        rows.append([u.apply(pair.k)[i] for u in units])
-    quad_monomials = [
-        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
-    ]
-    derived = [apply_matrix_derivation(u, f) for u in units]
-    for mono in quad_monomials:
-        rows.append([p.coeff(mono) for p in derived])
+        for r in range(3):
+            if a[3 * i + r]:
+                for j in range(3):
+                    row = derived.setdefault((min(j, r), max(j, r)), [0] * 9)
+                    row[3 * i + j] += 2 * a[3 * i + r]
+    rows += derived.values()
     return solve_linear(rows, [0] * len(rows))

@@ -15,12 +15,12 @@ The solver inverts that identity exactly, giving the affine set of
 admissible cubics for a twist matrix, on the kernel of the twist's
 derivation: for a regular twist (three distinct nonzero eigenvalues)
 the line of the invariant cubic det(x, Kx, K^2 x), for any other an
-exact elimination of the rows that ``apply_matrix_derivation`` gives
-the cubic monomials; both read K's flat values.  Its answer is the span
-of the solutions on that kernel, which ``SolutionSpace.spanned_by``
-puts on the canonical shape.  The bracket route alone shares nothing
-with the solver, so it is the one that makes the solver's re-check of
-its answers independent.
+exact elimination of the rows of D_K on the cubic monomials; both read
+K's flat values, and a K typed on the field with rational values is
+read on its rational twin.  Its answer is the span of the solutions on
+that kernel, which ``SolutionSpace.spanned_by`` puts on the canonical
+shape.  The bracket route alone shares nothing with the solver, so it
+is the one that makes the solver's re-check of its answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -353,14 +353,21 @@ def _derivation_rows(k: Sequence) -> list:
     """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for K's
     flat row-major values ``k``: column s is ``apply_matrix_derivation``
     of x^e, e = CUBIC_MONOMIALS[s].  Integer values give integer rows,
-    read off the images' forms; any other values give the images'
-    coefficients, in value and type, missing ones being Fraction(0).
+    filled straight from ``_DERIVATION_SLOTS``: x^e adds e_i k_ij at
+    x^(e - u_i + u_j).  Any other values, which only an irrational
+    singular twist brings, give the images' coefficients, in value and
+    type, missing ones being Fraction(0).
     """
+    if all(type(v) is int for v in k):
+        rows = [[0] * 10 for _ in CUBIC_MONOMIALS]
+        for s, e in enumerate(CUBIC_MONOMIALS):
+            for ei, row, slots in _DERIVATION_SLOTS[e]:
+                for v, slot in zip(k[row:row + 3], slots):
+                    rows[slot][s] += ei * v
+        return rows
     m = Matrix._of_form(3, 1, k, False)
     images = [apply_matrix_derivation(m, Polynomial._of_form(3, 1, {e: 1}))
               for e in CUBIC_MONOMIALS]
-    if all(type(v) is int for v in k):
-        return [[p._form[1].get(t, 0) for p in images] for t in CUBIC_MONOMIALS]
     return [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
 
 
@@ -422,14 +429,48 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
     return SolutionSpace(10, tuple(particular), (tuple(basis),))
 
 
+def _rational_on_field(k_matrix: Matrix) -> bool:
+    """Is K typed on the field -- a nonzero ExtScalar entry -- while every
+    entry is rational-valued?  Such a K, as T K T' for a catalog rotation
+    T, solves on its rational twin ``as_rational_matrix(K)``, and only the
+    answer's entry types are lifted (``_lift``)."""
+    vals = k_matrix._form[1]
+    return (not k_matrix._rational
+            and any(type(v) is ExtScalar and v for v in vals)
+            and all(type(v) is not ExtScalar or v.is_rational for v in vals))
+
+
+def _lift(space: SolutionSpace) -> SolutionSpace:
+    """A canonical space as its system on ExtScalars gives it: every bound
+    coordinate of the point and of each basis vector as ``ExtScalar.of``,
+    the free columns left at Fraction(0) and Fraction(1)."""
+    if space.is_empty:
+        return space
+    free = {_last_nonzero(b) for b in space.basis}
+
+    def lifted(v):
+        return tuple(x if i in free else ExtScalar.of(x)
+                     for i, x in enumerate(v))
+
+    return SolutionSpace(space.ambient_dim, lifted(space.particular),
+                         tuple(lifted(b) for b in space.basis))
+
+
 def _kernel(k_matrix: Matrix):
     """(whether ker D_K is on ExtScalars, ker D_K, its basis numerators)
     for a checked twist, from ``_kernel_of`` on K's flat values.
 
     A K whose ExtScalar entries are all zero has rows without ExtScalars
     and solves on ints, as a rational K does, so the flag fixes the entry
-    types of the space.
+    types of the space.  A K typed on the field with rational values
+    solves on ints too, on its rational twin, and its space is lifted
+    outside the cache to the types the field gives, with each basis
+    vector over 1 as its numerators, as for an irrational K.
     """
+    if _rational_on_field(k_matrix):
+        twin = as_rational_matrix(k_matrix)._form[1]
+        space = _lift(_kernel_of(False, twin)[0])
+        return True, space, tuple((1, b) for b in space.basis)
     field = not k_matrix._rational and any(
         type(v) is ExtScalar and v for v in k_matrix._form[1])
     # a K off the field is read on ints, whatever its entry types: the
@@ -442,13 +483,14 @@ def _kernel(k_matrix: Matrix):
 def _kernel_of(field: bool, k: tuple):
     """(ker D_K, its basis numerators) for K's flat values ``k``, kept for
     the last eight twists: ``solve_F`` and then ``cubic_kernel`` on one
-    twist compute its kernel once.
+    twist compute its kernel once, and a twist typed on the field with
+    rational values shares the entry of its rational twin.
 
     A regular K takes the line of ``_invariant_cubic``; any other K
-    eliminates its ten kernel rows.  The numerators are one (e, m) per
-    basis vector b = m / e, e > 0: ints for a rational kernel, f over
-    |f_last| for the line of f, and the vector itself over 1 on
-    ExtScalars.
+    eliminates its ten kernel rows, on ints from the slot table for a
+    rational K.  The numerators are one (e, m) per basis vector
+    b = m / e, e > 0: ints for a rational kernel, f over |f_last| for the
+    line of f, and the vector itself over 1 on ExtScalars.
     """
     f = _invariant_cubic(k)
     if f is None:
@@ -494,9 +536,19 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     ``deform_check``'s two routes (``_deforms``) before being returned,
     the identity route on the right-hand side solved against; the bracket
     route, which shares no step with this solver, carries the
-    independence of the re-check.
+    independence of the re-check.  A K typed on the field with rational
+    values is solved, and its members re-checked, on its rational twin
+    ``as_rational_matrix(K)``; the answer is then lifted (``_lift``) to
+    the entry types that the system on ExtScalars gives.
     """
     _check_twist(k_matrix)
+    if _rational_on_field(k_matrix):
+        return _lift(_solve_F(lp, as_rational_matrix(k_matrix)))
+    return _solve_F(lp, k_matrix)
+
+
+def _solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
+    """``solve_F``'s body for a checked twist."""
     field, _, nums = _kernel(k_matrix)
     # k.grad F = q / den times den s, s the lcm of k's denominators:
     # integer rows, and a right-hand side of ints on a rational K (the

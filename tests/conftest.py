@@ -24,7 +24,18 @@ from poisson_forge.linclass import (
     transform_pair,
 )
 from poisson_forge.multivec import MultiVectorField
+from poisson_forge.quaddef import JordanFamily
 from poisson_forge.verify import DEFAULT_SEED
+
+
+#: the five families a ``verify-paper`` pass transports
+SWEEP_FAMILIES = (
+    JordanFamily.diag_distinct(1, 2, -3),
+    JordanFamily.diag_distinct(1, -4, 3),
+    JordanFamily.diag_repeated(1),
+    JordanFamily.diag_repeated(2),
+    JordanFamily.nilpotent_full(),
+)
 
 
 def _suite_seed() -> int:

@@ -36,6 +36,11 @@ seeded inputs:
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
   equations (``derivation_rows``), which a regular twist no longer
   needs, the one oracle of ``quaddef.cubic_kernel``,
+- ``der0_rows``: the system of ``linclass.der0_space`` as its rows were
+  built before they were read off the forms, on nine unit matrices:
+  their traces, their images of k and the coefficients of
+  ``poly_reference``'s derivation of the case's potential along each,
+  the oracle of ``der0_space``,
 - ``direction_in_span``, ``contains``, ``same_space``: membership in a
   ``SolutionSpace`` by solving for the coefficients of the basis with
   this module's ``solve_linear``, for a basis of any shape, and equality
@@ -58,6 +63,7 @@ from poisson_forge.exactnum import (
     as_scalar,
     scalar_div,
 )
+from poisson_forge.linclass import standard_pair
 
 
 def dot(u, v):
@@ -340,6 +346,23 @@ def kernel(k_matrix):
     """ker D_K as the package's ``solve_linear`` eliminates it from the
     rows of ``derivation_rows`` (the flag of ``quaddef._kernel`` aside)."""
     return exactnum.solve_linear(derivation_rows(k_matrix), [0] * 10, 10)
+
+
+def der0_rows(case_id):
+    """The rows of tr D = 0, D k = 0 and D^ f = 0 for the traceless
+    derivations D of a standard pair (k, A), f = (A x, x), D flattened
+    row-major into R^9: column c of each row is read off the unit matrix
+    E_c, in value and type."""
+    pair = standard_pair(case_id)
+    f = poly_reference.quadratic_form_poly(pair.gram)
+    units = [Matrix([[Fraction(int(3 * i + j == c)) for j in range(3)]
+                     for i in range(3)]) for c in range(9)]
+    rows = [[u.rows[0][0] + u.rows[1][1] + u.rows[2][2] for u in units]]
+    images = [apply(u, pair.k) for u in units]
+    rows += [[v[i] for v in images] for i in range(3)]
+    derived = [poly_reference.apply_matrix_derivation(u, f) for u in units]
+    rows += [[p.coeff(e) for p in derived] for e in quaddef.QUAD_MONOMIALS]
+    return rows
 
 
 def direction_in_span(space, v):

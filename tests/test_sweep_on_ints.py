@@ -29,7 +29,7 @@ from fractions import Fraction as F
 import pytest
 
 import normal_form_reference as ref
-from conftest import random_pairs, random_rational_invertible
+from conftest import SWEEP_FAMILIES, random_pairs, random_rational_invertible
 from poisson_forge import verify
 from poisson_forge.exactnum import (
     SQRT2,
@@ -57,16 +57,6 @@ from poisson_forge.quaddef import (
     enumerate_orbit_pairs,
     jordan_family_of,
 )
-
-#: the five families a ``verify-paper`` pass transports
-SWEEP_FAMILIES = (
-    JordanFamily.diag_distinct(1, 2, -3),
-    JordanFamily.diag_distinct(1, -4, 3),
-    JordanFamily.diag_repeated(1),
-    JordanFamily.diag_repeated(2),
-    JordanFamily.nilpotent_full(),
-)
-
 
 # ---------------------------------------------------------------------------
 # the generators: same draws, same matrices
