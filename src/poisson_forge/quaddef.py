@@ -16,11 +16,12 @@ admissible cubics for a twist matrix, on the kernel of the twist's
 derivation: for a regular twist (three distinct nonzero eigenvalues)
 the line of the invariant cubic det(x, Kx, K^2 x), for any other an
 exact elimination of the rows of D_K on the cubic monomials; both read
-K's flat values, and a K typed on the field with rational values is
-read on its rational twin.  Its answer is the span of the solutions on
-that kernel, which ``SolutionSpace.spanned_by`` puts on the canonical
-shape.  The bracket route alone shares nothing with the solver, so it
-is the one that makes the solver's re-check of its answers independent.
+K's flat values, and the solver reads a K typed on the field with
+rational values on its rational twin.  Its answer is the span of the
+solutions on that kernel, which ``SolutionSpace.spanned_by`` puts on
+the canonical shape.  The bracket route alone shares nothing with the
+solver, so it is the one that makes the solver's re-check of its
+answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -95,6 +96,23 @@ _DERIVATION_SLOTS = {e: tuple((e[i], 3 * i, tuple(
     for j in range(3))) for i in range(3) if e[i]) for e in CUBIC_MONOMIALS}
 
 
+def _derivation_sums(k: Sequence, terms) -> list:
+    """The coefficients of D_K F on CUBIC_MONOMIALS, for K's flat values
+    ``k`` and the terms (e, c) of F: c x^e adds e_i k_ij c at
+    x^(e - u_i + u_j) (``_DERIVATION_SLOTS``).  Zero entries of k are
+    skipped and a sum that cancels counts as absent, as in
+    ``apply_matrix_derivation``; an absent coefficient is int 0."""
+    out = [0] * 10
+    for e, c in terms:
+        for ei, row, slots in _DERIVATION_SLOTS[e]:
+            w = ei * c
+            for v, slot in zip(k[row:row + 3], slots):
+                if v:
+                    cur = out[slot]
+                    out[slot] = cur + v * w if cur else v * w
+    return out
+
+
 def cubic_coords(p: Polynomial) -> tuple:
     """Coefficient 10-vector of a homogeneous cubic on R^3."""
     if p.nvars != 3 or not p.is_homogeneous(3):
@@ -141,7 +159,7 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
 
     D_K F = 0 is tested on the numerators of the forms, K = m / D_K and
     F = f / D_F: each term c x^e of f adds e_i m_ij c at x^(e - u_i + u_j)
-    (``_DERIVATION_SLOTS``), ints for a rational pair and scalars that
+    (``_derivation_sums``), ints for a rational pair and scalars that
     just add otherwise, and D_K F is zero exactly when all ten sums are.
     Only a refused cubic builds ``apply_matrix_derivation(twist, cubic)``,
     to word the error.
@@ -153,14 +171,7 @@ class QuadraticPair(NamedTuple("QuadraticPair", [
         _check_twist(twist)
         if cubic.nvars != 3 or not cubic.is_homogeneous(3):
             raise ValueError("potential must be a homogeneous cubic on R^3")
-        m, out = twist._form[1], [0] * 10
-        for e, c in cubic._form[1].items():
-            for ei, row, slots in _DERIVATION_SLOTS[e]:
-                w = ei * c
-                for v, slot in zip(m[row:row + 3], slots):
-                    if v:
-                        out[slot] += v * w
-        if any(out):
+        if any(_derivation_sums(twist._form[1], cubic._form[1].items())):
             raise ValueError(
                 "cubic is not invariant under the twist flow "
                 "(derivation residual %s)"
@@ -351,24 +362,16 @@ _TRIPLE_SLOTS = tuple(tuple(tuple(
 
 def _derivation_rows(k: Sequence) -> list:
     """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for K's
-    flat row-major values ``k``: column s is ``apply_matrix_derivation``
-    of x^e, e = CUBIC_MONOMIALS[s].  Integer values give integer rows,
-    filled straight from ``_DERIVATION_SLOTS``: x^e adds e_i k_ij at
-    x^(e - u_i + u_j).  Any other values, which only an irrational
-    singular twist brings, give the images' coefficients, in value and
-    type, missing ones being Fraction(0).
+    flat row-major values as a form holds them (ints, or Fractions and
+    ExtScalars): column s is ``_derivation_sums`` of x^e,
+    e = CUBIC_MONOMIALS[s], the coefficients of
+    ``apply_matrix_derivation`` of x^e in value and type.  Integer values
+    give integer rows; a zero entry of any other rows is Fraction(0), as
+    a missing coefficient reads.
     """
-    if all(type(v) is int for v in k):
-        rows = [[0] * 10 for _ in CUBIC_MONOMIALS]
-        for s, e in enumerate(CUBIC_MONOMIALS):
-            for ei, row, slots in _DERIVATION_SLOTS[e]:
-                for v, slot in zip(k[row:row + 3], slots):
-                    rows[slot][s] += ei * v
-        return rows
-    m = Matrix._of_form(3, 1, k, False)
-    images = [apply_matrix_derivation(m, Polynomial._of_form(3, 1, {e: 1}))
-              for e in CUBIC_MONOMIALS]
-    return [[p.coeff(t) for p in images] for t in CUBIC_MONOMIALS]
+    zero = 0 if all(type(v) is int for v in k) else Fraction(0)
+    columns = [_derivation_sums(k, ((e, 1),)) for e in CUBIC_MONOMIALS]
+    return [[c[t] or zero for c in columns] for t in range(10)]
 
 
 def _minor_sum3(k: Sequence):
@@ -431,9 +434,9 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
 
 def _rational_on_field(k_matrix: Matrix) -> bool:
     """Is K typed on the field -- a nonzero ExtScalar entry -- while every
-    entry is rational-valued?  Such a K, as T K T' for a catalog rotation
-    T, solves on its rational twin ``as_rational_matrix(K)``, and only the
-    answer's entry types are lifted (``_lift``)."""
+    entry is rational-valued?  ``solve_F`` solves such a K, as T K T' for
+    a catalog rotation T, on its rational twin ``as_rational_matrix(K)``,
+    and lifts only the answer's entry types (``_lift``)."""
     vals = k_matrix._form[1]
     return (not k_matrix._rational
             and any(type(v) is ExtScalar and v for v in vals)
@@ -462,15 +465,8 @@ def _kernel(k_matrix: Matrix):
 
     A K whose ExtScalar entries are all zero has rows without ExtScalars
     and solves on ints, as a rational K does, so the flag fixes the entry
-    types of the space.  A K typed on the field with rational values
-    solves on ints too, on its rational twin, and its space is lifted
-    outside the cache to the types the field gives, with each basis
-    vector over 1 as its numerators, as for an irrational K.
+    types of the space.
     """
-    if _rational_on_field(k_matrix):
-        twin = as_rational_matrix(k_matrix)._form[1]
-        space = _lift(_kernel_of(False, twin)[0])
-        return True, space, tuple((1, b) for b in space.basis)
     field = not k_matrix._rational and any(
         type(v) is ExtScalar and v for v in k_matrix._form[1])
     # a K off the field is read on ints, whatever its entry types: the
@@ -483,8 +479,7 @@ def _kernel(k_matrix: Matrix):
 def _kernel_of(field: bool, k: tuple):
     """(ker D_K, its basis numerators) for K's flat values ``k``, kept for
     the last eight twists: ``solve_F`` and then ``cubic_kernel`` on one
-    twist compute its kernel once, and a twist typed on the field with
-    rational values shares the entry of its rational twin.
+    twist compute its kernel once.
 
     A regular K takes the line of ``_invariant_cubic``; any other K
     eliminates its ten kernel rows, on ints from the slot table for a

@@ -2,13 +2,14 @@
 rational twin, and the symmetry rows of ``der0_space`` on ints.
 
 A twist T K T' carried along a catalog rotation T usually holds
-ExtScalars whose values are rational.  ``quaddef.solve_F`` and
-``quaddef._kernel`` solve such a K on ``as_rational_matrix(K)`` and lift
-the answer's bound coordinates to ExtScalars; the field elimination they
-skip is the oracle: ``linalg_reference.kernel`` and ``stacked_solve_F``
-solve K's own rows, which are on ExtScalars, and the spaces must agree in
-value and in entry type.  ``_derivation_rows`` fills int rows from the
-slot table, against ``linalg_reference.derivation_rows``;
+ExtScalars whose values are rational.  ``quaddef.solve_F`` solves such a
+K on ``as_rational_matrix(K)`` and lifts the answer's bound coordinates
+to ExtScalars; the field elimination it skips is the oracle:
+``linalg_reference.stacked_solve_F`` solves K's own rows, which are on
+ExtScalars, and the spaces must agree in value and in entry type, as
+``cubic_kernel``'s field elimination must agree with
+``linalg_reference.kernel``.  ``_derivation_rows`` fills int rows from
+the slot table, against ``linalg_reference.derivation_rows``;
 ``linclass.der0_space`` builds its rows on the forms, against the unit
 matrices of ``linalg_reference.der0_rows``.
 """
@@ -24,7 +25,6 @@ from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
 from poisson_forge.linclass import der0_space, standard_pair
 from poisson_forge.quaddef import (
     _derivation_rows,
-    _kernel,
     cubic_kernel,
     enumerate_orbit_pairs,
     solve_F,
@@ -91,18 +91,12 @@ def _kernel_entry_hit(field, values):
 
 
 def _check_against_the_field_elimination(twist):
-    """K's kernel, its numerators and its solves over the ten cases equal
-    the eliminations of K's own rows, in values and entry types: (the
-    kernel's dimension, the number of nonempty solves)."""
+    """K's kernel and its solves over the ten cases equal the eliminations
+    of K's own rows, in values and entry types: (the kernel's dimension,
+    the number of nonempty solves)."""
     quaddef._kernel_of.cache_clear()
-    want = ref.kernel(twist)
-    got = cubic_kernel(twist)
-    assert _typed_space(got) == _typed_space(want)
-    field, space, nums = _kernel(twist)
-    assert field is True
-    assert _typed_space(space) == _typed_space(want)
-    assert [e for e, _ in nums] == [1] * len(want.basis)
-    assert _typed([m for _, m in nums]) == _typed(want.basis)
+    space = cubic_kernel(twist)
+    assert _typed_space(space) == _typed_space(ref.kernel(twist))
     solved = 0
     for case in range(1, 11):
         lp = standard_pair(case)
@@ -120,7 +114,7 @@ def test_rational_twists_on_the_field_solve_as_the_field_elimination(rng):
         dim, count = _check_against_the_field_elimination(twist)
         dims.add(dim)
         solved += count
-        # the space came from the twin's entry, not from one on the field
+        # solve_F solved on the twin's kernel, not on the field
         twin = exactnum.as_rational_matrix(twist)._form[1]
         assert _kernel_entry_hit(False, twin)
     assert {1, 2, 3} <= dims
@@ -164,7 +158,7 @@ def test_zero_extscalars_alone_keep_the_int_path():
     assert not quaddef._rational_on_field(twist)
     quaddef._kernel_of.cache_clear()
     assert _typed_space(cubic_kernel(twist)) == _typed_space(ref.kernel(twist))
-    assert _kernel(twist)[0] is False
+    assert quaddef._kernel(twist)[0] is False
 
 
 def test_a_twin_solve_is_one_solve_F_call(monkeypatch):
