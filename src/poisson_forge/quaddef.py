@@ -482,8 +482,8 @@ def _kernel_of(field: bool, k: tuple):
     twist compute its kernel once.
 
     A regular K takes the line of ``_invariant_cubic``; any other K
-    eliminates its ten kernel rows, on ints from the slot table for a
-    rational K.  The numerators are one (e, m) per basis vector
+    eliminates its ten kernel rows, filled from the slot table, on ints
+    for a rational K.  The numerators are one (e, m) per basis vector
     b = m / e, e > 0: ints for a rational kernel, f over |f_last| for the
     line of f, and the vector itself over 1 on ExtScalars.
     """
