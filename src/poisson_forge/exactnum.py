@@ -23,42 +23,45 @@ On top of the scalars the module provides:
 
 Every polynomial is stored on one form (D, T), the layout FLINT uses
 for ``fmpq_poly``: T maps exponent tuples to nonzero values over one
-denominator D > 0.  A rational polynomial holds int numerators over a
-canonical D (gcd(D, T) = 1), so two rational polynomials are equal
-exactly when their forms are; a polynomial with an ExtScalar
-coefficient holds its scalars (Fractions and ExtScalars) over D = 1.
-Products, sums (over lcm(D, E), or directly when the denominators
-agree), negation, scaling, ``diff`` and ``compose_linear`` have one body
-for both kinds: plain ``+`` and ``*`` on the values, and a flag, carried
-from the operands, that says whether they were all ints, so that the
-rational path makes no extra pass over its values.  ``_of_form`` alone
-normalises a result: it drops zero entries, divides int numerators and
-D by their gcd (none when D = 1), divides scalars by D, and puts the
-result back on ints once no ExtScalar is left.  A rational polynomial
-builds no Fraction until ``terms`` is read; that Fraction dict is a view
-built on first read and cached, and is T itself for the other kind, both
-behind a read-only ``MappingProxyType``.
-``==`` and ``hash`` agree across the two kinds, so a rational ExtScalar
-coefficient equals its Fraction twin.
+denominator D > 0.  A form's kind follows its values, and ``_of_form``
+alone decides it: a polynomial whose coefficients are all rational, an
+ExtScalar one read as its Fraction, is of the rational kind and holds
+int numerators over a canonical D (gcd(D, T) = 1); one with an
+irrational coefficient is of the field kind and holds its scalars
+(Fractions and ExtScalars, each of the type its arithmetic gave it)
+over D = 1.  Equal polynomials are therefore of one kind, and equal
+exactly when their forms are.  Products, sums (over lcm(D, E), or
+directly when the denominators agree), negation, scaling, ``diff`` and
+``compose_linear`` have one body for both kinds: plain ``+`` and ``*``
+on the values, and a flag, carried from the operands, that says whether
+they were all ints, so that the rational path makes no extra pass over
+its values.  ``_of_form`` normalises a result: it drops zero entries,
+divides int numerators and D by their gcd (none when D = 1), divides
+scalars by D, and puts the result on ints unless an irrational
+ExtScalar is among them.  A rational polynomial builds no Fraction
+until ``terms`` is read; that Fraction dict is a view built on first
+read and cached, and is T itself for the other kind, both behind a
+read-only ``MappingProxyType``.
 
 Every matrix is stored on one form (D, M) in the same way, the layout
 FLINT uses for ``fmpq_mat``: M is a flat tuple of its n^2 values, row by
-row, over one denominator D.  A rational matrix holds int numerators
-over a canonical D (D > 0, gcd(D, M) = 1), so two rational matrices are
-equal exactly when their forms are; a matrix with an ExtScalar entry
-holds its scalars over D = 1.  ``==``, sums, products, negation,
-``scaled``, ``transpose``, ``trace``, ``is_symmetric`` and the 3x3
-``det`` have one body for both kinds, plain ``+`` and ``*`` on the values
-with the flag carried from the operands; ``Matrix._of_form`` alone
-normalises a result, as for polynomials.  ``rows`` is a view built on
-first read (Fractions for a rational matrix), or the rows the
-constructor was given.  Structured matrices (``identity``, ``zero``
-and ``diagonal``) are built on the form directly, with no rows to
-coerce.  ``apply`` keeps an int path for a vector of Fractions.  No
-product takes the determinant of anything but a 3x3 matrix or inverts
-anything but a rational 3x3 matrix, so ``det`` has one closed form, for
-3x3, and ``inverse`` is D adj(M) / det(M) on the form ``as_rational_matrix``
-reads; other sizes raise ValueError, an irrational entry TypeError.
+row, over one denominator D, and ``Matrix._of_form`` alone decides its
+kind by the same rule: a matrix whose entries are all rational holds
+int numerators over a canonical D (D > 0, gcd(D, M) = 1), and one with
+an irrational entry holds its scalars over D = 1.  ``==``, sums,
+products, negation, ``scaled``, ``transpose``, ``trace``,
+``is_symmetric`` and the 3x3 ``det`` have one body for both kinds, plain
+``+`` and ``*`` on the values with the flag carried from the operands;
+``Matrix._of_form`` normalises a result, as for polynomials.  ``rows``
+is a view built on first read (Fractions for a rational matrix), or the
+rows the constructor was given when they are of the kind's types.
+Structured matrices (``identity``, ``zero`` and ``diagonal``) are built
+on the form directly, with no rows to coerce.  ``apply`` keeps an int
+path for a vector of Fractions.  No product takes the determinant of
+anything but a 3x3 matrix or inverts anything but a rational 3x3
+matrix, so ``det`` has one closed form, for 3x3, and ``inverse`` is
+D adj(M) / det(M) on the form of a rational matrix; other sizes raise
+ValueError, an irrational entry TypeError.
 
 Quadratic forms run on (D, M) too, fraction-free on flat lists.
 ``congruent_diagonalize`` keeps A = B / s and R = Q / t, starting from
@@ -66,9 +69,9 @@ A's form and Q = I: the shear that adds one column to another and the
 swap are column and row operations in place, and the shear F = b_kk E
 that clears row k sets column j to b_kk col j - b_kj col k, which
 leaves B's Schur complement below k over s b_kk, and Q F over t b_kk;
-so det R = +-1.  A is read by ``as_rational_matrix``, so the loop runs
-on ints, each scale and its list divided by their gcd after a shear,
-and an irrational entry raises TypeError.  ``classify`` reads the int
+so det R = +-1.  A must be rational (``as_rational_matrix``), so the
+loop runs on ints, each scale and its list divided by their gcd after a
+shear, and an irrational entry raises TypeError.  ``classify`` reads the int
 diagonal over one s > 0 off that loop (``_congruent_diagonal``), with no
 Fraction built.  ``_product3``, ``_congruence3`` and ``_det3``
 give A B, R' A R and det for 3x3 flat lists of values; ``linclass``
@@ -96,11 +99,14 @@ checked like a Bareiss cell), and one Fraction over den per coordinate
 is built at the end.  On a system with an ExtScalar entry the rows are
 read back as ExtScalars, den is 1 and the division is the field's.
 
-``as_rational`` is the one rational reader (``as_rational_matrix`` for a
-matrix): an int, a Fraction or a rational-valued ExtScalar reads as its
-Fraction, anything else (a float too) raises TypeError.  ``demote`` maps
-a rational-valued ExtScalar to its Fraction; JSON decoding applies it to
-four coordinates, and raises :class:`ParseError` on malformed input.
+``as_rational`` is the one rational reader: an int, a Fraction or a
+rational-valued ExtScalar reads as its Fraction, anything else (a float
+too) raises TypeError.  ``as_rational_matrix`` checks a matrix: it
+returns a rational one and raises that TypeError for the first
+irrational entry of any other.  ``demote`` maps a rational-valued
+ExtScalar to its Fraction; ``_of_form`` applies it to the values of a
+form of the rational kind, and JSON decoding to four coordinates,
+raising :class:`ParseError` on malformed input.
 The public constructors validate their arguments; arithmetic results
 built from already validated polynomials and matrices are not validated
 again, only normalised (``Polynomial._of_form``, ``Matrix._of_form``).
@@ -389,6 +395,12 @@ def demote(value):
     return value
 
 
+def _irrational(value) -> bool:
+    """Is ``value`` an ExtScalar with a nonzero sqrt2, sqrt3 or sqrt6
+    coordinate?"""
+    return type(value) is ExtScalar and not value.is_rational
+
+
 def as_rational(value) -> Fraction:
     """The one rational reader: the Fraction of an int, a Fraction or a
     rational-valued ExtScalar; TypeError for a float or anything else."""
@@ -401,10 +413,12 @@ def as_rational(value) -> Fraction:
 
 
 def as_rational_matrix(m: "Matrix") -> "Matrix":
-    """``m`` when rational, else the rational twin of a matrix whose entries
-    are all rational-valued (``as_rational``'s TypeError otherwise)."""
-    return m if m._rational else Matrix._of_form(
-        m.n, 1, [as_rational(v) for v in m._form[1]], False)
+    """``m`` when rational; otherwise ``as_rational``'s TypeError for its
+    first irrational entry, which a matrix of the field kind has."""
+    if not m._rational:
+        for v in m._form[1]:
+            as_rational(v)
+    return m
 
 
 SQRT2 = ExtScalar.parts(0, 1, 0, 0)
@@ -615,19 +629,24 @@ class Polynomial:
     def _of_form(cls, nvars: int, den: int, vals: dict,
                  rational: bool = True) -> "Polynomial":
         """vals / den for a positive den, on the canonical form: the one
-        normalisation.  The values are ints when ``rational`` is true,
-        and otherwise any mix of ints, Fractions and ExtScalars.  Zero
-        entries are dropped; scalars are divided by den, and go back on
-        ints once no ExtScalar is among them; int numerators and den are
-        divided by their gcd."""
+        normalisation, and the one place that decides the kind.  The
+        values are ints when ``rational`` is true, and otherwise any mix
+        of ints, Fractions and ExtScalars.  Zero entries are dropped;
+        scalars are divided by den when an irrational ExtScalar is among
+        them, and otherwise go on ints, a rational-valued ExtScalar read
+        as its Fraction; int numerators and den are divided by their
+        gcd."""
         self = object.__new__(cls)
         self.nvars, self._rational, self._terms = nvars, rational, None
         if 0 in vals.values():
             vals = {e: v for e, v in vals.items() if v}
         if not rational:
             if any(type(v) is ExtScalar for v in vals.values()):
-                self._form = (1, {e: _over(v, den) for e, v in vals.items()})
-                return self
+                if any(map(_irrational, vals.values())):
+                    self._form = (1, {e: _over(v, den)
+                                      for e, v in vals.items()})
+                    return self
+                vals = {e: demote(v) for e, v in vals.items()}
             # ints and Fractions: no Fraction is built for an int
             d, ints = _scaled_row(vals.values())
             den, vals, self._rational = den * d, dict(zip(vals, ints)), True
@@ -776,12 +795,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        if self._rational is not other._rational:
-            # a rational ExtScalar coefficient equals its Fraction twin
-            return self.terms == other.terms
-        return self._form == other._form
+        return self.nvars == other.nvars and self._form == other._form
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -1040,9 +1054,11 @@ class Matrix:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         m = Matrix._trusted(rows)
-        # the rows given are the view: no Fraction is rebuilt
-        self.n, self._form, self._rational, self._rows = (
-            m.n, m._form, m._rational, rows)
+        self.n, self._form, self._rational = m.n, m._form, m._rational
+        # the rows given are the view, no Fraction rebuilt, unless they
+        # hold an ExtScalar that the rational kind reads as its Fraction
+        self._rows = rows if not m._rational or all(
+            type(v) is Fraction for row in rows for v in row) else None
 
     @classmethod
     def _trusted(cls, rows) -> "Matrix":
@@ -1053,15 +1069,19 @@ class Matrix:
     @classmethod
     def _of_form(cls, n: int, den: int, vals, rational: bool = True) -> "Matrix":
         """vals / den, row by row, on the canonical form: the one
-        normalisation.  The values are ints when ``rational`` is true, and
-        otherwise any mix of ints, Fractions and ExtScalars."""
+        normalisation, and the one place that decides the kind, as
+        ``Polynomial._of_form`` does.  The values are ints when
+        ``rational`` is true, and otherwise any mix of ints, Fractions and
+        ExtScalars."""
         self = object.__new__(cls)
         self.n, self._rows, self._rational = n, None, True
         if not rational:
             if any(type(v) is ExtScalar for v in vals):
-                self._form = (1, tuple([_over(v, den) for v in vals]))
-                self._rational = False
-                return self
+                if any(map(_irrational, vals)):
+                    self._form = (1, tuple([_over(v, den) for v in vals]))
+                    self._rational = False
+                    return self
+                vals = list(map(demote, vals))
             d, vals = _scaled_row(vals)
             den *= d
         g = math.gcd(den, *vals)
@@ -1105,9 +1125,6 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._rational is not other._rational:
-            # a rational ExtScalar entry equals its Fraction twin
-            return self.rows == other.rows
         return self._form == other._form
 
     def __hash__(self):
@@ -1188,9 +1205,9 @@ class Matrix:
         return _over(_det3(vals), den ** 3)
 
     def inverse(self) -> "Matrix":
-        """(M/D)^-1 = D adj(M) / det(M) on the rational form of a 3x3
-        matrix: a rational-valued ExtScalar entry reads as its Fraction,
-        an irrational one raises ``as_rational``'s TypeError."""
+        """(M/D)^-1 = D adj(M) / det(M) on the form of a rational 3x3
+        matrix; an irrational entry raises ``as_rational``'s TypeError
+        (``as_rational_matrix``)."""
         _check_3x3(self.n, "inverse")
         den, vals = as_rational_matrix(self)._form
         det = _det3(vals)
@@ -1527,9 +1544,9 @@ def _congruent_diagonal(a: Matrix, rng=None):
     column j to b_kk col j - b_kj col k, so that F' B F / b_kk, every
     entry of which b_kk divides, is B's Schur complement below k with
     b_kk^2 at (k, k), over s b_kk, and Q F is over t b_kk.  Shears and
-    swaps give det R = +-1.  A is read by ``as_rational_matrix``, so the
-    loop runs on ints, each scale and its list divided by their gcd after
-    a shear; an irrational entry raises TypeError.
+    swaps give det R = +-1.  A must be rational, as ``as_rational_matrix``
+    checks, so the loop runs on ints, each scale and its list divided by
+    their gcd after a shear; an irrational entry raises TypeError.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")

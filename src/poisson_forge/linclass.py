@@ -47,7 +47,8 @@ defining equalities on T's numerators.
 
 Every rational input (a pair, a modulus, a witness, the matrix given to
 transform_pair, aut_member or is_derivation) is read by exactnum's one
-rational reader, as_rational or as_rational_matrix.
+rational reader, as_rational, or checked by as_rational_matrix, since a
+matrix whose entries are all rational is held on ints.
 """
 
 from __future__ import annotations
@@ -252,9 +253,10 @@ def pair_of(pi: MultiVectorField) -> LinearPair:
     identity [pi_X, pi_X] = -2 X.curl X (Dufour and Zung, 2005).  The
     sums that read A off M make it symmetric, and the Poisson test has
     refused A k != 0, so the pair is built by ``LinearPair._trusted``
-    after the rational reader alone: rational-valued ExtScalar
-    coefficients give the pair of their Fraction twin, and an irrational
-    one raises the reader's TypeError.  The pair's rows must give M back.
+    after the rational reader alone: a component whose coefficients are
+    all rational is on ints, ExtScalars given for them or not, so that it
+    gives the pair of its Fraction twin, and an irrational coefficient
+    raises the reader's TypeError.  The pair's rows must give M back.
     """
     _require_linear(pi)
     if pi.nvars != 3:

@@ -16,8 +16,8 @@ admissible cubics for a twist matrix, on the kernel of the twist's
 derivation: for a regular twist (three distinct nonzero eigenvalues)
 the line of the invariant cubic det(x, Kx, K^2 x), for any other an
 exact elimination of the rows of D_K on the cubic monomials; both read
-K's flat values, and the solver reads a K typed on the field with
-rational values on its rational twin.  Its answer is the span of the
+K's flat values, int numerators for a rational K, since a matrix whose
+values are all rational is held on ints.  Its answer is the span of the
 solutions on that kernel, which ``SolutionSpace.spanned_by`` puts on
 the canonical shape.  The bracket route alone shares nothing with the
 solver, so it is the one that makes the solver's re-check of its
@@ -52,7 +52,6 @@ from .exactnum import (
     apply_matrix_derivation,
     array_from_json,
     as_rational,
-    as_rational_matrix,
     as_scalar,
     cross3,
     demote,
@@ -432,47 +431,14 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
     return SolutionSpace(10, tuple(particular), (tuple(basis),))
 
 
-def _rational_on_field(k_matrix: Matrix) -> bool:
-    """Is K typed on the field -- a nonzero ExtScalar entry -- while every
-    entry is rational-valued?  ``solve_F`` solves such a K, as T K T' for
-    a catalog rotation T, on its rational twin ``as_rational_matrix(K)``,
-    and lifts only the answer's entry types (``_lift``)."""
-    vals = k_matrix._form[1]
-    return (not k_matrix._rational
-            and any(type(v) is ExtScalar and v for v in vals)
-            and all(type(v) is not ExtScalar or v.is_rational for v in vals))
-
-
-def _lift(space: SolutionSpace) -> SolutionSpace:
-    """A canonical space as its system on ExtScalars gives it: every bound
-    coordinate of the point and of each basis vector as ``ExtScalar.of``,
-    the free columns left at Fraction(0) and Fraction(1)."""
-    if space.is_empty:
-        return space
-    free = {_last_nonzero(b) for b in space.basis}
-
-    def lifted(v):
-        return tuple(x if i in free else ExtScalar.of(x)
-                     for i, x in enumerate(v))
-
-    return SolutionSpace(space.ambient_dim, lifted(space.particular),
-                         tuple(lifted(b) for b in space.basis))
-
-
 def _kernel(k_matrix: Matrix):
     """(whether ker D_K is on ExtScalars, ker D_K, its basis numerators)
-    for a checked twist, from ``_kernel_of`` on K's flat values.
-
-    A K whose ExtScalar entries are all zero has rows without ExtScalars
-    and solves on ints, as a rational K does, so the flag fixes the entry
-    types of the space.
-    """
-    field = not k_matrix._rational and any(
-        type(v) is ExtScalar and v for v in k_matrix._form[1])
-    # a K off the field is read on ints, whatever its entry types: the
-    # kernel equations are homogeneous, so the factor D changes nothing
-    k = (k_matrix if field else as_rational_matrix(k_matrix))._form[1]
-    return (field,) + _kernel_of(field, k)
+    for a checked twist, from ``_kernel_of`` on K's flat values: the int
+    numerators of a rational K, whose kernel equations are homogeneous,
+    so that the factor D changes nothing, and the scalars of a K of the
+    field kind."""
+    field = not k_matrix._rational
+    return (field,) + _kernel_of(field, k_matrix._form[1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -526,24 +492,13 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     and directions on the canonical form, which is that of
     ``solve_linear`` on the whole system, kernel and coefficient
     equations together, in values and entry types: the images are on
-    ExtScalars when K or the right-hand side has an ExtScalar, as that
-    system is.  Every member of the result is re-checked by
-    ``deform_check``'s two routes (``_deforms``) before being returned,
-    the identity route on the right-hand side solved against; the bracket
-    route, which shares no step with this solver, carries the
-    independence of the re-check.  A K typed on the field with rational
-    values is solved, and its members re-checked, on its rational twin
-    ``as_rational_matrix(K)``; the answer is then lifted (``_lift``) to
-    the entry types that the system on ExtScalars gives.
+    ExtScalars when K is of the field kind, as that system is.  Every
+    member of the result is re-checked by ``deform_check``'s two routes
+    (``_deforms``) before being returned, the identity route on the
+    right-hand side solved against; the bracket route, which shares no
+    step with this solver, carries the independence of the re-check.
     """
     _check_twist(k_matrix)
-    if _rational_on_field(k_matrix):
-        return _lift(_solve_F(lp, as_rational_matrix(k_matrix)))
-    return _solve_F(lp, k_matrix)
-
-
-def _solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
-    """``solve_F``'s body for a checked twist."""
     field, _, nums = _kernel(k_matrix)
     # k.grad F = q / den times den s, s the lcm of k's denominators:
     # integer rows, and a right-hand side of ints on a rational K (the
@@ -560,8 +515,7 @@ def _solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     if reduced.is_empty:
         return SolutionSpace(10, None, ())
     # the images are on ExtScalars exactly when the stacked system is
-    zero = (ExtScalar.of(0) if field or any(type(v) is ExtScalar for v in rhs)
-            else 0)
+    zero = ExtScalar.of(0) if field else 0
 
     def image(y):
         return tuple(sum((a * m[t] for a, (_, m) in zip(y, nums)
@@ -747,10 +701,9 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     floating-point eigenvalue report.
     """
     _check_twist(k_matrix)
-    try:
-        q = as_rational_matrix(k_matrix)
-    except TypeError:           # an irrational entry: no exact route
-        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    q = k_matrix
+    if not q._rational:         # an irrational entry: no exact route
+        return JordanFamily(OTHER, (), _float_eigen_report(q))
     c2, det, roots = char = _char_coeffs(q)
     distinct = sorted(set(roots or ()), reverse=True)
     if len(distinct) == 3 and 0 not in distinct:

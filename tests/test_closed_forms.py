@@ -5,7 +5,10 @@ one polynomial on the forms of the pair.  ``form_reference`` keeps the
 generic construction they replaced, a wedge product with the Euler field
 that is scaled and added to the potential bivector; on seeded pairs the
 two must agree in every component's form (D, T), its rational flag and
-the type of every coefficient.
+the type of every coefficient that the kind rule fixes (conftest's
+``kind_typed``): the potential part the reference adds is a form of its
+own kind, which a rational value inside a component of the field kind
+may have passed through on one route and not on the other.
 
 The other way round, ``linclass.pair_of`` reads (k, A) off the
 coefficients of a linear bivector on R^3, and ``linclass.decompose``
@@ -15,11 +18,13 @@ derivative along k and curl(L ^ L) = 0 as the Jacobi identity of L's
 constants.  ``form_reference`` keeps their curl, wedge and
 Schouten-bracket routes; on seeded bivectors, Poisson or not, on R^2 to
 R^8 for ``decompose`` and with Fraction or ExtScalar coefficients, the
-two must agree in values, entry types, exception types and messages;
-``pair_of`` of a field whose coefficients are all rational-valued must
-give what the reference gives on its Fraction twin, and each pair it
-builds unchecked what ``LinearPair``'s validating constructor makes of
-its fields.
+two must agree in values, exception types and messages, and in entry
+types: all of them for ``pair_of``, and for ``decompose`` those that the
+kind rule fixes, the Schouten route passing through forms of their own
+kinds.  A field given rational-valued ExtScalar coefficients is on the
+ints, so that ``pair_of`` gives what the reference gives on its Fraction
+twin, and each pair it builds unchecked is what ``LinearPair``'s
+validating constructor makes of its fields.
 
 Last, ``quaddef.deform_check`` decides the deformation criterion on
 coefficient forms, its bracket route from the vector fields of the two
@@ -38,7 +43,8 @@ from fractions import Fraction as F
 import pytest
 
 import form_reference as ref
-from conftest import random_ext_scalar, random_fraction, typed_components
+from conftest import (kind_typed, kind_typed_components, random_ext_scalar,
+                      random_fraction, typed_components)
 
 from poisson_forge import linclass
 from poisson_forge.exactnum import (SQRT2, SQRT3, ExtScalar, Matrix, Polynomial,
@@ -126,16 +132,30 @@ def test_pi_quad_matches_the_wedge_route(rng):
     for _ in range(30):
         twist = random_traceless(rng).scaled(F(1, rng.randint(1, 5)))
         pairs.append(QuadraticPair(twist, random_kernel_cubic(rng, twist)))
-    # field-form twists whose ExtScalar entries are rational, or zero
+    # twists whose ExtScalar entries are rational, or zero: the rational
+    # kind
     for twist in (Matrix([[ExtScalar.of(1), 0, 0], [0, ExtScalar.of(-1), 0],
                           [0, 0, 0]]),
                   Matrix([[1, 0, 0], [0, -1, 0], [0, 0, ExtScalar.of(0)]]),
                   Matrix([[ExtScalar.of(F(1, 2)), 1, 0], [0, F(-1, 2), 0],
                           [0, 0, ExtScalar.of(0)]])):
+        assert twist.integer_form() is not None
+        pairs.append(QuadraticPair(twist, random_kernel_cubic(rng, twist)))
+    # twists of the field kind: an irrational entry among ExtScalars and
+    # Fractions
+    for _ in range(10):
+        rows = [[random_ext_scalar(rng, True) for _ in range(3)]
+                for _ in range(3)]
+        rows[0][1] += SQRT2
+        rows[2][2] = -rows[0][0] - rows[1][1]
+        twist = Matrix(rows)
         pairs.append(QuadraticPair(twist, random_kernel_cubic(rng, twist)))
     field_twists = 0
     for qp in pairs:
-        _same(pi_quad(qp), ref.pi_quad(qp))
+        got, want = pi_quad(qp), ref.pi_quad(qp)
+        assert got == want
+        # the wedge route's potential part is a form of its own kind
+        assert kind_typed_components(got) == kind_typed_components(want)
         field_twists += qp.twist.integer_form() is None
     assert field_twists >= 10
 
@@ -160,7 +180,8 @@ def _typed_result(call, pi):
         return (_typed_scalars(out.k), out.gram._form, out.gram._rational,
                 tuple(type(v) for v in out.gram._form[1]))
     assert isinstance(out, Decomposition)
-    return (_typed_scalars(out.k), typed_components(out.curl_free),
+    # the Schouten route's forms are of their own kinds
+    return (kind_typed(out.k), kind_typed_components(out.curl_free),
             out.square_closed, out.twist_commutes)
 
 
@@ -196,34 +217,23 @@ def _field_coefficient(rng):
 
 
 def _retyped(pi, rng, scale=1):
-    """``pi`` times ``scale``, with about half of its coefficients stored
-    as ExtScalars: still Poisson when ``pi`` is."""
-    comps = {}
+    """(``pi`` times ``scale``, with about half of its coefficients given
+    as ExtScalars, and how many were): still Poisson when ``pi`` is."""
+    comps, wrapped = {}, 0
     for exps, poly in pi.components.items():
-        comps[exps] = Polynomial(pi.nvars, {
-            x: ExtScalar.of(c) * scale if rng.random() < 0.5 else c * scale
-            for x, c in poly.terms.items()})
-    return MultiVectorField(pi.nvars, 2, comps)
-
-
-def _fraction_twin(pi):
-    """``pi`` with its coefficients as Fractions, when it has an ExtScalar
-    coefficient and all of them are rational-valued; else None."""
-    coefs = [c for p in pi.components.values() for c in p.terms.values()]
-    if not any(isinstance(c, ExtScalar) for c in coefs) or any(
-            isinstance(c, ExtScalar) and not c.is_rational for c in coefs):
-        return None
-    return MultiVectorField(pi.nvars, 2, {
-        exps: Polynomial(pi.nvars, {
-            x: c.coords[0] if isinstance(c, ExtScalar) else c
-            for x, c in p.terms.items()})
-        for exps, p in pi.components.items()})
+        terms = {}
+        for x, c in poly.terms.items():
+            if rng.random() < 0.5:
+                c, wrapped = ExtScalar.of(c), wrapped + 1
+            terms[x] = c * scale
+        comps[exps] = Polynomial(pi.nvars, terms)
+    return MultiVectorField(pi.nvars, 2, comps), wrapped
 
 
 #: floors, per seed, on two outcomes among the 257 inputs: a pair from a
-#: Poisson bivector with rational-valued ExtScalar coefficients, and a
+#: Poisson bivector given rational-valued ExtScalar coefficients, and a
 #: TypeError for an irrational coefficient (measured at ten seeds,
-#: 0, 7, 403 and 20260412 among them: 27 to 36, and 31 to 40)
+#: 0, 7, 403 and 20260412 among them: 25 to 29, and 31 to 40)
 EXT_PAIRS_FLOOR = 20
 IRRATIONAL_FLOOR = 25
 
@@ -236,20 +246,30 @@ def test_pair_of_matches_the_schouten_route(rng):
     fields += [_random_linear_bivector(rng, 3, _field_coefficient)
                for _ in range(60)]
     # Poisson bivectors with ExtScalar coefficients: rational-valued ones,
-    # and the same scaled by sqrt2 or 1 + sqrt3
+    # counted as they are built when one is given, and the same scaled by
+    # sqrt2 or 1 + sqrt3
+    ext_built = set()
     for pi in rng.sample(poisson, 30):
-        fields.append(_retyped(pi, rng))
-        fields.append(_retyped(pi, rng, rng.choice([SQRT2, 1 + SQRT3])))
+        field, wrapped = _retyped(pi, rng)
+        if wrapped:
+            ext_built.add(len(fields))
+        fields.append(field)
+        fields.append(_retyped(pi, rng, rng.choice([SQRT2, 1 + SQRT3]))[0])
     # k = 0 with a mixed off-diagonal pair: M_01 - M_10 is an ExtScalar 0
+    ext_built.add(len(fields))
     fields.append(MultiVectorField(3, 2, {
         (0, 2): Polynomial(3, {(1, 0, 0): ExtScalar.of(-2)}),
         (1, 2): Polynomial(3, {(0, 1, 0): F(2)})}))
     outcomes = Counter()
-    for pi in fields:
+    for index, pi in enumerate(fields):
         got = _typed_result(pair_of, pi)
-        twin = _fraction_twin(pi)
-        # a rational-valued input gives what its Fraction twin gives
-        assert got == _typed_result(ref.pair_of, twin or pi)
+        if index in ext_built:
+            # rational-valued ExtScalars leave every component on the ints
+            # and its coefficients Fractions, so that pair_of gives what
+            # the reference gives on the Fraction twin
+            assert all(p.integer_form() is not None
+                       for p in pi.components.values())
+        assert got == _typed_result(ref.pair_of, pi)
         outcome = got[0] if got[0] in (ValueError, TypeError) else LinearPair
         if outcome is LinearPair:
             # pair_of wraps its pair unchecked: it must be what the
@@ -258,7 +278,7 @@ def test_pair_of_matches_the_schouten_route(rng):
             assert got == _typed_result(
                 lambda _: LinearPair(pair.k, pair.gram), pi)
         outcomes[outcome] += 1
-        outcomes["ext pair"] += outcome is LinearPair and twin is not None
+        outcomes["ext pair"] += outcome is LinearPair and index in ext_built
     assert outcomes[LinearPair] >= len(poisson)
     assert outcomes[ValueError] >= 100
     assert outcomes["ext pair"] >= EXT_PAIRS_FLOOR
@@ -274,7 +294,7 @@ def test_pair_of_words_the_jacobiator_without_a_bracket(rng, monkeypatch):
     fields = [_random_linear_bivector(rng, 3, coefficient)
               for coefficient in (random_fraction, _field_coefficient)
               for _ in range(20)]
-    fields += [_retyped(pi, rng, SQRT2) for pi in fields[:10]]
+    fields += [_retyped(pi, rng, SQRT2)[0] for pi in fields[:10]]
     want = [_typed_result(ref.pair_of, pi) for pi in fields]
 
     def refuse(*args):
@@ -312,7 +332,7 @@ def test_decompose_matches_the_schouten_route(rng):
                    for _ in range(4 if few else 15)]
         fields += [_semidirect(rng, n, coefficient)
                    for coefficient in (random_fraction, _field_coefficient)]
-    fields += [_retyped(pi, rng, SQRT2) for pi in rng.sample(fields, 20)]
+    fields += [_retyped(pi, rng, SQRT2)[0] for pi in rng.sample(fields, 20)]
     closed, commutes = set(), set()
     for pi in fields:
         got = _typed_result(decompose, pi)

@@ -360,15 +360,20 @@ def _through_cancelled_irrationals(nvars, terms):
 def test_polynomial_kinds_agree_on_equality_and_hash(ints, den, terms, build):
     on_form = Polynomial._of_form(3, den, ints)
     from_init = build(3, terms)
+    # a rational-valued ExtScalar coefficient leaves the polynomial on ints
     with_ext = P(3, {**terms, X1: ExtScalar.of(terms[X1])})
-    assert with_ext.integer_form() is None
-    assert on_form.integer_form() == from_init.integer_form()
+    assert on_form.integer_form() == from_init.integer_form() == (
+        with_ext.integer_form()) is not None
     assert on_form == from_init == with_ext
     assert with_ext == on_form and with_ext == from_init
     assert hash(on_form) == hash(from_init) == hash(with_ext)
-    for p in (on_form, from_init):
+    for p in (on_form, from_init, with_ext):
         assert all(type(c) is Fraction for c in p.terms.values())
-    assert type(with_ext.terms[X1]) is ExtScalar
+    # an irrational one keeps the field kind, which no rational form equals
+    irrational = P(3, {**terms, X1: terms[X1] + SQRT2})
+    assert irrational.integer_form() is None
+    assert type(irrational.terms[X1]) is ExtScalar
+    assert irrational != on_form and irrational - on_form == P(3, {X1: SQRT2})
 
 
 def test_zero_polynomial_has_the_unit_form():
@@ -437,7 +442,8 @@ def test_matrix_inverse_over_extension_field():
     m = Matrix([[ExtScalar.of(2), ExtScalar.of(1), 0],
                 [0, ExtScalar.of(F(1, 2)), 0],
                 [ExtScalar.of(1), 0, ExtScalar.of(3)]])
-    assert m.integer_form() is None
+    assert m.integer_form() == (2, (4, 2, 0, 0, 1, 0, 2, 0, 6))
+    assert all(type(v) is F for row in m.rows for v in row)
     inv = m.inverse()
     assert inv.integer_form() is not None
     assert inv == Matrix([[F(1, 2), -1, 0], [0, 2, 0], [F(-1, 6), F(1, 3), F(1, 3)]])

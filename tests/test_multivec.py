@@ -13,6 +13,7 @@ from conftest import (
     function_field,
     random_field,
     random_polynomial,
+    rational_kind,
     typed_components,
 )
 from form_reference import (
@@ -449,8 +450,9 @@ def test_linear_vf_of_a_field_matrix_matches_the_row_route():
     want = MultiVectorField(3, 1, {(i,): _linear(row)
                                    for i, row in enumerate(a.rows)})
     assert typed_components(linear_vf(a)) == typed_components(want)
+    # by the kind rule: the row of rational-valued ExtScalars is on ints
     assert [p._rational for _, p in sorted(linear_vf(a).components.items())] == [
-        False, False, True]
+        rational_kind(row) for row in a.rows] == [False, True, True]
     b = Matrix([[SQRT3 + 1, 2, F(1, 5)], [0, 0, 0], [F(7, 2), SQRT2, -SQRT3]])
     want = MultiVectorField(3, 1, {(i,): _linear(row)
                                    for i, row in enumerate(b.rows)})

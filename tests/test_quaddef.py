@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import linalg_reference as ref
-from conftest import along, random_ext_scalar
+import poly_reference
+from conftest import random_ext_scalar
 
 from poisson_forge.exactnum import (
     ExactSqrtError,
@@ -343,9 +344,12 @@ def test_assembled_rows_match_the_polynomial_route(rng):
             entries[1][1] = -entries[0][0]   # diagonal sums that cancel
         k_matrix = Matrix(entries)
         k = [_random_twist_entry(rng) for _ in range(3)]
-        drifts = [along(Polynomial.monomial(3, e), k)
+        # the dict kernel's derivatives: on the package's polynomials each
+        # partial derivative would be a form of its own kind, which the
+        # drift rows, read off k, do not pass through
+        drifts = [poly_reference.Polynomial.monomial(3, e).directional_diff(k)
                   for e in CUBIC_MONOMIALS]
-        drift = [[p.coeff(t) for p in drifts] for t in QUAD_MONOMIALS]
+        drift = [[p.terms.get(t, F(0)) for p in drifts] for t in QUAD_MONOMIALS]
         assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(
             ref.derivation_rows(k_matrix))
         assert _typed(_drift_rows(k)) == _typed(drift)
@@ -540,6 +544,13 @@ def test_solve_F_on_the_kernel_matches_the_stacked_system(rng):
               for case in rng.sample(range(1, 11), 3)]
     draws += [(standard_pair(case), twist)
               for twist in DEGENERATE_TWISTS for case in (1, 6, 7, 10)]
+    # twists of the field kind: the catalog's are rational but for a few,
+    # so rational twists and the degenerate ones are also drawn times an
+    # irrational scale
+    draws += [(standard_pair(rng.randint(1, 10)), twist.scaled(
+                  rng.choice([SQRT2, 1 + SQRT3])))
+              for twist in [_random_rational_twist(rng) for _ in range(8)]
+              + DEGENERATE_TWISTS[:-1]]
     dims, field, solved = set(), 0, 0
     for lp, twist in draws:
         got, want = solve_F(lp, twist), ref.stacked_solve_F(lp, twist)
@@ -556,9 +567,9 @@ def test_solve_F_on_the_kernel_matches_the_stacked_system(rng):
 
 
 def test_twists_equal_in_value_keep_the_entry_types_of_their_own_solve():
-    # a field-form K whose ExtScalars are all zero solves on ints, like
-    # the same K with an ExtScalar entry does not: the shared kernel must
-    # keep the entry types of each
+    # twists equal in value are of one kind, the rational one here,
+    # whatever ExtScalars they were given, zero or not: the shared kernel
+    # must keep the entry types of each solve
     on_ring = Matrix([[ExtScalar.of(1), 0, 0], [0, ExtScalar.of(-1), 0],
                       [0, 0, 0]])
     on_ints = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, ExtScalar.of(0)]])

@@ -1,30 +1,47 @@
-"""Twists typed on the field with rational values, solved on their
-rational twin, and the symmetry rows of ``der0_space`` on ints.
+"""Twists whose values are rational, given as ExtScalars or carried along
+a catalog rotation, and the symmetry rows of ``der0_space`` on ints.
 
-A twist T K T' carried along a catalog rotation T usually holds
-ExtScalars whose values are rational.  ``quaddef.solve_F`` solves such a
-K on ``as_rational_matrix(K)`` and lifts the answer's bound coordinates
-to ExtScalars; the field elimination it skips is the oracle:
-``linalg_reference.stacked_solve_F`` solves K's own rows, which are on
-ExtScalars, and the spaces must agree in value and in entry type, as
-``cubic_kernel``'s field elimination must agree with
-``linalg_reference.kernel``.  ``_derivation_rows`` fills int rows from
-the slot table, against ``linalg_reference.derivation_rows``;
-``linclass.der0_space`` builds its rows on the forms, against the unit
-matrices of ``linalg_reference.der0_rows``.
+A twist T K T' carried along a catalog rotation T usually has rational
+values, though T has sqrt2 and sqrt3 entries; by the kind rule of
+``Matrix._of_form`` such a K is of the rational kind, held on ints, as
+is a K given rational-valued ExtScalars.  ``quaddef.solve_F`` and
+``cubic_kernel`` solve it on ints, and the field elimination stays for a
+K with an irrational entry.  ``linalg_reference.stacked_solve_F`` solves
+K's own rows, and the spaces must agree in value and in entry type, as
+``cubic_kernel`` must agree with ``linalg_reference.kernel``.
+``_derivation_rows`` fills int rows from the slot table, against
+``linalg_reference.derivation_rows``; ``linclass.der0_space`` builds its
+rows on the forms, against the unit matrices of
+``linalg_reference.der0_rows``.
 """
 
-import subprocess
-import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import linalg_reference as ref
-from conftest import SWEEP_FAMILIES, random_rational_invertible
+import poly_reference
+from conftest import (
+    SWEEP_FAMILIES,
+    random_rational_invertible,
+    rational_kind,
+    rational_valued,
+)
 from poisson_forge import exactnum, quaddef
-from poisson_forge.exactnum import SQRT2, SQRT3, ExtScalar, Matrix
+from poisson_forge.exactnum import (
+    SQRT2,
+    SQRT3,
+    SQRT6,
+    ExtScalar,
+    Matrix,
+    Polynomial,
+    as_rational,
+    scalar_div,
+)
 from poisson_forge.linclass import der0_space, standard_pair
 from poisson_forge.quaddef import (
+    CUBIC_MONOMIALS,
     _derivation_rows,
+    cubic_from_coords,
     cubic_kernel,
     enumerate_orbit_pairs,
     solve_F,
@@ -41,9 +58,9 @@ def _typed_space(space):
     return _typed((space.particular,) + space.basis)
 
 
-def _on_field(rng, twist):
+def _wrapped(rng, twist):
     """The twist with a random nonempty set of its nonzero entries wrapped
-    in ``ExtScalar.of``: typed on the field, rational in value."""
+    in ``ExtScalar.of``: rational in value."""
     rows = [list(row) for row in twist.rows]
     cells = [(i, j) for i in range(3) for j in range(3) if rows[i][j]]
     for i, j in rng.sample(cells, rng.randint(1, len(cells))):
@@ -60,9 +77,10 @@ def _conjugates(rng, shape, count):
 
 
 def _twin_twists(rng):
-    """Regular and singular rational twists typed on the field: random
-    traceless draws, and conjugates of a repeated eigenvalue, the two
-    nilpotent shapes and the eigenvalues 0 and +-mu."""
+    """(twist, the twist given rational-valued ExtScalars) for regular and
+    singular rational twists: random traceless draws, and conjugates of a
+    repeated eigenvalue, the two nilpotent shapes and the eigenvalues 0
+    and +-mu."""
     twists = []
     for _ in range(10):
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
@@ -75,7 +93,8 @@ def _twin_twists(rng):
                   Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
                   Matrix.diagonal([mu, -mu, 0])):
         twists += [shape] + _conjugates(rng, shape, 3)
-    return [_on_field(rng, twist) for twist in twists if not twist.is_zero()]
+    return [(twist, _wrapped(rng, twist)) for twist in twists
+            if not twist.is_zero()]
 
 
 def _transported_twists():
@@ -83,14 +102,7 @@ def _transported_twists():
             for orbit in enumerate_orbit_pairs(family)]
 
 
-def _kernel_entry_hit(field, values):
-    """Whether ``_kernel_of(field, values)`` reads a kept entry."""
-    hits = quaddef._kernel_of.cache_info().hits
-    quaddef._kernel_of(field, values)
-    return quaddef._kernel_of.cache_info().hits == hits + 1
-
-
-def _check_against_the_field_elimination(twist):
+def _check_against_the_elimination(twist):
     """K's kernel and its solves over the ten cases equal the eliminations
     of K's own rows, in values and entry types: (the kernel's dimension,
     the number of nonempty solves)."""
@@ -108,36 +120,33 @@ def _check_against_the_field_elimination(twist):
 
 
 def test_rational_twists_on_the_field_solve_as_the_field_elimination(rng):
+    """Rational-valued ExtScalar entries: the twist is on the ints, with
+    the form of its Fraction twin, and solves as the elimination of its
+    rows does."""
     dims, solved = set(), 0
-    for twist in _twin_twists(rng):
-        assert quaddef._rational_on_field(twist)
-        dim, count = _check_against_the_field_elimination(twist)
+    for twin, twist in _twin_twists(rng):
+        assert twist._rational and twist._form == twin._form
+        dim, count = _check_against_the_elimination(twist)
         dims.add(dim)
         solved += count
-        # solve_F solved on the twin's kernel, not on the field
-        twin = exactnum.as_rational_matrix(twist)._form[1]
-        assert _kernel_entry_hit(False, twin)
     assert {1, 2, 3} <= dims
     assert solved >= 10
 
 
 def test_transported_twists_take_the_twin_or_the_field_path():
-    """The catalog twists: the rational-valued ones on the field solve on
-    their twin, the irrational ones on the field, the rest on ints."""
-    kinds = {"twin": 0, "field": 0, "rational": 0}
+    """The catalog twists: all but two have rational values and are on
+    the ints; the two with an irrational entry stay on the field.  Each
+    solves as the elimination of its rows does."""
+    kinds = {"field": 0, "rational": 0}
     for twist in _transported_twists():
-        if quaddef._rational_on_field(twist):
-            kinds["twin"] += 1
-            _check_against_the_field_elimination(twist)
-            twin = exactnum.as_rational_matrix(twist)._form[1]
-            assert _kernel_entry_hit(False, twin)
-        elif twist._rational:
-            kinds["rational"] += 1
-        else:
-            kinds["field"] += 1
-            _check_against_the_field_elimination(twist)
-            assert _kernel_entry_hit(True, twist._form[1])
-    assert kinds == {"twin": 8, "field": 2, "rational": 13}
+        kinds["rational" if twist._rational else "field"] += 1
+        assert twist._rational is rational_valued(twist)
+        _check_against_the_elimination(twist)
+    assert kinds == {"field": 2, "rational": 21}
+    cubics = [cubic._rational for family in SWEEP_FAMILIES
+              for orbit in enumerate_orbit_pairs(family)
+              for cubic in orbit.cubics]
+    assert (len(cubics), sum(cubics)) == (38, 32)
 
 
 def test_irrational_twists_stay_on_the_field():
@@ -146,60 +155,147 @@ def test_irrational_twists_stay_on_the_field():
                   Matrix([[SQRT2, 1, 0], [0, -SQRT2, 0], [0, 0, 0]]),
                   Matrix([[ExtScalar.of(1), SQRT3, 0], [0, 2, 0],
                           [0, 0, -3]])):
-        assert not quaddef._rational_on_field(twist)
-        _check_against_the_field_elimination(twist)
-        assert _kernel_entry_hit(True, twist._form[1])
+        assert not twist._rational
+        _check_against_the_elimination(twist)
+        assert quaddef._kernel(twist)[0] is True
 
 
 def test_zero_extscalars_alone_keep_the_int_path():
-    # a K whose ExtScalars are all zero is not typed on the field: its
-    # kernel stays on Fractions
+    # a K whose ExtScalars are all zero is of the rational kind: its
+    # kernel is on Fractions
     twist = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, ExtScalar.of(0)]])
-    assert not quaddef._rational_on_field(twist)
+    assert twist._rational
     quaddef._kernel_of.cache_clear()
     assert _typed_space(cubic_kernel(twist)) == _typed_space(ref.kernel(twist))
     assert quaddef._kernel(twist)[0] is False
 
 
-def test_a_twin_solve_is_one_solve_F_call(monkeypatch):
-    """``solve_F`` on a twin runs its body once and does not call itself
-    through the module, so a wrapper of ``quaddef.solve_F`` counts one
-    call."""
-    calls = []
-    inner = quaddef.solve_F
-
-    def counted(lp, k_matrix):
-        calls.append(k_matrix)
-        return inner(lp, k_matrix)
-
-    monkeypatch.setattr(quaddef, "solve_F", counted)
-    twist = Matrix([[ExtScalar.of(1), 0, 0], [0, 2, 0], [0, 0, -3]])
-    assert not quaddef.solve_F(standard_pair(7), twist).is_empty
-    assert calls == [twist]
+def _entry(rng):
+    """An int, a Fraction or the ExtScalar of a rational, zero too."""
+    q = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.choice([q.numerator, q, ExtScalar.of(q), ExtScalar.of(0)])
 
 
-def test_twin_recheck_survives_optimized_mode():
-    script = (
-        "import sys\n"
-        "if __debug__:\n"
-        "    sys.exit('not optimized')\n"
-        "from poisson_forge import quaddef\n"
-        "from poisson_forge.exactnum import ExtScalar, Matrix\n"
-        "from poisson_forge.linclass import standard_pair\n"
-        "twist = Matrix([[ExtScalar.of(1), 0, 0], [0, 2, 0], [0, 0, -3]])\n"
-        "assert quaddef._rational_on_field(twist)\n"
-        "quaddef._deforms = lambda gram, qp, kform, rhs: False\n"
-        "try:\n"
-        "    quaddef.solve_F(standard_pair(7), twist)\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    sys.exit('solve_F returned a cubic the bracket route rejects')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "bracket route rejects" in proc.stdout
+def _entries(rng, count, irrational):
+    """``count`` entries, one of them irrational when ``irrational``."""
+    out = [_entry(rng) for _ in range(count)]
+    if irrational:
+        out[rng.randrange(count)] += rng.choice([SQRT2, SQRT3, SQRT6])
+    return out
+
+
+def _product(a, b):
+    """A B on square rows of scalars, by scalar arithmetic alone, flat."""
+    n = len(a)
+    return [sum((a[i][t] * b[t][j] for t in range(n)), F(0))
+            for i in range(n) for j in range(n)]
+
+
+def _rows(flat, n=3):
+    return [flat[k:k + n] for k in range(0, n * n, n)]
+
+
+def _check_matrix(got, values):
+    """``got`` holds the flat ``values``, computed without forms, as the
+    kind rule says: on ints exactly when every value is rational, and
+    then with the form, Fraction rows, ``==`` and hash of its Fraction
+    twin; on the field, off the ints, otherwise."""
+    rational = rational_kind(values)
+    assert got._rational is rational
+    assert [v for row in got.rows for v in row] == list(values)
+    if not rational:
+        assert got.integer_form() is None
+        return
+    twin = Matrix(_rows([as_rational(v) for v in values], got.n))
+    assert got._form == got.integer_form() == twin._form
+    assert _typed(got.rows) == _typed(twin.rows)
+    assert got == twin and hash(got) == hash(twin)
+
+
+def _check_polynomial(got, values):
+    """``_check_matrix`` for a polynomial of the terms ``values``."""
+    values = {e: v for e, v in values.items() if v}
+    rational = rational_kind(values.values())
+    assert got._rational is rational
+    assert dict(got.terms) == values
+    if not rational:
+        assert got.integer_form() is None
+        return
+    twin = Polynomial(got.nvars, {e: as_rational(v) for e, v in values.items()})
+    assert got._form == got.integer_form() == twin._form
+    assert ({e: (type(v), v) for e, v in got.terms.items()}
+            == {e: (type(v), v) for e, v in twin.terms.items()})
+    assert got == twin and hash(got) == hash(twin)
+
+
+def test_a_form_is_on_ints_exactly_when_its_values_are_rational(rng):
+    kinds = Counter()
+
+    def matrix(got, values):
+        _check_matrix(got, values)
+        kinds["matrix", got._rational] += 1
+
+    def polynomial(got, values):
+        _check_polynomial(got, values)
+        kinds["polynomial", got._rational] += 1
+
+    for _ in range(30):
+        irrational = rng.random() < 0.4
+        # the constructors, _of_form and diagonal
+        vals, den = _entries(rng, 9, irrational), rng.randint(1, 6)
+        matrix(Matrix(_rows(vals)), vals)
+        matrix(Matrix._of_form(3, den, list(vals), False),
+               [scalar_div(v, den) for v in vals])
+        diag = _entries(rng, 3, irrational)
+        matrix(Matrix.diagonal(diag), [diag[0], 0, 0, 0, diag[1], 0, 0, 0,
+                                       diag[2]])
+        terms = dict(zip(CUBIC_MONOMIALS, _entries(rng, 10, irrational)))
+        polynomial(Polynomial(3, terms), terms)
+        polynomial(Polynomial._of_form(3, den, dict(terms), False),
+                   {e: scalar_div(v, den) for e, v in terms.items()})
+        c = _entries(rng, 1, irrational)[0]
+        polynomial(Polynomial.constant(3, c), {(0, 0, 0): c})
+        # cubic_from_coords on rationals wrapped in ExtScalar.of
+        coords = [ExtScalar.of(as_rational(v)) if rational_kind((v,)) else v
+                  for v in _entries(rng, 10, irrational)]
+        polynomial(cubic_from_coords(coords), dict(zip(CUBIC_MONOMIALS, coords)))
+        # scaled, and sums whose sqrt parts cancel
+        m = Matrix(_rows(_entries(rng, 9, False)))
+        unit = rng.choice([SQRT2, SQRT3, SQRT6])
+        flat = [v for row in m.rows for v in row]
+        matrix(m.scaled(unit), [v * unit for v in flat])
+        matrix(m.scaled(unit).scaled(unit), [v * unit * unit for v in flat])
+        other = Matrix(_rows(_entries(rng, 9, True)))
+        theirs = [v for row in other.rows for v in row]
+        matrix(m + other, [a + b for a, b in zip(flat, theirs)])
+        matrix((m + other) - other,
+               [(a + b) - b for a, b in zip(flat, theirs)])
+        p = Polynomial(3, dict(zip(CUBIC_MONOMIALS, _entries(rng, 10, False))))
+        q = Polynomial(3, dict(zip(CUBIC_MONOMIALS, _entries(rng, 10, True))))
+        polynomial(p * unit, {e: v * unit for e, v in p.terms.items()})
+        polynomial(p * unit * unit, {e: v * unit * unit
+                                     for e, v in p.terms.items()})
+        polynomial((p + q) - q, dict(p.terms))
+    # T K T' and the pullbacks by T' and then by T, for every catalog rotation
+    cubic = Polynomial(3, dict(zip(CUBIC_MONOMIALS, _entries(rng, 10, False))))
+    for points in quaddef._REP_POINTS.values():
+        for point in points.values():
+            t = quaddef._rep_rotation(point)[2]
+            tt = t.transpose()
+            for family in SWEEP_FAMILIES:
+                k = family.matrix()
+                for twist in (k, k + Matrix.diagonal([SQRT2, -SQRT2, 0])):
+                    matrix(t * twist * tt,
+                           _product(_rows(_product(t.rows, twist.rows)),
+                                    tt.rows))
+            there = cubic.compose_linear(tt)
+            polynomial(there, poly_reference.Polynomial(
+                3, cubic.terms).compose_linear(tt).terms)
+            back = there.compose_linear(t)
+            polynomial(back, poly_reference.Polynomial(
+                3, there.terms).compose_linear(t).terms)
+            assert back == cubic
+    assert min(kinds.values()) >= 40 and len(kinds) == 4, kinds
 
 
 def test_int_derivation_rows_fill_the_slot_table(rng):

@@ -276,8 +276,11 @@ def test_transform_pair_raises_as_the_inverse_route():
         (Matrix.identity(4), (ValueError, "det is implemented for 3x3, not 4x4")),
         (Matrix.diagonal([SQRT2, 1, 1]), irrational),
         (Matrix([[SQRT2, 0], [0, 1]]), irrational),
+        (singular.scaled(SQRT2), irrational),
     ]
-    assert not singular_ext._rational
+    # rational-valued ExtScalars give the rational kind: singular's form
+    assert singular_ext._rational and singular_ext._form == singular._form
+    assert not singular.scaled(SQRT2)._rational
     for t, error in cases:
         assert _outcome(t, pair, transform_pair) == error
         assert _outcome(t, pair, ref.transform_pair) == error

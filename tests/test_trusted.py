@@ -245,11 +245,16 @@ def test_matrix_results_match_validated_copies():
 def test_rational_matrix_returns_its_checked_argument():
     m = Matrix([[1, F(1, 2), 0], [0, 1, 0], [0, 0, 1]])
     assert as_rational_matrix(m) is m
-    # a field-form matrix whose entries are all rational reads as its twin
-    twin = as_rational_matrix(Matrix([[1, 0, 0], [0, ExtScalar.of(F(1, 2)), 0],
-                                      [0, 0, ExtScalar.of(1)]]))
-    assert twin.integer_form() == (2, (2, 0, 0, 0, 1, 0, 0, 0, 2))
-    assert twin == Matrix.diagonal([1, F(1, 2), 1])
+    # a matrix whose entries are all rational, ExtScalars too, is rational
+    given = Matrix([[1, 0, 0], [0, ExtScalar.of(F(1, 2)), 0],
+                    [0, 0, ExtScalar.of(1)]])
+    assert as_rational_matrix(given) is given
+    assert given.integer_form() == (2, (2, 0, 0, 0, 1, 0, 0, 0, 2))
+    assert given == Matrix.diagonal([1, F(1, 2), 1])
+    # the first irrational entry of any other raises
+    with pytest.raises(TypeError, match="got sqrt2$"):
+        as_rational_matrix(Matrix([[ExtScalar.of(1), SQRT2, 0],
+                                   [0, SQRT3, 0], [0, 0, 1]]))
     with pytest.raises(TypeError, match="got sqrt2"):
         as_rational_matrix(Matrix([[ExtScalar.of(1), 0, 0], [0, SQRT2, 0],
                                    [0, 0, 1]]))
