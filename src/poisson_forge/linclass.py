@@ -223,9 +223,9 @@ def _signed_rows(pi: MultiVectorField, keys: tuple = _UNIT_EXPONENTS):
 
     M holds each component's numerators over the lcm d of the three
     denominators: ints for a rational bivector.  A component with an
-    ExtScalar has denominator 1, so its scalars are only scaled by d and
-    keep their type, and what is read off M and divided by d keeps the
-    types of the coefficients it comes from.
+    irrational coefficient has denominator 1, so its scalars are only
+    scaled by d and keep their type, and what is read off M and divided
+    by d keeps the types of the coefficients it comes from.
     """
     comps = [pi.components.get(c) for c in _COMPLEMENTS]
     d = math.lcm(*(p._form[0] for p in comps if p is not None))
@@ -375,7 +375,7 @@ def decompose(pi: MultiVectorField) -> Decomposition:
 
     Works on R^n for any n >= 2, in one pass over the numerators c_ij^m of
     pi's components (pi^ij = sum_m c_ij^m x_m) over the lcm D of their
-    denominators: ints for a rational pi, and for one with an ExtScalar
+    denominators: ints for a rational pi, and for one with an irrational
     coefficient its scalars times D, as in ``_signed_rows``.
 
     - k, the constant value of the modular field, is the signed trace of
