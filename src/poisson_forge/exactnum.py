@@ -28,9 +28,9 @@ alone decides it: a polynomial whose coefficients are all rational, an
 ExtScalar one read as its Fraction, is of the rational kind and holds
 int numerators over a canonical D (gcd(D, T) = 1); one with an
 irrational coefficient is of the field kind and holds its scalars
-(Fractions and ExtScalars, each of the type its arithmetic gave it)
-over D = 1.  Equal polynomials are therefore of one kind, and equal
-exactly when their forms are.  Products, sums (over lcm(D, E), or
+over D = 1, each rational one as its Fraction and each irrational one
+as an ExtScalar.  Equal polynomials are therefore of one kind, with
+one type per value, and equal exactly when their forms are.  Products, sums (over lcm(D, E), or
 directly when the denominators agree), negation, scaling, ``diff`` and
 ``compose_linear`` have one body for both kinds: plain ``+`` and ``*``
 on the values, and a flag, carried from the operands, that says whether
@@ -48,14 +48,15 @@ FLINT uses for ``fmpq_mat``: M is a flat tuple of its n^2 values, row by
 row, over one denominator D, and ``Matrix._of_form`` alone decides its
 kind by the same rule: a matrix whose entries are all rational holds
 int numerators over a canonical D (D > 0, gcd(D, M) = 1), and one with
-an irrational entry holds its scalars over D = 1.  ``==``, sums,
+an irrational entry holds its scalars over D = 1, typed as a
+polynomial's are.  ``==``, sums,
 products, negation, ``scaled``, ``transpose``, ``trace``,
 ``is_symmetric`` and the 3x3 ``det`` have one body for both kinds, plain
 ``+`` and ``*`` on the values with the flag carried from the operands;
 ``Matrix._of_form`` normalises a result, as for polynomials.  ``rows``
 is a view built on first read (Fractions for a rational matrix), or the
-rows the constructor was given when they are of the kind's types.
-Structured matrices (``identity``, ``zero`` and ``diagonal``) are built
+rows the constructor was given when they hold no rational-valued
+ExtScalar.  Structured matrices (``identity``, ``zero`` and ``diagonal``) are built
 on the form directly, with no rows to coerce.  ``apply`` keeps an int
 path for a vector of Fractions.  No product takes the determinant of
 anything but a 3x3 matrix or inverts anything but a rational 3x3
@@ -631,10 +632,10 @@ class Polynomial:
         """vals / den for a positive den, on the canonical form: the one
         normalisation, and the one place that decides the kind.  The
         values are ints when ``rational`` is true, and otherwise any mix
-        of ints, Fractions and ExtScalars.  Zero entries are dropped;
-        scalars are divided by den when an irrational ExtScalar is among
-        them, and otherwise go on ints, a rational-valued ExtScalar read
-        as its Fraction; int numerators and den are divided by their
+        of ints, Fractions and ExtScalars.  Zero entries are dropped; a
+        rational-valued ExtScalar is read as its Fraction; scalars are
+        divided by den when an irrational ExtScalar is among them, and
+        otherwise go on ints; int numerators and den are divided by their
         gcd."""
         self = object.__new__(cls)
         self.nvars, self._rational, self._terms = nvars, rational, None
@@ -643,7 +644,7 @@ class Polynomial:
         if not rational:
             if any(type(v) is ExtScalar for v in vals.values()):
                 if any(map(_irrational, vals.values())):
-                    self._form = (1, {e: _over(v, den)
+                    self._form = (1, {e: demote(_over(v, den))
                                       for e, v in vals.items()})
                     return self
                 vals = {e: demote(v) for e, v in vals.items()}
@@ -939,12 +940,9 @@ def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
     """Derivative of p along the linear vector field x -> M x.
 
     One pass over the forms: with p = P / D and M = N / E, the term
-    c x^e of P goes to sum_ij e_i c N_ij x^(e - u_i + u_j), over D E.
-    Int sums carry no type, so a rational p and M share one dict.
-    Otherwise each row i is summed on its own and the rows are added in
-    order, an entry that cancels dropped at once, as in the sum of the
-    products (M x)_i d_i p: an entry is an ExtScalar exactly when that
-    sum's is.
+    c x^e of P goes to sum_ij e_i c N_ij x^(e - u_i + u_j), over D E,
+    all into one dict of sums; ``Polynomial._of_form`` gives each entry
+    the type its value fixes.
     """
     n = p.nvars
     if m.n != n:
@@ -952,26 +950,16 @@ def apply_matrix_derivation(m: "Matrix", p: Polynomial) -> Polynomial:
     (dp, vals), (dm, flat) = p._form, m._form
     rows = [[(j, v) for j, v in enumerate(flat[k:k + n]) if v]
             for k in range(0, n * n, n)]
-    rational, out = p._rational and m._rational, {}
-    sums = [out] * n if rational else [{} for _ in range(n)]
+    out = {}
     for exps, c in vals.items():
         for i, e, keys in _derivation_moves(exps):
-            terms, ce = sums[i], c * e
+            ce = c * e
             for j, v in rows[i]:
                 key = keys[j]
-                cur = terms.get(key)
-                terms[key] = v * ce if cur is None else cur + v * ce
-    if not rational:
-        for terms in sums:
-            for key, v in terms.items():
-                if v:
-                    cur = out.get(key)
-                    v = v if cur is None else cur + v
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-    return Polynomial._of_form(n, dp * dm, out, rational)
+                cur = out.get(key)
+                out[key] = v * ce if cur is None else cur + v * ce
+    return Polynomial._of_form(n, dp * dm, out,
+                               p._rational and m._rational)
 
 
 def quadratic_form_poly(m: "Matrix") -> Polynomial:
@@ -1056,9 +1044,10 @@ class Matrix:
         m = Matrix._trusted(rows)
         self.n, self._form, self._rational = m.n, m._form, m._rational
         # the rows given are the view, no Fraction rebuilt, unless they
-        # hold an ExtScalar that the rational kind reads as its Fraction
-        self._rows = rows if not m._rational or all(
-            type(v) is Fraction for row in rows for v in row) else None
+        # hold a rational-valued ExtScalar, which the form reads as its
+        # Fraction
+        self._rows = rows if all(type(v) is Fraction or _irrational(v)
+                                 for row in rows for v in row) else None
 
     @classmethod
     def _trusted(cls, rows) -> "Matrix":
@@ -1078,7 +1067,8 @@ class Matrix:
         if not rational:
             if any(type(v) is ExtScalar for v in vals):
                 if any(map(_irrational, vals)):
-                    self._form = (1, tuple([_over(v, den) for v in vals]))
+                    self._form = (1, tuple([demote(_over(v, den))
+                                            for v in vals]))
                     self._rational = False
                     return self
                 vals = list(map(demote, vals))

@@ -77,6 +77,7 @@ from .exactnum import (
     as_rational,
     as_rational_matrix,
     cross3,
+    demote,
     quadratic_form_poly,
     scalar_from_json,
     scalar_to_json,
@@ -303,17 +304,12 @@ def _curl_numerators(rows: dict, n: int) -> list:
 
     ``rows`` maps (i, j), i < j, to the numerators {m: c_ij^m} of the
     component on (i, j) over one denominator; the curl's numerators over
-    it are out_j = sum_(i<j) c_ij^i - sum_(m>j) c_jm^m, summed in the
-    order of ``rows``.  A sum that cancels starts again from the int 0, as a sum of
-    polynomials drops a cancelled term: so out_j is an ExtScalar exactly
-    when ``curl`` gives one.
+    it are out_j = sum_(i<j) c_ij^i - sum_(m>j) c_jm^m.
     """
     out = [0] * n
     for (i, j), row in rows.items():
-        v = out[j] + row.get(i, 0)
-        out[j] = v if v else 0
-        v = out[i] - row.get(j, 0)
-        out[i] = v if v else 0
+        out[j] += row.get(i, 0)
+        out[i] -= row.get(j, 0)
     return out
 
 
@@ -424,7 +420,7 @@ def decompose(pi: MultiVectorField) -> Decomposition:
     if any(_curl_numerators(lam, n)):  # pragma: no cover - identity
         raise AssertionError("curl-free part has nonzero curl")
     return Decomposition(
-        k=tuple(_over(v, d) for v in w),
+        k=tuple(demote(_over(v, d)) for v in w),
         curl_free=MultiVectorField._trusted(n, 2, {
             key: Polynomial._of_form(
                 n, d * (n - 1), {units[m]: v for m, v in row.items()},

@@ -701,22 +701,21 @@ def jordan_family_of(k_matrix: Matrix) -> JordanFamily:
     floating-point eigenvalue report.
     """
     _check_twist(k_matrix)
-    q = k_matrix
-    if not q._rational:         # an irrational entry: no exact route
-        return JordanFamily(OTHER, (), _float_eigen_report(q))
-    c2, det, roots = char = _char_coeffs(q)
+    if not k_matrix._rational:  # an irrational entry: no exact route
+        return JordanFamily(OTHER, (), _float_eigen_report(k_matrix))
+    c2, det, roots = char = _char_coeffs(k_matrix)
     distinct = sorted(set(roots or ()), reverse=True)
     if len(distinct) == 3 and 0 not in distinct:
-        if q.is_diagonal():
-            distinct = [q.rows[i][i] for i in range(3)]
+        if k_matrix.is_diagonal():
+            distinct = [k_matrix.rows[i][i] for i in range(3)]
         return JordanFamily.diag_distinct(*distinct)
     if len(distinct) == 2:
         lam = next(r for r in distinct if roots.count(r) == 2)
         eye = Matrix.identity(3)
-        if lam and ((q - eye.scaled(lam))
-                    * (q + eye.scaled(2 * lam))).is_zero():
+        if lam and ((k_matrix - eye.scaled(lam))
+                    * (k_matrix + eye.scaled(2 * lam))).is_zero():
             return JordanFamily.diag_repeated(lam)
-    if distinct == [0] and not (q * q).is_zero():
+    if distinct == [0] and not (k_matrix * k_matrix).is_zero():
         return JordanFamily.nilpotent_full()
     return JordanFamily(OTHER, (), _float_eigen_report(k_matrix, char))
 

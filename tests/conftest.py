@@ -140,17 +140,16 @@ def rational_kind(values) -> bool:
     """The kind of a form with these values, by the one rule of
     ``Matrix._of_form`` and ``Polynomial._of_form``: the rational kind, on
     ints, exactly when every value is rational, an ExtScalar one too;
-    the field kind, which keeps each value's type, otherwise."""
+    the field kind otherwise."""
     return all(not isinstance(v, ExtScalar) or v.is_rational for v in values)
 
 
 def kind_values(values) -> list:
-    """A reference result's values as a form of its kind holds them: each
-    as its Fraction for the rational kind, as it is for the field kind."""
-    values = list(values)
-    if rational_kind(values):
-        return [as_rational(v) for v in values]
-    return values
+    """A reference result's values as a form holds them, whatever its
+    kind: each rational value as its Fraction, an ExtScalar one too, and
+    each irrational one as its ExtScalar."""
+    return [v if isinstance(v, ExtScalar) and not v.is_rational
+            else as_rational(v) for v in values]
 
 
 def rational_valued(m) -> bool:
@@ -206,25 +205,6 @@ def random_ext_field(rng, nvars, grade):
             comps[exps] = random_ext_polynomial(rng, nvars, True, nterms=3,
                                                 max_degree=2)
     return MultiVectorField(nvars, grade, comps)
-
-
-def kind_typed(values) -> tuple:
-    """Each of ``values`` with the type that the kind rule fixes, for
-    results that came along different routes: ExtScalar for an irrational
-    value, "rational" for a rational one.  Whether a form is of the
-    rational kind, its values all Fractions, shows in its flag; a rational
-    value inside a form of the field kind, or in a vector read off one, is
-    a Fraction or an ExtScalar as its route made it, since a form on the
-    way may be of the rational kind on one route and not on the other."""
-    return tuple((v, "rational" if rational_kind((v,)) else type(v))
-                 for v in values)
-
-
-def kind_typed_components(field):
-    """``typed_components`` with the types of ``kind_typed``."""
-    return {e: (p._form[0], dict(zip(p._form[1], kind_typed(
-                p._form[1].values()))), p._rational)
-            for e, p in field.components.items()}
 
 
 def typed_components(field):

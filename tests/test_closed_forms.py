@@ -5,10 +5,7 @@ one polynomial on the forms of the pair.  ``form_reference`` keeps the
 generic construction they replaced, a wedge product with the Euler field
 that is scaled and added to the potential bivector; on seeded pairs the
 two must agree in every component's form (D, T), its rational flag and
-the type of every coefficient that the kind rule fixes (conftest's
-``kind_typed``): the potential part the reference adds is a form of its
-own kind, which a rational value inside a component of the field kind
-may have passed through on one route and not on the other.
+the type of every coefficient.
 
 The other way round, ``linclass.pair_of`` reads (k, A) off the
 coefficients of a linear bivector on R^3, and ``linclass.decompose``
@@ -18,10 +15,8 @@ derivative along k and curl(L ^ L) = 0 as the Jacobi identity of L's
 constants.  ``form_reference`` keeps their curl, wedge and
 Schouten-bracket routes; on seeded bivectors, Poisson or not, on R^2 to
 R^8 for ``decompose`` and with Fraction or ExtScalar coefficients, the
-two must agree in values, exception types and messages, and in entry
-types: all of them for ``pair_of``, and for ``decompose`` those that the
-kind rule fixes, the Schouten route passing through forms of their own
-kinds.  A field given rational-valued ExtScalar coefficients is on the
+two must agree in values, entry types, exception types and messages.
+A field given rational-valued ExtScalar coefficients is on the
 ints, so that ``pair_of`` gives what the reference gives on its Fraction
 twin, and each pair it builds unchecked is what ``LinearPair``'s
 validating constructor makes of its fields.
@@ -43,8 +38,7 @@ from fractions import Fraction as F
 import pytest
 
 import form_reference as ref
-from conftest import (kind_typed, kind_typed_components, random_ext_scalar,
-                      random_fraction, typed_components)
+from conftest import random_ext_scalar, random_fraction, typed_components
 
 from poisson_forge import linclass
 from poisson_forge.exactnum import (SQRT2, SQRT3, ExtScalar, Matrix, Polynomial,
@@ -152,10 +146,7 @@ def test_pi_quad_matches_the_wedge_route(rng):
         pairs.append(QuadraticPair(twist, random_kernel_cubic(rng, twist)))
     field_twists = 0
     for qp in pairs:
-        got, want = pi_quad(qp), ref.pi_quad(qp)
-        assert got == want
-        # the wedge route's potential part is a form of its own kind
-        assert kind_typed_components(got) == kind_typed_components(want)
+        _same(pi_quad(qp), ref.pi_quad(qp))
         field_twists += qp.twist.integer_form() is None
     assert field_twists >= 10
 
@@ -180,8 +171,7 @@ def _typed_result(call, pi):
         return (_typed_scalars(out.k), out.gram._form, out.gram._rational,
                 tuple(type(v) for v in out.gram._form[1]))
     assert isinstance(out, Decomposition)
-    # the Schouten route's forms are of their own kinds
-    return (kind_typed(out.k), kind_typed_components(out.curl_free),
+    return (_typed_scalars(out.k), typed_components(out.curl_free),
             out.square_closed, out.twist_commutes)
 
 

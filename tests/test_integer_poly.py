@@ -7,12 +7,10 @@ the constructors, ``compose_linear``, ``apply_matrix_derivation`` and
 kernel: along seeded chains of these operations, on 1-, 3- and 30-digit
 coefficients mixed with ints and rational and irrational ExtScalars,
 both must give the same values with the same coefficient types, the
-reference's read by the kind rule (conftest's ``kind_values``: all
-Fractions when every value is rational), and the form must stay
-canonical (D > 0, gcd(D, numerators) = 1, no zero entry), so that ``==``
-on forms agrees with ``==`` on terms.  Two steps build whole forms on
-the package's route that the old kernel does not build, so there only
-the types that the kind rule fixes are compared (``ROUTED``).
+reference's read by the kind rule (conftest's ``kind_values``: each
+rational value a Fraction, each irrational one an ExtScalar), and the
+form must stay canonical (D > 0, gcd(D, numerators) = 1, no zero entry), so that ``==``
+on forms agrees with ``==`` on terms.
 """
 
 import math
@@ -22,7 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 import poly_reference as ref
-from conftest import along, kind_typed, kind_values, rational_kind
+from conftest import along, kind_values, rational_kind
 from poisson_forge.exactnum import (
     SQRT2,
     SQRT3,
@@ -64,7 +62,7 @@ def _terms(rng, digits, kinds, nterms=4, max_degree=3):
 
 
 def _kind(p):
-    """The reference polynomial p as a form of its kind holds it."""
+    """The reference polynomial p as a form holds it."""
     return ref.Polynomial._trusted(
         p.nvars, dict(zip(p.terms, kind_values(p.terms.values()))))
 
@@ -101,7 +99,7 @@ def _assert_canonical(p):
 
 def _same(got, want):
     """Equal values and equal coefficient types, term by term, with the
-    reference's as a form of its kind holds them."""
+    reference's as a form holds them."""
     want = _kind(want)
     assert got.nvars == want.nvars
     assert got.terms == want.terms
@@ -115,33 +113,9 @@ def _same(got, want):
     _assert_canonical(got)
 
 
-#: steps whose package route builds whole forms that the dict kernel does
-#: not build, ``compose_linear``'s linear forms of M's rows and its
-#: constant terms, and ``along``'s partial derivatives: each of those
-#: forms follows the kind rule, so that a rational value inside a result
-#: of the field kind may be a Fraction on one route and an ExtScalar on
-#: the other
-ROUTED = ("compose", "directional")
-
-
-def _same_kind(got, want):
-    """``_same`` with the types that the kind rule fixes (``kind_typed``):
-    equal values and kinds, and an ExtScalar for every irrational value."""
-    want = _kind(want)
-    assert ({e: t for e, t in zip(got.terms, kind_typed(got.terms.values()))}
-            == {e: t for e, t in zip(want.terms,
-                                     kind_typed(want.terms.values()))})
-    assert hash(got) == hash(want)
-    assert (got.integer_form() is not None) is rational_kind(
-        want.terms.values())
-    _assert_canonical(got)
-
-
-OPS = ("mul", "mul", "add", "sub", "neg", "scale", "diff", "compose",
-       "derive", "directional")
-
-
-def _step(op, rng, digits, kinds, got, want):
+def _step(rng, digits, kinds, got, want):
+    op = rng.choice(("mul", "mul", "add", "sub", "neg", "scale", "diff",
+                     "compose", "derive", "directional"))
     if op in ("mul", "add", "sub"):
         other, other_ref = _pair(_terms(rng, digits, kinds, nterms=3,
                                         max_degree=2))
@@ -177,15 +151,8 @@ def test_chains_of_operations_match_the_dict_kernel(digits, kinds):
         for _ in range(6):
             if got.degree() > 5:        # keep the chain small
                 got, want = _pair(_terms(rng, digits, kinds))
-            op = rng.choice(OPS)
-            got, want = _step(op, rng, digits, kinds, got, want)
-            if op in ROUTED:
-                _same_kind(got, want)
-                # the chain goes on from the package's entry types
-                want = ref.Polynomial._trusted(3, dict(got.terms))
-            else:
-                want = _kind(want)
-                _same(got, want)
+            got, want = _step(rng, digits, kinds, got, want)
+            _same(got, want)
 
 
 @pytest.mark.parametrize("kinds", [RATIONAL, MIXED], ids=["rational", "mixed"])

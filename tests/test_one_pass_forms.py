@@ -12,9 +12,7 @@ rank-deficient Gram matrices, catalog twists on ExtScalars, entries that
 are rational-valued ExtScalars, and components whose terms cancel --
 both must give the same values, forms (D, T), entry types and rational
 flags, the same verdicts and witnesses, and errors of the same type and
-message; for ``pi_quad`` the entry types are those that the kind rule
-fixes (conftest's ``kind_typed``), the reference's potential part being
-a form of its own kind.
+message.
 
 ``QuadraticPair`` tests D_K F = 0 on slot sums over the numerators of
 K and F, and ``cubic_from_coords`` builds its cubic on the form: the
@@ -30,7 +28,6 @@ from fractions import Fraction as F
 import form_reference as ref
 import normal_form_reference as nf_ref
 from conftest import (
-    kind_typed_components,
     moduli_pairs,
     random_ext_scalar,
     random_fraction,
@@ -174,8 +171,7 @@ def test_pi_quad_matches_the_sum_of_the_two_bivectors(rng):
         for qp in _quadratic_pairs(rng, twist):
             got, want = pi_quad(qp), ref.pi_quad_by_parts(qp)
             assert got == want
-            # the reference's potential part is a form of its own kind
-            assert kind_typed_components(got) == kind_typed_components(want)
+            assert typed_components(got) == typed_components(want)
             for poly in got.components.values():
                 kinds[poly._rational] += 1
                 kinds["ext"] += any(type(v) is ExtScalar
@@ -184,7 +180,7 @@ def test_pi_quad_matches_the_sum_of_the_two_bivectors(rng):
             kinds["partial"] += 0 < len(got.components) < 3
     for _, qp in _catalog_pairs(rng):
         got, want = pi_quad(qp), ref.pi_quad_by_parts(qp)
-        assert kind_typed_components(got) == kind_typed_components(want)
+        assert typed_components(got) == typed_components(want)
     assert kinds[True] >= 100 and kinds[False] >= 100 and kinds["ext"] >= 100
     assert kinds["empty"] >= 2 and kinds["partial"] >= 5, kinds
 

@@ -344,9 +344,9 @@ def test_assembled_rows_match_the_polynomial_route(rng):
             entries[1][1] = -entries[0][0]   # diagonal sums that cancel
         k_matrix = Matrix(entries)
         k = [_random_twist_entry(rng) for _ in range(3)]
-        # the dict kernel's derivatives: on the package's polynomials each
-        # partial derivative would be a form of its own kind, which the
-        # drift rows, read off k, do not pass through
+        # the dict kernel's derivatives: the package's polynomials hold a
+        # rational-valued ExtScalar of k as its Fraction, and the drift
+        # rows, read off k as given, do not
         drifts = [poly_reference.Polynomial.monomial(3, e).directional_diff(k)
                   for e in CUBIC_MONOMIALS]
         drift = [[p.terms.get(t, F(0)) for p in drifts] for t in QUAD_MONOMIALS]

@@ -9,7 +9,10 @@ is a K given rational-valued ExtScalars.  ``quaddef.solve_F`` and
 K with an irrational entry.  ``linalg_reference.stacked_solve_F`` solves
 K's own rows, and the spaces must agree in value and in entry type, as
 ``cubic_kernel`` must agree with ``linalg_reference.kernel``.
-``_derivation_rows`` fills int rows from the slot table, against
+Along every route that builds a matrix or polynomial, its kind and
+entry types follow its values alone: a Fraction for a rational value, an
+ExtScalar for an irrational one.  ``_derivation_rows`` fills int rows
+from the slot table, against
 ``linalg_reference.derivation_rows``; ``linclass.der0_space`` builds its
 rows on the forms, against the unit matrices of
 ``linalg_reference.der0_rows``.
@@ -22,6 +25,7 @@ import linalg_reference as ref
 import poly_reference
 from conftest import (
     SWEEP_FAMILIES,
+    kind_values,
     random_rational_invertible,
     rational_kind,
     rational_valued,
@@ -197,18 +201,17 @@ def _rows(flat, n=3):
 
 def _check_matrix(got, values):
     """``got`` holds the flat ``values``, computed without forms, as the
-    kind rule says: on ints exactly when every value is rational, and
-    then with the form, Fraction rows, ``==`` and hash of its Fraction
-    twin; on the field, off the ints, otherwise."""
+    kind rule says: on ints exactly when every value is rational, each
+    entry a Fraction when rational and an ExtScalar otherwise, and the
+    form, ``==`` and hash of the matrix given those entries (the Fraction
+    twin for the rational kind)."""
     rational = rational_kind(values)
     assert got._rational is rational
-    assert [v for row in got.rows for v in row] == list(values)
-    if not rational:
-        assert got.integer_form() is None
-        return
-    twin = Matrix(_rows([as_rational(v) for v in values], got.n))
-    assert got._form == got.integer_form() == twin._form
-    assert _typed(got.rows) == _typed(twin.rows)
+    held = _rows(kind_values(values), got.n)
+    assert _typed(got.rows) == _typed(held)
+    twin = Matrix(held)
+    assert got._form == twin._form
+    assert got.integer_form() == (twin._form if rational else None)
     assert got == twin and hash(got) == hash(twin)
 
 
@@ -217,14 +220,12 @@ def _check_polynomial(got, values):
     values = {e: v for e, v in values.items() if v}
     rational = rational_kind(values.values())
     assert got._rational is rational
-    assert dict(got.terms) == values
-    if not rational:
-        assert got.integer_form() is None
-        return
-    twin = Polynomial(got.nvars, {e: as_rational(v) for e, v in values.items()})
-    assert got._form == got.integer_form() == twin._form
+    held = dict(zip(values, kind_values(values.values())))
     assert ({e: (type(v), v) for e, v in got.terms.items()}
-            == {e: (type(v), v) for e, v in twin.terms.items()})
+            == {e: (type(v), v) for e, v in held.items()})
+    twin = Polynomial(got.nvars, held)
+    assert got._form == twin._form
+    assert got.integer_form() == (twin._form if rational else None)
     assert got == twin and hash(got) == hash(twin)
 
 
