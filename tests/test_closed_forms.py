@@ -16,10 +16,10 @@ constants.  ``form_reference`` keeps their curl, wedge and
 Schouten-bracket routes; on seeded bivectors, Poisson or not, on R^2 to
 R^8 for ``decompose`` and with Fraction or ExtScalar coefficients, the
 two must agree in values, entry types, exception types and messages.
-A field given rational-valued ExtScalar coefficients is on the
-ints, so that ``pair_of`` gives what the reference gives on its Fraction
-twin, and each pair it builds unchecked is what ``LinearPair``'s
-validating constructor makes of its fields.
+A field given rational-valued ExtScalar coefficients is on the ints, so
+that ``pair_of`` gives what the reference gives on its Fraction twin,
+and each pair it builds unchecked is what ``LinearPair``'s validating
+constructor makes of its fields.
 
 Last, ``quaddef.deform_check`` decides the deformation criterion on
 coefficient forms, its bracket route from the vector fields of the two
