@@ -17,6 +17,8 @@ On top of the scalars the module provides:
   a 3x3 matrix and an exact inverse of a rational 3x3 matrix,
 - :func:`solve_linear` -- exact solver for rectangular linear systems,
   returning the full affine solution set as a :class:`SolutionSpace`,
+  whose ``spanned_by`` builds the same record for a given span by
+  reducing its vectors, with no solve,
 - :func:`congruent_diagonalize` -- Lagrange congruence diagonalization of
   a symmetric matrix (R^T A R diagonal), used to read off rank and
   signature exactly.
@@ -1241,14 +1243,15 @@ class SolutionSpace(NamedTuple):
     zero-dimensional space {v} has a particular point and empty basis.
 
     Every space the package builds has one canonical shape: its two
-    builders ``solve_linear`` and ``spanned_by`` return it, and so does
-    the closed-form line of ``quaddef._line_space``.  Each basis vector
-    b_j is 1 on its free column f_j, its last nonzero slot, and 0 on the
-    other free columns; the free columns rise; and the point is 0 on
-    every free column.  The basis is then independent, so ``dim`` is the
-    rank, and an affine set over a field has exactly one such form.  So
-    a direction d lies in the span exactly when d = sum_j d[f_j] b_j,
-    which ``direction_in_span`` (and through it ``contains``) compares
+    builders, ``solve_linear`` for a system and ``spanned_by`` for a
+    given span, return it, and so does the closed-form line of
+    ``quaddef._line_space``.  Each basis vector b_j is 1 on its free
+    column f_j, its last nonzero slot, and 0 on the other free columns;
+    the free columns rise; and the point is 0 on every free column.
+    The basis is then independent, so ``dim`` is the rank, and an affine
+    set over a field has exactly one such form.  So a direction d lies
+    in the span exactly when d = sum_j d[f_j] b_j, which
+    ``direction_in_span`` (and through it ``contains``) compares
     coordinate by coordinate, and two spaces are equal exactly when
     their records are, which ``same_space`` compares.  None of the three
     eliminates, and each raises ValueError for a hand-built space off
@@ -1264,34 +1267,52 @@ class SolutionSpace(NamedTuple):
                    vectors: Sequence[Sequence]) -> "SolutionSpace":
         """particular + span(vectors), on the canonical shape.
 
-        One ``solve_linear`` on the vectors with their columns reversed
-        solves for the annihilator of the span.  Read back in the given
-        column order, its basis vector w_g is 1 on its own column g, 0
-        on the other such columns and nonzero only on later pivot
-        columns; the pivot columns are the span's free columns and the
-        columns g its bound ones.  A direction d lies in the span
-        exactly when w_g.d = 0 for every g, so the basis vector of a
-        free column f is 1 on f, 0 on the other free columns and
-        -w_g[f] on each bound column g, and the point is 0 on the free
-        columns and w_g.particular on each bound column g.  The entry
-        types are ``solve_linear``'s: Fraction(0) and Fraction(1) on the
-        free columns, and on the bound ones ExtScalars when an entry
-        given is one, Fractions otherwise.
+        The vectors are reduced straight to that shape, one at a time,
+        each kept as a row (e, m) with m / e its multiple that is 1 on
+        its pivot, its last nonzero slot.  A vector is cleared on the
+        pivots found so far and skipped if nothing is left; otherwise it
+        pivots on its last nonzero slot, and that column is cleared in
+        the earlier rows.  The pivots are the free columns; the point is
+        cleared on them last.  Rational input runs fraction-free on ints,
+        cross-multiplying rows as Bareiss does (Math. Comp. 22, 1968) but
+        dividing each by its content, with its pivot e > 0; input with an
+        ExtScalar entry runs on ExtScalars over e = 1, each row scaled by
+        its pivot's inverse.
+        The entries are built once, at the end, with the types of
+        ``solve_linear``: Fraction(0) and Fraction(1) on the free
+        columns, and on the bound ones ExtScalars when an entry given is
+        one, Fractions otherwise.
         """
         n = len(particular)
-        rows = [tuple(v)[::-1] for v in vectors]
-        bound = {n - 1 - _last_nonzero(w): w[::-1]
-                 for w in solve_linear(rows, [0] * len(rows), n).basis}
+        field = any(type(v) is ExtScalar
+                    for row in (particular, *vectors) for v in row)
+        rows = {}  # free column -> (e, m)
+        for v in vectors:
+            if len(v) != n:
+                raise ValueError("ragged system")
+            m = _span_row(v, field)[1]
+            for f, row in rows.items():
+                if m[f]:
+                    m = _eliminated(m, row, f)
+            if any(m):
+                c = _last_nonzero(m)
+                new = _pivoted(m, c)
+                for f, (_, r) in rows.items():
+                    if r[c]:
+                        rows[f] = _pivoted(_eliminated(r, new, c), f)
+                rows[c] = new
+        den, p = _span_row(particular, field)
+        for f, row in rows.items():
+            if p[f]:
+                p, den = _eliminated(p, row, f), den * row[0]
         zero, one = Fraction(0), Fraction(1)
-        start = (ExtScalar.of(0) if any(type(v) is ExtScalar for row in
-                                        (particular, *vectors) for v in row)
-                 else zero)
-        point = tuple(sum((a * b for a, b in zip(bound[g], particular)
-                           if a and b), start) if g in bound else zero
-                      for g in range(n))
-        basis = tuple(tuple(start - bound[g][f] if g in bound
-                            else one if g == f else zero for g in range(n))
-                      for f in range(n) if f not in bound)
+        nil = ExtScalar.of(0) if field else zero  # a bound column's 0
+        point = tuple(zero if g in rows else _over(v, den) if v else nil
+                      for g, v in enumerate(p))
+        basis = tuple(tuple(one if g == f else zero if g in rows
+                            else _over(v, e) if v else nil
+                            for g, v in enumerate(m))
+                      for f, (e, m) in sorted(rows.items()))
         return cls(n, point, basis)
 
     @property
@@ -1343,6 +1364,29 @@ class SolutionSpace(NamedTuple):
 
 def _last_nonzero(v: Sequence) -> int:
     return max(i for i, x in enumerate(v) if x)
+
+
+def _span_row(row: Sequence, field: bool):
+    """(d, m) with m = d * row: ints over the lcm of row's denominators,
+    or for the field ExtScalars over d = 1."""
+    return (1, [ExtScalar.of(v) for v in row]) if field else _scaled_row(row)
+
+
+def _eliminated(m: list, row: tuple, f: int) -> list:
+    """e m - m[f] r for row = (e, r) with r[f] = e: m cleared on column f."""
+    e, r = row
+    c = m[f]
+    return [e * a - c * b for a, b in zip(m, r)]
+
+
+def _pivoted(m: list, c: int) -> tuple:
+    """(e, m') with m' / e = m / m[c] and m'[c] = e: ints divided by their
+    content with e > 0, or ExtScalars times the inverse of m[c], e = 1."""
+    if type(m[c]) is int:
+        g = math.gcd(*m) if m[c] > 0 else -math.gcd(*m)
+        return m[c] // g, [a // g for a in m]
+    inv = m[c].inverse()
+    return 1, [a * inv for a in m]
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence,

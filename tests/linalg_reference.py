@@ -46,8 +46,12 @@ seeded inputs:
   this module's ``solve_linear``, for a basis of any shape, and equality
   as containment both ways; the package reads membership off the free
   columns of the canonical shape, and equality as equality of canonical
-  forms.  With ``solve_linear`` for the rank they are also the oracle of
-  ``SolutionSpace.spanned_by``, which builds that shape.
+  forms,
+- ``spanned_by``: the canonical shape of a span read off the annihilator
+  of the span, one ``solve_linear`` on the vectors with their columns
+  reversed, as ``SolutionSpace.spanned_by`` built it before it reduced
+  the vectors themselves; the oracle of that builder in value and entry
+  type.
 """
 
 import math
@@ -392,3 +396,36 @@ def same_space(a, b):
     return contains(a, b.particular) and all(
         direction_in_span(a, d) for d in b.basis) and all(
         direction_in_span(b, d) for d in a.basis)
+
+
+def spanned_by(particular, vectors):
+    """particular + span(vectors) on the canonical shape.
+
+    This module's ``solve_linear`` on the vectors with their columns
+    reversed solves for the annihilator of the span.  Read back in the
+    given column order, its basis vector w_g is 1 on its own column g, 0
+    on the other such columns and nonzero only on later pivot columns;
+    the pivot columns are the span's free columns and the columns g its
+    bound ones.  A direction d lies in the span exactly when w_g.d = 0
+    for every g, so the basis vector of a free column f is 1 on f, 0 on
+    the other free columns and -w_g[f] on each bound column g, and the
+    point is 0 on the free columns and w_g.particular on each bound
+    column g.  Fraction(0) and Fraction(1) stand on the free columns,
+    and on the bound ones ExtScalars when an entry given is one,
+    Fractions otherwise.
+    """
+    n = len(particular)
+    rows = [tuple(v)[::-1] for v in vectors]
+    bound = {n - 1 - max(i for i, x in enumerate(w) if x): w[::-1]
+             for w in solve_linear(rows, [0] * len(rows), n).basis}
+    zero, one = Fraction(0), Fraction(1)
+    start = (ExtScalar.of(0) if any(type(v) is ExtScalar for row in
+                                    (particular, *vectors) for v in row)
+             else zero)
+    point = tuple(sum((a * b for a, b in zip(bound[g], particular)
+                       if a and b), start) if g in bound else zero
+                  for g in range(n))
+    basis = tuple(tuple(start - bound[g][f] if g in bound
+                        else one if g == f else zero for g in range(n))
+                  for f in range(n) if f not in bound)
+    return SolutionSpace(n, point, basis)

@@ -198,13 +198,13 @@ def test_pi_quad_keeps_the_type_of_a_cancelled_twist_entry():
         ref.pi_quad_by_parts(qp))
 
 
-def test_deform_check_matches_the_drift_rows(rng):
-    verdicts = Counter()
-    linear = _linear_pairs(rng)
-    inputs = []
+def _drawn_deformation_inputs(rng, linear):
+    """(lp, qp) on every twist of ``_twists``: its quadratic pairs, and
+    the point of ``solve_F``'s space and a random member of it for two
+    linear pairs."""
     for twist in _twists(rng):
         lp = rng.choice(linear)
-        inputs += [(lp, qp) for qp in _quadratic_pairs(rng, twist)]
+        yield from ((lp, qp) for qp in _quadratic_pairs(rng, twist))
         for lp in (lp, rng.choice(linear)):
             space = solve_F(lp, twist)
             if space.is_empty:
@@ -213,17 +213,35 @@ def test_deform_check_matches_the_drift_rows(rng):
             for member in (space.particular, [
                     p + sum((c * b[i] for c, b in zip(steps, space.basis)), F(0))
                     for i, p in enumerate(space.particular)]):
-                inputs.append((lp, QuadraticPair(twist, cubic_from_coords(member))))
-    inputs += [(LinearPair((0, 0, 1), Matrix.diagonal([1, 1, 0])), qp)
-               for _, qp in _catalog_pairs(rng)]
-    inputs += [(standard_pair(case), qp) for case, qp in _catalog_pairs(rng)]
+                yield lp, QuadraticPair(twist, cubic_from_coords(member))
+
+
+#: at most this many draws of ``_drawn_deformation_inputs``, stopping
+#: once the floors on the verdicts are met: over the seeds 1 to 40 one
+#: draw gave 6 to 102 True verdicts, and four seeds needed three draws
+DEFORMATION_DRAWS = 6
+
+
+def test_deform_check_matches_the_drift_rows(rng):
+    verdicts = Counter()
+    linear = _linear_pairs(rng)
+
+    def check(inputs):
+        for lp, qp in inputs:
+            got = _outcome(deform_check, lp, qp)
+            assert got == _outcome(ref.deform_check_on_drift_rows, lp, qp)
+            verdicts[got if isinstance(got, bool) else got[0]] += 1
+
+    check((LinearPair((0, 0, 1), Matrix.diagonal([1, 1, 0])), qp)
+          for _, qp in _catalog_pairs(rng))
+    check((standard_pair(case), qp) for case, qp in _catalog_pairs(rng))
     # no pair at all, on either side
-    inputs.append((linear[0], (Matrix.zero(3), Polynomial.zero(3))))
-    inputs.append((None, QuadraticPair(Matrix.zero(3), Polynomial.zero(3))))
-    for lp, qp in inputs:
-        got = _outcome(deform_check, lp, qp)
-        assert got == _outcome(ref.deform_check_on_drift_rows, lp, qp)
-        verdicts[got if isinstance(got, bool) else got[0]] += 1
+    check([(linear[0], (Matrix.zero(3), Polynomial.zero(3))),
+           (None, QuadraticPair(Matrix.zero(3), Polynomial.zero(3)))])
+    for _ in range(DEFORMATION_DRAWS):
+        check(_drawn_deformation_inputs(rng, linear))
+        if verdicts[True] >= 30 and verdicts[False] >= 100:
+            break
     assert verdicts[True] >= 30 and verdicts[False] >= 100, verdicts
     assert verdicts[AttributeError] == 2, verdicts
 

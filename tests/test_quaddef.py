@@ -337,22 +337,26 @@ def _entries(m):
     return [v for row in m.rows for v in row]
 
 
+def _drift_by_polynomials(k):
+    """The coefficients of the dict kernel's derivatives of the cubic
+    monomials along k, one row per quadratic monomial."""
+    drifts = [poly_reference.Polynomial.monomial(3, e).directional_diff(k)
+              for e in CUBIC_MONOMIALS]
+    return [[p.terms.get(t, F(0)) for p in drifts] for t in QUAD_MONOMIALS]
+
+
 def test_assembled_rows_match_the_polynomial_route(rng):
     for _ in range(300):
         entries = [[_random_twist_entry(rng) for _ in range(3)] for _ in range(3)]
         if rng.random() < 0.3:
             entries[1][1] = -entries[0][0]   # diagonal sums that cancel
         k_matrix = Matrix(entries)
-        k = [_random_twist_entry(rng) for _ in range(3)]
-        # the dict kernel's derivatives: the package's polynomials hold a
-        # rational-valued ExtScalar of k as its Fraction, and the drift
-        # rows, read off k as given, do not
-        drifts = [poly_reference.Polynomial.monomial(3, e).directional_diff(k)
-                  for e in CUBIC_MONOMIALS]
-        drift = [[p.terms.get(t, F(0)) for p in drifts] for t in QUAD_MONOMIALS]
+        # solve_F gives the drift rows the integer numerators of k
+        k = [rng.choice((0, rng.randint(-6, 6))) for _ in range(3)]
         assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(
             ref.derivation_rows(k_matrix))
-        assert _typed(_drift_rows(k)) == _typed(drift)
+        assert _typed(_drift_rows(k)) == [[(int, v) for v in row]
+                                          for row in _drift_by_polynomials(k)]
 
 
 def test_integer_rows_are_the_scaled_rational_rows(rng):
@@ -370,7 +374,7 @@ def test_integer_rows_are_the_scaled_rational_rows(rng):
         scale = math.lcm(*(c.denominator for c in k))
         int_k = [(scale * c).numerator for c in k]
         assert _typed(_drift_rows(int_k)) == [[(int, scale * v) for v in row]
-                                              for row in _drift_rows(k)]
+                                              for row in _drift_by_polynomials(k)]
 
 
 def test_cubic_kernel_requires_traceless():

@@ -16,6 +16,13 @@ reversed, rescaled, mixed and dependent bases, and the empty and
 zero-dimensional spaces, both must give the same verdicts of
 ``direction_in_span``, ``contains`` and ``same_space``, on vectors
 inside and outside the span, with Fraction and ExtScalar entries.
+
+``spanned_by`` reduces the vectors it is given straight to the shape;
+``linalg_reference.spanned_by`` keeps the route it replaced, one
+elimination for the annihilator of the span, and the two records must
+be equal in value and entry type, also with ``exactnum.solve_linear``
+raising, on spans of every rank, with zero, duplicate and dependent
+vectors, and on twelve dependent ExtScalar vectors in R^12.
 """
 
 from collections import Counter
@@ -229,8 +236,9 @@ def test_a_dependent_span_is_not_a_larger_space():
 
 def _span_inputs(rng):
     """(point, vectors) for n from 1 to 10, rational and with ExtScalar
-    entries: no vectors, random dense and sparse vectors, and those with
-    a zero vector, a multiple and a combination of the others added."""
+    entries: no vectors, zero vectors only, n dense vectors, random dense
+    and sparse vectors, and those with a zero vector, a duplicate, a
+    multiple and a combination of the others added."""
     for n in range(1, 11):
         for irrational in (False, True):
             def vector(sparse):
@@ -240,6 +248,8 @@ def _span_inputs(rng):
 
             point = vector(False)
             yield point, []
+            yield point, [(F(0),) * n] * 2
+            yield point, [vector(False) for _ in range(n)]
             for sparse in (False, True):
                 vectors = [vector(sparse) for _ in range(rng.randint(1, n))]
                 c = random_ext_scalar(rng, irrational)
@@ -247,21 +257,30 @@ def _span_inputs(rng):
                                     ) if len(vectors) > 1 else (F(0),) * n
                 yield point, vectors
                 yield point, vectors + [(F(0),) * n]
+                yield point, vectors + vectors[-1:]
                 yield point, [tuple(c * v for v in vectors[0])] + vectors
                 yield point, vectors + [combination]
 
 
+def _record(space):
+    """A space's entries with their types, for exact comparison."""
+    return space.ambient_dim, [[(type(v), v) for v in x]
+                               for x in (space.particular,) + space.basis]
+
+
 def test_spanned_by_matches_elimination(rng):
     """``spanned_by`` builds the canonical shape of the span it is given:
-    its basis and the vectors given span each other, its ``dim`` is the
-    rank that ``linalg_reference.solve_linear`` finds, and it holds the
-    point.  Its entry types are ``solve_linear``'s: Fractions on the free
-    columns, and on the bound ones ExtScalars when an entry given is one,
-    Fractions otherwise."""
+    its record is the annihilator route's of ``linalg_reference``, in
+    value and entry type, its basis and the vectors given span each
+    other, its ``dim`` is the rank that ``linalg_reference.solve_linear``
+    finds, and it holds the point.  Its entry types are
+    ``solve_linear``'s: Fractions on the free columns, and on the bound
+    ones ExtScalars when an entry given is one, Fractions otherwise."""
     kinds = Counter()
     for point, vectors in _span_inputs(rng):
         n = len(point)
         space = SolutionSpace.spanned_by(point, vectors)
+        assert _record(space) == _record(ref.spanned_by(point, vectors))
         free = space._free_columns()  # raises off the canonical shape
         on_ext = any(type(v) is ExtScalar for v in point + sum(vectors, ()))
         assert all([type(v) for v in x] == [
@@ -283,6 +302,30 @@ def test_spanned_by_matches_elimination(rng):
     assert kinds["ext"] > 10 and kinds["full"] > 0 and kinds["typed"] > 50
 
 
+def test_a_large_dependent_field_span_matches_the_annihilator(rng):
+    """Twelve ExtScalar vectors in R^12, each a combination of the same
+    six: the rows stay normalised as they are reduced, so the entries do
+    not grow from one vector to the next, and the record is the
+    annihilator route's."""
+    n = 12
+    spanning = [[random_ext_scalar(rng, True) for _ in range(n)]
+                for _ in range(6)]
+    vectors = []
+    for _ in range(n):
+        steps = [random_ext_scalar(rng, True) for _ in spanning]
+        vectors.append(tuple(sum((c * b[i] for c, b in zip(steps, spanning)),
+                                 F(0)) for i in range(n)))
+    point = tuple(random_ext_scalar(rng, True) for _ in range(n))
+    space = SolutionSpace.spanned_by(point, vectors)
+    assert space.dim == 6
+    assert _record(space) == _record(ref.spanned_by(point, vectors))
+
+
+def test_a_ragged_span_is_refused():
+    with pytest.raises(ValueError, match="ragged"):
+        SolutionSpace.spanned_by((F(0),) * 3, [(F(1), F(2))])
+
+
 def test_empty_and_zero_dimensional_spaces_match_elimination(rng):
     inconsistent = solve_linear([[1, 1], [2, 2]], [1, 3])
     point = solve_linear([[1, 0], [0, SQRT2]], [F(1, 2), 1])
@@ -301,7 +344,9 @@ def test_empty_and_zero_dimensional_spaces_match_elimination(rng):
 def test_the_canonical_shape_needs_no_elimination(monkeypatch, rng):
     """With ``exactnum.solve_linear`` raising, the membership tests of the
     sweep, and of a span that ``spanned_by`` built before, still answer,
-    as the oracle does; a space off the shape raises ValueError."""
+    as the oracle does, and ``spanned_by`` and ``span_of_cubics`` still
+    build their spaces, the annihilator route's records; a space off the
+    shape raises ValueError."""
     symmetries = [der0_space(case) for case in range(1, 7)]
     solved = [s for case in (1, 7)
               for s in (solve_F(standard_pair(case), of.twist)
@@ -328,5 +373,14 @@ def test_the_canonical_shape_needs_no_elimination(monkeypatch, rng):
         assert space.same_space(space)
     assert spanned.contains(coords)
     assert not spanned.contains((F(1),) + (F(0),) * 9)
+    for point, vectors in _span_inputs(rng):
+        assert _record(SolutionSpace.spanned_by(point, vectors)) == _record(
+            ref.spanned_by(point, vectors))
+    for irrational in (False, True):
+        cubics = [cubic_from_coords([random_ext_scalar(rng, irrational)
+                                     for _ in range(10)]) for _ in range(3)]
+        cubics.append(cubics[0] + cubics[1])
+        assert _record(span_of_cubics(cubics)) == _record(ref.spanned_by(
+            (F(0),) * 10, [cubic_coords(p) for p in cubics]))
     with pytest.raises(ValueError, match="canonical shape"):
         off_shape.contains((F(0),) * 10)
