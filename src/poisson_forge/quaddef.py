@@ -19,9 +19,9 @@ exact elimination of the rows of D_K on the cubic monomials; both read
 K's flat values, int numerators for a rational K, since a matrix whose
 values are all rational is held on ints.  Its answer is the span of the
 solutions on that kernel, which ``SolutionSpace.spanned_by`` puts on
-the canonical shape by reducing them, with no second solve.  The bracket route alone shares nothing with the
-solver, so it is the one that makes the solver's re-check of its
-answers independent.
+the canonical shape by reducing them, with no second solve.  The
+bracket route alone shares nothing with the solver, so it is the one
+that makes the solver's re-check of its answers independent.
 
 The second half of the module hosts the orbit machinery: projective
 points, their strata under the symmetry group of a normal-form twist
@@ -490,11 +490,11 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     form is the one ``solve_linear`` gives on the whole system, kernel
     and coefficient equations together, in values and entry types: the
     images are on ExtScalars when K is of the field kind, as that
-    system is.  Every
-    member of the result is re-checked by ``deform_check``'s two routes
-    (``_deforms``) before being returned, the identity route on the
-    right-hand side solved against; the bracket route, which shares no
-    step with this solver, carries the independence of the re-check.
+    system is.  Every member of the result is re-checked by
+    ``deform_check``'s two routes (``_deforms``) before being returned,
+    the identity route on the right-hand side solved against; the
+    bracket route, which shares no step with this solver, carries the
+    independence of the re-check.
     """
     _check_twist(k_matrix)
     field, _, nums = _kernel(k_matrix)

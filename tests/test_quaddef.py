@@ -373,8 +373,8 @@ def test_integer_rows_are_the_scaled_rational_rows(rng):
         k = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)]
         scale = math.lcm(*(c.denominator for c in k))
         int_k = [(scale * c).numerator for c in k]
-        assert _typed(_drift_rows(int_k)) == [[(int, scale * v) for v in row]
-                                              for row in _drift_by_polynomials(k)]
+        assert _typed(_drift_rows(int_k)) == [
+            [(int, scale * v) for v in row] for row in _drift_by_polynomials(k)]
 
 
 def test_cubic_kernel_requires_traceless():
