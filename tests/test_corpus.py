@@ -1,7 +1,9 @@
 """Replay the recorded CLI corpus: same exit code, byte-identical stdout.
 
 The corpus (``tests/corpus``) covers the README examples, one input per
-input verb, ``orbits`` on all three families with exact, Q(sqrt2) and
+input verb, ``deform-solve`` on the axis pair for a twist of each
+non-regular Jordan type and for a singular twist of the field kind,
+``orbits`` on all three families with exact, Q(sqrt2) and
 float-fallback points and on a twist outside them (its float eigenvalue
 report), the error paths and ``verify-paper`` sweeps under four seeds.
 ``tests/corpus/record.py`` documents how it was recorded.
