@@ -13,13 +13,15 @@ from the rows of the two bivectors' builders, whose bracket on R^3 is
 once through an equivalent identity between two quadratic polynomials.
 The solver inverts that identity exactly, giving the affine set of
 admissible cubics for a twist matrix, on the kernel of the twist's
-derivation: for a regular twist (three distinct nonzero eigenvalues)
-the line of the invariant cubic det(x, Kx, K^2 x), for any other an
-exact elimination of the rows of D_K on the cubic monomials; both read
-K's flat values, int numerators for a rational K, since a matrix whose
-values are all rational is held on ints.  Its answer is the span of the
-solutions on that kernel, which ``SolutionSpace.spanned_by`` puts on
-the canonical shape by reducing them, with no second solve.  The
+derivation, a closed form for each Jordan type of the twist: for a
+regular twist (three distinct nonzero eigenvalues) the line of the
+invariant cubic det(x, Kx, K^2 x), for any other the span of products of
+K's left eigenforms (``_kernel_cubics``), of dimension 1 to 4, or all
+ten cubics for K = 0.  Both are summed on K's flat values, int
+numerators for a rational K, since a matrix whose values are all
+rational is held on ints, and neither eliminates.  Its answer is the
+span of the solutions on that kernel, which ``SolutionSpace.spanned_by``
+puts on the canonical shape by reducing them, with no second solve.  The
 bracket route alone shares nothing with the solver, so it is the one
 that makes the solver's re-check of its answers independent.
 
@@ -43,6 +45,7 @@ from .exactnum import (
     Matrix,
     Polynomial,
     SolutionSpace,
+    _adjugate3,
     _det3,
     _last_nonzero,
     _over,
@@ -355,20 +358,6 @@ _TRIPLE_SLOTS = tuple(tuple(tuple(
     for l in range(3)) for j in range(3)) for i in range(3))
 
 
-def _derivation_rows(k: Sequence) -> list:
-    """The 10x10 matrix of F -> (Kx).grad F on cubic coefficients, for K's
-    flat row-major values as a form holds them (ints, or Fractions and
-    ExtScalars): column s is ``_derivation_sums`` of x^e,
-    e = CUBIC_MONOMIALS[s], the coefficients of
-    ``apply_matrix_derivation`` of x^e in value and type.  Integer values
-    give integer rows; a zero entry of any other rows is Fraction(0), as
-    a missing coefficient reads.
-    """
-    zero = 0 if all(type(v) is int for v in k) else Fraction(0)
-    columns = [_derivation_sums(k, ((e, 1),)) for e in CUBIC_MONOMIALS]
-    return [[c[t] or zero for c in columns] for t in range(10)]
-
-
 def _minor_sum3(k: Sequence):
     """The sum p of the principal 2x2 minors of K, for its flat row-major
     values: K's characteristic polynomial is t^3 - tr(K) t^2 + p t - det K."""
@@ -402,6 +391,101 @@ def _invariant_cubic(k: Sequence) -> Optional[list]:
             for s, slot in enumerate(row):
                 f[slot] += k[u + r] * sq[v + s] - k[v + r] * sq[u + s]
     return f
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _cubic_sum(*products) -> list:
+    """The coefficients on CUBIC_MONOMIALS of the sum of the products
+    (a.x)(b.x)(c.x) of linear forms, each given by its three values:
+    ints for int values, scalars otherwise."""
+    f = [0] * 10
+    for a, b, c in products:
+        for ai, plane in zip(a, _TRIPLE_SLOTS):
+            if ai:
+                for bj, row in zip(b, plane):
+                    if bj:
+                        w = ai * bj
+                        for cl, slot in zip(c, row):
+                            if cl:
+                                f[slot] += w * cl
+    return f
+
+
+def _nonzero_row(m: Sequence) -> Sequence:
+    return next(m[i:i + 3] for i in (0, 3, 6) if any(m[i:i + 3]))
+
+
+def _nonzero_column(m: Sequence) -> Sequence:
+    return next(m[j::3] for j in range(3) if any(m[j::3]))
+
+
+def _shifted(m: Sequence, t) -> list:
+    """M + t I for a 3x3 matrix given as a flat row-major list."""
+    return [v + t if i in (0, 4, 8) else v for i, v in enumerate(m)]
+
+
+def _perp_pair(c: Sequence) -> tuple:
+    """Two independent linear forms vanishing on c != 0: c_i e_j - c_j e_i
+    for the first nonzero c_i and the two j != i."""
+    i = next(i for i, v in enumerate(c) if v)
+    forms = []
+    for j in range(3):
+        if j != i:
+            u = [0, 0, 0]
+            u[i], u[j] = -c[j], c[i]
+            forms.append(u)
+    return tuple(forms)
+
+
+def _kernel_cubics(k: Sequence) -> list:
+    """Cubics spanning ker D_K for K's flat row-major values ``k``, K
+    traceless and not regular: the closed form of its Jordan type that
+    ``cubic_kernel`` lists.
+
+    D_K sends a linear form a.x to (a K).x, so a product of left
+    eigenforms whose eigenvalues sum to 0 is invariant.  The forms are
+    read off with no division.  For det K = 0 != p, p the sum of K's
+    principal 2x2 minors, w and n are a row and a column of the rank-one
+    adjugate n w^T.  For det K != 0 the eigenvalues are mu, mu, -2 mu, so
+    p = -3 mu^2 and det K = -2 mu^3; K is taken as 2p K, whose mu is
+    3 det K, and w and a are rows of the adjugates of K + 2 mu and
+    K - mu, the second zero exactly when K - mu has rank 1.  For a
+    nilpotent K with K^2 != 0, y = (e_i, e_i K, e_i K^2).x has
+    D y1 = y2, D y2 = y3 and D y3 = 0.  Every product is summed by
+    ``_cubic_sum``: ints for int values, scalars otherwise.
+    """
+    p, det = _minor_sum3(k), _det3(k)
+    if det:
+        m, mu = [2 * p * v for v in k], 3 * det
+        w = _nonzero_row(_adjugate3(_shifted(m, 2 * mu)))
+        shifted = _shifted(m, -mu)
+        adj = _adjugate3(shifted)
+        if any(adj):
+            a = _nonzero_row(adj)
+            return [_cubic_sum((w, a, a))]
+        u, v = _perp_pair(_nonzero_column(shifted))
+        return [_cubic_sum((w, u, u)), _cubic_sum((w, u, v)),
+                _cubic_sum((w, v, v))]
+    if p:
+        adj = _adjugate3(k)
+        w, n = _nonzero_row(adj), _nonzero_column(adj)
+        # det(x, Kx, n) = x.(Kx x n) = x^T M x for M = -[n]_x K
+        m = _product3([0, n[2], -n[1], -n[2], 0, n[0], n[1], -n[0], 0], k)
+        return [_cubic_sum((w, w, w)), _cubic_sum(
+            *((w, e, m[i:i + 3]) for e, i in zip(_UNITS, (0, 3, 6))))]
+    sq = _product3(k, k)
+    if any(sq):
+        i = next(i for i in (0, 3, 6) if any(sq[i:i + 3]))
+        y1, y2, y3 = _UNITS[i // 3], k[i:i + 3], sq[i:i + 3]
+        return [_cubic_sum((y3, y3, y3)),
+                _cubic_sum((y3, y2, y2), ([-2 * v for v in y3], y1, y3))]
+    if any(k):
+        u, v = _perp_pair(_nonzero_column(k))
+        return [_cubic_sum((u, u, u)), _cubic_sum((u, u, v)),
+                _cubic_sum((u, v, v)), _cubic_sum((v, v, v))]
+    return [[int(s == t) for s in range(10)] for t in range(10)]
 
 
 def _line_space(f: list, field: bool) -> SolutionSpace:
@@ -444,15 +528,23 @@ def _kernel_of(field: bool, k: tuple):
     the last eight twists: ``solve_F`` and then ``cubic_kernel`` on one
     twist compute its kernel once.
 
-    A regular K takes the line of ``_invariant_cubic``; any other K
-    eliminates its ten kernel rows, filled from the slot table, on ints
-    for a rational K.  The numerators are one (e, m) per basis vector
-    b = m / e, e > 0: ints for a rational kernel, f over |f_last| for the
-    line of f, and the vector itself over 1 on ExtScalars.
+    A regular K takes the line of ``_invariant_cubic``, dimension 1; any
+    other K the span of its Jordan type's cubics (``_kernel_cubics``):
+    dimension 2 for eigenvalues 0, +-lambda, 3 for diag(mu, mu, -2 mu)
+    and 1 for a Jordan block on mu, 2 for a nilpotent K with K^2 != 0
+    and 4 for one with K^2 = 0, and 10 for K = 0.  The span is put on the
+    canonical shape by ``SolutionSpace.spanned_by`` from a zero point of
+    K's kind, so that its entries are ExtScalars exactly when K is of
+    the field kind, as ``_line_space`` types the line.  Neither
+    eliminates.  The numerators
+    are one (e, m) per basis vector b = m / e, e > 0: ints for a rational
+    kernel, f over |f_last| for the line of f, and the vector itself over
+    1 on ExtScalars.
     """
     f = _invariant_cubic(k)
     if f is None:
-        space = solve_linear(_derivation_rows(k), [0] * 10, 10)
+        zero = ExtScalar.of(0) if field else 0
+        space = SolutionSpace.spanned_by((zero,) * 10, _kernel_cubics(k))
         return space, tuple((1, b) if field else _scaled_row(b)
                             for b in space.basis)
     space, last = _line_space(f, field), f[_last_nonzero(f)]
@@ -463,12 +555,25 @@ def _kernel_of(field: bool, k: tuple):
 def cubic_kernel(k_matrix: Matrix) -> SolutionSpace:
     """All cubics annihilated by the derivation of a traceless matrix.
 
-    For a regular K the space is the line of f(x) = det(x, Kx, K^2 x)
-    (``_invariant_cubic``), with no elimination; any other K solves its
-    ten kernel equations.  Either way the space is ``solve_linear``'s
-    canonical form, in values and entry types.  It is shared with
-    ``solve_F``, which solves on its basis, through the cache of
-    ``_kernel_of``."""
+    Each Jordan type of K has a closed form, and none eliminates:
+
+    - three distinct nonzero eigenvalues: the line of
+      f(x) = det(x, Kx, K^2 x) (``_invariant_cubic``), dimension 1;
+    - eigenvalues 0, +-lambda (lambda real or imaginary), with
+      w K = 0 = K n: (w.x)^3 and (w.x) det(x, Kx, n), dimension 2;
+    - eigenvalues mu, mu, -2 mu, w.(K + 2 mu) = 0: (w.x) q for the
+      quadratics q in the forms vanishing on the columns of K - mu when
+      K - mu has rank 1, dimension 3, and (w.x)(a.x)^2 for
+      a.(K - mu) = 0 when it has rank 2, dimension 1;
+    - nilpotent with K^2 != 0, y = (e_i, e_i K, e_i K^2).x:
+      y3^3 and y3 (y2^2 - 2 y1 y3), dimension 2;
+    - K = c d^T != 0 with K^2 = 0: the cubics in the forms vanishing on
+      c, dimension 4;
+    - K = 0: all ten monomials.
+
+    The space is ``solve_linear``'s canonical form of the ten kernel
+    equations, in values and entry types.  It is shared with ``solve_F``,
+    which solves on its basis, through the cache of ``_kernel_of``."""
     _check_twist(k_matrix)
     return _kernel(k_matrix)[1]
 
@@ -479,12 +584,13 @@ def solve_F(lp: LinearPair, k_matrix: Matrix) -> SolutionSpace:
     The set is {sum_j y_j m_j : (drift M) y = rhs} for the numerators
     m_j = e_j b_j of the basis b_j of K's cubic kernel that
     ``cubic_kernel`` returns: the six coefficient equations of the
-    quadratic identity in r = dim ker unknowns.  r >= 1: the kernel
-    holds f(x) = det(x, Kx, K^2 x), nonzero when K has a cyclic vector;
-    a K without one is diagonalizable with a repeated eigenvalue, where
-    x1 x2 x3 in an eigenbasis has weight tr K = 0, or has K^2 = 0, where
-    the cube of a linear form vanishing on K's image is invariant.  For
-    a regular K, r = 1 and the system is 6 x 1.
+    quadratic identity in r = dim ker unknowns.  The kernel is the
+    closed form of K's Jordan type (``cubic_kernel``), with no
+    elimination: r = 1 for a regular K and for eigenvalues mu, mu, -2 mu
+    on one Jordan block, 2 for eigenvalues 0, +-lambda and for a
+    nilpotent K with K^2 != 0, 3 for diag(mu, mu, -2 mu) in an
+    eigenbasis, 4 for K != 0 with K^2 = 0, and 10 for K = 0; so the
+    system is 6 x r and the one ``solve_linear`` of this function.
     ``SolutionSpace.spanned_by`` reduces the images of the reduced point
     and directions to the canonical form, with no second solve; that
     form is the one ``solve_linear`` gives on the whole system, kernel

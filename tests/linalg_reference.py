@@ -29,13 +29,19 @@ seeded inputs:
   longer has a Gram reader, and ``form_reference`` uses this one,
 - ``derivation_rows``: the 10x10 matrix of F -> (Kx).grad F, column by
   column from ``poly_reference``'s dict-of-scalars derivation of each
-  cubic monomial, the oracle of ``quaddef._derivation_rows``,
+  cubic monomial; the package no longer builds these rows, and they are
+  the equations behind ``kernel`` and ``stacked_solve_F``,
 - ``stacked_solve_F``: the deformation solver's one 16x10 system, the
   kernel equations of the twist (``derivation_rows``) stacked on the
   coefficient equations, the one oracle of ``quaddef.solve_F``,
 - ``kernel``: the cubic kernel of a twist by eliminating its ten kernel
-  equations (``derivation_rows``), which a regular twist no longer
-  needs, the one oracle of ``quaddef.cubic_kernel``,
+  equations (``derivation_rows``), the one oracle of
+  ``quaddef.cubic_kernel``, which eliminates for no twist: it sums a
+  closed form per Jordan type of K, the line of det(x, Kx, K^2 x) for a
+  regular K (dimension 1), and for any other the cubics of
+  ``quaddef._kernel_cubics`` (dimension 2 for eigenvalues 0, +-lambda;
+  3 for diag(mu, mu, -2 mu) and 1 for a Jordan block on mu; 2 for a
+  nilpotent K with K^2 != 0 and 4 for one with K^2 = 0; 10 for K = 0),
 - ``der0_rows``: the system of ``linclass.der0_space`` as its rows were
   built before they were read off the forms, on nine unit matrices:
   their traces, their images of k and the coefficients of

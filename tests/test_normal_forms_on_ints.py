@@ -220,8 +220,8 @@ ORACLE_OF = {"congruent_diagonalize", "_congruent_diagonal", "classify",
              "direction_in_span", "contains", "same_space", "_free_columns",
              "spanned_by",
              "pi_quad", "_quad_sums", "deform_check", "_deforms", "_PARTIALS",
-             "_DERIVATION_SLOTS", "_derivation_sums", "_derivation_rows",
-             "der0_space"}
+             "_DERIVATION_SLOTS", "_derivation_sums", "_invariant_cubic",
+             "_kernel_cubics", "_cubic_sum", "der0_space"}
 
 
 def _names_taken(path):

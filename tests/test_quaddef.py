@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -11,7 +12,7 @@ import pytest
 
 import linalg_reference as ref
 import poly_reference
-from conftest import random_ext_scalar
+from conftest import random_ext_scalar, random_rational_invertible
 
 from poisson_forge.exactnum import (
     ExactSqrtError,
@@ -64,7 +65,6 @@ from poisson_forge.quaddef import (
     transform_pair,
 )
 from poisson_forge.quaddef import (
-    _derivation_rows,
     _drift_rows,
     _float_eigen_report,
     _rational_roots_monic_cubic,
@@ -332,11 +332,6 @@ def _typed(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
-def _entries(m):
-    """The entries of a matrix, row by row, as ``m.rows`` holds them."""
-    return [v for row in m.rows for v in row]
-
-
 def _drift_by_polynomials(k):
     """The coefficients of the dict kernel's derivatives of the cubic
     monomials along k, one row per quadratic monomial."""
@@ -347,29 +342,17 @@ def _drift_by_polynomials(k):
 
 def test_assembled_rows_match_the_polynomial_route(rng):
     for _ in range(300):
-        entries = [[_random_twist_entry(rng) for _ in range(3)] for _ in range(3)]
-        if rng.random() < 0.3:
-            entries[1][1] = -entries[0][0]   # diagonal sums that cancel
-        k_matrix = Matrix(entries)
         # solve_F gives the drift rows the integer numerators of k
         k = [rng.choice((0, rng.randint(-6, 6))) for _ in range(3)]
-        assert _typed(_derivation_rows(_entries(k_matrix))) == _typed(
-            ref.derivation_rows(k_matrix))
         assert _typed(_drift_rows(k)) == [[(int, v) for v in row]
                                           for row in _drift_by_polynomials(k)]
 
 
 def test_integer_rows_are_the_scaled_rational_rows(rng):
-    # solve_F and cubic_kernel assemble a rational system on ints: the
-    # rows of D K and the drift of the lcm-scaled k, entry by entry the
-    # rational rows times the scale, and all of type int
+    # solve_F assembles its rational system on ints: the drift of the
+    # lcm-scaled k, entry by entry the rational rows times the scale, and
+    # all of type int
     for _ in range(100):
-        k_matrix = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 6))
-                            for _ in range(3)] for _ in range(3)])
-        den, ints = k_matrix.integer_form()
-        int_rows = _derivation_rows(ints)
-        assert _typed(int_rows) == [[(int, den * v) for v in row]
-                                    for row in _derivation_rows(_entries(k_matrix))]
         k = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)]
         scale = math.lcm(*(c.denominator for c in k))
         int_k = [(scale * c).numerator for c in k]
@@ -459,7 +442,7 @@ def test_solve_F_matches_the_fraction_system_for_fractional_k():
         lp = transform_linear_pair(s, standard_pair(rng.randint(1, 10)))
         twist = (s * rng.choice(families) * s.inverse()).scaled(
             F(rng.randint(1, 5), rng.randint(1, 7)))
-        rows = _derivation_rows(_entries(twist)) + _drift_rows(lp.k)
+        rows = ref.derivation_rows(twist) + _drift_rows(lp.k)
         source = deform_rhs(lp, twist)
         rhs = [F(0)] * 10 + [source.coeff(m) for m in QUAD_MONOMIALS]
         want = solve_linear(rows, rhs, 10)
@@ -593,20 +576,60 @@ def _random_ring_twist(rng):
     return Matrix(rows)
 
 
-def test_closed_form_kernel_matches_the_elimination(rng):
-    # a regular twist takes the line of det(x, Kx, K^2 x) with no
-    # elimination: it must be the space the elimination gives, in values
-    # and entry types, as every other twist's still is
-    twists = [_random_rational_twist(rng) for _ in range(60)]
-    twists += [_random_ring_twist(rng) for _ in range(80)]
-    twists += DEGENERATE_TWISTS
-    twists += [Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
-                # regular, with a zero and a rational ExtScalar entry
-                Matrix([[1, ExtScalar.of(0), 0], [0, 2, 0], [0, 0, -3]]),
-                Matrix([[ExtScalar.of(1), 1, 0], [0, 2, 0], [0, 0, -3]]),
-                Matrix.diagonal([SQRT2, SQRT3, -SQRT2 - SQRT3])]
-    dims, regular = set(), {True: 0, False: 0}
-    for twist in twists:
+#: a Jordan form of each type of traceless K that is not regular, for a
+#: scale l != 0, with the dimension of its cubic kernel
+NON_REGULAR_FORMS = {
+    "eigenvalues 0, l, -l": (
+        lambda l: Matrix.diagonal([0, l, -l]), 2),
+    "eigenvalues 0, il, -il": (
+        lambda l: Matrix([[0, l, 0], [-l, 0, 0], [0, 0, 0]]), 2),
+    "diag(l, l, -2l)": (
+        lambda l: Matrix.diagonal([l, l, -2 * l]), 3),
+    "Jordan block on l, l, -2l": (
+        lambda l: Matrix([[l, 1, 0], [0, l, 0], [0, 0, -2 * l]]), 1),
+    "nilpotent of rank 2": (
+        lambda l: Matrix([[0, l, 0], [0, 0, l], [0, 0, 0]]), 2),
+    "nilpotent of rank 1": (
+        lambda l: Matrix([[0, l, 0], [0, 0, 0], [0, 0, 0]]), 4),
+    "zero": (lambda l: Matrix.zero(3), 10),
+}
+
+
+def _non_regular_conjugates(rng, per_form):
+    """(type, S J S^-1) for seeded S and l, and the same twist scaled by
+    an irrational, ``per_form`` draws of each form J."""
+    twists = []
+    for name, (form, _) in NON_REGULAR_FORMS.items():
+        for _ in range(per_form):
+            lam = F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+            s = random_rational_invertible(rng)
+            twist = s * form(lam) * s.inverse()
+            scale = rng.choice((SQRT2, SQRT3, SQRT6, 1 + SQRT2, SQRT3 - SQRT2))
+            twists += [(name, twist), (name, twist.scaled(scale))]
+    return twists
+
+
+def test_closed_form_kernel_matches_the_elimination(rng, monkeypatch):
+    # every twist takes a closed form with no elimination: a regular one
+    # the line of det(x, Kx, K^2 x), any other the span of its Jordan
+    # type's cubics; each must be the space the elimination gives, in
+    # values and entry types
+    def eliminate(*args):
+        raise AssertionError("the cubic kernel eliminated")
+
+    monkeypatch.setattr(quaddef, "solve_linear", eliminate)
+    twists = [(None, _random_rational_twist(rng)) for _ in range(60)]
+    twists += [(None, _random_ring_twist(rng)) for _ in range(80)]
+    twists += [(None, twist) for twist in DEGENERATE_TWISTS]
+    twists += [(None, twist) for twist in (
+        Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        # regular, with a zero and a rational ExtScalar entry
+        Matrix([[1, ExtScalar.of(0), 0], [0, 2, 0], [0, 0, -3]]),
+        Matrix([[ExtScalar.of(1), 1, 0], [0, 2, 0], [0, 0, -3]]),
+        Matrix.diagonal([SQRT2, SQRT3, -SQRT2 - SQRT3]))]
+    twists += _non_regular_conjugates(rng, 8)
+    dims, regular, types = set(), {True: 0, False: 0}, Counter()
+    for name, twist in twists:
         quaddef._kernel_of.cache_clear()
         got = cubic_kernel(twist)
         assert _typed_space(got) == _typed_space(ref.kernel(twist))
@@ -615,8 +638,15 @@ def test_closed_form_kernel_matches_the_elimination(rng):
         if quaddef._invariant_cubic(values) is not None:
             assert got.dim == 1
             regular[any(type(v) is ExtScalar and v for v in values)] += 1
+        if name is not None:
+            assert got.dim == NON_REGULAR_FORMS[name][1], name
+            types[name, twist._rational] += 1
     assert {1, 2, 3, 10} <= dims
     assert regular[False] >= 50 and regular[True] >= 20
+    for name in NON_REGULAR_FORMS:
+        # a scaled zero twist is the zero twist, of the rational kind
+        assert types[name, True] >= (16 if name == "zero" else 8), name
+        assert name == "zero" or types[name, False] == 8, name
 
 
 def test_deform_check_raises_when_its_routes_disagree(monkeypatch):

@@ -4,16 +4,17 @@ a catalog rotation, and the symmetry rows of ``der0_space`` on ints.
 A twist T K T' carried along a catalog rotation T usually has rational
 values, though T has sqrt2 and sqrt3 entries; by the kind rule of
 ``Matrix._of_form`` such a K is of the rational kind, held on ints, as
-is a K given rational-valued ExtScalars.  ``quaddef.solve_F`` and
-``cubic_kernel`` solve it on ints, and the field elimination stays for a
-K with an irrational entry.  ``linalg_reference.stacked_solve_F`` solves
-K's own rows, and the spaces must agree in value and in entry type, as
-``cubic_kernel`` must agree with ``linalg_reference.kernel``.
+is a K given rational-valued ExtScalars.  ``quaddef.cubic_kernel`` sums
+the closed form of K's Jordan type on those ints: the line of
+det(x, Kx, K^2 x) for a regular K, and for any other the cubics of
+``quaddef._kernel_cubics``, of dimension 1 to 4 or all ten for K = 0;
+for a K with an irrational entry it sums them on K's scalars, and the
+kernel is on ExtScalars.  ``solve_F`` solves on that kernel.
+``linalg_reference.kernel`` and ``stacked_solve_F`` eliminate K's own
+rows, and the spaces must agree in value and in entry type.
 Along every route that builds a matrix or polynomial, its kind and
 entry types follow its values alone: a Fraction for a rational value, an
-ExtScalar for an irrational one.  ``_derivation_rows`` fills int rows
-from the slot table, against
-``linalg_reference.derivation_rows``; ``linclass.der0_space`` builds its
+ExtScalar for an irrational one.  ``linclass.der0_space`` builds its
 rows on the forms, against the unit matrices of
 ``linalg_reference.der0_rows``.
 """
@@ -44,7 +45,6 @@ from poisson_forge.exactnum import (
 from poisson_forge.linclass import der0_space, standard_pair
 from poisson_forge.quaddef import (
     CUBIC_MONOMIALS,
-    _derivation_rows,
     cubic_from_coords,
     cubic_kernel,
     enumerate_orbit_pairs,
@@ -297,16 +297,6 @@ def test_a_form_is_on_ints_exactly_when_its_values_are_rational(rng):
                 3, there.terms).compose_linear(t).terms)
             assert back == cubic
     assert min(kinds.values()) >= 40 and len(kinds) == 4, kinds
-
-
-def test_int_derivation_rows_fill_the_slot_table(rng):
-    for _ in range(200):
-        k = [rng.randint(-6, 6) if rng.random() < 0.7 else 0
-             for _ in range(9)]
-        got = _derivation_rows(k)
-        want = ref.derivation_rows(Matrix._of_form(3, 1, k, False))
-        assert [[type(v) for v in row] for row in got] == [[int] * 10] * 10
-        assert got == want
 
 
 def test_der0_space_solves_the_unit_matrix_rows():

@@ -69,7 +69,8 @@ def _solved_spaces(rng):
     catalogs of every case over the three families and the rotation
     twist, ``solve_F`` on random twists, and the cubic kernels of the
     transported and random twists (the line of ``_line_space`` for a
-    regular twist, the elimination otherwise)."""
+    regular twist, the ``spanned_by`` span of its Jordan type's cubics
+    otherwise)."""
     spaces = [der0_space(case) for case in range(1, 11)]
     twists = [of.twist for fam in FAMILIES for of in enumerate_orbit_pairs(fam)]
     twists += [random_traceless(rng) for _ in range(6)]
