@@ -471,7 +471,8 @@ def _kernel_cubics(k: Sequence) -> list:
     if p:
         adj = _adjugate3(k)
         w, n = _nonzero_row(adj), _nonzero_column(adj)
-        # det(x, Kx, n) = x.(Kx x n) = x^T M x for M = -[n]_x K
+        # det(x, Kx, n) = x.(Kx x n) = x^T M x for M = -[n]_x K, where
+        # [n]_x v = n x v
         m = _product3([0, n[2], -n[1], -n[2], 0, n[0], n[1], -n[0], 0], k)
         return [_cubic_sum((w, w, w)), _cubic_sum(
             *((w, e, m[i:i + 3]) for e, i in zip(_UNITS, (0, 3, 6))))]
